@@ -859,37 +859,31 @@ let lint_overhead () =
       (Printf.sprintf "lint overhead %.2f%% breaches the 5%% budget" pct)
 
 (* ------------------------------------------------------------------ *)
-(* K -- Packed-rect gap kernel: sweep vs brute force                   *)
+(* K -- Packed-rect gap kernel                                         *)
 
-(* A/B of the interaction gap kernels: the production x-sweep over
-   packed rectangle arrays against the boxed n*m oracle (which is also
-   the pre-packing cost baseline).  Measurements per workload:
+(* The interaction gap kernel on each workload:
 
    - the kernel proper, as ns/call over the workload's real element
-     geometry (round-robin pairing, the checker's own cutoff) — this is
-     where "sweep vs naive" is answerable, and [speedup] reports it;
-   - the serial interaction stage end to end under each kernel, with
-     GC pressure: the sweep kernel runs out of a caller-owned workspace
-     and allocates nothing per call, so [sweep_minor_mwords] is the
-     number the CI allocation guard watches;
-   - the same two measurements with the packed stores moved off-heap
-     (Bigarray backing, [Geom.Rects.set_storage Offheap]) — the
-     off-heap report must match the heap sweep report byte for byte.
+     geometry (round-robin pairing, the checker's own cutoff);
+   - the serial interaction stage end to end, with GC pressure: the
+     sweep kernel runs out of a caller-owned workspace and allocates
+     nothing per call, so [sweep_minor_mwords] is the number the CI
+     allocation guard watches.
 
-   All reports must be byte-identical -- the bench aborts if not --
-   and the warm-vs-cold engine cache identity is re-proven with the
-   packed memo payloads.  Writes BENCH_kernel.json. *)
+   The warm-vs-cold engine cache identity is then re-proven with the
+   packed memo payloads (the bench aborts if the reports differ).
+   Writes BENCH_kernel.json. *)
 
 let kernel_bench () =
   section
-    "K: gap kernel, sweep vs brute force, heap vs off-heap\n\
-     (packed sweep kernel against the boxed n*m oracle, on real element\n\
-     geometry and end-to-end serial checking; byte-identical reports)";
+    "K: gap kernel\n\
+     (packed sweep kernel on real element geometry and end-to-end\n\
+     serial interaction checking)";
   let workloads =
     [ ("shift-register-1024", lazy (Layoutgen.Shift.register ~lambda 1024), 1, 5);
       ("pla-96x192", lazy (Layoutgen.Pla.tier ~lambda ~rows:96 ~cols:192), 1, 5);
-      (* Production size: one end-to-end run per (kernel, storage) —
-         the interaction stage alone is ~20 s of work per run here. *)
+      (* Production size: one end-to-end run — the interaction stage
+         alone is ~13 s of work per run here. *)
       ("pla-512x1024", lazy (Layoutgen.Pla.million_rect ~lambda), 0, 1) ]
   in
   let dmax =
@@ -898,155 +892,86 @@ let kernel_bench () =
         rules.Tech.Rules.space_metal; rules.Tech.Rules.space_contact;
         rules.Tech.Rules.space_poly_diffusion ]
   in
-  let render vs = Format.asprintf "%a" Dic.Report.pp { Dic.Report.violations = vs } in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "{\"experiment\":\"gap-kernel\",%s,\"workloads\":["
        (provenance_fields ()));
-  Printf.printf "%-22s %10s %10s %8s %10s %10s %10s %14s\n" "workload" "sweep ns"
-    "naive ns" "speedup" "stage s(s)" "stage s(n)" "identical" "minor Mw (s/n)";
-  let saved = Geom.Rects.kernel () in
-  let saved_storage = Geom.Rects.storage () in
-  let with_storage st f =
-    Geom.Rects.set_storage st;
-    Fun.protect ~finally:(fun () -> Geom.Rects.set_storage saved_storage) f
-  in
-  Fun.protect
-    ~finally:(fun () -> Geom.Rects.set_kernel saved)
-    (fun () ->
-      List.iteri
-        (fun wi (name, file, warmup, runs) ->
-          if wi > 0 then Buffer.add_string buf ",";
-          let file = Lazy.force file in
-          let cutoff2 = dmax * dmax in
-          let iters = 1_000_000 in
-          (* Everything below is re-done per storage backing: [of_list]
-             consults the storage switch when the model is elaborated,
-             so heap and off-heap numbers come from separately packed
-             models checked under that backing end to end. *)
-          let under_storage storage =
-            with_storage storage (fun () ->
-                let model =
-                  match Dic.Model.elaborate rules file with
-                  | Ok (m, _) -> m
-                  | Error e -> failwith e
-                in
-                (* Kernel ns/call over the design's own element sets. *)
-                let sets =
-                  List.concat_map
-                    (fun (s : Dic.Model.symbol) ->
-                      List.map
-                        (fun (e : Dic.Model.element) -> e.Dic.Model.packed)
-                        s.Dic.Model.elements)
-                    model.Dic.Model.symbols
-                  |> Array.of_list
-                in
-                let nsets = Array.length sets in
-                let ws = Geom.Rects.make_ws () in
-                let ns_per_call f =
-                  let loop () =
-                    let acc = ref 0 in
-                    for k = 0 to iters - 1 do
-                      let a = sets.(k mod nsets)
-                      and b = sets.((k * 7 + 1) mod nsets) in
-                      acc := !acc + (f a b).Geom.Rects.g2
-                    done;
-                    !acc
-                  in
-                  let _, med = median_wall loop in
-                  med *. 1e9 /. float_of_int iters
-                in
-                let sweep_ns =
-                  ns_per_call (fun a b ->
-                      Geom.Rects.gap2_sweep ~euclid:false ~cutoff2 ws a b)
-                in
-                let naive_ns =
-                  if storage <> Geom.Rects.Heap then 0.
-                  else
-                    ns_per_call (fun a b ->
-                        Geom.Rects.gap2_naive ~euclid:false ~cutoff2 a b)
-                in
-                (* End-to-end serial interaction stage under each kernel. *)
-                let nets, _ = Dic.Netgen.build model in
-                let measure kernel =
-                  Geom.Rects.set_kernel kernel;
-                  let g0 = Gc.quick_stat () in
-                  let vs, med =
-                    median_wall ~warmup ~runs (fun () ->
-                        fst (Dic.Interactions.check nets))
-                  in
-                  let g1 = Gc.quick_stat () in
-                  (* warmup + runs checks ran: per-run Mwords. *)
-                  let per_run w = w /. float_of_int (warmup + runs) /. 1e6 in
-                  ( render vs,
-                    med,
-                    per_run (g1.Gc.minor_words -. g0.Gc.minor_words),
-                    per_run (g1.Gc.major_words -. g0.Gc.major_words) )
-                in
-                (sweep_ns, naive_ns,
-                 List.map measure
-                   (if storage = Geom.Rects.Heap then
-                      [ Geom.Rects.Sweep; Geom.Rects.Naive ]
-                    else [ Geom.Rects.Sweep ])))
-          in
-          let sweep_ns, naive_ns, heap_measures = under_storage Geom.Rects.Heap in
-          let sweep_r, sweep_t, sweep_min, sweep_maj = List.nth heap_measures 0 in
-          let naive_r, naive_t, naive_min, naive_maj = List.nth heap_measures 1 in
-          let identical = String.equal sweep_r naive_r in
-          if not identical then
-            failwith (name ^ ": sweep and naive kernel reports differ");
-          let off_ns, _, off_measures = under_storage Geom.Rects.Offheap in
-          let off_r, off_t, off_min, off_maj = List.hd off_measures in
-          let off_identical = String.equal sweep_r off_r in
-          if not off_identical then
-            failwith (name ^ ": off-heap report differs from heap");
-          Printf.printf "%-22s %10.1f %10.1f %7.2fx %10.3f %10.3f %10b %6.1f /%6.1f\n"
-            name sweep_ns naive_ns (naive_ns /. sweep_ns) sweep_t naive_t identical
-            sweep_min naive_min;
-          Printf.printf
-            "%-22s %10.1f %10s %8s %10.3f %10s %10b %6.1f\n"
-            "  `- off-heap" off_ns "-" "-" off_t "-" off_identical off_min;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"kernel_ns_sweep\":%.1f,\"kernel_ns_naive\":%.1f,\
-                \"speedup\":%.3f,\"check_sweep_s\":%.6f,\"check_naive_s\":%.6f,\
-                \"check_speedup\":%.3f,\"identical\":%b,\
-                \"sweep_minor_mwords\":%.3f,\"naive_minor_mwords\":%.3f,\
-                \"sweep_major_mwords\":%.3f,\"naive_major_mwords\":%.3f,\
-                \"kernel_ns_sweep_offheap\":%.1f,\"offheap_check_s\":%.6f,\
-                \"offheap_minor_mwords\":%.3f,\"offheap_major_mwords\":%.3f,\
-                \"offheap_identical\":%b}"
-               name sweep_ns naive_ns (naive_ns /. sweep_ns) sweep_t naive_t
-               (naive_t /. sweep_t) identical sweep_min naive_min sweep_maj naive_maj
-               off_ns off_t off_min off_maj off_identical))
-        workloads;
-      (* Warm-vs-cold cache identity with the packed memo payloads: a
-         fresh engine over a cache directory a previous engine filled
-         must replay to the byte-identical report. *)
-      Geom.Rects.set_kernel Geom.Rects.Sweep;
-      let file = Layoutgen.Shift.register ~lambda 256 in
-      let cache_dir =
-        let base = Filename.temp_file "dic_bench_kernel" "" in
-        Sys.remove base;
-        base
-      in
-      let check () =
-        match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create ~cache_dir rules) file with
-        | Ok (r, reuse) ->
-          (Format.asprintf "%a" Dic.Report.pp r.Dic.Engine.report, reuse)
+  Printf.printf "%-22s %10s %10s %10s %10s\n" "workload" "sweep ns" "stage s"
+    "minor Mw" "major Mw";
+  List.iteri
+    (fun wi (name, file, warmup, runs) ->
+      if wi > 0 then Buffer.add_string buf ",";
+      let model =
+        match Dic.Model.elaborate rules (Lazy.force file) with
+        | Ok (m, _) -> m
         | Error e -> failwith e
       in
-      let cold, _ = check () in
-      let warm, reuse = check () in
-      rm_rf cache_dir;
-      let cache_identical = String.equal cold warm in
-      if not cache_identical then
-        failwith "warm-cache report differs from cold with packed memo payloads";
-      Printf.printf
-        "warm-vs-cold cache identity (shift-register-256): %b (%d/%d reused)\n"
-        cache_identical reuse.Dic.Engine.symbols_reused reuse.Dic.Engine.symbols_total;
+      (* Kernel ns/call over the design's own element sets. *)
+      let sets =
+        List.concat_map
+          (fun (s : Dic.Model.symbol) ->
+            List.map (fun (e : Dic.Model.element) -> e.Dic.Model.packed) s.Dic.Model.elements)
+          model.Dic.Model.symbols
+        |> Array.of_list
+      in
+      let nsets = Array.length sets in
+      let ws = Geom.Rects.make_ws () in
+      let cutoff2 = dmax * dmax in
+      let iters = 1_000_000 in
+      let loop () =
+        let acc = ref 0 in
+        for k = 0 to iters - 1 do
+          let a = sets.(k mod nsets) and b = sets.((k * 7 + 1) mod nsets) in
+          acc := !acc + (Geom.Rects.gap2 ~euclid:false ~cutoff2 ws a b).Geom.Rects.g2
+        done;
+        !acc
+      in
+      let _, med = median_wall loop in
+      let sweep_ns = med *. 1e9 /. float_of_int iters in
+      (* End-to-end serial interaction stage. *)
+      let nets, _ = Dic.Netgen.build model in
+      let g0 = Gc.quick_stat () in
+      let _, stage_s =
+        median_wall ~warmup ~runs (fun () -> fst (Dic.Interactions.check nets))
+      in
+      let g1 = Gc.quick_stat () in
+      (* warmup + runs checks ran: per-run Mwords. *)
+      let per_run w = w /. float_of_int (warmup + runs) /. 1e6 in
+      let minor = per_run (g1.Gc.minor_words -. g0.Gc.minor_words)
+      and major = per_run (g1.Gc.major_words -. g0.Gc.major_words) in
+      Printf.printf "%-22s %10.1f %10.3f %10.1f %10.1f\n" name sweep_ns stage_s minor major;
       Buffer.add_string buf
-        (Printf.sprintf "],\"cache_identical\":%b}" cache_identical));
+        (Printf.sprintf
+           "{\"name\":\"%s\",\"kernel_ns_sweep\":%.1f,\"check_sweep_s\":%.6f,\
+            \"sweep_minor_mwords\":%.3f,\"sweep_major_mwords\":%.3f}"
+           name sweep_ns stage_s minor major))
+    workloads;
+  (* Warm-vs-cold cache identity with the packed memo payloads: a
+     fresh engine over a cache directory a previous engine filled
+     must replay to the byte-identical report. *)
+  let file = Layoutgen.Shift.register ~lambda 256 in
+  let cache_dir =
+    let base = Filename.temp_file "dic_bench_kernel" "" in
+    Sys.remove base;
+    base
+  in
+  let check () =
+    match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create ~cache_dir rules) file with
+    | Ok (r, reuse) ->
+      (Format.asprintf "%a" Dic.Report.pp r.Dic.Engine.report, reuse)
+    | Error e -> failwith e
+  in
+  let cold, _ = check () in
+  let warm, reuse = check () in
+  rm_rf cache_dir;
+  let cache_identical = String.equal cold warm in
+  if not cache_identical then
+    failwith "warm-cache report differs from cold with packed memo payloads";
+  Printf.printf
+    "warm-vs-cold cache identity (shift-register-256): %b (%d/%d reused)\n"
+    cache_identical reuse.Dic.Engine.symbols_reused reuse.Dic.Engine.symbols_total;
+  Buffer.add_string buf
+    (Printf.sprintf "],\"cache_identical\":%b}" cache_identical);
   Out_channel.with_open_text "BENCH_kernel.json" (fun oc ->
       Out_channel.output_string oc (Buffer.contents buf);
       Out_channel.output_char oc '\n');

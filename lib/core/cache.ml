@@ -8,9 +8,12 @@ type def_entry = {
 
 type memo_file = ((string * string * Geom.Transform.t) * Interactions.memo_entry) list
 
-(* Bump when the payload representation changes: old files become
-   misses, not crashes. *)
-let magic = "dicache2"
+(* Bump when the payload representation changes (a marshalled
+   [Geom.Rects.t] included): old files become misses, not crashes.
+   The digest only guards against torn or damaged bytes; a file another
+   version wrote in good faith passes it, so the magic is the sole
+   version check. *)
+let magic = "dicache3"
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin

@@ -137,10 +137,10 @@ let max_dist rules =
     rules.Tech.Rules.pair_spaces
 
 (* Minimum gap between two packed rect sets under the metric, via the
-   {!Geom.Rects} kernel (sweep in production, the naive oracle under
-   DIC_NAIVE_KERNEL).  [cutoff2] bounds the search: pairs farther apart
-   than the caller cares about are pruned early, and both kernels
-   report the same canonical closest pair for error localisation. *)
+   {!Geom.Rects} sweep kernel.  [cutoff2] bounds the search: pairs
+   farther apart than the caller cares about are pruned early, and the
+   kernel reports the canonical (lexicographically first) closest pair
+   for error localisation. *)
 let gap2_of cfg ~cutoff2 ws a b =
   Geom.Rects.gap2
     ~euclid:(cfg.metric = Geom.Measure.Euclidean)

@@ -281,19 +281,6 @@ let build (model : Model.t) =
     model.Model.symbols;
   ({ model; by_symbol }, List.rev !issues)
 
-let rec resolve_in t sid path eid =
-  let sn = nets_of t sid in
-  match path with
-  | [] -> sn.elt_group.(eid)
-  | c :: rest -> (
-    let sym = Model.find t.model sid in
-    let call = List.find (fun (k : Model.call) -> k.Model.cidx = c) sym.Model.calls in
-    match resolve_in t call.Model.callee rest eid with
-    | None -> None
-    | Some child_gid -> Hashtbl.find_opt sn.sub_group (c, child_gid))
-
-let resolve t sid ~path ~eid = resolve_in t sid path eid
-
 let classes_of names =
   List.map Tech.Netclass.classify names
   |> List.sort_uniq Stdlib.compare

@@ -41,12 +41,6 @@ val build : Model.t -> t * Report.violation list
 
 val nets_of : t -> int -> sym_nets
 
-(** Net group of an element seen from a symbol: [resolve t sid ~path
-    ~eid] follows instance indices [path] (outermost first) from symbol
-    [sid] down to the element.  [None] when the element carries no net
-    (transistor implant etc.). *)
-val resolve : t -> int -> path:int list -> eid:int -> int option
-
 (** The whole-design net list (the root symbol's groups). *)
 val netlist : t -> Netlist.Net.t
 

@@ -193,11 +193,13 @@ type outcome = {
   o_exit : int;
   o_errors : int;
   o_warnings : int;
-  o_reuse : (int * int) option;  (* (symbols_total, symbols_reused) *)
+  o_symbols_total : int;  (* engine reuse counters; 0 on an error *)
+  o_symbols_reused : int;
 }
 
 let error_outcome =
-  { o_status = "error"; o_exit = 2; o_errors = 0; o_warnings = 0; o_reuse = None }
+  { o_status = "error"; o_exit = 2; o_errors = 0; o_warnings = 0;
+    o_symbols_total = 0; o_symbols_reused = 0 }
 
 let process t engines ?req ?trace reqj =
   let req_members = req_field req in
@@ -366,7 +368,8 @@ let process t engines ?req ?trace reqj =
           ( Json.to_string (Json.Obj (with_trace with_sarif)),
             { o_status = "ok"; o_exit = exit_code; o_errors = errors;
               o_warnings = warnings;
-              o_reuse = Some (reuse.Engine.symbols_total, reuse.Engine.symbols_reused) } )
+              o_symbols_total = reuse.Engine.symbols_total;
+              o_symbols_reused = reuse.Engine.symbols_reused } )
         | Some _ ->
           (* Deck-set request: merged report text (the multi-deck CLI's
              stdout bytes), per-deck detail under "decks", and the
@@ -453,10 +456,8 @@ let process t engines ?req ?trace reqj =
           ( Json.to_string (Json.Obj (with_trace with_sarif)),
             { o_status = "ok"; o_exit = exit_code; o_errors = errors;
               o_warnings = warnings;
-              o_reuse =
-                Some
-                  ( sum (fun r -> r.Engine.symbols_total),
-                    sum (fun r -> r.Engine.symbols_reused) ) } ))))
+              o_symbols_total = sum (fun r -> r.Engine.symbols_total);
+              o_symbols_reused = sum (fun r -> r.Engine.symbols_reused) } ))))
 
 let process_safe t engines ?req ?trace reqj =
   try process t engines ?req ?trace reqj
@@ -558,13 +559,11 @@ let worker_loop t p w () =
             cancelled_reply ~req:job.j_seq job.j_id
           end
           else begin
-            (match outcome.o_reuse with
-            | Some (total, reused) -> Telemetry.record_reuse tel ~total ~reused
-            | None -> ());
             Telemetry.request_finished tel ~req:job.j_seq ~worker:w
               ~status:outcome.o_status ~exit_code:outcome.o_exit
-              ~errors:outcome.o_errors ~warnings:outcome.o_warnings ~wait_ns
-              ~service_ns;
+              ~errors:outcome.o_errors ~warnings:outcome.o_warnings
+              ~symbols_total:outcome.o_symbols_total
+              ~symbols_reused:outcome.o_symbols_reused ~wait_ns ~service_ns;
             text
           end
         end

@@ -105,9 +105,18 @@ let request_started t ~req ~worker ~wait_ns =
       observe t "serve.wait_ms" wait_ms);
   event t ~req ~fields:[ ("worker", num worker); ("wait_ms", fnum wait_ms) ] "started"
 
-let request_finished t ~req ~worker ~status ~exit_code ~errors ~warnings ~wait_ns
-    ~service_ns =
+(* Engine reuse counters (the cache hit ratio in [snapshot]).  The
+   live hub and [replay] both feed them from the [finished] event's
+   fields, so the two snapshots agree. *)
+let record_reuse t ~total ~reused =
+  locked t (fun () ->
+      Metrics.incr ~by:total t.metrics "serve.cache.symbols_total";
+      Metrics.incr ~by:reused t.metrics "serve.cache.symbols_reused")
+
+let request_finished t ~req ~worker ~status ~exit_code ~errors ~warnings
+    ~symbols_total ~symbols_reused ~wait_ns ~service_ns =
   let wait_ms = ms_of_ns wait_ns and service_ms = ms_of_ns service_ns in
+  record_reuse t ~total:symbols_total ~reused:symbols_reused;
   let latency_ms = wait_ms +. service_ms in
   locked t (fun () ->
       Metrics.incr t.metrics "serve.finished";
@@ -121,6 +130,7 @@ let request_finished t ~req ~worker ~status ~exit_code ~errors ~warnings ~wait_n
     ~fields:
       [ ("worker", num worker); ("status", Json.Str status); ("exit", num exit_code);
         ("errors", num errors); ("warnings", num warnings);
+        ("symbols_total", num symbols_total); ("symbols_reused", num symbols_reused);
         ("service_ms", fnum service_ms); ("latency_ms", fnum latency_ms) ]
     "finished";
   match t.slow_ms with
@@ -142,11 +152,6 @@ let request_overloaded t ~req ~queued =
 let request_rejected t ~error =
   locked t (fun () -> Metrics.incr t.metrics "serve.rejected");
   event t ~fields:[ ("error", Json.Str error) ] "rejected"
-
-let record_reuse t ~total ~reused =
-  locked t (fun () ->
-      Metrics.incr ~by:total t.metrics "serve.cache.symbols_total";
-      Metrics.incr ~by:reused t.metrics "serve.cache.symbols_reused")
 
 let worker_busy t ~worker ~ns =
   if worker >= 0 then
@@ -394,6 +399,9 @@ let replay content =
           | _ -> ());
           Option.iter (observe t "serve.service_ms") (fnum_of j "service_ms");
           Option.iter (observe t "serve.latency_ms") (fnum_of j "latency_ms");
+          (match (inum_of j "symbols_total", inum_of j "symbols_reused") with
+          | Some total, Some reused -> record_reuse t ~total ~reused
+          | _ -> ());
           (match (fnum_of j "ts_ms", inum_of j "worker", fnum_of j "service_ms") with
           | Some ts, Some w, Some ms ->
             observe t "serve.finish_s" ((ts -. !first_ts) /. 1000.);

@@ -68,19 +68,19 @@ val sample_queue_depth : t -> int -> unit
 val request_accepted : t -> req:int -> id:Json.t -> queued:int -> unit
 val request_started : t -> req:int -> worker:int -> wait_ns:int64 -> unit
 
-(** Also emits the [slow] entry when the request's total latency is at
-    or above the hub's [slow_ms]. *)
+(** [symbols_total]/[symbols_reused] are the served check's engine
+    reuse counters (feeding the cache hit ratio in {!snapshot}); the
+    [finished] event carries them so {!replay} rebuilds the same
+    ratio.  Also emits the [slow] entry when the request's total
+    latency is at or above the hub's [slow_ms]. *)
 val request_finished :
   t -> req:int -> worker:int -> status:string -> exit_code:int -> errors:int ->
-  warnings:int -> wait_ns:int64 -> service_ns:int64 -> unit
+  warnings:int -> symbols_total:int -> symbols_reused:int -> wait_ns:int64 ->
+  service_ns:int64 -> unit
 
 val request_cancelled : t -> req:int -> ?worker:int -> unit -> unit
 val request_overloaded : t -> req:int -> queued:int -> unit
 val request_rejected : t -> error:string -> unit
-
-(** Accumulate a served check's engine reuse counters (feeds the cache
-    hit ratio in {!snapshot}). *)
-val record_reuse : t -> total:int -> reused:int -> unit
 
 (** Charge [ns] of busy time to a worker (feeds the per-worker busy
     fractions in {!snapshot}). *)

@@ -42,8 +42,7 @@ val spacing : metric:metric -> space:int -> Region.t -> Region.t -> violation li
 
 (** Exact minimum separation between two regions under a metric, as a
     squared distance; [None] if either region is empty.  Computed by
-    the {!Rects} gap kernel (whichever of the sweep or the naive
-    oracle is currently selected — they agree exactly). *)
+    the {!Rects.gap2} sweep kernel. *)
 val separation2 : metric:metric -> Region.t -> Region.t -> int option
 
 val pp_violation : Format.formatter -> violation -> unit

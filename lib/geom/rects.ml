@@ -1,17 +1,11 @@
-(* Packed rectangle sets and the minimum-gap kernels.
+(* Packed rectangle sets and the minimum-gap kernel.
 
-   One flat buffer of (x0,y0,x1,y1) quadruples, kept sorted by
+   One flat [int array] of (x0,y0,x1,y1) quadruples, kept sorted by
    Rect.compare order (x0, then y0, x1, y1), with the bounding box
    cached alongside.  The record is mutable so a set can double as a
    reusable scratch buffer for [apply_into]; sets that escape into
    shared structures (elaborated elements, memo entries) are never
    mutated after construction.
-
-   The backing store comes in two interchangeable flavours behind one
-   switch: ordinary [int array]s on the OCaml heap, and off-heap
-   [Bigarray.Array1] storage whose payload the GC never scans or moves.
-   Both produce bit-identical kernel results; the [kernel] bench
-   experiment measures the ns/call and allocation trade between them.
 
    The sweep kernel itself is allocation-free: all of its mutable state
    (best pair, overlap flag, active-band cursors) lives in the
@@ -19,15 +13,8 @@
    functions rather than closures, so a gap query allocates nothing
    beyond the returned [gap] record. *)
 
-type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* Which store backs one particular set. *)
-type buf =
-  | Arr of int array
-  | Big of ba
-
 type t = {
-  mutable buf : buf;  (* quadruples, 4 * count used *)
+  mutable buf : int array;  (* quadruples, 4 * count used *)
   mutable count : int;
   mutable bx0 : int;
   mutable by0 : int;
@@ -35,38 +22,7 @@ type t = {
   mutable by1 : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Storage selection                                                   *)
-
-type storage = Heap | Offheap
-
-let storage_of_env () =
-  match Sys.getenv_opt "DIC_RECTS_STORAGE" with
-  | Some ("offheap" | "bigarray" | "big") -> Offheap
-  | _ -> Heap
-
-let current_storage = ref (storage_of_env ())
-let storage () = !current_storage
-let set_storage s = current_storage := s
-
-let ba_make n : ba = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
-
-let make_buf n =
-  match !current_storage with
-  | Heap -> Arr (Array.make n 0)
-  | Offheap ->
-    let b = ba_make n in
-    Bigarray.Array1.fill b 0;
-    Big b
-
-let storage_of t = match t.buf with Arr _ -> Heap | Big _ -> Offheap
-
-(* Checked generic accessor for the cold paths; the hot kernels below
-   are specialised per backing and use unchecked reads. *)
-let[@inline] bget b i =
-  match b with Arr a -> a.(i) | Big a -> Bigarray.Array1.get a i
-
-let empty () = { buf = make_buf 0; count = 0; bx0 = 0; by0 = 0; bx1 = 0; by1 = 0 }
+let empty () = { buf = [||]; count = 0; bx0 = 0; by0 = 0; bx1 = 0; by1 = 0 }
 
 let length t = t.count
 let is_empty t = t.count = 0
@@ -74,7 +30,7 @@ let is_empty t = t.count = 0
 let get t i =
   if i < 0 || i >= t.count then invalid_arg "Rects.get: index out of bounds";
   let o = 4 * i in
-  Rect.make (bget t.buf o) (bget t.buf (o + 1)) (bget t.buf (o + 2)) (bget t.buf (o + 3))
+  Rect.make t.buf.(o) t.buf.(o + 1) t.buf.(o + 2) t.buf.(o + 3)
 
 let bbox t = if t.count = 0 then None else Some (Rect.make t.bx0 t.by0 t.bx1 t.by1)
 
@@ -82,9 +38,8 @@ let bbox t = if t.count = 0 then None else Some (Rect.make t.bx0 t.by0 t.bx1 t.b
    order.  Sets are per-element geometry (a box, the strips of one wire
    or polygon), so n is small; and the common transform is a
    translation, which keeps the source order and makes this a single
-   linear pass.  One copy per backing so neither pays a dispatch in the
-   inner shift loop. *)
-let sort_quads_arr (d : int array) n =
+   linear pass. *)
+let sort_quads (d : int array) n =
   for i = 1 to n - 1 do
     let x0 = d.(4 * i)
     and y0 = d.((4 * i) + 1)
@@ -115,58 +70,16 @@ let sort_quads_arr (d : int array) n =
     end
   done
 
-let sort_quads_big (d : ba) n =
-  let open Bigarray.Array1 in
-  for i = 1 to n - 1 do
-    let x0 = unsafe_get d (4 * i)
-    and y0 = unsafe_get d ((4 * i) + 1)
-    and x1 = unsafe_get d ((4 * i) + 2)
-    and y1 = unsafe_get d ((4 * i) + 3) in
-    let j = ref (i - 1) in
-    let less_than_key j =
-      let b = 4 * j in
-      let c = Int.compare x0 (unsafe_get d b) in
-      if c <> 0 then c < 0
-      else
-        let c = Int.compare y0 (unsafe_get d (b + 1)) in
-        if c <> 0 then c < 0
-        else
-          let c = Int.compare x1 (unsafe_get d (b + 2)) in
-          if c <> 0 then c < 0 else y1 < unsafe_get d (b + 3)
-    in
-    if less_than_key !j then begin
-      while !j >= 0 && less_than_key !j do
-        let s = 4 * !j in
-        unsafe_set d (s + 4) (unsafe_get d s);
-        unsafe_set d (s + 5) (unsafe_get d (s + 1));
-        unsafe_set d (s + 6) (unsafe_get d (s + 2));
-        unsafe_set d (s + 7) (unsafe_get d (s + 3));
-        decr j
-      done;
-      let o = 4 * (!j + 1) in
-      unsafe_set d o x0;
-      unsafe_set d (o + 1) y0;
-      unsafe_set d (o + 2) x1;
-      unsafe_set d (o + 3) y1
-    end
-  done
-
-let sort_quads buf n =
-  match buf with Arr d -> sort_quads_arr d n | Big d -> sort_quads_big d n
-
 let recompute_bbox t =
   if t.count > 0 then begin
     let d = t.buf in
-    let bx0 = ref (bget d 0)
-    and by0 = ref (bget d 1)
-    and bx1 = ref (bget d 2)
-    and by1 = ref (bget d 3) in
+    let bx0 = ref d.(0) and by0 = ref d.(1) and bx1 = ref d.(2) and by1 = ref d.(3) in
     for i = 1 to t.count - 1 do
       let o = 4 * i in
-      if bget d o < !bx0 then bx0 := bget d o;
-      if bget d (o + 1) < !by0 then by0 := bget d (o + 1);
-      if bget d (o + 2) > !bx1 then bx1 := bget d (o + 2);
-      if bget d (o + 3) > !by1 then by1 := bget d (o + 3)
+      if d.(o) < !bx0 then bx0 := d.(o);
+      if d.(o + 1) < !by0 then by0 := d.(o + 1);
+      if d.(o + 2) > !bx1 then bx1 := d.(o + 2);
+      if d.(o + 3) > !by1 then by1 := d.(o + 3)
     done;
     t.bx0 <- !bx0;
     t.by0 <- !by0;
@@ -176,8 +89,6 @@ let recompute_bbox t =
 
 let of_list rects =
   let n = List.length rects in
-  (* Build and sort on the heap, then land in the selected store; this
-     path runs once per element at elaboration, not per check. *)
   let d = Array.make (4 * n) 0 in
   List.iteri
     (fun i r ->
@@ -187,18 +98,8 @@ let of_list rects =
       d.(o + 2) <- Rect.x1 r;
       d.(o + 3) <- Rect.y1 r)
     rects;
-  sort_quads_arr d n;
-  let buf =
-    match !current_storage with
-    | Heap -> Arr d
-    | Offheap ->
-      let b = ba_make (4 * n) in
-      for i = 0 to (4 * n) - 1 do
-        Bigarray.Array1.unsafe_set b i d.(i)
-      done;
-      Big b
-  in
-  let t = { buf; count = n; bx0 = 0; by0 = 0; bx1 = 0; by1 = 0 } in
+  sort_quads d n;
+  let t = { buf = d; count = n; bx0 = 0; by0 = 0; bx1 = 0; by1 = 0 } in
   recompute_bbox t;
   t
 
@@ -209,53 +110,22 @@ let to_list t =
   done;
   !out
 
-(* [dst] adopts [src]'s backing, so the specialised kernels below only
-   ever see same-store pairs along the transform pipeline. *)
-let ensure_capacity_like src dst n =
-  let n4 = 4 * n in
-  match (src.buf, dst.buf) with
-  | Arr _, Arr d when Array.length d >= n4 -> ()
-  | Arr _, _ -> dst.buf <- Arr (Array.make n4 0)
-  | Big _, Big d when Bigarray.Array1.dim d >= n4 -> ()
-  | Big _, _ -> dst.buf <- Big (ba_make n4)
-
 let apply_into tr ~src ~dst =
-  ensure_capacity_like src dst src.count;
+  if Array.length dst.buf < 4 * src.count then dst.buf <- Array.make (4 * src.count) 0;
   dst.count <- src.count;
-  (match (src.buf, dst.buf) with
-  | Arr s, Arr d ->
-    for i = 0 to src.count - 1 do
-      let o = 4 * i in
-      let px = Transform.apply_x tr s.(o) s.(o + 1)
-      and py = Transform.apply_y tr s.(o) s.(o + 1)
-      and qx = Transform.apply_x tr s.(o + 2) s.(o + 3)
-      and qy = Transform.apply_y tr s.(o + 2) s.(o + 3) in
-      d.(o) <- (if px < qx then px else qx);
-      d.(o + 1) <- (if py < qy then py else qy);
-      d.(o + 2) <- (if px < qx then qx else px);
-      d.(o + 3) <- (if py < qy then qy else py)
-    done
-  | Big s, Big d ->
-    let open Bigarray.Array1 in
-    for i = 0 to src.count - 1 do
-      let o = 4 * i in
-      let sx0 = unsafe_get s o
-      and sy0 = unsafe_get s (o + 1)
-      and sx1 = unsafe_get s (o + 2)
-      and sy1 = unsafe_get s (o + 3) in
-      let px = Transform.apply_x tr sx0 sy0
-      and py = Transform.apply_y tr sx0 sy0
-      and qx = Transform.apply_x tr sx1 sy1
-      and qy = Transform.apply_y tr sx1 sy1 in
-      unsafe_set d o (if px < qx then px else qx);
-      unsafe_set d (o + 1) (if py < qy then py else qy);
-      unsafe_set d (o + 2) (if px < qx then qx else px);
-      unsafe_set d (o + 3) (if py < qy then qy else py)
-    done
-  | (Arr _ | Big _), _ ->
-    (* unreachable: [ensure_capacity_like] matched the stores *)
-    assert false);
-  sort_quads dst.buf dst.count;
+  let s = src.buf and d = dst.buf in
+  for i = 0 to src.count - 1 do
+    let o = 4 * i in
+    let px = Transform.apply_x tr s.(o) s.(o + 1)
+    and py = Transform.apply_y tr s.(o) s.(o + 1)
+    and qx = Transform.apply_x tr s.(o + 2) s.(o + 3)
+    and qy = Transform.apply_y tr s.(o + 2) s.(o + 3) in
+    d.(o) <- (if px < qx then px else qx);
+    d.(o + 1) <- (if py < qy then py else qy);
+    d.(o + 2) <- (if px < qx then qx else px);
+    d.(o + 3) <- (if py < qy then qy else py)
+  done;
+  sort_quads d dst.count;
   (* Orthogonal transforms map boxes to boxes: the transformed source
      bbox is exact. *)
   if src.count > 0 then begin
@@ -275,7 +145,7 @@ let apply tr src =
   dst
 
 (* ------------------------------------------------------------------ *)
-(* Minimum-gap kernels                                                 *)
+(* Minimum-gap kernel                                                  *)
 
 type gap = { g2 : int; ai : int; bi : int; overlap : bool }
 
@@ -306,44 +176,12 @@ let ensure_ws ws na nb =
   if Array.length ws.wa < na then ws.wa <- Array.make na 0;
   if Array.length ws.wb < nb then ws.wb <- Array.make nb 0
 
-(* The oracle: the checker's original list-of-rects brute force, n*m
-   axis gaps with no pruning, kept bit-compatible with the sweep.  The
-   pair reported for a tied minimum gap is the (ai, bi)-lexicographically
-   first over the sorted arrays; [overlap] is exact.  Deliberately left
-   on boxed rectangles (it also serves as the pre-packing cost baseline
-   for the [kernel] bench experiment). *)
-let gap2_naive ~euclid ~cutoff2 a b =
-  if a.count = 0 || b.count = 0 then no_gap
-  else begin
-    let best = ref no_gap in
-    let ra = Array.of_list (to_list a) and rb = Array.of_list (to_list b) in
-    Array.iteri
-      (fun i xa ->
-        Array.iteri
-          (fun j xb ->
-            let xg = Rect.gap_x xa xb and yg = Rect.gap_y xa xb in
-            let ov = !best.overlap || Rect.overlaps ~a:xa ~b:xb in
-            let g2 =
-              if euclid then (xg * xg) + (yg * yg)
-              else
-                let m = if xg > yg then xg else yg in
-                m * m
-            in
-            if g2 <= cutoff2 && g2 < !best.g2 then
-              best := { g2; ai = i; bi = j; overlap = ov }
-            else if ov <> !best.overlap then best := { !best with overlap = ov })
-          rb)
-      ra;
-    !best
-  end
-
-(* One pair test of the sweep, shared by every storage specialisation:
-   the coordinate loads happen in the drivers, this only judges them
-   and updates the state in [ws].  Eviction elsewhere uses a strict
-   comparison, so pairs tying the current best survive and the
-   (ai, bi)-lexicographic tie-break here returns exactly the pair the
-   naive kernel finds.  Overlapping pairs have zero x gap and are never
-   evicted, so [overlap] is exact too. *)
+(* One pair test of the sweep: the coordinate loads happen in [drive],
+   this only judges them and updates the state in [ws].  Eviction
+   elsewhere uses a strict comparison, so pairs tying the current best
+   survive and the (ai, bi)-lexicographic tie-break here returns
+   exactly the pair an n*m brute force finds.  Overlapping pairs have
+   zero x gap and are never evicted, so [overlap] is exact too. *)
 let[@inline] consider_pair ws ~euclid ~cutoff2 ai bi ax0 ay0 ax1 ay1 bx0 by0 bx1 by1 =
   let xg =
     let d1 = bx0 - ax1 and d2 = ax0 - bx1 in
@@ -377,51 +215,24 @@ let[@inline] consider_pair ws ~euclid ~cutoff2 ai bi ax0 ay0 ax1 ay1 bx0 by0 bx1
    to every later opening, since x0 only grows) already exceeds the
    bound [b2]; returns the compacted band length.  Tail-recursive with
    the cursor in an argument: no ref, no allocation. *)
-let rec prune_arr act (d : int array) x b2 i n k =
+let rec prune act (d : int array) x b2 i n k =
   if i >= n then k
   else begin
     let ri = Array.unsafe_get act i in
     let dx = x - Array.unsafe_get d ((4 * ri) + 2) in
     if dx <= 0 || dx * dx <= b2 then begin
       Array.unsafe_set act k ri;
-      prune_arr act d x b2 (i + 1) n (k + 1)
+      prune act d x b2 (i + 1) n (k + 1)
     end
-    else prune_arr act d x b2 (i + 1) n k
-  end
-
-let rec prune_big act (d : ba) x b2 i n k =
-  if i >= n then k
-  else begin
-    let ri = Array.unsafe_get act i in
-    let dx = x - Bigarray.Array1.unsafe_get d ((4 * ri) + 2) in
-    if dx <= 0 || dx * dx <= b2 then begin
-      Array.unsafe_set act k ri;
-      prune_big act d x b2 (i + 1) n (k + 1)
-    end
-    else prune_big act d x b2 (i + 1) n k
-  end
-
-let rec prune_gen act (d : buf) x b2 i n k =
-  if i >= n then k
-  else begin
-    let ri = Array.unsafe_get act i in
-    let dx = x - bget d ((4 * ri) + 2) in
-    if dx <= 0 || dx * dx <= b2 then begin
-      Array.unsafe_set act k ri;
-      prune_gen act d x b2 (i + 1) n (k + 1)
-    end
-    else prune_gen act d x b2 (i + 1) n k
+    else prune act d x b2 (i + 1) n k
   end
 
 let[@inline] bound2 ws cutoff2 = if ws.s_best2 < cutoff2 then ws.s_best2 else cutoff2
 
-(* The x-sweep drivers.  Rectangles of both sets are visited in
+(* The x-sweep driver.  Rectangles of both sets are visited in
    ascending x0 (merged); each opening rectangle is compared against
-   the other set's active band, pruned against [min best2 cutoff2].
-   One driver per backing so the inner loops read flat memory with no
-   per-element dispatch; [drive_gen] covers mixed-store pairs (only
-   reachable when the storage switch is flipped between builds). *)
-let rec drive_arr ~euclid ~cutoff2 ws (da : int array) ca (db : int array) cb ia ib =
+   the other set's active band, pruned against [min best2 cutoff2]. *)
+let rec drive ~euclid ~cutoff2 ws (da : int array) ca (db : int array) cb ia ib =
   if ia < ca || ib < cb then begin
     let take_a =
       if ib >= cb then true
@@ -434,7 +245,7 @@ let rec drive_arr ~euclid ~cutoff2 ws (da : int array) ca (db : int array) cb ia
       and ay0 = Array.unsafe_get da (oa + 1)
       and ax1 = Array.unsafe_get da (oa + 2)
       and ay1 = Array.unsafe_get da (oa + 3) in
-      ws.s_nb <- prune_arr ws.wb db ax0 (bound2 ws cutoff2) 0 ws.s_nb 0;
+      ws.s_nb <- prune ws.wb db ax0 (bound2 ws cutoff2) 0 ws.s_nb 0;
       for j = 0 to ws.s_nb - 1 do
         let bi = Array.unsafe_get ws.wb j in
         let ob = 4 * bi in
@@ -446,7 +257,7 @@ let rec drive_arr ~euclid ~cutoff2 ws (da : int array) ca (db : int array) cb ia
       done;
       Array.unsafe_set ws.wa ws.s_na ia;
       ws.s_na <- ws.s_na + 1;
-      drive_arr ~euclid ~cutoff2 ws da ca db cb (ia + 1) ib
+      drive ~euclid ~cutoff2 ws da ca db cb (ia + 1) ib
     end
     else begin
       let ob = 4 * ib in
@@ -454,7 +265,7 @@ let rec drive_arr ~euclid ~cutoff2 ws (da : int array) ca (db : int array) cb ia
       and by0 = Array.unsafe_get db (ob + 1)
       and bx1 = Array.unsafe_get db (ob + 2)
       and by1 = Array.unsafe_get db (ob + 3) in
-      ws.s_na <- prune_arr ws.wa da bx0 (bound2 ws cutoff2) 0 ws.s_na 0;
+      ws.s_na <- prune ws.wa da bx0 (bound2 ws cutoff2) 0 ws.s_na 0;
       for i = 0 to ws.s_na - 1 do
         let ai = Array.unsafe_get ws.wa i in
         let oa = 4 * ai in
@@ -467,110 +278,11 @@ let rec drive_arr ~euclid ~cutoff2 ws (da : int array) ca (db : int array) cb ia
       done;
       Array.unsafe_set ws.wb ws.s_nb ib;
       ws.s_nb <- ws.s_nb + 1;
-      drive_arr ~euclid ~cutoff2 ws da ca db cb ia (ib + 1)
+      drive ~euclid ~cutoff2 ws da ca db cb ia (ib + 1)
     end
   end
 
-let rec drive_big ~euclid ~cutoff2 ws (da : ba) ca (db : ba) cb ia ib =
-  let open Bigarray.Array1 in
-  if ia < ca || ib < cb then begin
-    let take_a =
-      if ib >= cb then true
-      else if ia >= ca then false
-      else unsafe_get da (4 * ia) <= unsafe_get db (4 * ib)
-    in
-    if take_a then begin
-      let oa = 4 * ia in
-      let ax0 = unsafe_get da oa
-      and ay0 = unsafe_get da (oa + 1)
-      and ax1 = unsafe_get da (oa + 2)
-      and ay1 = unsafe_get da (oa + 3) in
-      ws.s_nb <- prune_big ws.wb db ax0 (bound2 ws cutoff2) 0 ws.s_nb 0;
-      for j = 0 to ws.s_nb - 1 do
-        let bi = Array.unsafe_get ws.wb j in
-        let ob = 4 * bi in
-        consider_pair ws ~euclid ~cutoff2 ia bi ax0 ay0 ax1 ay1
-          (unsafe_get db ob)
-          (unsafe_get db (ob + 1))
-          (unsafe_get db (ob + 2))
-          (unsafe_get db (ob + 3))
-      done;
-      Array.unsafe_set ws.wa ws.s_na ia;
-      ws.s_na <- ws.s_na + 1;
-      drive_big ~euclid ~cutoff2 ws da ca db cb (ia + 1) ib
-    end
-    else begin
-      let ob = 4 * ib in
-      let bx0 = unsafe_get db ob
-      and by0 = unsafe_get db (ob + 1)
-      and bx1 = unsafe_get db (ob + 2)
-      and by1 = unsafe_get db (ob + 3) in
-      ws.s_na <- prune_big ws.wa da bx0 (bound2 ws cutoff2) 0 ws.s_na 0;
-      for i = 0 to ws.s_na - 1 do
-        let ai = Array.unsafe_get ws.wa i in
-        let oa = 4 * ai in
-        consider_pair ws ~euclid ~cutoff2 ai ib
-          (unsafe_get da oa)
-          (unsafe_get da (oa + 1))
-          (unsafe_get da (oa + 2))
-          (unsafe_get da (oa + 3))
-          bx0 by0 bx1 by1
-      done;
-      Array.unsafe_set ws.wb ws.s_nb ib;
-      ws.s_nb <- ws.s_nb + 1;
-      drive_big ~euclid ~cutoff2 ws da ca db cb ia (ib + 1)
-    end
-  end
-
-let rec drive_gen ~euclid ~cutoff2 ws (da : buf) ca (db : buf) cb ia ib =
-  if ia < ca || ib < cb then begin
-    let take_a =
-      if ib >= cb then true
-      else if ia >= ca then false
-      else bget da (4 * ia) <= bget db (4 * ib)
-    in
-    if take_a then begin
-      let oa = 4 * ia in
-      let ax0 = bget da oa
-      and ay0 = bget da (oa + 1)
-      and ax1 = bget da (oa + 2)
-      and ay1 = bget da (oa + 3) in
-      ws.s_nb <- prune_gen ws.wb db ax0 (bound2 ws cutoff2) 0 ws.s_nb 0;
-      for j = 0 to ws.s_nb - 1 do
-        let bi = Array.unsafe_get ws.wb j in
-        let ob = 4 * bi in
-        consider_pair ws ~euclid ~cutoff2 ia bi ax0 ay0 ax1 ay1 (bget db ob)
-          (bget db (ob + 1))
-          (bget db (ob + 2))
-          (bget db (ob + 3))
-      done;
-      Array.unsafe_set ws.wa ws.s_na ia;
-      ws.s_na <- ws.s_na + 1;
-      drive_gen ~euclid ~cutoff2 ws da ca db cb (ia + 1) ib
-    end
-    else begin
-      let ob = 4 * ib in
-      let bx0 = bget db ob
-      and by0 = bget db (ob + 1)
-      and bx1 = bget db (ob + 2)
-      and by1 = bget db (ob + 3) in
-      ws.s_na <- prune_gen ws.wa da bx0 (bound2 ws cutoff2) 0 ws.s_na 0;
-      for i = 0 to ws.s_na - 1 do
-        let ai = Array.unsafe_get ws.wa i in
-        let oa = 4 * ai in
-        consider_pair ws ~euclid ~cutoff2 ai ib (bget da oa)
-          (bget da (oa + 1))
-          (bget da (oa + 2))
-          (bget da (oa + 3))
-          bx0 by0 bx1 by1
-      done;
-      Array.unsafe_set ws.wb ws.s_nb ib;
-      ws.s_nb <- ws.s_nb + 1;
-      drive_gen ~euclid ~cutoff2 ws da ca db cb ia (ib + 1)
-    end
-  end
-
-let gap2_sweep ~euclid ~cutoff2 ws a b =
+let gap2 ~euclid ~cutoff2 ws a b =
   if a.count = 0 || b.count = 0 then no_gap
   else begin
     ensure_ws ws a.count b.count;
@@ -580,32 +292,10 @@ let gap2_sweep ~euclid ~cutoff2 ws a b =
     ws.s_overlap <- false;
     ws.s_na <- 0;
     ws.s_nb <- 0;
-    (match (a.buf, b.buf) with
-    | Arr da, Arr db -> drive_arr ~euclid ~cutoff2 ws da a.count db b.count 0 0
-    | Big da, Big db -> drive_big ~euclid ~cutoff2 ws da a.count db b.count 0 0
-    | (Arr _ | Big _), _ -> drive_gen ~euclid ~cutoff2 ws a.buf a.count b.buf b.count 0 0);
+    drive ~euclid ~cutoff2 ws a.buf a.count b.buf b.count 0 0;
     if ws.s_ai < 0 then if ws.s_overlap then { no_gap with overlap = true } else no_gap
     else { g2 = ws.s_best2; ai = ws.s_ai; bi = ws.s_bi; overlap = ws.s_overlap }
   end
-
-(* ------------------------------------------------------------------ *)
-(* Kernel selection                                                    *)
-
-type kernel = Naive | Sweep
-
-let kernel_of_env () =
-  match Sys.getenv_opt "DIC_NAIVE_KERNEL" with
-  | None | Some "" | Some "0" -> Sweep
-  | Some _ -> Naive
-
-let current = ref (kernel_of_env ())
-let kernel () = !current
-let set_kernel k = current := k
-
-let gap2 ~euclid ~cutoff2 ws a b =
-  match !current with
-  | Sweep -> gap2_sweep ~euclid ~cutoff2 ws a b
-  | Naive -> gap2_naive ~euclid ~cutoff2 a b
 
 let pp ppf t =
   Format.fprintf ppf "@[<h>{";

@@ -1,19 +1,17 @@
-(** Packed rectangle sets and the interaction-check gap kernels.
+(** Packed rectangle sets and the interaction-check gap kernel.
 
     The interaction stage spends nearly all of its time asking one
     question: how close do two small sets of axis-aligned rectangles
-    come?  This module gives that question a representation and two
-    kernels.
+    come?  This module gives that question a representation and one
+    kernel.
 
-    {b Representation.}  A set is one flat buffer of
+    {b Representation.}  A set is one flat [int array] of
     [(x0, y0, x1, y1)] quadruples sorted by {!Rect.compare} order
     (min-x first), with the bounding box precomputed.  Packing removes
     the per-rectangle boxing of a [Rect.t list] — walking a set is a
     cache-friendly scan, and an orthogonal {!Transform.t} can be
     applied with {!apply_into} into a caller-owned scratch set without
-    allocating.  The buffer itself lives either on the OCaml heap
-    ([int array]) or off-heap ([Bigarray], never scanned or moved by
-    the GC) — see {!section-storage}.
+    allocating.
 
     {b Mutability contract.}  [t] is mutable only so it can serve as a
     reusable scratch buffer for {!apply_into}.  A set that escapes into
@@ -54,14 +52,13 @@ val apply_into : Transform.t -> src:t -> dst:t -> unit
 (** [apply tr src] is a freshly allocated transformed copy. *)
 val apply : Transform.t -> t -> t
 
-(** {2 Minimum-gap kernels}
+(** {2 Minimum-gap kernel}
 
-    Both kernels compute the same function: over all rectangle pairs
-    [(i, j)] of the two sets whose squared separation is at most
-    [cutoff2], the minimum squared separation — Euclidean
-    ([euclid = true]) or Chebyshev/orthogonal — together with the
-    indices of the minimising pair and whether any pair of the two
-    sets overlaps with positive area.
+    {!gap2} computes, over all rectangle pairs [(i, j)] of the two sets
+    whose squared separation is at most [cutoff2], the minimum squared
+    separation — Euclidean ([euclid = true]) or Chebyshev/orthogonal —
+    together with the indices of the minimising pair and whether any
+    pair of the two sets overlaps with positive area.
 
     {b Cutoff semantics.}  [cutoff2] is inclusive: a pair at exactly
     the cutoff is reported.  When no pair is within the cutoff the
@@ -73,8 +70,8 @@ val apply : Transform.t -> t -> t
 
     {b Tie-break.}  Among pairs achieving the minimum, the
     [(ai, bi)]-lexicographically smallest over the canonical order is
-    returned — by both kernels, so reports are byte-identical
-    whichever kernel is selected. *)
+    returned — exactly the pair an n·m brute force visiting [i] then
+    [j] in order would keep, which is how the kernel is tested. *)
 
 type gap = {
   g2 : int;  (** squared separation; [max_int] when nothing qualifies *)
@@ -87,64 +84,17 @@ val no_gap : gap
 
 (** Reusable scratch for the sweep: the active-band index arrays plus
     the entire per-call mutable state (best pair, overlap flag, band
-    lengths), so a {!gap2_sweep} call allocates nothing but its result.
+    lengths), so a {!gap2} call allocates nothing but its result.
     One per domain: not thread-safe, but freely reusable across
     calls. *)
 type ws
 
 val make_ws : unit -> ws
 
-(** The oracle: the original brute-force kernel — n·m axis gaps over
-    boxed rectangle lists, no pruning.  Slow on purpose; it is the
-    test oracle for {!gap2_sweep} and the pre-packing baseline the
-    [kernel] bench experiment measures against. *)
-val gap2_naive : euclid:bool -> cutoff2:int -> t -> t -> gap
-
-(** The production kernel: an x-sweep over both sets merged in
-    ascending min-x, holding the other set's candidates in an active
-    band pruned against [min best-so-far cutoff2].  ~O((n+m)·band)
-    with early exit via the cutoff, against the oracle's n·m. *)
-val gap2_sweep : euclid:bool -> cutoff2:int -> ws -> t -> t -> gap
-
-(** {2 Kernel selection}
-
-    The kernel is a process-wide switch, initialised from the
-    [DIC_NAIVE_KERNEL] environment variable (unset, empty, or ["0"]
-    select {!Sweep}; anything else selects {!Naive}) and adjustable
-    programmatically for A/B measurements.  Select once at startup:
-    the switch is read per call and is not synchronised across
-    domains. *)
-
-type kernel = Naive | Sweep
-
-val kernel : unit -> kernel
-val set_kernel : kernel -> unit
-
-(** [gap2 ~euclid ~cutoff2 ws a b] — whichever kernel is selected. *)
+(** [gap2 ~euclid ~cutoff2 ws a b] — an x-sweep over both sets merged
+    in ascending min-x, holding the other set's candidates in an active
+    band pruned against [min best-so-far cutoff2].  ~O((n+m)·band) with
+    early exit via the cutoff, against a brute force's n·m. *)
 val gap2 : euclid:bool -> cutoff2:int -> ws -> t -> t -> gap
-
-(** {2:storage Storage selection}
-
-    Like the kernel switch, the backing store is a process-wide switch,
-    initialised from the [DIC_RECTS_STORAGE] environment variable
-    (["offheap"], ["bigarray"], or ["big"] select {!Offheap}; anything
-    else, or unset, selects {!Heap}) and adjustable programmatically
-    for A/B measurements.  It applies to sets created after the switch
-    is flipped; existing sets keep their store, and the gap kernels
-    accept mixed-store pairs (via a generic, slightly slower driver).
-    Both stores produce bit-identical results.
-
-    {!Heap} sets are ordinary [int array]s; {!Offheap} sets keep their
-    payload in [Bigarray] memory that the minor GC neither scans nor
-    copies — on large decks this takes the packed geometry out of the
-    GC's working set entirely. *)
-
-type storage = Heap | Offheap
-
-val storage : unit -> storage
-val set_storage : storage -> unit
-
-(** The store backing one particular set (for tests and benchmarks). *)
-val storage_of : t -> storage
 
 val pp : Format.formatter -> t -> unit

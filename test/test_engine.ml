@@ -133,6 +133,31 @@ let test_corrupted_cache_falls_back_to_cold () =
         r.Dic.Engine.memo_loaded;
       Alcotest.(check string) "run still correct" (report_text cold) (report_text warm))
 
+(* A cache written by the previous payload format: the old magic in
+   front of an intact digest and payload.  The digest still matches, so
+   only the magic stands between the reader and a foreign [Marshal]
+   shape — it must read as a miss. *)
+let test_old_magic_reads_as_miss () =
+  with_cache_dir (fun dir ->
+      let file = workload () in
+      let cold, _ = check_ok (Dic.Engine.create ~cache_dir:dir rules) file in
+      let rec restamp path =
+        if Sys.is_directory path then
+          Array.iter (fun n -> restamp (Filename.concat path n)) (Sys.readdir path)
+        else begin
+          let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in
+          Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc "dicache2")
+        end
+      in
+      restamp dir;
+      let warm, r = check_ok (Dic.Engine.create ~cache_dir:dir rules) file in
+      Alcotest.(check int) "no definition reused across formats" 0
+        r.Dic.Engine.symbols_reused;
+      Alcotest.(check int) "no definition read from disk" 0 r.Dic.Engine.defs_from_disk;
+      Alcotest.(check int) "no memo entry loaded across formats" 0
+        r.Dic.Engine.memo_loaded;
+      Alcotest.(check string) "cold report" (report_text cold) (report_text warm))
+
 let test_in_memory_session_reuse () =
   (* No cache directory at all: the in-memory session still reuses. *)
   let e = Dic.Engine.create rules in
@@ -576,6 +601,8 @@ let () =
             test_config_change_invalidates;
           Alcotest.test_case "corrupted cache falls back to cold" `Quick
             test_corrupted_cache_falls_back_to_cold;
+          Alcotest.test_case "previous cache format reads as a miss" `Quick
+            test_old_magic_reads_as_miss;
           Alcotest.test_case "in-memory session reuse" `Quick test_in_memory_session_reuse ] );
       ( "parallel",
         [ Alcotest.test_case "report/SARIF/stats bytes across jobs" `Quick

@@ -1,8 +1,7 @@
 (* Kernel equivalence: the sweep gap kernel against the brute-force
    oracle, property-tested over adversarial rectangle soup (touching,
    overlapping, coincident, empty), plus end-to-end report identity
-   across kernels and across job counts under the task-queue
-   scheduler. *)
+   across job counts under the task-queue scheduler. *)
 
 module R = Geom.Rects
 module Rect = Geom.Rect
@@ -22,6 +21,36 @@ let qsuite name tests =
       (fun t ->
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t)
       tests )
+
+(* The oracle: the checker's original list-of-rects brute force, n*m
+   axis gaps with no pruning, kept bit-compatible with the sweep.  The
+   pair reported for a tied minimum gap is the (ai, bi)-lexicographically
+   first over the sorted arrays; [overlap] is exact.  Deliberately left
+   on boxed rectangles, independent of the packed kernel it checks. *)
+let gap2_naive ~euclid ~cutoff2 a b =
+  if R.is_empty a || R.is_empty b then R.no_gap
+  else begin
+    let best = ref R.no_gap in
+    let ra = Array.of_list (R.to_list a) and rb = Array.of_list (R.to_list b) in
+    Array.iteri
+      (fun i xa ->
+        Array.iteri
+          (fun j xb ->
+            let xg = Rect.gap_x xa xb and yg = Rect.gap_y xa xb in
+            let ov = !best.R.overlap || Rect.overlaps ~a:xa ~b:xb in
+            let g2 =
+              if euclid then (xg * xg) + (yg * yg)
+              else
+                let m = if xg > yg then xg else yg in
+                m * m
+            in
+            if g2 <= cutoff2 && g2 < !best.R.g2 then
+              best := { R.g2; ai = i; bi = j; overlap = ov }
+            else if ov <> !best.R.overlap then best := { !best with R.overlap = ov })
+          rb)
+      ra;
+    !best
+  end
 
 let gap_eq (a : R.gap) (b : R.gap) =
   a.R.g2 = b.R.g2 && a.R.ai = b.R.ai && a.R.bi = b.R.bi
@@ -56,8 +85,8 @@ let prop_sweep_matches_naive =
     (fun ((la, lb), (euclid, cutoff2)) ->
       let a = R.of_list la and b = R.of_list lb in
       let ws = R.make_ws () in
-      let n = R.gap2_naive ~euclid ~cutoff2 a b in
-      let s = R.gap2_sweep ~euclid ~cutoff2 ws a b in
+      let n = gap2_naive ~euclid ~cutoff2 a b in
+      let s = R.gap2 ~euclid ~cutoff2 ws a b in
       if gap_eq n s then true
       else
         QCheck2.Test.fail_reportf "cutoff2=%d euclid=%b: naive=%a sweep=%a"
@@ -71,7 +100,7 @@ let prop_ws_reuse =
     (fun (((la1, lb1), (e1, c1)), ((la2, lb2), (e2, c2))) ->
       let ws = R.make_ws () in
       let run (la, lb) euclid cutoff2 =
-        R.gap2_sweep ~euclid ~cutoff2 ws (R.of_list la) (R.of_list lb)
+        R.gap2 ~euclid ~cutoff2 ws (R.of_list la) (R.of_list lb)
       in
       let first = run (la1, lb1) e1 c1 in
       ignore (run (la2, lb2) e2 c2);
@@ -109,71 +138,11 @@ let prop_separation2_oracle =
       | None -> Geom.Region.rects ra = [] || Geom.Region.rects rb = []
       | Some g2 ->
         let n =
-          R.gap2_naive ~euclid ~cutoff2:max_int
+          gap2_naive ~euclid ~cutoff2:max_int
             (R.of_list (Geom.Region.rects ra))
             (R.of_list (Geom.Region.rects rb))
         in
         g2 = n.R.g2)
-
-(* ------------------------------------------------------------------ *)
-(* Off-heap (Bigarray) storage                                         *)
-
-let with_storage st f =
-  let saved = R.storage () in
-  R.set_storage st;
-  Fun.protect ~finally:(fun () -> R.set_storage saved) f
-
-(* Bigarray-backed sets must be indistinguishable from int-array ones:
-   same sweep verdicts (against the boxed oracle), and the same for a
-   deliberately mixed pair — one backing per side — which exercises the
-   generic driver instead of the specialized ones. *)
-let prop_offheap_matches_oracle =
-  QCheck2.Test.make ~name:"offheap sweep = naive oracle" ~count:1000 case_gen
-    (fun ((la, lb), (euclid, cutoff2)) ->
-      with_storage R.Offheap (fun () ->
-          let a = R.of_list la and b = R.of_list lb in
-          if R.storage_of a <> R.Offheap || R.storage_of b <> R.Offheap then
-            QCheck2.Test.fail_reportf "of_list ignored the storage switch";
-          let ws = R.make_ws () in
-          let n = R.gap2_naive ~euclid ~cutoff2 a b in
-          let s = R.gap2_sweep ~euclid ~cutoff2 ws a b in
-          if gap_eq n s then true
-          else
-            QCheck2.Test.fail_reportf
-              "offheap: cutoff2=%d euclid=%b: naive=%a sweep=%a" cutoff2 euclid
-              pp_gap n pp_gap s))
-
-let prop_mixed_backing_matches =
-  QCheck2.Test.make ~name:"mixed heap/offheap pair = heap pair" ~count:500
-    QCheck2.Gen.(pair case_gen bool)
-    (fun (((la, lb), (euclid, cutoff2)), a_offheap) ->
-      let heap_a = with_storage R.Heap (fun () -> R.of_list la)
-      and heap_b = with_storage R.Heap (fun () -> R.of_list lb)
-      and off_a = with_storage R.Offheap (fun () -> R.of_list la)
-      and off_b = with_storage R.Offheap (fun () -> R.of_list lb) in
-      let a, b = if a_offheap then (off_a, heap_b) else (heap_a, off_b) in
-      let ws = R.make_ws () in
-      let expect = R.gap2_sweep ~euclid ~cutoff2 ws heap_a heap_b in
-      let got = R.gap2_sweep ~euclid ~cutoff2 ws a b in
-      if gap_eq expect got then true
-      else
-        QCheck2.Test.fail_reportf
-          "mixed backing: cutoff2=%d euclid=%b: heap=%a mixed=%a" cutoff2
-          euclid pp_gap expect pp_gap got)
-
-(* [apply_into] adopts the source's backing, so transformed scratch
-   sets stay in the same store as their definition geometry. *)
-let prop_offheap_apply_into =
-  QCheck2.Test.make ~name:"offheap apply_into = of_list . map" ~count:500
-    QCheck2.Gen.(pair transform_gen set_gen)
-    (fun (tr, rects) ->
-      with_storage R.Offheap (fun () ->
-          let src = R.of_list rects in
-          let dst = R.empty () in
-          R.apply_into tr ~src ~dst;
-          (rects = [] || R.storage_of dst = R.Offheap)
-          && R.to_list dst
-             = R.to_list (R.of_list (List.map (Transform.apply_rect tr) rects))))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end identity                                                 *)
@@ -198,20 +167,6 @@ let workloads () =
     (Layoutgen.Pathology.fig8_accidental ~lambda).Layoutgen.Pathology.file;
     (Layoutgen.Pathology.fig2_figures_illegal ~lambda).Layoutgen.Pathology.file ]
 
-let test_kernel_report_identity () =
-  let saved = R.kernel () in
-  Fun.protect
-    ~finally:(fun () -> R.set_kernel saved)
-    (fun () ->
-      List.iter
-        (fun file ->
-          R.set_kernel R.Sweep;
-          let sweep = render (run_ok file) in
-          R.set_kernel R.Naive;
-          let naive = render (run_ok file) in
-          Alcotest.(check string) "byte-identical rendered report" sweep naive)
-        (workloads ()))
-
 let test_jobs_byte_identity () =
   List.iter
     (fun file ->
@@ -220,24 +175,11 @@ let test_jobs_byte_identity () =
       Alcotest.(check string) "byte-identical rendered report" serial queued)
     (workloads ())
 
-let test_storage_report_identity () =
-  List.iter
-    (fun file ->
-      let heap = with_storage R.Heap (fun () -> render (run_ok file)) in
-      let off = with_storage R.Offheap (fun () -> render (run_ok file)) in
-      Alcotest.(check string) "heap = off-heap rendered report" heap off)
-    (workloads ())
-
 let () =
   Alcotest.run "kernel"
     [ qsuite "gap2.props"
         [ prop_sweep_matches_naive; prop_ws_reuse; prop_apply_into_matches_list;
-          prop_separation2_oracle; prop_offheap_matches_oracle;
-          prop_mixed_backing_matches; prop_offheap_apply_into ];
+          prop_separation2_oracle ];
       ( "end-to-end",
-        [ Alcotest.test_case "sweep vs naive report" `Quick
-            test_kernel_report_identity;
-          Alcotest.test_case "jobs=1 vs jobs=4 report" `Quick
-            test_jobs_byte_identity;
-          Alcotest.test_case "heap vs off-heap report" `Quick
-            test_storage_report_identity ] ) ]
+        [ Alcotest.test_case "jobs=1 vs jobs=4 report" `Quick
+            test_jobs_byte_identity ] ) ]

@@ -700,6 +700,61 @@ let test_event_log_reconciliation () =
     | _ -> Alcotest.fail "merged trace lost traceEvents")
   | Error e -> Alcotest.failf "merged trace is not JSON: %s" e)
 
+(* Offline replay of the event log rebuilds the same cache figures the
+   live daemon serves: the reuse counters ride on the [finished]
+   events. *)
+let test_replay_cache_matches_live () =
+  with_cache_dir (fun dir ->
+      let log_lock = Mutex.create () in
+      let log = ref [] in
+      let sink line =
+        Mutex.lock log_lock;
+        log := line :: !log;
+        Mutex.unlock log_lock
+      in
+      let telemetry = Dic.Telemetry.create ~event_sink:sink () in
+      let server = Dic.Serve.create ~workers:1 ~cache_dir:dir ~telemetry rules in
+      let c = client () in
+      let conn = mock_conn server c in
+      let req id =
+        Dic.Json.to_string
+          (Dic.Json.Obj [ ("id", Dic.Json.Num id); ("cif", Dic.Json.Str (workload_cif ())) ])
+      in
+      Dic.Serve.submit server conn (req 1.);
+      ignore (await c 1);
+      Dic.Serve.submit server conn (req 2.);
+      ignore (await c 2);
+      Dic.Serve.submit server conn
+        (Dic.Json.to_string (Dic.Json.Obj [ ("admin", Dic.Json.Str "stats") ]));
+      let live =
+        match jmem "stats" (parse_reply (List.nth (await c 3) 2)) with
+        | Some snap -> jmem "cache" snap
+        | None -> Alcotest.fail "stats reply has no stats member"
+      in
+      Dic.Serve.shutdown server;
+      let content =
+        Mutex.lock log_lock;
+        let lines = List.rev !log in
+        Mutex.unlock log_lock;
+        String.concat "\n" lines
+      in
+      let replayed =
+        match Dic.Telemetry.replay content with
+        | Ok snap -> jmem "cache" snap
+        | Error e -> Alcotest.failf "replay refused the live log: %s" e
+      in
+      Alcotest.(check bool) "the warm request reused definitions" true
+        (match Option.bind live (jint "symbols_reused") with
+        | Some n -> n > 0
+        | None -> false);
+      List.iter
+        (fun k ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "replayed cache.%s = live" k)
+            (Option.map Dic.Json.to_string (Option.bind live (jmem k)))
+            (Option.map Dic.Json.to_string (Option.bind replayed (jmem k))))
+        [ "symbols_total"; "symbols_reused"; "hit_ratio" ])
+
 (* The determinism bar with everything on: event log, trace collection,
    slow threshold 0, and per-request trace embedding — report bytes
    stay byte-identical to one-shot dicheck at every worker count. *)
@@ -767,5 +822,7 @@ let () =
             test_trace_flag_embeds_request_trace;
           Alcotest.test_case "event log reconciles" `Quick
             test_event_log_reconciliation;
+          Alcotest.test_case "replayed cache matches live stats" `Quick
+            test_replay_cache_matches_live;
           Alcotest.test_case "reports invariant under telemetry" `Quick
             test_reports_invariant_under_telemetry ] ) ]
