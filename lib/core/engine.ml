@@ -773,7 +773,9 @@ let check ?metrics ?trace ?progress t file =
     (* Composite stages always run fresh and are deck-independent: they
        are the hierarchical, cheap part, and they stitch the cached
        pieces together. *)
-    let nets, connection_issues = timed "connections+netlist" (fun () -> Netgen.build model) in
+    let nets, connection_issues =
+      timed "connections+netlist" (fun () -> Netgen.build ~metrics:m model)
+    in
     let netlist = timed "netlist-export" (fun () -> Netgen.netlist nets) in
     (* The interaction sweep diverges per deck, but its worklist — the
        expensive plan — depends only on the candidate cutoff, so decks

@@ -9,6 +9,15 @@
     cost is per-definition plus per-instance composition — never full
     instantiation.
 
+    Composition never copies a callee's geometry per instance.  Each
+    callee's connection surface is indexed once in its own frame; a
+    parent indexes one candidate box per call (the callee's surface hull,
+    placed), maps a touching element into the callee's frame, and
+    decides which child groups of two touching calls connect from the
+    callees and their relative placement alone — memoised across the
+    whole build, because orthogonal placements are isometries and
+    replicated arrays reuse a handful of relative placements.
+
     Net names use the paper's dot notation: a net labelled [out] inside
     instance [1:inv] of the root appears as [1:inv.out]; CIF global
     labels (trailing [!]) merge by name at every level. *)
@@ -16,7 +25,8 @@
 type group = {
   gid : int;
   skels : (Tech.Layer.t * Geom.Rect.t list) list;
-      (** connection surface, in the owning symbol's coordinates *)
+      (** connection surface, in the owning symbol's coordinates; empty
+          for the root symbol's groups, since nothing calls the root *)
   labels : string list;  (** explicit labels, local ones dot-qualified *)
   terminals : Netlist.Net.terminal list;
   element_count : int;
@@ -36,8 +46,11 @@ type t = {
 
 (** Build the hierarchical net list; also reports illegal connections:
     same-layer geometry that touches without being skeletally connected
-    (the paper's legal-connection criterion; catches Fig 15 butting). *)
-val build : Model.t -> t * Report.violation list
+    (the paper's legal-connection criterion; catches Fig 15 butting).
+    With [metrics], records the counters [netgen.call_pairs] (candidate
+    pairs of touching calls), [netgen.memo_hits] and
+    [netgen.memo_misses] (their connectivity memo). *)
+val build : ?metrics:Metrics.t -> Model.t -> t * Report.violation list
 
 val nets_of : t -> int -> sym_nets
 

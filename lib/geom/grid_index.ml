@@ -86,8 +86,9 @@ let fold f acc t =
    documented canonical order (ascending ids) and no result list.  The
    per-window candidate sets are tiny, so sorting a scratch buffer of
    ids costs less than materialising pairs ever did.  [pairs_within]
-   itself is left untouched: its historical order is load-bearing for
-   callers that number things by first encounter. *)
+   itself is left untouched: its historical order fixes the order of
+   the findings of its two users, the flat baseline checker and the
+   net-list stage's legal-connection pass. *)
 
 let window_hits t window f =
   let seen = Hashtbl.create 16 in

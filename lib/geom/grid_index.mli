@@ -20,9 +20,10 @@ val query : 'a t -> Rect.t -> (Rect.t * 'a) list
 
 (** [pairs_within t d] — all unordered pairs of items whose bounding
     boxes come within Chebyshev distance [d] (inclusive), each pair
-    exactly once.  The pair order is historical (newest item first);
-    prefer {!iter_pairs_within}, which has a canonical order and does
-    not materialise the pair list. *)
+    exactly once.  The pair order is historical (newest item first) and
+    fixes the finding order of the flat checker and of the net-list
+    legal-connection pass; elsewhere prefer {!iter_pairs_within}, which
+    has a canonical order and does not materialise the pair list. *)
 val pairs_within : 'a t -> int -> ((Rect.t * 'a) * (Rect.t * 'a)) list
 
 (** [iter_query t window f] — [f] applied to the items {!query} would

@@ -404,6 +404,13 @@ let coincident_file () =
     ~top_calls:[ B.call 50; B.call 50; B.call ~at:(l 28, 0) ~mirror:`X 50 ]
     ()
 
+(* A resistor one unit tall: its halves are too thin to erode, so the
+   two port surfaces keep their shared edge and touch within one call. *)
+let touching_ports_file () =
+  let thin = B.symbol ~id:60 ~name:"thinres" ~device:"RES" [ B.box ~layer:"ND" 0 0 (l 10) 1 ] [] in
+  let wrap = B.symbol ~id:61 ~name:"wrap" [] [ B.call 60; B.call ~at:(l 20, 0) ~rot:`North 60 ] in
+  B.file ~symbols:[ thin; wrap ] ~top_calls:[ B.call 61; B.call ~at:(0, l 30) 60 ] ()
+
 let salted_pla () =
   let base = Layoutgen.Pla.tier ~lambda ~rows:12 ~cols:24 in
   let margin = (24 * Layoutgen.Pla.pitch * lambda) + (6 * lambda) in
@@ -418,7 +425,8 @@ let workloads =
     ("salted pla-12x24", salted_pla);
     ("grid-blocks 6x4", fun () -> Layoutgen.Cells.grid_blocks ~lambda ~nx:6 ~ny:4);
     ("same relative placement, 8 orientations", orientation_file);
-    ("coincident calls, global and local labels", coincident_file) ]
+    ("coincident calls, global and local labels", coincident_file);
+    ("device ports touching each other", touching_ports_file) ]
   @ List.map
       (fun (k : Layoutgen.Pathology.kit) ->
         ("pathology " ^ k.Layoutgen.Pathology.kit_name, fun () -> k.Layoutgen.Pathology.file))
@@ -472,9 +480,27 @@ let test_metamorphic () =
         orientations)
     inputs
 
+(* The call-pair counters: every candidate pair is either a memo hit or
+   a miss, and eight orientations of one relative placement cost one
+   miss per distinct (callee, callee, relative placement) key. *)
+let test_counters () =
+  let m = Dic.Metrics.create () in
+  ignore (Dic.Netgen.build ~metrics:m (elaborate_ok (orientation_file ())));
+  let c = Dic.Metrics.counter m in
+  Alcotest.(check int) "pairs = hits + misses" (c "netgen.call_pairs")
+    (c "netgen.memo_hits" + c "netgen.memo_misses");
+  Alcotest.(check bool) "the relative placement is reused" true (c "netgen.memo_hits" >= 7);
+  let pla = Dic.Metrics.create () in
+  ignore
+    (Dic.Netgen.build ~metrics:pla (elaborate_ok (Layoutgen.Pla.tier ~lambda ~rows:24 ~cols:48)));
+  Alcotest.(check bool) "a PLA needs a handful of misses" true
+    (Dic.Metrics.counter pla "netgen.memo_misses" <= 64
+    && Dic.Metrics.counter pla "netgen.memo_hits" > 1000)
+
 let () =
   Alcotest.run "netgen"
     [ ( "oracle",
         List.map (fun (name, make) -> Alcotest.test_case name `Quick (test_workload name make)) workloads
         @ [ Alcotest.test_case "seeded random hierarchies" `Quick test_random ] );
-      ("metamorphic", [ Alcotest.test_case "global placement of the top level" `Quick test_metamorphic ]) ]
+      ("metamorphic", [ Alcotest.test_case "global placement of the top level" `Quick test_metamorphic ]);
+      ("counters", [ Alcotest.test_case "call pairs, memo hits and misses" `Quick test_counters ]) ]
