@@ -89,15 +89,20 @@ let erc_violations netlist =
 (* Structural fingerprint of one definition.  Everything the
    per-definition checks can observe is folded in: name (violations
    carry it as context), device kind, element geometry/layers/nets,
-   and calls with their transforms. *)
+   and calls with their transforms.  Element skeletons go in too: they
+   follow the elaboration deck's widths and decide net generation's
+   connectivity, and memoised interaction candidates carry net groups
+   under an address ([memo_env_key]) that knows nothing of widths. *)
 let fingerprint (s : Model.symbol) =
+  let rects =
+    List.map (fun r -> (Geom.Rect.x0 r, Geom.Rect.y0 r, Geom.Rect.x1 r, Geom.Rect.y1 r))
+  in
   let elements =
     List.map
       (fun (e : Model.element) ->
         ( Tech.Layer.index e.Model.layer,
-          List.map
-            (fun r -> (Geom.Rect.x0 r, Geom.Rect.y0 r, Geom.Rect.x1 r, Geom.Rect.y1 r))
-            e.Model.rects,
+          rects e.Model.rects,
+          rects e.Model.skeleton,
           e.Model.net_label ))
       s.Model.elements
   in
@@ -143,7 +148,9 @@ let env_key rules (config : config) =
 (* The interaction memo's own address.  A memoised candidate list
    depends only on the geometry, the candidate cutoff [max_dist], and
    the distance metric — never on the individual spacing values — so
-   decks agreeing on those share one memo, on disk and warm. *)
+   decks agreeing on those share one memo, on disk and warm.  Its net
+   groups follow the definitions, which the entries' subtree
+   fingerprints address. *)
 let memo_env_key rules (config : config) =
   Digest.to_hex
     (Digest.string

@@ -247,7 +247,7 @@ val pp_summary : Format.formatter -> result -> unit
 val erc_violations : Netlist.Net.t -> Report.violation list
 
 (** Structural fingerprint of one definition: name, device kind,
-    element geometry/layers/nets, calls with transforms. *)
+    element geometry/skeletons/layers/nets, calls with transforms. *)
 val fingerprint : Model.symbol -> string
 
 (** Per-symbol-id fingerprint of each definition {e subtree} (own

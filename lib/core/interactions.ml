@@ -26,10 +26,12 @@ type stats = {
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable bbox_rejects : int;
+  mutable materialised : int;
 }
 
 let new_stats () =
-  { cells = Hashtbl.create 16; memo_hits = 0; memo_misses = 0; bbox_rejects = 0 }
+  { cells = Hashtbl.create 16; memo_hits = 0; memo_misses = 0; bbox_rejects = 0;
+    materialised = 0 }
 
 (* Layer indices are dense (0 .. nlayers-1, in [Tech.Layer.all] order),
    so the per-pair hot path counts into a flat [cell_stats array] and
@@ -83,7 +85,8 @@ let merge_stats ~into src =
     src.cells;
   into.memo_hits <- into.memo_hits + src.memo_hits;
   into.memo_misses <- into.memo_misses + src.memo_misses;
-  into.bbox_rejects <- into.bbox_rejects + src.bbox_rejects
+  into.bbox_rejects <- into.bbox_rejects + src.bbox_rejects;
+  into.materialised <- into.materialised + src.materialised
 
 let record_metrics metrics stats =
   let total field =
@@ -99,16 +102,17 @@ let record_metrics metrics stats =
     "interactions.skipped_device";
   Metrics.incr ~by:stats.memo_hits metrics "interactions.memo_hits";
   Metrics.incr ~by:stats.memo_misses metrics "interactions.memo_misses";
-  Metrics.incr ~by:stats.bbox_rejects metrics "interactions.bbox_rejects"
+  Metrics.incr ~by:stats.bbox_rejects metrics "interactions.bbox_rejects";
+  Metrics.incr ~by:stats.materialised metrics "interactions.materialised"
 
 (* ------------------------------------------------------------------ *)
 
 (* A geometry site participating in an interaction: an element reached
    through [path] (call indices from the symbol being checked), with
    its geometry already mapped into that symbol's coordinates. *)
-(* Fields are mutable solely so the instance-pair evaluator can reuse
-   two per-domain scratch sites instead of allocating a record, a bbox
-   and a path copy for every judged candidate (see
+(* Fields are mutable solely so the instance-pair evaluator can
+   instantiate a memoised candidate that produced a finding into two
+   per-domain scratch sites instead of allocating fresh records (see
    [transform_site_into]); sites built by [frontier] or stored in the
    candidate memo are never mutated. *)
 type site = {
@@ -201,15 +205,10 @@ let make_env nets =
     model.Model.symbols;
   { model; nets; calls_arr }
 
-let rec resolve env sid path eid =
-  let sn = Netgen.nets_of env.nets sid in
-  match path with
-  | [] -> sn.Netgen.elt_group.(eid)
-  | c :: rest -> (
-    let calls = Hashtbl.find env.calls_arr sid in
-    match resolve env calls.(c).Model.callee rest eid with
-    | None -> None
-    | Some child_gid -> Hashtbl.find_opt sn.Netgen.sub_group (c, child_gid))
+(* The symbol at the end of [path] from [sid]. *)
+let rec owner env sid = function
+  | [] -> sid
+  | c :: rest -> owner env (Hashtbl.find env.calls_arr sid).(c).Model.callee rest
 
 (* Lift a net group of the symbol at the end of [path] up to [sid]'s
    net numbering. *)
@@ -223,17 +222,17 @@ let rec resolve_group env sid path gid =
     | None -> None
     | Some child_gid -> Hashtbl.find_opt sn.Netgen.sub_group (c, child_gid))
 
+(* Net of element [eid] of the symbol at the end of [path], in [sid]'s
+   net numbering: its own group there, lifted. *)
+let resolve env sid path eid =
+  match (Netgen.nets_of env.nets (owner env sid path)).Netgen.elt_group.(eid) with
+  | None -> None
+  | Some gid -> resolve_group env sid path gid
+
 (* All port nets of the (device) instance a site lives in, in [sid]'s
    net numbering. *)
 let instance_port_nets env sid path =
-  let rec owner sid' = function
-    | [] -> sid'
-    | c :: rest ->
-      let calls = Hashtbl.find env.calls_arr sid' in
-      owner calls.(c).Model.callee rest
-  in
-  let dev_sid = owner sid path in
-  let sn = Netgen.nets_of env.nets dev_sid in
+  let sn = Netgen.nets_of env.nets (owner env sid path) in
   Array.to_list sn.Netgen.groups
   |> List.filter_map (fun (g : Netgen.group) -> resolve_group env sid path g.Netgen.gid)
 
@@ -326,13 +325,20 @@ let pair_provenance env sid ~context a b =
 (* ------------------------------------------------------------------ *)
 (* Instance-pair memoisation                                           *)
 
+(* Everything a candidate's verdict needs that does not depend on where
+   the pair is placed.  Placements are orthogonal isometries, so the gap
+   is the same in every caller; net groups are kept in each callee's own
+   numbering and lifted into a caller by one [sub_group] lookup. *)
 type cand = {
-  k_a : int list * int;  (** path within A, eid *)
-  k_b : int list * int;
-  k_la : Tech.Layer.t;
-  k_lb : Tech.Layer.t;
-  k_site_a : site;  (** in A's frame *)
-  k_site_b : site;
+  k_site_a : site;  (** in A's frame, path within A *)
+  k_site_b : site;  (** placed in A's frame by the relative transform, path within B *)
+  k_gap2 : int;  (** exact squared gap: kept only when within [dmax] *)
+  k_net_a : int option;  (** site A's net in A's numbering *)
+  k_net_b : int option;  (** site B's net in B's numbering *)
+  k_ports_a : int list;
+      (** port nets of the device instance owning site A, in A's
+          numbering; [[]] unless site A is device geometry *)
+  k_ports_b : int list;
 }
 
 type memo_key = int * int * Geom.Transform.t
@@ -345,6 +351,9 @@ let candidates cfg env dmax (memo : (memo_key, cand list) Hashtbl.t) stats ws sa
     cs
   | None ->
     stats.memo_misses <- stats.memo_misses + 1;
+    let ports sid (s : site) =
+      if s.s_device = None then [] else instance_port_nets env sid s.s_path
+    in
     let syma = Model.find env.model sa and symb = Model.find env.model sb in
     let cs =
       match (syma.Model.sbbox, symb.Model.sbbox) with
@@ -370,12 +379,13 @@ let candidates cfg env dmax (memo : (memo_key, cand list) Hashtbl.t) stats ws sa
                       let g = gap2_of cfg ~cutoff2:(dmax * dmax) ws a.s_rects b.s_rects in
                       if g.Geom.Rects.ai >= 0 then
                         Some
-                          { k_a = (a.s_path, a.s_eid);
-                            k_b = (b.s_path, b.s_eid);
-                            k_la = a.s_layer;
-                            k_lb = b.s_layer;
-                            k_site_a = a;
-                            k_site_b = b }
+                          { k_site_a = a;
+                            k_site_b = b;
+                            k_gap2 = g.Geom.Rects.g2;
+                            k_net_a = resolve env sa a.s_path a.s_eid;
+                            k_net_b = resolve env sb b.s_path b.s_eid;
+                            k_ports_a = ports sa a;
+                            k_ports_b = ports sb b }
                       else None)
                   sites_b)
               sites_a)
@@ -385,11 +395,12 @@ let candidates cfg env dmax (memo : (memo_key, cand list) Hashtbl.t) stats ws sa
     Hashtbl.add memo key cs;
     cs
 
-(* Instantiate a memoised candidate site into the caller's frame.
-   [dst] is a per-domain scratch rect set and [into] a per-domain
-   scratch site record: the transformed geometry and the site itself
-   live only for the duration of one judged pair, so a candidate
-   evaluation allocates nothing but its path spine and bbox. *)
+(* Instantiate a memoised candidate site into the caller's frame, for
+   the rare pair that must be measured there: one that produced a
+   finding (its location, closest pair and provenance are frame
+   dependent) or one judged under the exposure model.  [dst] is a
+   per-domain scratch rect set and [into] a per-domain scratch site
+   record; both live only for the duration of one judged pair. *)
 let transform_site_into ~dst ~into tr s path =
   Geom.Rects.apply_into tr ~src:s.s_rects ~dst;
   into.s_path <- path;
@@ -426,11 +437,12 @@ type dctx = {
   d_stats : stats;
   d_memo : (memo_key, cand list) Hashtbl.t;
   d_ports : (int * int list, int list) Hashtbl.t;
-      (** (sid, site path) -> port nets of the owning device instance *)
+      (** (sid, site path) -> port nets of the owning device instance,
+          for sites already in the checked symbol's frame *)
   d_ws : Geom.Rects.ws;  (** sweep-kernel scratch, one per domain *)
   d_ta : Geom.Rects.t;  (** scratch for instantiating memoised site A… *)
-  d_tb : Geom.Rects.t;  (** …and site B; live only within one judged pair *)
-  d_sa : site;  (** scratch site records over [d_ta]/[d_tb], same lifetime *)
+  d_tb : Geom.Rects.t;  (** …and site B, only for a finding or under [Exposure] *)
+  d_sa : site;  (** scratch site records over [d_ta]/[d_tb], live within one judged pair *)
   d_sb : site;
   d_cells : cell_stats array;
       (** flat per-layer-pair counters ([ia * nlayers + ib], ia <= ib);
@@ -478,10 +490,43 @@ let fold_cells dctx =
     done
   done
 
-let net_of env sid (site : site) = resolve env sid site.s_path site.s_eid
+(* Where [judge_pair] takes a pair's nets and gap from.  [In_frame]
+   sites are in the checked symbol's frame: nets resolve through their
+   paths and the kernel measures their geometry.  [Memoised] sites are a
+   memo candidate's, in the callees' frames: nets are the candidate's
+   callee-local groups lifted through calls [ca] and [cb], and the gap
+   is the candidate's stored one, so the pair is instantiated into the
+   caller only when it must be measured there (see
+   [transform_site_into]). *)
+type facts =
+  | In_frame
+  | Memoised of {
+      sub : (int * int, int) Hashtbl.t;  (** the checked symbol's [sub_group] *)
+      ca : Model.call;
+      cb : Model.call;
+      cand : cand;
+    }
 
-let same_net env sid a b =
-  match (net_of env sid a, net_of env sid b) with
+let lift sub (c : Model.call) = function
+  | None -> None
+  | Some gid -> Hashtbl.find_opt sub (c.Model.cidx, gid)
+
+let rec mem_lifted sub (c : Model.call) n = function
+  | [] -> false
+  | gid :: rest -> (
+    match Hashtbl.find_opt sub (c.Model.cidx, gid) with
+    | Some m when m = n -> true
+    | _ -> mem_lifted sub c n rest)
+
+(* Net of the pair's site [`A] or [`B] in [sid]'s numbering. *)
+let net_of env sid facts side (site : site) =
+  match (facts, side) with
+  | In_frame, _ -> resolve env sid site.s_path site.s_eid
+  | Memoised { sub; ca; cand; _ }, `A -> lift sub ca cand.k_net_a
+  | Memoised { sub; cb; cand; _ }, `B -> lift sub cb cand.k_net_b
+
+let same_net env sid facts a b =
+  match (net_of env sid facts `A a, net_of env sid facts `B b) with
   | Some x, Some y -> x = y
   | _ -> false
 
@@ -493,17 +538,38 @@ let port_nets env dctx sid (site : site) =
     Hashtbl.add dctx.d_ports (sid, site.s_path) ns;
     ns
 
-let is_device_site (site : site) = site.s_path <> [] && site.s_device <> None
+(* Is [n] a port net of the device instance owning the site? *)
+let on_ports env dctx sid facts side (site : site) n =
+  match (facts, side) with
+  | In_frame, _ -> List.mem n (port_nets env dctx sid site)
+  | Memoised { sub; ca; cand; _ }, `A -> mem_lifted sub ca n cand.k_ports_a
+  | Memoised { sub; cb; cand; _ }, `B -> mem_lifted sub cb n cand.k_ports_b
 
-let related env dctx sid a b =
-  (is_device_site a
-  && match net_of env sid b with
-     | Some n -> List.mem n (port_nets env dctx sid a)
+(* Device geometry of an instance: a memoised site always lies inside a
+   call of the checked symbol. *)
+let is_device_site facts (site : site) =
+  site.s_device <> None && match facts with In_frame -> site.s_path <> [] | Memoised _ -> true
+
+let related env dctx sid facts a b =
+  (is_device_site facts a
+  && match net_of env sid facts `B b with
+     | Some n -> on_ports env dctx sid facts `A a n
      | None -> false)
-  || (is_device_site b
-     && match net_of env sid a with
-        | Some n -> List.mem n (port_nets env dctx sid b)
+  || (is_device_site facts b
+     && match net_of env sid facts `A a with
+        | Some n -> on_ports env dctx sid facts `B b n
         | None -> false)
+
+(* Instantiate a memoised pair into the per-domain scratch sites
+   [d_sa]/[d_sb]; returns [d_sa]. *)
+let instantiate dctx (ca : Model.call) (cb : Model.call) cand =
+  dctx.d_stats.materialised <- dctx.d_stats.materialised + 1;
+  let tr = ca.Model.transform in
+  ignore
+    (transform_site_into ~dst:dctx.d_tb ~into:dctx.d_sb tr cand.k_site_b
+       (cb.Model.cidx :: cand.k_site_b.s_path));
+  transform_site_into ~dst:dctx.d_ta ~into:dctx.d_sa tr cand.k_site_a
+    (ca.Model.cidx :: cand.k_site_a.s_path)
 
 (* A task is closed over the worklist geometry but takes the judging
    environment — config and rule deck — at evaluation time, so one
@@ -531,13 +597,20 @@ type guard =
       g_sb : int;
     }
 
-(* The pair check proper.  Net resolution ([same_net]/[related]) is the
-   most expensive part of judging a pair, and pairs with no spacing rule
-   at all (a large share of the matrix) never reach it — the calls sit
-   directly on the branches that need them, so the common path allocates
-   neither closures nor rectangles. *)
-let judge_pair cfg env sid dctx a b =
-  if head_equal a b then Skip
+(* The pair check proper, for sites in the checked frame and memoised
+   candidates alike ([facts]).  Net resolution ([same_net]/[related]) is
+   the most expensive part of judging an in-frame pair, and pairs with
+   no spacing rule at all (a large share of the matrix) never reach it —
+   the calls sit directly on the branches that need them, so the common
+   path allocates neither closures nor rectangles.  A memoised pair is
+   settled from its stored gap unless it is a finding or the exposure
+   model must print it; only then is it instantiated, and the rest of
+   the check runs on the instantiated sites exactly as for an in-frame
+   pair — so every finding's location, closest pair and provenance come
+   from the same computation either way.  Memoised sites are two
+   different calls' by construction. *)
+let judge_pair cfg env sid dctx facts a b =
+  if (match facts with In_frame -> head_equal a b | Memoised _ -> false) then Skip
   else begin
     let c = dcell dctx a.s_layer b.s_layer in
     c.pairs <- c.pairs + 1;
@@ -565,13 +638,13 @@ let judge_pair cfg env sid dctx a b =
         || (match b.s_device with Some k -> Tech.Device.is_transistor k | None -> false)
       in
       if (transistor_pair || poly_diff_pair a.s_layer b.s_layer)
-         && related env dctx sid a b
+         && related env dctx sid facts a b
       then begin
         c.skipped_same_net <- c.skipped_same_net + 1;
         Skip
       end
       else begin
-        let same_net = same_net env sid a b in
+        let same_net = same_net env sid facts a b in
         let resistor =
           a.s_device = Some Tech.Device.Resistor || b.s_device = Some Tech.Device.Resistor
         in
@@ -583,41 +656,52 @@ let judge_pair cfg env sid dctx a b =
           Skip
         | Some req -> (
           c.checked <- c.checked + 1;
-          (* The geometric model only acts on gaps below the rule, so
-             the kernel may prune beyond req; the exposure model prints
-             and judges the exact minimum, so it gets no cutoff. *)
-          let cutoff2 =
-            match cfg.spacing_model with
-            | Geometric -> req * req
-            | Exposure _ -> max_int
-          in
-          let g = gap2_of cfg ~cutoff2 dctx.d_ws a.s_rects b.s_rects in
-          let gap2 = g.Geom.Rects.g2 in
-          if gap2 = 0 then
-            if same_net then Skip
-            else if Tech.Layer.equal a.s_layer b.s_layer then Short (where_of g a b)
-            else if poly_diff_pair a.s_layer b.s_layer && g.Geom.Rects.overlap then
-              Accidental (where_of g a b)
-            else Violation (where_of g a b, req, 0)
-          else begin
-            match cfg.spacing_model with
-            | Geometric ->
-              if gap2 < req * req then Violation (where_of g a b, req, gap2) else Skip
-            | Exposure { model; misalign } ->
-              (* The line-of-closest-approach test: same-layer pairs see
-                 bias only; cross-layer pairs add misalignment. *)
-              let mis =
-                if Tech.Layer.equal a.s_layer b.s_layer then 0 else misalign
-              in
-              let verdict =
-                Process_model.Closest.check model ~misalign:mis
-                  (Geom.Region.of_rects (Geom.Rects.to_list a.s_rects))
-                  (Geom.Region.of_rects (Geom.Rects.to_list b.s_rects))
-              in
-              if verdict.Process_model.Closest.bridges then
-                Violation (where_of g a b, req, gap2)
-              else Skip
-          end)
+          match (facts, cfg.spacing_model) with
+          | Memoised { cand; _ }, Geometric
+            when if cand.k_gap2 = 0 then same_net else cand.k_gap2 >= req * req ->
+            (* The stored gap is exact up to [dmax] and the same in every
+               frame, so the measured branches below would all Skip. *)
+            Skip
+          | _ ->
+            let a =
+              match facts with In_frame -> a | Memoised m -> instantiate dctx m.ca m.cb m.cand
+            in
+            let b = match facts with In_frame -> b | Memoised _ -> dctx.d_sb in
+            (* The geometric model only acts on gaps below the rule, so
+               the kernel may prune beyond req; the exposure model prints
+               and judges the exact minimum, so it gets no cutoff. *)
+            let cutoff2 =
+              match cfg.spacing_model with
+              | Geometric -> req * req
+              | Exposure _ -> max_int
+            in
+            let g = gap2_of cfg ~cutoff2 dctx.d_ws a.s_rects b.s_rects in
+            let gap2 = g.Geom.Rects.g2 in
+            if gap2 = 0 then
+              if same_net then Skip
+              else if Tech.Layer.equal a.s_layer b.s_layer then Short (where_of g a b)
+              else if poly_diff_pair a.s_layer b.s_layer && g.Geom.Rects.overlap then
+                Accidental (where_of g a b)
+              else Violation (where_of g a b, req, 0)
+            else begin
+              match cfg.spacing_model with
+              | Geometric ->
+                if gap2 < req * req then Violation (where_of g a b, req, gap2) else Skip
+              | Exposure { model; misalign } ->
+                (* The line-of-closest-approach test: same-layer pairs see
+                   bias only; cross-layer pairs add misalignment. *)
+                let mis =
+                  if Tech.Layer.equal a.s_layer b.s_layer then 0 else misalign
+                in
+                let verdict =
+                  Process_model.Closest.check model ~misalign:mis
+                    (Geom.Region.of_rects (Geom.Rects.to_list a.s_rects))
+                    (Geom.Region.of_rects (Geom.Rects.to_list b.s_rects))
+                in
+                if verdict.Process_model.Closest.bridges then
+                  Violation (where_of g a b, req, gap2)
+                else Skip
+            end)
       end)
   end
 
@@ -671,7 +755,7 @@ let tasks_of_symbol env ~dmax (s : Model.symbol) : (guard * task) list =
             fun cfg _rules dctx ->
               List.concat_map
                 (fun (a, b) ->
-                  emit env sid ~context a b (judge_pair cfg env sid dctx a b))
+                  emit env sid ~context a b (judge_pair cfg env sid dctx In_frame a b))
                 chunk ))
         !chunks
     in
@@ -685,9 +769,11 @@ let tasks_of_symbol env ~dmax (s : Model.symbol) : (guard * task) list =
             callee.Model.sbbox)
         s.Model.calls
     in
-    (* Element vs instance: one task per local element near instances. *)
+    (* One grid of placed calls serves both the element-vs-instance
+       queries and the instance-pair enumeration. *)
     let call_idx = Geom.Grid_index.create ~cell:(max 1 (4 * dmax)) () in
     List.iter (fun (c, callee, bb) -> Geom.Grid_index.add call_idx bb (c, callee)) placed_calls;
+    (* Element vs instance: one task per local element near instances. *)
     let elt_inst_tasks =
       List.filter_map
         (fun site ->
@@ -719,18 +805,17 @@ let tasks_of_symbol env ~dmax (s : Model.symbol) : (guard * task) list =
                         List.concat_map
                           (fun sub ->
                             emit env sid ~context site sub
-                              (judge_pair cfg env sid dctx site sub))
+                              (judge_pair cfg env sid dctx In_frame site sub))
                           sites)
                       near )))
         local_sites
     in
     (* Instance vs instance: one task per interacting placement pair,
-       with memoised candidate lists. *)
-    let inst_idx = Geom.Grid_index.create ~cell:(max 1 (4 * dmax)) () in
-    List.iter (fun (c, callee, bb) -> Geom.Grid_index.add inst_idx bb (c, callee)) placed_calls;
+       judged from memoised candidates. *)
+    let sub = (Netgen.nets_of env.nets sid).Netgen.sub_group in
     let inst_tasks =
       let acc = ref [] in
-      Geom.Grid_index.iter_pairs_within inst_idx dmax
+      Geom.Grid_index.iter_pairs_within call_idx dmax
         (fun (_, ((ca : Model.call), _)) (_, ((cb : Model.call), _)) ->
           let task cfg _rules dctx =
             let rel =
@@ -742,19 +827,13 @@ let tasks_of_symbol env ~dmax (s : Model.symbol) : (guard * task) list =
               candidates cfg env dmax dctx.d_memo dctx.d_stats dctx.d_ws
                 ca.Model.callee cb.Model.callee rel
             in
+            (* A pair that produced a finding is left instantiated in
+               the scratch sites by [judge_pair]. *)
             List.concat_map
               (fun cand ->
-                let site_a =
-                  transform_site_into ~dst:dctx.d_ta ~into:dctx.d_sa
-                    ca.Model.transform cand.k_site_a
-                    (ca.Model.cidx :: fst cand.k_a)
-                and site_b =
-                  transform_site_into ~dst:dctx.d_tb ~into:dctx.d_sb
-                    ca.Model.transform cand.k_site_b
-                    (cb.Model.cidx :: fst cand.k_b)
-                in
-                emit env sid ~context site_a site_b
-                  (judge_pair cfg env sid dctx site_a site_b))
+                emit env sid ~context dctx.d_sa dctx.d_sb
+                  (judge_pair cfg env sid dctx (Memoised { sub; ca; cb; cand })
+                     cand.k_site_a cand.k_site_b))
               cands
           in
           let g =

@@ -19,8 +19,16 @@
     element-instance and instance-instance interactions examine only
     the geometry near the overlap window, and repeated
     (symbol, symbol, relative placement) instance pairs reuse memoised
-    candidate lists — the redundancy elimination that makes the
-    hierarchical checker fast on regular designs.
+    candidates — the redundancy elimination that makes the hierarchical
+    checker fast on regular designs.  A candidate carries what its
+    verdict needs that placement cannot change: the exact squared gap
+    (placements are orthogonal isometries) and both sites' net groups
+    in their callees' own numbering.  A repeated pair is judged by
+    lifting those groups into the caller, one hash lookup each, and is
+    instantiated in the caller's frame only to report a finding or to
+    be printed under the {!Exposure} model — so a finding's location,
+    closest pair and provenance are exactly those of a freshly measured
+    pair.
 
     {2 Parallelism}
 
@@ -97,6 +105,11 @@ type stats = {
   mutable bbox_rejects : int;
       (** candidate pairs discarded on bounding boxes alone, before any
           exact gap computation *)
+  mutable materialised : int;
+      (** memoised candidate pairs instantiated in the caller's frame:
+          one per finding they produced, or per checked pair under
+          {!Exposure}.  It follows verdicts alone, so it is the same at
+          every [jobs] value. *)
 }
 
 (** Add [src]'s totals into [into] (used to fold per-domain stats). *)
@@ -121,10 +134,12 @@ val prune_memo : memo -> keep:(int -> bool) -> unit
 
     The memo is a pure cache of candidate lists — replaying entries can
     change cost but never verdicts — so {!Engine} persists it across
-    processes.  An entry's sites are expressed in the callee symbols'
-    own frames and contain no symbol ids, so an exported entry keyed by
-    a {e content} fingerprint of each callee subtree stays valid for any
-    future model containing structurally identical definitions.  The
+    processes.  An entry's sites, gaps and net groups are expressed in
+    the callee symbols' own frames and net numbering and contain no
+    symbol ids, so an exported entry keyed by a {e content} fingerprint
+    of each callee subtree — one covering everything net generation
+    reads — stays valid for any future model containing structurally
+    identical definitions.  The
     entry payload is deliberately opaque: it round-trips through
     [Marshal] inside {!Cache} but is not otherwise inspectable. *)
 

@@ -146,7 +146,7 @@ let test_old_magic_reads_as_miss () =
           Array.iter (fun n -> restamp (Filename.concat path n)) (Sys.readdir path)
         else begin
           let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in
-          Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc "dicache2")
+          Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc "dicache3")
         end
       in
       restamp dir;
@@ -157,6 +157,63 @@ let test_old_magic_reads_as_miss () =
       Alcotest.(check int) "no memo entry loaded across formats" 0
         r.Dic.Engine.memo_loaded;
       Alcotest.(check string) "cold report" (report_text cold) (report_text warm))
+
+(* Memoised interaction candidates carry net groups in their callees'
+   numbering, so the memo's disk address must cover everything net
+   generation reads.  The cell's two metal bars overlap by 2 lambda:
+   their skeletons touch under a 2-lambda metal width but not under the
+   default 3 lambda, so the two decks number the cell's nets
+   differently while sharing [max_dist], hence one memo environment.
+   The top level stacks pairs of the cell 2 lambda apart under all
+   eight orientations, so spacing verdicts depend on those nets.  Each
+   deck's first cached, warm in-session and warm-from-disk reports must
+   equal its cold report, whichever deck filled the cache before. *)
+let bars_file () =
+  let module B = Layoutgen.Builder in
+  let module T = Geom.Transform in
+  let l v = v * lambda in
+  let bars =
+    B.symbol ~id:70 ~name:"bars"
+      [ B.box ~layer:"NM" ~net:"VDD!" 0 0 (l 10) (l 4); B.box ~layer:"NM" (l 8) 0 (l 18) (l 4) ]
+      []
+  in
+  let call transform = { Cif.Ast.callee = 70; transform; call_loc = None } in
+  let orientations =
+    List.concat_map
+      (fun m -> List.map (fun r -> T.compose (T.rotate r) m) [ `East; `North; `West; `South ])
+      [ T.identity; T.mirror_x ]
+  in
+  B.file ~symbols:[ bars ]
+    ~top_calls:
+      (List.concat
+         (List.mapi
+            (fun k o ->
+              let at = T.compose (T.translate (l (60 * k)) 0) o in
+              [ call at; call (T.compose at (T.translate 0 (l 6))) ])
+            orientations))
+    ()
+
+let test_memo_nets_follow_widths () =
+  with_cache_dir (fun dir ->
+      let file = bars_file () in
+      let narrow = { rules with Tech.Rules.width_metal = 2 * lambda } in
+      Alcotest.(check int) "one memo environment" (Dic.Interactions.max_dist rules)
+        (Dic.Interactions.max_dist narrow);
+      let cold deck = report_text (fst (check_ok (Dic.Engine.create deck) file)) in
+      Alcotest.(check bool) "the decks disagree" true (cold rules <> cold narrow);
+      List.iter
+        (fun (name, deck) ->
+          let want = cold deck in
+          let session = Dic.Engine.create ~cache_dir:dir deck in
+          let first, _ = check_ok session file in
+          let warm, _ = check_ok session file in
+          let disk, reuse = check_ok (Dic.Engine.create ~cache_dir:dir deck) file in
+          Alcotest.(check bool) (name ^ ": memo read back from disk") true
+            (reuse.Dic.Engine.memo_loaded > 0);
+          List.iter
+            (fun (what, r) -> Alcotest.(check string) (name ^ ", " ^ what) want (report_text r))
+            [ ("first cached run", first); ("warm in session", warm); ("warm from disk", disk) ])
+        [ ("default", rules); ("narrow metal", narrow); ("default again", rules) ])
 
 let test_in_memory_session_reuse () =
   (* No cache directory at all: the in-memory session still reuses. *)
@@ -603,7 +660,9 @@ let () =
             test_corrupted_cache_falls_back_to_cold;
           Alcotest.test_case "previous cache format reads as a miss" `Quick
             test_old_magic_reads_as_miss;
-          Alcotest.test_case "in-memory session reuse" `Quick test_in_memory_session_reuse ] );
+          Alcotest.test_case "in-memory session reuse" `Quick test_in_memory_session_reuse;
+          Alcotest.test_case "memo net groups follow the deck's widths" `Quick
+            test_memo_nets_follow_widths ] );
       ( "parallel",
         [ Alcotest.test_case "report/SARIF/stats bytes across jobs" `Quick
             test_pipeline_bytes_across_jobs;

@@ -849,13 +849,20 @@ let check_model ?(exposure = false) name model =
     (fun (cname, config) ->
       let want_vs, want = Oracle.run ~config ~rules ~dmax nets in
       let want = (want_vs, oracle_counters want) in
-      List.iter
-        (fun jobs ->
-          let config = { config with Dic.Interactions.jobs } in
-          let vs, st = Dic.Interactions.run ~config ~rules plan in
-          same_as_oracle (Printf.sprintf "%s, %s, jobs=%d" name cname jobs) want (vs, counters st)
-            ~jobs)
-        [ 1; 2 ])
+      let materialised =
+        List.map
+          (fun jobs ->
+            let config = { config with Dic.Interactions.jobs } in
+            let vs, st = Dic.Interactions.run ~config ~rules plan in
+            same_as_oracle (Printf.sprintf "%s, %s, jobs=%d" name cname jobs) want
+              (vs, counters st) ~jobs;
+            st.Dic.Interactions.materialised)
+          [ 1; 2 ]
+      in
+      (* Instantiation follows verdicts alone, never which domain warmed
+         which memo copy. *)
+      if List.length (List.sort_uniq compare materialised) <> 1 then
+        Alcotest.failf "%s, %s: materialised count varies with jobs" name cname)
     (configs ~exposure)
 
 (* ------------------------------------------------------------------ *)
@@ -892,9 +899,10 @@ let orientations =
 (* Seeded random hierarchy over the device library: two levels of
    composite symbols drawing random routing-layer boxes, some labelled,
    over a small span, calling lower levels under random rotations,
-   mirrors and offsets.  The top level places one pair of them at a
-   fixed relative placement under several global orientations, so one
-   memo key is met in several frames, beside a few random calls. *)
+   mirrors and offsets, occasionally twice in exactly the same place.
+   The top level places one pair of them at a fixed relative placement
+   under several global orientations, so one memo key is met in
+   several frames, beside a few random calls. *)
 let random_file rng =
   let int n = Random.State.int rng n in
   let layers = [| "NM"; "NP"; "ND" |] in
@@ -914,7 +922,12 @@ let random_file rng =
     T.compose (T.translate (l (int span)) (l (int span))) (T.compose rot m)
   in
   let call callee transform = { Cif.Ast.callee; transform; call_loc = None } in
-  let calls callees = List.init (1 + int 4) (fun _ -> call (pick callees) (rand_placement ())) in
+  let calls callees =
+    List.concat
+      (List.init (1 + int 4) (fun _ ->
+           let c = call (pick callees) (rand_placement ()) in
+           if int 5 = 0 then [ c; c ] else [ c ]))
+  in
   let devices = Layoutgen.Cells.device_symbols ~lambda in
   let ids = List.map (fun (s : Cif.Ast.symbol) -> s.Cif.Ast.id) in
   let level base count callees =
@@ -975,7 +988,12 @@ let test_salted_findings_on_memo_hits () =
   Alcotest.(check bool) "instance-pair findings" true
     (List.length (List.filter between_instances vs) > 100);
   Alcotest.(check bool) "mostly memo hits" true
-    (st.Dic.Interactions.memo_hits > 100 * st.Dic.Interactions.memo_misses)
+    (st.Dic.Interactions.memo_hits > 100 * st.Dic.Interactions.memo_misses);
+  Alcotest.(check bool) "the findings were instantiated" true
+    (st.Dic.Interactions.materialised > 0);
+  let clean, _ = Dic.Netgen.build (elaborate_ok (Layoutgen.Pla.tier ~lambda ~rows:12 ~cols:24)) in
+  Alcotest.(check int) "a finding-free array instantiates nothing" 0
+    (snd (Dic.Interactions.check clean)).Dic.Interactions.materialised
 
 (* Two decks with different spacing values but one candidate cutoff:
    one plan and one memo serve both, warm for the second, and each
