@@ -418,10 +418,11 @@ let fig15_self_sufficiency () =
 (* ------------------------------------------------------------------ *)
 (* T1 -- runtime scaling                                               *)
 
-let time_once f =
-  let t0 = Sys.time () in
+(* Wall-clock seconds of one call, on the monotonic clock. *)
+let wall f =
+  let t0 = Dic.Metrics.now_ns () in
   let v = f () in
-  (v, Sys.time () -. t0)
+  (v, Int64.to_float (Int64.sub (Dic.Metrics.now_ns ()) t0) *. 1e-9)
 
 let t1_runtime_scaling () =
   section
@@ -434,13 +435,13 @@ let t1_runtime_scaling () =
     (fun n ->
       let file = Layoutgen.Cells.grid ~lambda ~nx:n ~ny:n in
       let dic_result, dic_t =
-        time_once (fun () ->
+        wall (fun () ->
             match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create rules) file with
             | Ok (r, _) -> r
             | Error e -> failwith e)
       in
       let flat_errors, flat_t =
-        time_once (fun () -> Flatdrc.Classic.check flat_orth_ignore rules file)
+        wall (fun () -> Flatdrc.Classic.check flat_orth_ignore rules file)
       in
       let stats = dic_result.Dic.Engine.interaction_stats in
       let hits = stats.Dic.Interactions.memo_hits
@@ -465,7 +466,7 @@ let t3_incremental () =
   let file = Layoutgen.Cells.grid ~lambda ~nx:12 ~ny:12 in
   let run_inc label f =
     let (_, (reuse : Dic.Engine.reuse)), t =
-      time_once (fun () ->
+      wall (fun () ->
           match Result.map Dic.Engine.primary @@ Dic.Engine.check engine f with Ok r -> r | Error e -> failwith e)
     in
     Printf.printf "%-34s %8.3f s   (%d/%d definitions reused)\n" label t
@@ -518,11 +519,6 @@ let ablations () =
    broken out per point so the serial stages (elaboration, net
    construction) are visibly excluded from any scaling claim.  Writes
    BENCH_parallel.json next to the working directory. *)
-
-let wall f =
-  let t0 = Dic.Metrics.now_ns () in
-  let v = f () in
-  (v, Int64.to_float (Int64.sub (Dic.Metrics.now_ns ()) t0) *. 1e-9)
 
 (* Every BENCH_*.json stamps the host it ran on: a timing is
    meaningless in CI history without the thread count, compiler, and
@@ -1443,7 +1439,8 @@ let multideck_bench () =
      evaluations on the replicated PLA workloads while the analysis
      itself (certify + guard prepass) stays under 5% of check time,
      and the pruned report is byte-identical to the unpruned one
-     (DIC_NO_CERTS).  Writes BENCH_deckcheck.json. *)
+     (DIC_NO_CERTS).  Writes BENCH_deckcheck.json, each workload's
+     gates recorded as measured, then fails if any gate was breached. *)
 
 let deckcheck_bench () =
   section
@@ -1510,7 +1507,7 @@ let deckcheck_bench () =
   in
   Printf.printf "\n%-14s %9s %9s %9s %11s %10s %9s\n" "workload" "on (s)"
     "off (s)" "skips" "evals-cut" "analysis" "identical";
-  let first = ref true in
+  let first = ref true and breaches = ref [] in
   List.iter
     (fun (name, file) ->
       let file = Lazy.force file in
@@ -1537,6 +1534,16 @@ let deckcheck_bench () =
         "%-14s %9.3f %9.3f %9d %10.1f%% %9.2f%% %9b  (certify %.1fms, guard %.1fms)\n"
         name t_on t_off skips (100. *. evals_cut) overhead_pct identical
         (certify_s *. 1e3) (guard_s *. 1e3);
+      let gates =
+        [ ("identical", identical,
+           name ^ ": certificate-pruned report differs from unpruned");
+          ("skips_nonzero", skips > 0,
+           name ^ ": certificates pruned nothing on a PLA tier");
+          ("overhead_under_5pct", overhead_pct < 5.,
+           Printf.sprintf "%s: analysis overhead %.2f%% breaches the 5%% budget" name
+             overhead_pct) ]
+      in
+      List.iter (fun (_, ok, msg) -> if not ok then breaches := msg :: !breaches) gates;
       if not !first then Buffer.add_string buf ",";
       first := false;
       Buffer.add_string buf
@@ -1544,23 +1551,20 @@ let deckcheck_bench () =
            "{\"workload\":%S,\"seconds_on\":%.6f,\"seconds_off\":%.6f,\
             \"identical\":%b,\"certified_skips\":%d,\"pairs_on\":%d,\
             \"pairs_off\":%d,\"eval_skip_fraction\":%.4f,\
-            \"analysis_seconds\":%.6f,\"analysis_overhead_pct\":%.3f}"
+            \"analysis_seconds\":%.6f,\"analysis_overhead_pct\":%.3f,\"gates\":{%s}}"
            name t_on t_off identical skips pairs_on pairs_off evals_cut
-           analysis_s overhead_pct);
-      if not identical then
-        failwith (name ^ ": certificate-pruned report differs from unpruned");
-      if skips = 0 then
-        failwith (name ^ ": certificates pruned nothing on a PLA tier");
-      if overhead_pct >= 5. then
-        failwith
-          (Printf.sprintf "%s: analysis overhead %.2f%% breaches the 5%% budget"
-             name overhead_pct))
+           analysis_s overhead_pct
+           (String.concat ","
+              (List.map (fun (gate, ok, _) -> Printf.sprintf "%S:%b" gate ok) gates))))
     workloads;
   Buffer.add_string buf "]}";
   Out_channel.with_open_text "BENCH_deckcheck.json" (fun oc ->
       Out_channel.output_string oc (Buffer.contents buf);
       Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_deckcheck.json"
+  print_endline "wrote BENCH_deckcheck.json";
+  match List.rev !breaches with
+  | [] -> ()
+  | msgs -> failwith (String.concat "; " msgs)
 
 (* ------------------------------------------------------------------ *)
 

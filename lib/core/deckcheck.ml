@@ -433,10 +433,10 @@ let clear_of cs ~la bbox tr cert =
 
 let elt_guard cs ~la ~bbox near =
   List.for_all
-    (fun (tr, sid) ->
-      match cs.cs_cert sid with
+    (fun (c : Model.call) ->
+      match cs.cs_cert c.Model.callee with
       | None -> false
-      | Some cert -> clear_of cs ~la bbox tr cert)
+      | Some cert -> clear_of cs ~la bbox c.Model.transform cert)
     near
 
 (* Every placement transform is one of the eight orthogonal matrices
@@ -474,10 +474,13 @@ let inst_verdict cs ca cb rel =
     true
   with Hit -> false
 
-let inst_guard cs ~a:(tra, sa) ~b:(trb, sb) =
+let inst_guard cs (a : Model.call) (b : Model.call) =
+  let sa = a.Model.callee and sb = b.Model.callee in
   match (cs.cs_cert sa, cs.cs_cert sb) with
   | Some ca, Some cb when ca.ct_complete && cb.ct_complete -> (
-    let rel = Geom.Transform.compose (Geom.Transform.inverse tra) trb in
+    let rel =
+      Geom.Transform.compose (Geom.Transform.inverse a.Model.transform) b.Model.transform
+    in
     let key = (sa, sb, rel) in
     match Hashtbl.find_opt cs.cs_inst_memo key with
     | Some v -> v

@@ -160,16 +160,14 @@ val element_immune : Tech.Rules.t -> cert -> bool
 val local_guard : consult -> sid:int -> bool
 
 (** No pair between a local element (layer [la], bounding box [bbox])
-    and any geometry of the placed subtrees [(transform, callee sid)]
-    can fire under the deck. *)
-val elt_guard :
-  consult -> la:Tech.Layer.t -> bbox:Geom.Rect.t ->
-  (Geom.Transform.t * int) list -> bool
-
-(** No pair between the two placed subtrees can fire under the
+    and any geometry of the subtrees the calls place can fire under the
     deck. *)
-val inst_guard :
-  consult -> a:Geom.Transform.t * int -> b:Geom.Transform.t * int -> bool
+val elt_guard :
+  consult -> la:Tech.Layer.t -> bbox:Geom.Rect.t -> Model.call list -> bool
+
+(** No pair between the subtrees the two calls place can fire under
+    the deck. *)
+val inst_guard : consult -> Model.call -> Model.call -> bool
 
 (** {1 Toggling}
 

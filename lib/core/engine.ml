@@ -576,37 +576,16 @@ let check ?metrics ?trace ?progress t file =
               (slots, !reused, !defs_from_disk))
             env_by_deck)
     in
-    (* Per-definition sweep: replayed slots contribute their cached
-       list in place, computed slots get the ["symbol"] span and
-       [symbol.<name>] cost charge — so a cold single-deck engine's
-       trace and metrics are unchanged, and the report ordering (all
-       elements, then all devices, …) is the same either way. *)
-    let per_symbol slots stage compute replay =
-      List.concat_map
-        (fun sl ->
-          match sl.sl_hit with
-          | Some e -> replay e
-          | None ->
-            Trace.with_span trace ~cat:"symbol" ~args:[ ("stage", stage) ]
-              sl.sl_sym.Model.sname (fun () ->
-                let t0 = Metrics.now_ns () in
-                let vs = compute sl in
-                Metrics.add_cost_ns m ("symbol." ^ sl.sl_sym.Model.sname)
-                  (Int64.sub (Metrics.now_ns ()) t0);
-                vs))
-        slots
-    in
-    (* The per-definition sweeps are embarrassingly parallel — each
+    (* The per-definition stages are embarrassingly parallel — each
        fresh slot is one independent (deck rules × definition) task —
        so they run on the same cost-balanced scheduler as the
        interaction sweep.  The worklist flattens every deck's fresh
-       slots in deck-major definition order (the serial visit order);
-       workers store each result into its slot and emit the same
-       ["symbol"] spans and [symbol.<name>] cost charges as the serial
-       path, into per-domain buffers that merge in tid order.  The
-       caller then assembles each deck's violations in definition order
-       from the slots, so the report bytes match the serial path at
-       every [jobs] value. *)
+       slots in deck-major definition order; workers store each result
+       into its slot and emit a ["symbol"] span and [symbol.<name>] cost
+       charge per slot, into per-domain buffers that merge in tid order.
+       [assemble] then builds each deck's violations in definition
+       order, replayed slots contributing their cached list in place,
+       so the report bytes are the same at every [jobs] value. *)
     let stage_jobs =
       Interactions.effective_jobs t.e_config.interactions.Interactions.jobs
     in
@@ -620,8 +599,7 @@ let check ?metrics ?trace ?progress t file =
                   slots)
               decks lookups))
     in
-    let stage_parallel = stage_jobs > 1 && Array.length fresh_work > 1 in
-    let per_symbol_parallel stage compute =
+    let sweep stage compute =
       ignore
         (Parallel.run ~metrics:m ?trace ~jobs:stage_jobs ~stage
            ~weight:(fun i ->
@@ -657,8 +635,8 @@ let check ?metrics ?trace ?progress t file =
        definition under a deck; the slot then keeps its empty list
        without computing.  Sound for the cache too: the stored []
        equals what the check would have produced.  The predicate is
-       pure, so the parallel path consults it from workers and the
-       serial skip counting below re-evaluates it race-free. *)
+       pure, so workers consult it and the skip counting below
+       re-evaluates it race-free. *)
     let element_immune_for d sl =
       match cert_lookup with
       | None -> false
@@ -669,76 +647,33 @@ let check ?metrics ?trace ?progress t file =
     in
     let elements_by_deck =
       timed "elements" (fun () ->
-          if stage_parallel then begin
-            per_symbol_parallel "elements" (fun d sl ->
-                if not (element_immune_for d sl) then
-                  sl.sl_el <- Element_checks.check_symbol d.dk_rules sl.sl_sym);
-            assemble (fun sl -> sl.sl_el) (fun e -> e.Cache.de_elements)
-          end
-          else
-            List.map2
-              (fun d (slots, _, _) ->
-                per_symbol slots "elements"
-                  (fun sl ->
-                    let vs =
-                      if element_immune_for d sl then []
-                      else Element_checks.check_symbol d.dk_rules sl.sl_sym
-                    in
-                    sl.sl_el <- vs;
-                    vs)
-                  (fun e -> e.Cache.de_elements))
-              decks lookups)
+          sweep "elements" (fun d sl ->
+              if not (element_immune_for d sl) then
+                sl.sl_el <- Element_checks.check_symbol d.dk_rules sl.sl_sym);
+          assemble (fun sl -> sl.sl_el) (fun e -> e.Cache.de_elements))
     in
     if Option.is_some cert_lookup then begin
-      let skips = ref 0 in
-      List.iter2
-        (fun d (slots, _, _) ->
-          List.iter
-            (fun sl ->
-              if Option.is_none sl.sl_hit && element_immune_for d sl then incr skips)
-            slots)
-        decks lookups;
-      Metrics.incr ~by:!skips m "analysis.certified_element_skips";
-      Metrics.incr ~by:!skips m "analysis.certified_skips"
+      let skips =
+        Array.fold_left
+          (fun acc (d, sl) -> if element_immune_for d sl then acc + 1 else acc)
+          0 fresh_work
+      in
+      Metrics.incr ~by:skips m "analysis.certified_element_skips";
+      Metrics.incr ~by:skips m "analysis.certified_skips"
     end;
     let devices_by_deck =
       timed "devices" (fun () ->
-          if stage_parallel then begin
-            per_symbol_parallel "devices" (fun d sl ->
-                sl.sl_dv <- Devices.check_symbol d.dk_rules sl.sl_sym);
-            assemble (fun sl -> sl.sl_dv) (fun e -> e.Cache.de_devices)
-          end
-          else
-            List.map2
-              (fun d (slots, _, _) ->
-                per_symbol slots "devices"
-                  (fun sl ->
-                    let vs = Devices.check_symbol d.dk_rules sl.sl_sym in
-                    sl.sl_dv <- vs;
-                    vs)
-                  (fun e -> e.Cache.de_devices))
-              decks lookups)
+          sweep "devices" (fun d sl -> sl.sl_dv <- Devices.check_symbol d.dk_rules sl.sl_sym);
+          assemble (fun sl -> sl.sl_dv) (fun e -> e.Cache.de_devices))
     in
     let relational_by_deck =
       match t.e_config.relational with
       | None -> List.map (fun _ -> []) decks
       | Some exposure ->
         timed "devices-relational" (fun () ->
-            if stage_parallel then begin
-              per_symbol_parallel "devices-relational" (fun d sl ->
-                  sl.sl_rel <- Devices.check_relational exposure d.dk_rules sl.sl_sym);
-              assemble (fun sl -> sl.sl_rel) (fun e -> e.Cache.de_relational)
-            end
-            else
-              List.map2
-                (fun d (slots, _, _) ->
-                  per_symbol slots "devices-relational"
-                    (fun sl ->
-                      let vs = Devices.check_relational exposure d.dk_rules sl.sl_sym in
-                      sl.sl_rel <- vs;
-                      vs)
-                    (fun e -> e.Cache.de_relational))
-                decks lookups)
+            sweep "devices-relational" (fun d sl ->
+                sl.sl_rel <- Devices.check_relational exposure d.dk_rules sl.sl_sym);
+            assemble (fun sl -> sl.sl_rel) (fun e -> e.Cache.de_relational))
     in
     (* Freshly computed definitions become cache entries (session +
        disk), under their deck's environment.  When [relational] is off

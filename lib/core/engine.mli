@@ -216,7 +216,8 @@ val same_env : t -> Tech.Rules.t -> config -> bool
     metrics shape, and trace shape to the historical single-deck
     engine, cold or warm.  [metrics] lets the caller supply (and keep)
     the accumulator; one is created per check otherwise.  [trace]
-    records ["stage"]/["symbol"]/["shard"] spans plus
+    records ["stage"]/["symbol"]/["shard"] spans — at least one
+    [shard[0]] per parallel stage, at every [jobs] value — plus
     ["cache"]-category spans around cache traffic.  [progress] is
     called with each stage name as it starts. *)
 val check :

@@ -417,11 +417,11 @@ let transform_site_into ~dst ~into tr s path =
 
 (* Everything below runs in two phases.  Phase 1 (serial, cheap) walks
    the definitions once and builds an ordered worklist of independent
-   *tasks*: a chunk of local element pairs, one element against the
-   instances near it, or one instance pair.  Phase 2 evaluates the
-   tasks — either in order on the calling domain ([jobs <= 1], exactly
-   the old serial behaviour) or over [Domain.spawn] workers claiming
-   contiguous chunks from a shared queue.
+   *tasks*, plain data: a chunk of local element pairs, one element
+   against the calls near it, or one call pair.  Phase 2 evaluates the
+   tasks on the {!Parallel} queue — drained by the calling domain alone
+   at [jobs = 1], by [Domain.spawn] workers claiming contiguous chunks
+   otherwise.
 
    A task only reads shared state (the model, the net structure — both
    frozen after elaboration); everything it mutates lives in the
@@ -452,13 +452,13 @@ type dctx = {
           it allocates nothing, unlike re-deriving the entry per pair *)
 }
 
-let make_dctx rules stats memo =
+let make_dctx rules memo =
   let ta = Geom.Rects.empty () and tb = Geom.Rects.empty () in
   let scratch_site rects =
     { s_path = []; s_eid = -1; s_layer = Tech.Layer.Diffusion; s_rects = rects;
       s_bbox = Geom.Rect.make 0 0 0 0; s_device = None; s_loc = None }
   in
-  { d_stats = stats; d_memo = memo; d_ports = Hashtbl.create 64;
+  { d_stats = new_stats (); d_memo = memo; d_ports = Hashtbl.create 64;
     d_ws = Geom.Rects.make_ws (); d_ta = ta; d_tb = tb;
     d_sa = scratch_site ta; d_sb = scratch_site tb; d_cells = new_cells ();
     d_entry =
@@ -570,32 +570,6 @@ let instantiate dctx (ca : Model.call) (cb : Model.call) cand =
        (cb.Model.cidx :: cand.k_site_b.s_path));
   transform_site_into ~dst:dctx.d_ta ~into:dctx.d_sa tr cand.k_site_a
     (ca.Model.cidx :: cand.k_site_a.s_path)
-
-(* A task is closed over the worklist geometry but takes the judging
-   environment — config and rule deck — at evaluation time, so one
-   worklist (and one candidate memo) can be evaluated under several
-   decks: the plan depends only on [dmax]. *)
-type task = config -> Tech.Rules.t -> dctx -> Report.violation list
-
-(* The deck-independent guard attached to each task: just enough
-   geometry for a {!Deckcheck} certificate to prove, under the concrete
-   deck being run, that every pair the task would judge is clean — in
-   which case [run]'s prepass skips the task wholesale.  Guards only
-   ever turn provably-Skip evaluations into skips, so the report is
-   unchanged. *)
-type guard =
-  | G_local of int  (** all local element pairs of symbol [sid] *)
-  | G_elt of {
-      g_layer : Tech.Layer.t;
-      g_bbox : Geom.Rect.t;  (** the local element, in the symbol's frame *)
-      g_near : (Geom.Transform.t * int) list;  (** placed callees nearby *)
-    }
-  | G_inst of {
-      g_ta : Geom.Transform.t;
-      g_sa : int;
-      g_tb : Geom.Transform.t;
-      g_sb : int;
-    }
 
 (* The pair check proper, for sites in the checked frame and memoised
    candidates alike ([facts]).  Net resolution ([same_net]/[related]) is
@@ -713,15 +687,75 @@ let emit env sid ~context a b = function
     let path, loc = pair_provenance env sid ~context a b in
     report_outcome ~context ?path ?loc a.s_layer b.s_layer outcome
 
+(* One worklist task, in the frame of definition [sym].  Tasks are
+   deck-independent data: the judging environment — config and rule
+   deck — comes in at evaluation time, so one worklist (and one
+   candidate memo) serves several decks, and the certificate prepass
+   reads the same values to prove a task silent.  *)
+type task =
+  | Local of { sym : Model.symbol; pairs : (site * site) list }
+      (** a chunk of local element pairs *)
+  | Elt of { sym : Model.symbol; site : site; window : Geom.Rect.t; near : Model.call list }
+      (** a local element against the calls whose placed boxes meet
+          [window], its bbox inflated by the cutoff *)
+  | Inst of { sym : Model.symbol; ca : Model.call; cb : Model.call }
+      (** one interacting call pair, judged from memoised candidates *)
+
+let sym_of (Local { sym; _ } | Elt { sym; _ } | Inst { sym; _ }) = sym
+
+let eval_task cfg env ~dmax dctx task =
+  let sym = sym_of task in
+  let sid = sym.Model.sid and context = sym.Model.sname in
+  match task with
+  | Local { pairs; _ } ->
+    List.concat_map
+      (fun (a, b) -> emit env sid ~context a b (judge_pair cfg env sid dctx In_frame a b))
+      pairs
+  | Elt { site; window; near; _ } ->
+    List.concat_map
+      (fun (c : Model.call) ->
+        let sites =
+          frontier env.model window c.Model.transform [ c.Model.cidx ]
+            (Model.find env.model c.Model.callee) []
+        in
+        List.concat_map
+          (fun sub -> emit env sid ~context site sub (judge_pair cfg env sid dctx In_frame site sub))
+          sites)
+      near
+  | Inst { ca; cb; _ } ->
+    let sub = (Netgen.nets_of env.nets sid).Netgen.sub_group in
+    let rel =
+      Geom.Transform.compose (Geom.Transform.inverse ca.Model.transform) cb.Model.transform
+    in
+    let cands =
+      candidates cfg env dmax dctx.d_memo dctx.d_stats dctx.d_ws ca.Model.callee
+        cb.Model.callee rel
+    in
+    (* A pair that produced a finding is left instantiated in the
+       scratch sites by [judge_pair]. *)
+    List.concat_map
+      (fun cand ->
+        emit env sid ~context dctx.d_sa dctx.d_sb
+          (judge_pair cfg env sid dctx (Memoised { sub; ca; cb; cand }) cand.k_site_a
+             cand.k_site_b))
+      cands
+
+(* A task's certificate guard: [true] when the deck's certificates
+   prove that every pair the task would judge is clean, so [run]'s
+   prepass skips it wholesale.  Guards only ever turn provably-Skip
+   evaluations into skips, so the report is unchanged. *)
+let certified cs = function
+  | Local { sym; _ } -> Deckcheck.local_guard cs ~sid:sym.Model.sid
+  | Elt { site; near; _ } -> Deckcheck.elt_guard cs ~la:site.s_layer ~bbox:site.s_bbox near
+  | Inst { ca; cb; _ } -> Deckcheck.inst_guard cs ca cb
+
 (* Local element pairs are individually tiny; batch them so a task is
    worth scheduling. *)
 let local_chunk = 32
 
-let tasks_of_symbol env ~dmax (s : Model.symbol) : (guard * task) list =
-  if Model.is_device s then []
+let tasks_of_symbol env ~dmax (sym : Model.symbol) =
+  if Model.is_device sym then []
   else begin
-    let context = s.Model.sname in
-    let sid = s.Model.sid in
     let local_sites =
       List.map
         (fun (e : Model.element) ->
@@ -730,9 +764,9 @@ let tasks_of_symbol env ~dmax (s : Model.symbol) : (guard * task) list =
             s_layer = e.Model.layer;
             s_rects = e.Model.packed;
             s_bbox = e.Model.bbox;
-            s_device = s.Model.device;
+            s_device = sym.Model.device;
             s_loc = e.Model.loc })
-        s.Model.elements
+        sym.Model.elements
     in
     (* Local element pairs, chunked.  Chunks are assembled incrementally
        inside the iteration: the full pair list is never materialised. *)
@@ -749,30 +783,17 @@ let tasks_of_symbol env ~dmax (s : Model.symbol) : (guard * task) list =
             cur_n := 0
           end);
       if !cur <> [] then chunks := List.rev !cur :: !chunks;
-      List.rev_map
-        (fun chunk ->
-          ( G_local sid,
-            fun cfg _rules dctx ->
-              List.concat_map
-                (fun (a, b) ->
-                  emit env sid ~context a b (judge_pair cfg env sid dctx In_frame a b))
-                chunk ))
-        !chunks
-    in
-    (* Calls with their placed bounding boxes. *)
-    let placed_calls =
-      List.filter_map
-        (fun (c : Model.call) ->
-          let callee = Model.find env.model c.Model.callee in
-          Option.map
-            (fun bb -> (c, callee, Geom.Transform.apply_rect c.Model.transform bb))
-            callee.Model.sbbox)
-        s.Model.calls
+      List.rev_map (fun pairs -> Local { sym; pairs }) !chunks
     in
     (* One grid of placed calls serves both the element-vs-instance
        queries and the instance-pair enumeration. *)
     let call_idx = Geom.Grid_index.create ~cell:(max 1 (4 * dmax)) () in
-    List.iter (fun (c, callee, bb) -> Geom.Grid_index.add call_idx bb (c, callee)) placed_calls;
+    List.iter
+      (fun (c : Model.call) ->
+        Option.iter
+          (fun bb -> Geom.Grid_index.add call_idx (Geom.Transform.apply_rect c.Model.transform bb) c)
+          (Model.find env.model c.Model.callee).Model.sbbox)
+      sym.Model.calls;
     (* Element vs instance: one task per local element near instances. *)
     let elt_inst_tasks =
       List.filter_map
@@ -781,69 +802,17 @@ let tasks_of_symbol env ~dmax (s : Model.symbol) : (guard * task) list =
           | None -> None
           | Some window -> (
             let near = ref [] in
-            Geom.Grid_index.iter_query call_idx window (fun _ cc ->
-                near := cc :: !near);
+            Geom.Grid_index.iter_query call_idx window (fun _ c -> near := c :: !near);
             match List.rev !near with
             | [] -> None
-            | near ->
-              Some
-                ( G_elt
-                    { g_layer = site.s_layer;
-                      g_bbox = site.s_bbox;
-                      g_near =
-                        List.map
-                          (fun ((c : Model.call), _) ->
-                            (c.Model.transform, c.Model.callee))
-                          near },
-                  fun cfg _rules dctx ->
-                    List.concat_map
-                      (fun ((c : Model.call), callee) ->
-                        let sites =
-                          frontier env.model window c.Model.transform [ c.Model.cidx ]
-                            callee []
-                        in
-                        List.concat_map
-                          (fun sub ->
-                            emit env sid ~context site sub
-                              (judge_pair cfg env sid dctx In_frame site sub))
-                          sites)
-                      near )))
+            | near -> Some (Elt { sym; site; window; near })))
         local_sites
     in
-    (* Instance vs instance: one task per interacting placement pair,
-       judged from memoised candidates. *)
-    let sub = (Netgen.nets_of env.nets sid).Netgen.sub_group in
+    (* Instance vs instance: one task per interacting placement pair. *)
     let inst_tasks =
       let acc = ref [] in
-      Geom.Grid_index.iter_pairs_within call_idx dmax
-        (fun (_, ((ca : Model.call), _)) (_, ((cb : Model.call), _)) ->
-          let task cfg _rules dctx =
-            let rel =
-              Geom.Transform.compose
-                (Geom.Transform.inverse ca.Model.transform)
-                cb.Model.transform
-            in
-            let cands =
-              candidates cfg env dmax dctx.d_memo dctx.d_stats dctx.d_ws
-                ca.Model.callee cb.Model.callee rel
-            in
-            (* A pair that produced a finding is left instantiated in
-               the scratch sites by [judge_pair]. *)
-            List.concat_map
-              (fun cand ->
-                emit env sid ~context dctx.d_sa dctx.d_sb
-                  (judge_pair cfg env sid dctx (Memoised { sub; ca; cb; cand })
-                     cand.k_site_a cand.k_site_b))
-              cands
-          in
-          let g =
-            G_inst
-              { g_ta = ca.Model.transform;
-                g_sa = ca.Model.callee;
-                g_tb = cb.Model.transform;
-                g_sb = cb.Model.callee }
-          in
-          acc := (g, task) :: !acc);
+      Geom.Grid_index.iter_pairs_within call_idx dmax (fun (_, ca) (_, cb) ->
+          acc := Inst { sym; ca; cb } :: !acc);
       List.rev !acc
     in
     local_tasks @ elt_inst_tasks @ inst_tasks
@@ -875,28 +844,26 @@ let import_memo (memo : memo) entries =
 (* ------------------------------------------------------------------ *)
 (* The scheduler                                                       *)
 
-(* Tasks are tagged with the symbol definition they came from, so the
-   per-task clock feeds both the pair-check histogram and that
-   definition's [symbol.<name>] cost bucket (the [--top-cost] view). *)
-(* [enabled] is the certificate prepass verdict per task index: a
+(* Each task's clock feeds both the pair-check histogram and its
+   definition's [symbol.<name>] cost bucket (the [--top-cost] view).
+   [enabled] is the certificate prepass verdict per task index: a
    [false] slot is a task some certificate proved silent, contributing
    [] exactly as evaluating it would have. *)
-let run_span ?metrics ?enabled cfg rules (tasks : (string * guard * task) array) lo hi
-    dctx =
+let run_span ?metrics ?enabled cfg env ~dmax tasks lo hi dctx =
   let out = ref [] in
   for i = lo to hi - 1 do
     let keep = match enabled with None -> true | Some arr -> arr.(i) in
     if keep then begin
-      let sname, _, task = tasks.(i) in
+      let task = tasks.(i) in
       let vs =
         match metrics with
-        | None -> task cfg rules dctx
+        | None -> eval_task cfg env ~dmax dctx task
         | Some m ->
           let t0 = Metrics.now_ns () in
-          let vs = task cfg rules dctx in
+          let vs = eval_task cfg env ~dmax dctx task in
           let dt = Int64.sub (Metrics.now_ns ()) t0 in
           Metrics.observe_ns m "interactions.pair_check_ns" dt;
-          Metrics.add_cost_ns m ("symbol." ^ sname) dt;
+          Metrics.add_cost_ns m ("symbol." ^ (sym_of task).Model.sname) dt;
           vs
       in
       out := vs :: !out
@@ -918,7 +885,7 @@ type plan = {
   pl_nets : Netgen.t;
   pl_env : env;
   pl_dmax : int;
-  pl_tasks : (string * guard * task) array;
+  pl_tasks : task array;
 }
 
 let plan ?dmax (nets : Netgen.t) =
@@ -927,21 +894,16 @@ let plan ?dmax (nets : Netgen.t) =
     match dmax with Some d -> d | None -> max_dist env.model.Model.rules
   in
   let tasks =
-    Array.of_list
-      (List.concat_map
-         (fun (s : Model.symbol) ->
-           List.map (fun (g, t) -> (s.Model.sname, g, t)) (tasks_of_symbol env ~dmax s))
-         env.model.Model.symbols)
+    Array.of_list (List.concat_map (tasks_of_symbol env ~dmax) env.model.Model.symbols)
   in
   { pl_nets = nets; pl_env = env; pl_dmax = dmax; pl_tasks = tasks }
 
 let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan) =
-  let env = p.pl_env in
+  let env = p.pl_env and dmax = p.pl_dmax in
   let rules = match rules with Some r -> r | None -> env.model.Model.rules in
   let stats = new_stats () in
   let master_memo = match memo with Some m -> m | None -> create_memo () in
   let tasks = p.pl_tasks in
-  let n = Array.length tasks in
   (* Certificate prepass: decide, serially and before any domain
      spawns, which tasks a certificate proves silent.  The verdict
      array is fixed input to the scheduler, so the skip set — and the
@@ -957,17 +919,7 @@ let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan
       | Exposure _ -> None
       | Geometric ->
         let t0 = Metrics.now_ns () in
-        let arr =
-          Array.map
-            (fun (_, g, _) ->
-              match g with
-              | G_local sid -> not (Deckcheck.local_guard cs ~sid)
-              | G_elt { g_layer; g_bbox; g_near } ->
-                not (Deckcheck.elt_guard cs ~la:g_layer ~bbox:g_bbox g_near)
-              | G_inst { g_ta; g_sa; g_tb; g_sb } ->
-                not (Deckcheck.inst_guard cs ~a:(g_ta, g_sa) ~b:(g_tb, g_sb)))
-            tasks
-        in
+        let arr = Array.map (fun task -> not (certified cs task)) tasks in
         Option.iter
           (fun m ->
             let skips =
@@ -979,72 +931,51 @@ let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan
           metrics;
         Some arr)
   in
-  let jobs = max 1 (min (effective_jobs config.jobs) (max 1 n)) in
-  let shard_span i lo hi =
-    (Printf.sprintf "shard[%d]" i, [ ("tasks", string_of_int (hi - lo)) ])
+  (* Balanced scheduling via the shared {!Parallel} queue (which this
+     code originated).  The weight estimate reuses the [symbol.<name>]
+     cost buckets the earlier per-definition sweeps recorded into
+     [metrics]: a definition that was expensive to sweep has bigger
+     geometry and costs more to judge, so its tasks land in smaller
+     chunks.  Chunk results come back in worklist order, so the report
+     is byte-identical at every [jobs] value and across repeated runs;
+     which domain evaluated which chunk — and hence each domain's memo
+     hit/miss split — is the only thing that varies.  Every domain,
+     the calling one included, judges against its own copy of the memo,
+     and new entries merge back after the join. *)
+  let weight_of_name =
+    match metrics with
+    | None -> fun _ -> 1
+    | Some m ->
+      let by_name = Hashtbl.create 16 in
+      fun sname ->
+        (match Hashtbl.find_opt by_name sname with
+        | Some w -> w
+        | None ->
+          let c = Metrics.cost_ns m ("symbol." ^ sname) in
+          let w = 1 + Int64.to_int (Int64.div c 1_000_000L) in
+          Hashtbl.add by_name sname w;
+          w)
   in
-  let violations =
-    if jobs = 1 then begin
-      let name, args = shard_span 0 0 n in
-      let dctx = make_dctx rules stats master_memo in
-      let vs =
-        Trace.with_span trace ~cat:"shard" ~args name (fun () ->
-            run_span ?metrics ?enabled config rules tasks 0 n dctx)
-      in
-      fold_cells dctx;
-      vs
-    end
-    else begin
-      (* Balanced scheduling via the shared {!Parallel} queue (which
-         this code originated).  The weight estimate reuses the
-         [symbol.<name>] cost buckets the earlier per-definition sweeps
-         recorded into [metrics]: a definition that was expensive to
-         sweep has bigger geometry and costs more to judge, so its
-         tasks land in smaller chunks.  Chunk results come back in
-         worklist order, so the report is byte-identical to the serial
-         run at every [jobs] value and across repeated runs; which
-         domain evaluated which chunk — and hence each shard's memo
-         hit/miss split — is the only thing that varies. *)
-      let weight_of_name =
-        match metrics with
-        | None -> fun _ -> 1
-        | Some m ->
-          let by_name = Hashtbl.create 16 in
-          fun sname ->
-            (match Hashtbl.find_opt by_name sname with
-            | Some w -> w
-            | None ->
-              let c = Metrics.cost_ns m ("symbol." ^ sname) in
-              let w = 1 + Int64.to_int (Int64.div c 1_000_000L) in
-              Hashtbl.add by_name sname w;
-              w)
-      in
-      let chunks =
-        Parallel.run ?metrics ?trace ~jobs ~stage:"interactions"
-          ~weight:(fun i ->
-            match enabled with
-            | Some arr when not arr.(i) -> 1
-            | _ ->
-              let sname, _, _ = tasks.(i) in
-              weight_of_name sname)
-          ~n
-          ~worker:(fun _tid -> make_dctx rules (new_stats ()) (Hashtbl.copy master_memo))
-          ~chunk:(fun dctx dm _dt ~lo ~hi ->
-            run_span ?metrics:dm ?enabled config rules tasks lo hi dctx)
-          ~merge:(fun dctx ->
-            fold_cells dctx;
-            merge_stats ~into:stats dctx.d_stats;
-            Hashtbl.iter
-              (fun k v ->
-                if not (Hashtbl.mem master_memo k) then Hashtbl.add master_memo k v)
-              dctx.d_memo)
-          ()
-      in
-      List.concat chunks
-    end
+  let chunks =
+    Parallel.run ?metrics ?trace ~jobs:(effective_jobs config.jobs) ~stage:"interactions"
+      ~weight:(fun i ->
+        match enabled with
+        | Some arr when not arr.(i) -> 1
+        | _ -> weight_of_name (sym_of tasks.(i)).Model.sname)
+      ~n:(Array.length tasks)
+      ~worker:(fun _tid -> make_dctx rules (Hashtbl.copy master_memo))
+      ~chunk:(fun dctx dm _dt ~lo ~hi ->
+        run_span ?metrics:dm ?enabled config env ~dmax tasks lo hi dctx)
+      ~merge:(fun dctx ->
+        fold_cells dctx;
+        merge_stats ~into:stats dctx.d_stats;
+        Hashtbl.iter
+          (fun k v -> if not (Hashtbl.mem master_memo k) then Hashtbl.add master_memo k v)
+          dctx.d_memo)
+      ()
   in
   Option.iter (fun m -> record_metrics m stats) metrics;
-  (violations, stats)
+  (List.concat chunks, stats)
 
 let check ?config ?memo ?metrics ?trace (nets : Netgen.t) =
   run ?config ?memo ?metrics ?trace (plan nets)

@@ -34,13 +34,17 @@
 
     The stage is embarrassingly parallel across its worklist: every
     local-pair chunk, element-vs-instance neighbourhood, and instance
-    pair is independent of the others.  With {!config.jobs} above 1 the
-    worklist is cut into chunks whose boundaries are chosen from the
-    per-symbol cost profile of the previous run (via {!Metrics}, when
-    available) so each chunk carries roughly equal work; the chunks are
-    then drained from a shared [Atomic] counter by [jobs] domains, so a
-    domain that finishes early steals the next unclaimed chunk instead
-    of idling.  Per-domain error lists, statistics, and memo tables are
+    pair is an independent task, described as plain data (the
+    definition, its sites and the calls involved) that the certificate
+    prepass and the judge both read.  The worklist runs on
+    {!Parallel.run}, the one scheduler of every [jobs] value: it is cut
+    into chunks whose boundaries are chosen from the per-symbol cost
+    profile of the previous stages (via {!Metrics}, when available) so
+    each chunk carries roughly equal work, and the chunks are drained
+    from a shared [Atomic] counter by up to {!config.jobs} domains — the
+    calling domain alone at [jobs = 1] — so a domain that finishes early
+    steals the next unclaimed chunk instead of idling.  Every domain
+    judges with its own error list, statistics and copy of the memo,
     merged after the join; violations are reassembled {e by chunk
     index}, not by completion order.
 
@@ -51,8 +55,8 @@
     - A task's verdicts do not depend on which domain runs it (the memo
       is a pure cache), and results are merged in worklist order, so
       the report is {e byte-identical} — same violations, same order —
-      for every [jobs] value, including the serial [jobs = 1], even
-      though chunk-to-domain assignment is nondeterministic.
+      for every [jobs] value, even though chunk-to-domain assignment is
+      nondeterministic.
     - Only {!stats} totals that describe caching effort may vary with
       [jobs] (the memo hit/miss split and [bbox_rejects] depend on
       which domain warmed its memo copy first — and, under the queue,
@@ -81,9 +85,11 @@ type config = {
           behave like a net-blind checker (for the Fig 5 ablation) *)
   spacing_model : spacing_model;
   jobs : int;
-      (** domains to fan the interaction worklist over: [1] (the
-          default) is today's exact serial behaviour, [n > 1] spawns
-          [n - 1] extra domains, [0] asks the runtime
+      (** the most domains a worklist is shared by, this stage's and
+          (through {!Engine}) every other parallel stage's: [1] (the
+          default) runs it on the calling domain alone, [n > 1] spawns
+          up to [n - 1] extra domains (never more than there are
+          chunks), [0] asks the runtime
           ([Domain.recommended_domain_count ()]) *)
 }
 
@@ -189,9 +195,9 @@ val plan : ?dmax:int -> Netgen.t -> plan
     the [interactions.pair_check_ns] histogram and charged to the owning
     definition's [symbol.<name>] cost bucket, and the {!stats} totals
     are exported as counters.  When [trace] is given, one ["shard[i]"]
-    span (category ["shard"]) is recorded per worklist shard —
-    per-domain buffers in the parallel case, merged into [trace] in
-    shard order after the join.
+    span (category ["shard"]) is recorded per domain that drained the
+    worklist — [shard[0]] alone at [jobs = 1] — from per-domain buffers
+    merged into [trace] in shard order after the join.
 
     When [certs] is given (a {!Deckcheck.consult} over the deck being
     judged), a serial prepass skips every task whose guard the

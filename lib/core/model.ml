@@ -35,12 +35,13 @@ type t = {
   rules : Tech.Rules.t;
   symbols : symbol list;
   root : symbol;
+  by_sid : (int, symbol) Hashtbl.t;
 }
 
 let root_id = -1
 
 let find t sid =
-  match List.find_opt (fun s -> s.sid = sid) t.symbols with
+  match Hashtbl.find_opt t.by_sid sid with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Model.find: unknown symbol %d" sid)
 
@@ -255,6 +256,8 @@ let elaborate rules (file : Cif.Ast.file) =
     (* [sorted] has callees before callers; move root to the end. *)
     let non_root = List.filter (fun s -> s.sid <> root_id) sorted in
     let root = List.find (fun s -> s.sid = root_id) sorted in
+    let by_sid = Hashtbl.create (List.length sorted) in
+    List.iter (fun s -> Hashtbl.replace by_sid s.sid s) sorted;
     Ok
-      ( { rules; symbols = non_root @ [ root ]; root },
+      ( { rules; symbols = non_root @ [ root ]; root; by_sid },
         List.rev !issues )

@@ -51,10 +51,13 @@ type t = {
   rules : Tech.Rules.t;
   symbols : symbol list;  (** topologically sorted, callees first; root last *)
   root : symbol;
+  by_sid : (int, symbol) Hashtbl.t;  (** [symbols] by id, for {!find}; read-only *)
 }
 
 val root_id : int
 
+(** The symbol with this id, in constant time.
+    @raise Invalid_argument for an id the model does not define. *)
 val find : t -> int -> symbol
 val is_device : symbol -> bool
 

@@ -1,16 +1,19 @@
-(* The cost-balanced domain scheduler shared by every parallel stage.
+(* The cost-balanced domain scheduler: the only one in the pipeline,
+   for every [jobs] value.
 
    This began life inside the interaction sweep (the first stage to
    shard across domains) and was lifted out unchanged when the
    element-check and device-recognition sweeps joined it: an ordered
    worklist is cut into contiguous chunks sized from a caller-supplied
    weight estimate, and worker domains claim chunks from an [Atomic]
-   counter until the queue is dry.
+   counter until the queue is dry.  With one domain the calling domain
+   drains the same queue alone, through the same per-domain state and
+   merge, so there is no second code path to keep in step.
 
    Contiguity is the determinism lever: results are identified by chunk
    index, so the caller can reassemble them in worklist order and the
-   output is byte-identical to the serial run at every [jobs] value —
-   which domain evaluated which chunk is the only thing that varies.
+   output is byte-identical at every [jobs] value — which domain
+   evaluated which chunk is the only thing that varies.
 
    Each worker gets its own [Metrics.t] and [Trace.t] (merged into the
    caller's after the join, in tid order), and spawned workers wrap
@@ -23,6 +26,7 @@
    on the calling domain, inside the caller's own counter. *)
 
 let run ?metrics ?trace ~jobs ~stage ~weight ~n ~worker ~chunk ~merge () =
+  let jobs = max 1 jobs in
   let total = ref 0 in
   for i = 0 to n - 1 do
     total := !total + weight i
@@ -40,6 +44,8 @@ let run ?metrics ?trace ~jobs ~stage ~weight ~n ~worker ~chunk ~merge () =
   done;
   let starts = Array.of_list (List.rev (n :: !cuts)) in
   let nchunks = Array.length starts - 1 in
+  (* A domain beyond the chunk count would find the queue dry. *)
+  let jobs = min jobs nchunks in
   let next = Atomic.make 0 in
   (* Each cell is written by exactly one domain (the unique claimant of
      that chunk); [Domain.join] publishes the writes. *)

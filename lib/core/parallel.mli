@@ -1,15 +1,17 @@
-(** The cost-balanced domain scheduler shared by the parallel pipeline
-    stages (element checks, device recognition, relational checks, and
-    the interaction sweep).
+(** The cost-balanced domain scheduler of the parallel pipeline stages
+    (element checks, device recognition, relational checks, and the
+    interaction sweep) — their only scheduler, at every [jobs] value.
 
     An ordered worklist of [n] tasks is cut into contiguous chunks
     sized so each holds roughly 1/(8·jobs) of the caller-estimated
-    work, and [jobs] domains (the caller plus [jobs - 1] spawned
+    work, and [min jobs chunks] domains (the caller plus the spawned
     workers) claim chunks from an [Atomic] counter until the queue is
-    dry.  Chunk results come back in worklist order, so callers that
-    assemble them positionally produce output byte-identical to their
-    serial path at every [jobs] value — which domain ran which chunk is
-    the only nondeterminism, and it is confined to scheduling.
+    dry.  At [jobs = 1], or when there is a single chunk, the calling
+    domain drains the queue alone through the same per-domain state
+    and merge.  Chunk results come back in worklist order, so callers
+    that assemble them positionally produce byte-identical output at
+    every [jobs] value — which domain ran which chunk is the only
+    nondeterminism, and it is confined to scheduling.
 
     Observability: when [metrics] / [trace] are given, every worker
     accumulates into per-domain buffers that are merged into the
@@ -23,8 +25,11 @@
     silently reporting the calling domain's share. *)
 
 (** [run ?metrics ?trace ~jobs ~stage ~weight ~n ~worker ~chunk ~merge ()]
-    evaluates tasks [0 .. n-1] across [jobs] domains and returns the
-    per-chunk results in worklist order.
+    evaluates tasks [0 .. n-1] across at most [jobs] domains (values
+    below 1 count as 1) and returns the per-chunk results in worklist
+    order.  [n = 0] yields one empty chunk, [[chunk st dm dt ~lo:0
+    ~hi:0]], so a stage records its [shard[0]] span even with nothing
+    to do.
 
     - [stage] names the pipeline stage in shard spans and GC counters.
     - [weight i] estimates the relative cost of task [i] (chunk sizing
@@ -36,11 +41,7 @@
       per chunk, on whichever domain claimed it.
     - [merge st] folds a domain's state back into the caller's; called
       on the calling domain after all workers have joined, in tid
-      order.
-
-    Intended for [jobs >= 2] — callers keep their serial path for
-    [jobs = 1] (and [run] with [jobs = 1] still works: it just does
-    everything on the calling domain). *)
+      order. *)
 val run :
   ?metrics:Metrics.t ->
   ?trace:Trace.t ->

@@ -86,53 +86,77 @@ let ms_of_ns ns = Int64.to_float ns /. 1e6
 
 let observe t name v = Metrics.observe_window ~capacity:t.window t.metrics name v
 
+let charge_busy t ~worker ~ns =
+  if worker >= 0 then begin
+    if worker >= Array.length t.busy_ns then begin
+      let grown = Array.make (worker + 1) 0L in
+      Array.blit t.busy_ns 0 grown 0 (Array.length t.busy_ns);
+      t.busy_ns <- grown
+    end;
+    t.busy_ns.(worker) <- Int64.add t.busy_ns.(worker) (max 0L ns)
+  end
+
+(* The one event -> metrics reduction, read from a request event's kind
+   and logged fields.  The live hooks below and [replay] both call it,
+   so the two snapshots cannot drift.  Two inputs are not in the fields
+   because they differ by construction: a finish time ([finish_s],
+   seconds since daemon start — the live uptime, or the log's [ts_ms]
+   offset) and busy time ([busy_ns] for the event's worker — the live
+   pool charges measured time through [worker_busy] instead, replay
+   charges [service_ms]).  Caller holds the lock. *)
+let apply t ?finish_s ?busy_ns kind fields =
+  let field name conv = Option.bind (List.assoc_opt name fields) conv in
+  match kind with
+  | "accepted" ->
+    Metrics.incr t.metrics "serve.accepted";
+    Option.iter
+      (fun q ->
+        Metrics.set_gauge t.metrics "serve.queue_depth" (float_of_int q);
+        observe t "serve.queue_depth" (float_of_int q))
+      (field "queued" Json.int)
+  | "started" -> Option.iter (observe t "serve.wait_ms") (field "wait_ms" Json.num)
+  | "finished" ->
+    Option.iter (observe t "serve.service_ms") (field "service_ms" Json.num);
+    Option.iter (observe t "serve.latency_ms") (field "latency_ms" Json.num);
+    (match (field "symbols_total" Json.int, field "symbols_reused" Json.int) with
+    | Some total, Some reused ->
+      Metrics.incr ~by:total t.metrics "serve.cache.symbols_total";
+      Metrics.incr ~by:reused t.metrics "serve.cache.symbols_reused"
+    | _ -> ());
+    (* Finish times feed the windowed requests-per-second figure. *)
+    Option.iter (observe t "serve.finish_s") finish_s;
+    (match (field "worker" Json.int, busy_ns) with
+    | Some worker, Some ns -> charge_busy t ~worker ~ns
+    | _ -> ())
+  | "rejected" -> Metrics.incr t.metrics "serve.rejected"
+  | _ -> ()
+
+(* A live request hook: reduce the event's fields, then log them. *)
+let request_event t ?req ?finish_s kind fields =
+  locked t (fun () -> apply t ?finish_s kind fields);
+  event t ?req ~fields kind
+
 let sample_queue_depth t depth =
   locked t (fun () ->
       Metrics.set_gauge t.metrics "serve.queue_depth" (float_of_int depth);
       observe t "serve.queue_depth" (float_of_int depth))
 
 let request_accepted t ~req ~id ~queued =
-  locked t (fun () ->
-      Metrics.incr t.metrics "serve.accepted";
-      Metrics.set_gauge t.metrics "serve.queue_depth" (float_of_int queued);
-      observe t "serve.queue_depth" (float_of_int queued));
-  event t ~req ~fields:[ ("id", id); ("queued", num queued) ] "accepted"
+  request_event t ~req "accepted" [ ("id", id); ("queued", num queued) ]
 
 let request_started t ~req ~worker ~wait_ns =
-  let wait_ms = ms_of_ns wait_ns in
-  locked t (fun () ->
-      Metrics.incr t.metrics "serve.started";
-      observe t "serve.wait_ms" wait_ms);
-  event t ~req ~fields:[ ("worker", num worker); ("wait_ms", fnum wait_ms) ] "started"
-
-(* Engine reuse counters (the cache hit ratio in [snapshot]).  The
-   live hub and [replay] both feed them from the [finished] event's
-   fields, so the two snapshots agree. *)
-let record_reuse t ~total ~reused =
-  locked t (fun () ->
-      Metrics.incr ~by:total t.metrics "serve.cache.symbols_total";
-      Metrics.incr ~by:reused t.metrics "serve.cache.symbols_reused")
+  request_event t ~req "started"
+    [ ("worker", num worker); ("wait_ms", fnum (ms_of_ns wait_ns)) ]
 
 let request_finished t ~req ~worker ~status ~exit_code ~errors ~warnings
     ~symbols_total ~symbols_reused ~wait_ns ~service_ns =
-  let wait_ms = ms_of_ns wait_ns and service_ms = ms_of_ns service_ns in
-  record_reuse t ~total:symbols_total ~reused:symbols_reused;
-  let latency_ms = wait_ms +. service_ms in
-  locked t (fun () ->
-      Metrics.incr t.metrics "serve.finished";
-      if status <> "ok" then Metrics.incr t.metrics "serve.check_errors";
-      observe t "serve.service_ms" service_ms;
-      observe t "serve.latency_ms" latency_ms;
-      (* Finish times (seconds since daemon start) feed the windowed
-         requests-per-second figure in the stats snapshot. *)
-      observe t "serve.finish_s" (uptime_s t));
-  event t ~req
-    ~fields:
-      [ ("worker", num worker); ("status", Json.Str status); ("exit", num exit_code);
-        ("errors", num errors); ("warnings", num warnings);
-        ("symbols_total", num symbols_total); ("symbols_reused", num symbols_reused);
-        ("service_ms", fnum service_ms); ("latency_ms", fnum latency_ms) ]
-    "finished";
+  let service_ms = ms_of_ns service_ns in
+  let latency_ms = ms_of_ns wait_ns +. service_ms in
+  request_event t ~req ~finish_s:(uptime_s t) "finished"
+    [ ("worker", num worker); ("status", Json.Str status); ("exit", num exit_code);
+      ("errors", num errors); ("warnings", num warnings);
+      ("symbols_total", num symbols_total); ("symbols_reused", num symbols_reused);
+      ("service_ms", fnum service_ms); ("latency_ms", fnum latency_ms) ];
   match t.slow_ms with
   | Some threshold when latency_ms >= threshold ->
     event t ~req
@@ -141,27 +165,15 @@ let request_finished t ~req ~worker ~status ~exit_code ~errors ~warnings
   | _ -> ()
 
 let request_cancelled t ~req ?worker () =
-  locked t (fun () -> Metrics.incr t.metrics "serve.cancelled");
-  let fields = match worker with Some w -> [ ("worker", num w) ] | None -> [] in
-  event t ~req ~fields "cancelled"
+  request_event t ~req "cancelled"
+    (match worker with Some w -> [ ("worker", num w) ] | None -> [])
 
 let request_overloaded t ~req ~queued =
-  locked t (fun () -> Metrics.incr t.metrics "serve.overloaded");
-  event t ~req ~fields:[ ("queued", num queued) ] "overloaded"
+  request_event t ~req "overloaded" [ ("queued", num queued) ]
 
-let request_rejected t ~error =
-  locked t (fun () -> Metrics.incr t.metrics "serve.rejected");
-  event t ~fields:[ ("error", Json.Str error) ] "rejected"
+let request_rejected t ~error = request_event t "rejected" [ ("error", Json.Str error) ]
 
-let worker_busy t ~worker ~ns =
-  if worker >= 0 then
-    locked t (fun () ->
-        if worker >= Array.length t.busy_ns then begin
-          let grown = Array.make (worker + 1) 0L in
-          Array.blit t.busy_ns 0 grown 0 (Array.length t.busy_ns);
-          t.busy_ns <- grown
-        end;
-        t.busy_ns.(worker) <- Int64.add t.busy_ns.(worker) (max 0L ns))
+let worker_busy t ~worker ~ns = locked t (fun () -> charge_busy t ~worker ~ns)
 
 (* ------------------------------------------------------------------ *)
 (* Per-request traces                                                  *)
@@ -372,7 +384,7 @@ let replay content =
           incr inflight
         | Done -> ())
       state;
-    (* Pass 2: feed the same rolling metrics the live hub keeps, with
+    (* Pass 2: the live hub's reduction over the logged fields, with
        the hub's epoch backdated by the log's time span so uptime and
        the rps figures come out of the recorded timeline, not the
        replay's. *)
@@ -380,36 +392,13 @@ let replay content =
     let base = create () in
     let t = { base with started_ns = Int64.sub base.started_ns span_ns } in
     List.iter
-      (fun (_, j) ->
-        match Option.bind (Json.member "event" j) Json.str with
-        | Some "accepted" ->
-          Metrics.incr t.metrics "serve.accepted";
-          Option.iter
-            (fun q ->
-              Metrics.set_gauge t.metrics "serve.queue_depth" (float_of_int q);
-              observe t "serve.queue_depth" (float_of_int q))
-            (inum_of j "queued")
-        | Some "started" ->
-          Metrics.incr t.metrics "serve.started";
-          Option.iter (observe t "serve.wait_ms") (fnum_of j "wait_ms")
-        | Some "finished" ->
-          Metrics.incr t.metrics "serve.finished";
-          (match Option.bind (Json.member "status" j) Json.str with
-          | Some s when s <> "ok" -> Metrics.incr t.metrics "serve.check_errors"
-          | _ -> ());
-          Option.iter (observe t "serve.service_ms") (fnum_of j "service_ms");
-          Option.iter (observe t "serve.latency_ms") (fnum_of j "latency_ms");
-          (match (inum_of j "symbols_total", inum_of j "symbols_reused") with
-          | Some total, Some reused -> record_reuse t ~total ~reused
-          | _ -> ());
-          (match (fnum_of j "ts_ms", inum_of j "worker", fnum_of j "service_ms") with
-          | Some ts, Some w, Some ms ->
-            observe t "serve.finish_s" ((ts -. !first_ts) /. 1000.);
-            worker_busy t ~worker:w ~ns:(Int64.of_float (ms *. 1e6))
-          | _ -> ())
-        | Some "cancelled" -> Metrics.incr t.metrics "serve.cancelled"
-        | Some "rejected" -> Metrics.incr t.metrics "serve.rejected"
-        | _ -> ())
+      (fun (ln, j) ->
+        let fields = match j with Json.Obj fs -> fs | _ -> [] in
+        let finish_s = (ts_of ln j -. !first_ts) /. 1000. in
+        let busy_ns =
+          Option.map (fun ms -> Int64.of_float (ms *. 1e6)) (fnum_of j "service_ms")
+        in
+        apply t ~finish_s ?busy_ns (kind_of ln j) fields)
       events;
     let workers =
       (* A truncated log may lack the start entry; the serving workers

@@ -61,8 +61,10 @@ val lifecycle : t -> ?fields:(string * Json.t) list -> string -> unit
 
 (** {1 Request lifecycle}
 
-    Each records into the rolling metrics and, when a sink is
-    installed, writes the matching event-log line. *)
+    Each builds its event-log fields, feeds them to the hub's one
+    event-to-metrics reduction (the same one {!replay} runs over a
+    log) and, when a sink is installed, writes them as the matching
+    event-log line. *)
 
 val sample_queue_depth : t -> int -> unit
 val request_accepted : t -> req:int -> id:Json.t -> queued:int -> unit

@@ -700,9 +700,10 @@ let test_event_log_reconciliation () =
     | _ -> Alcotest.fail "merged trace lost traceEvents")
   | Error e -> Alcotest.failf "merged trace is not JSON: %s" e)
 
-(* Offline replay of the event log rebuilds the same cache figures the
-   live daemon serves: the reuse counters ride on the [finished]
-   events. *)
+(* Offline replay of the event log rebuilds the same figures the live
+   daemon serves — cache reuse, request counts and latency window
+   counts — because both go through one reduction of the logged
+   events.  The log includes a rejected line. *)
 let test_replay_cache_matches_live () =
   with_cache_dir (fun dir ->
       let log_lock = Mutex.create () in
@@ -724,13 +725,16 @@ let test_replay_cache_matches_live () =
       ignore (await c 1);
       Dic.Serve.submit server conn (req 2.);
       ignore (await c 2);
+      Dic.Serve.submit server conn "{not json}";
+      ignore (await c 3);
       Dic.Serve.submit server conn
         (Dic.Json.to_string (Dic.Json.Obj [ ("admin", Dic.Json.Str "stats") ]));
-      let live =
-        match jmem "stats" (parse_reply (List.nth (await c 3) 2)) with
-        | Some snap -> jmem "cache" snap
+      let live_snap =
+        match jmem "stats" (parse_reply (List.nth (await c 4) 3)) with
+        | Some snap -> snap
         | None -> Alcotest.fail "stats reply has no stats member"
       in
+      let live = jmem "cache" live_snap in
       Dic.Serve.shutdown server;
       let content =
         Mutex.lock log_lock;
@@ -738,11 +742,12 @@ let test_replay_cache_matches_live () =
         Mutex.unlock log_lock;
         String.concat "\n" lines
       in
-      let replayed =
+      let replayed_snap =
         match Dic.Telemetry.replay content with
-        | Ok snap -> jmem "cache" snap
+        | Ok snap -> snap
         | Error e -> Alcotest.failf "replay refused the live log: %s" e
       in
+      let replayed = jmem "cache" replayed_snap in
       Alcotest.(check bool) "the warm request reused definitions" true
         (match Option.bind live (jint "symbols_reused") with
         | Some n -> n > 0
@@ -753,7 +758,20 @@ let test_replay_cache_matches_live () =
             (Printf.sprintf "replayed cache.%s = live" k)
             (Option.map Dic.Json.to_string (Option.bind live (jmem k)))
             (Option.map Dic.Json.to_string (Option.bind replayed (jmem k))))
-        [ "symbols_total"; "symbols_reused"; "hit_ratio" ])
+        [ "symbols_total"; "symbols_reused"; "hit_ratio" ];
+      let figure path snap =
+        List.fold_left (fun acc k -> Option.bind acc (jmem k)) (Some snap) path
+        |> Option.map Dic.Json.to_string
+      in
+      Alcotest.(check (option string)) "the log has the rejected line" (Some "1")
+        (figure [ "requests"; "rejected" ] live_snap);
+      List.iter
+        (fun path ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "replayed %s = live" (String.concat "." path))
+            (figure path live_snap) (figure path replayed_snap))
+        [ [ "requests"; "accepted" ]; [ "requests"; "rejected" ];
+          [ "latency_ms"; "count" ]; [ "wait_ms"; "count" ]; [ "service_ms"; "count" ] ])
 
 (* The determinism bar with everything on: event log, trace collection,
    slow threshold 0, and per-request trace embedding — report bytes
