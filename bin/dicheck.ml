@@ -29,9 +29,20 @@ let write_output path content =
         Out_channel.output_string oc content;
         Out_channel.output_char oc '\n')
 
+(* The built-in NMOS deck at [--lambda]: refused, like a rule file,
+   when a value it scales leaves the range the checker can square. *)
+let builtin_rules lambda =
+  let r = Tech.Rules.nmos ~lambda () in
+  match Tech.Rules.out_of_range r with
+  | [] -> r
+  | (key, v) :: _ ->
+    Printf.eprintf "dicheck: --lambda %d: %s %d is outside 1..%d\n" lambda key v
+      Tech.Rules.max_value;
+    exit 2
+
 let load_rules ~lambda rules_file =
   match rules_file with
-  | None -> Tech.Rules.nmos ~lambda ()
+  | None -> builtin_rules lambda
   | Some path -> (
     match Tech.Rules.of_string (read_file path) with
     | Ok r -> r
@@ -201,7 +212,7 @@ let check_main file flat metric polydiff figure_based lambda rules_files show_ne
     trace_out sarif_out top_cost progress werror lint lint_werror =
   let decks =
     match rules_files with
-    | [] -> [ Dic.Engine.deck (Tech.Rules.nmos ~lambda ()) ]
+    | [] -> [ Dic.Engine.deck (builtin_rules lambda) ]
     | paths ->
       Dic.Engine.dedupe_labels
         (List.map

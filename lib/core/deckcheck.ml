@@ -1,7 +1,7 @@
 (* Deck semantic analysis: the rule-implication closure (R012+) and
-   the static immunity certificates the engine consults to prune the
-   element and interaction stages.  See deckcheck.mli for the
-   soundness argument. *)
+   the static immunity certificates the interaction stage consults to
+   skip silent placement classes.  See deckcheck.mli for the soundness
+   argument. *)
 
 let nlayers = List.length Tech.Layer.all
 let layer_of_index = Array.of_list Tech.Layer.all
@@ -272,52 +272,11 @@ let relation_lines decks =
 (* Certificates                                                        *)
 
 type cert = {
-  ct_placement_clean : bool;
-  ct_min_feature : int array;
-  ct_pair_clear : int array option;
   ct_subtree_bbox : Geom.Rect.t option array;
   ct_complete : bool;
 }
 
-(* Above this many local elements the O(n^2) clearance matrix costs
-   more than the checks it could save; the certificate simply declines
-   to bound local pairs. *)
-let local_cap = 256
-
 let certify ~lookup (s : Model.symbol) =
-  let placement_clean = ref (not (Model.is_device s)) in
-  let min_feature = Array.make nlayers max_int in
-  List.iter
-    (fun (e : Model.element) ->
-      if not (Tech.Layer.is_interconnect e.Model.layer) then placement_clean := false;
-      let w =
-        match e.Model.shape with
-        | Model.S_box r -> min (Geom.Rect.width r) (Geom.Rect.height r)
-        | Model.S_wire w -> w.Geom.Wire.width
-        | Model.S_poly _ -> 0 (* exact minimum needs the width routine *)
-      in
-      let i = Tech.Layer.index e.Model.layer in
-      if w < min_feature.(i) then min_feature.(i) <- w)
-    s.Model.elements;
-  let elems = Array.of_list s.Model.elements in
-  let n = Array.length elems in
-  let pair_clear =
-    if n > local_cap then None
-    else begin
-      let pc = Array.make (nlayers * nlayers) max_int in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          let a = elems.(i) and b = elems.(j) in
-          let ia = Tech.Layer.index a.Model.layer
-          and ib = Tech.Layer.index b.Model.layer in
-          let k = if ia <= ib then (ia * nlayers) + ib else (ib * nlayers) + ia in
-          let g = Geom.Rect.chebyshev_gap a.Model.bbox b.Model.bbox in
-          if g < pc.(k) then pc.(k) <- g
-        done
-      done;
-      Some pc
-    end
-  in
   let subtree = Array.make nlayers None in
   let grow i bb =
     subtree.(i) <-
@@ -340,11 +299,7 @@ let certify ~lookup (s : Model.symbol) =
             | Some bb -> grow i (Geom.Transform.apply_rect c.Model.transform bb))
           cc.ct_subtree_bbox)
     s.Model.calls;
-  { ct_placement_clean = !placement_clean;
-    ct_min_feature = min_feature;
-    ct_pair_clear = pair_clear;
-    ct_subtree_bbox = subtree;
-    ct_complete = !complete }
+  { ct_subtree_bbox = subtree; ct_complete = !complete }
 
 (* ------------------------------------------------------------------ *)
 (* Deck consultation                                                   *)
@@ -367,127 +322,45 @@ let requirements (rules : Tech.Rules.t) =
 type consult = {
   cs_cert : int -> cert option;
   cs_req : int array;
-  cs_inst_memo : (int * int * Geom.Transform.t, bool) Hashtbl.t;
 }
 
-let consult ~cert_of rules =
-  { cs_cert = cert_of;
-    cs_req = requirements rules;
-    cs_inst_memo = Hashtbl.create 64 }
+let consult ~cert_of rules = { cs_cert = cert_of; cs_req = requirements rules }
 
-let element_immune (rules : Tech.Rules.t) cert =
-  cert.ct_placement_clean
-  &&
-  let ok = ref true in
-  for i = 0 to nlayers - 1 do
-    let mf = cert.ct_min_feature.(i) in
-    if mf < max_int && mf < Tech.Rules.min_width rules layer_of_index.(i) then
-      ok := false
-  done;
-  !ok
-
-(* The guards run once per interaction task in the serial prepass, so
-   their constant factor is the whole "analysis overhead" budget.  Two
-   things keep them cheap: [Hit] exits on the first pair a certificate
-   cannot clear (most tasks fail the guard — a close pair exists — and
-   the old full-scan cost was pure waste), and [inst_guard] transforms
-   each subtree's bboxes exactly once instead of once per opposing
-   layer. *)
 exception Hit
 
-let local_guard cs ~sid =
-  match cs.cs_cert sid with
-  | None -> false
-  | Some { ct_pair_clear = None; _ } -> false
-  | Some { ct_pair_clear = Some pc; _ } -> (
-    try
-      for ia = 0 to nlayers - 1 do
-        for ib = ia to nlayers - 1 do
-          let r = cs.cs_req.((ia * nlayers) + ib) in
-          if r > 0 && pc.((ia * nlayers) + ib) < r then raise_notrace Hit
-        done
-      done;
-      true
-    with Hit -> false)
-
-(* Clearance of one bbox on layer [la] against a placed subtree:
-   every populated subtree layer must sit at least the deck's
-   requirement away (in Chebyshev gap, which both metrics dominate). *)
-let clear_of cs ~la bbox tr cert =
-  cert.ct_complete
-  &&
-  let ia = Tech.Layer.index la in
-  try
-    Array.iteri
-      (fun ib bb ->
-        match bb with
-        | None -> ()
-        | Some bb ->
-          let r = cs.cs_req.((ia * nlayers) + ib) in
-          if r > 0
-             && Geom.Rect.chebyshev_gap bbox (Geom.Transform.apply_rect tr bb) < r
-          then raise_notrace Hit)
-      cert.ct_subtree_bbox;
-    true
-  with Hit -> false
-
-let elt_guard cs ~la ~bbox near =
-  List.for_all
-    (fun (c : Model.call) ->
-      match cs.cs_cert c.Model.callee with
-      | None -> false
-      | Some cert -> clear_of cs ~la bbox c.Model.transform cert)
-    near
-
 (* Every placement transform is one of the eight orthogonal matrices
-   plus a translation — an isometry of the Chebyshev metric on
-   axis-aligned rects — so the verdict depends only on the relative
-   placement [tra^-1 . trb], not the absolute pair.  Replicated arrays
-   (the PLA tiers) reuse a handful of relative placements across tens
-   of thousands of instance pairs, so the memo turns the prepass into
-   a few real evaluations plus hash lookups. *)
-let inst_verdict cs ca cb rel =
-  let tb =
-    Array.map
-      (function
-        | None -> None
-        | Some bb -> Some (Geom.Transform.apply_rect rel bb))
-      cb.ct_subtree_bbox
-  in
-  try
-    Array.iteri
-      (fun ia ba ->
-        match ba with
-        | None -> ()
-        | Some ba ->
-          let row = ia * nlayers in
-          Array.iteri
-            (fun ib bb ->
-              match bb with
-              | None -> ()
-              | Some bb ->
-                let r = cs.cs_req.(row + ib) in
-                if r > 0 && Geom.Rect.chebyshev_gap ba bb < r then
-                  raise_notrace Hit)
-            tb)
-      ca.ct_subtree_bbox;
-    true
-  with Hit -> false
-
-let inst_guard cs (a : Model.call) (b : Model.call) =
-  let sa = a.Model.callee and sb = b.Model.callee in
+   plus a translation, an isometry of the Chebyshev metric on
+   axis-aligned rects, so the verdict depends only on the relative
+   placement [rel], which is exactly the placement class key. *)
+let class_silent cs ~sa ~sb rel =
   match (cs.cs_cert sa, cs.cs_cert sb) with
   | Some ca, Some cb when ca.ct_complete && cb.ct_complete -> (
-    let rel =
-      Geom.Transform.compose (Geom.Transform.inverse a.Model.transform) b.Model.transform
+    let tb =
+      Array.map
+        (function
+          | None -> None
+          | Some bb -> Some (Geom.Transform.apply_rect rel bb))
+        cb.ct_subtree_bbox
     in
-    let key = (sa, sb, rel) in
-    match Hashtbl.find_opt cs.cs_inst_memo key with
-    | Some v -> v
-    | None ->
-      let v = inst_verdict cs ca cb rel in
-      Hashtbl.add cs.cs_inst_memo key v;
-      v)
+    try
+      Array.iteri
+        (fun ia ba ->
+          match ba with
+          | None -> ()
+          | Some ba ->
+            let row = ia * nlayers in
+            Array.iteri
+              (fun ib bb ->
+                match bb with
+                | None -> ()
+                | Some bb ->
+                  let r = cs.cs_req.(row + ib) in
+                  if r > 0 && Geom.Rect.chebyshev_gap ba bb < r then
+                    raise_notrace Hit)
+              tb)
+        ca.ct_subtree_bbox;
+      true
+    with Hit -> false)
   | _ -> false
 
 (* ------------------------------------------------------------------ *)

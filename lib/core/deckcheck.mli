@@ -33,14 +33,15 @@
 
     {2 Design side}
 
-    A {!cert} is a bundle of per-definition facts — minimum drawn
-    feature per layer, minimum local bbox clearance per layer pair,
-    per-layer bounding boxes of the whole instantiated subtree —
-    computed once per symbol and cached by the engine under subtree
-    fingerprints.  Consulted against a concrete deck (through
-    {!consult}), a certificate can prove that whole groups of rule
-    evaluations cannot fire, letting the element-check and interaction
-    stages skip them.
+    One fact and one guard.  A {!cert} holds the per-layer bounding
+    boxes of a definition's whole instantiated subtree, in its own
+    frame.  The engine builds one per callee (never the root, which
+    no guard reads) at the start of each check's interaction stage.
+    {!class_silent} consults two callees' certificates against a
+    concrete deck (through {!consult}) and proves that no spacing rule
+    can fire between the subtrees one placement class puts side by
+    side, so the interaction stage skips every instance pair of that
+    class.
 
     Soundness rests on two monotonicities: a bounding box contains its
     geometry, so any metric's gap between two geometries is at least
@@ -100,24 +101,12 @@ val relation_lines : (string * Tech.Rules.t) list -> string list
 (** {1 Static immunity certificates} *)
 
 type cert = {
-  ct_placement_clean : bool;
-      (** not a device and every local element is interconnect — the
-          element stage can emit nothing but width findings *)
-  ct_min_feature : int array;
-      (** per {!Tech.Layer.index}: minimum drawn width of the local
-          elements (box/wire); [max_int] when the layer is empty, [0]
-          when a polygon makes the exact minimum unknown *)
-  ct_pair_clear : int array option;
-      (** per unordered layer-index pair [ia * nlayers + ib] (ia <=
-          ib): minimum Chebyshev bbox gap over distinct local element
-          pairs; [max_int] when no such pair; [None] when the symbol
-          has too many local elements to bound cheaply *)
   ct_subtree_bbox : Geom.Rect.t option array;
-      (** per layer: bounding box of every element of the whole
-          instantiated subtree, in the symbol's frame *)
+      (** per {!Tech.Layer.index}: bounding box of every element of the
+          whole instantiated subtree, in the symbol's frame *)
   ct_complete : bool;
       (** all callee certificates were available when this one was
-          built; guards ignore incomplete certificates *)
+          built; the guard ignores incomplete certificates *)
 }
 
 val nlayers : int
@@ -140,34 +129,17 @@ val requirements : Tech.Rules.t -> int array
 type consult = {
   cs_cert : int -> cert option;  (** certificate by symbol id *)
   cs_req : int array;  (** {!requirements} of the deck under check *)
-  cs_inst_memo : (int * int * Geom.Transform.t, bool) Hashtbl.t;
-      (** instance-pair verdicts keyed on (sid, sid, relative
-          placement): placement transforms are Chebyshev isometries,
-          so the verdict only depends on [tra^-1 . trb].  Touched only
-          from the serial guard prepass. *)
 }
 
 val consult : cert_of:(int -> cert option) -> Tech.Rules.t -> consult
 
-(** The element stage is provably silent for this definition under
-    [rules]: placement-clean and every layer's minimum drawn feature
-    meets the deck's minimum width. *)
-val element_immune : Tech.Rules.t -> cert -> bool
-
-(** No local element pair of symbol [sid] can violate any spacing
-    rule of the deck: every layer-pair's minimum bbox clearance meets
-    the deck's requirement. *)
-val local_guard : consult -> sid:int -> bool
-
-(** No pair between a local element (layer [la], bounding box [bbox])
-    and any geometry of the subtrees the calls place can fire under the
-    deck. *)
-val elt_guard :
-  consult -> la:Tech.Layer.t -> bbox:Geom.Rect.t -> Model.call list -> bool
-
-(** No pair between the subtrees the two calls place can fire under
-    the deck. *)
-val inst_guard : consult -> Model.call -> Model.call -> bool
+(** [class_silent cs ~sa ~sb rel]: no pair between callee [sa]'s
+    subtree and callee [sb]'s subtree placed at [rel] in [sa]'s frame
+    can fire under the deck.  [(sa, sb, rel)] is a placement class
+    key: placements are Chebyshev isometries, so one verdict holds for
+    every instance pair of the class.  [false] unless both certificates
+    exist and are complete. *)
+val class_silent : consult -> sa:int -> sb:int -> Geom.Transform.t -> bool
 
 (** {1 Toggling}
 

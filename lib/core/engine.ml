@@ -191,10 +191,6 @@ type t = {
   (* sid -> subtree fingerprint from the most recent check, kept so
      [flush] can re-run the memo save outside any check *)
   mutable e_last_subtree : (int, string) Hashtbl.t option;
-  (* subtree fingerprint -> static immunity certificate.  Certificates
-     are pure geometry — no deck, no config enters them — so one table
-     serves every environment and survives config changes. *)
-  e_certs : (string, Deckcheck.cert) Hashtbl.t;
 }
 
 let create ?(config = default_config) ?cache_dir ?decks rules =
@@ -211,8 +207,7 @@ let create ?(config = default_config) ?cache_dir ?decks rules =
     e_defs = Hashtbl.create 4;
     e_lints = Hashtbl.create 4;
     e_memos = Hashtbl.create 4;
-    e_last_subtree = None;
-    e_certs = Hashtbl.create 64 }
+    e_last_subtree = None }
 
 let rules t = (List.hd t.e_decks).dk_rules
 let decks t = t.e_decks
@@ -477,51 +472,6 @@ let check ?metrics ?trace ?progress t file =
               decks)
     in
     let subtree = subtree_fingerprints model in
-    (* Static immunity certificates: one bundle of geometric facts per
-       definition, cached across checks under the subtree fingerprint
-       exactly like lint diags.  Deck-free and config-free, so every
-       deck of the run consults the same table.  Disabled wholesale
-       under DIC_NO_CERTS (the identity smokes) and under the exposure
-       spacing model, whose verdicts drawn-gap bounds cannot certify.
-       Charged to [analysis.certify] rather than a stage of its own so
-       the stage sequence keeps its shape. *)
-    let geometric =
-      match t.e_config.interactions.Interactions.spacing_model with
-      | Interactions.Geometric -> true
-      | Interactions.Exposure _ -> false
-    in
-    let cert_lookup =
-      if not (Deckcheck.enabled () && geometric) then None
-      else begin
-        let t0 = Metrics.now_ns () in
-        let by_sid = Hashtbl.create 64 in
-        let computed = ref 0 and replayed = ref 0 in
-        List.iter
-          (fun (s : Model.symbol) ->
-            let fp = Hashtbl.find subtree s.Model.sid in
-            let cert =
-              match Hashtbl.find_opt t.e_certs fp with
-              | Some c ->
-                incr replayed;
-                c
-              | None ->
-                let c =
-                  Deckcheck.certify
-                    ~lookup:(fun sid -> Hashtbl.find_opt by_sid sid)
-                    s
-                in
-                incr computed;
-                Hashtbl.replace t.e_certs fp c;
-                c
-            in
-            Hashtbl.replace by_sid s.Model.sid cert)
-          model.Model.symbols;
-        Metrics.incr ~by:!computed m "analysis.certs_computed";
-        Metrics.incr ~by:!replayed m "analysis.certs_replayed";
-        Metrics.add_cost_ns m "analysis.certify" (Int64.sub (Metrics.now_ns ()) t0);
-        Some (fun sid -> Hashtbl.find_opt by_sid sid)
-      end
-    in
     let slots_by_deck_memo = List.map (fun d -> slot_for t d.dk_rules) decks in
     let memo_loaded_by_slot =
       List.map
@@ -631,36 +581,12 @@ let check ?metrics ?trace ?progress t file =
             slots)
         lookups
     in
-    (* A certificate can prove the element stage silent for a
-       definition under a deck; the slot then keeps its empty list
-       without computing.  Sound for the cache too: the stored []
-       equals what the check would have produced.  The predicate is
-       pure, so workers consult it and the skip counting below
-       re-evaluates it race-free. *)
-    let element_immune_for d sl =
-      match cert_lookup with
-      | None -> false
-      | Some lk -> (
-        match lk sl.sl_sym.Model.sid with
-        | Some c -> Deckcheck.element_immune d.dk_rules c
-        | None -> false)
-    in
     let elements_by_deck =
       timed "elements" (fun () ->
           sweep "elements" (fun d sl ->
-              if not (element_immune_for d sl) then
-                sl.sl_el <- Element_checks.check_symbol d.dk_rules sl.sl_sym);
+              sl.sl_el <- Element_checks.check_symbol d.dk_rules sl.sl_sym);
           assemble (fun sl -> sl.sl_el) (fun e -> e.Cache.de_elements))
     in
-    if Option.is_some cert_lookup then begin
-      let skips =
-        Array.fold_left
-          (fun acc (d, sl) -> if element_immune_for d sl then acc + 1 else acc)
-          0 fresh_work
-      in
-      Metrics.incr ~by:skips m "analysis.certified_element_skips";
-      Metrics.incr ~by:skips m "analysis.certified_skips"
-    end;
     let devices_by_deck =
       timed "devices" (fun () ->
           sweep "devices" (fun d sl -> sl.sl_dv <- Devices.check_symbol d.dk_rules sl.sl_sym);
@@ -721,9 +647,31 @@ let check ?metrics ?trace ?progress t file =
     let netlist = timed "netlist-export" (fun () -> Netgen.netlist nets) in
     (* The interaction sweep diverges per deck, but its worklist — the
        expensive plan — depends only on the candidate cutoff, so decks
-       agreeing on [max_dist] share one plan (and their memo slot). *)
+       agreeing on [max_dist] share one plan (and their memo slot).
+
+       Static immunity certificates are deck-free geometry, built once
+       per check for every callee (the root is nobody's callee) and
+       charged to [analysis.certify].  They are off under DIC_NO_CERTS
+       (the identity smokes) and under the exposure spacing model,
+       whose verdicts drawn-gap bounds cannot certify. *)
     let interactions_by_deck =
       timed "interactions" (fun () ->
+          let cert_of =
+            match t.e_config.interactions.Interactions.spacing_model with
+            | Interactions.Geometric when Deckcheck.enabled () ->
+              let t0 = Metrics.now_ns () in
+              let by_sid = Hashtbl.create 64 in
+              List.iter
+                (fun (s : Model.symbol) ->
+                  if s.Model.sid <> Model.root_id then
+                    Hashtbl.replace by_sid s.Model.sid
+                      (Deckcheck.certify ~lookup:(Hashtbl.find_opt by_sid) s))
+                model.Model.symbols;
+              Metrics.incr ~by:(Hashtbl.length by_sid) m "analysis.certs_computed";
+              Metrics.add_cost_ns m "analysis.certify" (Int64.sub (Metrics.now_ns ()) t0);
+              Some (Hashtbl.find_opt by_sid)
+            | _ -> None
+          in
           let plans = Hashtbl.create 4 in
           let plan_for dk_rules =
             let dmax = Interactions.max_dist dk_rules in
@@ -737,9 +685,7 @@ let check ?metrics ?trace ?progress t file =
           List.map2
             (fun d slot ->
               let certs =
-                Option.map
-                  (fun lk -> Deckcheck.consult ~cert_of:lk d.dk_rules)
-                  cert_lookup
+                Option.map (fun cert_of -> Deckcheck.consult ~cert_of d.dk_rules) cert_of
               in
               Interactions.run ~config:t.e_config.interactions ~rules:d.dk_rules
                 ~memo:slot.ms_memo ~metrics:m ?trace ?certs (plan_for d.dk_rules))

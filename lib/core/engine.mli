@@ -54,12 +54,13 @@
     - a corrupted or stale cache file degrades to a recompute, never to
       a wrong answer;
     - static immunity certificates ({!Deckcheck}) only ever skip work
-      that is provably silent — element checks and interaction tasks
-      whose findings a certificate proves empty — so reports are
-      byte-identical with pruning on or off ([DIC_NO_CERTS=1]), cold
-      or warm, at every [jobs] value, single- or multi-deck.
-      Certificates are cached under subtree fingerprints like lint
-      diags; [analysis.*] counters report how much was skipped. *)
+      that is provably silent — the instance pairs of a placement class
+      whose findings the callees' certificates prove empty — so reports
+      are byte-identical with pruning on or off ([DIC_NO_CERTS=1]),
+      cold or warm, at every [jobs] value, single- or multi-deck.
+      Certificates are rebuilt for every callee, never the root, inside
+      each check's interaction stage and are not cached;
+      [analysis.certified_skips] counts the skipped pairs. *)
 
 (** What {!check} computes.  [interactions] nests the stage-6 knobs
     (metric, same-net handling, spacing model, jobs) — the

@@ -341,10 +341,13 @@ type cand = {
   k_ports_b : int list;
 }
 
+(* A placement class: (callee, callee, placement of the second callee
+   in the first one's frame).  It keys the candidate memo, and the
+   certificate guard decides once per class. *)
 type memo_key = int * int * Geom.Transform.t
 
-let candidates cfg env dmax (memo : (memo_key, cand list) Hashtbl.t) stats ws sa sb rel =
-  let key = (sa, sb, rel) in
+let candidates cfg env dmax (memo : (memo_key, cand list) Hashtbl.t) stats ws
+    ((sa, sb, rel) as key) =
   match Hashtbl.find_opt memo key with
   | Some cs ->
     stats.memo_hits <- stats.memo_hits + 1;
@@ -690,20 +693,36 @@ let emit env sid ~context a b = function
 (* One worklist task, in the frame of definition [sym].  Tasks are
    deck-independent data: the judging environment — config and rule
    deck — comes in at evaluation time, so one worklist (and one
-   candidate memo) serves several decks, and the certificate prepass
-   reads the same values to prove a task silent.  *)
+   candidate memo) serves several decks. *)
 type task =
   | Local of { sym : Model.symbol; pairs : (site * site) list }
       (** a chunk of local element pairs *)
   | Elt of { sym : Model.symbol; site : site; window : Geom.Rect.t; near : Model.call list }
       (** a local element against the calls whose placed boxes meet
           [window], its bbox inflated by the cutoff *)
-  | Inst of { sym : Model.symbol; ca : Model.call; cb : Model.call }
-      (** one interacting call pair, judged from memoised candidates *)
+  | Inst of { sym : Model.symbol; ca : Model.call; cb : Model.call; cls : int }
+      (** one interacting call pair, judged from memoised candidates;
+          [cls] indexes its placement class in the plan *)
 
 let sym_of (Local { sym; _ } | Elt { sym; _ } | Inst { sym; _ }) = sym
 
-let eval_task cfg env ~dmax dctx task =
+(* A plan is the deck-independent half of the sweep: the resolution
+   environment, the ordered worklist and its placement classes, all
+   built for a candidate cutoff of [pl_dmax].  [run]
+   evaluates it under a concrete (config, rules) pair; several decks
+   whose [max_dist] agree can share one plan (and one candidate memo)
+   because the worklist geometry — grid cell sizes, collection windows,
+   pair enumeration order — depends only on the cutoff, never on the
+   individual spacing values. *)
+type plan = {
+  pl_env : env;
+  pl_dmax : int;
+  pl_tasks : task array;
+  pl_classes : memo_key array;  (** class id -> its key, in first-seen order *)
+}
+
+let eval_task cfg p dctx task =
+  let env = p.pl_env in
   let sym = sym_of task in
   let sid = sym.Model.sid and context = sym.Model.sname in
   match task with
@@ -722,14 +741,10 @@ let eval_task cfg env ~dmax dctx task =
           (fun sub -> emit env sid ~context site sub (judge_pair cfg env sid dctx In_frame site sub))
           sites)
       near
-  | Inst { ca; cb; _ } ->
+  | Inst { ca; cb; cls; _ } ->
     let sub = (Netgen.nets_of env.nets sid).Netgen.sub_group in
-    let rel =
-      Geom.Transform.compose (Geom.Transform.inverse ca.Model.transform) cb.Model.transform
-    in
     let cands =
-      candidates cfg env dmax dctx.d_memo dctx.d_stats dctx.d_ws ca.Model.callee
-        cb.Model.callee rel
+      candidates cfg env p.pl_dmax dctx.d_memo dctx.d_stats dctx.d_ws p.pl_classes.(cls)
     in
     (* A pair that produced a finding is left instantiated in the
        scratch sites by [judge_pair]. *)
@@ -740,20 +755,11 @@ let eval_task cfg env ~dmax dctx task =
              cand.k_site_b))
       cands
 
-(* A task's certificate guard: [true] when the deck's certificates
-   prove that every pair the task would judge is clean, so [run]'s
-   prepass skips it wholesale.  Guards only ever turn provably-Skip
-   evaluations into skips, so the report is unchanged. *)
-let certified cs = function
-  | Local { sym; _ } -> Deckcheck.local_guard cs ~sid:sym.Model.sid
-  | Elt { site; near; _ } -> Deckcheck.elt_guard cs ~la:site.s_layer ~bbox:site.s_bbox near
-  | Inst { ca; cb; _ } -> Deckcheck.inst_guard cs ca cb
-
 (* Local element pairs are individually tiny; batch them so a task is
    worth scheduling. *)
 let local_chunk = 32
 
-let tasks_of_symbol env ~dmax (sym : Model.symbol) =
+let tasks_of_symbol env ~dmax ~intern (sym : Model.symbol) =
   if Model.is_device sym then []
   else begin
     let local_sites =
@@ -808,11 +814,17 @@ let tasks_of_symbol env ~dmax (sym : Model.symbol) =
             | near -> Some (Elt { sym; site; window; near })))
         local_sites
     in
-    (* Instance vs instance: one task per interacting placement pair. *)
+    (* Instance vs instance: one task per interacting placement pair,
+       tagged with its placement class. *)
     let inst_tasks =
       let acc = ref [] in
-      Geom.Grid_index.iter_pairs_within call_idx dmax (fun (_, ca) (_, cb) ->
-          acc := Inst { sym; ca; cb } :: !acc);
+      Geom.Grid_index.iter_pairs_within call_idx dmax (fun (_, (ca : Model.call)) (_, cb) ->
+          let rel =
+            Geom.Transform.compose (Geom.Transform.inverse ca.Model.transform)
+              cb.Model.transform
+          in
+          let cls = intern (ca.Model.callee, cb.Model.callee, rel) in
+          acc := Inst { sym; ca; cb; cls } :: !acc);
       List.rev !acc
     in
     local_tasks @ elt_inst_tasks @ inst_tasks
@@ -844,23 +856,27 @@ let import_memo (memo : memo) entries =
 (* ------------------------------------------------------------------ *)
 (* The scheduler                                                       *)
 
+(* An instance pair whose placement class the certificate prepass
+   proved silent; [silent] is indexed by class id. *)
+let skipped silent task =
+  match (silent, task) with
+  | Some arr, Inst { cls; _ } -> arr.(cls)
+  | _ -> false
+
 (* Each task's clock feeds both the pair-check histogram and its
    definition's [symbol.<name>] cost bucket (the [--top-cost] view).
-   [enabled] is the certificate prepass verdict per task index: a
-   [false] slot is a task some certificate proved silent, contributing
-   [] exactly as evaluating it would have. *)
-let run_span ?metrics ?enabled cfg env ~dmax tasks lo hi dctx =
+   A skipped task contributes [] exactly as evaluating it would have. *)
+let run_span ?metrics ?silent cfg p lo hi dctx =
   let out = ref [] in
   for i = lo to hi - 1 do
-    let keep = match enabled with None -> true | Some arr -> arr.(i) in
-    if keep then begin
-      let task = tasks.(i) in
+    let task = p.pl_tasks.(i) in
+    if not (skipped silent task) then begin
       let vs =
         match metrics with
-        | None -> eval_task cfg env ~dmax dctx task
+        | None -> eval_task cfg p dctx task
         | Some m ->
           let t0 = Metrics.now_ns () in
-          let vs = eval_task cfg env ~dmax dctx task in
+          let vs = eval_task cfg p dctx task in
           let dt = Int64.sub (Metrics.now_ns ()) t0 in
           Metrics.observe_ns m "interactions.pair_check_ns" dt;
           Metrics.add_cost_ns m ("symbol." ^ (sym_of task).Model.sname) dt;
@@ -874,62 +890,58 @@ let run_span ?metrics ?enabled cfg env ~dmax tasks lo hi dctx =
 let effective_jobs jobs =
   if jobs <= 0 then Domain.recommended_domain_count () else jobs
 
-(* A plan is the deck-independent half of the sweep: the net structure,
-   the resolution environment, and the ordered worklist, all built for a
-   candidate cutoff of [pl_dmax].  [run] evaluates it under a concrete
-   (config, rules) pair; several decks whose [max_dist] agree can share
-   one plan (and one candidate memo) because the worklist geometry —
-   grid cell sizes, collection windows, pair enumeration order — depends
-   only on the cutoff, never on the individual spacing values. *)
-type plan = {
-  pl_nets : Netgen.t;
-  pl_env : env;
-  pl_dmax : int;
-  pl_tasks : task array;
-}
-
 let plan ?dmax (nets : Netgen.t) =
   let env = make_env nets in
   let dmax =
     match dmax with Some d -> d | None -> max_dist env.model.Model.rules
   in
-  let tasks =
-    Array.of_list (List.concat_map (tasks_of_symbol env ~dmax) env.model.Model.symbols)
+  let ids = Hashtbl.create 64 and keys = ref [] in
+  let intern key =
+    match Hashtbl.find_opt ids key with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.add ids key id;
+      keys := key :: !keys;
+      id
   in
-  { pl_nets = nets; pl_env = env; pl_dmax = dmax; pl_tasks = tasks }
+  let tasks =
+    Array.of_list
+      (List.concat_map (tasks_of_symbol env ~dmax ~intern) env.model.Model.symbols)
+  in
+  { pl_env = env; pl_dmax = dmax; pl_tasks = tasks;
+    pl_classes = Array.of_list (List.rev !keys) }
 
 let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan) =
-  let env = p.pl_env and dmax = p.pl_dmax in
-  let rules = match rules with Some r -> r | None -> env.model.Model.rules in
+  let rules = match rules with Some r -> r | None -> p.pl_env.model.Model.rules in
   let stats = new_stats () in
   let master_memo = match memo with Some m -> m | None -> create_memo () in
   let tasks = p.pl_tasks in
-  (* Certificate prepass: decide, serially and before any domain
-     spawns, which tasks a certificate proves silent.  The verdict
-     array is fixed input to the scheduler, so the skip set — and the
-     report — is identical at every [jobs] value.  Bbox clearance
-     bounds only the geometric spacing model (the exposure model
-     judges printed images, not drawn gaps), so guards are inert under
-     [Exposure]. *)
-  let enabled =
-    match certs with
-    | None -> None
-    | Some cs -> (
-      match config.spacing_model with
-      | Exposure _ -> None
-      | Geometric ->
-        let t0 = Metrics.now_ns () in
-        let arr = Array.map (fun task -> not (certified cs task)) tasks in
-        Option.iter
-          (fun m ->
-            let skips =
-              Array.fold_left (fun acc e -> if e then acc else acc + 1) 0 arr
-            in
-            Metrics.incr ~by:skips m "analysis.certified_task_skips";
-            Metrics.incr ~by:skips m "analysis.certified_skips";
-            Metrics.add_cost_ns m "analysis.guard" (Int64.sub (Metrics.now_ns ()) t0))
-          metrics;
-        Some arr)
+  (* Certificate prepass: one guard per placement class, serially and
+     before any domain spawns.  The verdicts are fixed input to the
+     scheduler, so the skip set — and the report — is identical at
+     every [jobs] value.  Bbox clearance bounds only the geometric
+     spacing model (the exposure model judges printed images, not
+     drawn gaps), so the guard is inert under [Exposure]. *)
+  let silent =
+    match (certs, config.spacing_model) with
+    | None, _ | _, Exposure _ -> None
+    | Some cs, Geometric ->
+      let t0 = Metrics.now_ns () in
+      let arr =
+        Array.map (fun (sa, sb, rel) -> Deckcheck.class_silent cs ~sa ~sb rel) p.pl_classes
+      in
+      Option.iter
+        (fun m ->
+          Metrics.add_cost_ns m "analysis.guard" (Int64.sub (Metrics.now_ns ()) t0);
+          let skips =
+            Array.fold_left
+              (fun n task -> if skipped (Some arr) task then n + 1 else n)
+              0 tasks
+          in
+          Metrics.incr ~by:skips m "analysis.certified_skips")
+        metrics;
+      Some arr
   in
   (* Balanced scheduling via the shared {!Parallel} queue (which this
      code originated).  The weight estimate reuses the [symbol.<name>]
@@ -959,13 +971,10 @@ let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan
   let chunks =
     Parallel.run ?metrics ?trace ~jobs:(effective_jobs config.jobs) ~stage:"interactions"
       ~weight:(fun i ->
-        match enabled with
-        | Some arr when not arr.(i) -> 1
-        | _ -> weight_of_name (sym_of tasks.(i)).Model.sname)
+        if skipped silent tasks.(i) then 1 else weight_of_name (sym_of tasks.(i)).Model.sname)
       ~n:(Array.length tasks)
       ~worker:(fun _tid -> make_dctx rules (Hashtbl.copy master_memo))
-      ~chunk:(fun dctx dm _dt ~lo ~hi ->
-        run_span ?metrics:dm ?enabled config env ~dmax tasks lo hi dctx)
+      ~chunk:(fun dctx dm _dt ~lo ~hi -> run_span ?metrics:dm ?silent config p lo hi dctx)
       ~merge:(fun dctx ->
         fold_cells dctx;
         merge_stats ~into:stats dctx.d_stats;

@@ -35,8 +35,8 @@
     The stage is embarrassingly parallel across its worklist: every
     local-pair chunk, element-vs-instance neighbourhood, and instance
     pair is an independent task, described as plain data (the
-    definition, its sites and the calls involved) that the certificate
-    prepass and the judge both read.  The worklist runs on
+    definition, its sites, the calls involved and, for an instance
+    pair, its placement class).  The worklist runs on
     {!Parallel.run}, the one scheduler of every [jobs] value: it is cut
     into chunks whose boundaries are chosen from the per-symbol cost
     profile of the previous stages (via {!Metrics}, when available) so
@@ -62,10 +62,11 @@
       which domain warmed its memo copy first — and, under the queue,
       on run-to-run scheduling); the per-cell pair counts and every
       verdict-bearing total are invariant.
-    - Certificate-guarded runs ([run ~certs]) may skip whole tasks the
-      certificates prove silent; skips are decided in a serial prepass
-      over the worklist, so they lower pair counts deterministically —
-      never with [jobs] — and never change the violation list. *)
+    - Certificate-guarded runs ([run ~certs]) skip every instance pair
+      of a placement class the certificates prove silent, and nothing
+      else; the verdicts come from a serial prepass with one guard per
+      class, so they lower pair counts deterministically — never with
+      [jobs] — and never change the violation list. *)
 
 type spacing_model =
   | Geometric
@@ -176,8 +177,9 @@ val effective_jobs : int -> int
 (** {2 Plan / run}
 
     The sweep splits into a deck-independent {e plan} — the resolution
-    environment and ordered worklist, built for a candidate cutoff
-    [dmax] — and the deck-dependent {e run} that judges the worklist
+    environment, the ordered worklist and its placement classes, built
+    for a candidate cutoff [dmax] — and the deck-dependent {e run} that
+    judges the worklist
     under a concrete (config, rules) pair.  Decks whose {!max_dist}
     agree can share one plan (and one candidate {!memo}): worklist
     geometry and enumeration order depend only on the cutoff, never on
@@ -186,8 +188,11 @@ val effective_jobs : int -> int
 
 type plan
 
-(** Build the worklist.  [dmax] defaults to [max_dist] of the model's
-    own rule deck. *)
+(** Build the worklist.  Each instance pair's placement class — its
+    (callee, callee, relative placement) key — is interned into the
+    plan's class table; the key addresses the candidate {!memo} and the
+    certificate guard.  [dmax] defaults to [max_dist] of the model's own
+    rule deck. *)
 val plan : ?dmax:int -> Netgen.t -> plan
 
 (** Judge a plan's worklist.  [rules] defaults to the model's own deck.
@@ -200,12 +205,12 @@ val plan : ?dmax:int -> Netgen.t -> plan
     merged into [trace] in shard order after the join.
 
     When [certs] is given (a {!Deckcheck.consult} over the deck being
-    judged), a serial prepass skips every task whose guard the
-    certificates prove silent, counting them into the
-    [analysis.certified_task_skips] / [analysis.certified_skips]
-    counters and charging the prepass to [analysis.guard].  Guards are
-    inert under the {!Exposure} spacing model, whose verdicts are not
-    bounded by drawn gaps. *)
+    judged), a serial prepass evaluates {!Deckcheck.class_silent} once
+    per placement class and skips every instance pair of a silent
+    class, counting them into [analysis.certified_skips] and charging
+    the prepass to [analysis.guard].  Without [certs] nothing is
+    skipped.  The guard is inert under the {!Exposure} spacing model,
+    whose verdicts are not bounded by drawn gaps. *)
 val run :
   ?config:config -> ?rules:Tech.Rules.t -> ?memo:memo -> ?metrics:Metrics.t ->
   ?trace:Trace.t -> ?certs:Deckcheck.consult -> plan ->

@@ -12,8 +12,9 @@ let all_codes =
   [ ("R001", "A layer's minimum width is odd: skeleton erosion uses width/2, so the \
               legal-width + skeletal-connection theorem (paper Fig 4) loses a unit and \
               real errors can slip through unchecked.");
-    ("R002", "A rule value is zero or negative; every width, spacing, and surround must \
-              be a positive distance.");
+    ("R002", "A rule value is zero, negative, or above 2^30; every width, spacing, and \
+              surround must be a positive distance whose square the spacing checks can \
+              compare without integer overflow.");
     ("R003", "A rule value is not a multiple of lambda/4; off-quantum rules invite \
               geometry the integer skeleton and gap kernels cannot represent exactly.");
     ("R004", "contact_size + 2*contact_surround is below a conductor's minimum width, \
@@ -29,7 +30,7 @@ let all_codes =
               is dead.");
     ("R010", "A rule-file line is not of the form \"key value\" after comment \
               stripping.");
-    ("R011", "A rule value is not a positive integer literal.");
+    ("R011", "A rule value is not an integer literal between 1 and 2^30.");
     ("R012", "The rule deck is unsatisfiable: the arithmetic closure of the entries \
               derives a bound no geometry can meet (e.g. a minimal bonding pad that \
               violates the metal width rule, or a same-net spacing above the \
@@ -160,10 +161,12 @@ let check_deck (r : Tech.Rules.t) =
     else 0
   in
   let check_value key v =
-    if v <= 0 then
+    if not (Tech.Rules.in_range v) then
       add
         (mk "R002" Error key
-           (Printf.sprintf "%s is %d: every rule value must be a positive distance" key v))
+           (Printf.sprintf
+              "%s is %d: every rule value must be a positive distance no larger than %d"
+              key v Tech.Rules.max_value))
     else if key <> "lambda" && quantum > 0 && v mod quantum <> 0 then
       add
         (mk "R003" Warning key
@@ -292,13 +295,13 @@ let check_deck_source src =
         else if
           e.Tech.Rules.key <> "name"
           && match int_of_string_opt e.Tech.Rules.value with
-             | Some n -> n <= 0
+             | Some n -> not (Tech.Rules.in_range n)
              | None -> true
         then begin
           add
             (mk ?loc:(at e.Tech.Rules.eline) "R011" Error e.Tech.Rules.key
-               (Printf.sprintf "%s: expected a positive integer, got %S"
-                  e.Tech.Rules.key e.Tech.Rules.value));
+               (Printf.sprintf "%s: expected a positive integer no larger than %d, got %S"
+                  e.Tech.Rules.key Tech.Rules.max_value e.Tech.Rules.value));
           false
         end
         else true)

@@ -35,7 +35,9 @@ let add t box value =
 
 let length t = t.next_id
 
-let query t window =
+(* Every item whose box touches [window], once each, in ascending id
+   (insertion) order. *)
+let window_hits t window f =
   let seen = Hashtbl.create 16 in
   let hits = ref [] in
   cells_of t window (fun key ->
@@ -49,9 +51,12 @@ let query t window =
               hits := it :: !hits
             end)
           !l);
-  !hits
-  |> List.sort (fun a b -> Int.compare a.id b.id)
-  |> List.map (fun it -> (it.box, it.value))
+  List.iter f (List.sort (fun a b -> Int.compare a.id b.id) !hits)
+
+let query t window =
+  let hits = ref [] in
+  window_hits t window (fun it -> hits := (it.box, it.value) :: !hits);
+  List.rev !hits
 
 let pairs_within t d =
   let out = ref [] in
@@ -89,22 +94,6 @@ let fold f acc t =
    itself is left untouched: its historical order fixes the order of
    the findings of its two users, the flat baseline checker and the
    net-list stage's legal-connection pass. *)
-
-let window_hits t window f =
-  let seen = Hashtbl.create 16 in
-  let hits = ref [] in
-  cells_of t window (fun key ->
-      match Hashtbl.find_opt t.buckets key with
-      | None -> ()
-      | Some l ->
-        List.iter
-          (fun it ->
-            if (not (Hashtbl.mem seen it.id)) && Rect.touches ~a:it.box ~b:window then begin
-              Hashtbl.add seen it.id ();
-              hits := it :: !hits
-            end)
-          !l);
-  List.iter f (List.sort (fun a b -> Int.compare a.id b.id) !hits)
 
 let iter_query t window f = window_hits t window (fun it -> f it.box it.value)
 

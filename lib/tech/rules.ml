@@ -121,6 +121,12 @@ let int_fields =
 let fields t =
   ("lambda", t.lambda) :: List.map (fun (key, get, _) -> (key, get t)) int_fields
 
+(* The checker squares rule values in native ints (the gap kernels and
+   the pair judge compare squared distances), so a value must square,
+   and two squares must add, without overflow: (2^30)^2 = 2^60. *)
+let max_value = 1 lsl 30
+let in_range v = v >= 1 && v <= max_value
+
 let known_keys = "name" :: "lambda" :: List.map (fun (k, _, _) -> k) int_fields
 
 (* A directed [space_<a>_<b>] key over two layer names.  The canonical
@@ -137,6 +143,11 @@ let pair_key key =
 
 let compare_pair ((a, b), _) ((c, d), _) =
   compare (Layer.index a, Layer.index b) (Layer.index c, Layer.index d)
+
+let out_of_range t =
+  List.filter
+    (fun (_, v) -> not (in_range v))
+    (fields t @ List.map (fun (pair, v) -> (pair_key_name pair, v)) t.pair_spaces)
 
 let to_string t =
   let buf = Buffer.create 256 in
@@ -224,9 +235,11 @@ let of_entries entries =
   | None ->
     let int_of ~line key v =
       match int_of_string_opt v with
-      | Some n when n > 0 -> Ok n
+      | Some n when in_range n -> Ok n
       | _ ->
-        Error (Printf.sprintf "line %d: %s: expected a positive integer, got %S" line key v)
+        Error
+          (Printf.sprintf "line %d: %s: expected a positive integer no larger than %d, got %S"
+             line key max_value v)
     in
     (* lambda first: it sets the defaults. *)
     let base =
@@ -263,5 +276,16 @@ let of_entries entries =
 let of_string src =
   match scan src with
   | _, (line, text) :: _ -> Error (Printf.sprintf "line %d: malformed line: %S" line text)
-  | entries, [] ->
-    Result.map (fun t -> { t with waivers = scan_waivers src }) (of_entries entries)
+  | entries, [] -> (
+    match of_entries entries with
+    | Error _ as e -> e
+    | Ok t -> (
+      (* Written values were range-checked entry by entry, so anything
+         left out of range is a default that [lambda] scaled. *)
+      match out_of_range t with
+      | (key, v) :: _ ->
+        Error
+          (Printf.sprintf "line %d: lambda %d makes %s %d, above the largest rule value %d"
+             (Option.value ~default:0 (position t "lambda"))
+             t.lambda key v max_value)
+      | [] -> Ok { t with waivers = scan_waivers src }))

@@ -77,6 +77,18 @@ val pp : Format.formatter -> t -> unit
 (** Every integer rule with its rule-file key, [lambda] first. *)
 val fields : t -> (string * int) list
 
+(** The largest rule value the checker accepts, 2^30.  Spacing checks
+    compare squared distances in native ints, so a larger value would
+    overflow and silently drop violations. *)
+val max_value : int
+
+(** [in_range v] — [1 <= v <= max_value]. *)
+val in_range : int -> bool
+
+(** Every resolved value (the {!fields} and the pair overrides) outside
+    {!in_range}, with its rule-file key. *)
+val out_of_range : t -> (string * int) list
+
 (** All canonical rule-file keys ([name], [lambda], and the integer
     field names) — what {!of_string} accepts besides directed
     [space_<a>_<b>] pair keys. *)
@@ -121,8 +133,10 @@ val cell_space_override : t -> Layer.t -> Layer.t -> int option
 val to_string : t -> string
 
 (** Strict parse.  Malformed lines, unknown keys, duplicate keys, and
-    non-positive values are errors, each reported with its line number
-    ("line N: ..."). *)
+    values outside {!in_range} are errors, each reported with its line
+    number ("line N: ...").  That includes the defaults [lambda]
+    scales: a lambda whose derived widths or spacings exceed
+    {!max_value} is refused on its own line. *)
 val of_string : string -> (t, string) result
 
 (** One [key value] line of a rule file, with its 1-based line
@@ -135,10 +149,12 @@ type entry_src = { eline : int; key : string; value : string }
     its best-effort deck on. *)
 val scan : string -> entry_src list * (int * string) list
 
-(** Interpret scanned entries strictly (same errors as
-    {!of_string}).  Waiver comments are invisible to [scan]'s entries,
-    so rule sets built this way carry no waivers; use {!scan_waivers}
-    on the raw source to recover them. *)
+(** Interpret scanned entries strictly (the same per-entry errors as
+    {!of_string}).  Unlike {!of_string} it accepts a lambda whose
+    derived defaults fall outside {!in_range}, so {!Dic.Lint} can build
+    the deck and report them ({!out_of_range}).  Waiver comments are
+    invisible to [scan]'s entries, so rule sets built this way carry no
+    waivers; use {!scan_waivers} on the raw source to recover them. *)
 val of_entries : entry_src list -> (t, string) result
 
 (** Collect [# lint: allow ...] waiver codes from raw deck text,

@@ -8,9 +8,10 @@
      family), and the pairwise deck-subsumption verdicts (R015);
    - the pruning identity property: certificate-guarded runs emit
      report bytes identical to unguarded runs ([DIC_NO_CERTS]) over
-     random layoutgen designs and random-perturbation decks, at jobs 1
-     and 4, cold and warm, single- and multi-deck — the engine-level
-     soundness claim, checked end to end. *)
+     random layoutgen designs (rotated and mirrored placements
+     included) and random-perturbation decks, at jobs 1 and 4, cold
+     and warm, single- and multi-deck — the engine-level soundness
+     claim, checked end to end. *)
 
 let lambda = 100
 
@@ -170,6 +171,48 @@ let test_skips_fire () =
   Alcotest.(check bool) "certificates were computed" true
     (Dic.Metrics.counter m "analysis.certs_computed" > 0)
 
+module B = Layoutgen.Builder
+module T = Geom.Transform
+
+(* A small seeded hierarchy with rotated and mirrored calls: two leaf
+   cells of random routing boxes and a middle cell that places one of
+   them turned.  The top level places one pair of cells at a fixed
+   relative placement under several global orientations, so one
+   placement class recurs in several frames, at a gap the deck may or
+   may not clear.  Chain, grid and PLA tiers place nothing turned. *)
+let rotated_file seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let l v = v * lambda in
+  let layers = [| "NM"; "NP"; "ND" |] in
+  let boxes () =
+    List.init (1 + int 4) (fun _ ->
+        let x = int 8 and y = int 8 in
+        B.box ~layer:layers.(int 3) (l x) (l y) (l (x + 2 + int 3)) (l (y + 2 + int 3)))
+  in
+  let turn () =
+    T.compose
+      (T.rotate [| `East; `North; `West; `South |].(int 4))
+      [| T.identity; T.mirror_x |].(int 2)
+  in
+  let call callee transform = { Cif.Ast.callee; transform; call_loc = None } in
+  let c1 = B.symbol ~id:1 ~name:"c1" (boxes ()) []
+  and c2 = B.symbol ~id:2 ~name:"c2" (boxes ()) [] in
+  let m3 =
+    B.symbol ~id:3 ~name:"m3" (boxes ())
+      [ call 1 (T.compose (T.translate (l (14 + int 4)) 0) (turn ())) ]
+  in
+  let ids = [| 1; 2; 3 |] in
+  let a = ids.(int 3) and b = ids.(int 3) in
+  let rel = T.compose (T.translate (l (13 + int 6)) (l (int 6))) (turn ()) in
+  let pairs =
+    List.concat
+      (List.init (2 + int 4) (fun i ->
+           let at = T.compose (T.translate (l (80 * i)) 0) (turn ()) in
+           [ call a at; call b (T.compose at rel) ]))
+  in
+  B.file ~symbols:[ c1; c2; m3 ] ~top_calls:pairs ()
+
 (* The QCheck identity property: random design x random deck pair,
    certs on == certs off, jobs 1 and 4, cold and warm, single- and
    multi-deck.  Seeded (fixed rand state below) so failures replay. *)
@@ -177,7 +220,8 @@ let test_skips_fire () =
 let design_gen =
   QCheck2.Gen.(
     oneof
-      [ map (fun n -> Layoutgen.Cells.chain ~lambda (1 + n)) (int_bound 3);
+      [ map rotated_file (int_bound 1_000_000);
+        map (fun n -> Layoutgen.Cells.chain ~lambda (1 + n)) (int_bound 3);
         map
           (fun (nx, ny) -> Layoutgen.Cells.grid ~lambda ~nx:(1 + nx) ~ny:(1 + ny))
           (pair (int_bound 2) (int_bound 2));
@@ -244,6 +288,37 @@ let prune_identity_prop =
             [ (true, 1); (true, 4); (false, 4) ])
         [ [ d1 ]; [ d1; d2 ] ])
 
+(* Certificates are built for callees only: the root is nobody's
+   callee, and no guard reads its certificate. *)
+let test_root_never_certified () =
+  List.iter
+    (fun (name, file) ->
+      let m = Dic.Metrics.create () in
+      ignore
+        (with_certs true (fun () ->
+             check_bytes ~metrics:m ~jobs:1 [ Dic.Engine.deck (Tech.Rules.nmos ~lambda ()) ] file));
+      Alcotest.(check int)
+        (name ^ ": one certificate per non-root symbol")
+        (Dic.Metrics.counter m "model.symbols")
+        (Dic.Metrics.counter m "analysis.certs_computed"))
+    [ ("pla-4x4", Layoutgen.Pla.tier ~lambda ~rows:4 ~cols:4);
+      ("rotated hierarchy", rotated_file 7) ]
+
+(* The rotated hierarchies the identity property draws do exercise the
+   guard: some of their placement classes, whose pairs are placed
+   rotated and mirrored, are proved silent. *)
+let test_rotated_classes_skip () =
+  let deck = Dic.Engine.deck (Tech.Rules.nmos ~lambda ()) in
+  let m = Dic.Metrics.create () in
+  List.iter
+    (fun seed ->
+      ignore
+        (with_certs true (fun () ->
+             check_bytes ~metrics:m ~jobs:1 [ deck ] (rotated_file seed))))
+    (List.init 20 Fun.id);
+  Alcotest.(check bool) "some rotated class proved silent" true
+    (Dic.Metrics.counter m "analysis.certified_skips" > 0)
+
 let () =
   Alcotest.run "deckcheck"
     [ ( "closure",
@@ -256,6 +331,8 @@ let () =
           Alcotest.test_case "waiver suppression" `Quick test_waiver_suppression ] );
       ( "certificates",
         [ Alcotest.test_case "skips fire, bytes identical" `Quick test_skips_fire;
+          Alcotest.test_case "root never certified" `Quick test_root_never_certified;
+          Alcotest.test_case "rotated classes skip" `Quick test_rotated_classes_skip;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 0xd1c |])
             prune_identity_prop ] ) ]

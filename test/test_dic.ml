@@ -392,6 +392,28 @@ let interaction_errors src =
   let vs, stats = Dic.Interactions.check nets in
   (vs, stats)
 
+(* At the largest accepted rule value, 2^30, the squared requirement
+   still fits a native int: two metal boxes 200 apart are a spacing
+   error under both metrics. *)
+let test_interactions_spacing_at_value_bound () =
+  let big = { rules with Tech.Rules.space_metal = Tech.Rules.max_value } in
+  let file = parse "L NM; B 400 400 200 200; B 400 400 800 200; E" in
+  List.iter
+    (fun metric ->
+      let config =
+        { Dic.Engine.default_config with
+          Dic.Engine.interactions =
+            { Dic.Interactions.default_config with Dic.Interactions.metric } }
+      in
+      match
+        Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create ~config big) file
+      with
+      | Ok (r, _) ->
+        Alcotest.(check (list string)) "spacing error reported" [ "spacing.NM" ]
+          (error_rules r)
+      | Error e -> Alcotest.failf "checker: %s" e)
+    [ Geom.Measure.Orthogonal; Geom.Measure.Euclidean ]
+
 let test_interactions_diff_net_spacing () =
   let vs, _ = interaction_errors "L NM; B 400 400 200 200; 4N a; B 400 400 800 200; 4N b; E" in
   Alcotest.(check bool) "flagged" true
@@ -1000,6 +1022,8 @@ let () =
           Alcotest.test_case "locality" `Quick test_netgen_locality ] );
       ( "interactions",
         [ Alcotest.test_case "diff-net spacing" `Quick test_interactions_diff_net_spacing;
+          Alcotest.test_case "spacing at the value bound" `Quick
+            test_interactions_spacing_at_value_bound;
           Alcotest.test_case "same-net skip" `Quick test_interactions_same_net_skip;
           Alcotest.test_case "short" `Quick test_interactions_short;
           Alcotest.test_case "accidental transistor" `Quick

@@ -112,6 +112,20 @@ let test_r011_bad_value () =
   check_fires "non-integer value" "R011" diags;
   Alcotest.(check int) "on line 2" 2 (line_of "R011" diags)
 
+let test_value_bound () =
+  (* Written values above 2^30 are R011; defaults lambda scales past it
+     are R002 on the resolved deck. *)
+  let _, diags = Dic.Lint.check_deck_source "lambda 100\nspace_metal 3000000000\n" in
+  check_fires "written value above 2^30" "R011" diags;
+  Alcotest.(check int) "on line 2" 2 (line_of "R011" diags);
+  let _, diags = Dic.Lint.check_deck_source "lambda 500000000\n" in
+  check_fires "derived value above 2^30" "R002" diags;
+  let _, diags = Dic.Lint.check_deck_source "lambda 100\nspace_metal 1073741824\n" in
+  Alcotest.(check bool) "2^30 is no R002/R011" false
+    (List.exists
+       (fun (d : Dic.Lint.diagnostic) -> d.Dic.Lint.code = "R002" || d.Dic.Lint.code = "R011")
+       diags)
+
 let test_record_diags_relocated () =
   (* Record-level lints (here R001) are relocated to the defining line
      of the offending key. *)
@@ -418,6 +432,7 @@ let () =
           Alcotest.test_case "R009 duplicate key" `Quick test_r009_duplicate_key;
           Alcotest.test_case "R010 malformed" `Quick test_r010_malformed_line;
           Alcotest.test_case "R011 bad value" `Quick test_r011_bad_value;
+          Alcotest.test_case "value bound" `Quick test_value_bound;
           Alcotest.test_case "relocated record diags" `Quick test_record_diags_relocated;
           Alcotest.test_case "broken-demo fixture" `Quick test_broken_demo_deck;
           Alcotest.test_case "of_string line numbers" `Quick test_of_string_line_numbers ] );

@@ -101,6 +101,32 @@ let test_rules_of_string_errors () =
       (Astring_contains.contains msg "malformed")
   | Ok _ -> Alcotest.fail "expected an error"
 
+(* Spacing checks square rule values in native ints: 2^30 is the
+   largest value whose square (and a sum of two) cannot overflow. *)
+let test_rules_value_bound () =
+  let deck v = Printf.sprintf "name big\nlambda 100\nspace_metal %s\n" v in
+  (match Tech.Rules.of_string (deck "1073741824") with
+  | Ok r -> Alcotest.(check int) "2^30 accepted" (1 lsl 30) r.Tech.Rules.space_metal
+  | Error msg -> Alcotest.failf "2^30 refused: %s" msg);
+  List.iter
+    (fun v ->
+      match Tech.Rules.of_string (deck v) with
+      | Error msg ->
+        Alcotest.(check bool) (v ^ " refused on its line") true
+          (Astring_contains.contains msg "line 3")
+      | Ok _ -> Alcotest.failf "%s accepted" v)
+    [ "1073741825"; "3000000000" ];
+  (* A lambda whose scaled defaults leave the range is refused too. *)
+  (match Tech.Rules.of_string "lambda 500000000\n" with
+  | Error msg ->
+    Alcotest.(check bool) "derived value named" true
+      (Astring_contains.contains msg "width_metal")
+  | Ok _ -> Alcotest.fail "lambda 5e8 accepted");
+  Alcotest.(check (list (pair string int))) "builtin deck in range" []
+    (Tech.Rules.out_of_range (Tech.Rules.nmos ()));
+  Alcotest.(check bool) "lambda 0 out of range" true
+    (Tech.Rules.out_of_range (Tech.Rules.nmos ~lambda:0 ()) <> [])
+
 (* ------------------------------------------------------------------ *)
 (* The interaction matrix                                              *)
 
@@ -221,7 +247,8 @@ let () =
           Alcotest.test_case "cross-layer space" `Quick test_cross_layer_space;
           Alcotest.test_case "rule file roundtrip" `Quick test_rules_to_of_string_roundtrip;
           Alcotest.test_case "rule file overrides" `Quick test_rules_of_string_overrides;
-          Alcotest.test_case "rule file errors" `Quick test_rules_of_string_errors ] );
+          Alcotest.test_case "rule file errors" `Quick test_rules_of_string_errors;
+          Alcotest.test_case "rule value bound" `Quick test_rules_value_bound ] );
       ( "interaction",
         [ Alcotest.test_case "symmetric" `Quick test_matrix_symmetric;
           Alcotest.test_case "paper cells" `Quick test_matrix_paper_cells;
