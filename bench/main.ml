@@ -20,6 +20,14 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "==============================================================\n"
 
+(* Scratch cache directories, removed after use. *)
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Shared classification helpers                                       *)
 
@@ -455,35 +463,7 @@ let t1_runtime_scaling () =
     [ 2; 4; 8; 12; 16 ]
 
 (* ------------------------------------------------------------------ *)
-(* T3 and ablations                                                    *)
-
-let t3_incremental () =
-  section
-    "T3: incremental rechecking (edit-check loop)\n\
-     (per-definition results cached by structural fingerprint; the\n\
-     interaction memo survives for unchanged subtrees)";
-  let engine = Dic.Engine.create rules in
-  let file = Layoutgen.Cells.grid ~lambda ~nx:12 ~ny:12 in
-  let run_inc label f =
-    let (_, (reuse : Dic.Engine.reuse)), t =
-      wall (fun () ->
-          match Result.map Dic.Engine.primary @@ Dic.Engine.check engine f with Ok r -> r | Error e -> failwith e)
-    in
-    Printf.printf "%-34s %8.3f s   (%d/%d definitions reused)\n" label t
-      reuse.Dic.Engine.symbols_reused reuse.Dic.Engine.symbols_total;
-    t
-  in
-  let cold = run_inc "cold run (12x12 grid)" file in
-  let warm = run_inc "unchanged rerun" file in
-  let salted, _ =
-    Layoutgen.Inject.apply file
-      [ Layoutgen.Inject.narrow_poly_wire ~lambda
-          ~at:((12 * Layoutgen.Cells.pitch_x * lambda) + (6 * lambda), 0) ]
-  in
-  let edit = run_inc "after a top-level edit" salted in
-  Printf.printf "warm rerun speedup: %.1fx; post-edit speedup: %.1fx\n"
-    (cold /. Float.max 1e-9 warm)
-    (cold /. Float.max 1e-9 edit)
+(* Ablations                                                           *)
 
 let ablations () =
   section
@@ -672,85 +652,6 @@ let parallel_scaling () =
   print_endline "wrote BENCH_parallel.json"
 
 (* ------------------------------------------------------------------ *)
-(* I -- Persistent incremental rechecking                              *)
-
-(* The engine's on-disk cache across *processes*: each phase below uses
-   a brand-new engine over the same cache directory, so the only warmth
-   is what Cache persisted.  Cold, warm (identical input), and a recheck
-   after a one-symbol top-level edit; writes BENCH_incremental.json. *)
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let incremental_recheck () =
-  section
-    "I: persistent incremental rechecking (cold / warm-from-disk / after\n\
-     a one-symbol edit; every phase is a fresh engine over the same\n\
-     --cache directory, and the warm report must be byte-identical)";
-  let cache_dir =
-    let base = Filename.temp_file "dic_bench_cache" "" in
-    Sys.remove base;
-    base
-  in
-  let workloads =
-    [ ("shift-register-256", Layoutgen.Shift.register ~lambda 256);
-      ("pla-48x96",
-       Layoutgen.Pla.plane ~lambda
-         (Layoutgen.Pla.random_program ~rows:48 ~cols:96 ~seed:7)) ]
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"experiment\":\"incremental-recheck\",%s,\"workloads\":["
-       (provenance_fields ()));
-  Printf.printf "%-22s %10s %10s %10s %10s %12s %10s\n" "workload" "cold (s)"
-    "warm (s)" "reused" "identical" "edit (s)" "reused";
-  List.iteri
-    (fun wi (name, file) ->
-      if wi > 0 then Buffer.add_string buf ",";
-      let dir = Filename.concat cache_dir name in
-      let check f =
-        let (result, reuse), t =
-          wall (fun () ->
-              match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create ~cache_dir:dir rules) f with
-              | Ok r -> r
-              | Error e -> failwith e)
-        in
-        (Format.asprintf "%a" Dic.Report.pp result.Dic.Engine.report, reuse, t)
-      in
-      let cold_report, _, cold_t = check file in
-      let warm_report, warm_reuse, warm_t = check file in
-      let identical = String.equal cold_report warm_report in
-      let edited, _ =
-        Layoutgen.Inject.apply file
-          [ Layoutgen.Inject.narrow_poly_wire ~lambda ~at:(-40 * lambda, -40 * lambda) ]
-      in
-      let _, edit_reuse, edit_t = check edited in
-      Printf.printf "%-22s %10.3f %10.3f %7d/%-3d %9b %12.3f %7d/%-3d\n" name cold_t
-        warm_t warm_reuse.Dic.Engine.symbols_reused warm_reuse.Dic.Engine.symbols_total
-        identical edit_t edit_reuse.Dic.Engine.symbols_reused
-        edit_reuse.Dic.Engine.symbols_total;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cold_s\":%.6f,\"warm_s\":%.6f,\"warm_reused\":%d,\
-            \"warm_total\":%d,\"warm_identical\":%b,\"warm_memo_loaded\":%d,\
-            \"edit_s\":%.6f,\"edit_reused\":%d}"
-           name cold_t warm_t warm_reuse.Dic.Engine.symbols_reused
-           warm_reuse.Dic.Engine.symbols_total identical
-           warm_reuse.Dic.Engine.memo_loaded edit_t
-           edit_reuse.Dic.Engine.symbols_reused))
-    workloads;
-  Buffer.add_string buf "]}";
-  Out_channel.with_open_text "BENCH_incremental.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
-  rm_rf cache_dir;
-  print_endline "wrote BENCH_incremental.json"
-
-(* ------------------------------------------------------------------ *)
 (* TR -- Tracing overhead                                              *)
 
 (* Cost of the span tracer: disabled (no --trace; every with_span is
@@ -866,8 +767,8 @@ let lint_overhead () =
      nothing per call, so [sweep_minor_mwords] is the number the CI
      allocation guard watches.
 
-   The warm-vs-cold engine cache identity is then re-proven with the
-   packed memo payloads (the bench aborts if the reports differ).
+   The warm-vs-cold engine cache identity is then re-proven (the bench
+   aborts if the reports differ).
    Writes BENCH_kernel.json. *)
 
 let kernel_bench () =
@@ -942,9 +843,9 @@ let kernel_bench () =
             \"sweep_minor_mwords\":%.3f,\"sweep_major_mwords\":%.3f}"
            name sweep_ns stage_s minor major))
     workloads;
-  (* Warm-vs-cold cache identity with the packed memo payloads: a
-     fresh engine over a cache directory a previous engine filled
-     must replay to the byte-identical report. *)
+  (* Warm-vs-cold cache identity: a fresh engine over a cache
+     directory a previous engine filled must replay to the
+     byte-identical report. *)
   let file = Layoutgen.Shift.register ~lambda 256 in
   let cache_dir =
     let base = Filename.temp_file "dic_bench_kernel" "" in
@@ -962,7 +863,7 @@ let kernel_bench () =
   rm_rf cache_dir;
   let cache_identical = String.equal cold warm in
   if not cache_identical then
-    failwith "warm-cache report differs from cold with packed memo payloads";
+    failwith "warm-cache report differs from cold";
   Printf.printf
     "warm-vs-cold cache identity (shift-register-256): %b (%d/%d reused)\n"
     cache_identical reuse.Dic.Engine.symbols_reused reuse.Dic.Engine.symbols_total;
@@ -1106,7 +1007,7 @@ let serve_bench () =
            clients total seconds rps ttfr_ms p50 p99 identical))
     [ 1; 2; 4; 8 ];
   Buffer.add_string buf (Printf.sprintf "],\"identical\":%b}" !all_identical);
-  (* Graceful teardown: the shutdown handshake drains and flushes, and
+  (* Graceful teardown: the shutdown handshake drains, and
      serve_socket removes its socket file on the way out. *)
   let fd, ic = connect () in
   send fd "{\"id\":\"bye\",\"shutdown\":true}";
@@ -1195,8 +1096,8 @@ let telemetry_overhead () =
   let loud_server = Dic.Serve.create ~workers:1 ~telemetry rules in
   let quiet_replies = ref [] and loud_replies = ref [] in
   (* One unmeasured round per configuration pays the cold
-     parse/elaborate and allocator growth (the incremental experiment's
-     subject, not this one's); then the two sides alternate round by
+     parse/elaborate and allocator growth (not this experiment's
+     subject); then the two sides alternate round by
      round so scheduler and GC drift hit both equally, and best-of
      drops the noise spikes a 5% gate cannot tolerate. *)
   round quiet_server ~traced:false quiet_replies;
@@ -1350,7 +1251,7 @@ let multideck_bench () =
     Layoutgen.Pla.plane ~lambda (Layoutgen.Pla.random_program ~rows:48 ~cols:96 ~seed:7)
   in
   (* Spacing variants below space_diffusion, so every deck has the same
-     max_dist and the set shares one interaction plan and memo. *)
+     max_dist and the set shares one interaction plan. *)
   let deck sp =
     let name = Printf.sprintf "sp%d" sp in
     Dic.Engine.deck ~label:name
@@ -1577,8 +1478,7 @@ let experiments =
     ("fig11", fig11_skeletal); ("fig12", fig12_matrix);
     ("fig13", fig13_proximity); ("fig14", fig14_relational);
     ("fig15", fig15_self_sufficiency); ("t1", t1_runtime_scaling);
-    ("t3", t3_incremental); ("ablations", ablations);
-    ("parallel", parallel_scaling); ("incremental", incremental_recheck);
+    ("ablations", ablations); ("parallel", parallel_scaling);
     ("trace-overhead", trace_overhead); ("lint-overhead", lint_overhead);
     ("kernel", kernel_bench); ("serve", serve_bench);
     ("telemetry", telemetry_overhead); ("multideck", multideck_bench);

@@ -8,10 +8,10 @@
 
    `check` reads extended CIF, runs either the hierarchical checker or
    the classical flat baseline, and prints the report; with --cache DIR
-   per-definition results and the interaction memo persist across
-   invocations.  `serve` keeps engines warm in-process instead: a pool
-   of worker domains (--workers) answers any number of concurrent
-   clients (docs/PROTOCOL.md is the wire reference).
+   per-definition results persist across invocations.  `serve` keeps
+   engines warm in-process instead: a pool of worker domains
+   (--workers) answers any number of concurrent clients
+   (docs/PROTOCOL.md is the wire reference).
 
    Exit codes: 0 the design checked clean, 1 the checker found errors
    (or warnings, with --werror), 2 usage / parse / input failure. *)
@@ -50,6 +50,18 @@ let load_rules ~lambda rules_file =
       Printf.eprintf "rule file: %s\n" msg;
       exit 2)
 
+(* Opening the --cache directory is the one step of engine or server
+   creation that touches the file system: an unusable directory is a
+   usage error, reported before any check runs. *)
+let open_or_exit cache create =
+  match cache with
+  | None -> create ()
+  | Some dir -> (
+    try create ()
+    with Sys_error msg ->
+      Printf.eprintf "dicheck: --cache %s: %s\n" dir msg;
+      exit 2)
+
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
 
@@ -82,8 +94,8 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
     in
     let engine =
       let e =
-        Dic.Engine.create ?cache_dir:cache ~decks
-          (List.hd decks).Dic.Engine.dk_rules
+        open_or_exit cache (fun () ->
+            Dic.Engine.create ?cache_dir:cache ~decks (List.hd decks).Dic.Engine.dk_rules)
       in
       let e = Dic.Engine.with_jobs e jobs in
       let e = Dic.Engine.with_same_net e check_same_net in
@@ -129,13 +141,11 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
         List.iter
           (fun (dr : Dic.Engine.deck_result) ->
             let reuse = dr.Dic.Engine.dr_reuse in
-            Printf.eprintf
-              "[dicheck] cache%s: %d/%d definition(s) reused (%d from disk), %d memo entr%s loaded\n"
+            Printf.eprintf "[dicheck] cache%s: %d/%d definition(s) reused (%d from disk)\n"
               (if single then ""
                else "[" ^ dr.Dic.Engine.dr_deck.Dic.Engine.dk_label ^ "]")
               reuse.Dic.Engine.symbols_reused reuse.Dic.Engine.symbols_total
-              reuse.Dic.Engine.defs_from_disk reuse.Dic.Engine.memo_loaded
-              (if reuse.Dic.Engine.memo_loaded = 1 then "y" else "ies"))
+              reuse.Dic.Engine.defs_from_disk)
           multi.Dic.Engine.results;
       if show_netlist then
         Format.fprintf out "@.--- net list ---@.%a@." Netlist.Net.pp
@@ -424,12 +434,12 @@ let serve_main lambda rules_file cache socket workers max_queue trace_out event_
       ~collect_traces:(trace_out <> None) ()
   in
   let server =
-    Dic.Serve.create ?cache_dir:cache ~workers ~max_queue ~telemetry rules
+    open_or_exit cache (fun () ->
+        Dic.Serve.create ?cache_dir:cache ~workers ~max_queue ~telemetry rules)
   in
   (* SIGTERM = graceful drain: the handler only flips a flag (OCaml 5
      handlers may run on any domain); the transport loops poll it and
-     run the real shutdown — every queued request still gets a reply
-     and the warm state is flushed to the cache. *)
+     run the real shutdown — every queued request still gets a reply. *)
   Sys.set_signal Sys.sigterm
     (Sys.Signal_handle (fun _ -> Dic.Serve.request_stop server));
   (match socket with
@@ -603,11 +613,12 @@ let rules_many_arg =
 let cache_arg =
   Arg.(value & opt (some string) None
        & info [ "cache" ] ~docv:"DIR"
-           ~doc:"Persist per-definition results and the interaction memo under \
-                 DIR (created if missing), keyed by content: a recheck reuses \
-                 everything whose definition, rules, and config did not change.  \
-                 Cache state never changes verdicts, only cost; reuse counts go \
-                 to stderr and to $(b,--stats-json).")
+           ~doc:"Persist per-definition results under DIR (created if \
+                 missing), keyed by content: a recheck reuses the results of \
+                 every definition that, with the rules and config, did not \
+                 change.  Cache state never changes verdicts, only cost; reuse \
+                 counts go to stderr and to $(b,--stats-json).  A DIR that \
+                 cannot be opened exits 2 before any check.")
 
 let exits =
   [ Cmd.Exit.info 0 ~doc:"the design checked clean (with $(b,--werror): no warnings either).";
@@ -821,7 +832,7 @@ let serve_cmd =
              worker domains over warm engines.  One request object per input \
              line, one reply line per request; re-submitting an id supersedes \
              the previous request with that id, and a shutdown request (or \
-             SIGTERM) drains the queue and flushes the cache before exiting.  \
+             SIGTERM) drains the queue before exiting.  \
              Live service stats answer the {\"admin\":\"stats\"} request (see \
              $(b,dicheck top)); $(b,--event-log) streams the request \
              lifecycle as JSON lines.  The full wire reference is \

@@ -6,11 +6,8 @@ type def_entry = {
   de_relational : Report.violation list;
 }
 
-type memo_file = ((string * string * Geom.Transform.t) * Interactions.memo_entry) list
-
 (* Bump when the payload representation changes (a marshalled
-   [Geom.Rects.t], or the gaps and net groups memo candidates carry,
-   included): old files become misses, not crashes.
+   [Geom.Rects.t] included): old files become misses, not crashes.
    The digest only guards against torn or damaged bytes; a file another
    version wrote in good faith passes it, so the magic is the sole
    version check. *)
@@ -24,35 +21,39 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.file_exists dir -> ()
   end
 
+let defs_dir root = Filename.concat root "defs"
+
 let open_dir root =
-  mkdir_p root;
+  let defs = defs_dir root in
+  mkdir_p defs;
+  if not (Sys.is_directory defs) then raise (Sys_error (defs ^ ": Not a directory"));
   { root }
 
-let def_path t ~env ~fp = Filename.concat t.root (Filename.concat "defs" (Filename.concat env fp))
-let memo_path t ~env = Filename.concat t.root (Filename.concat "memo" env)
+let def_path t ~env ~fp = Filename.concat (defs_dir t.root) (Filename.concat env fp)
 
 (* [magic ^ MD5(payload) ^ payload], written to a sibling temp name and
    renamed so a reader never sees a torn file.  The temp name carries
    the pid and a process-wide sequence number: concurrent writers (the
    serve daemon's worker domains, or two daemons on one cache) must not
    stage into the same temp file or one rename ships the other's
-   half-written bytes. *)
+   half-written bytes.  A write that fails (the directory vanished or
+   became a file, the disk filled) removes its temp file and is
+   dropped: the entry is simply not cached. *)
 let tmp_seq = Atomic.make 0
 
 let write_file path payload =
-  mkdir_p (Filename.dirname path);
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
       (Atomic.fetch_and_add tmp_seq 1)
   in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      output_string oc (Digest.string payload);
-      output_string oc payload);
-  Sys.rename tmp path
+  try
+    mkdir_p (Filename.dirname path);
+    Out_channel.with_open_bin tmp (fun oc ->
+        output_string oc magic;
+        output_string oc (Digest.string payload);
+        output_string oc payload);
+    Sys.rename tmp path
+  with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ())
 
 (* Returns the payload only when the magic and digest both check out;
    any damage at all reads as a miss. *)
@@ -78,29 +79,13 @@ let read_file path =
           end)
     with Sys_error _ | End_of_file -> None
 
-let marshal v = Marshal.to_string v []
-
 (* The digest check above means [Marshal.from_string] only ever sees
    bytes we wrote, but guard anyway: a same-digest file written by a
    different compiler version must degrade to a miss. *)
-let unmarshal payload =
-  try Some (Marshal.from_string payload 0) with Failure _ -> None
-
 let find_def t ~env ~fp : def_entry option =
   match read_file (def_path t ~env ~fp) with
   | None -> None
-  | Some payload -> (unmarshal payload : def_entry option)
+  | Some payload -> ( try Some (Marshal.from_string payload 0) with Failure _ -> None)
 
 let store_def t ~env ~fp (entry : def_entry) =
-  write_file (def_path t ~env ~fp) (marshal entry)
-
-let load_memo t ~env : memo_file =
-  match read_file (memo_path t ~env) with
-  | None -> []
-  | Some payload -> (
-    match (unmarshal payload : memo_file option) with
-    | None -> []
-    | Some entries -> entries)
-
-let store_memo t ~env (entries : memo_file) =
-  write_file (memo_path t ~env) (marshal entries)
+  write_file (def_path t ~env ~fp) (Marshal.to_string entry [])

@@ -44,7 +44,6 @@ type reuse = {
   symbols_total : int;
   symbols_reused : int;
   defs_from_disk : int;
-  memo_loaded : int;
 }
 
 type deck_result = {
@@ -89,10 +88,10 @@ let erc_violations netlist =
 (* Structural fingerprint of one definition.  Everything the
    per-definition checks can observe is folded in: name (violations
    carry it as context), device kind, element geometry/layers/nets,
-   and calls with their transforms.  Element skeletons go in too: they
-   follow the elaboration deck's widths and decide net generation's
-   connectivity, and memoised interaction candidates carry net groups
-   under an address ([memo_env_key]) that knows nothing of widths. *)
+   and calls with their transforms.  Element skeletons go in too: the
+   device checks read them, and they follow the widths of the deck
+   that elaborated the model, which need not be the deck whose
+   environment stores the entry. *)
 let fingerprint (s : Model.symbol) =
   let rects =
     List.map (fun r -> (Geom.Rect.x0 r, Geom.Rect.y0 r, Geom.Rect.x1 r, Geom.Rect.y1 r))
@@ -121,20 +120,6 @@ let fingerprint (s : Model.symbol) =
           (s.Model.sname, Option.map Tech.Device.to_tag s.Model.device, elements, calls)
           []))
 
-let subtree_fingerprints (model : Model.t) =
-  (* model.symbols is topologically sorted, callees first. *)
-  let fps = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Model.symbol) ->
-      let own = fingerprint s in
-      let subs =
-        List.map (fun (c : Model.call) -> Hashtbl.find fps c.Model.callee) s.Model.calls
-      in
-      Hashtbl.replace fps s.Model.sid
-        (Digest.to_hex (Digest.string (String.concat ";" (own :: subs)))))
-    model.Model.symbols;
-  fps
-
 (* Parallelism never affects results, so the environment digest — the
    cache address — normalises [jobs] away.  The rule set enters through
    its canonical textual form, not its in-memory record: source
@@ -145,33 +130,8 @@ let env_key rules (config : config) =
   let c = { config with interactions = { config.interactions with Interactions.jobs = 1 } } in
   Digest.to_hex (Digest.string (Marshal.to_string (Tech.Rules.to_string rules, c) []))
 
-(* The interaction memo's own address.  A memoised candidate list
-   depends only on the geometry, the candidate cutoff [max_dist], and
-   the distance metric — never on the individual spacing values — so
-   decks agreeing on those share one memo, on disk and warm.  Its net
-   groups follow the definitions, which the entries' subtree
-   fingerprints address. *)
-let memo_env_key rules (config : config) =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (Interactions.max_dist rules, config.interactions.Interactions.metric)
-          []))
-
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
-
-(* Warm interaction-memo state for one memo environment (one [dmax] ×
-   metric class of decks). *)
-type memo_slot = {
-  ms_env : string;
-  ms_memo : Interactions.memo;
-  (* sid -> subtree fingerprint from the previous check, for memo
-     invalidation across edits *)
-  mutable ms_fps : (int * string) list;
-  (* the on-disk memo (content-addressed keys), loaded at most once *)
-  mutable ms_disk : Cache.memo_file option;
-}
 
 type t = {
   mutable e_decks : deck list;
@@ -186,11 +146,6 @@ type t = {
      are per-definition facts, so warm sessions replay them like check
      results instead of re-running the skeleton-erosion pass. *)
   e_lints : (string, (string, Lint.diagnostic list) Hashtbl.t) Hashtbl.t;
-  (* memo-env -> slot, ditto for the interaction memo *)
-  e_memos : (string, memo_slot) Hashtbl.t;
-  (* sid -> subtree fingerprint from the most recent check, kept so
-     [flush] can re-run the memo save outside any check *)
-  mutable e_last_subtree : (int, string) Hashtbl.t option;
 }
 
 let create ?(config = default_config) ?cache_dir ?decks rules =
@@ -205,9 +160,7 @@ let create ?(config = default_config) ?cache_dir ?decks rules =
     e_cache = Option.map Cache.open_dir cache_dir;
     e_env = env_key (List.hd decks).dk_rules config;
     e_defs = Hashtbl.create 4;
-    e_lints = Hashtbl.create 4;
-    e_memos = Hashtbl.create 4;
-    e_last_subtree = None }
+    e_lints = Hashtbl.create 4 }
 
 let rules t = (List.hd t.e_decks).dk_rules
 let decks t = t.e_decks
@@ -228,8 +181,6 @@ let with_config t config =
        every deck's address at once, so a clean slate is simpler). *)
     Hashtbl.reset t.e_defs;
     Hashtbl.reset t.e_lints;
-    Hashtbl.reset t.e_memos;
-    t.e_last_subtree <- None;
     t.e_env <- env
   end;
   t.e_config <- config;
@@ -269,17 +220,6 @@ let subtbl tbl env =
 let defs_for t env = subtbl t.e_defs env
 let lints_for t env = subtbl t.e_lints env
 
-let slot_for t rules =
-  let env = memo_env_key rules t.e_config in
-  match Hashtbl.find_opt t.e_memos env with
-  | Some s -> s
-  | None ->
-    let s =
-      { ms_env = env; ms_memo = Interactions.create_memo (); ms_fps = []; ms_disk = None }
-    in
-    Hashtbl.add t.e_memos env s;
-    s
-
 (* ------------------------------------------------------------------ *)
 (* Checking                                                            *)
 
@@ -295,99 +235,6 @@ type slot = {
   mutable sl_dv : Report.violation list;
   mutable sl_rel : Report.violation list;
 }
-
-(* Invalidate memoised instance pairs whose definition subtree changed
-   since the previous check, then pull in any surviving entries from
-   the on-disk memo (remapping its content-addressed keys to this
-   model's symbol ids).  Returns the number of entries imported. *)
-let refresh_slot t trace subtree slot =
-  let unchanged sid =
-    match (List.assoc_opt sid slot.ms_fps, Hashtbl.find_opt subtree sid) with
-    | Some old_fp, Some new_fp -> String.equal old_fp new_fp
-    | _ -> false
-  in
-  Interactions.prune_memo slot.ms_memo ~keep:unchanged;
-  slot.ms_fps <- Hashtbl.fold (fun sid fp acc -> (sid, fp) :: acc) subtree [];
-  match t.e_cache with
-  | None -> 0
-  | Some cache ->
-    Trace.with_span trace ~cat:"cache" "memo-load" (fun () ->
-        let disk =
-          match slot.ms_disk with
-          | Some d -> d
-          | None ->
-            let d = Cache.load_memo cache ~env:slot.ms_env in
-            slot.ms_disk <- Some d;
-            d
-        in
-        if disk = [] then 0
-        else begin
-          let by_fp = Hashtbl.create 64 in
-          Hashtbl.iter
-            (fun sid fp ->
-              Hashtbl.replace by_fp fp
-                (sid :: Option.value ~default:[] (Hashtbl.find_opt by_fp fp)))
-            subtree;
-          let present = Hashtbl.create 64 in
-          List.iter
-            (fun (key, _) -> Hashtbl.replace present key ())
-            (Interactions.export_memo slot.ms_memo);
-          let imported = ref [] in
-          List.iter
-            (fun ((fpa, fpb, tr), entry) ->
-              match (Hashtbl.find_opt by_fp fpa, Hashtbl.find_opt by_fp fpb) with
-              | Some sas, Some sbs ->
-                List.iter
-                  (fun sa ->
-                    List.iter
-                      (fun sb ->
-                        let key = (sa, sb, tr) in
-                        if not (Hashtbl.mem present key) then begin
-                          Hashtbl.replace present key ();
-                          imported := (key, entry) :: !imported
-                        end)
-                      sbs)
-                  sas
-              | _ -> ())
-            disk;
-          Interactions.import_memo slot.ms_memo !imported;
-          List.length !imported
-        end)
-
-(* Persist the memo under content-addressed keys (subtree fingerprints
-   instead of process-local symbol ids), deduplicated and sorted so the
-   file is deterministic for a given entry set.  The file is a merge
-   with what was already on disk: entries for definitions absent from
-   the current model (another design checked by the same server, or a
-   pre-edit version of this one) are still content-valid, so dropping
-   them would throw warmth away. *)
-let save_slot t trace subtree slot =
-  match t.e_cache with
-  | None -> ()
-  | Some cache ->
-    Trace.with_span trace ~cat:"cache" "memo-save" (fun () ->
-        let dedup = Hashtbl.create 64 in
-        (match slot.ms_disk with
-        | Some old -> List.iter (fun (k, e) -> Hashtbl.replace dedup k e) old
-        | None -> ());
-        List.iter
-          (fun ((sa, sb, tr), entry) ->
-            match (Hashtbl.find_opt subtree sa, Hashtbl.find_opt subtree sb) with
-            | Some fa, Some fb -> Hashtbl.replace dedup (fa, fb, tr) entry
-            | _ -> ())
-          (Interactions.export_memo slot.ms_memo);
-        let entries = Hashtbl.fold (fun k e acc -> (k, e) :: acc) dedup [] in
-        let entries = List.sort (fun (ka, _) (kb, _) -> compare ka kb) entries in
-        slot.ms_disk <- Some entries;
-        Cache.store_memo cache ~env:slot.ms_env entries)
-
-(* Distinct memo slots of the current deck list, in first-use order;
-   decks agreeing on [memo_env_key] share a slot. *)
-let distinct_slots slots_by_deck =
-  List.rev
-    (List.fold_left
-       (fun acc s -> if List.memq s acc then acc else s :: acc)
-       [] slots_by_deck)
 
 let check ?metrics ?trace ?progress t file =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
@@ -470,26 +317,6 @@ let check ?metrics ?trace ?progress t file =
                 end;
                 (Lint.to_violations kept, suppressed))
               decks)
-    in
-    let subtree = subtree_fingerprints model in
-    let slots_by_deck_memo = List.map (fun d -> slot_for t d.dk_rules) decks in
-    let memo_loaded_by_slot =
-      List.map
-        (fun s -> (s.ms_env, refresh_slot t trace subtree s))
-        (distinct_slots slots_by_deck_memo)
-    in
-    (* Imported entries are credited to the first deck using each slot,
-       so totals across decks match what actually moved. *)
-    let memo_loaded_by_deck =
-      let credited = Hashtbl.create 4 in
-      List.map
-        (fun s ->
-          if Hashtbl.mem credited s.ms_env then 0
-          else begin
-            Hashtbl.add credited s.ms_env ();
-            List.assoc s.ms_env memo_loaded_by_slot
-          end)
-        slots_by_deck_memo
     in
     (* Resolve every definition against each deck's session (then disk)
        cache before the sweeps start, so each stage below just replays
@@ -630,12 +457,10 @@ let check ?metrics ?trace ?progress t file =
     let total = total_one * List.length decks in
     let reused = List.fold_left (fun acc (_, r, _) -> acc + r) 0 lookups in
     let defs_from_disk = List.fold_left (fun acc (_, _, d) -> acc + d) 0 lookups in
-    let memo_loaded = List.fold_left ( + ) 0 memo_loaded_by_deck in
     Metrics.incr ~by:total m "cache.symbols_total";
     Metrics.incr ~by:reused m "cache.symbols_reused";
     Metrics.incr ~by:defs_from_disk m "cache.defs_from_disk";
     Metrics.incr ~by:(total - reused) m "cache.defs_computed";
-    Metrics.incr ~by:memo_loaded m "cache.memo_loaded";
     if total > 0 then
       Metrics.set_gauge m "cache.hit_ratio" (float_of_int reused /. float_of_int total);
     (* Composite stages always run fresh and are deck-independent: they
@@ -647,7 +472,8 @@ let check ?metrics ?trace ?progress t file =
     let netlist = timed "netlist-export" (fun () -> Netgen.netlist nets) in
     (* The interaction sweep diverges per deck, but its worklist — the
        expensive plan — depends only on the candidate cutoff, so decks
-       agreeing on [max_dist] share one plan (and their memo slot).
+       agreeing on [max_dist] share one plan.  Each run memoises its
+       instance pairs' candidates afresh.
 
        Static immunity certificates are deck-free geometry, built once
        per check for every callee (the root is nobody's callee) and
@@ -682,14 +508,14 @@ let check ?metrics ?trace ?progress t file =
               Hashtbl.add plans dmax p;
               p
           in
-          List.map2
-            (fun d slot ->
+          List.map
+            (fun d ->
               let certs =
                 Option.map (fun cert_of -> Deckcheck.consult ~cert_of d.dk_rules) cert_of
               in
-              Interactions.run ~config:t.e_config.interactions ~rules:d.dk_rules
-                ~memo:slot.ms_memo ~metrics:m ?trace ?certs (plan_for d.dk_rules))
-            decks slots_by_deck_memo)
+              Interactions.run ~config:t.e_config.interactions ~rules:d.dk_rules ~metrics:m
+                ?trace ?certs (plan_for d.dk_rules))
+            decks)
     in
     let electrical_issues =
       if t.e_config.run_erc then timed "electrical" (fun () -> erc_violations netlist)
@@ -716,7 +542,7 @@ let check ?metrics ?trace ?progress t file =
         (fun ((d, (lint_issues, lint_suppressed), element_issues, device_issues,
                relational_issues),
               (interaction_issues, interaction_stats))
-             ((_, deck_reused, deck_from_disk), deck_memo_loaded) ->
+             (_, deck_reused, deck_from_disk) ->
           let report =
             { Report.violations =
                 lint_issues @ parse_issues @ element_issues @ device_issues
@@ -728,13 +554,12 @@ let check ?metrics ?trace ?progress t file =
             dr_reuse =
               { symbols_total = total_one;
                 symbols_reused = deck_reused;
-                defs_from_disk = deck_from_disk;
-                memo_loaded = deck_memo_loaded };
+                defs_from_disk = deck_from_disk };
             dr_suppressed = lint_suppressed })
         (List.combine
            (zip5 decks lint_by_deck elements_by_deck devices_by_deck relational_by_deck)
            interactions_by_deck)
-        (List.combine lookups memo_loaded_by_deck)
+        lookups
     in
     (* Pairwise subsumption verdicts (R015) live only in the merged
        view: injecting them into per-deck reports would break the
@@ -751,18 +576,7 @@ let check ?metrics ?trace ?progress t file =
         (List.map (fun dr -> (dr.dr_deck.dk_label, dr.dr_result.report)) deck_results)
     in
     Metrics.count_report m (List.hd deck_results).dr_result.report;
-    List.iter (save_slot t trace subtree) (distinct_slots slots_by_deck_memo);
-    t.e_last_subtree <- Some subtree;
     Ok { results = deck_results; merged }
-
-(* Persist whatever warm state the session holds; a no-op before the
-   first check or without a cache directory.  [check] already saves the
-   memo slots on every run, so this only matters for orderly teardown
-   paths (daemon shutdown) that want an explicit flush point. *)
-let flush t =
-  match t.e_last_subtree with
-  | None -> ()
-  | Some subtree -> Hashtbl.iter (fun _ slot -> save_slot t None subtree slot) t.e_memos
 
 let check_string ?metrics ?trace ?progress t src =
   match Cif.Parse.file src with

@@ -22,17 +22,18 @@
     library comply with?") needs.
 
     Warm state is keyed {e per deck environment}: each deck's
-    per-definition results live under its own {!env_key} digest, and
-    each [max_dist] × metric class of decks shares one interaction-memo
-    slot (see {!memo_env_key}).  Warming deck A therefore never
-    invalidates deck B — a session alternating between deck sets keeps
-    every deck's cache live, in memory and (with [cache_dir]) on disk.
+    per-definition results live under its own {!env_key} digest.
+    Warming deck A therefore never invalidates deck B — a session
+    alternating between deck sets keeps every deck's cache live, in
+    memory and (with [cache_dir]) on disk.
 
     Rechecking a design after editing one symbol definition recomputes
-    only that definition per deck (and the composite stages, which are
-    hierarchical and cheap); everything else is replayed from cache.
-    The same engine serves any number of {!check} calls, which is what
-    [dicheck serve] runs on.
+    only that definition's element, device and relational results per
+    deck; every other definition's are replayed from cache.  The
+    composite stages — net generation and interactions — run afresh on
+    every check, and the interaction memo lives inside one
+    {!Interactions.run}.  The same engine serves any number of {!check}
+    calls, which is what [dicheck serve] runs on.
 
     {2 The determinism invariant}
 
@@ -40,8 +41,7 @@
     cached per-definition entry is addressed by a structural
     fingerprint of everything the per-definition checks can observe,
     under an environment digest of the deck and the result-affecting
-    config; the interaction memo is a pure candidate cache.
-    Consequently:
+    config.  Consequently:
 
     - a warm {!check} emits reports {e byte-identical} to a cold one on
       the same input, for every [jobs] value;
@@ -114,14 +114,11 @@ type result = {
     [symbols_reused] counts definitions whose element/device/relational
     results were replayed (from memory or disk) instead of recomputed
     under that deck's environment; [defs_from_disk] is the subset that
-    came off disk; [memo_loaded] is the number of instance-pair memo
-    entries imported from the persistent cache (credited to the first
-    deck of each shared memo slot). *)
+    came off disk. *)
 type reuse = {
   symbols_total : int;
   symbols_reused : int;
   defs_from_disk : int;
-  memo_loaded : int;
 }
 
 type deck_result = {
@@ -153,11 +150,12 @@ type t
     defaults to [[deck rules]], the single-deck session; when given it
     overrides [rules] entirely (the first deck is the {e primary}: it
     drives elaboration and the default report).  With [cache_dir] the
-    engine persists per-definition results and the interaction memo
-    under that directory (created if missing; see {!Cache} for the
-    layout), so warmth survives the process.
+    engine persists per-definition results under that directory
+    (created if missing; see {!Cache} for the layout), so warmth
+    survives the process.
 
-    @raise Invalid_argument on an empty deck list. *)
+    @raise Invalid_argument on an empty deck list.
+    @raise Sys_error when [cache_dir] cannot be opened ({!Cache.open_dir}). *)
 val create : ?config:config -> ?cache_dir:string -> ?decks:deck list -> Tech.Rules.t -> t
 
 (** The primary deck's rule set. *)
@@ -200,12 +198,6 @@ val with_relational : t -> Process_model.Exposure.t option -> t
     split the cache. *)
 val env_key : Tech.Rules.t -> config -> string
 
-(** The interaction memo's environment: candidate cutoff
-    ({!Interactions.max_dist}) × distance metric.  Memoised candidate
-    lists depend on nothing else, so decks agreeing on those share one
-    memo slot — on disk and warm. *)
-val memo_env_key : Tech.Rules.t -> config -> string
-
 (** Would this engine's warm state for the {e primary} deck be valid
     for [rules]/[config]? *)
 val same_env : t -> Tech.Rules.t -> config -> bool
@@ -230,14 +222,6 @@ val check_string :
   ?metrics:Metrics.t -> ?trace:Trace.t -> ?progress:(string -> unit) ->
   t -> string -> (multi, string) Stdlib.result
 
-(** Persist the session's warm interaction memo slots to the cache
-    directory now.  {!check} already saves after every run, so this is
-    a no-op in steady state (and always before the first check or
-    without a cache directory); orderly teardown paths — the serve
-    daemon's shutdown — call it so nothing warm is lost even if the
-    last check's write raced a concurrent writer. *)
-val flush : t -> unit
-
 (** One-line summary: error/warning counts and net count. *)
 val pp_summary : Format.formatter -> result -> unit
 
@@ -251,8 +235,3 @@ val erc_violations : Netlist.Net.t -> Report.violation list
 (** Structural fingerprint of one definition: name, device kind,
     element geometry/skeletons/layers/nets, calls with transforms. *)
 val fingerprint : Model.symbol -> string
-
-(** Per-symbol-id fingerprint of each definition {e subtree} (own
-    fingerprint folded with callees'), used to key the persistent
-    interaction memo by content. *)
-val subtree_fingerprints : Model.t -> (int, string) Hashtbl.t

@@ -834,25 +834,6 @@ type memo = (memo_key, cand list) Hashtbl.t
 
 let create_memo () : memo = Hashtbl.create 64
 
-let prune_memo (memo : memo) ~keep =
-  let doomed =
-    Hashtbl.fold
-      (fun ((sa, sb, _) as key) _ acc ->
-        if keep sa && keep sb then acc else key :: acc)
-      memo []
-  in
-  List.iter (Hashtbl.remove memo) doomed
-
-type memo_entry = cand list
-
-let memo_size (memo : memo) = Hashtbl.length memo
-
-let export_memo (memo : memo) =
-  Hashtbl.fold (fun key cs acc -> (key, cs) :: acc) memo []
-
-let import_memo (memo : memo) entries =
-  List.iter (fun (key, cs) -> Hashtbl.replace memo key cs) entries
-
 (* ------------------------------------------------------------------ *)
 (* The scheduler                                                       *)
 

@@ -125,43 +125,15 @@ val merge_stats : into:stats -> stats -> unit
 (** Export the totals as [interactions.*] counters. *)
 val record_metrics : Metrics.t -> stats -> unit
 
-(** A reusable instance-pair candidate cache.  Keyed by (callee,
-    callee, relative transform), so it stays valid across checker runs
-    as long as the rule set and the involved symbol definitions do not
-    change — {!Engine} passes one in per deck. *)
+(** An instance-pair candidate cache, keyed by (callee id, callee id,
+    relative transform).  Its entries hold symbol ids and net groups of
+    one model, so a memo is valid only for runs over the same net
+    structure, candidate cutoff and metric — several decks' runs of one
+    {!plan}, for instance.  {!run} creates a fresh one when given none,
+    which is what {!Engine} does: the memo lives inside one run. *)
 type memo
 
 val create_memo : unit -> memo
-
-(** [prune_memo memo ~keep] drops entries that involve a symbol id for
-    which [keep] is false (used to invalidate edited definitions). *)
-val prune_memo : memo -> keep:(int -> bool) -> unit
-
-(** {2 Memo persistence}
-
-    The memo is a pure cache of candidate lists — replaying entries can
-    change cost but never verdicts — so {!Engine} persists it across
-    processes.  An entry's sites, gaps and net groups are expressed in
-    the callee symbols' own frames and net numbering and contain no
-    symbol ids, so an exported entry keyed by a {e content} fingerprint
-    of each callee subtree — one covering everything net generation
-    reads — stays valid for any future model containing structurally
-    identical definitions.  The
-    entry payload is deliberately opaque: it round-trips through
-    [Marshal] inside {!Cache} but is not otherwise inspectable. *)
-
-type memo_entry
-
-val memo_size : memo -> int
-
-(** All entries, keyed by (caller-side symbol id, callee-side symbol
-    id, relative transform).  Order is unspecified; sort before writing
-    to disk. *)
-val export_memo : memo -> ((int * int * Geom.Transform.t) * memo_entry) list
-
-(** Add entries (keys already remapped to current symbol ids).  Existing
-    keys are overwritten. *)
-val import_memo : memo -> ((int * int * Geom.Transform.t) * memo_entry) list -> unit
 
 (** The widest spacing any rule in [rules] can demand — the candidate
     cutoff and grid cell size of a {!plan} built for that deck.

@@ -3,9 +3,9 @@
    Shape: any number of connection readers feed one bounded job queue;
    [s_workers] worker domains drain it.  Engines are per-worker (an
    Engine.t is mutable and not safe to share across domains) but all
-   workers sit on the same persistent Cache directory, so definition
-   fingerprints and interaction memos written by one worker warm the
-   others — and the next daemon — through disk. *)
+   workers sit on the same persistent Cache directory, so per-definition
+   results written by one worker warm the others — and the next
+   daemon — through disk. *)
 
 type conn = {
   c_serial : int;  (* cancellation scope: (serial, id) keys p_latest *)
@@ -60,6 +60,9 @@ type t = {
 
 let create ?(config = Engine.default_config) ?cache_dir ?(workers = 0)
     ?(max_queue = 64) ?telemetry rules =
+  (* An unusable cache directory fails here, at start-up, rather than
+     in every request's engine. *)
+  Option.iter (fun dir -> ignore (Cache.open_dir dir)) cache_dir;
   { s_rules = rules;
     s_base = config;
     s_cache_dir = cache_dir;
@@ -344,8 +347,7 @@ let process t engines ?req ?trace reqj =
               ("exit", Json.Num (float_of_int exit_code));
               ("symbols_total", Json.Num (float_of_int reuse.Engine.symbols_total));
               ("symbols_reused", Json.Num (float_of_int reuse.Engine.symbols_reused));
-              ("defs_from_disk", Json.Num (float_of_int reuse.Engine.defs_from_disk));
-              ("memo_loaded", Json.Num (float_of_int reuse.Engine.memo_loaded)) ]
+              ("defs_from_disk", Json.Num (float_of_int reuse.Engine.defs_from_disk)) ]
             @ lint_counts_of result.Engine.report
             @ lint_suppressed_of suppressed
             @ [ ("report", Json.Str report_text) ]
@@ -391,8 +393,7 @@ let process t engines ?req ?trace reqj =
                  ("exit", jnum (exit_of report));
                  ("symbols_total", jnum reuse.Engine.symbols_total);
                  ("symbols_reused", jnum reuse.Engine.symbols_reused);
-                 ("defs_from_disk", jnum reuse.Engine.defs_from_disk);
-                 ("memo_loaded", jnum reuse.Engine.memo_loaded) ]
+                 ("defs_from_disk", jnum reuse.Engine.defs_from_disk) ]
               @ lint_counts_of report
               @ lint_suppressed_of dr.Engine.dr_suppressed)
           in
@@ -418,7 +419,6 @@ let process t engines ?req ?trace reqj =
               ("symbols_total", jnum (sum (fun r -> r.Engine.symbols_total)));
               ("symbols_reused", jnum (sum (fun r -> r.Engine.symbols_reused)));
               ("defs_from_disk", jnum (sum (fun r -> r.Engine.defs_from_disk)));
-              ("memo_loaded", jnum (sum (fun r -> r.Engine.memo_loaded)));
               ("decks", Json.Arr (List.map deck_fields multi.Engine.results));
               ("compliant",
                Json.Arr
@@ -495,12 +495,10 @@ let worker_loop t p w () =
     while Queue.is_empty p.p_queue && not (Atomic.get p.p_stop) do
       Condition.wait p.p_work p.p_lock
     done;
-    if Queue.is_empty p.p_queue then begin
-      (* Stop requested and nothing left: flush warm state to disk so a
-         restarted daemon recovers it, then exit. *)
-      Mutex.unlock p.p_lock;
-      Hashtbl.iter (fun _ e -> Engine.flush e) engines
-    end
+    if Queue.is_empty p.p_queue then
+      (* Stop requested and nothing left: exit.  Each check stored its
+         per-definition results as it finished. *)
+      Mutex.unlock p.p_lock
     else begin
       let job = Queue.pop p.p_queue in
       p.p_inflight <- p.p_inflight + 1;
@@ -940,7 +938,7 @@ let serve_stdio t =
   start t;
   let conn = connect t ~reply:(fd_writer Unix.stdout) in
   read_loop t conn (reader Unix.stdin);
-  (* EOF or stop: answer everything still queued, flush, and leave. *)
+  (* EOF or stop: answer everything still queued, and leave. *)
   shutdown t;
   conn_drain conn
 

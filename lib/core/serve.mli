@@ -32,7 +32,7 @@
     {v
     { "id": ..., "ok": true, "status": "ok", "req": N, "errors": N,
       "warnings": N, "exit": 0|1, "symbols_total": N, "symbols_reused": N,
-      "defs_from_disk": N, "memo_loaded": N, "lint_counts": {...}?,
+      "defs_from_disk": N, "lint_counts": {...}?,
       "report": "...", "metrics": {...}?, "sarif": {...}?, "trace": {...}? }
     v}
 
@@ -100,14 +100,14 @@
 
     A [{"shutdown": true}] request — or [SIGTERM], via
     {!request_stop} — stops intake, drains the queue (every queued
-    request is still answered), flushes each worker's engines to the
-    persistent cache, and acknowledges with
+    request is still answered), joins the workers, and acknowledges with
     [{"ok":true,"status":"shutdown","served":N,"cancelled":N,
     "overloaded":N,"queued":N,"inflight":N}].  Requests arriving
     during the drain are refused with [{"ok":false,"status":"shutdown"}].
-    A daemon restarted over the same [--cache] directory recovers the
-    warm state from disk: the first reply after a restart already
-    reports [defs_from_disk > 0].
+    Every check stores its per-definition results as it finishes, so a
+    daemon restarted over the same [--cache] directory — even after a
+    crash — recovers them from disk: the first reply after a restart
+    already reports [defs_from_disk > 0].
 
     {2 Observability}
 
@@ -128,7 +128,10 @@ type t
     (default [64]) bounds the request queue — submissions beyond it are
     refused immediately with an ["overloaded"] reply rather than queued
     without bound; [telemetry] is the service hub (defaults to a quiet
-    metrics-only {!Telemetry.create}). *)
+    metrics-only {!Telemetry.create}).
+
+    @raise Sys_error when [cache_dir] cannot be opened
+    ({!Cache.open_dir}) — at creation, not on the first request. *)
 val create :
   ?config:Engine.config -> ?cache_dir:string -> ?workers:int ->
   ?max_queue:int -> ?telemetry:Telemetry.t -> Tech.Rules.t -> t
@@ -177,8 +180,7 @@ val submit : t -> conn -> string -> unit
 (** Block until the queue is empty and no request is in flight. *)
 val drain : t -> unit
 
-(** Stop intake, drain, join the workers (each flushes its engines to
-    the persistent cache on the way out).  Idempotent. *)
+(** Stop intake, drain, join the workers.  Idempotent. *)
 val shutdown : t -> unit
 
 (** Signal-handler-safe shutdown request: sets a flag the transport
@@ -205,7 +207,7 @@ val stats : t -> stats
 (** {2 Transports} *)
 
 (** Serve the process's stdin/stdout: one implicit connection.  On
-    EOF (or shutdown) drains, flushes, and returns. *)
+    EOF (or shutdown) drains and returns. *)
 val serve_stdio : t -> unit
 
 (** Bind a Unix domain socket at [path] (unlinked and rebound) and

@@ -55,8 +55,6 @@ let test_warm_recheck_reuses_and_matches () =
         r1.Dic.Engine.symbols_reused;
       Alcotest.(check bool) "definitions came from disk" true
         (r1.Dic.Engine.defs_from_disk > 0);
-      Alcotest.(check bool) "memo entries came from disk" true
-        (r1.Dic.Engine.memo_loaded > 0);
       Alcotest.(check string) "warm report byte-identical" (report_text cold)
         (report_text warm))
 
@@ -129,8 +127,6 @@ let test_corrupted_cache_falls_back_to_cold () =
       let warm, r = check_ok (Dic.Engine.create ~cache_dir:dir rules) file in
       Alcotest.(check int) "nothing reused from a corrupt cache" 0
         r.Dic.Engine.symbols_reused;
-      Alcotest.(check int) "no memo loaded from a corrupt cache" 0
-        r.Dic.Engine.memo_loaded;
       Alcotest.(check string) "run still correct" (report_text cold) (report_text warm))
 
 (* A cache written by the previous payload format: the old magic in
@@ -154,8 +150,6 @@ let test_old_magic_reads_as_miss () =
       Alcotest.(check int) "no definition reused across formats" 0
         r.Dic.Engine.symbols_reused;
       Alcotest.(check int) "no definition read from disk" 0 r.Dic.Engine.defs_from_disk;
-      Alcotest.(check int) "no memo entry loaded across formats" 0
-        r.Dic.Engine.memo_loaded;
       Alcotest.(check string) "cold report" (report_text cold) (report_text warm))
 
 (* Memoised interaction candidates carry net groups in their callees'
@@ -207,13 +201,92 @@ let test_memo_nets_follow_widths () =
           let session = Dic.Engine.create ~cache_dir:dir deck in
           let first, _ = check_ok session file in
           let warm, _ = check_ok session file in
-          let disk, reuse = check_ok (Dic.Engine.create ~cache_dir:dir deck) file in
-          Alcotest.(check bool) (name ^ ": memo read back from disk") true
-            (reuse.Dic.Engine.memo_loaded > 0);
+          let disk, _ = check_ok (Dic.Engine.create ~cache_dir:dir deck) file in
           List.iter
             (fun (what, r) -> Alcotest.(check string) (name ^ ", " ^ what) want (report_text r))
             [ ("first cached run", first); ("warm in session", warm); ("warm from disk", disk) ])
         [ ("default", rules); ("narrow metal", narrow); ("default again", rules) ])
+
+(* A recheck after editing a called cell, not the root.  The tile sits
+   two levels down: a row calls it twice, and the top level places
+   stacked pairs of rows in all eight orientations.  Neighbouring tiles
+   and rows are closer than the metal spacing before and after the
+   edit, so no placement class is certified silent and every pair is
+   judged; growing the tile moves those findings while the row and the
+   top level keep their fingerprints.  The warm report must equal a
+   cold check of the edited design, in session and from disk, at jobs
+   1 and 2. *)
+let tile_file ~w ~h =
+  let module B = Layoutgen.Builder in
+  let l v = v * lambda in
+  let tile = B.symbol ~id:80 ~name:"tile" [ B.box ~layer:"NM" 0 0 (l w) (l h) ] [] in
+  let row = B.symbol ~id:81 ~name:"row" [] [ B.call 80; B.call ~at:(l 14, 0) 80 ] in
+  let placements =
+    List.concat_map
+      (fun mirror -> List.map (fun rot -> (rot, mirror)) [ `East; `North; `West; `South ])
+      [ None; Some `X ]
+  in
+  B.file ~symbols:[ tile; row ]
+    ~top_calls:
+      (List.concat
+         (List.mapi
+            (fun k (rot, mirror) ->
+              let x = l (60 * k) in
+              let dx, dy =
+                match rot with `East | `West -> (0, l 6) | `North | `South -> (l 6, 0)
+              in
+              [ B.call ~at:(x, 0) ~rot ?mirror 81; B.call ~at:(x + dx, dy) ~rot ?mirror 81 ])
+            placements))
+    ()
+
+let test_called_cell_edit_matches_cold () =
+  let before = tile_file ~w:12 ~h:4 and after = tile_file ~w:13 ~h:5 in
+  List.iter
+    (fun jobs ->
+      let engine ?cache_dir () = Dic.Engine.with_jobs (Dic.Engine.create ?cache_dir rules) jobs in
+      let cold f = report_text (fst (check_ok (engine ()) f)) in
+      let want = cold after in
+      let name what = Printf.sprintf "jobs %d, %s" jobs what in
+      Alcotest.(check bool) (name "the edit changes the report") true (cold before <> want);
+      let session = engine () in
+      ignore (check_ok session before);
+      let warm, r = check_ok session after in
+      Alcotest.(check int) (name "in session, only the tile recomputed")
+        (r.Dic.Engine.symbols_total - 1) r.Dic.Engine.symbols_reused;
+      Alcotest.(check string) (name "in session") want (report_text warm);
+      with_cache_dir (fun dir ->
+          ignore (check_ok (engine ~cache_dir:dir ()) before);
+          let disk, r = check_ok (engine ~cache_dir:dir ()) after in
+          Alcotest.(check int) (name "from disk, only the tile recomputed")
+            (r.Dic.Engine.symbols_total - 1) r.Dic.Engine.defs_from_disk;
+          Alcotest.(check string) (name "warm from disk") want (report_text disk)))
+    [ 1; 2 ]
+
+(* Cache trouble costs a recheck, never a crash.  With [DIR/defs]
+   replaced by a regular file between two checks of one session, the
+   second check's stores fail and are dropped, and it still returns the
+   cold report of the edited design.  A new engine refuses the
+   directory at creation. *)
+let test_unwritable_cache_mid_session () =
+  with_cache_dir (fun dir ->
+      let file = workload () in
+      let edited, _ =
+        Layoutgen.Inject.apply file
+          [ Layoutgen.Inject.metal_spacing_pair ~lambda ~at:(-60 * lambda, -60 * lambda) ]
+      in
+      let session = Dic.Engine.create ~cache_dir:dir rules in
+      ignore (check_ok session file);
+      let defs = Filename.concat dir "defs" in
+      rm_rf defs;
+      Out_channel.with_open_bin defs (fun oc -> output_string oc "not a directory");
+      let warm, _ = check_ok session edited in
+      let cold, _ = check_ok (Dic.Engine.create rules) edited in
+      Alcotest.(check string) "edited check returns the cold report" (report_text cold)
+        (report_text warm);
+      Alcotest.(check bool) "a new engine refuses the directory" true
+        (match Dic.Engine.create ~cache_dir:dir rules with
+        | _ -> false
+        | exception Sys_error _ -> true))
 
 let test_in_memory_session_reuse () =
   (* No cache directory at all: the in-memory session still reuses. *)
@@ -662,7 +735,11 @@ let () =
             test_old_magic_reads_as_miss;
           Alcotest.test_case "in-memory session reuse" `Quick test_in_memory_session_reuse;
           Alcotest.test_case "memo net groups follow the deck's widths" `Quick
-            test_memo_nets_follow_widths ] );
+            test_memo_nets_follow_widths;
+          Alcotest.test_case "called-cell edit matches cold" `Quick
+            test_called_cell_edit_matches_cold;
+          Alcotest.test_case "unwritable cache mid-session" `Quick
+            test_unwritable_cache_mid_session ] );
       ( "parallel",
         [ Alcotest.test_case "report/SARIF/stats bytes across jobs" `Quick
             test_pipeline_bytes_across_jobs;

@@ -387,8 +387,6 @@ let test_crash_and_restart_recovers_warm_cache () =
         (field "defs_from_disk" r2 > 0);
       Alcotest.(check int) "restart reuses every definition"
         (field "symbols_total" r2) (field "symbols_reused" r2);
-      Alcotest.(check bool) "restart recovered the memo" true
-        (field "memo_loaded" r2 > 0);
       Alcotest.(check (option string)) "warm restart report byte-identical"
         (jstr "report" r1) (jstr "report" r2);
       (* Orderly shutdown handshake on daemon #2. *)
