@@ -58,6 +58,10 @@ let semi c =
   | Some ch -> fail c (Printf.sprintf "expected ';', found %C" ch)
   | None -> fail c "expected ';', found end of input"
 
+let max_literal = 1 lsl 30
+
+(* A digit string is refused as soon as it passes [max_literal], before
+   [acc * 10] could wrap. *)
 let integer c =
   skip_blanks c;
   let neg =
@@ -69,8 +73,11 @@ let integer c =
   let rec digits acc =
     match peek c with
     | Some ch when is_digit ch ->
+      let acc = (acc * 10) + Char.code ch - Char.code '0' in
+      if acc > max_literal then
+        fail c (Printf.sprintf "integer literal out of range: magnitude above 2^30 = %d" max_literal);
       advance c;
-      digits ((acc * 10) + Char.code ch - Char.code '0')
+      digits acc
     | _ -> acc
   in
   let v = digits 0 in

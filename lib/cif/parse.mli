@@ -15,6 +15,12 @@
 
 type error = { offset : int; line : int; message : string }
 
+(** The largest integer literal magnitude the parser accepts, 2^30 (the
+    bound rule values have too).  A longer literal is a positioned
+    error, never a value read modulo 2^63.  Coordinates produced by
+    [DS] scaling or nested translation are not bounded here. *)
+val max_literal : int
+
 val pp_error : Format.formatter -> error -> unit
 val string_of_error : error -> string
 

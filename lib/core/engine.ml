@@ -479,23 +479,25 @@ let check ?metrics ?trace ?progress t file =
        per check for every callee (the root is nobody's callee) and
        charged to [analysis.certify].  They are off under DIC_NO_CERTS
        (the identity smokes) and under the exposure spacing model,
-       whose verdicts drawn-gap bounds cannot certify. *)
+       whose verdicts drawn-gap bounds cannot certify.  The certificate
+       build and each plan get a ["phase"] span inside the stage's. *)
     let interactions_by_deck =
       timed "interactions" (fun () ->
           let cert_of =
             match t.e_config.interactions.Interactions.spacing_model with
             | Interactions.Geometric when Deckcheck.enabled () ->
-              let t0 = Metrics.now_ns () in
-              let by_sid = Hashtbl.create 64 in
-              List.iter
-                (fun (s : Model.symbol) ->
-                  if s.Model.sid <> Model.root_id then
-                    Hashtbl.replace by_sid s.Model.sid
-                      (Deckcheck.certify ~lookup:(Hashtbl.find_opt by_sid) s))
-                model.Model.symbols;
-              Metrics.incr ~by:(Hashtbl.length by_sid) m "analysis.certs_computed";
-              Metrics.add_cost_ns m "analysis.certify" (Int64.sub (Metrics.now_ns ()) t0);
-              Some (Hashtbl.find_opt by_sid)
+              Trace.with_span trace ~cat:"phase" "certify" (fun () ->
+                  let t0 = Metrics.now_ns () in
+                  let by_sid = Hashtbl.create 64 in
+                  List.iter
+                    (fun (s : Model.symbol) ->
+                      if s.Model.sid <> Model.root_id then
+                        Hashtbl.replace by_sid s.Model.sid
+                          (Deckcheck.certify ~lookup:(Hashtbl.find_opt by_sid) s))
+                    model.Model.symbols;
+                  Metrics.incr ~by:(Hashtbl.length by_sid) m "analysis.certs_computed";
+                  Metrics.add_cost_ns m "analysis.certify" (Int64.sub (Metrics.now_ns ()) t0);
+                  Some (Hashtbl.find_opt by_sid))
             | _ -> None
           in
           let plans = Hashtbl.create 4 in
@@ -504,7 +506,9 @@ let check ?metrics ?trace ?progress t file =
             match Hashtbl.find_opt plans dmax with
             | Some p -> p
             | None ->
-              let p = Interactions.plan ~dmax nets in
+              let p =
+                Trace.with_span trace ~cat:"phase" "plan" (fun () -> Interactions.plan ~dmax nets)
+              in
               Hashtbl.add plans dmax p;
               p
           in

@@ -775,7 +775,10 @@ let tasks_of_symbol env ~dmax ~intern (sym : Model.symbol) =
         sym.Model.elements
     in
     (* Local element pairs, chunked.  Chunks are assembled incrementally
-       inside the iteration: the full pair list is never materialised. *)
+       inside the iteration: the full pair list is never materialised.
+       Both grids below take [dmax] only as a floor: each sizes its
+       cells from its own items' extents, so an element or a placed
+       callee far larger than [dmax] covers a few cells, not hundreds. *)
     let elt_idx = Geom.Grid_index.create ~cell:(max 1 dmax) () in
     List.iter (fun site -> Geom.Grid_index.add elt_idx site.s_bbox site) local_sites;
     let local_tasks =
@@ -792,7 +795,8 @@ let tasks_of_symbol env ~dmax ~intern (sym : Model.symbol) =
       List.rev_map (fun pairs -> Local { sym; pairs }) !chunks
     in
     (* One grid of placed calls serves both the element-vs-instance
-       queries and the instance-pair enumeration. *)
+       queries and the instance-pair enumeration; both read it in
+       ascending call order, which fixes the order of the tasks. *)
     let call_idx = Geom.Grid_index.create ~cell:(max 1 (4 * dmax)) () in
     List.iter
       (fun (c : Model.call) ->

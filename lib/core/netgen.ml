@@ -155,22 +155,6 @@ type candidate =
   | Elt of int  (** element node *)
   | Call of int  (** position in the symbol's calls *)
 
-(* Grid cell edge for the candidate index: the median item extent, so
-   that a placed callee spans a few cells rather than hundreds, and
-   never below the 400 units element-only symbols have always used. *)
-let cell_for items =
-  let extents =
-    Array.of_list
-      (Array.fold_left
-         (fun acc (box, _) ->
-           match box with
-           | Some r -> max (Geom.Rect.width r) (Geom.Rect.height r) :: acc
-           | None -> acc)
-         [] items)
-  in
-  Array.sort Int.compare extents;
-  if extents = [||] then 400 else max 400 extents.(Array.length extents / 2)
-
 (* Nodes are the interconnect elements, then each call's child groups in
    gid order, so call [k]'s group [g] is node [base.(k) + g].  Candidate
    pairs are found per call, not per (call, child group): one index
@@ -213,7 +197,10 @@ let compose pass model (s : Model.symbol) child_nets =
              Call k ))
          calls)
   in
-  let idx = Geom.Grid_index.create ~cell:(cell_for items) () in
+  (* Placed callee hulls are far larger than element skeletons; the
+     index sizes its cells from the items' median extent, with 400 as
+     the floor, so a call covers a few cells rather than hundreds. *)
+  let idx = Geom.Grid_index.create ~cell:400 () in
   Array.iter (fun (h, item) -> Option.iter (fun h -> Geom.Grid_index.add idx h item) h) items;
   let elt_call i k =
     let e = elts.(i) and sf = Option.get surfs.(k) in

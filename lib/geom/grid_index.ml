@@ -1,126 +1,256 @@
-type 'a item = { id : int; box : Rect.t; value : 'a }
+(* The grid a query reads: a snapshot of the first [n] items and a
+   counting sort of their ids by cell.  It is built whole, published
+   once, and never written again. *)
+type 'a frozen = {
+  n : int;
+  items : (Rect.t * 'a) array;
+  edge : int;
+  gx : int;  (** cell coordinates of the grid's lower-left cell *)
+  gy : int;
+  nx : int;
+  ny : int;
+  start : int array;  (** cell [c] holds [ids.(start.(c)) .. ids.(start.(c+1) - 1)] *)
+  ids : int array;  (** ascending within each cell *)
+}
 
 type 'a t = {
   cell : int;
-  buckets : (int * int, 'a item list ref) Hashtbl.t;
-  mutable items : 'a item list;  (** newest first *)
-  mutable next_id : int;
+  mutable items : (Rect.t * 'a) array;  (** by insertion id *)
+  mutable n : int;
+  grid : 'a frozen option Atomic.t;  (** [None] until the first query after an [add] *)
 }
 
 let create ~cell () =
   if cell <= 0 then invalid_arg "Grid_index.create: cell must be positive";
-  { cell; buckets = Hashtbl.create 256; items = []; next_id = 0 }
+  { cell; items = [||]; n = 0; grid = Atomic.make None }
+
+let add t box value =
+  let n = t.n and item = (box, value) in
+  if n = Array.length t.items then begin
+    let items = Array.make (max 16 (2 * n)) item in
+    Array.blit t.items 0 items 0 n;
+    t.items <- items
+  end;
+  t.items.(n) <- item;
+  t.n <- n + 1;
+  Atomic.set t.grid None
+
+let length t = t.n
 
 let fdiv a b = if a >= 0 then a / b else ((a + 1) / b) - 1
 
-let cells_of t box f =
-  let cx0 = fdiv (Rect.x0 box) t.cell
-  and cy0 = fdiv (Rect.y0 box) t.cell
-  and cx1 = fdiv (Rect.x1 box) t.cell
-  and cy1 = fdiv (Rect.y1 box) t.cell in
-  for cx = cx0 to cx1 do
-    for cy = cy0 to cy1 do
-      f (cx, cy)
+(* The [k]th smallest element of [a] (0-based), by Hoare selection;
+   [a] is reordered. *)
+let select a k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while a.(!j) > pivot do decr j done;
+      if !i <= !j then begin
+        let x = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- x;
+        incr i;
+        decr j
+      end
+    done;
+    if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
+  done;
+  a.(k)
+
+(* Calls [f i c] for every cell [c] item [i]'s [box] covers. *)
+let iter_cells ~edge ~gx ~gy ~ny i box f =
+  for cx = fdiv (Rect.x0 box) edge - gx to fdiv (Rect.x1 box) edge - gx do
+    for cy = fdiv (Rect.y0 box) edge - gy to fdiv (Rect.y1 box) edge - gy do
+      f i ((cx * ny) + cy)
     done
   done
 
-let add t box value =
-  let item = { id = t.next_id; box; value } in
-  t.next_id <- t.next_id + 1;
-  t.items <- item :: t.items;
-  cells_of t box (fun key ->
-      match Hashtbl.find_opt t.buckets key with
-      | Some l -> l := item :: !l
-      | None -> Hashtbl.add t.buckets key (ref [ item ]))
+(* The cell edge starts at the larger of [~cell] and the median item
+   extent, so a typical item covers at most four cells, and doubles
+   until the items' hull spans at most [4n + 64] cells. *)
+let freeze t =
+  let n = t.n and items = t.items in
+  let box i = fst items.(i) in
+  let x0 = ref max_int and y0 = ref max_int and x1 = ref min_int and y1 = ref min_int in
+  for i = 0 to n - 1 do
+    x0 := min !x0 (Rect.x0 (box i));
+    y0 := min !y0 (Rect.y0 (box i));
+    x1 := max !x1 (Rect.x1 (box i));
+    y1 := max !y1 (Rect.y1 (box i))
+  done;
+  let limit = (4 * n) + 64 in
+  let rec size edge =
+    let gx = fdiv !x0 edge and gy = fdiv !y0 edge in
+    let nx = fdiv !x1 edge - gx + 1 and ny = fdiv !y1 edge - gy + 1 in
+    if nx > limit / ny then size (2 * edge) else (edge, gx, gy, nx, ny)
+  in
+  let edge, gx, gy, nx, ny =
+    if n = 0 then (t.cell, 0, 0, 0, 0)
+    else
+      let extent i = max (Rect.width (box i)) (Rect.height (box i)) in
+      size (max t.cell (select (Array.init n extent) (n / 2)))
+  in
+  (* Counting sort: per-cell counts, inclusive prefix sums, then items
+     placed from the top of each cell downwards in descending id
+     order, which leaves every cell ascending and [start.(c)] at its
+     first entry. *)
+  let cells = nx * ny in
+  let start = Array.make (cells + 1) 0 in
+  let count _ c = start.(c) <- start.(c) + 1 in
+  for i = 0 to n - 1 do
+    iter_cells ~edge ~gx ~gy ~ny i (box i) count
+  done;
+  for c = 1 to cells - 1 do
+    start.(c) <- start.(c) + start.(c - 1)
+  done;
+  if cells > 0 then start.(cells) <- start.(cells - 1);
+  let ids = Array.make start.(cells) 0 in
+  let place i c =
+    start.(c) <- start.(c) - 1;
+    ids.(start.(c)) <- i
+  in
+  for i = n - 1 downto 0 do
+    iter_cells ~edge ~gx ~gy ~ny i (box i) place
+  done;
+  { n; items; edge; gx; gy; nx; ny; start; ids }
 
-let length t = t.next_id
+let frozen t =
+  match Atomic.get t.grid with
+  | Some g -> g
+  | None ->
+    let g = freeze t in
+    Atomic.set t.grid (Some g);
+    g
 
-(* Every item whose box touches [window], once each, in ascending id
-   (insertion) order. *)
-let window_hits t window f =
-  let seen = Hashtbl.create 16 in
-  let hits = ref [] in
-  cells_of t window (fun key ->
-      match Hashtbl.find_opt t.buckets key with
-      | None -> ()
-      | Some l ->
-        List.iter
-          (fun it ->
-            if (not (Hashtbl.mem seen it.id)) && Rect.touches ~a:it.box ~b:window then begin
-              Hashtbl.add seen it.id ();
-              hits := it :: !hits
-            end)
-          !l);
-  List.iter f (List.sort (fun a b -> Int.compare a.id b.id) !hits)
+let meets b x0 y0 x1 y1 = Rect.x0 b <= x1 && x0 <= Rect.x1 b && Rect.y0 b <= y1 && y0 <= Rect.y1 b
+
+(* In-place insertion sort of [a.(0) .. a.(m-1)]. *)
+let sort_prefix a m =
+  for j = 1 to m - 1 do
+    let x = a.(j) in
+    let k = ref (j - 1) in
+    while !k >= 0 && a.(!k) > x do
+      a.(!k + 1) <- a.(!k);
+      decr k
+    done;
+    a.(!k + 1) <- x
+  done
+
+(* [scan g ~below x0 y0 x1 y1 f] calls [f i] for every item [i < below]
+   whose box meets the closed window, once each, in ascending id order.
+   An item covering several cells of the window is taken only from the
+   first of them (the lowest column, then the lowest row, of the
+   overlap), so no item is marked and nothing shared is written. *)
+let scan g ~below x0 y0 x1 y1 f =
+  let e = g.edge and ids = g.ids in
+  let cx0 = max 0 (fdiv x0 e - g.gx) and cx1 = min (g.nx - 1) (fdiv x1 e - g.gx) in
+  let cy0 = max 0 (fdiv y0 e - g.gy) and cy1 = min (g.ny - 1) (fdiv y1 e - g.gy) in
+  if cx0 <= cx1 && cy0 <= cy1 then begin
+    let room = ref 0 in
+    for cx = cx0 to cx1 do
+      let c = cx * g.ny in
+      room := !room + g.start.(c + cy1 + 1) - g.start.(c + cy0)
+    done;
+    let hits = Array.make !room 0 and m = ref 0 in
+    for cx = cx0 to cx1 do
+      let left = (g.gx + cx) * e in
+      for cy = cy0 to cy1 do
+        let bottom = (g.gy + cy) * e in
+        let c = (cx * g.ny) + cy in
+        let k = ref g.start.(c) and stop = g.start.(c + 1) in
+        while !k < stop && ids.(!k) < below do
+          let i = ids.(!k) in
+          let b = fst g.items.(i) in
+          if
+            meets b x0 y0 x1 y1
+            && (cx = cx0 || Rect.x0 b >= left)
+            && (cy = cy0 || Rect.y0 b >= bottom)
+          then begin
+            hits.(!m) <- i;
+            incr m
+          end;
+          incr k
+        done
+      done
+    done;
+    let hits =
+      if !m <= 16 then begin
+        sort_prefix hits !m;
+        hits
+      end
+      else begin
+        let a = Array.sub hits 0 !m in
+        Array.sort Int.compare a;
+        a
+      end
+    in
+    for j = 0 to !m - 1 do
+      f hits.(j)
+    done
+  end
+
+let iter_query t window f =
+  let g = frozen t in
+  scan g ~below:g.n (Rect.x0 window) (Rect.y0 window) (Rect.x1 window) (Rect.y1 window)
+    (fun i ->
+      let box, v = g.items.(i) in
+      f box v)
 
 let query t window =
+  let g = frozen t in
   let hits = ref [] in
-  window_hits t window (fun it -> hits := (it.box, it.value) :: !hits);
+  scan g ~below:g.n (Rect.x0 window) (Rect.y0 window) (Rect.x1 window) (Rect.y1 window)
+    (fun i -> hits := g.items.(i) :: !hits);
   List.rev !hits
 
+(* Chebyshev gap [<= d] is exactly "meets the box inflated by [d]";
+   the gap is never negative, so [d < 0] has no pairs. *)
+let iter_pairs_within t d f =
+  if d >= 0 then begin
+    let g = frozen t in
+    for a = 0 to g.n - 1 do
+      let ((ba, _) as ia) = g.items.(a) in
+      scan g ~below:a (Rect.x0 ba - d) (Rect.y0 ba - d) (Rect.x1 ba + d) (Rect.y1 ba + d)
+        (fun b -> f ia g.items.(b))
+    done
+  end
+
+(* The historical order: [a] newest first, and for each [a] its
+   partners keyed by the first nominal cell of [a]'s inflated window
+   they cover (column, then row), newest first within a cell; the list
+   is that sequence reversed. *)
 let pairs_within t d =
   let out = ref [] in
-  List.iter
-    (fun a ->
-      match Rect.inflate a.box d with
-      | None -> ()
-      | Some window ->
-        let seen = Hashtbl.create 8 in
-        cells_of t window (fun key ->
-            match Hashtbl.find_opt t.buckets key with
-            | None -> ()
-            | Some l ->
-              List.iter
-                (fun b ->
-                  if
-                    b.id < a.id
-                    && (not (Hashtbl.mem seen b.id))
-                    && Rect.chebyshev_gap a.box b.box <= d
-                  then begin
-                    Hashtbl.add seen b.id ();
-                    out := ((a.box, a.value), (b.box, b.value)) :: !out
-                  end)
-                !l))
-    t.items;
+  if d >= 0 then begin
+    let g = frozen t and cell = t.cell in
+    for a = g.n - 1 downto 0 do
+      let ba = fst g.items.(a) in
+      let x0 = Rect.x0 ba - d and y0 = Rect.y0 ba - d in
+      let wcx = fdiv x0 cell and wcy = fdiv y0 cell in
+      let near = ref [] in
+      scan g ~below:a x0 y0 (Rect.x1 ba + d) (Rect.y1 ba + d) (fun b ->
+          let bb = fst g.items.(b) in
+          near := (max wcx (fdiv (Rect.x0 bb) cell), max wcy (fdiv (Rect.y0 bb) cell), b) :: !near);
+      (* [!near] is newest first; the stable sort keeps that per cell. *)
+      List.iter
+        (fun (_, _, b) -> out := (g.items.(a), g.items.(b)) :: !out)
+        (List.stable_sort
+           (fun (x, y, _) (x', y', _) ->
+             let c = Int.compare x x' in
+             if c <> 0 then c else Int.compare y y')
+           !near)
+    done
+  end;
   !out
 
 let fold f acc t =
-  List.fold_left (fun acc it -> f acc it.box it.value) acc (List.rev t.items)
-
-(* Callback forms: same hits as [query]/[pairs_within] with a
-   documented canonical order (ascending ids) and no result list.  The
-   per-window candidate sets are tiny, so sorting a scratch buffer of
-   ids costs less than materialising pairs ever did.  [pairs_within]
-   itself is left untouched: its historical order fixes the order of
-   the findings of its two users, the flat baseline checker and the
-   net-list stage's legal-connection pass. *)
-
-let iter_query t window f = window_hits t window (fun it -> f it.box it.value)
-
-let iter_pairs_within t d f =
-  List.iter
-    (fun a ->
-      match Rect.inflate a.box d with
-      | None -> ()
-      | Some window ->
-        let seen = Hashtbl.create 8 in
-        let near = ref [] in
-        cells_of t window (fun key ->
-            match Hashtbl.find_opt t.buckets key with
-            | None -> ()
-            | Some l ->
-              List.iter
-                (fun b ->
-                  if
-                    b.id < a.id
-                    && (not (Hashtbl.mem seen b.id))
-                    && Rect.chebyshev_gap a.box b.box <= d
-                  then begin
-                    Hashtbl.add seen b.id ();
-                    near := b :: !near
-                  end)
-                !l);
-        List.iter
-          (fun b -> f (a.box, a.value) (b.box, b.value))
-          (List.sort (fun x y -> Int.compare x.id y.id) !near))
-    (List.rev t.items)
+  let acc = ref acc in
+  for i = 0 to t.n - 1 do
+    let box, v = t.items.(i) in
+    acc := f !acc box v
+  done;
+  !acc

@@ -1,42 +1,75 @@
-(** Uniform-grid spatial index.
+(** Flat uniform-grid spatial index.
 
     The interaction search (paper Fig 10, "check interactions") needs
-    "which elements lie within distance d of this window" queries.  A
-    uniform grid hash is ideal for IC layouts: geometry is dense,
-    bounded, and uniformly sized. *)
+    "which elements lie within distance d of this window" queries; so
+    do the net-list stage's candidate pairs and the flat baseline.
+
+    {2 Freezing}
+
+    {!add} appends an item to one array under the next insertion id
+    (0, 1, 2, ...).  The first query after an add freezes the index:
+    each cell's item ids go into one [int] array addressed by a
+    prefix-sum [start] array (a counting sort), ascending within each
+    cell.  A later {!add} thaws it and the next query freezes again, so
+    adds and queries may interleave.
+
+    {2 Cells}
+
+    The internal cell edge is picked from the items: the larger of
+    [~cell] and the median item extent ([max width height]), doubled
+    until the items' hull spans at most [4n + 64] cells.  So a typical
+    item covers at most four cells, and one huge box cannot make the
+    grid large: memory and freeze time are O(items + covered cells).
+    The nominal [~cell] given to {!create} still fixes the historical
+    order of {!pairs_within}; no other result depends on it.
+
+    {2 Reads}
+
+    After the freeze a query writes nothing: an item, or a pair,
+    covering several cells of a window is reported only from the first
+    of them, so there is no seen-set or scratch buffer to share.
+    Concurrent first queries may each build the frozen grid; they build
+    the same one, and it is published atomically.  {!add} must not run
+    concurrently with anything. *)
 
 type 'a t
 
-(** [create ~cell ()] — [cell] is the bucket edge length; pick roughly
-    the largest interaction distance (a few lambda). *)
+(** [create ~cell ()] — [cell] is the nominal cell edge, e.g. the
+    largest interaction distance.  It bounds the internal edge from
+    below and fixes the order of {!pairs_within}. *)
 val create : cell:int -> unit -> 'a t
 
 val add : 'a t -> Rect.t -> 'a -> unit
 val length : 'a t -> int
 
 (** [query t window] — all items whose bounding box touches [window]
-    (closed-set test), each exactly once, in insertion order. *)
+    (closed-set test), each exactly once, in ascending insertion
+    order. *)
 val query : 'a t -> Rect.t -> (Rect.t * 'a) list
 
 (** [pairs_within t d] — all unordered pairs of items whose bounding
     boxes come within Chebyshev distance [d] (inclusive), each pair
-    exactly once.  The pair order is historical (newest item first) and
-    fixes the finding order of the flat checker and of the net-list
-    legal-connection pass; elsewhere prefer {!iter_pairs_within}, which
-    has a canonical order and does not materialise the pair list. *)
+    exactly once; none when [d < 0].
+
+    The order is historical and fixes the finding order of the flat
+    checker and of the net-list legal-connection pass.  Take the pairs
+    [(a, b)] with [b] inserted before [a], [a] newest first, and for
+    each [a] its partners [b] by the first nominal cell ([~cell]) of
+    [a]'s window inflated by [d] that [b] covers, column then row, and
+    newest first within that cell: the list is that sequence reversed.
+    Elsewhere prefer {!iter_pairs_within}. *)
 val pairs_within : 'a t -> int -> ((Rect.t * 'a) * (Rect.t * 'a)) list
 
 (** [iter_query t window f] — [f] applied to the items {!query} would
     return, in ascending insertion order, without building the list. *)
 val iter_query : 'a t -> Rect.t -> (Rect.t -> 'a -> unit) -> unit
 
-(** [iter_pairs_within t d f] — [f a b] for every pair
-    {!pairs_within} would return, in canonical order: [a] ascending by
-    insertion, then [b] ascending among the earlier-inserted items
-    within distance [d] of [a].  Allocation-light: candidate pairs are
-    never materialised as one list. *)
+(** [iter_pairs_within t d f] — [f a b] for every pair {!pairs_within}
+    would return, in canonical order: [a] ascending by insertion, then
+    [b] ascending among the earlier-inserted items within distance [d]
+    of [a].  No pair list is built. *)
 val iter_pairs_within :
   'a t -> int -> (Rect.t * 'a -> Rect.t * 'a -> unit) -> unit
 
-(** Left fold over all items. *)
+(** Left fold over all items in ascending insertion order. *)
 val fold : ('acc -> Rect.t -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

@@ -239,6 +239,22 @@ let test_error_line_numbers () =
   let e = parse_err "L NM;\nB 10 10 0 0;\nB bogus; E" in
   Alcotest.(check int) "line 3" 3 e.Cif.Parse.line
 
+(* A literal past 2^30 used to wrap modulo 2^63: this one read as 400. *)
+let test_literal_bound () =
+  let e = parse_err "L NM;\nB 9223372036854776208 400 0 0;\nE" in
+  Alcotest.(check int) "wrapped literal refused on its line" 2 e.Cif.Parse.line;
+  let bound = Cif.Parse.max_literal in
+  Alcotest.(check int) "bound is 2^30" (1 lsl 30) bound;
+  (match (parse_ok (Printf.sprintf "L NM; B 2 2 %d -%d; E" bound bound)).Cif.Ast.top_elements with
+  | [ Cif.Ast.Box { rect; _ } ] ->
+    Alcotest.(check int) "+2^30 accepted" (bound + 1) (Geom.Rect.x1 rect);
+    Alcotest.(check int) "-2^30 accepted" (-bound - 1) (Geom.Rect.y0 rect)
+  | _ -> Alcotest.fail "expected one box");
+  let e = parse_err (Printf.sprintf "L NM;\nB 2 2 0 0;\n\nB 2 2 %d 0; E" (bound + 1)) in
+  Alcotest.(check int) "2^30 + 1 refused on its line" 4 e.Cif.Parse.line;
+  let e = parse_err (Printf.sprintf "L NM; B 2 2 0 -%d; E" (bound + 1)) in
+  Alcotest.(check int) "-(2^30 + 1) refused" 1 e.Cif.Parse.line
+
 (* ------------------------------------------------------------------ *)
 (* Fuzzing                                                             *)
 
@@ -340,7 +356,8 @@ let () =
         [ Alcotest.test_case "roundtrip simple" `Quick test_print_roundtrip_simple;
           Alcotest.test_case "roundtrip inverter chain" `Quick test_print_roundtrip_inverter;
           Alcotest.test_case "odd box via polygon" `Quick test_print_odd_box_as_polygon;
-          Alcotest.test_case "error line numbers" `Quick test_error_line_numbers ] );
+          Alcotest.test_case "error line numbers" `Quick test_error_line_numbers;
+          Alcotest.test_case "literal bound" `Quick test_literal_bound ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
           [ prop_parse_total; prop_parse_total_cif_like; prop_print_parse_roundtrip ] ) ]

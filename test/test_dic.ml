@@ -776,6 +776,27 @@ let test_uncalled_symbols_still_checked () =
   let result = run_ok (parse "DS 1; L NP; B 100 600 50 300; DF; E") in
   Alcotest.(check bool) "width error in uncalled symbol" true (has_rule "width" result)
 
+(* A box 4,000,000 units square beside a small box and a call, both
+   100 units off its right edge.  A spatial index that files a box
+   under every cell it covers ran out of memory here; the check must
+   take well under a second (the bound leaves room for a slow host). *)
+let test_huge_box () =
+  let src =
+    "DS 1 1 1;\n9 cell;\nL NM;\nB 400 400 200 200;\nDF;\nL NM;\n\
+     B 4000000 4000000 2000000 2000000;\nB 400 400 4000300 200;\n\
+     C 1 T 4000100 1000000;\nE\n"
+  in
+  let t0 = Dic.Metrics.now_ns () in
+  let result = run_ok (parse src) in
+  let secs = Int64.to_float (Int64.sub (Dic.Metrics.now_ns ()) t0) /. 1e9 in
+  Alcotest.(check (list (pair string string))) "two spacing errors"
+    [ ("spacing.NM", "TOP"); ("spacing.NM", "TOP.cell[0]") ]
+    (List.sort compare
+       (List.map
+          (fun (v : Dic.Report.violation) -> (v.Dic.Report.rule, Dic.Report.instance_path v))
+          (errors_of result)));
+  if secs > 5. then Alcotest.failf "huge box took %.1f s" secs
+
 let test_deep_hierarchy () =
   (* A 10-deep chain of wrappers around one box. *)
   let rec defs n acc =
@@ -1071,7 +1092,8 @@ let () =
         [ Alcotest.test_case "empty design" `Quick test_empty_design;
           Alcotest.test_case "uncalled symbols checked" `Quick
             test_uncalled_symbols_still_checked;
-          Alcotest.test_case "deep hierarchy" `Quick test_deep_hierarchy ] );
+          Alcotest.test_case "deep hierarchy" `Quick test_deep_hierarchy;
+          Alcotest.test_case "huge box" `Quick test_huge_box ] );
       ( "structure",
         [ Alcotest.test_case "grid-blocks stats" `Quick test_structure_grid_blocks;
           Alcotest.test_case "shared symbol multiplicity" `Quick

@@ -639,6 +639,223 @@ let prop_grid_index_complete =
         arr;
       got = !want)
 
+(* The hashed grid [Grid_index] replaced, kept verbatim as the oracle
+   for the flat one: every query and both pair enumerations must give
+   the same items in the same order. *)
+module Hashed_grid = struct
+  type 'a item = { id : int; box : Rect.t; value : 'a }
+
+  type 'a t = {
+    cell : int;
+    buckets : (int * int, 'a item list ref) Hashtbl.t;
+    mutable items : 'a item list;  (** newest first *)
+    mutable next_id : int;
+  }
+
+  let create ~cell () =
+    if cell <= 0 then invalid_arg "Grid_index.create: cell must be positive";
+    { cell; buckets = Hashtbl.create 256; items = []; next_id = 0 }
+
+  let fdiv a b = if a >= 0 then a / b else ((a + 1) / b) - 1
+
+  let cells_of t box f =
+    let cx0 = fdiv (Rect.x0 box) t.cell
+    and cy0 = fdiv (Rect.y0 box) t.cell
+    and cx1 = fdiv (Rect.x1 box) t.cell
+    and cy1 = fdiv (Rect.y1 box) t.cell in
+    for cx = cx0 to cx1 do
+      for cy = cy0 to cy1 do
+        f (cx, cy)
+      done
+    done
+
+  let add t box value =
+    let item = { id = t.next_id; box; value } in
+    t.next_id <- t.next_id + 1;
+    t.items <- item :: t.items;
+    cells_of t box (fun key ->
+        match Hashtbl.find_opt t.buckets key with
+        | Some l -> l := item :: !l
+        | None -> Hashtbl.add t.buckets key (ref [ item ]))
+
+  let length t = t.next_id
+
+  (* Every item whose box touches [window], once each, in ascending id
+     (insertion) order. *)
+  let window_hits t window f =
+    let seen = Hashtbl.create 16 in
+    let hits = ref [] in
+    cells_of t window (fun key ->
+        match Hashtbl.find_opt t.buckets key with
+        | None -> ()
+        | Some l ->
+          List.iter
+            (fun it ->
+              if (not (Hashtbl.mem seen it.id)) && Rect.touches ~a:it.box ~b:window then begin
+                Hashtbl.add seen it.id ();
+                hits := it :: !hits
+              end)
+            !l);
+    List.iter f (List.sort (fun a b -> Int.compare a.id b.id) !hits)
+
+  let query t window =
+    let hits = ref [] in
+    window_hits t window (fun it -> hits := (it.box, it.value) :: !hits);
+    List.rev !hits
+
+  let pairs_within t d =
+    let out = ref [] in
+    List.iter
+      (fun a ->
+        match Rect.inflate a.box d with
+        | None -> ()
+        | Some window ->
+          let seen = Hashtbl.create 8 in
+          cells_of t window (fun key ->
+              match Hashtbl.find_opt t.buckets key with
+              | None -> ()
+              | Some l ->
+                List.iter
+                  (fun b ->
+                    if
+                      b.id < a.id
+                      && (not (Hashtbl.mem seen b.id))
+                      && Rect.chebyshev_gap a.box b.box <= d
+                    then begin
+                      Hashtbl.add seen b.id ();
+                      out := ((a.box, a.value), (b.box, b.value)) :: !out
+                    end)
+                  !l))
+      t.items;
+    !out
+
+  let fold f acc t =
+    List.fold_left (fun acc it -> f acc it.box it.value) acc (List.rev t.items)
+
+  (* Callback forms: same hits as [query]/[pairs_within] with a
+     documented canonical order (ascending ids) and no result list.  The
+     per-window candidate sets are tiny, so sorting a scratch buffer of
+     ids costs less than materialising pairs ever did.  [pairs_within]
+     itself is left untouched: its historical order fixes the order of
+     the findings of its two users, the flat baseline checker and the
+     net-list stage's legal-connection pass. *)
+
+  let iter_query t window f = window_hits t window (fun it -> f it.box it.value)
+
+  let iter_pairs_within t d f =
+    List.iter
+      (fun a ->
+        match Rect.inflate a.box d with
+        | None -> ()
+        | Some window ->
+          let seen = Hashtbl.create 8 in
+          let near = ref [] in
+          cells_of t window (fun key ->
+              match Hashtbl.find_opt t.buckets key with
+              | None -> ()
+              | Some l ->
+                List.iter
+                  (fun b ->
+                    if
+                      b.id < a.id
+                      && (not (Hashtbl.mem seen b.id))
+                      && Rect.chebyshev_gap a.box b.box <= d
+                    then begin
+                      Hashtbl.add seen b.id ();
+                      near := b :: !near
+                    end)
+                  !l);
+          List.iter
+            (fun b -> f (a.box, a.value) (b.box, b.value))
+            (List.sort (fun x y -> Int.compare x.id y.id) !near))
+      (List.rev t.items)
+end
+
+(* One seeded box set.  [shape] 0 packs boxes around the origin
+   (negative coordinates included), 1 scatters four clusters millions
+   of units apart so the flat grid's cell edge must grow, and 2 adds one
+   box spanning the whole set.  A fifth of the extents are zero. *)
+let grid_boxes st ~shape ~cell =
+  let n = Random.State.int st 40 in
+  let extent () = if Random.State.int st 5 = 0 then 0 else Random.State.int st 120 in
+  let centres = [| (-3_000_000, 0); (0, 2_000_000); (5_000_000, -5_000_000); (0, 0) |] in
+  let box () =
+    let ox, oy = if shape = 1 then centres.(Random.State.int st 4) else (0, 0) in
+    let x = ox + Random.State.int st 1000 - 500 and y = oy + Random.State.int st 1000 - 500 in
+    Rect.make x y (x + extent ()) (y + extent ())
+  in
+  let boxes = List.init n (fun _ -> box ()) in
+  if shape = 2 then
+    let k = Random.State.int st (n + 1) and half = 25 * cell in
+    List.filteri (fun i _ -> i < k) boxes
+    @ [ Rect.make (-half) (-half) half half ]
+    @ List.filteri (fun i _ -> i >= k) boxes
+  else boxes
+
+(* Everything observable about an index, as comparable data: windows
+   near the items (and one empty far away), pair orders at [d = 0],
+   [d < cell] and [d > cell], the fold and the length. *)
+let grid_observe ~query ~iter_query ~pairs_within ~iter_pairs_within ~fold ~length idx st
+    ~cell =
+  let windows =
+    List.init 6 (fun _ ->
+        let x = Random.State.int st 1400 - 700 and y = Random.State.int st 1400 - 700 in
+        Rect.make x y (x + Random.State.int st 300) (y + Random.State.int st 300))
+    @ [ Rect.make 9_000_000 9_000_000 9_000_001 9_000_001 ]
+  in
+  let ds = [ 0; max 0 (cell / 2); (2 * cell) + Random.State.int st 50 ] in
+  let ids l = List.map snd l in
+  ( List.map (fun w -> ids (query idx w)) windows,
+    List.map
+      (fun w ->
+        let acc = ref [] in
+        iter_query idx w (fun _ v -> acc := v :: !acc);
+        List.rev !acc)
+      windows,
+    List.map (fun d -> List.map (fun ((_, a), (_, b)) -> (a, b)) (pairs_within idx d)) ds,
+    List.map
+      (fun d ->
+        let acc = ref [] in
+        iter_pairs_within idx d (fun (_, a) (_, b) -> acc := (a, b) :: !acc);
+        List.rev !acc)
+      ds,
+    fold (fun acc box v -> (box, v) :: acc) [] idx,
+    length idx )
+
+let test_grid_index_oracle () =
+  for seed = 0 to 599 do
+    let st = Random.State.make [| seed |] in
+    let cell = 8 + Random.State.int st 33 and shape = seed mod 3 in
+    let boxes = grid_boxes st ~shape ~cell in
+    let split = Random.State.int st (List.length boxes + 1) in
+    let flat = Grid_index.create ~cell () and hashed = Hashed_grid.create ~cell () in
+    (* Query the empty index, then between two batches of adds, then
+       after the rest; both indexes see the same windows and
+       distances. *)
+    let phase () =
+      let got =
+        grid_observe ~query:Grid_index.query ~iter_query:Grid_index.iter_query
+          ~pairs_within:Grid_index.pairs_within ~iter_pairs_within:Grid_index.iter_pairs_within
+          ~fold:Grid_index.fold ~length:Grid_index.length flat (Random.State.copy st) ~cell
+      and want =
+        grid_observe ~query:Hashed_grid.query ~iter_query:Hashed_grid.iter_query
+          ~pairs_within:Hashed_grid.pairs_within ~iter_pairs_within:Hashed_grid.iter_pairs_within
+          ~fold:Hashed_grid.fold ~length:Hashed_grid.length hashed (Random.State.copy st) ~cell
+      in
+      if got <> want then
+        Alcotest.failf "seed %d (shape %d, cell %d, %d boxes): flat grid differs from the hashed one"
+          seed shape cell (Grid_index.length flat)
+    in
+    phase ();
+    List.iteri
+      (fun i r ->
+        if i = split then phase ();
+        Grid_index.add flat r i;
+        Hashed_grid.add hashed r i)
+      boxes;
+    phase ()
+  done
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
@@ -716,5 +933,6 @@ let () =
           Alcotest.test_case "union width theorem" `Quick test_skeleton_union_width_theorem ] );
       ( "grid_index",
         [ Alcotest.test_case "query" `Quick test_grid_index_query;
-          Alcotest.test_case "pairs" `Quick test_grid_index_pairs ] );
+          Alcotest.test_case "pairs" `Quick test_grid_index_pairs;
+          Alcotest.test_case "hashed-grid oracle" `Quick test_grid_index_oracle ] );
       qsuite "grid_index.props" [ prop_grid_index_complete ] ]

@@ -164,6 +164,42 @@ let test_stage_parallel_shape () =
     (List.length (List.filter (( = ) "shard[0]") s4) >= 3);
   check_shard_runs "each stage's shards consecutively numbered" s4
 
+(* The interaction stage's own phases: the certificate build and the
+   plan each get a ["phase"] span that lies inside the stage's span. *)
+let test_interaction_phases () =
+  let trace = Dic.Trace.create () in
+  let src = Cif.Print.to_string (Layoutgen.Pla.tier ~lambda ~rows:4 ~cols:6) in
+  let _ = run_ok ~config:(with_jobs 1) ~trace src in
+  let events = Dic.Trace.events trace in
+  let stage =
+    match
+      List.filter
+        (fun e -> e.Dic.Trace.e_cat = "stage" && e.Dic.Trace.e_name = "interactions")
+        events
+    with
+    | [ s ] -> s
+    | _ -> Alcotest.fail "expected one interactions stage span"
+  in
+  let inside e =
+    e.Dic.Trace.e_tid = stage.Dic.Trace.e_tid
+    && stage.Dic.Trace.e_ts_ns <= e.Dic.Trace.e_ts_ns
+    && Int64.add e.Dic.Trace.e_ts_ns e.Dic.Trace.e_dur_ns
+       <= Int64.add stage.Dic.Trace.e_ts_ns stage.Dic.Trace.e_dur_ns
+  in
+  let phases =
+    List.filter_map
+      (fun e ->
+        if e.Dic.Trace.e_cat = "phase" then begin
+          Alcotest.(check bool) (e.Dic.Trace.e_name ^ " inside the stage") true (inside e);
+          Some e.Dic.Trace.e_name
+        end
+        else None)
+      events
+  in
+  Alcotest.(check (list string)) "certify, then plan"
+    ((if Dic.Deckcheck.enabled () then [ "certify" ] else []) @ [ "plan" ])
+    phases
+
 let test_chrome_json_parses () =
   let trace = Dic.Trace.create () in
   let _ = run_ok ~config:(with_jobs 2) ~trace (fig8_src ()) in
@@ -374,7 +410,8 @@ let () =
          Alcotest.test_case "shape invariant across jobs" `Quick
            test_shape_jobs_invariant;
          Alcotest.test_case "stage-parallel shape invariant" `Quick
-           test_stage_parallel_shape ]);
+           test_stage_parallel_shape;
+         Alcotest.test_case "interaction phases" `Quick test_interaction_phases ]);
       ("chrome",
        [ Alcotest.test_case "export parses" `Quick test_chrome_json_parses ]);
       ("provenance",
