@@ -198,8 +198,8 @@ let compose pass model (s : Model.symbol) child_nets =
          calls)
   in
   (* Placed callee hulls are far larger than element skeletons; the
-     index sizes its cells from the items' median extent, with 400 as
-     the floor, so a call covers a few cells rather than hundreds. *)
+     index sizes its cells from twice the items' median extent, with 400
+     as the floor, so a call covers a few cells rather than hundreds. *)
   let idx = Geom.Grid_index.create ~cell:400 () in
   Array.iter (fun (h, item) -> Option.iter (fun h -> Geom.Grid_index.add idx h item) h) items;
   let elt_call i k =

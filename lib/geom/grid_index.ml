@@ -1,15 +1,17 @@
-(* The grid a query reads: a snapshot of the first [n] items and a
-   counting sort of their ids by cell.  It is built whole, published
-   once, and never written again. *)
+(* The grid a query reads: a snapshot of the first [n] items, the few
+   that cover too many cells to file, and the ids of the rest by the
+   cells they cover, in two compressed levels: occupied columns, then
+   each column's occupied cells.  It is built whole, published once,
+   and never written again. *)
 type 'a frozen = {
   n : int;
   items : (Rect.t * 'a) array;
   edge : int;
-  gx : int;  (** cell coordinates of the grid's lower-left cell *)
-  gy : int;
-  nx : int;
-  ny : int;
-  start : int array;  (** cell [c] holds [ids.(start.(c)) .. ids.(start.(c+1) - 1)] *)
+  wide : int array;  (** items covering more than [max_cells] cells, ascending *)
+  cols : int array;  (** occupied columns, ascending *)
+  cstart : int array;  (** column [p] holds cells [cstart.(p) .. cstart.(p+1) - 1] *)
+  rows : int array;  (** each cell's row, ascending within a column *)
+  start : int array;  (** cell [j] holds [ids.(start.(j)) .. ids.(start.(j+1) - 1)] *)
   ids : int array;  (** ascending within each cell *)
 }
 
@@ -39,84 +41,121 @@ let length t = t.n
 
 let fdiv a b = if a >= 0 then a / b else ((a + 1) / b) - 1
 
-(* The [k]th smallest element of [a] (0-based), by Hoare selection;
-   [a] is reordered. *)
-let select a k =
-  let lo = ref 0 and hi = ref (Array.length a - 1) in
-  while !lo < !hi do
-    let pivot = a.((!lo + !hi) / 2) in
-    let i = ref !lo and j = ref !hi in
-    while !i <= !j do
-      while a.(!i) < pivot do incr i done;
-      while a.(!j) > pivot do decr j done;
-      if !i <= !j then begin
-        let x = a.(!i) in
-        a.(!i) <- a.(!j);
-        a.(!j) <- x;
-        incr i;
-        decr j
-      end
+(* An item covering more cells than this is kept off the grid, on the
+   side list every query tests. *)
+let max_cells = 256
+
+(* [order], a permutation of indices into [key], stably reordered so
+   that [key] ascends along it: an LSD radix sort, eight bits a pass, so
+   as many passes as the keys' spread has bytes. *)
+let radix_sort key order =
+  let m = Array.length order in
+  let base = Array.fold_left Int.min max_int key in
+  let spread = Array.fold_left Int.max min_int key - base in
+  let src = ref order and dst = ref (Array.make m 0) and shift = ref 0 in
+  while m > 1 && !shift < Sys.int_size && spread lsr !shift > 0 do
+    let src' = !src and dst' = !dst and sh = !shift in
+    let next = Array.make 257 0 in
+    for j = 0 to m - 1 do
+      let d = ((key.(src'.(j)) - base) lsr sh) land 255 in
+      next.(d + 1) <- next.(d + 1) + 1
     done;
-    if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
+    for d = 1 to 256 do
+      next.(d) <- next.(d) + next.(d - 1)
+    done;
+    for j = 0 to m - 1 do
+      let p = src'.(j) in
+      let d = ((key.(p) - base) lsr sh) land 255 in
+      dst'.(next.(d)) <- p;
+      next.(d) <- next.(d) + 1
+    done;
+    src := dst';
+    dst := src';
+    shift := sh + 8
   done;
-  a.(k)
+  !src
 
-(* Calls [f i c] for every cell [c] item [i]'s [box] covers. *)
-let iter_cells ~edge ~gx ~gy ~ny i box f =
-  for cx = fdiv (Rect.x0 box) edge - gx to fdiv (Rect.x1 box) edge - gx do
-    for cy = fdiv (Rect.y0 box) edge - gy to fdiv (Rect.y1 box) edge - gy do
-      f i ((cx * ny) + cy)
-    done
-  done
-
-(* The cell edge starts at the larger of [~cell] and the median item
-   extent, so a typical item covers at most four cells, and doubles
-   until the items' hull spans at most [4n + 64] cells. *)
+(* The cell edge is the larger of [~cell] and twice the median item
+   extent, so at least half the items are no wider than half a cell and
+   a typical item covers one to four cells.  Only occupied cells are
+   kept, so neither memory nor freeze time depends on how far apart the
+   items lie. *)
 let freeze t =
   let n = t.n and items = t.items in
   let box i = fst items.(i) in
-  let x0 = ref max_int and y0 = ref max_int and x1 = ref min_int and y1 = ref min_int in
-  for i = 0 to n - 1 do
-    x0 := min !x0 (Rect.x0 (box i));
-    y0 := min !y0 (Rect.y0 (box i));
-    x1 := max !x1 (Rect.x1 (box i));
-    y1 := max !y1 (Rect.y1 (box i))
-  done;
-  let limit = (4 * n) + 64 in
-  let rec size edge =
-    let gx = fdiv !x0 edge and gy = fdiv !y0 edge in
-    let nx = fdiv !x1 edge - gx + 1 and ny = fdiv !y1 edge - gy + 1 in
-    if nx > limit / ny then size (2 * edge) else (edge, gx, gy, nx, ny)
+  let edge =
+    if n = 0 then t.cell
+    else begin
+      let extents = Array.init n (fun i -> Int.max (Rect.width (box i)) (Rect.height (box i))) in
+      Int.max t.cell (2 * extents.((radix_sort extents (Array.init n Fun.id)).(n / 2)))
+    end
   in
-  let edge, gx, gy, nx, ny =
-    if n = 0 then (t.cell, 0, 0, 0, 0)
-    else
-      let extent i = max (Rect.width (box i)) (Rect.height (box i)) in
-      size (max t.cell (select (Array.init n extent) (n / 2)))
+  let span lo hi = fdiv hi edge - fdiv lo edge + 1 in
+  (* The number of cells item [i] is filed under; 0 puts it on the side
+     list. *)
+  let cells i =
+    let b = box i in
+    let w = span (Rect.x0 b) (Rect.x1 b) and h = span (Rect.y0 b) (Rect.y1 b) in
+    if w > max_cells || h > max_cells / w then 0 else w * h
   in
-  (* Counting sort: per-cell counts, inclusive prefix sums, then items
-     placed from the top of each cell downwards in descending id
-     order, which leaves every cell ascending and [start.(c)] at its
-     first entry. *)
-  let cells = nx * ny in
-  let start = Array.make (cells + 1) 0 in
-  let count _ c = start.(c) <- start.(c) + 1 in
-  for i = 0 to n - 1 do
-    iter_cells ~edge ~gx ~gy ~ny i (box i) count
-  done;
-  for c = 1 to cells - 1 do
-    start.(c) <- start.(c) + start.(c - 1)
-  done;
-  if cells > 0 then start.(cells) <- start.(cells - 1);
-  let ids = Array.make start.(cells) 0 in
-  let place i c =
-    start.(c) <- start.(c) - 1;
-    ids.(start.(c)) <- i
-  in
+  let counts = Array.init n cells in
+  let wide = ref [] in
   for i = n - 1 downto 0 do
-    iter_cells ~edge ~gx ~gy ~ny i (box i) place
+    if counts.(i) = 0 then wide := i :: !wide
   done;
-  { n; items; edge; gx; gy; nx; ny; start; ids }
+  (* One entry per (cell, item), in ascending item order, sorted by
+     column then row; the sorts are stable, so each cell's items stay
+     ascending. *)
+  let m = Array.fold_left ( + ) 0 counts in
+  let ex = Array.make m 0 and ey = Array.make m 0 and eid = Array.make m 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if counts.(i) > 0 then begin
+      let b = box i in
+      for cx = fdiv (Rect.x0 b) edge to fdiv (Rect.x1 b) edge do
+        for cy = fdiv (Rect.y0 b) edge to fdiv (Rect.y1 b) edge do
+          ex.(!k) <- cx;
+          ey.(!k) <- cy;
+          eid.(!k) <- i;
+          incr k
+        done
+      done
+    end
+  done;
+  let order = radix_sort ex (radix_sort ey (Array.init m Fun.id)) in
+  (* Compress: a cell starts where the column or the row changes, a
+     column where the column does. *)
+  let new_col j = j = 0 || ex.(order.(j)) <> ex.(order.(j - 1)) in
+  let new_cell j = new_col j || ey.(order.(j)) <> ey.(order.(j - 1)) in
+  let ncols = ref 0 and ncells = ref 0 in
+  for j = 0 to m - 1 do
+    if new_col j then incr ncols;
+    if new_cell j then incr ncells
+  done;
+  let cols = Array.make !ncols 0 and cstart = Array.make (!ncols + 1) !ncells in
+  let rows = Array.make !ncells 0 and start = Array.make (!ncells + 1) m in
+  let p = ref 0 and c = ref 0 in
+  for j = 0 to m - 1 do
+    if new_col j then begin
+      cols.(!p) <- ex.(order.(j));
+      cstart.(!p) <- !c;
+      incr p
+    end;
+    if new_cell j then begin
+      rows.(!c) <- ey.(order.(j));
+      start.(!c) <- j;
+      incr c
+    end
+  done;
+  { n;
+    items;
+    edge;
+    wide = Array.of_list !wide;
+    cols;
+    cstart;
+    rows;
+    start;
+    ids = Array.map (fun p -> eid.(p)) order }
 
 let frozen t =
   match Atomic.get t.grid with
@@ -128,70 +167,63 @@ let frozen t =
 
 let meets b x0 y0 x1 y1 = Rect.x0 b <= x1 && x0 <= Rect.x1 b && Rect.y0 b <= y1 && y0 <= Rect.y1 b
 
-(* In-place insertion sort of [a.(0) .. a.(m-1)]. *)
-let sort_prefix a m =
-  for j = 1 to m - 1 do
-    let x = a.(j) in
-    let k = ref (j - 1) in
-    while !k >= 0 && a.(!k) > x do
-      a.(!k + 1) <- a.(!k);
-      decr k
+(* The first [i] in [lo .. hi - 1] with [a.(i) >= v], or [hi]; [a] is
+   strictly ascending there.  Where its values are consecutive, as the
+   columns and rows of a filled region are, [lo + v - a.(lo)] is the
+   answer and is taken at once; otherwise a binary search finds it. *)
+let lower_bound a lo hi v =
+  let guess = if lo < hi then lo + v - a.(lo) else hi in
+  if guess >= lo && guess < hi && a.(guess) = v then guess
+  else begin
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if a.(mid) < v then lo := mid + 1 else hi := mid
     done;
-    a.(!k + 1) <- x
-  done
+    !lo
+  end
 
 (* [scan g ~below x0 y0 x1 y1 f] calls [f i] for every item [i < below]
    whose box meets the closed window, once each, in ascending id order.
-   An item covering several cells of the window is taken only from the
-   first of them (the lowest column, then the lowest row, of the
-   overlap), so no item is marked and nothing shared is written. *)
+   It visits only occupied cells: one search finds the window's first
+   occupied column, and one more per column its first cell.  An item
+   covering several cells of the window is taken only from the first
+   of them (the lowest column, then the lowest row, of the overlap), so
+   no item is marked and nothing shared is written: the hits collect in
+   a list of the query's own. *)
 let scan g ~below x0 y0 x1 y1 f =
-  let e = g.edge and ids = g.ids in
-  let cx0 = max 0 (fdiv x0 e - g.gx) and cx1 = min (g.nx - 1) (fdiv x1 e - g.gx) in
-  let cy0 = max 0 (fdiv y0 e - g.gy) and cy1 = min (g.ny - 1) (fdiv y1 e - g.gy) in
-  if cx0 <= cx1 && cy0 <= cy1 then begin
-    let room = ref 0 in
-    for cx = cx0 to cx1 do
-      let c = cx * g.ny in
-      room := !room + g.start.(c + cy1 + 1) - g.start.(c + cy0)
+  let e = g.edge in
+  let cx0 = fdiv x0 e and cx1 = fdiv x1 e and cy0 = fdiv y0 e and cy1 = fdiv y1 e in
+  let hits = ref [] in
+  for w = 0 to Array.length g.wide - 1 do
+    let i = g.wide.(w) in
+    if i < below && meets (fst g.items.(i)) x0 y0 x1 y1 then hits := i :: !hits
+  done;
+  let ncols = Array.length g.cols in
+  let p = ref (lower_bound g.cols 0 ncols cx0) in
+  while !p < ncols && g.cols.(!p) <= cx1 do
+    let cx = g.cols.(!p) and last = g.cstart.(!p + 1) in
+    let left = cx * e in
+    let j = ref (lower_bound g.rows g.cstart.(!p) last cy0) in
+    while !j < last && g.rows.(!j) <= cy1 do
+      let cy = g.rows.(!j) in
+      let bottom = cy * e in
+      let k = ref g.start.(!j) and stop = g.start.(!j + 1) in
+      while !k < stop && g.ids.(!k) < below do
+        let i = g.ids.(!k) in
+        let b = fst g.items.(i) in
+        if
+          meets b x0 y0 x1 y1
+          && (cx = cx0 || Rect.x0 b >= left)
+          && (cy = cy0 || Rect.y0 b >= bottom)
+        then hits := i :: !hits;
+        incr k
+      done;
+      incr j
     done;
-    let hits = Array.make !room 0 and m = ref 0 in
-    for cx = cx0 to cx1 do
-      let left = (g.gx + cx) * e in
-      for cy = cy0 to cy1 do
-        let bottom = (g.gy + cy) * e in
-        let c = (cx * g.ny) + cy in
-        let k = ref g.start.(c) and stop = g.start.(c + 1) in
-        while !k < stop && ids.(!k) < below do
-          let i = ids.(!k) in
-          let b = fst g.items.(i) in
-          if
-            meets b x0 y0 x1 y1
-            && (cx = cx0 || Rect.x0 b >= left)
-            && (cy = cy0 || Rect.y0 b >= bottom)
-          then begin
-            hits.(!m) <- i;
-            incr m
-          end;
-          incr k
-        done
-      done
-    done;
-    let hits =
-      if !m <= 16 then begin
-        sort_prefix hits !m;
-        hits
-      end
-      else begin
-        let a = Array.sub hits 0 !m in
-        Array.sort Int.compare a;
-        a
-      end
-    in
-    for j = 0 to !m - 1 do
-      f hits.(j)
-    done
-  end
+    incr p
+  done;
+  List.iter f (List.sort Int.compare !hits)
 
 let iter_query t window f =
   let g = frozen t in

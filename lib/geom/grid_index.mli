@@ -8,29 +8,39 @@
 
     {!add} appends an item to one array under the next insertion id
     (0, 1, 2, ...).  The first query after an add freezes the index:
-    each cell's item ids go into one [int] array addressed by a
-    prefix-sum [start] array (a counting sort), ascending within each
-    cell.  A later {!add} thaws it and the next query freezes again, so
-    adds and queries may interleave.
+    the ids filed under each occupied cell go into one [int] array,
+    sorted by column, then row, then id (a radix sort), and indexed in
+    two levels: the occupied columns, then each column's occupied rows.
+    A later {!add} thaws it and the next query freezes again, so adds
+    and queries may interleave.
 
     {2 Cells}
 
     The internal cell edge is picked from the items: the larger of
-    [~cell] and the median item extent ([max width height]), doubled
-    until the items' hull spans at most [4n + 64] cells.  So a typical
-    item covers at most four cells, and one huge box cannot make the
-    grid large: memory and freeze time are O(items + covered cells).
-    The nominal [~cell] given to {!create} still fixes the historical
-    order of {!pairs_within}; no other result depends on it.
+    [~cell] and twice the median item extent ([max width height]), so a
+    typical item covers one to four cells.  Only occupied cells are
+    stored, and a query finds its window's first column, and each
+    column's first row, by search among them, so nothing depends on
+    how far apart the items lie: one box far away from a dense cluster
+    leaves the cluster's cells as they were.  An item that would cover
+    more than 256 cells, such as one box far larger than the rest,
+    stays off the grid on a side list that every query tests directly.
+    So memory is O(items + covered cells), with at most 256 cells per
+    item; the freeze sorts in one pass per byte of the column and of
+    the row spread, one or two each on a compact layout; and a query
+    costs O(side list + occupied columns it spans + ids in its cells),
+    plus a search per column.  The nominal [~cell] given to {!create}
+    still fixes the historical order of {!pairs_within}; no other
+    result depends on it.
 
     {2 Reads}
 
-    After the freeze a query writes nothing: an item, or a pair,
+    After the freeze a query writes nothing shared: an item, or a pair,
     covering several cells of a window is reported only from the first
-    of them, so there is no seen-set or scratch buffer to share.
-    Concurrent first queries may each build the frozen grid; they build
-    the same one, and it is published atomically.  {!add} must not run
-    concurrently with anything. *)
+    of them, so there is no seen-set, and the ids a query collects go
+    into a buffer of its own.  Concurrent first queries may each build
+    the frozen grid; they build the same one, and it is published
+    atomically.  {!add} must not run concurrently with anything. *)
 
 type 'a t
 

@@ -797,6 +797,28 @@ let test_huge_box () =
           (errors_of result)));
   if secs > 5. then Alcotest.failf "huge box took %.1f s" secs
 
+(* A dense 142 x 142 array of metal boxes beside one box 10^8 units
+   away.  A spatial index sized from its items' hull folded the whole
+   array into one cell here and took seconds; one that walks every cell
+   of a query window did not finish in minutes.  Every box is a
+   floating net of its own; the bound leaves room for a slow host. *)
+let test_far_outlier () =
+  let src = Buffer.create (1 lsl 20) in
+  Buffer.add_string src "DS 1 1 1;\n9 cluster;\nL NM;\n";
+  for i = 0 to 141 do
+    for j = 0 to 141 do
+      Printf.bprintf src "B 300 300 %d %d;\n" ((600 * i) + 150) ((600 * j) + 150)
+    done
+  done;
+  Buffer.add_string src "B 300 300 100000150 100000150;\nDF;\nC 1;\nE\n";
+  let t0 = Dic.Metrics.now_ns () in
+  let result = run_ok (parse (Buffer.contents src)) in
+  let secs = Int64.to_float (Int64.sub (Dic.Metrics.now_ns ()) t0) /. 1e9 in
+  Alcotest.(check int) "no errors" 0 (List.length (errors_of result));
+  Alcotest.(check int) "one floating net per box" ((142 * 142) + 1)
+    (List.length (Dic.Report.by_rule_prefix result.Dic.Engine.report "erc.floating-net"));
+  if secs > 5. then Alcotest.failf "far outlier took %.1f s" secs
+
 let test_deep_hierarchy () =
   (* A 10-deep chain of wrappers around one box. *)
   let rec defs n acc =
@@ -1093,7 +1115,8 @@ let () =
           Alcotest.test_case "uncalled symbols checked" `Quick
             test_uncalled_symbols_still_checked;
           Alcotest.test_case "deep hierarchy" `Quick test_deep_hierarchy;
-          Alcotest.test_case "huge box" `Quick test_huge_box ] );
+          Alcotest.test_case "huge box" `Quick test_huge_box;
+          Alcotest.test_case "far outlier" `Quick test_far_outlier ] );
       ( "structure",
         [ Alcotest.test_case "grid-blocks stats" `Quick test_structure_grid_blocks;
           Alcotest.test_case "shared symbol multiplicity" `Quick

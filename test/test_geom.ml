@@ -772,9 +772,13 @@ module Hashed_grid = struct
 end
 
 (* One seeded box set.  [shape] 0 packs boxes around the origin
-   (negative coordinates included), 1 scatters four clusters millions
-   of units apart so the flat grid's cell edge must grow, and 2 adds one
-   box spanning the whole set.  A fifth of the extents are zero. *)
+   (negative coordinates included); 1 scatters four clusters millions
+   of units apart, so most of the grid's hull is empty; 2 adds one box
+   spanning the whole set; 3 adds one box 10^8 units away; 4 adds long
+   strips and large squares, some too large for the grid to file under
+   its cells, which keeps them on its side list.  A fifth of the
+   extents are zero, and the added boxes land at seeded insertion
+   positions. *)
 let grid_boxes st ~shape ~cell =
   let n = Random.State.int st 40 in
   let extent () = if Random.State.int st 5 = 0 then 0 else Random.State.int st 120 in
@@ -784,24 +788,44 @@ let grid_boxes st ~shape ~cell =
     let x = ox + Random.State.int st 1000 - 500 and y = oy + Random.State.int st 1000 - 500 in
     Rect.make x y (x + extent ()) (y + extent ())
   in
+  let big () =
+    let x = Random.State.int st 1000 - 500 and y = Random.State.int st 1000 - 500 in
+    match Random.State.int st 3 with
+    | 0 -> Rect.make (x - Random.State.int st 40_000) y (x + Random.State.int st 40_000) (y + 20)
+    | 1 -> Rect.make x (y - Random.State.int st 40_000) (x + 20) (y + Random.State.int st 40_000)
+    | _ ->
+      let half = 250 + Random.State.int st 1000 in
+      Rect.make (x - half) (y - half) (x + half) (y + half)
+  in
+  let insert boxes extra =
+    List.fold_left
+      (fun boxes b ->
+        let k = Random.State.int st (List.length boxes + 1) in
+        List.filteri (fun i _ -> i < k) boxes @ [ b ] @ List.filteri (fun i _ -> i >= k) boxes)
+      boxes extra
+  in
   let boxes = List.init n (fun _ -> box ()) in
-  if shape = 2 then
-    let k = Random.State.int st (n + 1) and half = 25 * cell in
-    List.filteri (fun i _ -> i < k) boxes
-    @ [ Rect.make (-half) (-half) half half ]
-    @ List.filteri (fun i _ -> i >= k) boxes
-  else boxes
+  match shape with
+  | 2 ->
+    let half = 25 * cell in
+    insert boxes [ Rect.make (-half) (-half) half half ]
+  | 3 -> insert boxes [ Rect.make 100_000_000 (-100_000_000) 100_000_040 (-99_999_990) ]
+  | 4 -> insert boxes (List.init (1 + Random.State.int st 4) (fun _ -> big ()))
+  | _ -> boxes
 
 (* Everything observable about an index, as comparable data: windows
-   near the items (and one empty far away), pair orders at [d = 0],
-   [d < cell] and [d > cell], the fold and the length. *)
+   near the items, a thin one across many columns, one empty far away
+   and one on shape 3's far box; pair orders at [d = 0], [d < cell] and
+   [d > cell]; the fold and the length. *)
 let grid_observe ~query ~iter_query ~pairs_within ~iter_pairs_within ~fold ~length idx st
     ~cell =
   let windows =
     List.init 6 (fun _ ->
         let x = Random.State.int st 1400 - 700 and y = Random.State.int st 1400 - 700 in
         Rect.make x y (x + Random.State.int st 300) (y + Random.State.int st 300))
-    @ [ Rect.make 9_000_000 9_000_000 9_000_001 9_000_001 ]
+    @ [ Rect.make (-3000) 5 3000 15;
+        Rect.make 9_000_000 9_000_000 9_000_001 9_000_001;
+        Rect.make 99_999_990 (-100_000_020) 100_000_100 (-99_999_900) ]
   in
   let ds = [ 0; max 0 (cell / 2); (2 * cell) + Random.State.int st 50 ] in
   let ids l = List.map snd l in
@@ -823,9 +847,12 @@ let grid_observe ~query ~iter_query ~pairs_within ~iter_pairs_within ~fold ~leng
     length idx )
 
 let test_grid_index_oracle () =
-  for seed = 0 to 599 do
+  for seed = 0 to 999 do
     let st = Random.State.make [| seed |] in
-    let cell = 8 + Random.State.int st 33 and shape = seed mod 3 in
+    let shape = seed mod 5 in
+    (* Shape 4's boxes span thousands of units; a coarser nominal cell
+       keeps the hashed grid's per-cell walk short. *)
+    let cell = (if shape = 4 then 40 else 8) + Random.State.int st 33 in
     let boxes = grid_boxes st ~shape ~cell in
     let split = Random.State.int st (List.length boxes + 1) in
     let flat = Grid_index.create ~cell () and hashed = Hashed_grid.create ~cell () in
@@ -855,6 +882,33 @@ let test_grid_index_oracle () =
       boxes;
     phase ()
   done
+
+(* A dense 141 x 142 lattice of boxes beside one box 10^8 units away.
+   The far box must leave the lattice's cells as they are: a grid sized
+   from the items' hull folded the whole lattice into one cell, so that
+   every pair query scanned all of it.  The bound leaves room for a slow
+   host; the lattice takes milliseconds. *)
+let test_grid_index_far_outlier () =
+  let nx = 141 and ny = 142 in
+  let idx = Grid_index.create ~cell:10 () in
+  for i = 0 to nx - 1 do
+    for j = 0 to ny - 1 do
+      Grid_index.add idx (Rect.make (20 * i) (20 * j) ((20 * i) + 10) ((20 * j) + 10)) ()
+    done
+  done;
+  Grid_index.add idx (Rect.make 100_000_000 100_000_000 100_000_010 100_000_010) ();
+  let t0 = Sys.time () in
+  let iterated = ref 0 in
+  Grid_index.iter_pairs_within idx 10 (fun _ _ -> incr iterated);
+  let listed = List.length (Grid_index.pairs_within idx 10) in
+  let lattice = List.length (Grid_index.query idx (Rect.make 0 0 (20 * nx) (20 * ny))) in
+  let secs = Sys.time () -. t0 in
+  (* Each box meets its neighbours across, up and on both diagonals. *)
+  let want = ((nx - 1) * ny) + (nx * (ny - 1)) + (2 * (nx - 1) * (ny - 1)) in
+  Alcotest.(check int) "iter_pairs_within" want !iterated;
+  Alcotest.(check int) "pairs_within" want listed;
+  Alcotest.(check int) "lattice window" (nx * ny) lattice;
+  if secs > 5. then Alcotest.failf "far box took %.1f s" secs
 
 (* ------------------------------------------------------------------ *)
 
@@ -934,5 +988,6 @@ let () =
       ( "grid_index",
         [ Alcotest.test_case "query" `Quick test_grid_index_query;
           Alcotest.test_case "pairs" `Quick test_grid_index_pairs;
-          Alcotest.test_case "hashed-grid oracle" `Quick test_grid_index_oracle ] );
+          Alcotest.test_case "hashed-grid oracle" `Quick test_grid_index_oracle;
+          Alcotest.test_case "far outlier" `Quick test_grid_index_far_outlier ] );
       qsuite "grid_index.props" [ prop_grid_index_complete ] ]
