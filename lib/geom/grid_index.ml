@@ -78,8 +78,8 @@ let radix_sort key order =
 (* The cell edge is the larger of [~cell] and twice the median item
    extent, so at least half the items are no wider than half a cell and
    a typical item covers one to four cells.  Only occupied cells are
-   kept, so neither memory nor freeze time depends on how far apart the
-   items lie. *)
+   kept, so how far apart the items lie leaves memory as it is and
+   changes freeze time only through the number of radix passes. *)
 let freeze t =
   let n = t.n and items = t.items in
   let box i = fst items.(i) in

@@ -20,9 +20,9 @@
     [~cell] and twice the median item extent ([max width height]), so a
     typical item covers one to four cells.  Only occupied cells are
     stored, and a query finds its window's first column, and each
-    column's first row, by search among them, so nothing depends on
-    how far apart the items lie: one box far away from a dense cluster
-    leaves the cluster's cells as they were.  An item that would cover
+    column's first row, by search among them, so how far apart the
+    items lie changes only the number of sorting passes: one box far
+    away from a dense cluster leaves the cluster's cells as they were.  An item that would cover
     more than 256 cells, such as one box far larger than the rest,
     stays off the grid on a side list that every query tests directly.
     So memory is O(items + covered cells), with at most 256 cells per
