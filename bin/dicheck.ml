@@ -77,7 +77,10 @@ let deck_exit ~werror ~lint_werror (report : Dic.Report.t) =
 let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~markers
     ~jobs ~cache ~stats_json ~trace_out ~sarif_out ~top_cost ~progress ~werror ~lint
     ~lint_werror ~input decks src =
-  match Cif.Parse.file src with
+  (* The trace covers the whole process: [cli] spans time the parse and
+     the two renderings around the engine's own [stage] spans. *)
+  let trace = match trace_out with None -> None | Some _ -> Some (Dic.Trace.create ()) in
+  match Dic.Trace.with_span trace ~cat:"cli" "parse" (fun () -> Cif.Parse.file src) with
   | Error e ->
     Printf.eprintf "parse error: %s\n" (Cif.Parse.string_of_error e);
     2
@@ -102,7 +105,6 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
       let e = Dic.Engine.with_lint e (lint || lint_werror) in
       Dic.Engine.with_expected_netlist e expected_netlist
     in
-    let trace = match trace_out with None -> None | Some _ -> Some (Dic.Trace.create ()) in
     let progress_fn =
       if progress then Some (fun stage -> Printf.eprintf "[dicheck] %s...\n%!" stage)
       else None
@@ -119,22 +121,17 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
       (* When any structured output claims stdout, the human report
          moves to stderr so the JSON stream stays parseable. *)
       let on_stdout = function Some "-" -> true | _ -> false in
-      let out =
+      let out, out_channel =
         if on_stdout stats_json || on_stdout trace_out || on_stdout sarif_out then
-          Format.err_formatter
-        else Format.std_formatter
+          (Format.err_formatter, stderr)
+        else (Format.std_formatter, stdout)
       in
       (* A single deck prints exactly the historical report; several
          decks print the merged view with deck-membership annotations
          and the compliant-intersection verdict. *)
-      if single then begin
-        Format.fprintf out "%a@." Dic.Report.pp result.Dic.Engine.report;
-        Format.fprintf out "%a@." Dic.Engine.pp_summary result
-      end
-      else begin
-        Format.fprintf out "%a@." Dic.Multireport.pp multi.Dic.Engine.merged;
-        Format.fprintf out "%a@." Dic.Multireport.pp_summary multi.Dic.Engine.merged
-      end;
+      let merged = if single then None else Some (Dic.Engine.merged multi) in
+      Dic.Trace.with_span trace ~cat:"cli" "report" (fun () ->
+          Out_channel.output_string out_channel (Dic.Engine.report_text ?merged multi));
       (* Reuse goes to stderr: a warm run's stdout must stay
          byte-identical to the cold run's. *)
       if cache <> None then
@@ -169,36 +166,34 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
         (* Multi-deck markers cover the merged view: every violation any
            deck flagged, once. *)
         let marker_report =
-          if single then result.Dic.Engine.report
-          else
+          match merged with
+          | None -> result.Dic.Engine.report
+          | Some m ->
             { Dic.Report.violations =
                 List.rev_map
                   (fun (e : Dic.Multireport.entry) -> e.Dic.Multireport.violation)
-                  multi.Dic.Engine.merged.Dic.Multireport.entries }
+                  m.Dic.Multireport.entries }
         in
         Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc (Dic.Markers.to_cif marker_report)));
       (match stats_json with
       | None -> ()
       | Some path -> write_output path (Dic.Metrics.to_json result.Dic.Engine.metrics));
+      (* The SARIF document is rendered before the trace is written, so
+         its span is in the trace; it is still written last. *)
+      let sarif =
+        Option.map
+          (fun path ->
+            let uri = if input = "-" then "stdin" else input in
+            ( path,
+              Dic.Trace.with_span trace ~cat:"cli" "sarif" (fun () ->
+                  Dic.Engine.sarif ~set:(not single) ~uri multi) ))
+          sarif_out
+      in
       (match (trace_out, trace) with
       | Some path, Some tr -> write_output path (Dic.Trace.to_chrome_json tr)
       | _ -> ());
-      (match sarif_out with
-      | None -> ()
-      | Some path ->
-        let uri = if input = "-" then "stdin" else input in
-        if single then
-          write_output path (Dic.Sarif.of_report ~uri result.Dic.Engine.report)
-        else
-          write_output path
-            (Dic.Sarif.of_reports ~uri
-               (List.map
-                  (fun (dr : Dic.Engine.deck_result) ->
-                    ( dr.Dic.Engine.dr_deck.Dic.Engine.dk_label,
-                      dr.Dic.Engine.dr_deck.Dic.Engine.dk_rules,
-                      dr.Dic.Engine.dr_result.Dic.Engine.report ))
-                  multi.Dic.Engine.results)));
+      Option.iter (fun (path, doc) -> write_output path doc) sarif;
       List.fold_left
         (fun acc (dr : Dic.Engine.deck_result) ->
           max acc

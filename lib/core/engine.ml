@@ -55,12 +55,16 @@ type deck_result = {
 
 type multi = {
   results : deck_result list;
-  merged : Multireport.t;
+  relations : string list;
 }
 
 let primary m =
   let dr = List.hd m.results in
   (dr.dr_result, dr.dr_reuse)
+
+let merged m =
+  Multireport.make ~relations:m.relations
+    (List.map (fun dr -> (dr.dr_deck.dk_label, dr.dr_result.report)) m.results)
 
 let erc_violations netlist =
   List.map
@@ -76,7 +80,7 @@ let erc_violations netlist =
         (* A floating net is suspicious, not provably fatal. *)
         match v with Netlist.Erc.Floating_net _ -> `W | _ -> `E
       in
-      let msg = Format.asprintf "%a" Netlist.Erc.pp_violation v in
+      let msg = Netlist.Erc.message v in
       match severity with
       | `E -> Report.error ~stage:Report.Electrical ~rule ~context:"netlist" msg
       | `W -> Report.warning ~stage:Report.Electrical ~rule ~context:"netlist" msg)
@@ -565,30 +569,59 @@ let check ?metrics ?trace ?progress t file =
            interactions_by_deck)
         lookups
     in
-    (* Pairwise subsumption verdicts (R015) live only in the merged
-       view: injecting them into per-deck reports would break the
-       "each deck's report is byte-identical to that deck checked
-       alone" invariant. *)
+    (* Pairwise subsumption verdicts (R015) live only beside the
+       per-deck results: injecting them into per-deck reports would
+       break the "each deck's report is byte-identical to that deck
+       checked alone" invariant. *)
     let relations =
       match decks with
       | _ :: _ :: _ when t.e_config.run_lint ->
         Deckcheck.relation_lines (List.map (fun d -> (d.dk_label, d.dk_rules)) decks)
       | _ -> []
     in
-    let merged =
-      Multireport.make ~relations
-        (List.map (fun dr -> (dr.dr_deck.dk_label, dr.dr_result.report)) deck_results)
-    in
     Metrics.count_report m (List.hd deck_results).dr_result.report;
-    Ok { results = deck_results; merged }
+    Ok { results = deck_results; relations }
 
 let check_string ?metrics ?trace ?progress t src =
   match Cif.Parse.file src with
   | Error e -> Error (Cif.Parse.string_of_error e)
   | Ok file -> check ?metrics ?trace ?progress t file
 
-let pp_summary ppf r =
+let summary r =
   let by sev = Report.count ~severity:sev r.report in
-  Format.fprintf ppf "%d error(s), %d warning(s), %d net(s)" (by Report.Error)
+  Printf.sprintf "%d error(s), %d warning(s), %d net(s)" (by Report.Error)
     (by Report.Warning)
     (List.length r.netlist.Netlist.Net.nets)
+
+let pp_summary ppf r = Format.pp_print_string ppf (summary r)
+
+(* ------------------------------------------------------------------ *)
+(* Rendering a check                                                   *)
+
+let report_text ?merged m =
+  let buf = Buffer.create 4096 in
+  (match merged with
+  | None ->
+    let r, _ = primary m in
+    Report.add_lines buf r.report;
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (summary r)
+  | Some mr ->
+    Multireport.add_lines buf mr;
+    Buffer.add_char buf '\n';
+    Multireport.add_summary buf mr);
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+let sarif ~set ~uri m =
+  let suppressed dr = Lint.to_violations dr.dr_suppressed in
+  if set then
+    Sarif.of_reports ~uri
+      ~suppressed:(List.map (fun dr -> (dr.dr_deck.dk_label, suppressed dr)) m.results)
+      ~relations:m.relations
+      (List.map
+         (fun dr -> (dr.dr_deck.dk_label, dr.dr_deck.dk_rules, dr.dr_result.report))
+         m.results)
+  else
+    let dr = List.hd m.results in
+    Sarif.of_report ~uri ~suppressed:(suppressed dr) dr.dr_result.report

@@ -48,7 +48,7 @@
     - a single-deck session's report is byte-identical to the
       historical single-rule-set engine;
     - each deck's report in a multi-deck session is byte-identical to
-      that deck checked alone, and the {!multi.merged} view is a
+      that deck checked alone, and the {!merged} view is a
       deterministic function of the per-deck reports — so it too is
       byte-stable across jobs, workers, and warmth;
     - a corrupted or stale cache file degrades to a recompute, never to
@@ -132,17 +132,24 @@ type deck_result = {
           from the caches; empty when [run_lint] is off *)
 }
 
-(** The multi-result: per-deck results in deck order, plus the merged
-    cross-deck report (deck-membership vectors, per-deck summaries, the
-    compliant-intersection verdict). *)
+(** The multi-result: per-deck results in deck order, plus the
+    pairwise deck-relation verdicts ({!Deckcheck.relation_lines};
+    empty unless lint ran over two or more decks). *)
 type multi = {
   results : deck_result list;
-  merged : Multireport.t;
+  relations : string list;
 }
 
 (** The first deck's (result, reuse) — the whole story for a
     single-deck session. *)
 val primary : multi -> result * reuse
+
+(** The merged cross-deck report (deck-membership vectors, per-deck
+    summaries, the relations, the compliant-intersection verdict),
+    built on each call from the per-deck reports: {!check} never builds
+    it, and nothing is cached or shared between domains.  Only a deck
+    set's rendering reads it; compute it once per rendering. *)
+val merged : multi -> Multireport.t
 
 type t
 
@@ -204,7 +211,7 @@ val same_env : t -> Tech.Rules.t -> config -> bool
 
 (** Run the pipeline on an already-parsed file.  One elaboration, one
     net structure, one interaction worklist per [max_dist] class — then
-    one report per deck plus the merged view.  For a single-deck
+    one report per deck ({!merged} folds them on demand).  For a single-deck
     engine, [primary] of the result is identical in report bytes,
     metrics shape, and trace shape to the historical single-deck
     engine, cold or warm.  [metrics] lets the caller supply (and keep)
@@ -224,6 +231,27 @@ val check_string :
 
 (** One-line summary: error/warning counts and net count. *)
 val pp_summary : Format.formatter -> result -> unit
+
+(** {2 Rendering a check}
+
+    The two documents a check produces, shared by [dicheck check] and
+    [dicheck serve] so their bytes cannot drift apart.  Each is one
+    string, written into one [Buffer.t] by the {!Report},
+    {!Multireport} and {!Sarif} buffer writers. *)
+
+(** The report text: with [merged] (a deck set's {!merged} view), that
+    view's lines, a newline, its summary and a newline; without it, the
+    primary deck's {!Report.add_lines}, a newline, the {!pp_summary}
+    line and a newline — exactly what [Report.pp] then [pp_summary],
+    each followed by [@.], print at column 0. *)
+val report_text : ?merged:Multireport.t -> multi -> string
+
+(** The SARIF document.  [set:false] renders the primary deck with
+    {!Sarif.of_report}; [set:true] renders one run per deck with
+    {!Sarif.of_reports}, carrying the {!multi.relations}.  Either way
+    each deck's waived lint diagnostics ([dr_suppressed]) ride along as
+    suppressed results.  [uri] names the artifact. *)
+val sarif : set:bool -> uri:string -> multi -> string
 
 (** {2 Shared pieces}
 

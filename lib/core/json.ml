@@ -9,24 +9,35 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 
+(* The one JSON string escaper: quotes, backslashes and control bytes
+   are escaped, every other byte (UTF-8 included) is copied.  [short]
+   gives backspace and form feed their two-character forms, as {!quote}
+   always has; the structured outputs (SARIF, metrics, traces) spell
+   them [\u0008] and [\u000c]. *)
+let add_literal ~short buf s =
+  Buffer.add_char buf '"';
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | '\b' when short -> Buffer.add_string buf "\\b"
+    | '\012' when short -> Buffer.add_string buf "\\f"
+    | c when c < ' ' ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+      Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]
+    | c -> Buffer.add_char buf c
+  done;
+  Buffer.add_char buf '"'
+
+let add_quoted buf s = add_literal ~short:false buf s
+
 let quote s =
   let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
+  add_literal ~short:true buf s;
   Buffer.contents buf
 
 let number_to_string f =
@@ -40,7 +51,7 @@ let to_string v =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num f -> Buffer.add_string buf (number_to_string f)
-    | Str s -> Buffer.add_string buf (quote s)
+    | Str s -> add_literal ~short:true buf s
     | Arr vs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -54,7 +65,7 @@ let to_string v =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (quote k);
+          add_literal ~short:true buf k;
           Buffer.add_char buf ':';
           go v)
         kvs;

@@ -1,8 +1,9 @@
 (** A minimal JSON value type, parser, and printer.
 
     The repository's structured outputs ({!Metrics.to_json},
-    {!Sarif.of_report}, {!Trace.to_chrome_json}) are string emitters and
-    need no value type; this module exists for the places that must
+    {!Sarif.of_report}, {!Trace.to_chrome_json}) are buffer writers and
+    need no value type, only {!add_quoted}; this module exists for the
+    places that must
     {e read} JSON — the [dicheck serve] request protocol ({!Serve}) —
     and for composing reply objects without string-splicing bugs.
 
@@ -26,8 +27,16 @@ val parse : string -> (t, string) result
 val to_string : t -> string
 
 (** [quote s] is the JSON string literal for [s], including the
-    surrounding double quotes. *)
+    surrounding double quotes.  Backspace and form feed take their
+    short forms [\b] and [\f]; other control bytes are [\u00XX]. *)
 val quote : string -> string
+
+(** [add_quoted buf s] appends the JSON string literal for [s] to
+    [buf], escaping in place: the one escaper behind {!Sarif},
+    {!Metrics.to_json} and {!Trace.to_chrome_json}.  It differs from
+    {!quote} only in spelling backspace and form feed [\u0008] and
+    [\u000c], as those documents always have. *)
+val add_quoted : Buffer.t -> string -> unit
 
 (** {1 Accessors}
 

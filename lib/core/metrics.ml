@@ -272,21 +272,6 @@ let count_report t (report : Report.t) =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Canonical float rendering for gauges/window stats: integral values
    print like integers, everything else to 6 significant digits.  The
    point is determinism for equal states, not full precision. *)
@@ -311,25 +296,32 @@ let window_stats_fields s =
 let to_json t =
   let buf = Buffer.create 1024 in
   let add = Buffer.add_string buf in
+  let key name =
+    Json.add_quoted buf name;
+    add ":"
+  in
   add "{\"stages\":[";
   List.iteri
     (fun i (name, s) ->
       if i > 0 then add ",";
-      add (Printf.sprintf "{\"name\":\"%s\",\"seconds\":%.9f}" (json_escape name) s))
+      add "{\"name\":";
+      Json.add_quoted buf name;
+      add (Printf.sprintf ",\"seconds\":%.9f}" s))
     (stage_seconds t);
   add "],\"counters\":{";
   List.iteri
     (fun i (name, v) ->
       if i > 0 then add ",";
-      add (Printf.sprintf "\"%s\":%d" (json_escape name) v))
+      key name;
+      add (string_of_int v))
     (counters t);
   add "},\"histograms\":{";
   List.iteri
     (fun i name ->
       if i > 0 then add ",";
       let s = snapshot (Hashtbl.find t.hists name) in
-      add (Printf.sprintf "\"%s\":{\"count\":%d,\"sum_ns\":%Ld,\"buckets\":[" (json_escape name)
-             s.h_count s.h_sum_ns);
+      key name;
+      add (Printf.sprintf "{\"count\":%d,\"sum_ns\":%Ld,\"buckets\":[" s.h_count s.h_sum_ns);
       List.iteri
         (fun j (le, n) ->
           if j > 0 then add ",";
@@ -341,20 +333,23 @@ let to_json t =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then add ",";
-      add (Printf.sprintf "\"%s\":%s" (json_escape name) (float_str v)))
+      key name;
+      add (float_str v))
     (gauges t);
   add "},\"windows\":{";
   List.iteri
     (fun i name ->
       if i > 0 then add ",";
       let s = Option.get (window t name) in
-      add (Printf.sprintf "\"%s\":{%s}" (json_escape name) (window_stats_fields s)))
+      key name;
+      add ("{" ^ window_stats_fields s ^ "}"))
     (window_names t);
   add "},\"costs\":{";
   List.iteri
     (fun i (name, ns) ->
       if i > 0 then add ",";
-      add (Printf.sprintf "\"%s\":%Ld" (json_escape name) ns))
+      key name;
+      add (Int64.to_string ns))
     (costs t);
   add "}}";
   Buffer.contents buf

@@ -63,31 +63,39 @@ let compliant t =
 
 let all_compliant t = List.for_all (fun s -> s.ds_errors = 0) t.summaries
 
-let pp ppf t =
+let add_lines buf t =
   let labels = Array.of_list (List.map (fun s -> s.ds_label) t.summaries) in
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list (fun ppf e ->
-         Format.fprintf ppf "%a [decks: %s]" Report.pp_violation e.violation
-           (String.concat "," (List.map (fun i -> labels.(i)) e.decks))))
+  List.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_char buf '\n';
+      Report.add_violation buf e.violation;
+      Buffer.add_string buf " [decks: ";
+      Buffer.add_string buf (String.concat "," (List.map (fun i -> labels.(i)) e.decks));
+      Buffer.add_char buf ']')
     t.entries
 
-let pp_summary ppf t =
-  Format.fprintf ppf "@[<v>";
+let add_summary buf t =
   List.iter
     (fun s ->
-      Format.fprintf ppf "deck %s: %d error(s), %d warning(s) — %s@," s.ds_label
+      Printf.bprintf buf "deck %s: %d error(s), %d warning(s) — %s\n" s.ds_label
         s.ds_errors s.ds_warnings
         (if s.ds_errors = 0 then "compliant" else "violating"))
     t.summaries;
   (* Deck-relation verdicts (R015), only ever present for multi-deck
      sessions, so single-deck summary bytes are untouched. *)
-  List.iter (fun line -> Format.fprintf ppf "deck relation: %s@," line) t.relations;
+  List.iter (fun line -> Printf.bprintf buf "deck relation: %s\n" line) t.relations;
   let n = List.length t.summaries in
-  (match compliant t with
-  | [] -> Format.fprintf ppf "compliant with none of %d deck(s)" n
-  | ls when List.length ls = n ->
-    Format.fprintf ppf "compliant with all %d deck(s)" n
+  match compliant t with
+  | [] -> Printf.bprintf buf "compliant with none of %d deck(s)" n
+  | ls when List.length ls = n -> Printf.bprintf buf "compliant with all %d deck(s)" n
   | ls ->
-    Format.fprintf ppf "compliant with %d of %d deck(s): %s" (List.length ls) n
-      (String.concat ", " ls));
-  Format.fprintf ppf "@]"
+    Printf.bprintf buf "compliant with %d of %d deck(s): %s" (List.length ls) n
+      (String.concat ", " ls)
+
+let render add t =
+  let buf = Buffer.create 256 in
+  add buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (render add_lines t)
+let pp_summary ppf t = Format.pp_print_string ppf (render add_summary t)

@@ -55,9 +55,19 @@ val compliant : t -> string list
 
 val all_compliant : t -> bool
 
+(** {2 Rendering}
+
+    Buffer writers, as in {!Report}: lines joined by ['\n'], no newline
+    after the last.  The printers print the same text as one string,
+    under {!Report.pp}'s column-0 contract. *)
+
 (** The merged violation list, one line per entry:
     [<violation> [decks: a,b]]. *)
-val pp : Format.formatter -> t -> unit
+val add_lines : Buffer.t -> t -> unit
 
-(** Per-deck verdict lines plus the compliant-intersection verdict. *)
+(** Per-deck verdict lines, the deck-relation lines, then the
+    compliant-intersection verdict. *)
+val add_summary : Buffer.t -> t -> unit
+
+val pp : Format.formatter -> t -> unit
 val pp_summary : Format.formatter -> t -> unit

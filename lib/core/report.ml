@@ -55,22 +55,59 @@ let severity_name = function Error -> "error" | Warning -> "warning" | Info -> "
 
 let instance_path v = match v.path with Some p -> p | None -> v.context
 
-let pp_violation ppf v =
-  Format.fprintf ppf "[%s/%s] %s: %s%s%s%s" (stage_name v.stage)
-    (severity_name v.severity) v.rule v.message
-    (match v.where with
-    | None -> ""
-    | Some r -> Format.asprintf " at %a" Geom.Rect.pp r)
-    (let p = instance_path v in
-     if p = "" then "" else " in " ^ p)
-    (match v.loc with
-    | None -> ""
-    | Some l -> Format.asprintf " (cif %a)" Cif.Loc.pp l)
+let add_int buf n = Buffer.add_string buf (string_of_int n)
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list pp_violation)
+let add_violation buf v =
+  let add = Buffer.add_string buf in
+  add "[";
+  add (stage_name v.stage);
+  add "/";
+  add (severity_name v.severity);
+  add "] ";
+  add v.rule;
+  add ": ";
+  add v.message;
+  (match v.where with
+  | None -> ()
+  | Some r ->
+    (* {!Geom.Rect.pp}'s [[x0,y0 - x1,y1]]. *)
+    add " at [";
+    add_int buf (Geom.Rect.x0 r);
+    add ",";
+    add_int buf (Geom.Rect.y0 r);
+    add " - ";
+    add_int buf (Geom.Rect.x1 r);
+    add ",";
+    add_int buf (Geom.Rect.y1 r);
+    add "]");
+  (match instance_path v with
+  | "" -> ()
+  | p ->
+    add " in ";
+    add p);
+  match v.loc with
+  | None -> ()
+  | Some l ->
+    add " (cif ";
+    add_int buf l.Cif.Loc.line;
+    add ":";
+    add_int buf l.Cif.Loc.col;
+    add ")"
+
+let add_lines buf t =
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf '\n';
+      add_violation buf v)
     (List.rev t.violations)
+
+let render add x =
+  let buf = Buffer.create 256 in
+  add buf x;
+  Buffer.contents buf
+
+let pp_violation ppf v = Format.pp_print_string ppf (render add_violation v)
+let pp ppf t = Format.pp_print_string ppf (render add_lines t)
 
 let make severity ~stage ~rule ?where ~context ?path ?loc message =
   { stage; rule; severity; where; context; path; loc; message }

@@ -56,7 +56,32 @@ val stage_name : stage -> string
     location known for the violation. *)
 val instance_path : violation -> string
 
+(** {2 Rendering}
+
+    One violation renders as one line,
+    [[stage/severity] rule: message at [x0,y0 - x1,y1] in path (cif line:col)],
+    each of the last three parts present only when the violation has a
+    box, a non-empty {!instance_path} and a source position.  The
+    writers append straight into a [Buffer.t], with no [Format] or
+    [Printf] on the way; the printers print the same bytes. *)
+
+(** Append one violation's line, with no newline. *)
+val add_violation : Buffer.t -> violation -> unit
+
+(** Append the report's lines in print order (oldest violation first),
+    joined by ['\n'], with no newline after the last; nothing for the
+    empty report. *)
+val add_lines : Buffer.t -> t -> unit
+
+(** Print {!add_violation}'s line. *)
 val pp_violation : Format.formatter -> violation -> unit
+
+(** Print {!add_lines}'s text as one string.  Every caller prints it at
+    column 0, where it is the report's lines joined by ['\n'].  The
+    newlines are part of the string, not [Format] break hints: inside
+    an indented box the second and later lines start at column 0, not
+    at the box's indentation, and the formatter's column count is not
+    reset by them. *)
 val pp : Format.formatter -> t -> unit
 
 (** Helper constructors. *)

@@ -1,4 +1,5 @@
-(* SARIF 2.1.0 emission, by hand.
+(* SARIF 2.1.0 emission, by hand: every field is appended to one
+   document buffer, strings escaped in place by {!Json.add_quoted}.
 
    The output is deterministic: rules are sorted by id, results keep
    report order, and no timestamps or absolute paths are embedded, so
@@ -12,23 +13,7 @@ let level_of_severity = function
   | Report.Warning -> "warning"
   | Report.Info -> "note"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let str s = "\"" ^ json_escape s ^ "\""
+let add_int buf n = Buffer.add_string buf (string_of_int n)
 
 (* The distinct rule ids of the report (and of any suppressed results
    riding along), sorted, with their index in the emitted [rules] array
@@ -95,7 +80,7 @@ let deck_position deck_rules id =
           first_pos [ directed a b; directed b a; "space_poly_diffusion" ]
         | _ -> None)))
 
-let rule_json ?deck_rules (id, _index) =
+let add_rule buf ?deck_rules (id, _index) =
   (* Lint rules carry their stable-code explanation; for everything
      else the rule family (prefix before the first dot) doubles as a
      short description, the full semantics living in the stage docs. *)
@@ -114,64 +99,71 @@ let rule_json ?deck_rules (id, _index) =
       in
       family ^ " rule " ^ id
   in
-  let deck_props =
-    (* Point the rule back at its defining line in this run's deck, so
-       a multi-deck SARIF log distinguishes which deck's parameter each
-       run is enforcing. *)
-    match Option.bind deck_rules (fun r -> deck_position r id) with
-    | Some (key, line) ->
-      Printf.sprintf ",\"properties\":{\"deckKey\":%s,\"deckLine\":%d}" (str key) line
-    | None -> ""
-  in
-  Printf.sprintf "{\"id\":%s,\"shortDescription\":{\"text\":%s}%s}" (str id)
-    (str desc) deck_props
+  let add = Buffer.add_string buf in
+  add "{\"id\":";
+  Json.add_quoted buf id;
+  add ",\"shortDescription\":{\"text\":";
+  Json.add_quoted buf desc;
+  add "}";
+  (* Point the rule back at its defining line in this run's deck, so
+     a multi-deck SARIF log distinguishes which deck's parameter each
+     run is enforcing. *)
+  (match Option.bind deck_rules (fun r -> deck_position r id) with
+  | Some (key, line) ->
+    add ",\"properties\":{\"deckKey\":";
+    Json.add_quoted buf key;
+    add ",\"deckLine\":";
+    add_int buf line;
+    add "}"
+  | None -> ());
+  add "}"
 
-let region_json (l : Cif.Loc.t) =
-  Printf.sprintf "{\"startLine\":%d,\"startColumn\":%d}" l.Cif.Loc.line l.Cif.Loc.col
-
-let location_json ~uri (v : Report.violation) =
-  let physical =
-    match v.Report.loc with
-    | Some l ->
-      Printf.sprintf "\"physicalLocation\":{\"artifactLocation\":{\"uri\":%s},\"region\":%s}"
-        (str uri) (region_json l)
-    | None ->
-      (* No source position (programmatic AST): still name the artifact
-         so viewers group results by file. *)
-      Printf.sprintf "\"physicalLocation\":{\"artifactLocation\":{\"uri\":%s}}" (str uri)
-  in
-  let logical =
-    Printf.sprintf
-      "\"logicalLocations\":[{\"fullyQualifiedName\":%s,\"kind\":\"member\"}]"
-      (str (Report.instance_path v))
-  in
-  Printf.sprintf "{%s,%s}" physical logical
-
-let result_json ?(suppressed = false) ~uri rules (v : Report.violation) =
-  let rule_index = match List.assoc_opt v.Report.rule rules with Some i -> i | None -> -1 in
-  let region_props =
-    match v.Report.where with
-    | None -> ""
-    | Some r ->
-      (* Layout coordinates ride along as properties: SARIF regions are
-         text-based, and [where] is geometry in [context]'s frame. *)
-      Printf.sprintf
-        ",\"properties\":{\"bboxX0\":%d,\"bboxY0\":%d,\"bboxX1\":%d,\"bboxY1\":%d}"
-        (Geom.Rect.x0 r) (Geom.Rect.y0 r) (Geom.Rect.x1 r) (Geom.Rect.y1 r)
-  in
-  let suppressions =
-    (* A waived diagnostic is still a [result] — reviewers see what was
-       silenced — but carries an [inSource] suppression (the waiver
-       lives in the deck comment or the design's [4L] command), which
-       SARIF viewers render as "suppressed" instead of open. *)
-    if suppressed then ",\"suppressions\":[{\"kind\":\"inSource\"}]" else ""
-  in
-  Printf.sprintf
-    "{\"ruleId\":%s,\"ruleIndex\":%d,\"level\":%s,\"message\":{\"text\":%s},\"locations\":[%s]%s%s}"
-    (str v.Report.rule) rule_index
-    (str (level_of_severity v.Report.severity))
-    (str v.Report.message)
-    (location_json ~uri v) region_props suppressions
+let add_result buf ~suppressed ~uri rules (v : Report.violation) =
+  let add = Buffer.add_string buf in
+  add "{\"ruleId\":";
+  Json.add_quoted buf v.Report.rule;
+  add ",\"ruleIndex\":";
+  add_int buf (match List.assoc_opt v.Report.rule rules with Some i -> i | None -> -1);
+  add ",\"level\":\"";
+  add (level_of_severity v.Report.severity);
+  add "\",\"message\":{\"text\":";
+  Json.add_quoted buf v.Report.message;
+  add "},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":";
+  Json.add_quoted buf uri;
+  add "}";
+  (* Without a source position (programmatic AST) the location still
+     names the artifact, so viewers group results by file. *)
+  (match v.Report.loc with
+  | Some l ->
+    add ",\"region\":{\"startLine\":";
+    add_int buf l.Cif.Loc.line;
+    add ",\"startColumn\":";
+    add_int buf l.Cif.Loc.col;
+    add "}"
+  | None -> ());
+  add "},\"logicalLocations\":[{\"fullyQualifiedName\":";
+  Json.add_quoted buf (Report.instance_path v);
+  add ",\"kind\":\"member\"}]}]";
+  (match v.Report.where with
+  | None -> ()
+  | Some r ->
+    (* Layout coordinates ride along as properties: SARIF regions are
+       text-based, and [where] is geometry in [context]'s frame. *)
+    add ",\"properties\":{\"bboxX0\":";
+    add_int buf (Geom.Rect.x0 r);
+    add ",\"bboxY0\":";
+    add_int buf (Geom.Rect.y0 r);
+    add ",\"bboxX1\":";
+    add_int buf (Geom.Rect.x1 r);
+    add ",\"bboxY1\":";
+    add_int buf (Geom.Rect.y1 r);
+    add "}");
+  (* A waived diagnostic is still a [result] — reviewers see what was
+     silenced — but carries an [inSource] suppression (the waiver
+     lives in the deck comment or the design's [4L] command), which
+     SARIF viewers render as "suppressed" instead of open. *)
+  if suppressed then add ",\"suppressions\":[{\"kind\":\"inSource\"}]";
+  add "}"
 
 (* One [runs[]] entry.  With neither [automation_id] nor [deck_rules]
    the bytes are exactly the historical single-run body — [of_report]
@@ -182,42 +174,47 @@ let add_run buf ?automation_id ?deck_rules ?(suppressed = []) ~uri ~tool_version
   let add = Buffer.add_string buf in
   add "{";
   (match automation_id with
-  | Some id -> add (Printf.sprintf "\"automationDetails\":{\"id\":%s}," (str id))
+  | Some id ->
+    add "\"automationDetails\":{\"id\":";
+    Json.add_quoted buf id;
+    add "},"
   | None -> ());
-  add "\"tool\":{\"driver\":{\"name\":\"dicheck\"";
-  add (Printf.sprintf ",\"version\":%s" (str tool_version));
+  add "\"tool\":{\"driver\":{\"name\":\"dicheck\",\"version\":";
+  Json.add_quoted buf tool_version;
   add
     ",\"informationUri\":\"https://doi.org/10.1145/800139.804577\",\"rules\":[";
   List.iteri
     (fun i r ->
       if i > 0 then add ",";
-      add (rule_json ?deck_rules r))
+      add_rule buf ?deck_rules r)
     rules;
   add "]}},\"results\":[";
   let live = List.rev report.Report.violations in
   List.iteri
     (fun i v ->
       if i > 0 then add ",";
-      add (result_json ~uri rules v))
+      add_result buf ~suppressed:false ~uri rules v)
     live;
   (* Suppressed results follow the live ones, in report order; with no
      waivers the bytes are exactly the historical run body. *)
   List.iteri
     (fun i v ->
       if live <> [] || i > 0 then add ",";
-      add (result_json ~suppressed:true ~uri rules v))
+      add_result buf ~suppressed:true ~uri rules v)
     suppressed;
   add "]}"
+
+let add_header buf =
+  Buffer.add_string buf "{\"$schema\":";
+  Json.add_quoted buf schema;
+  Buffer.add_string buf ",\"version\":\"2.1.0\",\"runs\":["
 
 let of_report ?(uri = "design.cif") ?(tool_version = Version.version)
     ?(suppressed = []) (report : Report.t) =
   let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  add "{\"$schema\":";
-  add (str schema);
-  add ",\"version\":\"2.1.0\",\"runs\":[";
+  add_header buf;
   add_run buf ~suppressed ~uri ~tool_version report;
-  add "]}";
+  Buffer.add_string buf "]}";
   Buffer.contents buf
 
 let of_reports ?(uri = "design.cif") ?(tool_version = Version.version)
@@ -225,9 +222,7 @@ let of_reports ?(uri = "design.cif") ?(tool_version = Version.version)
     (decks : (string * Tech.Rules.t * Report.t) list) =
   let buf = Buffer.create 8192 in
   let add = Buffer.add_string buf in
-  add "{\"$schema\":";
-  add (str schema);
-  add ",\"version\":\"2.1.0\",\"runs\":[";
+  add_header buf;
   List.iteri
     (fun i (label, deck_rules, report) ->
       if i > 0 then add ",";
@@ -245,7 +240,7 @@ let of_reports ?(uri = "design.cif") ?(tool_version = Version.version)
     List.iteri
       (fun i line ->
         if i > 0 then add ",";
-        add (str line))
+        Json.add_quoted buf line)
       relations;
     add "]}"
   end;

@@ -17,7 +17,12 @@
       how the paper names a fault site in a hierarchical design.
 
     Output is deterministic for a given report: rules are sorted by id,
-    results keep report order, and no timestamps are embedded. *)
+    results keep report order, and no timestamps are embedded.
+
+    Both functions write the whole document into one [Buffer.t]: every
+    field is appended in place, strings escaped as they are appended
+    ({!Json.add_quoted}), with no [Printf] or string concatenation per
+    field.  The document is returned as one string. *)
 
 (** [of_report ~uri report] renders a complete SARIF 2.1.0 document
     (one [run]).  [uri] is the artifact URI recorded for physical

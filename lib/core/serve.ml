@@ -331,10 +331,7 @@ let process t engines ?req ?trace reqj =
             | dr :: _ -> dr.Engine.dr_suppressed
             | [] -> []
           in
-          let report_text =
-            Format.asprintf "%a@." Report.pp result.Engine.report
-            ^ Format.asprintf "%a@." Engine.pp_summary result
-          in
+          let report_text = Engine.report_text multi in
           write_out report_text;
           let count sev = Report.count ~severity:sev result.Engine.report in
           let errors = count Report.Error and warnings = count Report.Warning in
@@ -359,12 +356,7 @@ let process t engines ?req ?trace reqj =
           in
           let with_sarif =
             if flag "sarif" then
-              with_metrics
-              @ [ ("sarif",
-                   embed
-                     (Sarif.of_report ~uri
-                        ~suppressed:(Lint.to_violations suppressed)
-                        result.Engine.report)) ]
+              with_metrics @ [ ("sarif", embed (Engine.sarif ~set:false ~uri multi)) ]
             else with_metrics
           in
           ( Json.to_string (Json.Obj (with_trace with_sarif)),
@@ -377,11 +369,8 @@ let process t engines ?req ?trace reqj =
              stdout bytes), per-deck detail under "decks", and the
              compliant-intersection verdict.  The top-level exit is the
              worst per-deck exit. *)
-          let merged = multi.Engine.merged in
-          let report_text =
-            Format.asprintf "%a@." Multireport.pp merged
-            ^ Format.asprintf "%a@." Multireport.pp_summary merged
-          in
+          let merged = Engine.merged multi in
+          let report_text = Engine.report_text ~merged multi in
           write_out report_text;
           let deck_fields (dr : Engine.deck_result) =
             let report = dr.Engine.dr_result.Engine.report in
@@ -434,23 +423,7 @@ let process t engines ?req ?trace reqj =
           in
           let with_sarif =
             if flag "sarif" then
-              with_metrics
-              @ [ ("sarif",
-                   embed
-                     (Sarif.of_reports ~uri
-                        ~suppressed:
-                          (List.map
-                             (fun (dr : Engine.deck_result) ->
-                               ( dr.Engine.dr_deck.Engine.dk_label,
-                                 Lint.to_violations dr.Engine.dr_suppressed ))
-                             multi.Engine.results)
-                        ~relations:merged.Multireport.relations
-                        (List.map
-                           (fun (dr : Engine.deck_result) ->
-                             ( dr.Engine.dr_deck.Engine.dk_label,
-                               dr.Engine.dr_deck.Engine.dk_rules,
-                               dr.Engine.dr_result.Engine.report ))
-                           multi.Engine.results))) ]
+              with_metrics @ [ ("sarif", embed (Engine.sarif ~set:true ~uri multi)) ]
             else with_metrics
           in
           ( Json.to_string (Json.Obj (with_trace with_sarif)),

@@ -72,22 +72,6 @@ let merge_into ~into src =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* ts/dur are microseconds in the trace-event schema; emit three
    decimals to keep nanosecond resolution.  Timestamps are rebased to
    the earliest event so the numbers stay small. *)
@@ -107,10 +91,12 @@ let to_chrome_json ?(tool_version = Version.version) t =
   for i = 0 to t.len - 1 do
     if i > 0 then add ",";
     let e = t.events.(i) in
+    add "{\"name\":";
+    Json.add_quoted buf e.e_name;
+    add ",\"cat\":";
+    Json.add_quoted buf (if e.e_cat = "" then "dic" else e.e_cat);
     add
-      (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%s"
-         (json_escape e.e_name)
-         (json_escape (if e.e_cat = "" then "dic" else e.e_cat))
+      (Printf.sprintf ",\"ph\":\"%s\",\"ts\":%s"
          (match e.e_ph with `Complete -> "X" | `Instant -> "i")
          (us_of_ns (Int64.sub e.e_ts_ns base)));
     (match e.e_ph with
@@ -122,14 +108,15 @@ let to_chrome_json ?(tool_version = Version.version) t =
       List.iteri
         (fun j (k, v) ->
           if j > 0 then add ",";
-          add (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+          Json.add_quoted buf k;
+          add ":";
+          Json.add_quoted buf v)
         e.e_args;
       add "}"
     end;
     add "}"
   done;
-  add
-    (Printf.sprintf
-       "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"tool\":\"dicheck\",\"version\":\"%s\"}}"
-       (json_escape tool_version));
+  add "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"tool\":\"dicheck\",\"version\":";
+  Json.add_quoted buf tool_version;
+  add "}}";
   Buffer.contents buf

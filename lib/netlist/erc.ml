@@ -4,19 +4,18 @@ type violation =
   | Bus_on_supply of { net : string; names : string list }
   | Depletion_on_ground of { net : string; device_path : string; port : string }
 
-let pp_violation ppf = function
+let message = function
   | Floating_net { net; terminals } ->
-    Format.fprintf ppf "net %s has %d device terminal(s); at least two required" net
-      terminals
+    "net " ^ net ^ " has " ^ string_of_int terminals
+    ^ " device terminal(s); at least two required"
   | Supply_short { net; names } ->
-    Format.fprintf ppf "power and ground shorted on net %s (labels: %s)" net
-      (String.concat ", " names)
+    "power and ground shorted on net " ^ net ^ " (labels: " ^ String.concat ", " names
+    ^ ")"
   | Bus_on_supply { net; names } ->
-    Format.fprintf ppf "bus connected to a supply on net %s (labels: %s)" net
-      (String.concat ", " names)
+    "bus connected to a supply on net " ^ net ^ " (labels: "
+    ^ String.concat ", " names ^ ")"
   | Depletion_on_ground { net; device_path; port } ->
-    Format.fprintf ppf "depletion device %s (%s) connected to ground net %s" device_path
-      port net
+    "depletion device " ^ device_path ^ " (" ^ port ^ ") connected to ground net " ^ net
 
 (* For the two-device rule, contacts are wiring, not devices; count
    only functional devices (transistors, resistors, pads). *)

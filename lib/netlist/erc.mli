@@ -20,7 +20,9 @@ type violation =
   | Depletion_on_ground of { net : string; device_path : string; port : string }
       (** rule 4 *)
 
-val pp_violation : Format.formatter -> violation -> unit
+(** The one-line message the report carries for a violation, built by
+    concatenation. *)
+val message : violation -> string
 
 (** [check netlist] runs all four rules.  Supply nets themselves are
     exempt from rule 1 (power rails legitimately feed any number of

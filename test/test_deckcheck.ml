@@ -135,8 +135,8 @@ let with_certs enabled f =
 
 let report_bytes (multi : Dic.Engine.multi) =
   String.concat "\x00"
-    (Format.asprintf "%a@." Dic.Multireport.pp multi.Dic.Engine.merged
-    :: Format.asprintf "%a@." Dic.Multireport.pp_summary multi.Dic.Engine.merged
+    (Format.asprintf "%a@." Dic.Multireport.pp (Dic.Engine.merged multi)
+    :: Format.asprintf "%a@." Dic.Multireport.pp_summary (Dic.Engine.merged multi)
     :: List.map
          (fun (dr : Dic.Engine.deck_result) ->
            Format.asprintf "%a@." Dic.Report.pp

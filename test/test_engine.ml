@@ -405,8 +405,8 @@ let multi_ok engine file =
   | Error e -> Alcotest.fail e
 
 let merged_text (m : Dic.Engine.multi) =
-  Format.asprintf "%a@." Dic.Multireport.pp m.Dic.Engine.merged
-  ^ Format.asprintf "%a@." Dic.Multireport.pp_summary m.Dic.Engine.merged
+  Format.asprintf "%a@." Dic.Multireport.pp (Dic.Engine.merged m)
+  ^ Format.asprintf "%a@." Dic.Multireport.pp_summary (Dic.Engine.merged m)
 
 (* A second deck with a tighter metal width: the 3-lambda rails violate
    it, so the two decks genuinely disagree. *)
@@ -424,7 +424,7 @@ let test_multideck_n1_matches_single () =
   Alcotest.(check string) "decks:[d] = plain engine, byte for byte"
     (report_text plain) (report_text viaset);
   Alcotest.(check int) "one summary" 1
-    (List.length m.Dic.Engine.merged.Dic.Multireport.summaries)
+    (List.length (Dic.Engine.merged m).Dic.Multireport.summaries)
 
 let test_multideck_per_deck_matches_alone () =
   let file = workload () in
@@ -442,7 +442,7 @@ let test_multideck_per_deck_matches_alone () =
      verdict distinguishes them. *)
   Alcotest.(check (list string)) "compliant decks" []
     (List.filter (fun l -> l = "strict")
-       (Dic.Multireport.compliant m.Dic.Engine.merged))
+       (Dic.Multireport.compliant (Dic.Engine.merged m)))
 
 let test_multideck_merged_bytes_across_jobs () =
   let file = workload () in
