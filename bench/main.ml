@@ -764,8 +764,10 @@ let lint_overhead () =
      geometry (round-robin pairing, the checker's own cutoff);
    - the serial interaction stage end to end, with GC pressure: the
      sweep kernel runs out of a caller-owned workspace and allocates
-     nothing per call, so [sweep_minor_mwords] is the number the CI
-     allocation guard watches.
+     nothing per call, so [sweep_minor_mwords] is one number the CI
+     allocation guard watches;
+   - [Netgen.build], the net-list composition that precedes it, as
+     [netgen_minor_mwords]: the other number the guard watches.
 
    The warm-vs-cold engine cache identity is then re-proven (the bench
    aborts if the reports differ).
@@ -774,13 +776,13 @@ let lint_overhead () =
 let kernel_bench () =
   section
     "K: gap kernel\n\
-     (packed sweep kernel on real element geometry and end-to-end\n\
-     serial interaction checking)";
+     (packed sweep kernel on real element geometry, end-to-end serial\n\
+     interaction checking, and net-list composition's allocation)";
   let workloads =
     [ ("shift-register-1024", lazy (Layoutgen.Shift.register ~lambda 1024), 1, 5);
       ("pla-96x192", lazy (Layoutgen.Pla.tier ~lambda ~rows:96 ~cols:192), 1, 5);
       (* Production size: one end-to-end run — the interaction stage
-         alone is ~13 s of work per run here. *)
+         alone is a few seconds of work per run here. *)
       ("pla-512x1024", lazy (Layoutgen.Pla.million_rect ~lambda), 0, 1) ]
   in
   let dmax =
@@ -793,8 +795,8 @@ let kernel_bench () =
   Buffer.add_string buf
     (Printf.sprintf "{\"experiment\":\"gap-kernel\",%s,\"workloads\":["
        (provenance_fields ()));
-  Printf.printf "%-22s %10s %10s %10s %10s\n" "workload" "sweep ns" "stage s"
-    "minor Mw" "major Mw";
+  Printf.printf "%-22s %10s %10s %10s %10s %10s\n" "workload" "sweep ns" "stage s"
+    "minor Mw" "major Mw" "netgen Mw";
   List.iteri
     (fun wi (name, file, warmup, runs) ->
       if wi > 0 then Buffer.add_string buf ",";
@@ -825,8 +827,13 @@ let kernel_bench () =
       in
       let _, med = median_wall loop in
       let sweep_ns = med *. 1e9 /. float_of_int iters in
-      (* End-to-end serial interaction stage. *)
+      (* Net-list composition: its allocation is deterministic, so one
+         build measures it. *)
+      let n0 = Gc.quick_stat () in
       let nets, _ = Dic.Netgen.build model in
+      let n1 = Gc.quick_stat () in
+      let netgen_minor = (n1.Gc.minor_words -. n0.Gc.minor_words) /. 1e6 in
+      (* End-to-end serial interaction stage. *)
       let g0 = Gc.quick_stat () in
       let _, stage_s =
         median_wall ~warmup ~runs (fun () -> fst (Dic.Interactions.check nets))
@@ -836,12 +843,14 @@ let kernel_bench () =
       let per_run w = w /. float_of_int (warmup + runs) /. 1e6 in
       let minor = per_run (g1.Gc.minor_words -. g0.Gc.minor_words)
       and major = per_run (g1.Gc.major_words -. g0.Gc.major_words) in
-      Printf.printf "%-22s %10.1f %10.3f %10.1f %10.1f\n" name sweep_ns stage_s minor major;
+      Printf.printf "%-22s %10.1f %10.3f %10.1f %10.1f %10.1f\n" name sweep_ns stage_s minor
+        major netgen_minor;
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"%s\",\"kernel_ns_sweep\":%.1f,\"check_sweep_s\":%.6f,\
-            \"sweep_minor_mwords\":%.3f,\"sweep_major_mwords\":%.3f}"
-           name sweep_ns stage_s minor major))
+            \"sweep_minor_mwords\":%.3f,\"sweep_major_mwords\":%.3f,\
+            \"netgen_minor_mwords\":%.3f}"
+           name sweep_ns stage_s minor major netgen_minor))
     workloads;
   (* Warm-vs-cold cache identity: a fresh engine over a cache
      directory a previous engine filled must replay to the

@@ -215,6 +215,11 @@ let run_flat ~metric ~poly_diff ~width_algorithm rules src =
 let check_main file flat metric polydiff figure_based lambda rules_files show_netlist
     show_stats show_structure check_same_net expect markers jobs cache stats_json
     trace_out sarif_out top_cost progress werror lint lint_werror =
+  if jobs < 0 then begin
+    Printf.eprintf "dicheck: --jobs %d: give 0 (the runtime's recommended count) or more\n"
+      jobs;
+    exit 2
+  end;
   let decks =
     match rules_files with
     | [] -> [ Dic.Engine.deck (builtin_rules lambda) ]

@@ -151,9 +151,42 @@ let gap2_of cfg ~cutoff2 ws a b =
     ~cutoff2 ws a b
 
 (* ------------------------------------------------------------------ *)
+(* Definitions as the judge reads them                                 *)
+
+(* A definition with its nets, and each call's callee frame beside it:
+   walking a site's path — to the definition that owns the site, or
+   lifting a net group up through the calls — is array reads alone, with
+   no symbol-id lookup.  A plan builds one frame per definition, callees
+   first. *)
+type frame = {
+  f_idx : int;  (** position in the model's symbol list *)
+  f_sym : Model.symbol;
+  f_nets : Netgen.sym_nets;
+  f_callees : frame array;  (** by call index *)
+}
+
+let frames_of (nets : Netgen.t) =
+  let by_sid = Hashtbl.create 16 in
+  List.map
+    (fun (s : Model.symbol) ->
+      let f =
+        { f_idx = Hashtbl.length by_sid;
+          f_sym = s;
+          f_nets = Netgen.nets_of nets s.Model.sid;
+          f_callees =
+            Array.of_list
+              (List.map (fun (c : Model.call) -> Hashtbl.find by_sid c.Model.callee) s.Model.calls) }
+      in
+      Hashtbl.replace by_sid s.Model.sid f;
+      f)
+    nets.Netgen.model.Model.symbols
+  |> Array.of_list
+
+(* ------------------------------------------------------------------ *)
 (* Frontier collection                                                 *)
 
-let rec frontier model window tr path (sym : Model.symbol) acc =
+let rec frontier window tr path (f : frame) acc =
+  let sym = f.f_sym in
   let identity = Geom.Transform.equal tr Geom.Transform.identity in
   let acc =
     List.fold_left
@@ -176,65 +209,51 @@ let rec frontier model window tr path (sym : Model.symbol) acc =
   in
   List.fold_left
     (fun acc (c : Model.call) ->
-      let callee = Model.find model c.Model.callee in
-      match callee.Model.sbbox with
+      let callee = f.f_callees.(c.Model.cidx) in
+      match callee.f_sym.Model.sbbox with
       | None -> acc
       | Some bb ->
         let tr' = Geom.Transform.compose tr c.Model.transform in
         let bbox = Geom.Transform.apply_rect tr' bb in
         if Geom.Rect.touches ~a:bbox ~b:window then
-          frontier model window tr' (c.Model.cidx :: path) callee acc
+          frontier window tr' (c.Model.cidx :: path) callee acc
         else acc)
     acc sym.Model.calls
 
 (* ------------------------------------------------------------------ *)
 (* Fast net resolution                                                 *)
 
-type env = {
-  model : Model.t;
-  nets : Netgen.t;
-  calls_arr : (int, Model.call array) Hashtbl.t;
-}
+(* A net is a gid in one definition's numbering; [no_net] stands for an
+   element on no net (an implant, say), so resolving allocates nothing. *)
+let no_net = -1
 
-let make_env nets =
-  let model = nets.Netgen.model in
-  let calls_arr = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Model.symbol) ->
-      Hashtbl.replace calls_arr s.Model.sid (Array.of_list s.Model.calls))
-    model.Model.symbols;
-  { model; nets; calls_arr }
+(* The frame at the end of [path]. *)
+let rec owner f = function
+  | [] -> f
+  | c :: rest -> owner f.f_callees.(c) rest
 
-(* The symbol at the end of [path] from [sid]. *)
-let rec owner env sid = function
-  | [] -> sid
-  | c :: rest -> owner env (Hashtbl.find env.calls_arr sid).(c).Model.callee rest
-
-(* Lift a net group of the symbol at the end of [path] up to [sid]'s
-   net numbering. *)
-let rec resolve_group env sid path gid =
+(* Lift a net group of the definition at the end of [path] up to [f]'s
+   net numbering: one [sub_group] read per call on the path. *)
+let rec resolve_group f path gid =
   match path with
-  | [] -> Some gid
-  | c :: rest -> (
-    let sn = Netgen.nets_of env.nets sid in
-    let calls = Hashtbl.find env.calls_arr sid in
-    match resolve_group env calls.(c).Model.callee rest gid with
-    | None -> None
-    | Some child_gid -> Hashtbl.find_opt sn.Netgen.sub_group (c, child_gid))
+  | [] -> gid
+  | c :: rest ->
+    let g = resolve_group f.f_callees.(c) rest gid in
+    if g = no_net then no_net else f.f_nets.Netgen.sub_group.(c).(g)
 
-(* Net of element [eid] of the symbol at the end of [path], in [sid]'s
-   net numbering: its own group there, lifted. *)
-let resolve env sid path eid =
-  match (Netgen.nets_of env.nets (owner env sid path)).Netgen.elt_group.(eid) with
-  | None -> None
-  | Some gid -> resolve_group env sid path gid
+(* Net of element [eid] of the definition at the end of [path], in
+   [f]'s net numbering: its own group there, lifted. *)
+let resolve f path eid =
+  match (owner f path).f_nets.Netgen.elt_group.(eid) with
+  | None -> no_net
+  | Some gid -> resolve_group f path gid
 
-(* All port nets of the (device) instance a site lives in, in [sid]'s
+(* All port nets of the (device) instance a site lives in, in [f]'s
    net numbering. *)
-let instance_port_nets env sid path =
-  let sn = Netgen.nets_of env.nets (owner env sid path) in
-  Array.to_list sn.Netgen.groups
-  |> List.filter_map (fun (g : Netgen.group) -> resolve_group env sid path g.Netgen.gid)
+let instance_port_nets f path =
+  Array.map
+    (fun (g : Netgen.group) -> resolve_group f path g.Netgen.gid)
+    (owner f path).f_nets.Netgen.groups
 
 (* ------------------------------------------------------------------ *)
 (* The pair check                                                      *)
@@ -255,6 +274,12 @@ let head_equal a b =
 let poly_diff_pair la lb =
   Tech.Layer.(
     (equal la Poly && equal lb Diffusion) || (equal la Diffusion && equal lb Poly))
+
+let is_transistor (s : site) =
+  match s.s_device with Some k -> Tech.Device.is_transistor k | None -> false
+
+let is_resistor (s : site) =
+  match s.s_device with Some Tech.Device.Resistor -> true | _ -> false
 
 (* Error-localisation bbox of the judged pair: the hull of the kernel's
    canonical closest rectangles (or of the site bboxes when the kernel
@@ -295,29 +320,25 @@ let report_outcome ~context ?path ?loc la lb outcome =
    checked: "inv[3].contact[0]" under context "TOP" reads
    "TOP.inv[3].contact[0]".  [None] when the element is local to the
    definition — the context alone already names it. *)
-let site_instance_path env sid ~context (site : site) =
-  let rec go sid' acc = function
+let site_instance_path f ~context (site : site) =
+  let rec go f acc = function
     | [] -> List.rev acc
     | c :: rest ->
-      let calls = Hashtbl.find env.calls_arr sid' in
-      let call = calls.(c) in
-      let callee = Model.find env.model call.Model.callee in
-      go call.Model.callee
-        (Printf.sprintf "%s[%d]" callee.Model.sname c :: acc)
-        rest
+      let callee = f.f_callees.(c) in
+      go callee (Printf.sprintf "%s[%d]" callee.f_sym.Model.sname c :: acc) rest
   in
-  match go sid [] site.s_path with
+  match go f [] site.s_path with
   | [] -> None
   | segs -> Some (String.concat "." (context :: segs))
 
 (* A pair violation gets one provenance: site [a]'s path and source
    position, falling back to [b]'s when [a] has none (both sites are in
    the message's bbox anyway). *)
-let pair_provenance env sid ~context a b =
+let pair_provenance f ~context a b =
   let path =
-    match site_instance_path env sid ~context a with
+    match site_instance_path f ~context a with
     | Some _ as p -> p
-    | None -> site_instance_path env sid ~context b
+    | None -> site_instance_path f ~context b
   in
   let loc = match a.s_loc with Some _ as l -> l | None -> b.s_loc in
   (path, loc)
@@ -328,75 +349,62 @@ let pair_provenance env sid ~context a b =
 (* Everything a candidate's verdict needs that does not depend on where
    the pair is placed.  Placements are orthogonal isometries, so the gap
    is the same in every caller; net groups are kept in each callee's own
-   numbering and lifted into a caller by one [sub_group] lookup. *)
+   numbering and lifted into a caller by one [sub_group] read. *)
 type cand = {
   k_site_a : site;  (** in A's frame, path within A *)
   k_site_b : site;  (** placed in A's frame by the relative transform, path within B *)
   k_gap2 : int;  (** exact squared gap: kept only when within [dmax] *)
-  k_net_a : int option;  (** site A's net in A's numbering *)
-  k_net_b : int option;  (** site B's net in B's numbering *)
-  k_ports_a : int list;
+  k_net_a : int;  (** site A's net in A's numbering, or [no_net] *)
+  k_net_b : int;  (** site B's net in B's numbering, or [no_net] *)
+  k_ports_a : int array;
       (** port nets of the device instance owning site A, in A's
-          numbering; [[]] unless site A is device geometry *)
-  k_ports_b : int list;
+          numbering; empty unless site A is device geometry *)
+  k_ports_b : int array;
 }
 
-(* A placement class: (callee, callee, placement of the second callee
-   in the first one's frame).  It keys the candidate memo, and the
-   certificate guard decides once per class. *)
-type memo_key = int * int * Geom.Transform.t
-
-let candidates cfg env dmax (memo : (memo_key, cand list) Hashtbl.t) stats ws
-    ((sa, sb, rel) as key) =
-  match Hashtbl.find_opt memo key with
-  | Some cs ->
-    stats.memo_hits <- stats.memo_hits + 1;
-    cs
-  | None ->
-    stats.memo_misses <- stats.memo_misses + 1;
-    let ports sid (s : site) =
-      if s.s_device = None then [] else instance_port_nets env sid s.s_path
-    in
-    let syma = Model.find env.model sa and symb = Model.find env.model sb in
-    let cs =
-      match (syma.Model.sbbox, symb.Model.sbbox) with
-      | Some ba, Some bb -> (
-        let bb_rel = Geom.Transform.apply_rect rel bb in
-        let wa = Geom.Rect.inflate ba dmax and wb = Geom.Rect.inflate bb_rel dmax in
-        match (wa, wb) with
-        | Some wa, Some wb -> (
-          match Geom.Rect.inter wa wb with
-          | None -> []
-          | Some window ->
-            let sites_a = frontier env.model window Geom.Transform.identity [] syma [] in
-            let sites_b = frontier env.model window rel [] symb [] in
-            List.concat_map
-              (fun a ->
-                List.filter_map
-                  (fun b ->
-                    if Geom.Rect.chebyshev_gap a.s_bbox b.s_bbox > dmax then begin
-                      stats.bbox_rejects <- stats.bbox_rejects + 1;
-                      None
-                    end
-                    else
-                      let g = gap2_of cfg ~cutoff2:(dmax * dmax) ws a.s_rects b.s_rects in
-                      if g.Geom.Rects.ai >= 0 then
-                        Some
-                          { k_site_a = a;
-                            k_site_b = b;
-                            k_gap2 = g.Geom.Rects.g2;
-                            k_net_a = resolve env sa a.s_path a.s_eid;
-                            k_net_b = resolve env sb b.s_path b.s_eid;
-                            k_ports_a = ports sa a;
-                            k_ports_b = ports sb b }
-                      else None)
-                  sites_b)
-              sites_a)
-        | _ -> [])
-      | _ -> []
-    in
-    Hashtbl.add memo key cs;
-    cs
+(* The candidates of one placement class: every pair of a site of
+   callee A (frame [fa]) and a site of callee B (frame [fb], placed in
+   A's frame by [rel]) that lie within [dmax] of each other. *)
+let class_candidates cfg dmax stats ws fa fb rel =
+  let ports f (s : site) =
+    match s.s_device with None -> [||] | Some _ -> instance_port_nets f s.s_path
+  in
+  match (fa.f_sym.Model.sbbox, fb.f_sym.Model.sbbox) with
+  | Some ba, Some bb -> (
+    let bb_rel = Geom.Transform.apply_rect rel bb in
+    let wa = Geom.Rect.inflate ba dmax and wb = Geom.Rect.inflate bb_rel dmax in
+    match (wa, wb) with
+    | Some wa, Some wb -> (
+      match Geom.Rect.inter wa wb with
+      | None -> [||]
+      | Some window ->
+        let sites_a = frontier window Geom.Transform.identity [] fa [] in
+        let sites_b = frontier window rel [] fb [] in
+        List.concat_map
+          (fun a ->
+            List.filter_map
+              (fun b ->
+                if Geom.Rect.chebyshev_gap a.s_bbox b.s_bbox > dmax then begin
+                  stats.bbox_rejects <- stats.bbox_rejects + 1;
+                  None
+                end
+                else
+                  let g = gap2_of cfg ~cutoff2:(dmax * dmax) ws a.s_rects b.s_rects in
+                  if g.Geom.Rects.ai >= 0 then
+                    Some
+                      { k_site_a = a;
+                        k_site_b = b;
+                        k_gap2 = g.Geom.Rects.g2;
+                        k_net_a = resolve fa a.s_path a.s_eid;
+                        k_net_b = resolve fb b.s_path b.s_eid;
+                        k_ports_a = ports fa a;
+                        k_ports_b = ports fb b }
+                  else None)
+              sites_b)
+          sites_a
+        |> Array.of_list)
+    | _ -> [||])
+  | _ -> [||]
 
 (* Instantiate a memoised candidate site into the caller's frame, for
    the rare pair that must be measured there: one that produced a
@@ -436,12 +444,37 @@ let transform_site_into ~dst ~into tr s path =
    split, bbox reject counts per shard, trace lanes) depends on which
    domain happened to claim which chunk. *)
 
+(* The memoised pair being judged: its candidate, the two calls it lies
+   in, and the checked definition's [sub_group] rows for those calls.
+   One per domain, reset per instance-pair task and per candidate, so
+   judging a memoised pair allocates nothing. *)
+type memoised = {
+  mutable m_tr : Geom.Transform.t;  (** placement of call A in the checked frame *)
+  mutable m_cidx_a : int;
+  mutable m_cidx_b : int;
+  mutable m_sub_a : int array;  (** [sub_group.(m_cidx_a)] *)
+  mutable m_sub_b : int array;
+  mutable m_cand : cand;
+}
+
+(* Where [judge_pair] takes a pair's nets and gap from.  [In_frame]
+   sites are in the checked symbol's frame: nets resolve through their
+   paths and the kernel measures their geometry.  [Memoised] sites are a
+   memo candidate's, in the callees' frames: nets are the candidate's
+   callee-local groups lifted through the two calls, and the gap is the
+   candidate's stored one, so the pair is instantiated into the caller
+   only when it must be measured there (see [transform_site_into]). *)
+type facts =
+  | In_frame
+  | Memoised of memoised
+
 type dctx = {
   d_stats : stats;
-  d_memo : (memo_key, cand list) Hashtbl.t;
-  d_ports : (int * int list, int list) Hashtbl.t;
-      (** (sid, site path) -> port nets of the owning device instance,
-          for sites already in the checked symbol's frame *)
+  d_cands : cand array option array;
+      (** class id -> its candidates, seeded from the run's memo or
+          computed here on the class's first task *)
+  d_m : memoised;
+  d_memoised : facts;  (** [Memoised d_m], built once *)
   d_ws : Geom.Rects.ws;  (** sweep-kernel scratch, one per domain *)
   d_ta : Geom.Rects.t;  (** scratch for instantiating memoised site A… *)
   d_tb : Geom.Rects.t;  (** …and site B, only for a finding or under [Exposure] *)
@@ -453,22 +486,32 @@ type dctx = {
   d_entry : Tech.Interaction.entry array;
       (** the run's rule deck, resolved per layer pair once — indexing
           it allocates nothing, unlike re-deriving the entry per pair *)
+  mutable d_out : Report.violation list;  (** the current chunk's findings, newest first *)
 }
 
-let make_dctx rules memo =
+let make_dctx rules cands =
   let ta = Geom.Rects.empty () and tb = Geom.Rects.empty () in
   let scratch_site rects =
     { s_path = []; s_eid = -1; s_layer = Tech.Layer.Diffusion; s_rects = rects;
       s_bbox = Geom.Rect.make 0 0 0 0; s_device = None; s_loc = None }
   in
-  { d_stats = new_stats (); d_memo = memo; d_ports = Hashtbl.create 64;
-    d_ws = Geom.Rects.make_ws (); d_ta = ta; d_tb = tb;
-    d_sa = scratch_site ta; d_sb = scratch_site tb; d_cells = new_cells ();
+  let sa = scratch_site ta and sb = scratch_site tb in
+  let m =
+    { m_tr = Geom.Transform.identity; m_cidx_a = -1; m_cidx_b = -1; m_sub_a = [||];
+      m_sub_b = [||];
+      m_cand =
+        { k_site_a = sa; k_site_b = sb; k_gap2 = 0; k_net_a = no_net; k_net_b = no_net;
+          k_ports_a = [||]; k_ports_b = [||] } }
+  in
+  { d_stats = new_stats (); d_cands = cands; d_m = m; d_memoised = Memoised m;
+    d_ws = Geom.Rects.make_ws (); d_ta = ta; d_tb = tb; d_sa = sa; d_sb = sb;
+    d_cells = new_cells ();
     d_entry =
       Array.init (nlayers * nlayers) (fun i ->
           Tech.Interaction.entry rules
             layer_of_index.(i / nlayers)
-            layer_of_index.(i mod nlayers)) }
+            layer_of_index.(i mod nlayers));
+    d_out = [] }
 
 let[@inline] dcell dctx la lb =
   let ia = Tech.Layer.index la and ib = Tech.Layer.index lb in
@@ -493,100 +536,117 @@ let fold_cells dctx =
     done
   done
 
-(* Where [judge_pair] takes a pair's nets and gap from.  [In_frame]
-   sites are in the checked symbol's frame: nets resolve through their
-   paths and the kernel measures their geometry.  [Memoised] sites are a
-   memo candidate's, in the callees' frames: nets are the candidate's
-   callee-local groups lifted through calls [ca] and [cb], and the gap
-   is the candidate's stored one, so the pair is instantiated into the
-   caller only when it must be measured there (see
-   [transform_site_into]). *)
-type facts =
-  | In_frame
-  | Memoised of {
-      sub : (int * int, int) Hashtbl.t;  (** the checked symbol's [sub_group] *)
-      ca : Model.call;
-      cb : Model.call;
-      cand : cand;
-    }
+let[@inline] lift sub gid = if gid = no_net then no_net else sub.(gid)
 
-let lift sub (c : Model.call) = function
-  | None -> None
-  | Some gid -> Hashtbl.find_opt sub (c.Model.cidx, gid)
+(* Does [ports.(i ..)] hold a group that lifts to [n]? *)
+let rec mem_lifted sub n ports i =
+  i < Array.length ports && (sub.(ports.(i)) = n || mem_lifted sub n ports (i + 1))
 
-let rec mem_lifted sub (c : Model.call) n = function
-  | [] -> false
-  | gid :: rest -> (
-    match Hashtbl.find_opt sub (c.Model.cidx, gid) with
-    | Some m when m = n -> true
-    | _ -> mem_lifted sub c n rest)
-
-(* Net of the pair's site [`A] or [`B] in [sid]'s numbering. *)
-let net_of env sid facts side (site : site) =
+(* Net of the pair's site [`A] or [`B] in [f]'s numbering. *)
+let net_of f facts side (site : site) =
   match (facts, side) with
-  | In_frame, _ -> resolve env sid site.s_path site.s_eid
-  | Memoised { sub; ca; cand; _ }, `A -> lift sub ca cand.k_net_a
-  | Memoised { sub; cb; cand; _ }, `B -> lift sub cb cand.k_net_b
+  | In_frame, _ -> resolve f site.s_path site.s_eid
+  | Memoised m, `A -> lift m.m_sub_a m.m_cand.k_net_a
+  | Memoised m, `B -> lift m.m_sub_b m.m_cand.k_net_b
 
-let same_net env sid facts a b =
-  match (net_of env sid facts `A a, net_of env sid facts `B b) with
-  | Some x, Some y -> x = y
-  | _ -> false
-
-let port_nets env dctx sid (site : site) =
-  match Hashtbl.find_opt dctx.d_ports (sid, site.s_path) with
-  | Some ns -> ns
-  | None ->
-    let ns = instance_port_nets env sid site.s_path in
-    Hashtbl.add dctx.d_ports (sid, site.s_path) ns;
-    ns
+let same_net f facts a b =
+  let n = net_of f facts `A a in
+  n <> no_net && n = net_of f facts `B b
 
 (* Is [n] a port net of the device instance owning the site? *)
-let on_ports env dctx sid facts side (site : site) n =
+let on_ports f facts side (site : site) n =
+  n <> no_net
+  &&
   match (facts, side) with
-  | In_frame, _ -> List.mem n (port_nets env dctx sid site)
-  | Memoised { sub; ca; cand; _ }, `A -> mem_lifted sub ca n cand.k_ports_a
-  | Memoised { sub; cb; cand; _ }, `B -> mem_lifted sub cb n cand.k_ports_b
+  | In_frame, _ -> Array.mem n (instance_port_nets f site.s_path)
+  | Memoised m, `A -> mem_lifted m.m_sub_a n m.m_cand.k_ports_a 0
+  | Memoised m, `B -> mem_lifted m.m_sub_b n m.m_cand.k_ports_b 0
 
 (* Device geometry of an instance: a memoised site always lies inside a
    call of the checked symbol. *)
 let is_device_site facts (site : site) =
-  site.s_device <> None && match facts with In_frame -> site.s_path <> [] | Memoised _ -> true
+  match (site.s_device, facts, site.s_path) with
+  | None, _, _ | Some _, In_frame, [] -> false
+  | _ -> true
 
-let related env dctx sid facts a b =
-  (is_device_site facts a
-  && match net_of env sid facts `B b with
-     | Some n -> on_ports env dctx sid facts `A a n
-     | None -> false)
-  || (is_device_site facts b
-     && match net_of env sid facts `A a with
-        | Some n -> on_ports env dctx sid facts `B b n
-        | None -> false)
+let related f facts a b =
+  (is_device_site facts a && on_ports f facts `A a (net_of f facts `B b))
+  || (is_device_site facts b && on_ports f facts `B b (net_of f facts `A a))
 
-(* Instantiate a memoised pair into the per-domain scratch sites
+(* Instantiate the memoised pair [m] into the per-domain scratch sites
    [d_sa]/[d_sb]; returns [d_sa]. *)
-let instantiate dctx (ca : Model.call) (cb : Model.call) cand =
+let instantiate dctx m =
   dctx.d_stats.materialised <- dctx.d_stats.materialised + 1;
-  let tr = ca.Model.transform in
+  let cand = m.m_cand in
   ignore
-    (transform_site_into ~dst:dctx.d_tb ~into:dctx.d_sb tr cand.k_site_b
-       (cb.Model.cidx :: cand.k_site_b.s_path));
-  transform_site_into ~dst:dctx.d_ta ~into:dctx.d_sa tr cand.k_site_a
-    (ca.Model.cidx :: cand.k_site_a.s_path)
+    (transform_site_into ~dst:dctx.d_tb ~into:dctx.d_sb m.m_tr cand.k_site_b
+       (m.m_cidx_b :: cand.k_site_b.s_path));
+  transform_site_into ~dst:dctx.d_ta ~into:dctx.d_sa m.m_tr cand.k_site_a
+    (m.m_cidx_a :: cand.k_site_a.s_path)
 
-(* The pair check proper, for sites in the checked frame and memoised
-   candidates alike ([facts]).  Net resolution ([same_net]/[related]) is
-   the most expensive part of judging an in-frame pair, and pairs with
-   no spacing rule at all (a large share of the matrix) never reach it —
-   the calls sit directly on the branches that need them, so the common
-   path allocates neither closures nor rectangles.  A memoised pair is
-   settled from its stored gap unless it is a finding or the exposure
-   model must print it; only then is it instantiated, and the rest of
-   the check runs on the instantiated sites exactly as for an in-frame
-   pair — so every finding's location, closest pair and provenance come
-   from the same computation either way.  Memoised sites are two
-   different calls' by construction. *)
-let judge_pair cfg env sid dctx facts a b =
+(* The measured half of [judge_pair], once the pair is known to need
+   [req]: settled from a memoised pair's stored gap where that suffices,
+   measured (after instantiating a memoised pair) otherwise. *)
+let measure cfg dctx facts (c : cell_stats) ~same_net a b req =
+  c.checked <- c.checked + 1;
+  match (facts, cfg.spacing_model) with
+  | Memoised m, Geometric
+    when if m.m_cand.k_gap2 = 0 then same_net else m.m_cand.k_gap2 >= req * req ->
+    (* The stored gap is exact up to [dmax] and the same in every
+       frame, so the measured branches below would all Skip. *)
+    Skip
+  | _ ->
+    let a = match facts with In_frame -> a | Memoised m -> instantiate dctx m in
+    let b = match facts with In_frame -> b | Memoised _ -> dctx.d_sb in
+    (* The geometric model only acts on gaps below the rule, so
+       the kernel may prune beyond req; the exposure model prints
+       and judges the exact minimum, so it gets no cutoff. *)
+    let cutoff2 =
+      match cfg.spacing_model with
+      | Geometric -> req * req
+      | Exposure _ -> max_int
+    in
+    let g = gap2_of cfg ~cutoff2 dctx.d_ws a.s_rects b.s_rects in
+    let gap2 = g.Geom.Rects.g2 in
+    if gap2 = 0 then
+      if same_net then Skip
+      else if Tech.Layer.equal a.s_layer b.s_layer then Short (where_of g a b)
+      else if poly_diff_pair a.s_layer b.s_layer && g.Geom.Rects.overlap then
+        Accidental (where_of g a b)
+      else Violation (where_of g a b, req, 0)
+    else begin
+      match cfg.spacing_model with
+      | Geometric ->
+        if gap2 < req * req then Violation (where_of g a b, req, gap2) else Skip
+      | Exposure { model; misalign } ->
+        (* The line-of-closest-approach test: same-layer pairs see
+           bias only; cross-layer pairs add misalignment. *)
+        let mis =
+          if Tech.Layer.equal a.s_layer b.s_layer then 0 else misalign
+        in
+        let verdict =
+          Process_model.Closest.check model ~misalign:mis
+            (Geom.Region.of_rects (Geom.Rects.to_list a.s_rects))
+            (Geom.Region.of_rects (Geom.Rects.to_list b.s_rects))
+        in
+        if verdict.Process_model.Closest.bridges then
+          Violation (where_of g a b, req, gap2)
+        else Skip
+    end
+
+(* The pair check proper, for sites in the checked frame [f] and
+   memoised candidates alike ([facts]).  Net resolution
+   ([same_net]/[related]) is the most expensive part of judging an
+   in-frame pair, and pairs with no spacing rule at all (a large share
+   of the matrix) never reach it.  Nets are ints and the memoised facts
+   live in the domain's scratch, so the Skip path allocates nothing.  A
+   memoised pair is settled from its stored gap unless it is a finding
+   or the exposure model must print it; only then is it instantiated,
+   and the rest of the check runs on the instantiated sites exactly as
+   for an in-frame pair — so every finding's location, closest pair and
+   provenance come from the same computation either way.  Memoised sites
+   are two different calls' by construction. *)
+let judge_pair cfg f dctx facts a b =
   if (match facts with In_frame -> head_equal a b | Memoised _ -> false) then Skip
   else begin
     let c = dcell dctx a.s_layer b.s_layer in
@@ -601,7 +661,7 @@ let judge_pair cfg env sid dctx facts a b =
     | Tech.Interaction.Device_checked ->
       c.skipped_device <- c.skipped_device + 1;
       Skip
-    | Tech.Interaction.Space { same_net = sreq; diff_net = dreq } -> (
+    | Tech.Interaction.Space { same_net = sreq; diff_net = dreq } ->
       (* "If the element is part of a transistor, the subcases depend on
          whether or not the elements are related."  A transistor's own
          diffusion spans both source and drain nets and its gate poly is
@@ -610,156 +670,123 @@ let judge_pair cfg env sid dctx facts a b =
          (contacts), whose elements have well-defined nets, the waiver
          applies only to the poly/diffusion cross-layer rule (the wires
          feeding a butting or buried contact overlap its other layer). *)
-      let transistor_pair =
-        (match a.s_device with Some k -> Tech.Device.is_transistor k | None -> false)
-        || (match b.s_device with Some k -> Tech.Device.is_transistor k | None -> false)
-      in
-      if (transistor_pair || poly_diff_pair a.s_layer b.s_layer)
-         && related env dctx sid facts a b
+      if (is_transistor a || is_transistor b || poly_diff_pair a.s_layer b.s_layer)
+         && related f facts a b
       then begin
         c.skipped_same_net <- c.skipped_same_net + 1;
         Skip
       end
       else begin
-        let same_net = same_net env sid facts a b in
-        let resistor =
-          a.s_device = Some Tech.Device.Resistor || b.s_device = Some Tech.Device.Resistor
-        in
-        let use_same_net_rule = same_net && (not resistor) && not cfg.check_same_net in
-        let required = if use_same_net_rule then sreq else Some dreq in
-        match required with
-        | None ->
-          c.skipped_same_net <- c.skipped_same_net + 1;
-          Skip
-        | Some req -> (
-          c.checked <- c.checked + 1;
-          match (facts, cfg.spacing_model) with
-          | Memoised { cand; _ }, Geometric
-            when if cand.k_gap2 = 0 then same_net else cand.k_gap2 >= req * req ->
-            (* The stored gap is exact up to [dmax] and the same in every
-               frame, so the measured branches below would all Skip. *)
+        let same_net = same_net f facts a b in
+        if same_net && (not (is_resistor a || is_resistor b)) && not cfg.check_same_net then
+          match sreq with
+          | None ->
+            c.skipped_same_net <- c.skipped_same_net + 1;
             Skip
-          | _ ->
-            let a =
-              match facts with In_frame -> a | Memoised m -> instantiate dctx m.ca m.cb m.cand
-            in
-            let b = match facts with In_frame -> b | Memoised _ -> dctx.d_sb in
-            (* The geometric model only acts on gaps below the rule, so
-               the kernel may prune beyond req; the exposure model prints
-               and judges the exact minimum, so it gets no cutoff. *)
-            let cutoff2 =
-              match cfg.spacing_model with
-              | Geometric -> req * req
-              | Exposure _ -> max_int
-            in
-            let g = gap2_of cfg ~cutoff2 dctx.d_ws a.s_rects b.s_rects in
-            let gap2 = g.Geom.Rects.g2 in
-            if gap2 = 0 then
-              if same_net then Skip
-              else if Tech.Layer.equal a.s_layer b.s_layer then Short (where_of g a b)
-              else if poly_diff_pair a.s_layer b.s_layer && g.Geom.Rects.overlap then
-                Accidental (where_of g a b)
-              else Violation (where_of g a b, req, 0)
-            else begin
-              match cfg.spacing_model with
-              | Geometric ->
-                if gap2 < req * req then Violation (where_of g a b, req, gap2) else Skip
-              | Exposure { model; misalign } ->
-                (* The line-of-closest-approach test: same-layer pairs see
-                   bias only; cross-layer pairs add misalignment. *)
-                let mis =
-                  if Tech.Layer.equal a.s_layer b.s_layer then 0 else misalign
-                in
-                let verdict =
-                  Process_model.Closest.check model ~misalign:mis
-                    (Geom.Region.of_rects (Geom.Rects.to_list a.s_rects))
-                    (Geom.Region.of_rects (Geom.Rects.to_list b.s_rects))
-                in
-                if verdict.Process_model.Closest.bridges then
-                  Violation (where_of g a b, req, gap2)
-                else Skip
-            end)
-      end)
+          | Some req -> measure cfg dctx facts c ~same_net a b req
+        else measure cfg dctx facts c ~same_net a b dreq
+      end
   end
 
 (* Provenance — dotted instance paths and source positions — is string
-   building; render it only for the rare pair that produced a finding. *)
-let emit env sid ~context a b = function
-  | Skip -> []
+   building; render it only for the rare pair that produced a finding,
+   and cons it onto the domain's findings. *)
+let emit f ~context dctx a b = function
+  | Skip -> ()
   | outcome ->
-    let path, loc = pair_provenance env sid ~context a b in
-    report_outcome ~context ?path ?loc a.s_layer b.s_layer outcome
+    let path, loc = pair_provenance f ~context a b in
+    dctx.d_out <-
+      List.rev_append (report_outcome ~context ?path ?loc a.s_layer b.s_layer outcome) dctx.d_out
 
-(* One worklist task, in the frame of definition [sym].  Tasks are
-   deck-independent data: the judging environment — config and rule
-   deck — comes in at evaluation time, so one worklist (and one
-   candidate memo) serves several decks. *)
+(* One worklist task, in the frame [fr] of the definition it checks.
+   Tasks are deck-independent data: the judging environment — config
+   and rule deck — comes in at evaluation time, so one worklist (and
+   one candidate memo) serves several decks. *)
 type task =
-  | Local of { sym : Model.symbol; pairs : (site * site) list }
+  | Local of { fr : frame; pairs : (site * site) list }
       (** a chunk of local element pairs *)
-  | Elt of { sym : Model.symbol; site : site; window : Geom.Rect.t; near : Model.call list }
+  | Elt of { fr : frame; site : site; window : Geom.Rect.t; near : Model.call list }
       (** a local element against the calls whose placed boxes meet
           [window], its bbox inflated by the cutoff *)
-  | Inst of { sym : Model.symbol; ca : Model.call; cb : Model.call; cls : int }
+  | Inst of { fr : frame; ca : Model.call; cb : Model.call; cls : int }
       (** one interacting call pair, judged from memoised candidates;
           [cls] indexes its placement class in the plan *)
 
-let sym_of (Local { sym; _ } | Elt { sym; _ } | Inst { sym; _ }) = sym
+let frame_of (Local { fr; _ } | Elt { fr; _ } | Inst { fr; _ }) = fr
 
-(* A plan is the deck-independent half of the sweep: the resolution
-   environment, the ordered worklist and its placement classes, all
-   built for a candidate cutoff of [pl_dmax].  [run]
-   evaluates it under a concrete (config, rules) pair; several decks
-   whose [max_dist] agree can share one plan (and one candidate memo)
-   because the worklist geometry — grid cell sizes, collection windows,
-   pair enumeration order — depends only on the cutoff, never on the
-   individual spacing values. *)
+(* A plan is the deck-independent half of the sweep: the definitions'
+   frames, the ordered worklist and its placement classes, all built
+   for a candidate cutoff of [pl_dmax].  [run] evaluates it under a
+   concrete (config, rules) pair; several decks whose [max_dist] agree
+   can share one plan (and one candidate memo) because the worklist
+   geometry — grid cell sizes, collection windows, pair enumeration
+   order — depends only on the cutoff, never on the individual spacing
+   values. *)
 type plan = {
-  pl_env : env;
+  pl_model : Model.t;
+  pl_frames : frame array;  (** in the model's symbol order *)
   pl_dmax : int;
   pl_tasks : task array;
-  pl_classes : memo_key array;  (** class id -> its key, in first-seen order *)
+  pl_classes : Placement_class.t array;  (** class id -> its key, in first-seen order *)
 }
 
-let eval_task cfg p dctx task =
-  let env = p.pl_env in
-  let sym = sym_of task in
-  let sid = sym.Model.sid and context = sym.Model.sname in
-  match task with
-  | Local { pairs; _ } ->
-    List.concat_map
-      (fun (a, b) -> emit env sid ~context a b (judge_pair cfg env sid dctx In_frame a b))
-      pairs
-  | Elt { site; window; near; _ } ->
-    List.concat_map
-      (fun (c : Model.call) ->
-        let sites =
-          frontier env.model window c.Model.transform [ c.Model.cidx ]
-            (Model.find env.model c.Model.callee) []
-        in
-        List.concat_map
-          (fun sub -> emit env sid ~context site sub (judge_pair cfg env sid dctx In_frame site sub))
-          sites)
-      near
-  | Inst { ca; cb; cls; _ } ->
-    let sub = (Netgen.nets_of env.nets sid).Netgen.sub_group in
-    let cands =
-      candidates cfg env p.pl_dmax dctx.d_memo dctx.d_stats dctx.d_ws p.pl_classes.(cls)
+(* The candidates of an instance pair's class: this domain's, or the
+   memo's it was seeded with, or computed now.  Every call counts one
+   hit or, the first time this domain computes the class, one miss. *)
+let class_cands cfg p dctx fr (ca : Model.call) (cb : Model.call) cls =
+  match dctx.d_cands.(cls) with
+  | Some cs ->
+    dctx.d_stats.memo_hits <- dctx.d_stats.memo_hits + 1;
+    cs
+  | None ->
+    dctx.d_stats.memo_misses <- dctx.d_stats.memo_misses + 1;
+    let _, _, rel = p.pl_classes.(cls) in
+    let cs =
+      class_candidates cfg p.pl_dmax dctx.d_stats dctx.d_ws fr.f_callees.(ca.Model.cidx)
+        fr.f_callees.(cb.Model.cidx) rel
     in
-    (* A pair that produced a finding is left instantiated in the
-       scratch sites by [judge_pair]. *)
-    List.concat_map
-      (fun cand ->
-        emit env sid ~context dctx.d_sa dctx.d_sb
-          (judge_pair cfg env sid dctx (Memoised { sub; ca; cb; cand }) cand.k_site_a
-             cand.k_site_b))
-      cands
+    dctx.d_cands.(cls) <- Some cs;
+    cs
+
+let eval_task cfg p dctx task =
+  match task with
+  | Local { fr; pairs } ->
+    let context = fr.f_sym.Model.sname in
+    List.iter
+      (fun (a, b) -> emit fr ~context dctx a b (judge_pair cfg fr dctx In_frame a b))
+      pairs
+  | Elt { fr; site; window; near } ->
+    let context = fr.f_sym.Model.sname in
+    List.iter
+      (fun (c : Model.call) ->
+        List.iter
+          (fun sub -> emit fr ~context dctx site sub (judge_pair cfg fr dctx In_frame site sub))
+          (frontier window c.Model.transform [ c.Model.cidx ] fr.f_callees.(c.Model.cidx) []))
+      near
+  | Inst { fr; ca; cb; cls } ->
+    let context = fr.f_sym.Model.sname in
+    let cands = class_cands cfg p dctx fr ca cb cls in
+    let m = dctx.d_m in
+    m.m_tr <- ca.Model.transform;
+    m.m_cidx_a <- ca.Model.cidx;
+    m.m_cidx_b <- cb.Model.cidx;
+    m.m_sub_a <- fr.f_nets.Netgen.sub_group.(ca.Model.cidx);
+    m.m_sub_b <- fr.f_nets.Netgen.sub_group.(cb.Model.cidx);
+    for i = 0 to Array.length cands - 1 do
+      let cand = cands.(i) in
+      m.m_cand <- cand;
+      (* A pair that produced a finding is left instantiated in the
+         scratch sites by [judge_pair]. *)
+      emit fr ~context dctx dctx.d_sa dctx.d_sb
+        (judge_pair cfg fr dctx dctx.d_memoised cand.k_site_a cand.k_site_b)
+    done
 
 (* Local element pairs are individually tiny; batch them so a task is
    worth scheduling. *)
 let local_chunk = 32
 
-let tasks_of_symbol env ~dmax ~intern (sym : Model.symbol) =
+let tasks_of_frame ~dmax ~intern (fr : frame) =
+  let sym = fr.f_sym in
   if Model.is_device sym then []
   else begin
     let local_sites =
@@ -792,7 +819,7 @@ let tasks_of_symbol env ~dmax ~intern (sym : Model.symbol) =
             cur_n := 0
           end);
       if !cur <> [] then chunks := List.rev !cur :: !chunks;
-      List.rev_map (fun pairs -> Local { sym; pairs }) !chunks
+      List.rev_map (fun pairs -> Local { fr; pairs }) !chunks
     in
     (* One grid of placed calls serves both the element-vs-instance
        queries and the instance-pair enumeration; both read it in
@@ -802,7 +829,7 @@ let tasks_of_symbol env ~dmax ~intern (sym : Model.symbol) =
       (fun (c : Model.call) ->
         Option.iter
           (fun bb -> Geom.Grid_index.add call_idx (Geom.Transform.apply_rect c.Model.transform bb) c)
-          (Model.find env.model c.Model.callee).Model.sbbox)
+          fr.f_callees.(c.Model.cidx).f_sym.Model.sbbox)
       sym.Model.calls;
     (* Element vs instance: one task per local element near instances. *)
     let elt_inst_tasks =
@@ -815,7 +842,7 @@ let tasks_of_symbol env ~dmax ~intern (sym : Model.symbol) =
             Geom.Grid_index.iter_query call_idx window (fun _ c -> near := c :: !near);
             match List.rev !near with
             | [] -> None
-            | near -> Some (Elt { sym; site; window; near })))
+            | near -> Some (Elt { fr; site; window; near })))
         local_sites
     in
     (* Instance vs instance: one task per interacting placement pair,
@@ -828,15 +855,15 @@ let tasks_of_symbol env ~dmax ~intern (sym : Model.symbol) =
               cb.Model.transform
           in
           let cls = intern (ca.Model.callee, cb.Model.callee, rel) in
-          acc := Inst { sym; ca; cb; cls } :: !acc);
+          acc := Inst { fr; ca; cb; cls } :: !acc);
       List.rev !acc
     in
     local_tasks @ elt_inst_tasks @ inst_tasks
   end
 
-type memo = (memo_key, cand list) Hashtbl.t
+type memo = cand array Placement_class.Tbl.t
 
-let create_memo () : memo = Hashtbl.create 64
+let create_memo () : memo = Placement_class.Tbl.create 64
 
 (* ------------------------------------------------------------------ *)
 (* The scheduler                                                       *)
@@ -848,59 +875,76 @@ let skipped silent task =
   | Some arr, Inst { cls; _ } -> arr.(cls)
   | _ -> false
 
-(* Each task's clock feeds both the pair-check histogram and its
-   definition's [symbol.<name>] cost bucket (the [--top-cost] view).
-   A skipped task contributes [] exactly as evaluating it would have. *)
+(* Each judged task is one observation of the pair-check histogram.
+   Its definition's [symbol.<name>] cost bucket (the [--top-cost] view)
+   is charged once per run of consecutive tasks of that definition —
+   the worklist is grouped by definition — rather than per task.  A
+   skipped task contributes nothing, exactly as evaluating it would
+   have.  Returns the chunk's findings in worklist order. *)
 let run_span ?metrics ?silent cfg p lo hi dctx =
-  let out = ref [] in
-  for i = lo to hi - 1 do
-    let task = p.pl_tasks.(i) in
-    if not (skipped silent task) then begin
-      let vs =
-        match metrics with
-        | None -> eval_task cfg p dctx task
-        | Some m ->
-          let t0 = Metrics.now_ns () in
-          let vs = eval_task cfg p dctx task in
-          let dt = Int64.sub (Metrics.now_ns ()) t0 in
-          Metrics.observe_ns m "interactions.pair_check_ns" dt;
-          Metrics.add_cost_ns m ("symbol." ^ (sym_of task).Model.sname) dt;
-          vs
-      in
-      out := vs :: !out
-    end
-  done;
-  List.concat (List.rev !out)
+  (match metrics with
+  | None ->
+    for i = lo to hi - 1 do
+      let task = p.pl_tasks.(i) in
+      if not (skipped silent task) then eval_task cfg p dctx task
+    done
+  | Some m ->
+    let cur = ref None and spent = ref 0 in
+    let charge () =
+      Option.iter
+        (fun fr ->
+          Metrics.add_cost_ns m ("symbol." ^ fr.f_sym.Model.sname) (Int64.of_int !spent))
+        !cur
+    in
+    for i = lo to hi - 1 do
+      let task = p.pl_tasks.(i) in
+      if not (skipped silent task) then begin
+        let fr = frame_of task in
+        (match !cur with
+        | Some f when f == fr -> ()
+        | _ ->
+          charge ();
+          cur := Some fr;
+          spent := 0);
+        let t0 = Metrics.now_ns () in
+        eval_task cfg p dctx task;
+        let dt = Int64.sub (Metrics.now_ns ()) t0 in
+        Metrics.observe_ns m "interactions.pair_check_ns" dt;
+        spent := !spent + Int64.to_int dt
+      end
+    done;
+    charge ());
+  let vs = List.rev dctx.d_out in
+  dctx.d_out <- [];
+  vs
 
 let effective_jobs jobs =
   if jobs <= 0 then Domain.recommended_domain_count () else jobs
 
 let plan ?dmax (nets : Netgen.t) =
-  let env = make_env nets in
-  let dmax =
-    match dmax with Some d -> d | None -> max_dist env.model.Model.rules
-  in
-  let ids = Hashtbl.create 64 and keys = ref [] in
+  let model = nets.Netgen.model in
+  let frames = frames_of nets in
+  let dmax = match dmax with Some d -> d | None -> max_dist model.Model.rules in
+  let ids = Placement_class.Tbl.create 64 and keys = ref [] in
   let intern key =
-    match Hashtbl.find_opt ids key with
+    match Placement_class.Tbl.find_opt ids key with
     | Some id -> id
     | None ->
-      let id = Hashtbl.length ids in
-      Hashtbl.add ids key id;
+      let id = Placement_class.Tbl.length ids in
+      Placement_class.Tbl.add ids key id;
       keys := key :: !keys;
       id
   in
   let tasks =
-    Array.of_list
-      (List.concat_map (tasks_of_symbol env ~dmax ~intern) env.model.Model.symbols)
+    Array.of_list (List.concat_map (tasks_of_frame ~dmax ~intern) (Array.to_list frames))
   in
-  { pl_env = env; pl_dmax = dmax; pl_tasks = tasks;
+  { pl_model = model; pl_frames = frames; pl_dmax = dmax; pl_tasks = tasks;
     pl_classes = Array.of_list (List.rev !keys) }
 
 let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan) =
-  let rules = match rules with Some r -> r | None -> p.pl_env.model.Model.rules in
+  let rules = match rules with Some r -> r | None -> p.pl_model.Model.rules in
   let stats = new_stats () in
-  let master_memo = match memo with Some m -> m | None -> create_memo () in
+  let memo = match memo with Some m -> m | None -> create_memo () in
   let tasks = p.pl_tasks in
   (* Certificate prepass: one guard per placement class, serially and
      before any domain spawns.  The verdicts are fixed input to the
@@ -912,21 +956,22 @@ let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan
     match (certs, config.spacing_model) with
     | None, _ | _, Exposure _ -> None
     | Some cs, Geometric ->
-      let t0 = Metrics.now_ns () in
-      let arr =
-        Array.map (fun (sa, sb, rel) -> Deckcheck.class_silent cs ~sa ~sb rel) p.pl_classes
-      in
-      Option.iter
-        (fun m ->
-          Metrics.add_cost_ns m "analysis.guard" (Int64.sub (Metrics.now_ns ()) t0);
-          let skips =
-            Array.fold_left
-              (fun n task -> if skipped (Some arr) task then n + 1 else n)
-              0 tasks
+      Trace.with_span trace ~cat:"phase" "guard" (fun () ->
+          let t0 = Metrics.now_ns () in
+          let arr =
+            Array.map (fun (sa, sb, rel) -> Deckcheck.class_silent cs ~sa ~sb rel) p.pl_classes
           in
-          Metrics.incr ~by:skips m "analysis.certified_skips")
-        metrics;
-      Some arr
+          Option.iter
+            (fun m ->
+              Metrics.add_cost_ns m "analysis.guard" (Int64.sub (Metrics.now_ns ()) t0);
+              let skips =
+                Array.fold_left
+                  (fun n task -> if skipped (Some arr) task then n + 1 else n)
+                  0 tasks
+              in
+              Metrics.incr ~by:skips m "analysis.certified_skips")
+            metrics;
+          Some arr)
   in
   (* Balanced scheduling via the shared {!Parallel} queue (which this
      code originated).  The weight estimate reuses the [symbol.<name>]
@@ -937,37 +982,50 @@ let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan
      is byte-identical at every [jobs] value and across repeated runs;
      which domain evaluated which chunk — and hence each domain's memo
      hit/miss split — is the only thing that varies.  Every domain,
-     the calling one included, judges against its own copy of the memo,
-     and new entries merge back after the join. *)
-  let weight_of_name =
+     the calling one included, judges from its own class-indexed
+     candidate array, seeded from the memo; the classes it computed
+     merge back after the join. *)
+  let weight_of_frame =
     match metrics with
     | None -> fun _ -> 1
     | Some m ->
-      let by_name = Hashtbl.create 16 in
-      fun sname ->
-        (match Hashtbl.find_opt by_name sname with
-        | Some w -> w
-        | None ->
-          let c = Metrics.cost_ns m ("symbol." ^ sname) in
-          let w = 1 + Int64.to_int (Int64.div c 1_000_000L) in
-          Hashtbl.add by_name sname w;
-          w)
+      let w =
+        Array.map
+          (fun fr ->
+            let c = Metrics.cost_ns m ("symbol." ^ fr.f_sym.Model.sname) in
+            1 + Int64.to_int (Int64.div c 1_000_000L))
+          p.pl_frames
+      in
+      fun fr -> w.(fr.f_idx)
   in
+  let seeded = Array.map (Placement_class.Tbl.find_opt memo) p.pl_classes in
+  let domains = ref [] in
   let chunks =
     Parallel.run ?metrics ?trace ~jobs:(effective_jobs config.jobs) ~stage:"interactions"
       ~weight:(fun i ->
-        if skipped silent tasks.(i) then 1 else weight_of_name (sym_of tasks.(i)).Model.sname)
+        if skipped silent tasks.(i) then 1 else weight_of_frame (frame_of tasks.(i)))
       ~n:(Array.length tasks)
-      ~worker:(fun _tid -> make_dctx rules (Hashtbl.copy master_memo))
+      ~worker:(fun _tid -> make_dctx rules (Array.copy seeded))
       ~chunk:(fun dctx dm _dt ~lo ~hi -> run_span ?metrics:dm ?silent config p lo hi dctx)
-      ~merge:(fun dctx ->
-        fold_cells dctx;
-        merge_stats ~into:stats dctx.d_stats;
-        Hashtbl.iter
-          (fun k v -> if not (Hashtbl.mem master_memo k) then Hashtbl.add master_memo k v)
-          dctx.d_memo)
+      ~merge:(fun dctx -> domains := dctx :: !domains)
       ()
   in
+  (* Fold every domain's counters and newly computed classes back, in
+     the order the domains were merged. *)
+  Trace.with_span trace ~cat:"phase" "merge" (fun () ->
+      List.iter
+        (fun dctx ->
+          fold_cells dctx;
+          merge_stats ~into:stats dctx.d_stats;
+          Array.iteri
+            (fun cls cs ->
+              let key = p.pl_classes.(cls) in
+              match cs with
+              | Some cs when not (Placement_class.Tbl.mem memo key) ->
+                Placement_class.Tbl.add memo key cs
+              | _ -> ())
+            dctx.d_cands)
+        (List.rev !domains));
   Option.iter (fun m -> record_metrics m stats) metrics;
   (List.concat chunks, stats)
 

@@ -24,11 +24,15 @@
     verdict needs that placement cannot change: the exact squared gap
     (placements are orthogonal isometries) and both sites' net groups
     in their callees' own numbering.  A repeated pair is judged by
-    lifting those groups into the caller, one hash lookup each, and is
-    instantiated in the caller's frame only to report a finding or to
-    be printed under the {!Exposure} model — so a finding's location,
-    closest pair and provenance are exactly those of a freshly measured
-    pair.
+    lifting those groups into the caller, one array read each (the
+    caller's [sub_group] row for the call, see {!Netgen.sym_nets}), and
+    is instantiated in the caller's frame only to report a finding or
+    to be printed under the {!Exposure} model — so a finding's
+    location, closest pair and provenance are exactly those of a
+    freshly measured pair.  Judging a
+    memoised pair that is not a finding hashes nothing and allocates
+    nothing: nets are ints, the pair's facts live in one per-domain
+    scratch value, and only findings are consed.
 
     {2 Parallelism}
 
@@ -44,9 +48,10 @@
     from a shared [Atomic] counter by up to {!config.jobs} domains — the
     calling domain alone at [jobs = 1] — so a domain that finishes early
     steals the next unclaimed chunk instead of idling.  Every domain
-    judges with its own error list, statistics and copy of the memo,
-    merged after the join; violations are reassembled {e by chunk
-    index}, not by completion order.
+    judges with its own error list, statistics and candidate array —
+    indexed by the plan's class id and seeded from the memo — merged
+    after the join; violations are reassembled {e by chunk index}, not
+    by completion order.
 
     {2 Invariants}
 
@@ -125,12 +130,16 @@ val merge_stats : into:stats -> stats -> unit
 (** Export the totals as [interactions.*] counters. *)
 val record_metrics : Metrics.t -> stats -> unit
 
-(** An instance-pair candidate cache, keyed by (callee id, callee id,
-    relative transform).  Its entries hold symbol ids and net groups of
-    one model, so a memo is valid only for runs over the same net
-    structure, candidate cutoff and metric — several decks' runs of one
-    {!plan}, for instance.  {!run} creates a fresh one when given none,
-    which is what {!Engine} does: the memo lives inside one run. *)
+(** An instance-pair candidate cache, keyed by placement class
+    ({!Placement_class.t}: callee id, callee id, relative transform).
+    Its entries hold symbol ids and net groups of one model, so a memo
+    is valid only for runs over the same net structure, candidate
+    cutoff and metric — several decks' runs of one {!plan}, for
+    instance.  {!run} creates a fresh one when given none, which is what
+    {!Engine} does: the memo lives inside one run.  A run never judges
+    from it directly: each domain copies the entries of the plan's
+    classes into an array indexed by class id, and the classes it
+    computes are added back after the join. *)
 type memo
 
 val create_memo : unit -> memo
@@ -162,19 +171,23 @@ type plan
 
 (** Build the worklist.  Each instance pair's placement class — its
     (callee, callee, relative placement) key — is interned into the
-    plan's class table; the key addresses the candidate {!memo} and the
-    certificate guard.  [dmax] defaults to [max_dist] of the model's own
-    rule deck. *)
+    plan's class table, so a task carries its class id; the id indexes
+    each domain's candidates and the certificate guard's verdicts.
+    [dmax] defaults to [max_dist] of the model's own rule deck. *)
 val plan : ?dmax:int -> Netgen.t -> plan
 
 (** Judge a plan's worklist.  [rules] defaults to the model's own deck.
-    When [metrics] is given, per-task wall-clock costs are recorded into
-    the [interactions.pair_check_ns] histogram and charged to the owning
-    definition's [symbol.<name>] cost bucket, and the {!stats} totals
-    are exported as counters.  When [trace] is given, one ["shard[i]"]
-    span (category ["shard"]) is recorded per domain that drained the
-    worklist — [shard[0]] alone at [jobs = 1] — from per-domain buffers
-    merged into [trace] in shard order after the join.
+    When [metrics] is given, each judged task's wall-clock cost is one
+    observation of the [interactions.pair_check_ns] histogram and is
+    charged to the owning definition's [symbol.<name>] cost bucket (once
+    per run of consecutive tasks of that definition), and the {!stats}
+    totals are exported as counters.  When [trace] is given, one
+    ["shard[i]"] span (category ["shard"]) is recorded per domain that
+    drained the worklist — [shard[0]] alone at [jobs = 1] — from
+    per-domain buffers merged into [trace] in shard order after the
+    join, and two ["phase"] spans time the serial steps around it:
+    ["guard"] (the certificate prepass, when [certs] is given) and
+    ["merge"] (folding the domains' statistics and memo entries).
 
     When [certs] is given (a {!Deckcheck.consult} over the deck being
     judged), a serial prepass evaluates {!Deckcheck.class_silent} once

@@ -10,7 +10,7 @@ type group = {
 type sym_nets = {
   groups : group array;
   elt_group : int option array;
-  sub_group : (int * int, int) Hashtbl.t;
+  sub_group : int array array;
 }
 
 type t = {
@@ -82,7 +82,7 @@ let device_sym_nets rules (s : Model.symbol) =
            first 0)
          s.Model.elements)
   in
-  { groups; elt_group; sub_group = Hashtbl.create 1 }
+  { groups; elt_group; sub_group = [||] }
 
 (* ------------------------------------------------------------------ *)
 (* Callee surfaces and call-pair connectivity                          *)
@@ -142,7 +142,7 @@ let touching a b rel =
 (* State shared by every symbol of one [build]. *)
 type pass = {
   surfaces : (int, surface option) Hashtbl.t;  (** by symbol id, root excluded *)
-  memo : (int * int * Geom.Transform.t, (int * int) list) Hashtbl.t;
+  memo : (int * int) list Placement_class.Tbl.t;
   mutable call_pairs : int;
   mutable memo_hits : int;
   mutable memo_misses : int;
@@ -222,14 +222,14 @@ let compose pass model (s : Model.symbol) child_nets =
     in
     let key = (ca.Model.callee, cb.Model.callee, rel) in
     let pairs =
-      match Hashtbl.find_opt pass.memo key with
+      match Placement_class.Tbl.find_opt pass.memo key with
       | Some ps ->
         pass.memo_hits <- pass.memo_hits + 1;
         ps
       | None ->
         pass.memo_misses <- pass.memo_misses + 1;
         let ps = touching (Option.get surfs.(ka)) (Option.get surfs.(kb)) rel in
-        Hashtbl.add pass.memo key ps;
+        Placement_class.Tbl.add pass.memo key ps;
         ps
     in
     List.iter (fun (ga, gb) -> union (base.(ka) + ga) (base.(kb) + gb)) pairs
@@ -318,7 +318,6 @@ let compose pass model (s : Model.symbol) child_nets =
   and counts = Array.make n_groups 0
   and crossing = Array.make n_groups false in
   let elt_group = Array.make (List.length s.Model.elements) None in
-  let sub_group = Hashtbl.create (max 32 (n - Array.length elts)) in
   Array.iteri
     (fun i (e : Model.element) ->
       let gid = node_gid.(i) in
@@ -353,10 +352,13 @@ let compose pass model (s : Model.symbol) child_nets =
               g.terminals
             @ terminals.(gid);
           counts.(gid) <- counts.(gid) + g.element_count;
-          crossing.(gid) <- true;
-          Hashtbl.replace sub_group (c.Model.cidx, g.gid) gid)
+          crossing.(gid) <- true)
         child.(k).groups)
     calls;
+  (* Call [k]'s child group [g] is node [base.(k) + g]. *)
+  let sub_group =
+    Array.mapi (fun k (cn : sym_nets) -> Array.sub node_gid base.(k) (Array.length cn.groups)) child
+  in
   let groups =
     Array.init n_groups (fun gid ->
         { gid;
@@ -372,7 +374,7 @@ let build ?metrics (model : Model.t) =
   let by_symbol = Hashtbl.create 16 in
   let pass =
     { surfaces = Hashtbl.create 16;
-      memo = Hashtbl.create 16;
+      memo = Placement_class.Tbl.create 16;
       call_pairs = 0;
       memo_hits = 0;
       memo_misses = 0 }

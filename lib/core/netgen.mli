@@ -36,7 +36,12 @@ type group = {
 type sym_nets = {
   groups : group array;
   elt_group : int option array;  (** eid -> gid (None: no net, e.g. implant) *)
-  sub_group : (int * int, int) Hashtbl.t;  (** (call idx, child gid) -> gid *)
+  sub_group : int array array;
+      (** call index -> the callee's gid -> gid: [sub_group.(k).(g)] is
+          the group that call [k]'s child group [g] belongs to here.
+          Every child group of every call has one, so lifting a net
+          through a call is one array read.  [[||]] for a device symbol,
+          which calls nothing. *)
 }
 
 type t = {

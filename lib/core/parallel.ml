@@ -75,7 +75,19 @@ let run ?metrics ?trace ~jobs ~stage ~weight ~n ~worker ~chunk ~merge () =
     | _ -> drain_all ());
     (st, dm, dt)
   in
-  let spawned = List.init (jobs - 1) (fun i -> Domain.spawn (work (i + 1))) in
+  (* The runtime caps live domains (128 in OCaml 5.1, the caller's and
+     every other stage's or connection's included), so a spawn can be
+     refused.  Spawning stops at the first refusal and the domains
+     already running drain the queue: results are indexed by chunk, so
+     fewer domains cost time, never bytes. *)
+  let rec spawn tid acc =
+    if tid >= jobs then List.rev acc
+    else
+      match Domain.spawn (work tid) with
+      | d -> spawn (tid + 1) (d :: acc)
+      | exception Failure _ -> List.rev acc
+  in
+  let spawned = spawn 1 [] in
   let first = work 0 () in
   let shards = first :: List.map Domain.join spawned in
   List.iter

@@ -8,7 +8,9 @@
     workers) claim chunks from an [Atomic] counter until the queue is
     dry.  At [jobs = 1], or when there is a single chunk, the calling
     domain drains the queue alone through the same per-domain state
-    and merge.  Chunk results come back in worklist order, so callers
+    and merge.  When the runtime refuses a domain (it caps how many are
+    live at once), no more are spawned and the domains already running
+    drain the queue, with the same results.  Chunk results come back in worklist order, so callers
     that assemble them positionally produce byte-identical output at
     every [jobs] value — which domain ran which chunk is the only
     nondeterminism, and it is confined to scheduling.

@@ -231,9 +231,13 @@ let process t engines ?req ?trace reqj =
     | None, Some src -> Ok (src, "inline")
     | None, None -> Error "request needs \"path\" or \"cif\""
   in
-  match source with
-  | Error msg -> refuse id msg
-  | Ok (src, uri) -> (
+  let jobs = Option.bind (Json.member "jobs" req) Json.int in
+  match (source, jobs) with
+  | Error msg, _ -> refuse id msg
+  | Ok _, Some j when j < 0 ->
+    refuse id
+      (Printf.sprintf "\"jobs\" is %d: give 0 (the runtime's recommended count) or more" j)
+  | Ok (src, uri), _ -> (
     let lint_werror = flag "lint_werror" in
     let run_lint =
       (match Option.bind (Json.member "lint" req) Json.bool with
@@ -246,9 +250,7 @@ let process t engines ?req ?trace reqj =
         Engine.interactions =
           { t.s_base.Engine.interactions with
             Interactions.jobs =
-              (match Option.bind (Json.member "jobs" req) Json.int with
-              | Some j -> j
-              | None -> t.s_base.Engine.interactions.Interactions.jobs);
+              Option.value jobs ~default:t.s_base.Engine.interactions.Interactions.jobs;
             Interactions.check_same_net =
               (match Option.bind (Json.member "check_same_net" req) Json.bool with
               | Some b -> b
@@ -940,7 +942,19 @@ let serve_socket t ~path =
       in
       (if ready then
          match (try Some (Unix.accept sock) with Unix.Unix_error _ -> None) with
-         | Some (fd, _) -> readers := Domain.spawn (client_loop fd) :: !readers
+         | Some (fd, _) -> (
+           (* Each connection is read on a domain of its own, and the
+              runtime caps live domains (128 in OCaml 5.1, workers and
+              check domains included).  A connection past the cap is
+              refused with one line and closed; the others, and the
+              daemon, carry on. *)
+           match Domain.spawn (client_loop fd) with
+           | d -> readers := d :: !readers
+           | exception Failure _ ->
+             fd_writer fd
+               (refuse ~status:"overloaded" Json.Null
+                  "too many open connections; close one and retry");
+             (try Unix.close fd with Unix.Unix_error _ -> ()))
          | None -> ());
       accept_loop ()
     end

@@ -38,8 +38,19 @@ let apply_rect t r =
   Rect.make p.Pt.x p.Pt.y q.Pt.x q.Pt.y
 
 let det t = (t.a * t.d) - (t.b * t.c)
-let equal (x : t) (y : t) = x = y
+
+let equal x y =
+  x.a = y.a && x.b = y.b && x.c = y.c && x.d = y.d && x.tx = y.tx && x.ty = y.ty
+
 let compare (x : t) (y : t) = Stdlib.compare x y
+
+(* FNV-1a over the six fields, then the high bits folded down: array
+   placements differ by multiples of a pitch, which leaves the low
+   bits of a plain product all alike. *)
+let hash t =
+  let mix h v = (h lxor v) * 0x100000001b3 in
+  let h = mix (mix (mix (mix (mix (mix 0x811c9dc5 t.a) t.b) t.c) t.d) t.tx) t.ty in
+  (h lxor (h lsr 29)) land max_int
 
 let inverse t =
   (* M is orthogonal with entries in {-1,0,1}: M^-1 = M^T. *)

@@ -45,8 +45,16 @@ val apply_y : t -> int -> int -> int
     reflections. *)
 val det : t -> int
 
+(** Field-wise equality: two transforms are equal iff they map every
+    point alike. *)
 val equal : t -> t -> bool
+
+(** A total order, consistent with {!equal}. *)
 val compare : t -> t -> int
+
+(** A non-negative hash consistent with {!equal}, for tables keyed on
+    placements; it reads the six integers and nothing else. *)
+val hash : t -> int
 
 (** [inverse t] — transforms are invertible in the group. *)
 val inverse : t -> t

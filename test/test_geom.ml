@@ -93,6 +93,48 @@ let test_transform_det () =
   Alcotest.(check int) "rotation preserves orientation" 1
     (Transform.det (Transform.rotate `North))
 
+(* Transforms key placement classes in hash tables, so [equal] must
+   agree with [compare], and equal transforms must hash alike.  Seeded,
+   over the eight orientations and offsets up to 2^30 either way; the
+   pairs include ones that differ in exactly one matrix entry (rotating
+   and mirroring give those) or one offset, so a field that [equal]
+   forgets shows up. *)
+let test_transform_key () =
+  let st = Random.State.make [| 2020 |] in
+  let orientations =
+    List.concat_map
+      (fun r -> [ Transform.rotate r; Transform.compose Transform.mirror_x (Transform.rotate r) ])
+      [ `East; `North; `West; `South ]
+  in
+  let place o tx ty = Transform.compose (Transform.translate tx ty) o in
+  let agree what a b =
+    let eq = Transform.equal a b and cmp = Transform.compare a b in
+    if eq <> (cmp = 0) then
+      Alcotest.failf "%s: equal %b but compare %d for %a and %a" what eq cmp Transform.pp a
+        Transform.pp b;
+    if eq && Transform.hash a <> Transform.hash b then
+      Alcotest.failf "%s: equal transforms %a hash apart" what Transform.pp a;
+    if Transform.hash a < 0 then Alcotest.failf "%s: negative hash" what
+  in
+  let bound = 1 lsl 30 in
+  let offsets =
+    [ (0, 0); (bound, -bound); (-bound, bound) ]
+    @ List.init 300 (fun _ ->
+          ( Random.State.full_int st ((2 * bound) + 1) - bound,
+            Random.State.full_int st ((2 * bound) + 1) - bound ))
+  in
+  List.iter
+    (fun (tx, ty) ->
+      List.iter
+        (fun oa ->
+          let a = place oa tx ty in
+          agree "rebuilt" a (place oa tx ty);
+          agree "offset x" a (place oa (tx + 1) ty);
+          agree "offset y" a (place oa tx (ty - 1));
+          List.iter (fun ob -> agree "orientation" a (place ob tx ty)) orientations)
+        orientations)
+    offsets
+
 let transform_gen =
   let open QCheck2.Gen in
   let base =
@@ -930,7 +972,8 @@ let () =
         [ Alcotest.test_case "rotate" `Quick test_transform_rotate;
           Alcotest.test_case "seq order" `Quick test_transform_seq_order;
           Alcotest.test_case "rect image" `Quick test_transform_rect;
-          Alcotest.test_case "determinant" `Quick test_transform_det ] );
+          Alcotest.test_case "determinant" `Quick test_transform_det;
+          Alcotest.test_case "equal, compare and hash agree" `Quick test_transform_key ] );
       qsuite "transform.props" [ prop_transform_inverse; prop_transform_rect_pointwise ];
       ( "interval",
         [ Alcotest.test_case "normalise" `Quick test_interval_normalise;

@@ -200,7 +200,7 @@ module Oracle = struct
       let calls = Hashtbl.find env.calls_arr sid in
       match resolve env calls.(c).Model.callee rest eid with
       | None -> None
-      | Some child_gid -> Hashtbl.find_opt sn.Netgen.sub_group (c, child_gid))
+      | Some child_gid -> Some sn.Netgen.sub_group.(c).(child_gid))
 
   (* Lift a net group of the symbol at the end of [path] up to [sid]'s
      net numbering. *)
@@ -212,7 +212,7 @@ module Oracle = struct
       let calls = Hashtbl.find env.calls_arr sid in
       match resolve_group env calls.(c).Model.callee rest gid with
       | None -> None
-      | Some child_gid -> Hashtbl.find_opt sn.Netgen.sub_group (c, child_gid))
+      | Some child_gid -> Some sn.Netgen.sub_group.(c).(child_gid))
 
   (* All port nets of the (device) instance a site lives in, in [sid]'s
      net numbering. *)

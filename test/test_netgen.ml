@@ -88,7 +88,7 @@ module Oracle = struct
              first 0)
            s.Model.elements)
     in
-    { groups; elt_group; sub_group = Hashtbl.create 1 }
+    { groups; elt_group; sub_group = [||] }
 
   type node_src =
     | N_elt of Model.element
@@ -256,6 +256,15 @@ module Oracle = struct
             element_count = counts.(gid);
             crossing = crossing.(gid) })
     in
+    let sub_group =
+      Array.of_list
+        (List.map
+           (fun (c : Model.call) ->
+             Array.init
+               (Array.length (child_nets c.Model.callee).groups)
+               (fun g -> Hashtbl.find sub_group (c.Model.cidx, g)))
+           s.Model.calls)
+    in
     ({ groups; elt_group; sub_group }, !issues)
 
   let build (model : Model.t) : Netgen.t * Report.violation list =
@@ -283,7 +292,9 @@ let sorted_skels skels =
   List.map (fun (layer, rects) -> (layer, List.sort Geom.Rect.compare rects)) skels
 
 let sub_groups (sn : Dic.Netgen.sym_nets) =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) sn.Dic.Netgen.sub_group []
+  Array.to_list sn.Dic.Netgen.sub_group
+  |> List.mapi (fun k gids -> List.mapi (fun g gid -> ((k, g), gid)) (Array.to_list gids))
+  |> List.concat
   |> List.sort compare
 
 (* Everything but the root's connection surface, which nothing reads:

@@ -81,6 +81,58 @@ let test_serial_is_one_shard () =
       Alcotest.(check (list string)) "one shard[0]" [ "shard[0]" ] (shard_names trace))
     [ 1; 0; -3 ]
 
+(* OCaml 5.1 allows 128 live domains per process.  A [jobs] above that
+   must still evaluate every task, in worklist order, on the domains the
+   runtime did grant, and join every one of them: one merge and one
+   shard span per domain that ran.  Every task sleeps, so the domains
+   overlap. *)
+let test_jobs_above_domain_limit () =
+  let n = 10_000 in
+  let trace = Dic.Trace.create () in
+  let chunks, merged, domains = run_ids ~trace ~jobs:129 ~weight:(fun _ -> 101) n in
+  Alcotest.(check (list int)) "results in worklist order" (List.init n Fun.id)
+    (List.concat chunks);
+  Alcotest.(check int) "every task evaluated once" n merged;
+  Alcotest.(check bool)
+    (Printf.sprintf "several domains, within the runtime's cap (%d)" domains)
+    true
+    (domains > 1 && domains <= 128);
+  Alcotest.(check (list string)) "one shard span per joined domain"
+    (List.sort compare (List.init domains (Printf.sprintf "shard[%d]")))
+    (List.sort compare (shard_names trace))
+
+(* Every domain slot already taken by idle domains: the run finds none
+   to spawn and drains on the calling domain alone. *)
+let test_no_domain_to_spawn () =
+  let lock = Mutex.create () and released = Condition.create () in
+  let release = ref false in
+  let idle () =
+    Mutex.lock lock;
+    while not !release do
+      Condition.wait released lock
+    done;
+    Mutex.unlock lock
+  in
+  let rec hold acc =
+    match Domain.spawn idle with
+    | d -> hold (d :: acc)
+    | exception Failure _ -> acc
+  in
+  let held = hold [] in
+  let outcome = try Ok (run_ids ~jobs:4 ~weight:(fun _ -> 1) 200) with e -> Error e in
+  Mutex.lock lock;
+  release := true;
+  Condition.broadcast released;
+  Mutex.unlock lock;
+  List.iter Domain.join held;
+  match outcome with
+  | Error e -> Alcotest.failf "run raised %s" (Printexc.to_string e)
+  | Ok (chunks, merged, domains) ->
+    Alcotest.(check (list int)) "results in worklist order" (List.init 200 Fun.id)
+      (List.concat chunks);
+    Alcotest.(check int) "every task evaluated once" 200 merged;
+    Alcotest.(check int) "calling domain only" 1 domains
+
 let () =
   Alcotest.run "parallel"
     [ ( "run",
@@ -89,4 +141,7 @@ let () =
           Alcotest.test_case "domains capped at chunk count" `Quick
             test_domains_capped_at_chunks;
           Alcotest.test_case "jobs below 2 run on the calling domain" `Quick
-            test_serial_is_one_shard ] ) ]
+            test_serial_is_one_shard;
+          Alcotest.test_case "jobs above the domain limit" `Quick
+            test_jobs_above_domain_limit;
+          Alcotest.test_case "no domain left to spawn" `Quick test_no_domain_to_spawn ] ) ]

@@ -359,6 +359,110 @@ let test_malformed_line_mid_stream () =
     (Dic.Serve.stats server).Dic.Serve.served;
   Dic.Serve.shutdown server
 
+(* A negative "jobs" is an error reply, not a silent "ask the runtime". *)
+let test_negative_jobs_refused () =
+  let server = Dic.Serve.create ~workers:1 rules in
+  let c = client () in
+  let conn = mock_conn server c in
+  let req id jobs =
+    Dic.Json.to_string
+      (Dic.Json.Obj
+         [ ("id", Dic.Json.Num id); ("cif", Dic.Json.Str (clean_cif ()));
+           ("jobs", Dic.Json.Num jobs) ])
+  in
+  Dic.Serve.submit server conn (req 1. (-1.));
+  let bad = parse_reply (List.hd (await c 1)) in
+  Alcotest.(check string) "negative jobs refused" "error" (status bad);
+  Alcotest.(check int) "refusal exit code" 2 (field "exit" bad);
+  Dic.Serve.submit server conn (req 2. 0.);
+  let good = parse_reply (List.nth (await c 2) 1) in
+  Alcotest.(check string) "jobs 0 still asks the runtime" "ok" (status good);
+  Dic.Serve.shutdown server
+
+(* ------------------------------------------------------------------ *)
+(* More socket connections than the runtime has domains                *)
+
+(* One JSON line from [fd] within [timeout] seconds; [None] on timeout,
+   EOF or a connection error before a whole line arrived. *)
+let read_line_within fd timeout =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let buf = Buffer.create 256 and byte = Bytes.create 1 in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then None
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> go ()
+      | _ -> (
+        match Unix.read fd byte 0 1 with
+        | 0 -> None
+        | _ when Bytes.get byte 0 = '\n' -> Some (Buffer.contents buf)
+        | _ ->
+          Buffer.add_bytes buf byte;
+          go ()
+        | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> go ()
+        | exception Unix.Unix_error _ -> None)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
+(* The socket transport reads each connection on a domain of its own,
+   and OCaml 5.1 allows 128 live domains per process.  130 idle
+   connections must not take the daemon down: each gets its health
+   reply or one "overloaded" line, and once they close a new client is
+   served again. *)
+let test_connections_past_domain_cap () =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let path = Filename.temp_file "dic_test_serve" ".sock" in
+  Sys.remove path;
+  let server = Dic.Serve.create ~workers:2 rules in
+  let daemon = Domain.spawn (fun () -> Dic.Serve.serve_socket server ~path) in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  let health = "{\"admin\":\"health\"}\n" in
+  let ask () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    (try ignore (Unix.write_substring fd health 0 (String.length health))
+     with Unix.Unix_error _ -> ());
+    (fd, Option.map (fun l -> status (parse_reply l)) (read_line_within fd 5.))
+  in
+  let fds = ref [] in
+  let statuses =
+    List.init 130 (fun i ->
+        let fd, st = ask () in
+        fds := fd :: !fds;
+        match st with
+        | Some st -> st
+        | None -> Alcotest.failf "connection %d: no reply (is the daemon gone?)" (i + 1))
+  in
+  List.iteri
+    (fun i st ->
+      if st <> "health" && st <> "overloaded" then
+        Alcotest.failf "connection %d: unexpected status %S" (i + 1) st)
+    statuses;
+  Alcotest.(check string) "the first connection is served" "health" (List.hd statuses);
+  Alcotest.(check bool) "130 connections cross the cap" true (List.mem "overloaded" statuses);
+  List.iter Unix.close !fds;
+  (* Their readers wind down within a poll tick or two; until then a new
+     client may itself be turned away, and retries. *)
+  let rec healthy tries =
+    let fd, st = ask () in
+    Unix.close fd;
+    match st with
+    | Some "health" -> true
+    | Some "overloaded" when tries > 0 ->
+      Unix.sleepf 0.05;
+      healthy (tries - 1)
+    | _ -> false
+  in
+  Alcotest.(check bool) "a later client is served" true (healthy 200);
+  Dic.Serve.shutdown server;
+  Domain.join daemon;
+  Alcotest.(check bool) "socket removed at shutdown" false (Sys.file_exists path)
+
 (* ------------------------------------------------------------------ *)
 (* Crash at request N; a restarted daemon recovers warm state from     *)
 (* disk                                                                *)
@@ -822,7 +926,10 @@ let () =
       ( "robustness",
         [ Alcotest.test_case "backpressure" `Quick test_backpressure_overload;
           Alcotest.test_case "malformed mid-stream" `Quick
-            test_malformed_line_mid_stream ] );
+            test_malformed_line_mid_stream;
+          Alcotest.test_case "negative jobs refused" `Quick test_negative_jobs_refused;
+          Alcotest.test_case "connections past the domain cap" `Quick
+            test_connections_past_domain_cap ] );
       ( "lifecycle",
         [ Alcotest.test_case "crash and restart" `Quick
             test_crash_and_restart_recovers_warm_cache ] );

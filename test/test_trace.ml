@@ -164,8 +164,9 @@ let test_stage_parallel_shape () =
     (List.length (List.filter (( = ) "shard[0]") s4) >= 3);
   check_shard_runs "each stage's shards consecutively numbered" s4
 
-(* The interaction stage's own phases: the certificate build and the
-   plan each get a ["phase"] span that lies inside the stage's span. *)
+(* The interaction stage's own phases: the certificate build, the plan,
+   the certificate guard prepass and the merge after the join each get
+   a ["phase"] span that lies inside the stage's span. *)
 let test_interaction_phases () =
   let trace = Dic.Trace.create () in
   let src = Cif.Print.to_string (Layoutgen.Pla.tier ~lambda ~rows:4 ~cols:6) in
@@ -196,8 +197,10 @@ let test_interaction_phases () =
         else None)
       events
   in
-  Alcotest.(check (list string)) "certify, then plan"
-    ((if Dic.Deckcheck.enabled () then [ "certify" ] else []) @ [ "plan" ])
+  let certs = Dic.Deckcheck.enabled () in
+  Alcotest.(check (list string)) "certify, plan, guard, merge"
+    ((if certs then [ "certify" ] else []) @ [ "plan" ]
+    @ (if certs then [ "guard" ] else []) @ [ "merge" ])
     phases
 
 let test_chrome_json_parses () =
