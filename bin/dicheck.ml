@@ -434,8 +434,12 @@ let serve_main lambda rules_file cache socket workers max_queue trace_out event_
       ~collect_traces:(trace_out <> None) ()
   in
   let server =
-    open_or_exit cache (fun () ->
-        Dic.Serve.create ?cache_dir:cache ~workers ~max_queue ~telemetry rules)
+    try
+      open_or_exit cache (fun () ->
+          Dic.Serve.create ?cache_dir:cache ~workers ~max_queue ~telemetry rules)
+    with Invalid_argument msg ->
+      Printf.eprintf "dicheck: --workers %d: %s\n" workers msg;
+      exit 2
   in
   (* SIGTERM = graceful drain: the handler only flips a flag (OCaml 5
      handlers may run on any domain); the transport loops poll it and
@@ -775,7 +779,8 @@ let serve_cmd =
     Arg.(value & opt int 0
          & info [ "workers" ] ~docv:"N"
              ~doc:"Size of the worker-domain pool answering requests (0, the \
-                   default, asks the runtime for the recommended count).  Each \
+                   default, asks the runtime for the recommended count); at \
+                   most 126, since the runtime allows 128 live domains.  Each \
                    worker keeps its own warm engines over the shared \
                    $(b,--cache) directory; reports are byte-identical at every \
                    worker count.")

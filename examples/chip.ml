@@ -63,10 +63,10 @@ let () =
       (Dic.Structure.compute result.Dic.Engine.nets);
     (match Netlist.Net.find_by_name result.Dic.Engine.netlist "PADIN" with
     | Some net ->
-      Format.printf "pad net: %d terminal(s): %s@." (List.length net.Netlist.Net.terminals)
+      Format.printf "pad net: %d terminal(s): %s@." (Netlist.Net.count net.Netlist.Net.terminals)
         (String.concat ", "
            (List.map
               (fun (t : Netlist.Net.terminal) ->
                 t.Netlist.Net.device_path ^ "." ^ t.Netlist.Net.port)
-              net.Netlist.Net.terminals))
+              (Netlist.Net.flatten net.Netlist.Net.terminals)))
     | None -> Format.printf "pad net missing!@.")

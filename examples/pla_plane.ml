@@ -31,7 +31,7 @@ let () =
             List.filter
               (fun (t : Netlist.Net.terminal) ->
                 Tech.Device.is_transistor t.Netlist.Net.device)
-              net.Netlist.Net.terminals
+              (Netlist.Net.flatten net.Netlist.Net.terminals)
           in
           Printf.printf "  %s: NOR of %d input(s)  (drains: %s)\n" name
             (List.length pulldowns)

@@ -26,7 +26,7 @@ let () =
         match Netlist.Net.find_by_name result.Dic.Engine.netlist name with
         | Some net ->
           Format.printf "  %s: %d pass-gate terminal(s)@." name
-            (List.length net.Netlist.Net.terminals)
+            (Netlist.Net.count net.Netlist.Net.terminals)
         | None -> Format.printf "  %s: MISSING@." name)
       [ "PHI1!"; "PHI2!" ]);
 

@@ -347,6 +347,16 @@ let sym_label (s : Cif.Ast.symbol) =
    units a few levels of instancing can overflow 63-bit ints. *)
 let overflow_bound = 1 lsl 40
 
+(* D007's key: a call's callee and transform.  Each scope files its
+   calls here, so finding an earlier identical call is one lookup, not a
+   scan of every earlier call. *)
+module Call_tbl = Hashtbl.Make (struct
+  type t = int * Geom.Transform.t
+
+  let equal (a, ta) (b, tb) = a = b && Geom.Transform.equal ta tb
+  let hash (callee, t) = ((Geom.Transform.hash t * 31) + callee) land max_int
+end)
+
 let check_ast (file : Cif.Ast.file) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
@@ -365,7 +375,8 @@ let check_ast (file : Cif.Ast.file) =
     file.Cif.Ast.symbols;
   (* D001 / D007 / D008, per call scope. *)
   let scan_calls owner calls =
-    let rec go earlier = function
+    let earlier = Call_tbl.create 16 in
+    let rec go = function
       | [] -> ()
       | (c : Cif.Ast.call) :: rest ->
         if not (Hashtbl.mem by_id c.Cif.Ast.callee) then
@@ -380,20 +391,16 @@ let check_ast (file : Cif.Ast.file) =
                   "call to symbol %d translates to (%d, %d): beyond 2^40 units, \
                    composed coordinates risk overflow"
                   c.Cif.Ast.callee o.Geom.Pt.x o.Geom.Pt.y));
-        if
-          List.exists
-            (fun (p : Cif.Ast.call) ->
-              p.Cif.Ast.callee = c.Cif.Ast.callee
-              && Geom.Transform.equal p.Cif.Ast.transform c.Cif.Ast.transform)
-            earlier
-        then
+        let key = (c.Cif.Ast.callee, c.Cif.Ast.transform) in
+        if Call_tbl.mem earlier key then
           add
             (mk ?loc:c.Cif.Ast.call_loc "D007" Warning owner
                (Printf.sprintf "%s instantiates symbol %d twice at the same transform"
-                  owner c.Cif.Ast.callee));
-        go (c :: earlier) rest
+                  owner c.Cif.Ast.callee))
+        else Call_tbl.add earlier key ();
+        go rest
     in
-    go [] calls
+    go calls
   in
   List.iter (fun (s : Cif.Ast.symbol) -> scan_calls (sym_label s) s.Cif.Ast.calls)
     file.Cif.Ast.symbols;

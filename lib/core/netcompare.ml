@@ -76,38 +76,35 @@ let parse src =
     Ok { nets = List.rev !nets }
 
 (* Terminals of functional devices only: contacts are wiring and would
-   make every expected list tediously long. *)
-let significant (t : Netlist.Net.terminal) =
-  match t.Netlist.Net.device with
-  | Tech.Device.Enhancement | Tech.Device.Depletion | Tech.Device.Resistor
-  | Tech.Device.Pad ->
-    true
-  | Tech.Device.Contact_cut | Tech.Device.Butting_contact | Tech.Device.Buried_contact
-  | Tech.Device.Checked ->
-    false
-
+   make every expected list tediously long.  Each net is flattened at
+   most once, and a net with no functional terminal not at all. *)
 let compare expected (actual : Netlist.Net.t) =
+  let significant (n : Netlist.Net.net) =
+    if Netlist.Net.functional n.Netlist.Net.terminals = 0 then []
+    else
+      List.filter
+        (fun (t : Netlist.Net.terminal) -> Netlist.Net.is_functional t.Netlist.Net.device)
+        (Netlist.Net.flatten n.Netlist.Net.terminals)
+  in
+  let nets = List.map (fun n -> (n, significant n)) actual.Netlist.Net.nets in
   (* Index every significant terminal in the layout by (device, port). *)
   let location = Hashtbl.create 64 in
   List.iter
-    (fun (n : Netlist.Net.net) ->
+    (fun ((n : Netlist.Net.net), terminals) ->
       List.iter
         (fun (t : Netlist.Net.terminal) ->
-          if significant t then
-            Hashtbl.replace location (t.Netlist.Net.device_path, t.Netlist.Net.port)
-              (Netlist.Net.display_name n))
-        n.Netlist.Net.terminals)
-    actual.Netlist.Net.nets;
+          Hashtbl.replace location (t.Netlist.Net.device_path, t.Netlist.Net.port)
+            (Netlist.Net.display_name n))
+        terminals)
+    nets;
   let net_names (n : Netlist.Net.net) =
     Netlist.Net.display_name n :: n.Netlist.Net.names
   in
   List.concat_map
     (fun { nname = name; terminals = specs; closed } ->
-      match
-        List.find_opt (fun n -> List.mem name (net_names n)) actual.Netlist.Net.nets
-      with
+      match List.find_opt (fun (n, _) -> List.mem name (net_names n)) nets with
       | None -> [ Missing_net name ]
-      | Some net ->
+      | Some (net, terminals) ->
         let actual_name = Netlist.Net.display_name net in
         let missing_or_misplaced =
           List.filter_map
@@ -125,13 +122,12 @@ let compare expected (actual : Netlist.Net.t) =
             List.filter_map
               (fun (t : Netlist.Net.terminal) ->
                 if
-                  significant t
-                  && not
-                       (List.exists
-                          (fun s ->
-                            s.device = t.Netlist.Net.device_path
-                            && s.port = t.Netlist.Net.port)
-                          specs)
+                  not
+                    (List.exists
+                       (fun s ->
+                         s.device = t.Netlist.Net.device_path
+                         && s.port = t.Netlist.Net.port)
+                       specs)
                 then
                   Some
                     (Extra_terminal
@@ -139,7 +135,7 @@ let compare expected (actual : Netlist.Net.t) =
                          device = t.Netlist.Net.device_path;
                          port = t.Netlist.Net.port })
                 else None)
-              net.Netlist.Net.terminals
+              terminals
         in
         missing_or_misplaced @ extras)
     expected.nets

@@ -2,7 +2,7 @@ type group = {
   gid : int;
   skels : (Tech.Layer.t * Geom.Rect.t list) list;
   labels : string list;
-  terminals : Netlist.Net.terminal list;
+  terminals : Netlist.Net.terminals;
   element_count : int;
   crossing : bool;
 }
@@ -25,7 +25,7 @@ let nets_of t sid =
 
 let instance_label model (c : Model.call) =
   let callee = Model.find model c.Model.callee in
-  Printf.sprintf "%d:%s" c.Model.cidx callee.Model.sname
+  string_of_int c.Model.cidx ^ ":" ^ callee.Model.sname
 
 let is_global name = String.length name > 0 && name.[String.length name - 1] = '!'
 let qualify inst label = if is_global label then label else inst ^ "." ^ label
@@ -59,8 +59,7 @@ let device_sym_nets rules (s : Model.symbol) =
            { gid;
              skels = merge_skels p.Devices.players;
              labels = p.Devices.plabels;
-             terminals =
-               [ { Netlist.Net.device_path = ""; device = kind; port = p.Devices.pname } ];
+             terminals = Netlist.Net.port kind p.Devices.pname;
              element_count = 0;
              crossing = false })
          iface.Devices.ports)
@@ -314,7 +313,7 @@ let compose pass model (s : Model.symbol) child_nets =
   let with_surface = s.Model.sid <> Model.root_id in
   let skels = Array.make n_groups []
   and labels = Array.make n_groups []
-  and terminals = Array.make n_groups []
+  and parts = Array.make n_groups []
   and counts = Array.make n_groups 0
   and crossing = Array.make n_groups false in
   let elt_group = Array.make (List.length s.Model.elements) None in
@@ -342,15 +341,8 @@ let compose pass model (s : Model.symbol) child_nets =
                 g.skels
               @ skels.(gid);
           labels.(gid) <- List.map (qualify inst) g.labels @ labels.(gid);
-          terminals.(gid) <-
-            List.map
-              (fun (t : Netlist.Net.terminal) ->
-                { t with
-                  Netlist.Net.device_path =
-                    (if t.Netlist.Net.device_path = "" then inst
-                     else inst ^ "." ^ t.Netlist.Net.device_path) })
-              g.terminals
-            @ terminals.(gid);
+          if Netlist.Net.count g.terminals > 0 then
+            parts.(gid) <- (inst, g.terminals) :: parts.(gid);
           counts.(gid) <- counts.(gid) + g.element_count;
           crossing.(gid) <- true)
         child.(k).groups)
@@ -364,7 +356,7 @@ let compose pass model (s : Model.symbol) child_nets =
         { gid;
           skels = merge_skels skels.(gid);
           labels = List.sort_uniq String.compare labels.(gid);
-          terminals = terminals.(gid);
+          terminals = Netlist.Net.union parts.(gid);
           element_count = counts.(gid);
           crossing = crossing.(gid) })
   in
@@ -403,21 +395,18 @@ let build ?metrics (model : Model.t) =
     metrics;
   ({ model; by_symbol }, List.rev !issues)
 
-let classes_of names =
-  List.map Tech.Netclass.classify names
-  |> List.sort_uniq Stdlib.compare
-  |> List.filter (fun c -> not (Tech.Netclass.equal c Tech.Netclass.Signal))
-
 let netlist t =
   let root = nets_of t Model.root_id in
   let nets =
-    Array.to_list root.groups
-    |> List.map (fun (g : group) ->
-           { Netlist.Net.names = g.labels;
-             auto_name = Printf.sprintf "n%d" g.gid;
-             classes = classes_of g.labels;
-             terminals = g.terminals;
-             element_count = g.element_count })
+    Array.fold_right
+      (fun (g : group) nets ->
+        { Netlist.Net.names = g.labels;
+          auto_name = "n" ^ string_of_int g.gid;
+          classes = Netlist.Net.classes_of g.labels;
+          terminals = g.terminals;
+          element_count = g.element_count }
+        :: nets)
+      root.groups []
   in
   { Netlist.Net.nets }
 

@@ -58,15 +58,25 @@ type t = {
   s_telemetry : Telemetry.t;
 }
 
+let max_workers = 126
+
 let create ?(config = Engine.default_config) ?cache_dir ?(workers = 0)
     ?(max_queue = 64) ?telemetry rules =
+  if workers > max_workers then
+    invalid_arg
+      (Printf.sprintf
+         "at most %d worker domains: the runtime allows 128 live domains, and \
+          the main domain and a connection reader need two"
+         max_workers);
   (* An unusable cache directory fails here, at start-up, rather than
      in every request's engine. *)
   Option.iter (fun dir -> ignore (Cache.open_dir dir)) cache_dir;
   { s_rules = rules;
     s_base = config;
     s_cache_dir = cache_dir;
-    s_workers = (if workers <= 0 then Domain.recommended_domain_count () else workers);
+    s_workers =
+      (if workers <= 0 then min max_workers (Domain.recommended_domain_count ())
+       else workers);
     s_max_queue = max max_queue 1;
     s_engines = Hashtbl.create 4;
     s_lock = Mutex.create ();

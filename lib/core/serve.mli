@@ -122,14 +122,21 @@
 
 type t
 
+(** The largest worker pool {!create} accepts, 126: OCaml 5.1 allows
+    128 live domains per process, and the pool leaves one to the main
+    domain and one to a socket connection's reader. *)
+val max_workers : int
+
 (** [create ?config ?cache_dir ?workers ?max_queue ?telemetry rules].
     [workers] is the worker-domain count ([0], the default, asks the
-    runtime via [Domain.recommended_domain_count]); [max_queue]
+    runtime via [Domain.recommended_domain_count], at most
+    {!max_workers}); [max_queue]
     (default [64]) bounds the request queue — submissions beyond it are
     refused immediately with an ["overloaded"] reply rather than queued
     without bound; [telemetry] is the service hub (defaults to a quiet
     metrics-only {!Telemetry.create}).
 
+    @raise Invalid_argument when [workers] exceeds {!max_workers}.
     @raise Sys_error when [cache_dir] cannot be opened
     ({!Cache.open_dir}) — at creation, not on the first request. *)
 val create :

@@ -17,16 +17,9 @@ let message = function
   | Depletion_on_ground { net; device_path; port } ->
     "depletion device " ^ device_path ^ " (" ^ port ^ ") connected to ground net " ^ net
 
-(* For the two-device rule, contacts are wiring, not devices; count
-   only functional devices (transistors, resistors, pads). *)
-let is_functional = function
-  | Tech.Device.Enhancement | Tech.Device.Depletion | Tech.Device.Resistor
-  | Tech.Device.Pad ->
-    true
-  | Tech.Device.Contact_cut | Tech.Device.Butting_contact | Tech.Device.Buried_contact
-  | Tech.Device.Checked ->
-    false
-
+(* For the two-device rule, contacts are wiring, not devices: the
+   cached functional count is the number of device terminals.  Device
+   paths are built only for a depletion-on-ground finding. *)
 let check (t : Net.t) =
   List.concat_map
     (fun (n : Net.net) ->
@@ -34,12 +27,10 @@ let check (t : Net.t) =
       let power = Net.has_class n Tech.Netclass.Power
       and ground = Net.has_class n Tech.Netclass.Ground
       and bus = Net.has_class n Tech.Netclass.Bus in
-      let functional =
-        List.filter (fun (t : Net.terminal) -> is_functional t.Net.device) n.Net.terminals
-      in
+      let functional = Net.functional n.Net.terminals in
       let floating =
-        if (not power) && (not ground) && List.length functional < 2 then
-          [ Floating_net { net = name; terminals = List.length functional } ]
+        if (not power) && (not ground) && functional < 2 then
+          [ Floating_net { net = name; terminals = functional } ]
         else []
       in
       let short =
@@ -52,7 +43,7 @@ let check (t : Net.t) =
         else []
       in
       let depletion =
-        if ground then
+        if ground && Net.depletion n.Net.terminals > 0 then
           List.filter_map
             (fun (term : Net.terminal) ->
               if Tech.Device.equal term.Net.device Tech.Device.Depletion then
@@ -62,7 +53,7 @@ let check (t : Net.t) =
                        device_path = term.Net.device_path;
                        port = term.Net.port })
               else None)
-            n.Net.terminals
+            (Net.flatten n.Net.terminals)
         else []
       in
       floating @ short @ bus_supply @ depletion)

@@ -4,15 +4,83 @@ type terminal = {
   port : string;
 }
 
+let is_functional = function
+  | Tech.Device.Enhancement | Tech.Device.Depletion | Tech.Device.Resistor
+  | Tech.Device.Pad ->
+    true
+  | Tech.Device.Contact_cut | Tech.Device.Butting_contact | Tech.Device.Buried_contact
+  | Tech.Device.Checked ->
+    false
+
+type terminals = {
+  count : int;
+  functional : int;
+  depletion : int;
+  shape : shape;
+}
+
+and shape =
+  | Port of Tech.Device.kind * string
+  | Union of (string * terminals) list
+
+let empty = { count = 0; functional = 0; depletion = 0; shape = Union [] }
+
+let port kind name =
+  { count = 1;
+    functional = (if is_functional kind then 1 else 0);
+    depletion = (if Tech.Device.equal kind Tech.Device.Depletion then 1 else 0);
+    shape = Port (kind, name) }
+
+let union = function
+  | [] -> empty
+  | parts ->
+    let rec sum c f d = function
+      | [] -> { count = c; functional = f; depletion = d; shape = Union parts }
+      | (_, t) :: rest -> sum (c + t.count) (f + t.functional) (d + t.depletion) rest
+    in
+    sum 0 0 0 parts
+
+let count t = t.count
+let functional t = t.functional
+let depletion t = t.depletion
+
+(* [go path t acc] puts [t]'s terminals, under [path], in front of
+   [acc]; folding each union's parts from the right keeps their order
+   without a reversal. *)
+let flatten t =
+  let rec go path t acc =
+    match t.shape with
+    | Port (device, port) -> { device_path = path; device; port } :: acc
+    | Union parts ->
+      List.fold_right
+        (fun (inst, sub) acc -> go (if path = "" then inst else path ^ "." ^ inst) sub acc)
+        parts acc
+  in
+  go "" t []
+
 type net = {
   names : string list;
   auto_name : string;
   classes : Tech.Netclass.t list;
-  terminals : terminal list;
+  terminals : terminals;
   element_count : int;
 }
 
 type t = { nets : net list }
+
+let class_bit = function
+  | Tech.Netclass.Power -> 1
+  | Tech.Netclass.Ground -> 2
+  | Tech.Netclass.Bus -> 4
+  | Tech.Netclass.Signal -> 0
+
+let classes_of = function
+  | [] -> []
+  | names ->
+    let bits = List.fold_left (fun b n -> b lor class_bit (Tech.Netclass.classify n)) 0 names in
+    List.filter
+      (fun c -> bits land class_bit c <> 0)
+      [ Tech.Netclass.Power; Tech.Netclass.Ground; Tech.Netclass.Bus ]
 
 let display_name n = match n.names with name :: _ -> name | [] -> n.auto_name
 let has_class n c = List.exists (Tech.Netclass.equal c) n.classes
@@ -22,75 +90,10 @@ let find_by_name t name =
 
 let pp_net ppf n =
   Format.fprintf ppf "%s: %d element(s), %d terminal(s)%s" (display_name n)
-    n.element_count (List.length n.terminals)
+    n.element_count n.terminals.count
     (match n.classes with
     | [] -> ""
     | cs -> " [" ^ String.concat "," (List.map Tech.Netclass.to_string cs) ^ "]")
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a@]" (Format.pp_print_list pp_net) t.nets
-
-type builder = {
-  uf : Uf.t;
-  labels : (int, string) Hashtbl.t;  (** node -> explicit label *)
-  terminals : (int, terminal) Hashtbl.t;  (** node -> terminals (multi) *)
-  elements : (int, unit) Hashtbl.t;  (** node -> element marks (multi) *)
-}
-
-let builder () =
-  { uf = Uf.create ();
-    labels = Hashtbl.create 64;
-    terminals = Hashtbl.create 64;
-    elements = Hashtbl.create 64 }
-
-let node b ~label =
-  let id = Uf.make b.uf in
-  (match label with None -> () | Some l -> Hashtbl.add b.labels id l);
-  id
-
-let connect b i j = Uf.union b.uf i j
-let connected b i j = Uf.same b.uf i j
-let add_terminal b i t = Hashtbl.add b.terminals i t
-let add_element b i = Hashtbl.add b.elements i ()
-
-let is_global name = String.length name > 0 && name.[String.length name - 1] = '!'
-
-let merge_globals b =
-  let by_name = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun node label ->
-      if is_global label then
-        match Hashtbl.find_opt by_name label with
-        | Some first -> Uf.union b.uf first node
-        | None -> Hashtbl.add by_name label node)
-    b.labels
-
-let finish b ~auto_prefix =
-  let classes_of names =
-    List.sort_uniq Stdlib.compare (List.map Tech.Netclass.classify names)
-    |> List.filter (fun c -> not (Tech.Netclass.equal c Tech.Netclass.Signal))
-  in
-  let nets =
-    Uf.classes b.uf
-    |> List.mapi (fun i members ->
-           let names =
-             List.concat_map
-               (fun m -> Option.to_list (Hashtbl.find_opt b.labels m))
-               members
-             |> List.sort_uniq String.compare
-           in
-           let terminals =
-             List.concat_map (fun m -> Hashtbl.find_all b.terminals m) members
-           in
-           let element_count =
-             List.fold_left
-               (fun acc m -> acc + List.length (Hashtbl.find_all b.elements m))
-               0 members
-           in
-           { names;
-             auto_name = Printf.sprintf "%sn%d" auto_prefix i;
-             classes = classes_of names;
-             terminals;
-             element_count })
-  in
-  { nets }

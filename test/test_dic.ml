@@ -340,12 +340,12 @@ let test_netgen_chain_nets () =
   let find n = Netlist.Net.find_by_name result.Dic.Engine.netlist n in
   (match find "GND!" with
   | Some net ->
-    Alcotest.(check int) "GND terminals: 2 per cell" 8 (List.length net.Netlist.Net.terminals)
+    Alcotest.(check int) "GND terminals: 2 per cell" 8 (Netlist.Net.count net.Netlist.Net.terminals)
   | None -> Alcotest.fail "no GND net");
   match find "0:inv.out" with
   | Some net ->
     (* T1 drain + buried via + T2 gate + T2 source + next cell's T1 gate. *)
-    Alcotest.(check int) "output terminals" 5 (List.length net.Netlist.Net.terminals)
+    Alcotest.(check int) "output terminals" 5 (Netlist.Net.count net.Netlist.Net.terminals)
   | None -> Alcotest.fail "no output net"
 
 let test_netgen_dot_notation () =
@@ -708,6 +708,51 @@ let test_netcmp_exact_extra () =
        vs)
 
 (* ------------------------------------------------------------------ *)
+(* Terminal paths through the hierarchy                                *)
+
+let messages vs =
+  List.map (fun (v : Dic.Report.violation) -> v.Dic.Report.rule ^ ": " ^ v.Dic.Report.message) vs
+
+(* Every element labelled [from] relabelled [into], at every level. *)
+let relabel ~from ~into (f : Cif.Ast.file) =
+  let el e = if Cif.Ast.element_net e = Some from then Cif.Ast.with_net e (Some into) else e in
+  { f with
+    Cif.Ast.symbols =
+      List.map
+        (fun (s : Cif.Ast.symbol) -> { s with Cif.Ast.elements = List.map el s.Cif.Ast.elements })
+        f.Cif.Ast.symbols;
+    top_elements = List.map el f.Cif.Ast.top_elements }
+
+(* A 3-bit register whose supply is labelled ground: each bit's two
+   depletion loads are three levels down (register, bit, inverter), and
+   each finding names its load by the full dotted path. *)
+let test_depletion_paths_through_hierarchy () =
+  let design = relabel ~from:"VDD!" ~into:"GND!" (Layoutgen.Shift.register ~lambda 3) in
+  let finding bit inv =
+    Printf.sprintf
+      "erc.depletion-on-ground: depletion device %d:sbit.%d:inv.1:dep (sd0) connected to \
+       ground net GND!"
+      bit inv
+  in
+  Alcotest.(check (list string)) "depletion findings, in order"
+    [ finding 2 3; finding 2 1; finding 1 3; finding 1 1; finding 0 3; finding 0 1 ]
+    (messages (Dic.Report.by_rule_prefix (run_ok design).Dic.Engine.report "erc.depletion"))
+
+(* A closed PHI1! net that lists bit 1's pass gate: the other bits'
+   PHI1 pass gates are extra, named by their dotted paths, in order. *)
+let test_netcmp_extra_paths_through_hierarchy () =
+  let vs =
+    netcmp_run "net PHI1! exact\n1:sbit.0:pass_PHI1.1:enhh gate\n"
+      (Layoutgen.Shift.register ~lambda 3)
+  in
+  let extra bit =
+    Printf.sprintf "unexpected terminal %d:sbit.0:pass_PHI1.1:enhh.gate on net PHI1!" bit
+  in
+  Alcotest.(check (list string)) "extra terminals, in order"
+    [ "netcmp.extra-terminal: " ^ extra 2; "netcmp.extra-terminal: " ^ extra 0 ]
+    (messages vs)
+
+(* ------------------------------------------------------------------ *)
 (* Transformed instances                                               *)
 
 let test_rotated_device_connectivity () =
@@ -730,7 +775,7 @@ let test_rotated_device_connectivity () =
   match Netlist.Net.find_by_name result.Dic.Engine.netlist "s" with
   | Some net ->
     Alcotest.(check int) "wire reaches the rotated stub" 1
-      (List.length net.Netlist.Net.terminals)
+      (Netlist.Net.count net.Netlist.Net.terminals)
   | None -> Alcotest.fail "net s missing"
 
 let test_mirrored_instances_interact () =
@@ -1062,7 +1107,9 @@ let () =
           Alcotest.test_case "dot notation" `Quick test_netgen_dot_notation;
           Alcotest.test_case "illegal connection" `Quick test_netgen_illegal_connection;
           Alcotest.test_case "resolve" `Quick test_netgen_resolve;
-          Alcotest.test_case "locality" `Quick test_netgen_locality ] );
+          Alcotest.test_case "locality" `Quick test_netgen_locality;
+          Alcotest.test_case "depletion paths through the hierarchy" `Quick
+            test_depletion_paths_through_hierarchy ] );
       ( "interactions",
         [ Alcotest.test_case "diff-net spacing" `Quick test_interactions_diff_net_spacing;
           Alcotest.test_case "spacing at the value bound" `Quick
@@ -1103,7 +1150,9 @@ let () =
           Alcotest.test_case "missing net" `Quick test_netcmp_missing_net;
           Alcotest.test_case "missing terminal" `Quick test_netcmp_missing_terminal;
           Alcotest.test_case "misplaced terminal" `Quick test_netcmp_misplaced_terminal;
-          Alcotest.test_case "exact extra" `Quick test_netcmp_exact_extra ] );
+          Alcotest.test_case "exact extra" `Quick test_netcmp_exact_extra;
+          Alcotest.test_case "extra terminal paths through the hierarchy" `Quick
+            test_netcmp_extra_paths_through_hierarchy ] );
       ( "transforms",
         [ Alcotest.test_case "rotated device connectivity" `Quick
             test_rotated_device_connectivity;

@@ -72,7 +72,7 @@ let test_shift_register_clocks () =
     (fun clock ->
       match Netlist.Net.find_by_name result.Dic.Engine.netlist clock with
       | Some net ->
-        Alcotest.(check int) (clock ^ " gates") 3 (List.length net.Netlist.Net.terminals)
+        Alcotest.(check int) (clock ^ " gates") 3 (Netlist.Net.count net.Netlist.Net.terminals)
       | None -> Alcotest.failf "%s missing" clock)
     [ "PHI1!"; "PHI2!" ]
 
@@ -101,15 +101,15 @@ let test_pla_connectivity () =
   let result = run f in
   (* Each input column gates one transistor per row. *)
   (match Netlist.Net.find_by_name result.Dic.Engine.netlist "in0" with
-  | Some net -> Alcotest.(check int) "in0 gates" 2 (List.length net.Netlist.Net.terminals)
+  | Some net -> Alcotest.(check int) "in0 gates" 2 (Netlist.Net.count net.Netlist.Net.terminals)
   | None -> Alcotest.fail "in0 missing");
   (* Each product row collects one drain and one contact via per column. *)
   (match Netlist.Net.find_by_name result.Dic.Engine.netlist "P1" with
-  | Some net -> Alcotest.(check int) "P1 drains" 6 (List.length net.Netlist.Net.terminals)
+  | Some net -> Alcotest.(check int) "P1 drains" 6 (Netlist.Net.count net.Netlist.Net.terminals)
   | None -> Alcotest.fail "P1 missing");
   (* Ground collects every source. *)
   match Netlist.Net.find_by_name result.Dic.Engine.netlist "GND!" with
-  | Some net -> Alcotest.(check int) "GND sources" 6 (List.length net.Netlist.Net.terminals)
+  | Some net -> Alcotest.(check int) "GND sources" 6 (Netlist.Net.count net.Netlist.Net.terminals)
   | None -> Alcotest.fail "GND missing"
 
 let test_pla_random_program_deterministic () =

@@ -28,11 +28,40 @@ let elaborate_ok file =
 
 (* ------------------------------------------------------------------ *)
 (* The oracle: [Netgen.build] as it was before the call-pair pass,
-   kept verbatim (only qualified from outside the library).            *)
+   kept verbatim (only qualified from outside the library), with the
+   record types and the [netlist] it was written against: flat terminal
+   lists, each child terminal's path prefixed at every level.          *)
 
 module Oracle = struct
   open Dic
-  open Netgen
+
+  type net = {
+    names : string list;
+    auto_name : string;
+    classes : Tech.Netclass.t list;
+    terminals : Netlist.Net.terminal list;
+    element_count : int;
+  }
+
+  type group = {
+    gid : int;
+    skels : (Tech.Layer.t * Geom.Rect.t list) list;
+    labels : string list;
+    terminals : Netlist.Net.terminal list;
+    element_count : int;
+    crossing : bool;
+  }
+
+  type sym_nets = {
+    groups : group array;
+    elt_group : int option array;
+    sub_group : int array array;
+  }
+
+  type t = {
+    model : Model.t;
+    by_symbol : (int, sym_nets) Hashtbl.t;
+  }
 
   let instance_label model (c : Model.call) =
     let callee = Model.find model c.Model.callee in
@@ -267,7 +296,7 @@ module Oracle = struct
     in
     ({ groups; elt_group; sub_group }, !issues)
 
-  let build (model : Model.t) : Netgen.t * Report.violation list =
+  let build (model : Model.t) : t * Report.violation list =
     let by_symbol = Hashtbl.create 16 in
     let issues = ref [] in
     List.iter
@@ -283,6 +312,28 @@ module Oracle = struct
         Hashtbl.replace by_symbol s.Model.sid sn)
       model.Model.symbols;
     ({ model; by_symbol }, List.rev !issues)
+
+  let classes_of names =
+    List.map Tech.Netclass.classify names
+    |> List.sort_uniq Stdlib.compare
+    |> List.filter (fun c -> not (Tech.Netclass.equal c Tech.Netclass.Signal))
+
+  let netlist t =
+    let root = Hashtbl.find t.by_symbol Model.root_id in
+    Array.to_list root.groups
+    |> List.map (fun (g : group) ->
+           { names = g.labels;
+             auto_name = Printf.sprintf "n%d" g.gid;
+             classes = classes_of g.labels;
+             terminals = g.terminals;
+             element_count = g.element_count })
+
+  let locality t =
+    let root = Hashtbl.find t.by_symbol Model.root_id in
+    Array.fold_left
+      (fun (local, crossing) (g : group) ->
+        if g.crossing then (local, crossing + 1) else (local + 1, crossing))
+      (0, 0) root.groups
 end
 
 (* ------------------------------------------------------------------ *)
@@ -291,40 +342,51 @@ end
 let sorted_skels skels =
   List.map (fun (layer, rects) -> (layer, List.sort Geom.Rect.compare rects)) skels
 
-let sub_groups (sn : Dic.Netgen.sym_nets) =
-  Array.to_list sn.Dic.Netgen.sub_group
+let sub_groups sub_group =
+  Array.to_list sub_group
   |> List.mapi (fun k gids -> List.mapi (fun g gid -> ((k, g), gid)) (Array.to_list gids))
   |> List.concat
   |> List.sort compare
 
 (* Everything but the root's connection surface, which nothing reads:
-   no symbol calls the root. *)
-let same_group ~root (a : Dic.Netgen.group) (b : Dic.Netgen.group) =
-  a.Dic.Netgen.gid = b.Dic.Netgen.gid
-  && a.Dic.Netgen.labels = b.Dic.Netgen.labels
-  && a.Dic.Netgen.terminals = b.Dic.Netgen.terminals
-  && a.Dic.Netgen.element_count = b.Dic.Netgen.element_count
-  && a.Dic.Netgen.crossing = b.Dic.Netgen.crossing
-  && (root || sorted_skels a.Dic.Netgen.skels = sorted_skels b.Dic.Netgen.skels)
+   no symbol calls the root.  The library's terminal tree is flattened
+   and compared with the oracle's list, order included, at every level. *)
+let same_group ~root (a : Dic.Netgen.group) (b : Oracle.group) =
+  a.Dic.Netgen.gid = b.Oracle.gid
+  && a.Dic.Netgen.labels = b.Oracle.labels
+  && Netlist.Net.flatten a.Dic.Netgen.terminals = b.Oracle.terminals
+  && a.Dic.Netgen.element_count = b.Oracle.element_count
+  && a.Dic.Netgen.crossing = b.Oracle.crossing
+  && (root || sorted_skels a.Dic.Netgen.skels = sorted_skels b.Oracle.skels)
+
+let same_net (a : Netlist.Net.net) (b : Oracle.net) =
+  a.Netlist.Net.names = b.Oracle.names
+  && a.Netlist.Net.auto_name = b.Oracle.auto_name
+  && a.Netlist.Net.classes = b.Oracle.classes
+  && Netlist.Net.flatten a.Netlist.Net.terminals = b.Oracle.terminals
+  && a.Netlist.Net.element_count = b.Oracle.element_count
 
 let check_against_oracle name model =
   let want, want_issues = Oracle.build model in
   let got, got_issues = Dic.Netgen.build model in
   let check what ok = if not ok then Alcotest.failf "%s: %s differs from the oracle" name what in
-  check "netlist" (Dic.Netgen.netlist got = Dic.Netgen.netlist want);
-  check "locality" (Dic.Netgen.locality got = Dic.Netgen.locality want);
+  let got_nets = (Dic.Netgen.netlist got).Netlist.Net.nets and want_nets = Oracle.netlist want in
+  check "netlist"
+    (List.length got_nets = List.length want_nets && List.for_all2 same_net got_nets want_nets);
+  check "locality" (Dic.Netgen.locality got = Oracle.locality want);
   check "connection issues" (got_issues = want_issues);
   List.iter
     (fun (s : Dic.Model.symbol) ->
       let sid = s.Dic.Model.sid in
-      let a = Dic.Netgen.nets_of got sid and b = Dic.Netgen.nets_of want sid in
+      let a = Dic.Netgen.nets_of got sid and b = Hashtbl.find want.Oracle.by_symbol sid in
       let what = Printf.sprintf "symbol %s" s.Dic.Model.sname in
-      check (what ^ " elt_group") (a.Dic.Netgen.elt_group = b.Dic.Netgen.elt_group);
-      check (what ^ " sub_group") (sub_groups a = sub_groups b);
+      check (what ^ " elt_group") (a.Dic.Netgen.elt_group = b.Oracle.elt_group);
+      check (what ^ " sub_group")
+        (sub_groups a.Dic.Netgen.sub_group = sub_groups b.Oracle.sub_group);
       let root = sid = Dic.Model.root_id in
       check (what ^ " groups")
-        (Array.length a.Dic.Netgen.groups = Array.length b.Dic.Netgen.groups
-        && Array.for_all2 (same_group ~root) a.Dic.Netgen.groups b.Dic.Netgen.groups))
+        (Array.length a.Dic.Netgen.groups = Array.length b.Oracle.groups
+        && Array.for_all2 (same_group ~root) a.Dic.Netgen.groups b.Oracle.groups))
     model.Dic.Model.symbols
 
 (* ------------------------------------------------------------------ *)

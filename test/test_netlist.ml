@@ -78,62 +78,52 @@ let prop_uf_equivalence =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Net builder                                                         *)
+(* Nets and terminal trees                                             *)
 
-let terminal path kind port =
-  { Netlist.Net.device_path = path; device = kind; port }
-
-let test_builder_basic () =
-  let b = Netlist.Net.builder () in
-  let n1 = Netlist.Net.node b ~label:(Some "out") in
-  let n2 = Netlist.Net.node b ~label:None in
-  let n3 = Netlist.Net.node b ~label:None in
-  Netlist.Net.connect b n1 n2;
-  Netlist.Net.add_element b n1;
-  Netlist.Net.add_element b n2;
-  Netlist.Net.add_terminal b n3 (terminal "t1" Tech.Device.Enhancement "gate");
-  let t = Netlist.Net.finish b ~auto_prefix:"" in
-  Alcotest.(check int) "two nets" 2 (List.length t.Netlist.Net.nets);
-  (match Netlist.Net.find_by_name t "out" with
-  | Some net ->
-    Alcotest.(check int) "elements merged" 2 net.Netlist.Net.element_count;
-    Alcotest.(check int) "no terminals" 0 (List.length net.Netlist.Net.terminals)
-  | None -> Alcotest.fail "net 'out' not found");
-  Alcotest.(check bool) "connected query" true (Netlist.Net.connected b n1 n2)
-
-let test_builder_globals_merge () =
-  let b = Netlist.Net.builder () in
-  let n1 = Netlist.Net.node b ~label:(Some "VDD!") in
-  let n2 = Netlist.Net.node b ~label:(Some "VDD!") in
-  let n3 = Netlist.Net.node b ~label:(Some "VDD") in
-  Netlist.Net.merge_globals b;
-  Alcotest.(check bool) "globals merged" true (Netlist.Net.connected b n1 n2);
-  Alcotest.(check bool) "non-global kept apart" false (Netlist.Net.connected b n1 n3)
-
-let test_builder_classes () =
-  let b = Netlist.Net.builder () in
-  let n1 = Netlist.Net.node b ~label:(Some "VDD!") in
-  let n2 = Netlist.Net.node b ~label:(Some "GND!") in
-  Netlist.Net.connect b n1 n2;
-  let t = Netlist.Net.finish b ~auto_prefix:"" in
-  match t.Netlist.Net.nets with
-  | [ net ] ->
-    Alcotest.(check bool) "power" true (Netlist.Net.has_class net Tech.Netclass.Power);
-    Alcotest.(check bool) "ground" true (Netlist.Net.has_class net Tech.Netclass.Ground);
-    Alcotest.(check string) "display uses a label" "GND!" (Netlist.Net.display_name net)
-  | _ -> Alcotest.fail "expected one merged net"
-
-(* ------------------------------------------------------------------ *)
-(* ERC                                                                 *)
+(* One device terminal, as a part under the instance label [path]. *)
+let terminal path kind port = (path, Netlist.Net.port kind port)
 
 let net_with ?(names = []) ?(terminals = []) ?(elements = 1) auto =
   { Netlist.Net.names;
     auto_name = auto;
-    classes =
-      List.sort_uniq Stdlib.compare (List.map Tech.Netclass.classify names)
-      |> List.filter (fun c -> not (Tech.Netclass.equal c Tech.Netclass.Signal));
-    terminals;
+    classes = Netlist.Net.classes_of names;
+    terminals = Netlist.Net.union terminals;
     element_count = elements }
+
+let test_net_classes () =
+  let net = net_with ~names:[ "GND!"; "VDD!" ] "n0" in
+  Alcotest.(check bool) "power" true (Netlist.Net.has_class net Tech.Netclass.Power);
+  Alcotest.(check bool) "ground" true (Netlist.Net.has_class net Tech.Netclass.Ground);
+  Alcotest.(check string) "display uses a label" "GND!" (Netlist.Net.display_name net)
+
+let paths ts =
+  List.map
+    (fun (t : Netlist.Net.terminal) -> t.Netlist.Net.device_path ^ " " ^ t.Netlist.Net.port)
+    (Netlist.Net.flatten ts)
+
+(* Two levels sharing one cell tree: parts flatten in the order given,
+   each under its label, and the counts are cached at every node. *)
+let test_flatten_order () =
+  let open Netlist.Net in
+  let cell =
+    union
+      [ ("1:dep", port Tech.Device.Depletion "sd0"); ("0:enh", port Tech.Device.Enhancement "gate") ]
+  in
+  let via = union [ ("2:con", port Tech.Device.Contact_cut "via") ] in
+  let top = union [ ("1:inv", cell); ("0:inv", cell); ("3:wire", via) ] in
+  Alcotest.(check (list string)) "dotted paths, in part order"
+    [ "1:inv.1:dep sd0"; "1:inv.0:enh gate"; "0:inv.1:dep sd0"; "0:inv.0:enh gate";
+      "3:wire.2:con via" ]
+    (paths top);
+  Alcotest.(check (list string)) "a port alone has the empty path" [ " gate" ]
+    (paths (port Tech.Device.Enhancement "gate"));
+  Alcotest.(check (list int)) "count, functional, depletion" [ 5; 4; 2 ]
+    [ count top; functional top; depletion top ];
+  Alcotest.(check bool) "union [] is one shared value" true (union [] == union []);
+  Alcotest.(check int) "union [] flattens to nothing" 0 (List.length (flatten (union [])))
+
+(* ------------------------------------------------------------------ *)
+(* ERC                                                                 *)
 
 let has_violation pred vs = List.exists pred vs
 
@@ -233,10 +223,9 @@ let () =
           Alcotest.test_case "classes" `Quick test_uf_classes;
           Alcotest.test_case "growth" `Quick test_uf_growth ] );
       qsuite "uf.props" [ prop_uf_equivalence ];
-      ( "builder",
-        [ Alcotest.test_case "basic" `Quick test_builder_basic;
-          Alcotest.test_case "globals merge" `Quick test_builder_globals_merge;
-          Alcotest.test_case "classes" `Quick test_builder_classes ] );
+      ( "net",
+        [ Alcotest.test_case "classes" `Quick test_net_classes;
+          Alcotest.test_case "flatten order" `Quick test_flatten_order ] );
       ( "erc",
         [ Alcotest.test_case "floating" `Quick test_erc_floating;
           Alcotest.test_case "two devices ok" `Quick test_erc_floating_ok_with_two;

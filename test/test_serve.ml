@@ -379,6 +379,18 @@ let test_negative_jobs_refused () =
   Alcotest.(check string) "jobs 0 still asks the runtime" "ok" (status good);
   Dic.Serve.shutdown server
 
+(* A pool larger than the runtime's domain cap is refused when the
+   server is created, naming the limit, before any domain is spawned. *)
+let test_workers_past_domain_cap_refused () =
+  match Dic.Serve.create ~workers:200 rules with
+  | _ -> Alcotest.fail "a 200-worker pool was accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "names the limit" true
+      (Astring_contains.contains msg (string_of_int Dic.Serve.max_workers));
+    let server = Dic.Serve.create ~workers:Dic.Serve.max_workers rules in
+    Alcotest.(check int) "the limit itself is accepted" Dic.Serve.max_workers
+      (Dic.Serve.worker_count server)
+
 (* ------------------------------------------------------------------ *)
 (* More socket connections than the runtime has domains                *)
 
@@ -928,6 +940,8 @@ let () =
           Alcotest.test_case "malformed mid-stream" `Quick
             test_malformed_line_mid_stream;
           Alcotest.test_case "negative jobs refused" `Quick test_negative_jobs_refused;
+          Alcotest.test_case "workers past the domain cap refused" `Quick
+            test_workers_past_domain_cap_refused;
           Alcotest.test_case "connections past the domain cap" `Quick
             test_connections_past_domain_cap ] );
       ( "lifecycle",
