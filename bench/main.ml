@@ -1247,14 +1247,15 @@ let bechamel_benches () =
    rule decks shares the parse, elaboration, packed geometry, nets, and
    (for decks agreeing on max_dist) the interaction worklist; only rule
    evaluation runs N times.  Measured against the baseline of N
-   independent single-deck runs, cold and warm, with the per-deck
-   reports asserted byte-identical between the two shapes.  Writes
-   BENCH_multideck.json. *)
+   independent single-deck runs, with the per-deck reports asserted
+   byte-identical between the two shapes.  An engine keeps no state
+   between checks, so a long-lived engine times the same as a new one
+   and there is no separate warm phase.  Writes BENCH_multideck.json. *)
 let multideck_bench () =
   section
     "M: Multi-deck checking in one elaboration\n\
      (three spacing variants of the NMOS deck over pla-48x96; one\n\
-     deck-set engine vs three independent engines, cold and warm;\n\
+     deck-set engine vs three independent engines;\n\
      median of five runs after a warm-up)";
   let file =
     Layoutgen.Pla.plane ~lambda (Layoutgen.Pla.random_program ~rows:48 ~cols:96 ~seed:7)
@@ -1293,45 +1294,22 @@ let multideck_bench () =
   let fresh_set () =
     Dic.Engine.create ~decks (List.hd decks).Dic.Engine.dk_rules
   in
-  (* Cold: engine construction inside the timed region — every run
-     starts from nothing. *)
-  let ind_cold_reports, ind_cold =
-    median_wall (fun () -> run_independent (fresh_independent ()))
-  in
-  let set_cold_reports, set_cold = median_wall (fun () -> run_set (fresh_set ())) in
-  let cold_identical = ind_cold_reports = set_cold_reports in
-  (* Warm: long-lived engines, the serve shape.  median_wall's warm-up
-     run fills the sessions before anything is timed. *)
-  let ind_engines = fresh_independent () in
-  let set_engine = fresh_set () in
-  let ind_warm_reports, ind_warm =
-    median_wall (fun () -> run_independent ind_engines)
-  in
-  let set_warm_reports, set_warm = median_wall (fun () -> run_set set_engine) in
-  let warm_identical =
-    ind_warm_reports = set_warm_reports
-    && ind_warm_reports = ind_cold_reports
-  in
-  let speedup_cold = ind_cold /. set_cold in
-  let speedup_warm = ind_warm /. set_warm in
-  Printf.printf "%-6s %14s %12s %10s %12s\n" "phase" "independent_s" "deckset_s"
-    "speedup" "identical";
-  Printf.printf "%-6s %14.3f %12.3f %9.2fx %12b\n" "cold" ind_cold set_cold
-    speedup_cold cold_identical;
-  Printf.printf "%-6s %14.3f %12.3f %9.2fx %12b\n" "warm" ind_warm set_warm
-    speedup_warm warm_identical;
-  if not (cold_identical && warm_identical) then
+  (* Engine construction inside the timed region. *)
+  let ind_reports, ind_s = median_wall (fun () -> run_independent (fresh_independent ())) in
+  let set_reports, set_s = median_wall (fun () -> run_set (fresh_set ())) in
+  let identical = ind_reports = set_reports in
+  let speedup = ind_s /. set_s in
+  Printf.printf "%14s %12s %10s %12s\n" "independent_s" "deckset_s" "speedup" "identical";
+  Printf.printf "%14.3f %12.3f %9.2fx %12b\n" ind_s set_s speedup identical;
+  if not identical then
     print_endline "WARNING: deck-set reports diverged from independent runs";
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf
        "{\"experiment\":\"multideck\",%s,\"workload\":\"pla-48x96\",\"decks\":%d,\
         \"cold\":{\"independent_s\":%.6f,\"deckset_s\":%.6f,\"speedup\":%.3f,\
-        \"identical\":%b},\
-        \"warm\":{\"independent_s\":%.6f,\"deckset_s\":%.6f,\"speedup\":%.3f,\
         \"identical\":%b}}"
-       (provenance_fields ()) n ind_cold set_cold speedup_cold cold_identical
-       ind_warm set_warm speedup_warm warm_identical);
+       (provenance_fields ()) n ind_s set_s speedup identical);
   Out_channel.with_open_text "BENCH_multideck.json" (fun oc ->
       Out_channel.output_string oc (Buffer.contents buf);
       Out_channel.output_char oc '\n');

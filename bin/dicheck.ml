@@ -8,9 +8,9 @@
 
    `check` reads extended CIF, runs either the hierarchical checker or
    the classical flat baseline, and prints the report; with --cache DIR
-   per-definition results persist across invocations.  `serve` keeps
-   engines warm in-process instead: a pool of worker domains
-   (--workers) answers any number of concurrent clients
+   per-definition results persist across invocations.  `serve` answers
+   any number of concurrent clients from a pool of worker domains
+   (--workers) sharing one engine and, with --cache, one cache handle
    (docs/PROTOCOL.md is the wire reference).
 
    Exit codes: 0 the design checked clean, 1 the checker found errors
@@ -138,11 +138,10 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
         List.iter
           (fun (dr : Dic.Engine.deck_result) ->
             let reuse = dr.Dic.Engine.dr_reuse in
-            Printf.eprintf "[dicheck] cache%s: %d/%d definition(s) reused (%d from disk)\n"
+            Printf.eprintf "[dicheck] cache%s: %d/%d definition(s) reused\n"
               (if single then ""
                else "[" ^ dr.Dic.Engine.dr_deck.Dic.Engine.dk_label ^ "]")
-              reuse.Dic.Engine.symbols_reused reuse.Dic.Engine.symbols_total
-              reuse.Dic.Engine.defs_from_disk)
+              reuse.Dic.Engine.symbols_reused reuse.Dic.Engine.symbols_total)
           multi.Dic.Engine.results;
       if show_netlist then
         Format.fprintf out "@.--- net list ---@.%a@." Netlist.Net.pp
@@ -780,10 +779,9 @@ let serve_cmd =
          & info [ "workers" ] ~docv:"N"
              ~doc:"Size of the worker-domain pool answering requests (0, the \
                    default, asks the runtime for the recommended count); at \
-                   most 126, since the runtime allows 128 live domains.  Each \
-                   worker keeps its own warm engines over the shared \
-                   $(b,--cache) directory; reports are byte-identical at every \
-                   worker count.")
+                   most 126, since the runtime allows 128 live domains.  All \
+                   workers share one engine and, with $(b,--cache), one cache \
+                   handle; reports are byte-identical at every worker count.")
   in
   let max_queue =
     Arg.(value & opt int 64
@@ -834,7 +832,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~exits
        ~doc:"Answer JSON-lines check requests concurrently from a pool of \
-             worker domains over warm engines.  One request object per input \
+             worker domains sharing one engine.  One request object per input \
              line, one reply line per request; re-submitting an id supersedes \
              the previous request with that id, and a shutdown request (or \
              SIGTERM) drains the queue before exiting.  \

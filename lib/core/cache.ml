@@ -1,9 +1,15 @@
-type t = { root : string }
-
 type def_entry = {
   de_elements : Report.violation list;
   de_devices : Report.violation list;
   de_relational : Report.violation list;
+}
+
+type t = {
+  root : string;
+  (* Every entry this handle has read or stored, by file path.  The
+     serve daemon's workers share one handle, hence the lock. *)
+  lock : Mutex.t;
+  entries : (string, def_entry) Hashtbl.t;
 }
 
 (* Bump when the payload representation changes (a marshalled
@@ -27,7 +33,7 @@ let open_dir root =
   let defs = defs_dir root in
   mkdir_p defs;
   if not (Sys.is_directory defs) then raise (Sys_error (defs ^ ": Not a directory"));
-  { root }
+  { root; lock = Mutex.create (); entries = Hashtbl.create 64 }
 
 let def_path t ~env ~fp = Filename.concat (defs_dir t.root) (Filename.concat env fp)
 
@@ -79,13 +85,32 @@ let read_file path =
           end)
     with Sys_error _ | End_of_file -> None
 
+(* Whether [path] was new to the table. *)
+let remember t path entry =
+  Mutex.protect t.lock (fun () ->
+      let fresh = not (Hashtbl.mem t.entries path) in
+      if fresh then Hashtbl.add t.entries path entry;
+      fresh)
+
 (* The digest check above means [Marshal.from_string] only ever sees
    bytes we wrote, but guard anyway: a same-digest file written by a
    different compiler version must degrade to a miss. *)
 let find_def t ~env ~fp : def_entry option =
-  match read_file (def_path t ~env ~fp) with
-  | None -> None
-  | Some payload -> ( try Some (Marshal.from_string payload 0) with Failure _ -> None)
+  let path = def_path t ~env ~fp in
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.entries path) with
+  | Some _ as hit -> hit
+  | None -> (
+    match read_file path with
+    | None -> None
+    | Some payload -> (
+      match (Marshal.from_string payload 0 : def_entry) with
+      | entry ->
+        ignore (remember t path entry);
+        Some entry
+      | exception Failure _ -> None))
 
+(* The table takes the entry even when the write fails, so this handle
+   still replays it; an address already in the table is not rewritten. *)
 let store_def t ~env ~fp (entry : def_entry) =
-  write_file (def_path t ~env ~fp) (Marshal.to_string entry [])
+  let path = def_path t ~env ~fp in
+  if remember t path entry then write_file path (Marshal.to_string entry [])

@@ -1,15 +1,18 @@
-(** Content-addressed on-disk store for per-definition check results.
+(** Content-addressed store for per-definition check results: a
+    directory of files, and a handle that remembers what it has read
+    or stored.
 
     {2 Addressing}
 
     Everything is keyed under an {e environment digest} [env] — a hash
     of the rule set and the result-affecting parts of the engine
-    configuration, computed by {!Engine.env_key} — so results checked
+    configuration, computed by the {!Engine} — so results checked
     under different rules or configs can never be confused.  Within an
     environment a definition entry is addressed by the symbol's
-    structural fingerprint ({!Engine.fingerprint}), so the entry is
-    valid for {e any} layout containing a structurally identical
-    definition.
+    structural fingerprint ({!Engine.fingerprint}), which covers the
+    definition's geometry and its CIF source positions, so the entry is
+    valid for {e any} layout containing an identical definition at the
+    same place in its text.
 
     {2 Layout}
 
@@ -18,6 +21,15 @@
     v}
 
     Nothing else under [DIR] is read or written.
+
+    {2 The handle's table}
+
+    A handle keeps every entry it has read or stored in a table keyed
+    by the entry's address, beside its directory.  {!find_def} consults
+    the table before the file, so one handle reads each file at most
+    once; {!store_def} fills the table even when the file write fails.
+    A lock guards the table, so any number of domains may share one
+    handle, as the serve daemon's workers do.
 
     {2 Safety and determinism}
 
@@ -50,13 +62,17 @@ type def_entry = {
   de_relational : Report.violation list;
 }
 
-(** [open_dir dir] creates [dir/defs] (and parents) if needed.
+(** [open_dir dir] creates [dir/defs] (and parents) if needed, and
+    returns a handle with an empty table.
     @raise Sys_error when [dir/defs] is not, and cannot be made, a
     directory. *)
 val open_dir : string -> t
 
-(** [None] on miss or corruption. *)
+(** The entry from the table, else from its file (then remembered);
+    [None] on miss or corruption. *)
 val find_def : t -> env:string -> fp:string -> def_entry option
 
-(** Best effort: a failed write leaves no file behind and is ignored. *)
+(** Remember the entry and write its file, unless the table already
+    holds that address.  The write is best effort: a failed write
+    leaves no file behind and is ignored. *)
 val store_def : t -> env:string -> fp:string -> def_entry -> unit

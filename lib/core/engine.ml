@@ -43,7 +43,6 @@ type result = {
 type reuse = {
   symbols_total : int;
   symbols_reused : int;
-  defs_from_disk : int;
 }
 
 type deck_result = {
@@ -92,10 +91,11 @@ let erc_violations netlist =
 (* Structural fingerprint of one definition.  Everything the
    per-definition checks can observe is folded in: name (violations
    carry it as context), device kind, element geometry/layers/nets,
-   and calls with their transforms.  Element skeletons go in too: the
-   device checks read them, and they follow the widths of the deck
-   that elaborated the model, which need not be the deck whose
-   environment stores the entry. *)
+   calls with their transforms, and the CIF source positions of the
+   definition and its elements, which element and device findings
+   carry.  Element skeletons go in too: the device checks read them,
+   and they follow the widths of the deck that elaborated the model,
+   which need not be the deck whose environment stores the entry. *)
 let fingerprint (s : Model.symbol) =
   let rects =
     List.map (fun r -> (Geom.Rect.x0 r, Geom.Rect.y0 r, Geom.Rect.x1 r, Geom.Rect.y1 r))
@@ -106,7 +106,8 @@ let fingerprint (s : Model.symbol) =
         ( Tech.Layer.index e.Model.layer,
           rects e.Model.rects,
           rects e.Model.skeleton,
-          e.Model.net_label ))
+          e.Model.net_label,
+          e.Model.loc ))
       s.Model.elements
   in
   let calls =
@@ -121,7 +122,11 @@ let fingerprint (s : Model.symbol) =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          (s.Model.sname, Option.map Tech.Device.to_tag s.Model.device, elements, calls)
+          ( s.Model.sname,
+            Option.map Tech.Device.to_tag s.Model.device,
+            s.Model.sloc,
+            elements,
+            calls )
           []))
 
 (* Parallelism never affects results, so the environment digest — the
@@ -135,21 +140,12 @@ let env_key rules (config : config) =
   Digest.to_hex (Digest.string (Marshal.to_string (Tech.Rules.to_string rules, c) []))
 
 (* ------------------------------------------------------------------ *)
-(* Sessions                                                            *)
+(* Engines                                                             *)
 
 type t = {
-  mutable e_decks : deck list;
-  mutable e_config : config;
+  e_decks : deck list;
+  e_config : config;
   e_cache : Cache.t option;
-  (* the primary deck's environment digest *)
-  mutable e_env : string;
-  (* env -> fingerprint -> per-definition results.  One table per deck
-     environment, so warming deck A never touches deck B's entries. *)
-  e_defs : (string, (string, Cache.def_entry) Hashtbl.t) Hashtbl.t;
-  (* env -> fingerprint -> that definition's model-pass lints.  D-codes
-     are per-definition facts, so warm sessions replay them like check
-     results instead of re-running the skeleton-erosion pass. *)
-  e_lints : (string, (string, Lint.diagnostic list) Hashtbl.t) Hashtbl.t;
 }
 
 let create ?(config = default_config) ?cache_dir ?decks rules =
@@ -159,36 +155,15 @@ let create ?(config = default_config) ?cache_dir ?decks rules =
     | Some ds -> ds
     | None -> [ deck rules ]
   in
-  { e_decks = decks;
-    e_config = config;
-    e_cache = Option.map Cache.open_dir cache_dir;
-    e_env = env_key (List.hd decks).dk_rules config;
-    e_defs = Hashtbl.create 4;
-    e_lints = Hashtbl.create 4 }
+  { e_decks = decks; e_config = config; e_cache = Option.map Cache.open_dir cache_dir }
 
-let rules t = (List.hd t.e_decks).dk_rules
-let decks t = t.e_decks
 let config t = t.e_config
-let same_env t rules config = String.equal (env_key rules config) t.e_env
 
 let with_decks t decks =
   (match decks with [] -> invalid_arg "Engine.with_decks: empty deck list" | _ -> ());
-  t.e_decks <- decks;
-  t.e_env <- env_key (List.hd decks).dk_rules t.e_config;
-  t
+  { t with e_decks = decks }
 
-let with_config t config =
-  let env = env_key (rules t) config in
-  if not (String.equal env t.e_env) then begin
-    (* New environment: none of the warm state can be trusted (the
-       per-env tables could survive, but a config change invalidates
-       every deck's address at once, so a clean slate is simpler). *)
-    Hashtbl.reset t.e_defs;
-    Hashtbl.reset t.e_lints;
-    t.e_env <- env
-  end;
-  t.e_config <- config;
-  t
+let with_config t config = { t with e_config = config }
 
 let with_jobs t jobs =
   with_config t
@@ -213,27 +188,15 @@ let with_lint t run_lint = with_config t { t.e_config with run_lint }
 let with_expected_netlist t expected_netlist = with_config t { t.e_config with expected_netlist }
 let with_relational t relational = with_config t { t.e_config with relational }
 
-let subtbl tbl env =
-  match Hashtbl.find_opt tbl env with
-  | Some h -> h
-  | None ->
-    let h = Hashtbl.create 64 in
-    Hashtbl.add tbl env h;
-    h
-
-let defs_for t env = subtbl t.e_defs env
-let lints_for t env = subtbl t.e_lints env
-
 (* ------------------------------------------------------------------ *)
 (* Checking                                                            *)
 
-(* One per symbol occurrence in the model, per deck environment: either
-   the cached entry to replay, or the freshly computed pieces
-   accumulated stage by stage so they can be stored as one entry
-   afterwards. *)
+(* One per definition, per deck: either the cached entry to replay, or
+   the freshly computed pieces accumulated stage by stage so they can
+   be stored as one entry afterwards. *)
 type slot = {
   sl_sym : Model.symbol;
-  sl_fp : string;
+  sl_addr : (string * string) option;  (* (env, fingerprint), with a cache handle *)
   sl_hit : Cache.def_entry option;
   mutable sl_el : Report.violation list;
   mutable sl_dv : Report.violation list;
@@ -261,50 +224,17 @@ let check ?metrics ?trace ?progress t file =
     Metrics.incr ~by:(Model.symbol_count model) m "model.symbols";
     Metrics.incr ~by:(Model.definition_elements model) m "model.definition_elements";
     Metrics.incr ~by:(Model.instantiated_elements model) m "model.instantiated_elements";
-    (* Definition fingerprints are deck-independent and computed once;
-       they address the session caches for both the lint pass below and
-       the per-definition check sweeps. *)
-    let fps =
-      List.map (fun (s : Model.symbol) -> (s, fingerprint s)) model.Model.symbols
-    in
     (* Static lints run before any geometry: one deck pass per deck,
        one design pass (syntax tree + model) shared by all.  Off by
-       default so the default report bytes are untouched.
-
-       The model pass is per-definition, so warm sessions replay it
-       from the fingerprint-keyed table instead of re-eroding every
-       skeleton.  The syntax-tree pass stays live: duplicate ids,
-       cycles and unreachability are facts about the raw tree that
-       elaboration erases — no per-definition fingerprint can address
-       them — and the walk is cheap. *)
+       default so the default report bytes are untouched. *)
     let lint_by_deck =
       if not t.e_config.run_lint then List.map (fun _ -> ([], [])) decks
       else
         timed "lint" (fun () ->
-            let lints = lints_for t t.e_env in
-            let replayed = ref 0 in
-            let model_diags =
-              Lint.sort
-                (List.concat_map
-                   (fun ((s : Model.symbol), fp) ->
-                     match Hashtbl.find_opt lints fp with
-                     | Some ds ->
-                       incr replayed;
-                       ds
-                     | None ->
-                       let ds = Lint.check_model_symbol model s in
-                       Hashtbl.replace lints fp ds;
-                       ds)
-                   fps)
-            in
-            Metrics.incr ~by:!replayed m "lint.defs_replayed";
-            Metrics.incr ~by:(List.length fps - !replayed) m "lint.defs_computed";
-            let design = Lint.check_ast file @ model_diags in
-            (* Waivers filter at reporting time only: the cached
-               per-definition lists above stay unfiltered, and a
-               waiver change never splits the cache (waivers are
-               excluded from the deck's canonical text, like
-               [key_positions]). *)
+            let design = Lint.check_ast file @ Lint.check_model model in
+            (* Waivers filter at reporting time only, and a waiver
+               change never splits the cache (waivers are excluded
+               from the deck's canonical text, like [key_positions]). *)
             List.mapi
               (fun i d ->
                 let diags =
@@ -322,40 +252,28 @@ let check ?metrics ?trace ?progress t file =
                 (Lint.to_violations kept, suppressed))
               decks)
     in
-    (* Resolve every definition against each deck's session (then disk)
-       cache before the sweeps start, so each stage below just replays
+    (* One slot per definition per deck.  Without a cache handle every
+       slot is fresh and nothing is addressed.  With one, each
+       definition is fingerprinted and each deck's environment digested
+       once per check, and every definition is resolved against the
+       handle before the sweeps start, so each stage below just replays
        or computes. *)
-    let env_by_deck = List.map (fun d -> env_key d.dk_rules t.e_config) decks in
-    let lookups =
-      Trace.with_span trace ~cat:"cache" "defs-lookup" (fun () ->
-          List.map
-            (fun env_d ->
-              let defs = defs_for t env_d in
-              let defs_from_disk = ref 0 and reused = ref 0 in
-              let slots =
-                List.map
-                  (fun ((s : Model.symbol), fp) ->
-                    let hit =
-                      match Hashtbl.find_opt defs fp with
-                      | Some e -> Some e
-                      | None -> (
-                        match t.e_cache with
-                        | None -> None
-                        | Some cache -> (
-                          match Cache.find_def cache ~env:env_d ~fp with
-                          | Some e ->
-                            incr defs_from_disk;
-                            Hashtbl.replace defs fp e;
-                            Some e
-                          | None -> None))
-                    in
-                    if Option.is_some hit then incr reused;
-                    { sl_sym = s; sl_fp = fp; sl_hit = hit; sl_el = []; sl_dv = [];
-                      sl_rel = [] })
-                  fps
-              in
-              (slots, !reused, !defs_from_disk))
-            env_by_deck)
+    let slot ?addr ?hit s =
+      { sl_sym = s; sl_addr = addr; sl_hit = hit; sl_el = []; sl_dv = []; sl_rel = [] }
+    in
+    let slots_by_deck =
+      match t.e_cache with
+      | None -> List.map (fun _ -> List.map (fun s -> slot s) model.Model.symbols) decks
+      | Some cache ->
+        Trace.with_span trace ~cat:"cache" "defs-lookup" (fun () ->
+            let fps = List.map fingerprint model.Model.symbols in
+            List.map
+              (fun d ->
+                let env = env_key d.dk_rules t.e_config in
+                List.map2
+                  (fun s fp -> slot ~addr:(env, fp) ?hit:(Cache.find_def cache ~env ~fp) s)
+                  model.Model.symbols fps)
+              decks)
     in
     (* The per-definition stages are embarrassingly parallel — each
        fresh slot is one independent (deck rules × definition) task —
@@ -374,11 +292,11 @@ let check ?metrics ?trace ?progress t file =
       Array.of_list
         (List.concat
            (List.map2
-              (fun d (slots, _, _) ->
+              (fun d slots ->
                 List.filter_map
                   (fun sl -> if Option.is_none sl.sl_hit then Some (d, sl) else None)
                   slots)
-              decks lookups))
+              decks slots_by_deck))
     in
     let sweep stage compute =
       ignore
@@ -406,11 +324,9 @@ let check ?metrics ?trace ?progress t file =
     in
     let assemble fresh_of replay =
       List.map
-        (fun (slots, _, _) ->
-          List.concat_map
-            (fun sl -> match sl.sl_hit with Some e -> replay e | None -> fresh_of sl)
-            slots)
-        lookups
+        (List.concat_map (fun sl ->
+             match sl.sl_hit with Some e -> replay e | None -> fresh_of sl))
+        slots_by_deck
     in
     let elements_by_deck =
       timed "elements" (fun () ->
@@ -432,38 +348,32 @@ let check ?metrics ?trace ?progress t file =
                 sl.sl_rel <- Devices.check_relational exposure d.dk_rules sl.sl_sym);
             assemble (fun sl -> sl.sl_rel) (fun e -> e.Cache.de_relational))
     in
-    (* Freshly computed definitions become cache entries (session +
-       disk), under their deck's environment.  When [relational] is off
-       the stored list is empty, which is sound: the environment digest
-       separates the two configs. *)
-    Trace.with_span trace ~cat:"cache" "defs-save" (fun () ->
-        List.iter2
-          (fun env_d (slots, _, _) ->
-            let defs = defs_for t env_d in
-            let stored = Hashtbl.create 16 in
+    (* Freshly computed definitions become cache entries under their
+       deck's environment.  When [relational] is off the stored list is
+       empty, which is sound: the environment digest separates the two
+       configs. *)
+    Option.iter
+      (fun cache ->
+        Trace.with_span trace ~cat:"cache" "defs-save" (fun () ->
             List.iter
-              (fun sl ->
-                if Option.is_none sl.sl_hit && not (Hashtbl.mem stored sl.sl_fp) then begin
-                  Hashtbl.replace stored sl.sl_fp ();
-                  let entry =
-                    { Cache.de_elements = sl.sl_el;
-                      de_devices = sl.sl_dv;
-                      de_relational = sl.sl_rel }
-                  in
-                  Hashtbl.replace defs sl.sl_fp entry;
-                  match t.e_cache with
-                  | None -> ()
-                  | Some cache -> Cache.store_def cache ~env:env_d ~fp:sl.sl_fp entry
-                end)
-              slots)
-          env_by_deck lookups);
-    let total_one = List.length fps in
+              (List.iter (fun sl ->
+                   match (sl.sl_addr, sl.sl_hit) with
+                   | Some (env, fp), None ->
+                     Cache.store_def cache ~env ~fp
+                       { Cache.de_elements = sl.sl_el;
+                         de_devices = sl.sl_dv;
+                         de_relational = sl.sl_rel }
+                   | _ -> ()))
+              slots_by_deck))
+      t.e_cache;
+    let reused_of slots =
+      List.fold_left (fun n sl -> if Option.is_some sl.sl_hit then n + 1 else n) 0 slots
+    in
+    let total_one = List.length model.Model.symbols in
     let total = total_one * List.length decks in
-    let reused = List.fold_left (fun acc (_, r, _) -> acc + r) 0 lookups in
-    let defs_from_disk = List.fold_left (fun acc (_, _, d) -> acc + d) 0 lookups in
+    let reused = List.fold_left (fun acc slots -> acc + reused_of slots) 0 slots_by_deck in
     Metrics.incr ~by:total m "cache.symbols_total";
     Metrics.incr ~by:reused m "cache.symbols_reused";
-    Metrics.incr ~by:defs_from_disk m "cache.defs_from_disk";
     Metrics.incr ~by:(total - reused) m "cache.defs_computed";
     if total > 0 then
       Metrics.set_gauge m "cache.hit_ratio" (float_of_int reused /. float_of_int total);
@@ -550,7 +460,7 @@ let check ?metrics ?trace ?progress t file =
         (fun ((d, (lint_issues, lint_suppressed), element_issues, device_issues,
                relational_issues),
               (interaction_issues, interaction_stats))
-             (_, deck_reused, deck_from_disk) ->
+             slots ->
           let report =
             { Report.violations =
                 lint_issues @ parse_issues @ element_issues @ device_issues
@@ -559,15 +469,12 @@ let check ?metrics ?trace ?progress t file =
           in
           { dr_deck = d;
             dr_result = { report; netlist; interaction_stats; metrics = m; model; nets };
-            dr_reuse =
-              { symbols_total = total_one;
-                symbols_reused = deck_reused;
-                defs_from_disk = deck_from_disk };
+            dr_reuse = { symbols_total = total_one; symbols_reused = reused_of slots };
             dr_suppressed = lint_suppressed })
         (List.combine
            (zip5 decks lint_by_deck elements_by_deck devices_by_deck relational_by_deck)
            interactions_by_deck)
-        lookups
+        slots_by_deck
     in
     (* Pairwise subsumption verdicts (R015) live only beside the
        per-deck results: injecting them into per-deck reports would

@@ -1,5 +1,4 @@
-(** The check engine — the session-oriented front door to the Fig 10
-    pipeline.
+(** The check engine — the front door to the Fig 10 pipeline.
 
     {v
     let e = Engine.create ~cache_dir:".dicache" rules in
@@ -9,57 +8,65 @@
     | Error msg -> ...
     v}
 
-    {2 The deck-set session model}
+    {2 The deck-set model}
 
-    An engine owns an ordered {e set of rule decks} — usually one — the
-    configuration, and all warm state.  A {!check} runs the whole deck
-    set over one parse, one elaboration, one packed-geometry model, and
-    one net structure; only rule {e evaluation} (elements, devices,
-    interactions, deck lint) diverges per deck.  That is the paper's
-    hierarchical economy extended across process variants: everything
-    upstream of the rules is amortised over N decks, which is what the
+    An engine is an immutable value: an ordered {e set of rule decks} —
+    usually one — the configuration, and an optional {!Cache} handle.
+    A {!check} runs the whole deck set over one parse, one elaboration,
+    one packed-geometry model, and one net structure; only rule
+    {e evaluation} (elements, devices, interactions, deck lint)
+    diverges per deck.  That is the paper's hierarchical economy
+    extended across process variants: everything upstream of the rules
+    is amortised over N decks, which is what the
     multiple-lithography-compliance flow ("which variants does this
     library comply with?") needs.
 
-    Warm state is keyed {e per deck environment}: each deck's
-    per-definition results live under its own {!env_key} digest.
-    Warming deck A therefore never invalidates deck B — a session
-    alternating between deck sets keeps every deck's cache live, in
-    memory and (with [cache_dir]) on disk.
+    {2 Warm state}
 
-    Rechecking a design after editing one symbol definition recomputes
-    only that definition's element, device and relational results per
-    deck; every other definition's are replayed from cache.  The
-    composite stages — net generation and interactions — run afresh on
-    every check, and the interaction memo lives inside one
-    {!Interactions.run}.  The same engine serves any number of {!check}
-    calls, which is what [dicheck serve] runs on.
+    The engine holds none.  Without a cache handle every {!check}
+    computes every definition, and nothing is fingerprinted or
+    digested.  With one ([create ~cache_dir]), each deck's
+    per-definition results are addressed under that deck's own
+    environment digest, so warming deck A never touches deck B's
+    entries; the handle remembers every entry it has read or stored,
+    so engines derived from one engine share its warmth within the
+    process, and the files carry it across processes.
+
+    Rechecking a design after editing one symbol definition through a
+    cache handle recomputes only that definition's element, device and
+    relational results per deck; every other definition's are
+    replayed.  The composite stages — net generation and interactions
+    — run afresh on every check, and the interaction memo lives inside
+    one {!Interactions.run}.  One engine serves any number of {!check}
+    calls, from any number of domains: [dicheck serve] derives every
+    request's engine from one engine built at start-up.
 
     {2 The determinism invariant}
 
     Cache state and parallelism never change verdicts, only cost.  A
     cached per-definition entry is addressed by a structural
     fingerprint of everything the per-definition checks can observe,
-    under an environment digest of the deck and the result-affecting
-    config.  Consequently:
+    source positions included, under an environment digest of the deck
+    and the result-affecting config.  Consequently:
 
-    - a warm {!check} emits reports {e byte-identical} to a cold one on
-      the same input, for every [jobs] value;
-    - a single-deck session's report is byte-identical to the
+    - a {!check} emits reports {e byte-identical} to a check without a
+      cache handle, whatever the handle or its directory holds, for
+      every [jobs] value;
+    - a single-deck engine's report is byte-identical to the
       historical single-rule-set engine;
-    - each deck's report in a multi-deck session is byte-identical to
+    - each deck's report in a multi-deck check is byte-identical to
       that deck checked alone, and the {!merged} view is a
       deterministic function of the per-deck reports — so it too is
-      byte-stable across jobs, workers, and warmth;
+      byte-stable across jobs, workers, and cache state;
     - a corrupted or stale cache file degrades to a recompute, never to
       a wrong answer;
     - static immunity certificates ({!Deckcheck}) only ever skip work
       that is provably silent — the instance pairs of a placement class
       whose findings the callees' certificates prove empty — so reports
       are byte-identical with pruning on or off ([DIC_NO_CERTS=1]),
-      cold or warm, at every [jobs] value, single- or multi-deck.
-      Certificates are rebuilt for every callee, never the root, inside
-      each check's interaction stage and are not cached;
+      with or without a cache, at every [jobs] value, single- or
+      multi-deck.  Certificates are rebuilt for every callee, never the
+      root, inside each check's interaction stage and are not cached;
       [analysis.certified_skips] counts the skipped pairs. *)
 
 (** What {!check} computes.  [interactions] nests the stage-6 knobs
@@ -83,7 +90,7 @@ type config = {
 
 val default_config : config
 
-(** One rule deck in the session's set: a rule set plus the label the
+(** One rule deck in the engine's set: a rule set plus the label the
     merged report, SARIF runs, and serve replies call it by. *)
 type deck = {
   dk_label : string;
@@ -110,15 +117,14 @@ type result = {
   nets : Netgen.t;
 }
 
-(** What the session saved for one deck on this check.
+(** What the cache saved for one deck on this check.
     [symbols_reused] counts definitions whose element/device/relational
-    results were replayed (from memory or disk) instead of recomputed
-    under that deck's environment; [defs_from_disk] is the subset that
-    came off disk. *)
+    results the cache handle replayed (from its table or its directory)
+    instead of recomputing them under that deck's environment; it is 0
+    without a handle. *)
 type reuse = {
   symbols_total : int;
   symbols_reused : int;
-  defs_from_disk : int;
 }
 
 type deck_result = {
@@ -128,8 +134,8 @@ type deck_result = {
   dr_suppressed : Lint.diagnostic list;
       (** lint/deckcheck diagnostics waived for this deck (deck
           [# lint: allow] comments plus the design's [4L] commands) —
-          filtered out of [dr_result.report] at assembly time, never
-          from the caches; empty when [run_lint] is off *)
+          filtered out of [dr_result.report] at assembly time; empty
+          when [run_lint] is off *)
 }
 
 (** The multi-result: per-deck results in deck order, plus the
@@ -141,7 +147,7 @@ type multi = {
 }
 
 (** The first deck's (result, reuse) — the whole story for a
-    single-deck session. *)
+    single-deck check. *)
 val primary : multi -> result * reuse
 
 (** The merged cross-deck report (deck-membership vectors, per-deck
@@ -151,36 +157,35 @@ val primary : multi -> result * reuse
     set's rendering reads it; compute it once per rendering. *)
 val merged : multi -> Multireport.t
 
+(** The decks, the config and an optional cache handle; immutable. *)
 type t
 
-(** [create ?config ?cache_dir ?decks rules] — a cold engine.  [decks]
-    defaults to [[deck rules]], the single-deck session; when given it
+(** [create ?config ?cache_dir ?decks rules] — an engine.  [decks]
+    defaults to [[deck rules]], the single-deck engine; when given it
     overrides [rules] entirely (the first deck is the {e primary}: it
     drives elaboration and the default report).  With [cache_dir] the
-    engine persists per-definition results under that directory
-    (created if missing; see {!Cache} for the layout), so warmth
-    survives the process.
+    engine opens a {!Cache} handle on that directory (created if
+    missing; see {!Cache} for the layout), which stores per-definition
+    results as checks compute them and replays them on later checks,
+    in this process and the next.
 
     @raise Invalid_argument on an empty deck list.
     @raise Sys_error when [cache_dir] cannot be opened ({!Cache.open_dir}). *)
 val create : ?config:config -> ?cache_dir:string -> ?decks:deck list -> Tech.Rules.t -> t
 
-(** The primary deck's rule set. *)
-val rules : t -> Tech.Rules.t
-
-val decks : t -> deck list
 val config : t -> config
 
 (** {2 Builders}
 
-    Each returns the (mutated) engine for chaining.  Changing anything
-    that can affect verdicts moves the engine to a new environment
-    digest and drops the warm session state; {!with_jobs} is the
-    exception — parallelism never affects results, so the session (and
-    the on-disk cache address) is shared across [jobs] values.
-    {!with_decks} never drops warm state: per-deck caches are keyed by
-    each deck's own environment, so changing the set merely changes
-    which of them the next {!check} consults. *)
+    Each returns a new engine that differs only in what it names and
+    shares the cache handle, if any; the argument is unchanged.  A
+    config change that can affect verdicts moves every deck to a new
+    environment digest, so the next {!check} misses the entries of the
+    old one; {!with_jobs} is the exception — parallelism never affects
+    results, so the cache address is shared across [jobs] values.
+    {!with_decks} keeps each deck's entries: they are addressed by each
+    deck's own environment, so changing the set merely changes which of
+    them the next {!check} consults. *)
 
 val with_config : t -> config -> t
 
@@ -197,27 +202,18 @@ val with_lint : t -> bool -> t
 val with_expected_netlist : t -> Netcompare.expected option -> t
 val with_relational : t -> Process_model.Exposure.t option -> t
 
-(** The environment digest of one deck: canonical rule text ×
-    result-affecting config (i.e. with [jobs] normalised away).  This
-    is the [<env>] component of the on-disk cache address.  Because the
-    rule set enters through {!Tech.Rules.to_string}, provenance that
-    never reaches a verdict (source line positions, comments) does not
-    split the cache. *)
-val env_key : Tech.Rules.t -> config -> string
-
-(** Would this engine's warm state for the {e primary} deck be valid
-    for [rules]/[config]? *)
-val same_env : t -> Tech.Rules.t -> config -> bool
-
 (** Run the pipeline on an already-parsed file.  One elaboration, one
     net structure, one interaction worklist per [max_dist] class — then
     one report per deck ({!merged} folds them on demand).  For a single-deck
     engine, [primary] of the result is identical in report bytes,
     metrics shape, and trace shape to the historical single-deck
-    engine, cold or warm.  [metrics] lets the caller supply (and keep)
-    the accumulator; one is created per check otherwise.  [trace]
-    records ["stage"]/["symbol"]/["shard"] spans — at least one
-    [shard[0]] per parallel stage, at every [jobs] value — plus
+    engine, with or without a cache.  [metrics] lets the caller supply
+    (and keep) the accumulator; one is created per check otherwise.  It
+    always receives [cache.symbols_total], [cache.symbols_reused],
+    [cache.defs_computed] and the [cache.hit_ratio] gauge, so the stats
+    shape does not depend on the cache.  [trace] records
+    ["stage"]/["symbol"]/["shard"] spans — at least one [shard[0]] per
+    parallel stage, at every [jobs] value — plus, with a cache handle,
     ["cache"]-category spans around cache traffic.  [progress] is
     called with each stage name as it starts. *)
 val check :
@@ -261,5 +257,6 @@ val sarif : set:bool -> uri:string -> multi -> string
 val erc_violations : Netlist.Net.t -> Report.violation list
 
 (** Structural fingerprint of one definition: name, device kind,
-    element geometry/skeletons/layers/nets, calls with transforms. *)
+    element geometry/skeletons/layers/nets, calls with transforms, and
+    the CIF source positions of the definition and its elements. *)
 val fingerprint : Model.symbol -> string

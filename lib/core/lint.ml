@@ -488,9 +488,7 @@ let required_layers = function
 
 (* The model pass is a per-definition fact: each D-code below looks at
    one symbol's own elements (plus the deck rules the model was
-   elaborated under), never at its callers or callees' geometry — which
-   is what lets the engine cache these diagnostics under per-definition
-   fingerprints and replay them in warm sessions. *)
+   elaborated under), never at its callers or callees' geometry. *)
 let check_model_symbol (model : Model.t) (s : Model.symbol) =
   let diags = ref [] in
   let add d = diags := d :: !diags in

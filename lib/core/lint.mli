@@ -85,15 +85,6 @@ val check_ast : Cif.Ast.file -> diagnostic list
     poly-diffusion crossing, Fig 5). *)
 val check_model : Model.t -> diagnostic list
 
-(** One definition's share of {!check_model}, sorted.  Every model
-    D-code is a per-definition fact — it reads the symbol's own
-    elements and the rules the model was elaborated under, never other
-    definitions' geometry — so [check_model model] is exactly the
-    sorted concatenation over [model]'s symbols, and engine sessions
-    cache these lists under per-definition fingerprints the same way
-    they cache check results. *)
-val check_model_symbol : Model.t -> Model.symbol -> diagnostic list
-
 (** The whole design pass: {!check_ast}, then — when elaboration
     succeeds — {!check_model}; sorted. *)
 val check_design : Tech.Rules.t -> Cif.Ast.file -> diagnostic list

@@ -1,11 +1,11 @@
 (* The [dicheck serve] daemon.  Wire protocol: docs/PROTOCOL.md.
 
    Shape: any number of connection readers feed one bounded job queue;
-   [s_workers] worker domains drain it.  Engines are per-worker (an
-   Engine.t is mutable and not safe to share across domains) but all
-   workers sit on the same persistent Cache directory, so per-definition
-   results written by one worker warm the others — and the next
-   daemon — through disk. *)
+   [s_workers] worker domains drain it.  The daemon holds one immutable
+   Engine.t, built at start-up; each request derives its own engine
+   from it.  With --cache they all share that engine's one Cache
+   handle, so per-definition results one worker stores warm the others
+   through the handle's table, and the next daemon through disk. *)
 
 type conn = {
   c_serial : int;  (* cancellation scope: (serial, id) keys p_latest *)
@@ -43,14 +43,9 @@ type pool = {
 }
 
 type t = {
-  s_rules : Tech.Rules.t;
-  s_base : Engine.config;
-  s_cache_dir : string option;
+  s_engine : Engine.t;  (* the daemon's rules, config and cache handle *)
   s_workers : int;
   s_max_queue : int;
-  (* environment digest -> warm engine, for the synchronous
-     [handle_line] path only; worker domains keep their own tables *)
-  s_engines : (string, Engine.t) Hashtbl.t;
   s_lock : Mutex.t;  (* guards pool creation *)
   mutable s_pool : pool option;
   s_stop_req : bool Atomic.t;
@@ -69,16 +64,12 @@ let create ?(config = Engine.default_config) ?cache_dir ?(workers = 0)
           the main domain and a connection reader need two"
          max_workers);
   (* An unusable cache directory fails here, at start-up, rather than
-     in every request's engine. *)
-  Option.iter (fun dir -> ignore (Cache.open_dir dir)) cache_dir;
-  { s_rules = rules;
-    s_base = config;
-    s_cache_dir = cache_dir;
+     in every request. *)
+  { s_engine = Engine.create ~config ?cache_dir rules;
     s_workers =
       (if workers <= 0 then min max_workers (Domain.recommended_domain_count ())
        else workers);
     s_max_queue = max max_queue 1;
-    s_engines = Hashtbl.create 4;
     s_lock = Mutex.create ();
     s_pool = None;
     s_stop_req = Atomic.make false;
@@ -124,22 +115,6 @@ let read_file path =
 (* ------------------------------------------------------------------ *)
 (* Checking one request (runs on a worker domain or, via handle_line,
    on the caller's)                                                    *)
-
-(* Engines are keyed by the concatenated per-deck environment digests:
-   a single-deck request lands on the same key (and the same warm
-   engine) as before deck sets existed, and two requests naming the
-   same deck set in the same order share a session. *)
-let engine_for t engines config decks =
-  let key =
-    String.concat "+"
-      (List.map (fun (d : Engine.deck) -> Engine.env_key d.Engine.dk_rules config) decks)
-  in
-  match Hashtbl.find_opt engines key with
-  | Some e -> Engine.with_config (Engine.with_decks e decks) config
-  | None ->
-    let e = Engine.create ~config ?cache_dir:t.s_cache_dir ~decks t.s_rules in
-    Hashtbl.replace engines key e;
-    e
 
 (* The optional "decks" request member: an array of rule-file paths
    (labelled by basename) or [{"label":..., "path":...|"rules":...}]
@@ -214,7 +189,7 @@ let error_outcome =
   { o_status = "error"; o_exit = 2; o_errors = 0; o_warnings = 0;
     o_symbols_total = 0; o_symbols_reused = 0 }
 
-let process t engines ?req ?trace reqj =
+let process t ?req ?trace reqj =
   let req_members = req_field req in
   let id = Option.value ~default:Json.Null (Json.member "id" reqj) in
   let flag name = Option.bind (Json.member name reqj) Json.bool = Some true in
@@ -248,32 +223,33 @@ let process t engines ?req ?trace reqj =
     refuse id
       (Printf.sprintf "\"jobs\" is %d: give 0 (the runtime's recommended count) or more" j)
   | Ok (src, uri), _ -> (
+    let base = Engine.config t.s_engine in
     let lint_werror = flag "lint_werror" in
     let run_lint =
       (match Option.bind (Json.member "lint" req) Json.bool with
       | Some b -> b
-      | None -> t.s_base.Engine.run_lint)
+      | None -> base.Engine.run_lint)
       || lint_werror
     in
     let config =
-      { t.s_base with
+      { base with
         Engine.interactions =
-          { t.s_base.Engine.interactions with
+          { base.Engine.interactions with
             Interactions.jobs =
-              Option.value jobs ~default:t.s_base.Engine.interactions.Interactions.jobs;
+              Option.value jobs ~default:base.Engine.interactions.Interactions.jobs;
             Interactions.check_same_net =
               (match Option.bind (Json.member "check_same_net" req) Json.bool with
               | Some b -> b
-              | None -> t.s_base.Engine.interactions.Interactions.check_same_net) };
+              | None -> base.Engine.interactions.Interactions.check_same_net) };
         Engine.run_lint }
     in
     match parse_decks req with
     | Error msg -> refuse id msg
     | Ok decks_opt -> (
-      let decks =
-        match decks_opt with Some ds -> ds | None -> [ Engine.deck t.s_rules ]
+      let engine =
+        let e = Engine.with_config t.s_engine config in
+        match decks_opt with Some decks -> Engine.with_decks e decks | None -> e
       in
-      let engine = engine_for t engines config decks in
       let lint_counts_of report =
         if not run_lint then []
         else begin
@@ -355,8 +331,7 @@ let process t engines ?req ?trace reqj =
               ("warnings", Json.Num (float_of_int warnings));
               ("exit", Json.Num (float_of_int exit_code));
               ("symbols_total", Json.Num (float_of_int reuse.Engine.symbols_total));
-              ("symbols_reused", Json.Num (float_of_int reuse.Engine.symbols_reused));
-              ("defs_from_disk", Json.Num (float_of_int reuse.Engine.defs_from_disk)) ]
+              ("symbols_reused", Json.Num (float_of_int reuse.Engine.symbols_reused)) ]
             @ lint_counts_of result.Engine.report
             @ lint_suppressed_of suppressed
             @ [ ("report", Json.Str report_text) ]
@@ -393,8 +368,7 @@ let process t engines ?req ?trace reqj =
                  ("warnings", jnum (Report.count ~severity:Report.Warning report));
                  ("exit", jnum (exit_of report));
                  ("symbols_total", jnum reuse.Engine.symbols_total);
-                 ("symbols_reused", jnum reuse.Engine.symbols_reused);
-                 ("defs_from_disk", jnum reuse.Engine.defs_from_disk) ]
+                 ("symbols_reused", jnum reuse.Engine.symbols_reused) ]
               @ lint_counts_of report
               @ lint_suppressed_of dr.Engine.dr_suppressed)
           in
@@ -419,7 +393,6 @@ let process t engines ?req ?trace reqj =
               ("exit", jnum exit_code);
               ("symbols_total", jnum (sum (fun r -> r.Engine.symbols_total)));
               ("symbols_reused", jnum (sum (fun r -> r.Engine.symbols_reused)));
-              ("defs_from_disk", jnum (sum (fun r -> r.Engine.defs_from_disk)));
               ("decks", Json.Arr (List.map deck_fields multi.Engine.results));
               ("compliant",
                Json.Arr
@@ -444,8 +417,8 @@ let process t engines ?req ?trace reqj =
               o_symbols_total = sum (fun r -> r.Engine.symbols_total);
               o_symbols_reused = sum (fun r -> r.Engine.symbols_reused) } ))))
 
-let process_safe t engines ?req ?trace reqj =
-  try process t engines ?req ?trace reqj
+let process_safe t ?req ?trace reqj =
+  try process t ?req ?trace reqj
   with exn ->
     ( refuse ~extra:(req_field req)
         (Option.value ~default:Json.Null (Json.member "id" reqj))
@@ -471,10 +444,7 @@ let deliver job line =
   Mutex.unlock job.j_conn.c_lock
 
 let worker_loop t p w () =
-  (* This worker's private engines; warmth crosses workers only
-     through the shared on-disk cache. *)
   let tel = t.s_telemetry in
-  let engines = Hashtbl.create 4 in
   let rec go () =
     Mutex.lock p.p_lock;
     while Queue.is_empty p.p_queue && not (Atomic.get p.p_stop) do
@@ -523,7 +493,7 @@ let worker_loop t p w () =
             Trace.with_span tr ~cat:"serve"
               ~args:[ ("req", string_of_int job.j_seq) ]
               "request"
-              (fun () -> process_safe t engines ~req:job.j_seq ?trace:tr job.j_req)
+              (fun () -> process_safe t ~req:job.j_seq ?trace:tr job.j_req)
           in
           let service_ns = Int64.sub (Metrics.now_ns ()) deq_ns in
           (match tr with
@@ -836,7 +806,7 @@ let handle_line t line =
     else begin
       match admin_of req with
       | Some kind -> admin_reply t id req kind
-      | None -> fst (process_safe t t.s_engines req)
+      | None -> fst (process_safe t req)
     end
 
 (* ------------------------------------------------------------------ *)
@@ -934,18 +904,34 @@ let serve_socket t ~path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 16;
-  let client_loop fd () =
+  let client_loop fd finished () =
     let conn = connect t ~reply:(fd_writer fd) in
     read_loop t conn (reader fd);
     (* Keep the fd open until every reply owed to this connection is
        out; workers write replies from their own domains. *)
     conn_drain conn;
-    (try Unix.close fd with Unix.Unix_error _ -> ())
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Atomic.set finished true
   in
+  (* Live readers, each with the flag it sets as its last action.  The
+     accept loop joins the finished ones, so a long-lived daemon holds
+     a domain per open connection, not per connection ever accepted. *)
   let readers = ref [] in
+  let reap () =
+    readers :=
+      List.filter
+        (fun (finished, d) ->
+          if Atomic.get finished then begin
+            Domain.join d;
+            false
+          end
+          else true)
+        !readers
+  in
   let rec accept_loop () =
     if stopped t then ()
     else begin
+      reap ();
       let ready =
         try (match Unix.select [ sock ] [] [] 0.1 with [], _, _ -> false | _ -> true)
         with Unix.Unix_error (Unix.EINTR, _, _) -> false
@@ -958,8 +944,9 @@ let serve_socket t ~path =
               check domains included).  A connection past the cap is
               refused with one line and closed; the others, and the
               daemon, carry on. *)
-           match Domain.spawn (client_loop fd) with
-           | d -> readers := d :: !readers
+           let finished = Atomic.make false in
+           match Domain.spawn (client_loop fd finished) with
+           | d -> readers := (finished, d) :: !readers
            | exception Failure _ ->
              fd_writer fd
                (refuse ~status:"overloaded" Json.Null
@@ -971,6 +958,6 @@ let serve_socket t ~path =
   in
   accept_loop ();
   shutdown t;
-  List.iter Domain.join !readers;
+  List.iter (fun (_, d) -> Domain.join d) !readers;
   (try Unix.close sock with Unix.Unix_error _ -> ());
   (try Unix.unlink path with Unix.Unix_error _ -> ())

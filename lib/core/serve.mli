@@ -1,5 +1,5 @@
 (** The [dicheck serve] daemon: concurrent JSON-lines check requests
-    answered by a pool of worker domains over warm {!Engine} sessions.
+    answered by a pool of worker domains sharing one {!Engine}.
 
     The authoritative wire reference — every request and reply field,
     the status values, cancellation/ordering semantics, backpressure,
@@ -32,7 +32,7 @@
     {v
     { "id": ..., "ok": true, "status": "ok", "req": N, "errors": N,
       "warnings": N, "exit": 0|1, "symbols_total": N, "symbols_reused": N,
-      "defs_from_disk": N, "lint_counts": {...}?,
+      "lint_counts": {...}?,
       "report": "...", "metrics": {...}?, "sarif": {...}?, "trace": {...}? }
     v}
 
@@ -63,8 +63,9 @@
     (labels of zero-error decks), and ["all_compliant"].  ["sarif"]
     embeds one run per deck ({!Sarif.of_reports}).  Requests without
     ["decks"] reply byte-identically to the single-deck protocol above.
-    Engines are keyed by the deck set's joined environment digests, so
-    alternating deck sets keeps every deck's session warm.
+    With a cache directory each deck's entries are addressed by that
+    deck's own environment, so alternating deck sets keeps every deck
+    warm.
 
     {2 Admin formats}
 
@@ -77,12 +78,17 @@
     {2 Concurrency model}
 
     Per-connection readers feed one bounded request queue; [workers]
-    worker domains drain it.  Each worker owns its engines (one per
-    environment digest), all over the {e shared} persistent
-    {!Cache} directory, so warmth crosses workers through disk while
-    no engine is ever touched by two domains.  Replies to one
-    connection are written whole-line atomically but arrive in
-    {e completion} order, not submission order — match them by [id].
+    worker domains drain it.  The daemon builds one immutable
+    {!Engine.t} at start-up, and each request derives its own engine
+    from it ({!Engine.with_config}, {!Engine.with_decks}).  With a
+    cache directory all of them share that engine's one {!Cache}
+    handle, whose table is guarded by a lock: an entry one worker
+    stores is replayed by every other, and each file is read at most
+    once per daemon.  Without one, every request computes every
+    definition.  A socket connection's reader domain is joined as soon
+    as the connection ends.  Replies to one connection are written
+    whole-line atomically but arrive in {e completion} order, not
+    submission order — match them by [id].
 
     {2 Cancellation}
 
@@ -107,7 +113,7 @@
     Every check stores its per-definition results as it finishes, so a
     daemon restarted over the same [--cache] directory — even after a
     crash — recovers them from disk: the first reply after a restart
-    already reports [defs_from_disk > 0].
+    already reports [symbols_reused > 0].
 
     {2 Observability}
 
@@ -153,8 +159,8 @@ val telemetry : t -> Telemetry.t
 
     The protocol without the daemon: parse one request line, check,
     return the reply line (no trailing newline).  Runs on the calling
-    domain with the server's own engine table; single-threaded use
-    only.  Never raises on malformed input. *)
+    domain, over the server's engine.  Never raises on malformed
+    input. *)
 val handle_line : t -> string -> string
 
 (** {2 The pool}
@@ -219,7 +225,7 @@ val serve_stdio : t -> unit
 
 (** Bind a Unix domain socket at [path] (unlinked and rebound) and
     accept any number of concurrent client connections, each its own
-    reader domain.  Returns after a shutdown request or
-    {!request_stop}, having drained, joined all readers, and removed
-    the socket file. *)
+    reader domain, joined once its connection ends.  Returns after a
+    shutdown request or {!request_stop}, having drained, joined all
+    readers, and removed the socket file. *)
 val serve_socket : t -> path:string -> unit

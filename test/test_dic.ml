@@ -922,7 +922,22 @@ let test_structure_shared_symbols_counted_once () =
   Alcotest.(check int) "multiplicity" 5 leaf.Dic.Structure.ss_instances
 
 (* ------------------------------------------------------------------ *)
-(* Incremental rechecking (a warm engine session)                      *)
+(* Incremental rechecking (an engine with a cache directory)           *)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* An engine over a fresh temporary cache directory, removed after [f]. *)
+let with_cached_engine f =
+  let dir = Filename.temp_file "dic_test_incremental" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    (fun () -> f (Dic.Engine.create ~cache_dir:dir rules))
 
 let violation_set (r : Dic.Engine.result) =
   List.map
@@ -946,7 +961,7 @@ let test_incremental_matches_fresh () =
     (violation_set result = violation_set fresh)
 
 let test_incremental_reuses_everything_unchanged () =
-  let e = Dic.Engine.create rules in
+  with_cached_engine @@ fun e ->
   let file = Layoutgen.Cells.grid ~lambda ~nx:3 ~ny:2 in
   let _ = engine_run e file in
   let _, reuse = engine_run e file in
@@ -954,7 +969,7 @@ let test_incremental_reuses_everything_unchanged () =
     reuse.Dic.Engine.symbols_reused
 
 let test_incremental_recheck_only_the_edit () =
-  let e = Dic.Engine.create rules in
+  with_cached_engine @@ fun e ->
   let file = Layoutgen.Cells.chain ~lambda 3 in
   let _ = engine_run e file in
   (* Edit the top level: drop a narrow wire in the margin. *)
@@ -981,7 +996,7 @@ let test_incremental_fingerprint_sensitivity () =
     (Dic.Engine.fingerprint inv = Dic.Engine.fingerprint inv)
 
 let test_incremental_rules_change_invalidates () =
-  let e = Dic.Engine.create rules in
+  with_cached_engine @@ fun e ->
   let file = Layoutgen.Cells.chain ~lambda 2 in
   let _ = engine_run e file in
   (* Tighter metal width: a new deck means a new per-deck environment,

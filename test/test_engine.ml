@@ -1,6 +1,6 @@
-(* Engine sessions: persistent-cache reuse and invalidation, the
-   cold/warm determinism invariant, corruption fallback, the serve
-   protocol, and the minimal JSON codec under it. *)
+(* Engines: persistent-cache reuse and invalidation, the cold/warm
+   determinism invariant, corruption fallback, the serve protocol, and
+   the minimal JSON codec under it. *)
 
 let rules = Tech.Rules.nmos ()
 let lambda = rules.Tech.Rules.lambda
@@ -54,7 +54,7 @@ let test_warm_recheck_reuses_and_matches () =
       Alcotest.(check int) "all definitions reused" r1.Dic.Engine.symbols_total
         r1.Dic.Engine.symbols_reused;
       Alcotest.(check bool) "definitions came from disk" true
-        (r1.Dic.Engine.defs_from_disk > 0);
+        (r1.Dic.Engine.symbols_reused > 0);
       Alcotest.(check string) "warm report byte-identical" (report_text cold)
         (report_text warm))
 
@@ -149,7 +149,7 @@ let test_old_magic_reads_as_miss () =
       let warm, r = check_ok (Dic.Engine.create ~cache_dir:dir rules) file in
       Alcotest.(check int) "no definition reused across formats" 0
         r.Dic.Engine.symbols_reused;
-      Alcotest.(check int) "no definition read from disk" 0 r.Dic.Engine.defs_from_disk;
+      Alcotest.(check int) "no definition read from disk" 0 r.Dic.Engine.symbols_reused;
       Alcotest.(check string) "cold report" (report_text cold) (report_text warm))
 
 (* Memoised interaction candidates carry net groups in their callees'
@@ -214,8 +214,10 @@ let test_memo_nets_follow_widths () =
    edit, so no placement class is certified silent and every pair is
    judged; growing the tile moves those findings while the row and the
    top level keep their fingerprints.  The warm report must equal a
-   cold check of the edited design, in session and from disk, at jobs
-   1 and 2. *)
+   cold check of the edited design, at jobs 1 and 2: through one
+   engine, whose handle replays from its table (the directory is
+   emptied between the checks), and through a new engine that reads
+   the directory. *)
 let tile_file ~w ~h =
   let module B = Layoutgen.Builder in
   let l v = v * lambda in
@@ -248,17 +250,19 @@ let test_called_cell_edit_matches_cold () =
       let want = cold after in
       let name what = Printf.sprintf "jobs %d, %s" jobs what in
       Alcotest.(check bool) (name "the edit changes the report") true (cold before <> want);
-      let session = engine () in
-      ignore (check_ok session before);
-      let warm, r = check_ok session after in
-      Alcotest.(check int) (name "in session, only the tile recomputed")
-        (r.Dic.Engine.symbols_total - 1) r.Dic.Engine.symbols_reused;
-      Alcotest.(check string) (name "in session") want (report_text warm);
+      with_cache_dir (fun dir ->
+          let session = engine ~cache_dir:dir () in
+          ignore (check_ok session before);
+          rm_rf (Filename.concat dir "defs");
+          let warm, r = check_ok session after in
+          Alcotest.(check int) (name "in session, only the tile recomputed")
+            (r.Dic.Engine.symbols_total - 1) r.Dic.Engine.symbols_reused;
+          Alcotest.(check string) (name "in session") want (report_text warm));
       with_cache_dir (fun dir ->
           ignore (check_ok (engine ~cache_dir:dir ()) before);
           let disk, r = check_ok (engine ~cache_dir:dir ()) after in
           Alcotest.(check int) (name "from disk, only the tile recomputed")
-            (r.Dic.Engine.symbols_total - 1) r.Dic.Engine.defs_from_disk;
+            (r.Dic.Engine.symbols_total - 1) r.Dic.Engine.symbols_reused;
           Alcotest.(check string) (name "warm from disk") want (report_text disk)))
     [ 1; 2 ]
 
@@ -288,17 +292,50 @@ let test_unwritable_cache_mid_session () =
         | _ -> false
         | exception Sys_error _ -> true))
 
-let test_in_memory_session_reuse () =
-  (* No cache directory at all: the in-memory session still reuses. *)
+(* Findings carry the CIF positions of the definition and its
+   elements, so a check of the same cell moved down one line must not
+   replay the unmoved cell's entries.  Through the handle that stored
+   them, and through a new handle on the same directory, the shifted
+   text gives the cold report and SARIF bytes. *)
+let test_shifted_positions_match_cold () =
+  let src = "DS 1;\nL NM;\nB 100 400 200 200;\nDF;\nC 1;\nE\n" in
+  let shifted = "(one more line);\n" ^ src in
+  let texts engine src =
+    match Dic.Engine.check_string engine src with
+    | Ok m -> (Dic.Engine.report_text m, Dic.Engine.sarif ~set:false ~uri:"cell.cif" m)
+    | Error e -> Alcotest.fail e
+  in
+  let cold = texts (Dic.Engine.create rules) shifted in
+  Alcotest.(check bool) "the shift moves the finding" true
+    (fst cold <> fst (texts (Dic.Engine.create rules) src));
+  with_cache_dir (fun dir ->
+      let session = Dic.Engine.create ~cache_dir:dir rules in
+      ignore (texts session src);
+      let fresh = texts (Dic.Engine.create ~cache_dir:dir rules) shifted in
+      let same = texts session shifted in
+      Alcotest.(check (pair string string)) "new handle" cold fresh;
+      Alcotest.(check (pair string string)) "same handle" cold same)
+
+(* No cache directory: the engine keeps nothing between checks, and
+   never addresses the cache (no "cache"-category span). *)
+let test_no_cache_dir_reuses_nothing () =
   let e = Dic.Engine.create rules in
   let file = Layoutgen.Cells.grid ~lambda ~nx:3 ~ny:2 in
-  let cold, r0 = check_ok e file in
-  Alcotest.(check int) "cold" 0 r0.Dic.Engine.symbols_reused;
-  let warm, r1 = check_ok e file in
-  Alcotest.(check int) "warm reuses all" r1.Dic.Engine.symbols_total
-    r1.Dic.Engine.symbols_reused;
-  Alcotest.(check int) "nothing read from disk" 0 r1.Dic.Engine.defs_from_disk;
-  Alcotest.(check string) "same bytes" (report_text cold) (report_text warm)
+  let first, r0 = check_ok e file in
+  let trace = Dic.Trace.create () in
+  let second, r1 =
+    match Result.map Dic.Engine.primary @@ Dic.Engine.check ~trace e file with
+    | Ok r -> r
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check int) "first check reuses nothing" 0 r0.Dic.Engine.symbols_reused;
+  Alcotest.(check int) "second check reuses nothing" 0 r1.Dic.Engine.symbols_reused;
+  Alcotest.(check string) "same bytes" (report_text first) (report_text second);
+  Alcotest.(check (list string)) "no cache spans" []
+    (List.filter_map
+       (fun (ev : Dic.Trace.event) ->
+         if ev.Dic.Trace.e_cat = "cache" then Some ev.Dic.Trace.e_name else None)
+       (Dic.Trace.events trace))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-pipeline parallelism: byte-identity across jobs               *)
@@ -376,25 +413,15 @@ let test_pipeline_bytes_across_jobs () =
     [ 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
-(* Incremental lint in sessions                                        *)
+(* Lint across checks                                                  *)
 
-let test_lint_replayed_in_session () =
+let test_lint_report_stable_across_checks () =
   let e = Dic.Engine.with_lint (Dic.Engine.create rules) true in
   let file = stage_workload () in
-  let cold, mc = check_with_metrics e file in
-  let warm, mw = check_with_metrics e file in
-  Alcotest.(check bool) "cold run computes the model pass" true
-    (Dic.Metrics.counter mc "lint.defs_computed" > 0);
-  Alcotest.(check int) "cold run replays nothing" 0
-    (Dic.Metrics.counter mc "lint.defs_replayed");
-  Alcotest.(check int) "warm run computes nothing"
-    0
-    (Dic.Metrics.counter mw "lint.defs_computed");
-  Alcotest.(check int) "warm run replays every definition"
-    (Dic.Metrics.counter mc "lint.defs_computed")
-    (Dic.Metrics.counter mw "lint.defs_replayed");
+  let first, _ = check_ok e file in
+  let second, _ = check_ok e file in
   Alcotest.(check string) "lint-bearing report byte-identical"
-    (report_text cold) (report_text warm)
+    (report_text first) (report_text second)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-deck sessions                                                 *)
@@ -536,7 +563,8 @@ let num_field reply name =
   | None -> Alcotest.fail (Printf.sprintf "reply has no numeric %S" name)
 
 let test_serve_round_trip () =
-  let server = Dic.Serve.create rules in
+  with_cache_dir @@ fun cache_dir ->
+  let server = Dic.Serve.create ~cache_dir rules in
   let src = Cif.Print.to_string (Layoutgen.Cells.chain ~lambda 2) in
   let request =
     Dic.Json.to_string
@@ -555,9 +583,9 @@ let test_serve_round_trip () =
   (match reply_field reply "metrics" with
   | Some (Dic.Json.Obj _) -> ()
   | _ -> Alcotest.fail "stats:true must embed a metrics object");
-  (* Same design again: the warm engine answers from its session. *)
+  (* Same design again: the server's cache handle replays it. *)
   let reply2 = Dic.Serve.handle_line server request in
-  Alcotest.(check int) "second request reuses the session"
+  Alcotest.(check int) "second request reuses the cache"
     (num_field reply2 "symbols_total")
     (num_field reply2 "symbols_reused")
 
@@ -733,7 +761,11 @@ let () =
             test_corrupted_cache_falls_back_to_cold;
           Alcotest.test_case "previous cache format reads as a miss" `Quick
             test_old_magic_reads_as_miss;
-          Alcotest.test_case "in-memory session reuse" `Quick test_in_memory_session_reuse;
+          Alcotest.test_case "shifted source positions match cold" `Quick
+            test_shifted_positions_match_cold;
+          Alcotest.test_case
+            "without a cache directory, a second check reuses nothing and returns the same bytes"
+            `Quick test_no_cache_dir_reuses_nothing;
           Alcotest.test_case "memo net groups follow the deck's widths" `Quick
             test_memo_nets_follow_widths;
           Alcotest.test_case "called-cell edit matches cold" `Quick
@@ -743,8 +775,8 @@ let () =
       ( "parallel",
         [ Alcotest.test_case "report/SARIF/stats bytes across jobs" `Quick
             test_pipeline_bytes_across_jobs;
-          Alcotest.test_case "lint replayed within a session" `Quick
-            test_lint_replayed_in_session ] );
+          Alcotest.test_case "lint report identical across checks" `Quick
+            test_lint_report_stable_across_checks ] );
       ( "multideck",
         [ Alcotest.test_case "N=1 deck set = single engine bytes" `Quick
             test_multideck_n1_matches_single;

@@ -4,10 +4,12 @@
    fields, report bytes), not just the final replies.
 
    Scenarios: concurrent clients vs one-shot byte-identity, warm-cache
-   transitions across requests, superseded-id cancellation (queued and
-   in-flight), backpressure, a malformed line mid-stream, crash at
-   request N + restart recovering the warm cache from disk, the
-   shutdown handshake, and the lint_werror / lint_counts reply fields. *)
+   transitions across requests, one cache handle shared by several
+   workers, superseded-id cancellation (queued and in-flight),
+   backpressure, a malformed line mid-stream, socket readers reaped as
+   connections finish, crash at request N + restart recovering the warm
+   cache from disk, the shutdown handshake, and the lint_werror /
+   lint_counts reply fields. *)
 
 let rules = Tech.Rules.nmos ()
 let lambda = rules.Tech.Rules.lambda
@@ -236,6 +238,43 @@ let test_warm_transitions_across_requests () =
         (field "symbols_total" r2) (field "symbols_reused" r2);
       Alcotest.(check (option string)) "warm report byte-identical"
         (jstr "report" r1) (jstr "report" r2);
+      Dic.Serve.shutdown server)
+
+(* The daemon's workers share one cache handle: eight concurrent
+   clients over a fresh directory at four workers, then eight more.
+   Every reply carries the one-shot bytes, and each reply of the second
+   round replays every definition the first round stored. *)
+let test_workers_share_one_cache_handle () =
+  with_cache_dir (fun dir ->
+      let src = workload_cif () in
+      let expected = one_shot_text src in
+      let request =
+        Dic.Json.to_string (Dic.Json.Obj [ ("id", Dic.Json.Num 1.); ("cif", Dic.Json.Str src) ])
+      in
+      let server = Dic.Serve.create ~workers:4 ~cache_dir:dir rules in
+      let round name =
+        let clients = List.init 8 (fun _ -> client ()) in
+        List.iter (fun c -> Dic.Serve.submit server (mock_conn server c) request) clients;
+        List.map
+          (fun c ->
+            match await c 1 with
+            | [ line ] ->
+              let v = parse_reply line in
+              Alcotest.(check string) (name ^ ": status ok") "ok" (status v);
+              Alcotest.(check (option string)) (name ^ ": one-shot bytes") (Some expected)
+                (jstr "report" v);
+              v
+            | other -> Alcotest.failf "expected 1 reply, got %d" (List.length other))
+          clients
+      in
+      ignore (round "cold");
+      List.iter
+        (fun v ->
+          Alcotest.(check bool) "warm: definitions to reuse" true (field "symbols_total" v > 0);
+          Alcotest.(check int) "warm: every definition reused" (field "symbols_total" v)
+            (field "symbols_reused" v))
+        (round "warm");
+      Alcotest.(check int) "served both rounds" 16 (Dic.Serve.stats server).Dic.Serve.served;
       Dic.Serve.shutdown server)
 
 (* ------------------------------------------------------------------ *)
@@ -475,6 +514,50 @@ let test_connections_past_domain_cap () =
   Domain.join daemon;
   Alcotest.(check bool) "socket removed at shutdown" false (Sys.file_exists path)
 
+(* A finished connection gives its reader domain back.  One client stays
+   connected while 300 others connect, ask for health and close, one
+   after another — more than the runtime's 128 domains, so the daemon
+   must join each reader once its connection ends, and never the live
+   one.  Every client is answered, the long-lived one still is
+   afterwards, and shutdown returns. *)
+let test_finished_readers_reaped () =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let path = Filename.temp_file "dic_test_serve" ".sock" in
+  Sys.remove path;
+  let server = Dic.Serve.create ~workers:2 rules in
+  let daemon = Domain.spawn (fun () -> Dic.Serve.serve_socket server ~path) in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  let health = "{\"admin\":\"health\"}\n" in
+  let open_conn () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  in
+  let ask fd =
+    (try ignore (Unix.write_substring fd health 0 (String.length health))
+     with Unix.Unix_error _ -> ());
+    Option.map (fun l -> status (parse_reply l)) (read_line_within fd 5.)
+  in
+  let long_lived = open_conn () in
+  Alcotest.(check (option string)) "the long-lived client is served" (Some "health")
+    (ask long_lived);
+  for i = 1 to 300 do
+    let fd = open_conn () in
+    let st = ask fd in
+    Unix.close fd;
+    if st <> Some "health" then
+      Alcotest.failf "connection %d: %s" i (Option.value ~default:"no reply" st)
+  done;
+  Alcotest.(check (option string)) "the long-lived client is still served" (Some "health")
+    (ask long_lived);
+  Unix.close long_lived;
+  Dic.Serve.shutdown server;
+  Domain.join daemon;
+  Alcotest.(check bool) "socket removed at shutdown" false (Sys.file_exists path)
+
 (* ------------------------------------------------------------------ *)
 (* Crash at request N; a restarted daemon recovers warm state from     *)
 (* disk                                                                *)
@@ -491,7 +574,7 @@ let test_crash_and_restart_recovers_warm_cache () =
       Dic.Serve.submit crashed (mock_conn crashed c1) req;
       let r1 = parse_reply (List.nth (await c1 1) 0) in
       Alcotest.(check string) "first daemon served cold" "ok" (status r1);
-      Alcotest.(check int) "cold: nothing from disk" 0 (field "defs_from_disk" r1);
+      Alcotest.(check int) "cold: nothing from disk" 0 (field "symbols_reused" r1);
       (* Daemon #2 over the same directory: its first reply must
          already be warm, and byte-identical. *)
       let server = Dic.Serve.create ~workers:1 ~cache_dir:dir rules in
@@ -500,7 +583,7 @@ let test_crash_and_restart_recovers_warm_cache () =
       Dic.Serve.submit server conn2 req;
       let r2 = parse_reply (List.nth (await c2 1) 0) in
       Alcotest.(check bool) "restart recovered definitions from disk" true
-        (field "defs_from_disk" r2 > 0);
+        (field "symbols_reused" r2 > 0);
       Alcotest.(check int) "restart reuses every definition"
         (field "symbols_total" r2) (field "symbols_reused" r2);
       Alcotest.(check (option string)) "warm restart report byte-identical"
@@ -931,7 +1014,9 @@ let () =
           Alcotest.test_case "warm transitions" `Quick
             test_warm_transitions_across_requests;
           Alcotest.test_case "multi-deck replies match at every worker count"
-            `Quick test_multideck_replies_match_at_every_worker_count ] );
+            `Quick test_multideck_replies_match_at_every_worker_count;
+          Alcotest.test_case "workers share one cache handle" `Quick
+            test_workers_share_one_cache_handle ] );
       ( "cancellation",
         [ Alcotest.test_case "superseded in flight" `Quick test_superseded_id_inflight;
           Alcotest.test_case "superseded while queued" `Quick test_superseded_id_queued ] );
@@ -943,7 +1028,9 @@ let () =
           Alcotest.test_case "workers past the domain cap refused" `Quick
             test_workers_past_domain_cap_refused;
           Alcotest.test_case "connections past the domain cap" `Quick
-            test_connections_past_domain_cap ] );
+            test_connections_past_domain_cap;
+          Alcotest.test_case "finished connections are reaped" `Quick
+            test_finished_readers_reaped ] );
       ( "lifecycle",
         [ Alcotest.test_case "crash and restart" `Quick
             test_crash_and_restart_recovers_warm_cache ] );
