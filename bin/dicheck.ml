@@ -65,15 +65,6 @@ let open_or_exit cache create =
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
 
-(* Exit policy of one deck's report; a multi-deck check exits with the
-   worst deck's code. *)
-let deck_exit ~werror ~lint_werror (report : Dic.Report.t) =
-  let count sev = Dic.Report.count ~severity:sev report in
-  if count Dic.Report.Error > 0 then 1
-  else if werror && count Dic.Report.Warning > 0 then 1
-  else if lint_werror && Dic.Report.by_rule_prefix report "lint." <> [] then 1
-  else 0
-
 let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~markers
     ~jobs ~cache ~stats_json ~trace_out ~sarif_out ~top_cost ~progress ~werror ~lint
     ~lint_werror ~input decks src =
@@ -193,11 +184,8 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
       | Some path, Some tr -> write_output path (Dic.Trace.to_chrome_json tr)
       | _ -> ());
       Option.iter (fun (path, doc) -> write_output path doc) sarif;
-      List.fold_left
-        (fun acc (dr : Dic.Engine.deck_result) ->
-          max acc
-            (deck_exit ~werror ~lint_werror dr.Dic.Engine.dr_result.Dic.Engine.report))
-        0 multi.Dic.Engine.results)
+      (* A multi-deck check exits with the worst deck's code. *)
+      Dic.Engine.exit_code ~werror ~lint_werror multi)
 
 let run_flat ~metric ~poly_diff ~width_algorithm rules src =
   match Cif.Parse.file src with
@@ -326,13 +314,15 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
         ~waivers:(primary_rules.Tech.Rules.waivers @ file_waivers)
         design_diags
     in
+    (* A SARIF document on stdout moves the text to stderr, as in check. *)
+    let out = if sarif_out = Some "-" then stderr else stdout in
+    let say line = Printf.fprintf out "%s\n" line in
     List.iter
       (fun (path, _, kept, _) ->
-        List.iter (fun d -> print_endline (Dic.Lint.render ~src:path d)) kept)
+        List.iter (fun d -> say (Dic.Lint.render ~src:path d)) kept)
       deck_out;
     (match design_src with
-    | Some f ->
-      List.iter (fun d -> print_endline (Dic.Lint.render ~src:f d)) design_kept
+    | Some f -> List.iter (fun d -> say (Dic.Lint.render ~src:f d)) design_kept
     | None -> ());
     let parsed =
       List.filter_map (fun (p, d, _, _) -> Option.map (fun r -> (p, r)) d) deck_out
@@ -340,19 +330,19 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
     let relations =
       if List.length parsed >= 2 then Dic.Deckcheck.relation_lines parsed else []
     in
-    List.iter (fun line -> Printf.printf "deck relation: %s\n" line) relations;
+    List.iter (fun line -> say ("deck relation: " ^ line)) relations;
     let all = List.concat_map (fun (_, _, kept, _) -> kept) deck_out @ design_kept in
     let suppressed =
       List.concat_map (fun (_, _, _, s) -> s) deck_out @ design_supp
     in
     let errors = List.length (List.filter (fun d -> d.Dic.Lint.severity = Dic.Lint.Error) all) in
-    Printf.printf "%d lint diagnostic(s): %d error(s), %d warning(s)\n" (List.length all)
-      errors
+    Printf.fprintf out "%d lint diagnostic(s): %d error(s), %d warning(s)\n"
+      (List.length all) errors
       (List.length all - errors);
-    (match Dic.Lint.suppressed_counts suppressed with
+    (match Dic.Lint.code_counts suppressed with
     | [] -> ()
     | counts ->
-      Printf.printf "%d suppressed by waivers: %s\n" (List.length suppressed)
+      Printf.fprintf out "%d suppressed by waivers: %s\n" (List.length suppressed)
         (String.concat " "
            (List.map (fun (c, n) -> Printf.sprintf "%s x%d" c n) counts)));
     (match sarif_out with
@@ -367,6 +357,18 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
          emit results in diagnostic order. *)
       let report_of diags =
         { Dic.Report.violations = List.rev (Dic.Lint.to_violations diags) }
+      in
+      (* A deck diagnostic's position is a line of its rule file: it
+         keeps its region only when that file is the document's
+         artifact (one deck, no design). *)
+      let deck_out =
+        match (deck_out, design_src) with
+        | [ _ ], None -> deck_out
+        | _ ->
+          let unlocated = List.map (fun d -> { d with Dic.Lint.loc = None }) in
+          List.map
+            (fun (p, d, kept, supp) -> (p, d, unlocated kept, unlocated supp))
+            deck_out
       in
       match deck_out with
       | [ (_, _, kept, supp) ] ->
@@ -743,8 +745,10 @@ let lint_cmd =
   let sarif_out =
     Arg.(value & opt (some string) None
          & info [ "sarif" ] ~docv:"FILE"
-             ~doc:"Write the lint diagnostics as SARIF 2.1.0 to FILE (- for stdout), \
-                   one SARIF rule per lint code.")
+             ~doc:"Write the lint diagnostics as SARIF 2.1.0 to FILE (- for stdout, \
+                   and the text to stderr), one SARIF rule per lint code.  A deck \
+                   diagnostic keeps its rule-file region only when the document's \
+                   artifact is that deck's file: one $(b,--rules) and no FILE.")
   in
   let werror =
     Arg.(value & flag

@@ -9,14 +9,8 @@ let layer_of_index = Array.of_list Tech.Layer.all
 (* ------------------------------------------------------------------ *)
 (* Deck closure — R012 / R013 / R014                                   *)
 
-let diag ?loc code severity subject message =
-  { Lint.code; severity; message; loc; subject }
-
-let loc_of r key =
-  Option.map (fun line -> Cif.Loc.make ~line ~col:1) (Tech.Rules.position r key)
-
-let pair_name (a, b) =
-  Printf.sprintf "space_%s_%s" (Tech.Rules.layer_name a) (Tech.Rules.layer_name b)
+let diag code severity subject message =
+  { Lint.code; severity; message; loc = None; subject }
 
 (* The unordered cross-layer cells the deck writes directed overrides
    for, ascending-index normalised. *)
@@ -40,7 +34,7 @@ let check_deck (r : Tech.Rules.t) =
   let pad = glass + (2 * r.Tech.Rules.pad_metal_surround) in
   if pad < r.Tech.Rules.width_metal then
     add
-      (diag ?loc:(loc_of r "pad_metal_surround") "R012" Lint.Error "pad_metal_surround"
+      (diag "R012" Lint.Error "pad_metal_surround"
          (Printf.sprintf
             "unsatisfiable: glass opening >= contact_size %d, so the minimal bonding \
              pad is %d + 2*pad_metal_surround %d = %d of metal, below width_metal %d \
@@ -61,7 +55,7 @@ let check_deck (r : Tech.Rules.t) =
           match List.assoc_opt key default_fields with
           | Some dv when dv = v ->
             add
-              (diag ?loc:(loc_of r key) "R013" Lint.Warning key
+              (diag "R013" Lint.Warning key
                  (Printf.sprintf
                     "redundant: %s %d is already implied by lambda %d (the default \
                      is %d); deleting the entry changes nothing"
@@ -82,6 +76,8 @@ let check_deck (r : Tech.Rules.t) =
           let asc = Tech.Rules.pair_space r lo hi
           and desc = Tech.Rules.pair_space r hi lo
           and base = Tech.Rules.cross_layer_space r lo hi in
+          let up = Tech.Rules.pair_key_name (lo, hi)
+          and down = Tech.Rules.pair_key_name (hi, lo) in
           let effective =
             match Tech.Rules.cell_space_override r lo hi with
             | Some v -> Some v
@@ -93,32 +89,21 @@ let check_deck (r : Tech.Rules.t) =
           (match (asc, desc) with
           | Some a, Some d when a = d ->
             add
-              (diag ?loc:(loc_of r (pair_name (hi, lo))) "R013" Lint.Warning
-                 (pair_name (hi, lo))
+              (diag "R013" Lint.Warning down
                  (Printf.sprintf
                     "redundant: %s %d duplicates %s %d; deleting it changes nothing"
-                    (pair_name (hi, lo)) d (pair_name (lo, hi)) a))
+                    down d up a))
           | _ -> ());
           (* R013b: a lone override that restates the canonical cell. *)
           (match (asc, desc, base) with
-          | Some v, None, Some bv when v = bv ->
+          | (Some v, None, Some bv | None, Some v, Some bv) when v = bv ->
+            let key = if Option.is_some asc then up else down in
             add
-              (diag ?loc:(loc_of r (pair_name (lo, hi))) "R013" Lint.Warning
-                 (pair_name (lo, hi))
+              (diag "R013" Lint.Warning key
                  (Printf.sprintf
                     "redundant: %s %d equals the canonical %s-%s spacing %d it \
                      overrides; deleting it changes nothing"
-                    (pair_name (lo, hi)) v (Tech.Layer.to_cif lo)
-                    (Tech.Layer.to_cif hi) bv))
-          | None, Some v, Some bv when v = bv ->
-            add
-              (diag ?loc:(loc_of r (pair_name (hi, lo))) "R013" Lint.Warning
-                 (pair_name (hi, lo))
-                 (Printf.sprintf
-                    "redundant: %s %d equals the canonical %s-%s spacing %d it \
-                     overrides; deleting it changes nothing"
-                    (pair_name (hi, lo)) v (Tech.Layer.to_cif lo)
-                    (Tech.Layer.to_cif hi) bv))
+                    key v (Tech.Layer.to_cif lo) (Tech.Layer.to_cif hi) bv))
           | _ -> ())
           end;
           (* R014: any written member of the family strictly above the
@@ -129,14 +114,14 @@ let check_deck (r : Tech.Rules.t) =
           | Some eff ->
             let winner_key =
               match (Tech.Rules.cell_space_override r lo hi, asc) with
-              | Some _, Some _ -> pair_name (lo, hi)
-              | Some _, None -> pair_name (hi, lo)
+              | Some _, Some _ -> up
+              | Some _, None -> down
               | None, _ -> "space_poly_diffusion"
             in
             let family =
               List.filter_map Fun.id
-                [ Option.map (fun v -> (pair_name (lo, hi), v)) asc;
-                  Option.map (fun v -> (pair_name (hi, lo), v)) desc;
+                [ Option.map (fun v -> (up, v)) asc;
+                  Option.map (fun v -> (down, v)) desc;
                   (match base with
                   | Some bv
                     when Tech.Layer.equal lo Tech.Layer.Diffusion
@@ -149,7 +134,7 @@ let check_deck (r : Tech.Rules.t) =
               (fun (k, v) ->
                 if v > eff && k <> winner_key then
                   add
-                    (diag ?loc:(loc_of r k) "R014" Lint.Error k
+                    (diag "R014" Lint.Error k
                        (Printf.sprintf
                           "non-monotone override family: %s %d is shadowed by the \
                            effective %s %d — the deck reads stricter than it checks, \
@@ -158,7 +143,7 @@ let check_deck (r : Tech.Rules.t) =
                           (Tech.Layer.to_cif hi) eff v)))
               family))
     (override_cells r);
-  Lint.sort !diags
+  Lint.locate r !diags
 
 (* ------------------------------------------------------------------ *)
 (* Cross-deck subsumption — R015                                       *)
@@ -195,8 +180,8 @@ let constraint_vector (r : Tech.Rules.t) =
           match entry with
           | Tech.Interaction.No_rule | Tech.Interaction.Device_checked -> []
           | Tech.Interaction.Space { same_net; diff_net } ->
-            [ (pair_name (la, lb), diff_net);
-              (pair_name (la, lb) ^ "(same-net)",
+            [ (Tech.Rules.pair_key_name (la, lb), diff_net);
+              (Tech.Rules.pair_key_name (la, lb) ^ "(same-net)",
                match same_net with None -> -1 | Some v -> v) ])
       (Tech.Interaction.cells r)
   in

@@ -61,8 +61,8 @@
 
 (** Closure lints over one deck: R012 (unsatisfiable chains), R013
     (redundant entries), R014 (non-monotone override families).
-    Sorted; locations point at the defining deck line when the rule
-    set came from text (via {!Tech.Rules.position}).  R013 and the
+    Located and sorted by {!Lint.locate}, like {!Lint.check_deck}: on
+    the defining deck line when the rule set came from text.  R013 and the
     canonical-key clause of R014 need provenance to tell {e written}
     entries from defaults, so they stay silent on programmatic rule
     sets with empty [key_positions]. *)

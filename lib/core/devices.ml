@@ -325,10 +325,7 @@ type port = {
   plabels : string list;
 }
 
-type iface = {
-  ports : port list;
-  tied : (string * string) list;
-}
+type iface = { ports : port list }
 
 let region_skeleton rules layer region =
   let half = Tech.Rules.skeleton_half rules layer in
@@ -370,7 +367,7 @@ let single_via_port (s : Model.symbol) =
       layers
   in
   let plabels = List.concat_map (element_labels s) layers |> List.sort_uniq String.compare in
-  { ports = [ { pname = "via"; players; plabels } ]; tied = [] }
+  { ports = [ { pname = "via"; players; plabels } ] }
 
 let transistor_iface rules (s : Model.symbol) =
   let p = Model.layer_region s Tech.Layer.Poly
@@ -390,12 +387,12 @@ let transistor_iface rules (s : Model.symbol) =
           plabels = labels_touching s Tech.Layer.Diffusion comp })
       (Geom.Region.components sd)
   in
-  { ports = gate_port :: sd_ports; tied = [] }
+  { ports = gate_port :: sd_ports }
 
 let resistor_iface rules (s : Model.symbol) =
   let d = Model.layer_region s Tech.Layer.Diffusion in
   match Geom.Region.bbox d with
-  | None -> { ports = []; tied = [] }
+  | None -> { ports = [] }
   | Some bb ->
     let halves =
       if Geom.Rect.width bb >= Geom.Rect.height bb then
@@ -416,7 +413,7 @@ let resistor_iface rules (s : Model.symbol) =
             plabels = labels_touching s Tech.Layer.Diffusion part })
         halves
     in
-    { ports; tied = [] }
+    { ports }
 
 let per_layer_ports (s : Model.symbol) =
   let ports =
@@ -429,7 +426,7 @@ let per_layer_ports (s : Model.symbol) =
                  plabels = element_labels s l })
       Tech.Layer.routing
   in
-  { ports; tied = [] }
+  { ports }
 
 let interface rules (s : Model.symbol) =
   match s.Model.device with
@@ -445,6 +442,5 @@ let interface rules (s : Model.symbol) =
       { ports =
           [ { pname = "pad";
               players = [ (Tech.Layer.Metal, element_skeletons s Tech.Layer.Metal) ];
-              plabels = element_labels s Tech.Layer.Metal } ];
-        tied = [] }
+              plabels = element_labels s Tech.Layer.Metal } ] }
   | Some Tech.Device.Checked -> Some (per_layer_ports s)

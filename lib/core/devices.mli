@@ -35,10 +35,9 @@ val check_relational_all :
 (** {1 Terminals}
 
     The electrical interface of a device, used by net-list generation.
-    Each port is a separate electrical node; [tied] ports short
-    together (contacts tie their layers; a transistor's source and
-    drain stay separate — "the gate or implant of a transistor cannot
-    be assigned to a net"). *)
+    Each port is a separate electrical node (a contact's one port ties
+    its layers; a transistor's source and drain stay separate — "the
+    gate or implant of a transistor cannot be assigned to a net"). *)
 
 type port = {
   pname : string;  (** "gate", "sd0", "via", "r0", ... *)
@@ -47,10 +46,7 @@ type port = {
   plabels : string list;  (** explicit net labels carried by the port *)
 }
 
-type iface = {
-  ports : port list;
-  tied : (string * string) list;  (** pairs of port names shorted inside *)
-}
+type iface = { ports : port list }
 
 (** Interface of a device symbol.  Non-device symbols have no
     interface. *)

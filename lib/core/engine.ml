@@ -49,6 +49,7 @@ type deck_result = {
   dr_deck : deck;
   dr_result : result;
   dr_reuse : reuse;
+  dr_lint : Lint.diagnostic list;
   dr_suppressed : Lint.diagnostic list;
 }
 
@@ -237,19 +238,22 @@ let check ?metrics ?trace ?progress t file =
                from the deck's canonical text, like [key_positions]). *)
             List.mapi
               (fun i d ->
-                let diags =
-                  Lint.sort
-                    (Lint.check_deck d.dk_rules
-                    @ Deckcheck.check_deck d.dk_rules
-                    @ design)
+                (* A deck diagnostic's position is a line of the rule
+                   file, not of the design this report is about: it is
+                   dropped, and its key stays as the context. *)
+                let deck_diags =
+                  List.map
+                    (fun (g : Lint.diagnostic) -> { g with Lint.loc = None })
+                    (Lint.check_deck d.dk_rules @ Deckcheck.check_deck d.dk_rules)
                 in
+                let diags = Lint.sort (deck_diags @ design) in
                 let waivers = d.dk_rules.Tech.Rules.waivers @ file.Cif.Ast.waivers in
                 let kept, suppressed = Lint.partition_waived ~waivers diags in
                 if i = 0 then begin
                   Lint.record_metrics m kept;
                   Metrics.incr ~by:(List.length suppressed) m "lint.suppressed"
                 end;
-                (Lint.to_violations kept, suppressed))
+                (kept, suppressed))
               decks)
     in
     (* One slot per definition per deck.  Without a cache handle every
@@ -457,19 +461,21 @@ let check ?metrics ?trace ?progress t file =
     in
     let deck_results =
       List.map2
-        (fun ((d, (lint_issues, lint_suppressed), element_issues, device_issues,
+        (fun ((d, (lint_kept, lint_suppressed), element_issues, device_issues,
                relational_issues),
               (interaction_issues, interaction_stats))
              slots ->
           let report =
             { Report.violations =
-                lint_issues @ parse_issues @ element_issues @ device_issues
-                @ relational_issues @ connection_issues @ interaction_issues
-                @ electrical_issues @ consistency_issues @ [ locality_info ] }
+                Lint.to_violations lint_kept @ parse_issues @ element_issues
+                @ device_issues @ relational_issues @ connection_issues
+                @ interaction_issues @ electrical_issues @ consistency_issues
+                @ [ locality_info ] }
           in
           { dr_deck = d;
             dr_result = { report; netlist; interaction_stats; metrics = m; model; nets };
             dr_reuse = { symbols_total = total_one; symbols_reused = reused_of slots };
+            dr_lint = lint_kept;
             dr_suppressed = lint_suppressed })
         (List.combine
            (zip5 decks lint_by_deck elements_by_deck devices_by_deck relational_by_deck)
@@ -501,6 +507,17 @@ let summary r =
     (List.length r.netlist.Netlist.Net.nets)
 
 let pp_summary ppf r = Format.pp_print_string ppf (summary r)
+
+let deck_exit ~werror ~lint_werror dr =
+  let count sev = Report.count ~severity:sev dr.dr_result.report in
+  if count Report.Error > 0
+     || (werror && count Report.Warning > 0)
+     || (lint_werror && dr.dr_lint <> [])
+  then 1
+  else 0
+
+let exit_code ~werror ~lint_werror m =
+  List.fold_left (fun acc dr -> max acc (deck_exit ~werror ~lint_werror dr)) 0 m.results
 
 (* ------------------------------------------------------------------ *)
 (* Rendering a check                                                   *)

@@ -131,6 +131,14 @@ type deck_result = {
   dr_deck : deck;
   dr_result : result;
   dr_reuse : reuse;
+  dr_lint : Lint.diagnostic list;
+      (** the lint and deck-analysis diagnostics [dr_result.report]
+          carries, waivers applied, in report order — the report's
+          [lint.*] violations are exactly {!Lint.to_violations} of this
+          list.  A deck diagnostic ([R0xx]) here has no position: its
+          line is one of the rule file, not of the design (see
+          {!Lint.locate}); its key is the violation's context.  Empty
+          when [run_lint] is off *)
   dr_suppressed : Lint.diagnostic list;
       (** lint/deckcheck diagnostics waived for this deck (deck
           [# lint: allow] comments plus the design's [4L] commands) —
@@ -227,6 +235,20 @@ val check_string :
 
 (** One-line summary: error/warning counts and net count. *)
 val pp_summary : Format.formatter -> result -> unit
+
+(** {2 Exit policy}
+
+    The one exit policy of a check, shared by [dicheck check] and
+    [dicheck serve]: 0 clean, 1 failed. *)
+
+(** [deck_exit ~werror ~lint_werror dr] — 1 when the deck's report
+    has an error, a warning under [werror], or any kept lint diagnostic
+    ([dr_lint], warnings and notes included) under [lint_werror];
+    otherwise 0. *)
+val deck_exit : werror:bool -> lint_werror:bool -> deck_result -> int
+
+(** The worst {!deck_exit} over the check's decks. *)
+val exit_code : werror:bool -> lint_werror:bool -> multi -> int
 
 (** {2 Rendering a check}
 

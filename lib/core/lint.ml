@@ -116,7 +116,7 @@ let record_metrics m diags =
 let partition_waived ~waivers diags =
   List.partition (fun d -> not (List.mem d.code waivers)) diags
 
-let suppressed_counts diags =
+let code_counts diags =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun d ->
@@ -127,17 +127,17 @@ let suppressed_counts diags =
 (* ------------------------------------------------------------------ *)
 (* Rule-deck pass                                                      *)
 
-(* The rule-file key behind each layer's minimum width, so file-level
-   lints can be relocated onto the defining line. *)
-let width_key = function
-  | Tech.Layer.Diffusion -> "width_diffusion"
-  | Tech.Layer.Poly -> "width_poly"
-  | Tech.Layer.Metal -> "width_metal"
-  | Tech.Layer.Contact | Tech.Layer.Buried | Tech.Layer.Glass -> "contact_size"
-  | Tech.Layer.Implant -> "width_poly"
-
-let pair_name (a, b) =
-  Printf.sprintf "space_%s_%s" (Tech.Rules.layer_name a) (Tech.Rules.layer_name b)
+(* Every deck diagnostic's subject is the rule-file key it is about, so
+   the deck's own key positions place it. *)
+let locate (r : Tech.Rules.t) diags =
+  sort
+    (List.map
+       (fun d ->
+         match Tech.Rules.position r d.subject with
+         | Some line when String.starts_with ~prefix:"R" d.code ->
+           { d with loc = Some (Cif.Loc.make ~line ~col:1) }
+         | _ -> d)
+       diags)
 
 let check_deck (r : Tech.Rules.t) =
   let diags = ref [] in
@@ -148,7 +148,7 @@ let check_deck (r : Tech.Rules.t) =
       let w = Tech.Rules.min_width r layer in
       if w mod 2 <> 0 then
         add
-          (mk "R001" Error (width_key layer)
+          (mk "R001" Error (Tech.Rules.width_key layer)
              (Printf.sprintf
                 "minimum width %d on %s is odd: skeleton erosion truncates to %d and \
                  the legal-width + skeletal-connection theorem (Fig 4) loses a unit"
@@ -173,7 +173,9 @@ let check_deck (r : Tech.Rules.t) =
            (Printf.sprintf "%s = %d is not a multiple of lambda/4 = %d" key v quantum))
   in
   List.iter (fun (key, v) -> check_value key v) (Tech.Rules.fields r);
-  List.iter (fun (pair, v) -> check_value (pair_name pair) v) r.Tech.Rules.pair_spaces;
+  List.iter
+    (fun (pair, v) -> check_value (Tech.Rules.pair_key_name pair) v)
+    r.Tech.Rules.pair_spaces;
   (* R004: a minimal legal contact landing pad must satisfy the width rule. *)
   List.iter
     (fun layer ->
@@ -197,23 +199,24 @@ let check_deck (r : Tech.Rules.t) =
   in
   List.iter
     (fun (lo, hi) ->
+      let key = Tech.Rules.pair_key_name (lo, hi) in
       if Tech.Layer.equal lo hi then
         add
-          (mk "R007" Warning (pair_name (lo, hi))
+          (mk "R007" Warning key
              (Printf.sprintf "%s duplicates the canonical space_%s rule and is ignored"
-                (pair_name (lo, hi)) (Tech.Rules.layer_name lo)))
+                key (Tech.Rules.layer_name lo)))
       else
         match Tech.Interaction.entry r lo hi with
         | Tech.Interaction.No_rule ->
           add
-            (mk "R006" Error (pair_name (lo, hi))
+            (mk "R006" Error key
                (Printf.sprintf
                   "no rule relates %s and %s (No-rule matrix cell): the spacing \
                    override is never consulted"
                   (Tech.Layer.to_cif lo) (Tech.Layer.to_cif hi)))
         | Tech.Interaction.Device_checked ->
           add
-            (mk "R006" Error (pair_name (lo, hi))
+            (mk "R006" Error key
                (Printf.sprintf
                   "%s-%s interactions are checked inside device symbols \
                    (Device-checked matrix cell): the spacing override is never \
@@ -229,7 +232,7 @@ let check_deck (r : Tech.Rules.t) =
           in
           if List.length values > 1 then
             add
-              (mk "R005" Error (pair_name (lo, hi))
+              (mk "R005" Error key
                  (Printf.sprintf
                     "%s-%s spacing is asymmetric (%s): the matrix is symmetric, so \
                      only %d is checked"
@@ -238,7 +241,7 @@ let check_deck (r : Tech.Rules.t) =
                        (List.filter_map
                           (fun (name, v) ->
                             Option.map (fun v -> Printf.sprintf "%s %d" name v) v)
-                          [ (pair_name (lo, hi), asc); (pair_name (hi, lo), desc);
+                          [ (key, asc); (Tech.Rules.pair_key_name (hi, lo), desc);
                             ("canonical", base) ]))
                     (match
                        Tech.Rules.cell_space_override r lo hi
@@ -246,7 +249,7 @@ let check_deck (r : Tech.Rules.t) =
                     | Some v -> v
                     | None -> Option.value ~default:0 base))))
     cells;
-  sort !diags
+  locate r !diags
 
 let check_deck_source src =
   let entries, malformed = Tech.Rules.scan src in
@@ -315,25 +318,9 @@ let check_deck_source src =
       (fun t -> { t with Tech.Rules.waivers = Tech.Rules.scan_waivers src })
       (Result.to_option (Tech.Rules.of_entries good))
   in
-  let deck_diags =
-    match deck with
-    | None -> []
-    | Some t ->
-      (* Relocate record-level deck lints onto the line that defined
-         the offending key, when the file has one. *)
-      List.map
-        (fun d ->
-          match d.loc with
-          | Some _ -> d
-          | None -> (
-            match
-              List.find_opt (fun (e : Tech.Rules.entry_src) -> e.Tech.Rules.key = d.subject) good
-            with
-            | Some e -> { d with loc = at e.Tech.Rules.eline }
-            | None -> d))
-        (check_deck t)
-  in
-  (deck, sort (!diags @ deck_diags))
+  (* The deck keeps the surviving entries' positions, so [check_deck]
+     places its diagnostics on their defining lines. *)
+  (deck, sort (!diags @ Option.fold ~none:[] ~some:check_deck deck))
 
 (* ------------------------------------------------------------------ *)
 (* Design pass: syntax tree                                            *)

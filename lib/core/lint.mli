@@ -37,7 +37,8 @@ type diagnostic = {
   severity : severity;
   message : string;
   loc : Cif.Loc.t option;
-      (** position in the rule file or CIF source, when known *)
+      (** position in the rule file ([R0xx], see {!locate}) or the CIF
+          source ([D0xx]), when known *)
   subject : string;
       (** what the diagnostic is about: a rule key, a symbol name, a
           net label — used for sorting and as the SARIF logical
@@ -56,16 +57,30 @@ val explain : string -> string option
 (** Record-level deck lints (R001–R007): odd min-widths, non-positive
     values, off-quantum values, surrounds inconsistent with
     [contact_size], and asymmetric / unreachable / shadowed directed
-    pair overrides. *)
+    pair overrides.  Located by {!locate}. *)
 val check_deck : Tech.Rules.t -> diagnostic list
+
+(** [locate deck diags] — the one locator of deck diagnostics, which
+    both deck passes ({!check_deck} and {!Deckcheck.check_deck}) end
+    with: each deck diagnostic ([R0xx] code) whose subject is a key
+    [deck] writes in text is placed at column 1 of that key's line
+    ({!Tech.Rules.position}); every other diagnostic is left alone.
+    Sorted.  A position found this way is a line of the rule file, so
+    it is only meaningful beside that file: a deck diagnostic in a
+    design's report carries no position (the engine's lint stage drops
+    it, keeping the key as the violation's context), and [dicheck lint]
+    keeps it in SARIF only when the document's artifact is that one
+    deck's file. *)
+val locate : Tech.Rules.t -> diagnostic list -> diagnostic list
 
 (** Lenient rule-file lint: tokenizes with {!Tech.Rules.scan}, flags
     malformed lines (R010), unknown keys (R008), duplicate keys —
     first occurrence wins — (R009) and bad values (R011), builds a
     best-effort deck from the surviving entries, then runs
-    {!check_deck} on it with diagnostics relocated to their defining
-    lines.  Returns [None] for the deck only if not even a default
-    deck could be built (never, in practice). *)
+    {!check_deck} on it, whose diagnostics land on their defining
+    lines because the deck keeps the surviving entries' positions.
+    Returns [None] for the deck only if not even a default deck could
+    be built (never, in practice). *)
 val check_deck_source : string -> Tech.Rules.t option * diagnostic list
 
 (** {1 Design pass — D0xx} *)
@@ -119,10 +134,10 @@ val to_violations : diagnostic list -> Report.violation list
 val partition_waived :
   waivers:string list -> diagnostic list -> diagnostic list * diagnostic list
 
-(** Per-code counts of a (suppressed) diagnostic list, sorted by
-    code — the [lint_suppressed] reply member and SARIF suppression
-    summary. *)
-val suppressed_counts : diagnostic list -> (string * int) list
+(** Per-code counts of a diagnostic list, sorted by code — the
+    [lint_counts] (kept) and [lint_suppressed] (waived) serve reply
+    members and [dicheck lint]'s waiver summary. *)
+val code_counts : diagnostic list -> (string * int) list
 
 (** Export [lint.diagnostics] / [lint.errors] / [lint.warnings]
     totals plus one [lint.code.<code>] counter per distinct code. *)

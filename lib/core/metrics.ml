@@ -353,65 +353,3 @@ let to_json t =
     (costs t);
   add "}}";
   Buffer.contents buf
-
-(* Approximate quantile from the bucket upper bounds. *)
-let quantile_ns s q =
-  let target = int_of_float (ceil (q *. float_of_int s.h_count)) in
-  let rec go acc = function
-    | [] -> 0L
-    | (le, n) :: rest -> if acc + n >= target then le else go (acc + n) rest
-  in
-  go 0 s.h_buckets
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  let stages = stage_seconds t in
-  if stages <> [] then begin
-    Format.fprintf ppf "stages:@,";
-    List.iter (fun (name, s) -> Format.fprintf ppf "  %-28s %10.4f s@," name s) stages
-  end;
-  let cs = counters t in
-  if cs <> [] then begin
-    Format.fprintf ppf "counters:@,";
-    List.iter (fun (name, v) -> Format.fprintf ppf "  %-38s %12d@," name v) cs
-  end;
-  let hs = hist_names t in
-  if hs <> [] then begin
-    Format.fprintf ppf "histograms:@,";
-    List.iter
-      (fun name ->
-        let s = snapshot (Hashtbl.find t.hists name) in
-        if s.h_count > 0 then
-          let mean = Int64.to_float s.h_sum_ns /. float_of_int s.h_count in
-          Format.fprintf ppf "  %-28s n=%d mean=%.0fns p50<=%Ldns p99<=%Ldns@," name
-            s.h_count mean (quantile_ns s 0.5) (quantile_ns s 0.99))
-      hs
-  end;
-  let gs = gauges t in
-  if gs <> [] then begin
-    Format.fprintf ppf "gauges:@,";
-    List.iter (fun (name, v) -> Format.fprintf ppf "  %-38s %12s@," name (float_str v)) gs
-  end;
-  let ws = window_names t in
-  if ws <> [] then begin
-    Format.fprintf ppf "windows:@,";
-    List.iter
-      (fun name ->
-        let s = Option.get (window t name) in
-        if Array.length s.w_values > 0 then
-          Format.fprintf ppf "  %-28s n=%d (window %d) p50=%s p95=%s p99=%s@," name
-            s.w_count (Array.length s.w_values)
-            (float_str (window_quantile s 0.5))
-            (float_str (window_quantile s 0.95))
-            (float_str (window_quantile s 0.99)))
-      ws
-  end;
-  let top = top_costs t ~n:10 in
-  if top <> [] then begin
-    Format.fprintf ppf "costs (top %d):@," (List.length top);
-    List.iter
-      (fun (name, ns) ->
-        Format.fprintf ppf "  %-38s %12.3f ms@," name (Int64.to_float ns /. 1e6))
-      top
-  end;
-  Format.fprintf ppf "@]"

@@ -199,7 +199,3 @@ val count_report : t -> Report.t -> unit
     Deterministic for equal states; no external JSON library
     involved. *)
 val to_json : t -> string
-
-(** Human-readable multi-line summary (stage table, then counters,
-    then histogram quantile sketches). *)
-val pp : Format.formatter -> t -> unit

@@ -25,7 +25,6 @@ type t = { violations : violation list }
 
 let empty = { violations = [] }
 let add t v = { violations = v :: t.violations }
-let concat ts = { violations = List.concat_map (fun t -> t.violations) ts }
 
 let count ?severity t =
   match severity with

@@ -42,7 +42,6 @@ type t = { violations : violation list }
 
 val empty : t
 val add : t -> violation -> t
-val concat : t list -> t
 val count : ?severity:severity -> t -> int
 val errors : t -> violation list
 val by_stage : t -> stage -> violation list

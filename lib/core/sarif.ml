@@ -28,25 +28,11 @@ let rule_table ~suppressed (report : Report.t) =
   in
   List.mapi (fun i id -> (id, i)) ids
 
-(* The rules-file key a rule id is parameterised by, when there is one:
+(* [(key, line)] of the deck entry a rule id came from, when the deck
+   was loaded from text and the id maps to a rules-file key:
    [width.NP] reads [width_poly], [spacing.ND] reads [space_diffusion],
    [spacing.ND-NP] reads a directed [space_<a>_<b>] override or
-   [space_poly_diffusion].  The mappings mirror
-   {!Tech.Rules.min_width} / {!Tech.Rules.same_layer_space}. *)
-let width_key = function
-  | Tech.Layer.Diffusion -> "width_diffusion"
-  | Tech.Layer.Poly | Tech.Layer.Implant -> "width_poly"
-  | Tech.Layer.Metal -> "width_metal"
-  | Tech.Layer.Contact | Tech.Layer.Buried | Tech.Layer.Glass -> "contact_size"
-
-let space_key = function
-  | Tech.Layer.Diffusion -> "space_diffusion"
-  | Tech.Layer.Poly | Tech.Layer.Implant -> "space_poly"
-  | Tech.Layer.Metal | Tech.Layer.Glass -> "space_metal"
-  | Tech.Layer.Contact | Tech.Layer.Buried -> "space_contact"
-
-(* [(key, line)] of the deck entry a rule id came from, when the deck
-   was loaded from text and the id maps to a rules-file key. *)
+   [space_poly_diffusion]. *)
 let deck_position deck_rules id =
   let strip p =
     let n = String.length p in
@@ -60,24 +46,22 @@ let deck_position deck_rules id =
   let first_pos keys = List.find_map with_pos keys in
   match strip "width." with
   | Some cif ->
-    Option.bind (Tech.Layer.of_cif cif) (fun l -> with_pos (width_key l))
+    Option.bind (Tech.Layer.of_cif cif) (fun l -> with_pos (Tech.Rules.width_key l))
   | None -> (
     match strip "spacing." with
     | None -> None
     | Some pair -> (
       match String.index_opt pair '-' with
       | None ->
-        Option.bind (Tech.Layer.of_cif pair) (fun l -> with_pos (space_key l))
+        Option.bind (Tech.Layer.of_cif pair) (fun l -> with_pos (Tech.Rules.space_key l))
       | Some i -> (
         let ca = String.sub pair 0 i in
         let cb = String.sub pair (i + 1) (String.length pair - i - 1) in
         match (Tech.Layer.of_cif ca, Tech.Layer.of_cif cb) with
         | Some a, Some b ->
-          let directed x y =
-            Printf.sprintf "space_%s_%s" (Tech.Rules.layer_name x)
-              (Tech.Rules.layer_name y)
-          in
-          first_pos [ directed a b; directed b a; "space_poly_diffusion" ]
+          first_pos
+            [ Tech.Rules.pair_key_name (a, b); Tech.Rules.pair_key_name (b, a);
+              "space_poly_diffusion" ]
         | _ -> None)))
 
 let add_rule buf ?deck_rules (id, _index) =

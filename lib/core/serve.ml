@@ -5,7 +5,13 @@
    Engine.t, built at start-up; each request derives its own engine
    from it.  With --cache they all share that engine's one Cache
    handle, so per-definition results one worker stores warm the others
-   through the handle's table, and the next daemon through disk. *)
+   through the handle's table, and the next daemon through disk.
+
+   [process] builds every check reply, with or without "decks": the
+   verdict figures are computed once into the [outcome] the worker also
+   reports to telemetry (exit by Engine.exit_code, lint tallies from
+   each deck's Engine.dr_lint), and only the members between them and
+   "report" depend on the request's shape. *)
 
 type conn = {
   c_serial : int;  (* cancellation scope: (serial, id) keys p_latest *)
@@ -167,15 +173,9 @@ let parse_decks req =
     Result.map (fun ds -> Some (Engine.dedupe_labels ds)) (go 0 specs)
   | Some _ -> Error "\"decks\" must be an array"
 
-let lint_code rule =
-  let prefix = "lint." in
-  let n = String.length prefix in
-  if String.length rule > n && String.sub rule 0 n = prefix then
-    String.sub rule n (String.length rule - n)
-  else rule
-
 (* What the worker needs to know about a finished check beyond the
-   reply line itself: the telemetry facts. *)
+   reply line itself: the telemetry facts.  A check's reply carries the
+   same figures, and each deck of a deck set's. *)
 type outcome = {
   o_status : string;  (* "ok" | "error" *)
   o_exit : int;
@@ -188,6 +188,15 @@ type outcome = {
 let error_outcome =
   { o_status = "error"; o_exit = 2; o_errors = 0; o_warnings = 0;
     o_symbols_total = 0; o_symbols_reused = 0 }
+
+let outcome_members o =
+  [ ("errors", jnum o.o_errors); ("warnings", jnum o.o_warnings); ("exit", jnum o.o_exit);
+    ("symbols_total", jnum o.o_symbols_total);
+    ("symbols_reused", jnum o.o_symbols_reused) ]
+
+(* A per-code tally as a JSON object. *)
+let counts_obj diags =
+  Json.Obj (List.map (fun (code, n) -> (code, jnum n)) (Lint.code_counts diags))
 
 let process t ?req ?trace reqj =
   let req_members = req_field req in
@@ -250,172 +259,92 @@ let process t ?req ?trace reqj =
         let e = Engine.with_config t.s_engine config in
         match decks_opt with Some decks -> Engine.with_decks e decks | None -> e
       in
-      let lint_counts_of report =
+      let werror = flag "werror" in
+      (* Lint members of one deck: the per-code tally of the kept
+         diagnostics whenever lint ran, and of the waived ones only when
+         something was waived, so waiver-free replies keep their
+         historical shape. *)
+      let lint_members (dr : Engine.deck_result) =
         if not run_lint then []
-        else begin
-          let tbl = Hashtbl.create 8 in
-          List.iter
-            (fun (v : Report.violation) ->
-              let code = lint_code v.Report.rule in
-              Hashtbl.replace tbl code
-                (1 + Option.value ~default:0 (Hashtbl.find_opt tbl code)))
-            (Report.by_rule_prefix report "lint.");
-          let entries =
-            List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
-          in
-          [ ("lint_counts",
-             Json.Obj (List.map (fun (k, n) -> (k, Json.Num (float_of_int n))) entries)) ]
-        end
-      in
-      let lint_suppressed_of suppressed =
-        (* Per-code counts of waived lint/deckcheck diagnostics.  Only
-           present when lint ran and something was actually waived, so
-           replies for waiver-free sessions keep their historical
-           shape. *)
-        if not run_lint || suppressed = [] then []
         else
-          [ ("lint_suppressed",
-             Json.Obj
-               (List.map
-                  (fun (k, n) -> (k, Json.Num (float_of_int n)))
-                  (Lint.suppressed_counts suppressed))) ]
-      in
-      let exit_of report =
-        let errors = Report.count ~severity:Report.Error report in
-        let warnings = Report.count ~severity:Report.Warning report in
-        let lint_hits = Report.by_rule_prefix report "lint." in
-        if errors > 0 || (flag "werror" && warnings > 0)
-           || (lint_werror && lint_hits <> [])
-        then 1
-        else 0
-      in
-      let write_out report_text =
-        match Option.bind (Json.member "out" req) Json.str with
-        | None -> ()
-        | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc report_text)
-      in
-      (* The request-scoped span tree, for callers that asked with
-         "trace": true.  Opt-in per request: the daemon-level --trace
-         collection alone never grows replies. *)
-      let with_trace members =
-        match trace with
-        | Some tr when flag "trace" ->
-          members @ [ ("trace", embed (Trace.to_chrome_json tr)) ]
-        | _ -> members
+          ("lint_counts", counts_obj dr.Engine.dr_lint)
+          :: (if dr.Engine.dr_suppressed = [] then []
+              else [ ("lint_suppressed", counts_obj dr.Engine.dr_suppressed) ])
       in
       match Engine.check_string ?trace engine src with
       | Error msg -> refuse id msg
-      | Ok multi -> (
-        match decks_opt with
-        | None ->
-          (* Single-deck request: exactly the bytes one-shot
-             [dicheck FILE] writes to stdout — the report then the
-             one-line summary (the serve smoke diffs against that). *)
-          let result, reuse = Engine.primary multi in
-          let suppressed =
-            match multi.Engine.results with
-            | dr :: _ -> dr.Engine.dr_suppressed
-            | [] -> []
-          in
-          let report_text = Engine.report_text multi in
-          write_out report_text;
-          let count sev = Report.count ~severity:sev result.Engine.report in
-          let errors = count Report.Error and warnings = count Report.Warning in
-          let exit_code = exit_of result.Engine.report in
-          let base =
-            [ ("id", id); ("ok", Json.Bool true); ("status", Json.Str "ok") ]
-            @ req_members
-            @ [ ("errors", Json.Num (float_of_int errors));
-              ("warnings", Json.Num (float_of_int warnings));
-              ("exit", Json.Num (float_of_int exit_code));
-              ("symbols_total", Json.Num (float_of_int reuse.Engine.symbols_total));
-              ("symbols_reused", Json.Num (float_of_int reuse.Engine.symbols_reused)) ]
-            @ lint_counts_of result.Engine.report
-            @ lint_suppressed_of suppressed
-            @ [ ("report", Json.Str report_text) ]
-          in
-          let with_metrics =
-            if flag "stats" then
-              base @ [ ("metrics", embed (Metrics.to_json result.Engine.metrics)) ]
-            else base
-          in
-          let with_sarif =
-            if flag "sarif" then
-              with_metrics @ [ ("sarif", embed (Engine.sarif ~set:false ~uri multi)) ]
-            else with_metrics
-          in
-          ( Json.to_string (Json.Obj (with_trace with_sarif)),
-            { o_status = "ok"; o_exit = exit_code; o_errors = errors;
-              o_warnings = warnings;
-              o_symbols_total = reuse.Engine.symbols_total;
-              o_symbols_reused = reuse.Engine.symbols_reused } )
-        | Some _ ->
-          (* Deck-set request: merged report text (the multi-deck CLI's
-             stdout bytes), per-deck detail under "decks", and the
-             compliant-intersection verdict.  The top-level exit is the
-             worst per-deck exit. *)
-          let merged = Engine.merged multi in
-          let report_text = Engine.report_text ~merged multi in
-          write_out report_text;
-          let deck_fields (dr : Engine.deck_result) =
-            let report = dr.Engine.dr_result.Engine.report in
-            let reuse = dr.Engine.dr_reuse in
-            Json.Obj
-              ([ ("label", Json.Str dr.Engine.dr_deck.Engine.dk_label);
-                 ("errors", jnum (Report.count ~severity:Report.Error report));
-                 ("warnings", jnum (Report.count ~severity:Report.Warning report));
-                 ("exit", jnum (exit_of report));
-                 ("symbols_total", jnum reuse.Engine.symbols_total);
-                 ("symbols_reused", jnum reuse.Engine.symbols_reused) ]
-              @ lint_counts_of report
-              @ lint_suppressed_of dr.Engine.dr_suppressed)
-          in
-          let exit_code =
-            List.fold_left
-              (fun acc (dr : Engine.deck_result) ->
-                max acc (exit_of dr.Engine.dr_result.Engine.report))
-              0 multi.Engine.results
-          in
-          let errors = Multireport.errors merged in
-          let warnings = Multireport.warnings merged in
+      | Ok multi ->
+        (* One reply for both request shapes.  The report text is
+           exactly what one-shot [dicheck FILE] writes to stdout: the
+           primary deck's report, or for a deck set the merged view
+           (the serve smoke diffs against it). *)
+        let results = multi.Engine.results in
+        let merged = Option.map (fun _ -> Engine.merged multi) decks_opt in
+        let report_text = Engine.report_text ?merged multi in
+        Option.iter
+          (fun path ->
+            Out_channel.with_open_text path (fun oc ->
+                Out_channel.output_string oc report_text))
+          (Option.bind (Json.member "out" req) Json.str);
+        let deck_outcome (dr : Engine.deck_result) =
+          let count sev = Report.count ~severity:sev dr.Engine.dr_result.Engine.report in
+          { o_status = "ok"; o_exit = Engine.deck_exit ~werror ~lint_werror dr;
+            o_errors = count Report.Error; o_warnings = count Report.Warning;
+            o_symbols_total = dr.Engine.dr_reuse.Engine.symbols_total;
+            o_symbols_reused = dr.Engine.dr_reuse.Engine.symbols_reused }
+        in
+        (* Exit is the worst deck's and reuse sums over the decks;
+           errors and warnings are the merged view's for a deck set. *)
+        let outcome =
           let sum f =
             List.fold_left
               (fun acc (dr : Engine.deck_result) -> acc + f dr.Engine.dr_reuse)
-              0 multi.Engine.results
+              0 results
           in
-          let base =
-            [ ("id", id); ("ok", Json.Bool true); ("status", Json.Str "ok") ]
-            @ req_members
-            @ [ ("errors", jnum errors);
-              ("warnings", jnum warnings);
-              ("exit", jnum exit_code);
-              ("symbols_total", jnum (sum (fun r -> r.Engine.symbols_total)));
-              ("symbols_reused", jnum (sum (fun r -> r.Engine.symbols_reused)));
-              ("decks", Json.Arr (List.map deck_fields multi.Engine.results));
+          let errors, warnings =
+            match merged with
+            | Some mr -> (Multireport.errors mr, Multireport.warnings mr)
+            | None ->
+              let o = deck_outcome (List.hd results) in
+              (o.o_errors, o.o_warnings)
+          in
+          { o_status = "ok"; o_exit = Engine.exit_code ~werror ~lint_werror multi;
+            o_errors = errors; o_warnings = warnings;
+            o_symbols_total = sum (fun r -> r.Engine.symbols_total);
+            o_symbols_reused = sum (fun r -> r.Engine.symbols_reused) }
+        in
+        let shape_members =
+          match merged with
+          | None -> lint_members (List.hd results)
+          | Some mr ->
+            let deck (dr : Engine.deck_result) =
+              Json.Obj
+                ((("label", Json.Str dr.Engine.dr_deck.Engine.dk_label)
+                  :: outcome_members (deck_outcome dr))
+                @ lint_members dr)
+            in
+            [ ("decks", Json.Arr (List.map deck results));
               ("compliant",
-               Json.Arr
-                 (List.map (fun l -> Json.Str l) (Multireport.compliant merged)));
-              ("all_compliant", Json.Bool (Multireport.all_compliant merged));
-              ("report", Json.Str report_text) ]
-          in
-          let with_metrics =
-            if flag "stats" then
-              let result, _ = Engine.primary multi in
-              base @ [ ("metrics", embed (Metrics.to_json result.Engine.metrics)) ]
-            else base
-          in
-          let with_sarif =
-            if flag "sarif" then
-              with_metrics @ [ ("sarif", embed (Engine.sarif ~set:true ~uri multi)) ]
-            else with_metrics
-          in
-          ( Json.to_string (Json.Obj (with_trace with_sarif)),
-            { o_status = "ok"; o_exit = exit_code; o_errors = errors;
-              o_warnings = warnings;
-              o_symbols_total = sum (fun r -> r.Engine.symbols_total);
-              o_symbols_reused = sum (fun r -> r.Engine.symbols_reused) } ))))
+               Json.Arr (List.map (fun l -> Json.Str l) (Multireport.compliant mr)));
+              ("all_compliant", Json.Bool (Multireport.all_compliant mr)) ]
+        in
+        let optional name want render = if flag want then [ (name, render ()) ] else [] in
+        let members =
+          [ ("id", id); ("ok", Json.Bool true); ("status", Json.Str "ok") ]
+          @ req_members @ outcome_members outcome @ shape_members
+          @ [ ("report", Json.Str report_text) ]
+          @ optional "metrics" "stats" (fun () ->
+                embed (Metrics.to_json (fst (Engine.primary multi)).Engine.metrics))
+          @ optional "sarif" "sarif" (fun () ->
+                embed (Engine.sarif ~set:(Option.is_some merged) ~uri multi))
+          (* The request-scoped span tree, for callers that asked with
+             "trace": true.  Opt-in per request: the daemon-level
+             --trace collection alone never grows replies. *)
+          @ (match trace with
+            | Some tr when flag "trace" -> [ ("trace", embed (Trace.to_chrome_json tr)) ]
+            | _ -> [])
+        in
+        (Json.to_string (Json.Obj members), outcome)))
 
 let process_safe t ?req ?trace reqj =
   try process t ?req ?trace reqj
@@ -459,9 +388,7 @@ let worker_loop t p w () =
       p.p_inflight <- p.p_inflight + 1;
       let stale = is_stale p job in
       if stale then p.p_cancelled <- p.p_cancelled + 1;
-      let depth = Queue.length p.p_queue in
       Mutex.unlock p.p_lock;
-      Telemetry.sample_queue_depth tel depth;
       let deq_ns = Metrics.now_ns () in
       let wait_ns =
         let d = Int64.sub deq_ns job.j_enq_ns in

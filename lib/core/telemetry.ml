@@ -17,7 +17,6 @@
 type t = {
   lock : Mutex.t;
   started_ns : int64;
-  window : int;
   slow_ms : float option;
   event_sink : (string -> unit) option;
   collect_traces : bool;
@@ -27,11 +26,9 @@ type t = {
   mutable traces_rev : (int * Trace.t) list;
 }
 
-let create ?(window = Metrics.default_window_capacity) ?slow_ms ?event_sink
-    ?(collect_traces = false) () =
+let create ?slow_ms ?event_sink ?(collect_traces = false) () =
   { lock = Mutex.create ();
     started_ns = Metrics.now_ns ();
-    window = max 1 window;
     slow_ms;
     event_sink;
     collect_traces;
@@ -84,7 +81,7 @@ let lifecycle t ?fields kind = event t ?fields kind
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
-let observe t name v = Metrics.observe_window ~capacity:t.window t.metrics name v
+let observe t name v = Metrics.observe_window t.metrics name v
 
 let charge_busy t ~worker ~ns =
   if worker >= 0 then begin
@@ -109,10 +106,7 @@ let apply t ?finish_s ?busy_ns kind fields =
   match kind with
   | "accepted" ->
     Metrics.incr t.metrics "serve.accepted";
-    Option.iter
-      (fun q ->
-        Metrics.set_gauge t.metrics "serve.queue_depth" (float_of_int q);
-        observe t "serve.queue_depth" (float_of_int q))
+    Option.iter (fun q -> observe t "serve.queue_depth" (float_of_int q))
       (field "queued" Json.int)
   | "started" -> Option.iter (observe t "serve.wait_ms") (field "wait_ms" Json.num)
   | "finished" ->
@@ -135,11 +129,6 @@ let apply t ?finish_s ?busy_ns kind fields =
 let request_event t ?req ?finish_s kind fields =
   locked t (fun () -> apply t ?finish_s kind fields);
   event t ?req ~fields kind
-
-let sample_queue_depth t depth =
-  locked t (fun () ->
-      Metrics.set_gauge t.metrics "serve.queue_depth" (float_of_int depth);
-      observe t "serve.queue_depth" (float_of_int depth))
 
 let request_accepted t ~req ~id ~queued =
   request_event t ~req "accepted" [ ("id", id); ("queued", num queued) ]
@@ -479,7 +468,7 @@ let prometheus snap =
     [ ("latency_ms", "Enqueue-to-reply latency, ms.");
       ("wait_ms", "Queue wait, ms.");
       ("service_ms", "Check service time, ms.");
-      ("queue_depth", "Queue depth sampled at dequeue.") ];
+      ("queue_depth", "Queue depth seen by each accepted request.") ];
   simple "dicheck_cache_symbols_total" "counter" "Definitions resolved."
     [ "cache"; "symbols_total" ];
   simple "dicheck_cache_symbols_reused" "counter" "Definitions replayed from cache."

@@ -28,16 +28,14 @@
 type t
 
 (** [create ()] makes a quiet hub: no event sink, no trace collection —
-    metrics only, which is what {!Serve.create} defaults to.  [window]
-    bounds the sliding windows (default
-    {!Metrics.default_window_capacity}); [slow_ms] enables [slow]
-    event-log entries for requests at or above that latency;
-    [event_sink] receives each event-log line (no trailing newline),
-    serialized, exceptions swallowed; [collect_traces] keeps every
-    request's trace buffer for {!merged_trace}. *)
+    metrics only, which is what {!Serve.create} defaults to.  Sliding
+    windows hold the last {!Metrics.default_window_capacity} samples;
+    [slow_ms] enables [slow] event-log entries for requests at or above
+    that latency; [event_sink] receives each event-log line (no trailing
+    newline), serialized, exceptions swallowed; [collect_traces] keeps
+    every request's trace buffer for {!merged_trace}. *)
 val create :
-  ?window:int -> ?slow_ms:float -> ?event_sink:(string -> unit) ->
-  ?collect_traces:bool -> unit -> t
+  ?slow_ms:float -> ?event_sink:(string -> unit) -> ?collect_traces:bool -> unit -> t
 
 (** Allocate the next request id (1, 2, 3…). *)
 val next_request : t -> int
@@ -66,8 +64,11 @@ val lifecycle : t -> ?fields:(string * Json.t) list -> string -> unit
     log) and, when a sink is installed, writes them as the matching
     event-log line. *)
 
-val sample_queue_depth : t -> int -> unit
+(** [queued] — the queue length after the request joined — is the one
+    sample of the [queue_depth] window, so a live daemon and a
+    {!replay} of its log hold the same samples. *)
 val request_accepted : t -> req:int -> id:Json.t -> queued:int -> unit
+
 val request_started : t -> req:int -> worker:int -> wait_ns:int64 -> unit
 
 (** [symbols_total]/[symbols_reused] are the served check's engine

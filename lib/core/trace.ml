@@ -48,14 +48,6 @@ let record t ?(cat = "") ?(args = []) name ~ts_ns ~dur_ns =
     { e_name = name; e_cat = cat; e_ph = `Complete; e_ts_ns = ts_ns; e_dur_ns = dur_ns;
       e_tid = t.tid; e_args = args }
 
-let instant t ?(cat = "") ?(args = []) name =
-  match t with
-  | None -> ()
-  | Some t ->
-    push t
-      { e_name = name; e_cat = cat; e_ph = `Instant; e_ts_ns = now_ns (); e_dur_ns = 0L;
-        e_tid = t.tid; e_args = args }
-
 let with_span t ?cat ?args name f =
   match t with
   | None -> f ()

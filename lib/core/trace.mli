@@ -53,10 +53,6 @@ val with_span :
   t option -> ?cat:string -> ?args:(string * string) list -> string ->
   (unit -> 'a) -> 'a
 
-(** A zero-duration marker event. *)
-val instant :
-  t option -> ?cat:string -> ?args:(string * string) list -> string -> unit
-
 (** Append a span measured externally ([ts_ns] from the monotonic
     clock, cf. {!Metrics.now_ns}). *)
 val record :

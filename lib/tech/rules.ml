@@ -54,6 +54,12 @@ let min_width t = function
   | Layer.Buried -> t.contact_size
   | Layer.Glass -> t.contact_size
 
+let width_key = function
+  | Layer.Diffusion -> "width_diffusion"
+  | Layer.Poly | Layer.Implant -> "width_poly"
+  | Layer.Metal -> "width_metal"
+  | Layer.Contact | Layer.Buried | Layer.Glass -> "contact_size"
+
 let skeleton_half t layer = min_width t layer / 2
 
 let same_layer_space t = function
@@ -64,6 +70,12 @@ let same_layer_space t = function
   | Layer.Implant -> t.space_poly
   | Layer.Buried -> t.space_contact
   | Layer.Glass -> t.space_metal
+
+let space_key = function
+  | Layer.Diffusion -> "space_diffusion"
+  | Layer.Poly | Layer.Implant -> "space_poly"
+  | Layer.Metal | Layer.Glass -> "space_metal"
+  | Layer.Contact | Layer.Buried -> "space_contact"
 
 let cross_layer_space t a b =
   let pair x y = (min (Layer.index x) (Layer.index y), max (Layer.index x) (Layer.index y)) in

@@ -57,11 +57,18 @@ val nmos : ?lambda:int -> unit -> t
 (** Minimum legal width of interconnect on a layer. *)
 val min_width : t -> Layer.t -> int
 
+(** The rule-file key {!min_width} reads for a layer ([width_poly] for
+    [NP] and [NI], [contact_size] for the cut layers). *)
+val width_key : Layer.t -> string
+
 (** Half the minimum width, used to erode elements to skeletons. *)
 val skeleton_half : t -> Layer.t -> int
 
 (** Minimum spacing between *different-net* geometry on one layer. *)
 val same_layer_space : t -> Layer.t -> int
+
+(** The rule-file key {!same_layer_space} reads for a layer. *)
+val space_key : Layer.t -> string
 
 (** Minimum spacing between geometry on two different layers, if any
     rule exists at all ([None] for e.g. metal over diffusion). *)
@@ -103,6 +110,10 @@ val layer_of_name : string -> Layer.t option
     of that shape (canonical field names are matched first by
     {!of_string}, so e.g. [space_poly_diffusion] never reaches this). *)
 val pair_key : string -> (Layer.t * Layer.t) option
+
+(** The directed [space_<a>_<b>] key of a layer pair; the inverse of
+    {!pair_key}. *)
+val pair_key_name : Layer.t * Layer.t -> string
 
 (** The directed override exactly as written in the deck, if any. *)
 val pair_space : t -> Layer.t -> Layer.t -> int option

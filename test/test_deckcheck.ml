@@ -123,7 +123,7 @@ let test_waiver_suppression () =
   Alcotest.(check bool) "R012 filtered from kept" false (has "R012" kept);
   Alcotest.(check (list (pair string int)))
     "suppressed counts" [ ("R012", 1) ]
-    (Dic.Lint.suppressed_counts suppressed)
+    (Dic.Lint.code_counts suppressed)
 
 (* ------------------------------------------------------------------ *)
 (* Certificates                                                        *)

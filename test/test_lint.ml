@@ -413,6 +413,46 @@ let test_engine_lint_flag () =
   Alcotest.(check int) "off by default" 0 (List.length (run false));
   Alcotest.(check bool) "on by request" true (run true <> [])
 
+let test_engine_deck_diags_unlocated () =
+  (* A deck diagnostic's position is a line of its rule file, not of
+     the design: in a design's report it has none, and its key is the
+     context.  Design diagnostics keep their CIF positions. *)
+  let deck =
+    match
+      Tech.Rules.of_string "name t\nlambda 100\nwidth_metal 301\npad_metal_surround 40\n"
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "deck did not parse: %s" e
+  in
+  let skinny = "DS 1;\nL NM;\nB 100 400 200 200;\nDF;\nC 1;\nE\n" in
+  let engine = Dic.Engine.with_lint (Dic.Engine.create deck) true in
+  let multi =
+    match Dic.Engine.check_string engine skinny with
+    | Ok multi -> multi
+    | Error msg -> Alcotest.fail msg
+  in
+  let report = (fst (Dic.Engine.primary multi)).Dic.Engine.report in
+  let lint = Dic.Report.by_rule_prefix report "lint." in
+  let find rule =
+    List.find_opt (fun (v : Dic.Report.violation) -> v.Dic.Report.rule = rule) lint
+  in
+  List.iter
+    (fun rule -> Alcotest.(check bool) (rule ^ " reported") true (find rule <> None))
+    [ "lint.R001"; "lint.R012"; "lint.D005" ];
+  Alcotest.(check (option string)) "R012's context is its key" (Some "pad_metal_surround")
+    (Option.map
+       (fun (v : Dic.Report.violation) -> v.Dic.Report.context)
+       (find "lint.R012"));
+  List.iter
+    (fun (v : Dic.Report.violation) ->
+      let from_deck = String.starts_with ~prefix:"lint.R" v.Dic.Report.rule in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s [%s] has a position" v.Dic.Report.rule v.Dic.Report.context)
+        (not from_deck) (v.Dic.Report.loc <> None))
+    lint;
+  Alcotest.(check int) "dr_lint is the report's lint" (List.length lint)
+    (List.length (List.hd multi.Dic.Engine.results).Dic.Engine.dr_lint)
+
 let () =
   Alcotest.run "lint"
     [ ( "deck",
@@ -457,4 +497,6 @@ let () =
           Alcotest.test_case "sarif deterministic" `Quick
             test_sarif_deterministic_and_parses;
           Alcotest.test_case "render and metrics" `Quick test_render_and_metrics;
-          Alcotest.test_case "engine lint flag" `Quick test_engine_lint_flag ] ) ]
+          Alcotest.test_case "engine lint flag" `Quick test_engine_lint_flag;
+          Alcotest.test_case "deck diagnostics carry no design position" `Quick
+            test_engine_deck_diags_unlocated ] ) ]

@@ -968,7 +968,8 @@ let test_replay_cache_matches_live () =
             (Printf.sprintf "replayed %s = live" (String.concat "." path))
             (figure path live_snap) (figure path replayed_snap))
         [ [ "requests"; "accepted" ]; [ "requests"; "rejected" ];
-          [ "latency_ms"; "count" ]; [ "wait_ms"; "count" ]; [ "service_ms"; "count" ] ])
+          [ "latency_ms"; "count" ]; [ "wait_ms"; "count" ]; [ "service_ms"; "count" ];
+          [ "queue_depth"; "count" ]; [ "queue_depth"; "max" ] ])
 
 (* The determinism bar with everything on: event log, trace collection,
    slow threshold 0, and per-request trace embedding — report bytes
