@@ -769,6 +769,11 @@ let lint_overhead () =
    - [Netgen.build], the net-list composition that precedes it, as
      [netgen_minor_mwords]: the other number the guard watches.
 
+   Both run on the calling domain ([jobs = 1]), so [Gc.minor_words]
+   and [Gc.counters] count their words exactly.  [Gc.quick_stat] would
+   not: under OCaml 5.1 it moves only at minor collections, a grain
+   coarser than the guard's headroom on the small workloads.
+
    The warm-vs-cold engine cache identity is then re-proven (the bench
    aborts if the reports differ).
    Writes BENCH_kernel.json. *)
@@ -829,20 +834,18 @@ let kernel_bench () =
       let sweep_ns = med *. 1e9 /. float_of_int iters in
       (* Net-list composition: its allocation is deterministic, so one
          build measures it. *)
-      let n0 = Gc.quick_stat () in
+      let n0 = Gc.minor_words () in
       let nets, _ = Dic.Netgen.build model in
-      let n1 = Gc.quick_stat () in
-      let netgen_minor = (n1.Gc.minor_words -. n0.Gc.minor_words) /. 1e6 in
+      let netgen_minor = (Gc.minor_words () -. n0) /. 1e6 in
       (* End-to-end serial interaction stage. *)
-      let g0 = Gc.quick_stat () in
+      let minor0, _, major0 = Gc.counters () in
       let _, stage_s =
         median_wall ~warmup ~runs (fun () -> fst (Dic.Interactions.check nets))
       in
-      let g1 = Gc.quick_stat () in
+      let minor1, _, major1 = Gc.counters () in
       (* warmup + runs checks ran: per-run Mwords. *)
       let per_run w = w /. float_of_int (warmup + runs) /. 1e6 in
-      let minor = per_run (g1.Gc.minor_words -. g0.Gc.minor_words)
-      and major = per_run (g1.Gc.major_words -. g0.Gc.major_words) in
+      let minor = per_run (minor1 -. minor0) and major = per_run (major1 -. major0) in
       Printf.printf "%-22s %10.1f %10.3f %10.1f %10.1f %10.1f\n" name sweep_ns stage_s minor
         major netgen_minor;
       Buffer.add_string buf

@@ -390,7 +390,13 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
               (p, Dic.Lint.to_violations (if i = 0 then s @ design_supp else s)))
             deck_out
         in
-        write_output path (Dic.Sarif.of_reports ~uri ~suppressed:supp ~relations runs));
+        (* With no design, each run's results name its own deck. *)
+        let uris =
+          match design_src with
+          | Some _ -> []
+          | None -> List.map (fun (p, _, _, _) -> (p, p)) deck_out
+        in
+        write_output path (Dic.Sarif.of_reports ~uri ~uris ~suppressed:supp ~relations runs));
     if errors > 0 then 1 else if werror && all <> [] then 1 else 0
 
 (* ------------------------------------------------------------------ *)

@@ -77,7 +77,10 @@ let parse src =
 
 (* Terminals of functional devices only: contacts are wiring and would
    make every expected list tediously long.  Each net is flattened at
-   most once, and a net with no functional terminal not at all. *)
+   most once, and a net with no functional terminal not at all.  Each
+   net's labels and display name are built at most once, and only for
+   a net that an expected name is looked for in or that holds a
+   terminal expected elsewhere. *)
 let compare expected (actual : Netlist.Net.t) =
   let significant (n : Netlist.Net.net) =
     if Netlist.Net.functional n.Netlist.Net.terminals = 0 then []
@@ -86,33 +89,40 @@ let compare expected (actual : Netlist.Net.t) =
         (fun (t : Netlist.Net.terminal) -> Netlist.Net.is_functional t.Netlist.Net.device)
         (Netlist.Net.flatten n.Netlist.Net.terminals)
   in
-  let nets = List.map (fun n -> (n, significant n)) actual.Netlist.Net.nets in
+  let labelled n =
+    lazy
+      (let names = Netlist.Net.names n in
+       (Netlist.Net.display_name_of n names, names))
+  in
+  let nets = List.map (fun n -> (labelled n, significant n)) actual.Netlist.Net.nets in
+  let display labels = fst (Lazy.force labels) in
   (* Index every significant terminal in the layout by (device, port). *)
   let location = Hashtbl.create 64 in
   List.iter
-    (fun ((n : Netlist.Net.net), terminals) ->
+    (fun (labels, terminals) ->
       List.iter
         (fun (t : Netlist.Net.terminal) ->
-          Hashtbl.replace location (t.Netlist.Net.device_path, t.Netlist.Net.port)
-            (Netlist.Net.display_name n))
+          Hashtbl.replace location (t.Netlist.Net.device_path, t.Netlist.Net.port) labels)
         terminals)
     nets;
-  let net_names (n : Netlist.Net.net) =
-    Netlist.Net.display_name n :: n.Netlist.Net.names
+  let named name (labels, _) =
+    let display, names = Lazy.force labels in
+    display = name || List.mem name names
   in
   List.concat_map
     (fun { nname = name; terminals = specs; closed } ->
-      match List.find_opt (fun (n, _) -> List.mem name (net_names n)) nets with
+      match List.find_opt (named name) nets with
       | None -> [ Missing_net name ]
-      | Some (net, terminals) ->
-        let actual_name = Netlist.Net.display_name net in
+      | Some (labels, terminals) ->
+        let actual_name = display labels in
         let missing_or_misplaced =
           List.filter_map
             (fun spec ->
               match Hashtbl.find_opt location (spec.device, spec.port) with
               | None -> Some (Missing_terminal { net = name; spec })
-              | Some where when where <> actual_name ->
-                Some (Misplaced_terminal { expected_net = name; actual_net = where; spec })
+              | Some where when display where <> actual_name ->
+                Some
+                  (Misplaced_terminal { expected_net = name; actual_net = display where; spec })
               | Some _ -> None)
             specs
         in

@@ -1,7 +1,6 @@
 type group = {
   gid : int;
   skels : (Tech.Layer.t * Geom.Rect.t list) list;
-  labels : string list;
   terminals : Netlist.Net.terminals;
   element_count : int;
   crossing : bool;
@@ -26,9 +25,6 @@ let nets_of t sid =
 let instance_label model (c : Model.call) =
   let callee = Model.find model c.Model.callee in
   string_of_int c.Model.cidx ^ ":" ^ callee.Model.sname
-
-let is_global name = String.length name > 0 && name.[String.length name - 1] = '!'
-let qualify inst label = if is_global label then label else inst ^ "." ^ label
 
 let hull_of = function
   | [] -> None
@@ -58,8 +54,7 @@ let device_sym_nets rules (s : Model.symbol) =
          (fun gid (p : Devices.port) ->
            { gid;
              skels = merge_skels p.Devices.players;
-             labels = p.Devices.plabels;
-             terminals = Netlist.Net.port kind p.Devices.pname;
+             terminals = Netlist.Net.port ~labels:p.Devices.plabels kind p.Devices.pname;
              element_count = 0;
              crossing = false })
          iface.Devices.ports)
@@ -249,21 +244,26 @@ let compose pass model (s : Model.symbol) child_nets =
         (fun sf -> List.iter (fun (ga, gb) -> union (base.(k) + ga) (base.(k) + gb)) sf.self_pairs)
         sf)
     surfs;
-  (* Merge global labels by name, visiting nodes in index order. *)
+  (* Merge global labels by name, visiting nodes in index order: an
+     element's own label, a child group's global set. *)
   let first_global = Hashtbl.create 8 in
-  let merge_labels i labels =
-    List.iter
-      (fun l ->
-        if is_global l then
-          match Hashtbl.find_opt first_global l with
-          | Some j -> union i j
-          | None -> Hashtbl.add first_global l i)
-      labels
+  let merge_global i l =
+    match Hashtbl.find_opt first_global l with
+    | Some j -> union i j
+    | None -> Hashtbl.add first_global l i
   in
-  Array.iteri (fun i (e : Model.element) -> merge_labels i (Option.to_list e.Model.net_label)) elts;
+  Array.iteri
+    (fun i (e : Model.element) ->
+      match e.Model.net_label with
+      | Some l when Netlist.Net.is_global l -> merge_global i l
+      | _ -> ())
+    elts;
   Array.iteri
     (fun k (cn : sym_nets) ->
-      Array.iter (fun (g : group) -> merge_labels (base.(k) + g.gid) g.labels) cn.groups)
+      Array.iter
+        (fun (g : group) ->
+          List.iter (merge_global (base.(k) + g.gid)) (Netlist.Net.globals g.terminals))
+        cn.groups)
     child;
   (* Stage 4: legal connections.  Same-layer local elements whose drawn
      geometry touches must be on one net (skeletally connected, possibly
@@ -313,6 +313,7 @@ let compose pass model (s : Model.symbol) child_nets =
   let with_surface = s.Model.sid <> Model.root_id in
   let skels = Array.make n_groups []
   and labels = Array.make n_groups []
+  and globals = Array.make n_groups []
   and parts = Array.make n_groups []
   and counts = Array.make n_groups 0
   and crossing = Array.make n_groups false in
@@ -327,9 +328,11 @@ let compose pass model (s : Model.symbol) child_nets =
       counts.(gid) <- counts.(gid) + 1;
       elt_group.(e.Model.eid) <- Some gid)
     elts;
+  (* A group's global set: the names whose first node lies in it. *)
+  Hashtbl.iter (fun l i -> globals.(node_gid.(i)) <- l :: globals.(node_gid.(i))) first_global;
   Array.iteri
     (fun k (c : Model.call) ->
-      let inst = instance_label model c in
+      let inst = lazy (instance_label model c) in
       Array.iter
         (fun (g : group) ->
           let gid = node_gid.(base.(k) + g.gid) in
@@ -340,9 +343,8 @@ let compose pass model (s : Model.symbol) child_nets =
                   (layer, List.map (Geom.Transform.apply_rect c.Model.transform) rects))
                 g.skels
               @ skels.(gid);
-          labels.(gid) <- List.map (qualify inst) g.labels @ labels.(gid);
-          if Netlist.Net.count g.terminals > 0 then
-            parts.(gid) <- (inst, g.terminals) :: parts.(gid);
+          if Netlist.Net.needs_part g.terminals then
+            parts.(gid) <- (Lazy.force inst, g.terminals) :: parts.(gid);
           counts.(gid) <- counts.(gid) + g.element_count;
           crossing.(gid) <- true)
         child.(k).groups)
@@ -354,9 +356,9 @@ let compose pass model (s : Model.symbol) child_nets =
   let groups =
     Array.init n_groups (fun gid ->
         { gid;
-          skels = merge_skels skels.(gid);
-          labels = List.sort_uniq String.compare labels.(gid);
-          terminals = Netlist.Net.union parts.(gid);
+          skels = (match skels.(gid) with [] -> [] | sk -> merge_skels sk);
+          terminals =
+            Netlist.Net.union ~labels:labels.(gid) ~globals:globals.(gid) parts.(gid);
           element_count = counts.(gid);
           crossing = crossing.(gid) })
   in
@@ -400,9 +402,7 @@ let netlist t =
   let nets =
     Array.fold_right
       (fun (g : group) nets ->
-        { Netlist.Net.names = g.labels;
-          auto_name = "n" ^ string_of_int g.gid;
-          classes = Netlist.Net.classes_of g.labels;
+        { Netlist.Net.auto_name = "n" ^ string_of_int g.gid;
           terminals = g.terminals;
           element_count = g.element_count }
         :: nets)

@@ -20,26 +20,34 @@
 
     Net names use the paper's dot notation: a net labelled [out] inside
     instance [1:inv] of the root appears as [1:inv.out]; CIF global
-    labels (trailing [!]) merge by name at every level.  Device
-    terminals are not renamed per level: a group refers to its child
-    groups' terminal trees, and a terminal's dotted path
-    ([1:inv.0:enh]) exists only once {!Netlist.Net.flatten} builds it. *)
+    labels (trailing [!]) merge by name at every level.  Neither labels
+    nor device terminals are renamed per level: a group's one net tree
+    ({!Netlist.Net.terminals}) refers to its child groups' trees, and a
+    dotted label ([1:inv.out]) or terminal path ([1:inv.0:enh]) exists
+    only once {!Netlist.Net.labels} or {!Netlist.Net.flatten} builds
+    it.  Composition builds no label string and sorts no label list. *)
 
 type group = {
   gid : int;
   skels : (Tech.Layer.t * Geom.Rect.t list) list;
       (** connection surface, in the owning symbol's coordinates; empty
           for the root symbol's groups, since nothing calls the root *)
-  labels : string list;  (** explicit labels, local ones dot-qualified *)
   terminals : Netlist.Net.terminals;
-      (** a device symbol's group: its port.  A composite symbol's group:
-          the union of one part per (call, child group) merged into it
-          that has terminals, labelled with the call's instance label
-          ([cidx:name]) and sharing the child group's own tree.  The
-          parts run in the reverse of the order calls and their child
-          groups are visited (calls in order, then each callee's groups
-          by gid), so {!Netlist.Net.flatten} gives the dotted list that
-          prepending each child's prefixed terminals would give. *)
+      (** the group's net tree, which carries its terminals and labels.
+          A device symbol's group: its port, with the port's labels.  A
+          composite symbol's group: its elements' labels, as drawn; its
+          global set, the global names the merge by name put in it (the
+          names whose first node, in node order, lies in the group); and
+          one part per (call, child group) merged into it that has
+          terminals or a non-global label
+          ({!Netlist.Net.needs_part}), labelled with the call's instance
+          label ([cidx:name]) and sharing the child group's own tree.  A
+          child group with global labels only gets no part: its names
+          reach the group by name.  The parts run in the reverse of the
+          order calls and their child groups are visited (calls in
+          order, then each callee's groups by gid), so
+          {!Netlist.Net.flatten} gives the dotted list that prepending
+          each child's prefixed terminals would give. *)
   element_count : int;
   crossing : bool;  (** does the net cross a symbol boundary? *)
 }
@@ -71,8 +79,8 @@ val build : ?metrics:Metrics.t -> Model.t -> t * Report.violation list
 val nets_of : t -> int -> sym_nets
 
 (** The whole-design net list (the root symbol's groups), in gid order.
-    Each net shares its group's terminal tree and labels; nets are named
-    [n<gid>]. *)
+    Each net shares its group's net tree, whose cached mask gives its
+    classes; nets are named [n<gid>]. *)
 val netlist : t -> Netlist.Net.t
 
 (** Nets fully contained in one symbol definition vs nets that cross

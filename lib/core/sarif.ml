@@ -201,7 +201,7 @@ let of_report ?(uri = "design.cif") ?(tool_version = Version.version)
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-let of_reports ?(uri = "design.cif") ?(tool_version = Version.version)
+let of_reports ?(uri = "design.cif") ?(uris = []) ?(tool_version = Version.version)
     ?(suppressed = []) ?(relations = [])
     (decks : (string * Tech.Rules.t * Report.t) list) =
   let buf = Buffer.create 8192 in
@@ -213,6 +213,7 @@ let of_reports ?(uri = "design.cif") ?(tool_version = Version.version)
       let suppressed =
         match List.assoc_opt label suppressed with Some vs -> vs | None -> []
       in
+      let uri = Option.value ~default:uri (List.assoc_opt label uris) in
       add_run buf ~automation_id:label ~deck_rules ~suppressed ~uri ~tool_version
         report)
     decks;

@@ -47,14 +47,16 @@ val of_report :
     deck order; within a run, bytes follow the same deterministic
     layout as {!of_report}.
 
-    [suppressed] maps a deck label to that deck's waived diagnostics,
+    [uris] maps a deck label to the artifact URI of that run's results;
+    a run without one names [uri].  [suppressed] maps a deck label to
+    that deck's waived diagnostics,
     rendered per-run as in {!of_report} (labels are unique after
     {!Engine.dedupe_labels}).  [relations] are the cross-deck
     subsumption verdict lines ({!Deckcheck.relation_lines}); being
     facts about deck {e pairs} they land in the log-level
     [properties.deckRelations] array rather than in any single run. *)
 val of_reports :
-  ?uri:string -> ?tool_version:string ->
+  ?uri:string -> ?uris:(string * string) list -> ?tool_version:string ->
   ?suppressed:(string * Report.violation list) list ->
   ?relations:string list ->
   (string * Tech.Rules.t * Report.t) list -> string

@@ -453,9 +453,12 @@ let prometheus snap =
     (getf [ "rps"; "lifetime" ]);
   line ~labels:[ ("window", "recent") ] "dicheck_requests_per_second"
     (getf [ "rps"; "window" ]);
+  (* The [queue_depth] window gets a family of its own: the text
+     format allows one TYPE line per family, and [dicheck_queue_depth]
+     is the current queue length above. *)
   List.iter
-    (fun (member, unit_help) ->
-      let name = "dicheck_" ^ member in
+    (fun (member, family, unit_help) ->
+      let name = "dicheck_" ^ family in
       header name "summary" unit_help;
       List.iter
         (fun (q, key) -> line ~labels:[ ("quantile", q) ] name (getf [ member; key ]))
@@ -465,10 +468,10 @@ let prometheus snap =
       line (name ^ "_mean") (getf [ member; "mean" ]);
       header (name ^ "_max") "gauge" (unit_help ^ " (window max)");
       line (name ^ "_max") (getf [ member; "max" ]))
-    [ ("latency_ms", "Enqueue-to-reply latency, ms.");
-      ("wait_ms", "Queue wait, ms.");
-      ("service_ms", "Check service time, ms.");
-      ("queue_depth", "Queue depth seen by each accepted request.") ];
+    [ ("latency_ms", "latency_ms", "Enqueue-to-reply latency, ms.");
+      ("wait_ms", "wait_ms", "Queue wait, ms.");
+      ("service_ms", "service_ms", "Check service time, ms.");
+      ("queue_depth", "queue_depth_seen", "Queue depth seen by each accepted request.") ];
   simple "dicheck_cache_symbols_total" "counter" "Definitions resolved."
     [ "cache"; "symbols_total" ];
   simple "dicheck_cache_symbols_reused" "counter" "Definitions replayed from cache."

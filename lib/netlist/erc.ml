@@ -18,43 +18,40 @@ let message = function
     "depletion device " ^ device_path ^ " (" ^ port ^ ") connected to ground net " ^ net
 
 (* For the two-device rule, contacts are wiring, not devices: the
-   cached functional count is the number of device terminals.  Device
-   paths are built only for a depletion-on-ground finding. *)
+   cached functional count is the number of device terminals.  A net's
+   labels and display name are built only for a net with a finding, and
+   device paths only for a depletion-on-ground finding. *)
 let check (t : Net.t) =
   List.concat_map
     (fun (n : Net.net) ->
-      let name = Net.display_name n in
       let power = Net.has_class n Tech.Netclass.Power
       and ground = Net.has_class n Tech.Netclass.Ground
       and bus = Net.has_class n Tech.Netclass.Bus in
       let functional = Net.functional n.Net.terminals in
-      let floating =
-        if (not power) && (not ground) && functional < 2 then
-          [ Floating_net { net = name; terminals = functional } ]
-        else []
-      in
-      let short =
-        if power && ground then [ Supply_short { net = name; names = n.Net.names } ]
-        else []
-      in
-      let bus_supply =
-        if bus && (power || ground) then
-          [ Bus_on_supply { net = name; names = n.Net.names } ]
-        else []
-      in
-      let depletion =
-        if ground && Net.depletion n.Net.terminals > 0 then
-          List.filter_map
-            (fun (term : Net.terminal) ->
-              if Tech.Device.equal term.Net.device Tech.Device.Depletion then
-                Some
-                  (Depletion_on_ground
-                     { net = name;
-                       device_path = term.Net.device_path;
-                       port = term.Net.port })
-              else None)
-            (Net.flatten n.Net.terminals)
-        else []
-      in
-      floating @ short @ bus_supply @ depletion)
+      let floating = (not power) && (not ground) && functional < 2
+      and short = power && ground
+      and bus_supply = bus && (power || ground)
+      and depleted = ground && Net.depletion n.Net.terminals > 0 in
+      if not (floating || short || bus_supply || depleted) then []
+      else
+        let names = Net.names n in
+        let name = Net.display_name_of n names in
+        let depletion =
+          if depleted then
+            List.filter_map
+              (fun (term : Net.terminal) ->
+                if Tech.Device.equal term.Net.device Tech.Device.Depletion then
+                  Some
+                    (Depletion_on_ground
+                       { net = name;
+                         device_path = term.Net.device_path;
+                         port = term.Net.port })
+                else None)
+              (Net.flatten n.Net.terminals)
+          else []
+        in
+        (if floating then [ Floating_net { net = name; terminals = functional } ] else [])
+        @ (if short then [ Supply_short { net = name; names } ] else [])
+        @ (if bus_supply then [ Bus_on_supply { net = name; names } ] else [])
+        @ depletion)
     t.Net.nets

@@ -12,10 +12,25 @@ let is_functional = function
   | Tech.Device.Checked ->
     false
 
+let is_global name = String.length name > 0 && name.[String.length name - 1] = '!'
+
+let class_bit = function
+  | Tech.Netclass.Power -> 1
+  | Tech.Netclass.Ground -> 2
+  | Tech.Netclass.Bus -> 4
+  | Tech.Netclass.Signal -> 0
+
+let class_bits names =
+  List.fold_left (fun b n -> b lor class_bit (Tech.Netclass.classify n)) 0 names
+
 type terminals = {
   count : int;
   functional : int;
   depletion : int;
+  labels : string list;  (** own labels, as drawn *)
+  globals : string list;  (** distinct global names merged into the net *)
+  classes : int;  (** {!class_bit}s of [globals] and [labels] *)
+  locals : bool;  (** a non-global label here or in a part *)
   shape : shape;
 }
 
@@ -23,26 +38,43 @@ and shape =
   | Port of Tech.Device.kind * string
   | Union of (string * terminals) list
 
-let empty = { count = 0; functional = 0; depletion = 0; shape = Union [] }
+let empty =
+  { count = 0; functional = 0; depletion = 0; labels = []; globals = []; classes = 0;
+    locals = false; shape = Union [] }
 
-let port kind name =
+let has_local labels = List.exists (fun l -> not (is_global l)) labels
+
+let port ?(labels = []) kind name =
   { count = 1;
     functional = (if is_functional kind then 1 else 0);
     depletion = (if Tech.Device.equal kind Tech.Device.Depletion then 1 else 0);
+    labels;
+    globals = List.filter is_global labels;
+    classes = class_bits labels;
+    locals = has_local labels;
     shape = Port (kind, name) }
 
-let union = function
-  | [] -> empty
-  | parts ->
-    let rec sum c f d = function
-      | [] -> { count = c; functional = f; depletion = d; shape = Union parts }
-      | (_, t) :: rest -> sum (c + t.count) (f + t.functional) (d + t.depletion) rest
+(* Qualified labels begin with an instance label ([3:sbit.]), which
+   classifies as [Signal]: the parts add nothing to [classes]. *)
+let union ?(labels = []) ?(globals = []) parts =
+  match (labels, globals, parts) with
+  | [], [], [] -> empty
+  | _ ->
+    let rec sum c f d locals = function
+      | [] ->
+        { count = c; functional = f; depletion = d; labels; globals;
+          classes = class_bits globals lor class_bits labels;
+          locals = locals || has_local labels; shape = Union parts }
+      | (_, t) :: rest ->
+        sum (c + t.count) (f + t.functional) (d + t.depletion) (locals || t.locals) rest
     in
-    sum 0 0 0 parts
+    sum 0 0 0 false parts
 
 let count t = t.count
 let functional t = t.functional
 let depletion t = t.depletion
+let globals t = t.globals
+let needs_part t = t.count > 0 || t.locals
 
 (* [go path t acc] puts [t]'s terminals, under [path], in front of
    [acc]; folding each union's parts from the right keeps their order
@@ -58,40 +90,51 @@ let flatten t =
   in
   go "" t []
 
+(* The non-global labels of [t]'s parts, each under [prefix], its
+   part's instance label and a [.], in front of [acc]. *)
+let rec qualified prefix t acc =
+  match t.shape with
+  | Port _ -> acc
+  | Union parts ->
+    List.fold_left
+      (fun acc (inst, sub) ->
+        if not sub.locals then acc
+        else
+          let prefix = prefix ^ inst ^ "." in
+          let acc =
+            List.fold_left
+              (fun acc l -> if is_global l then acc else (prefix ^ l) :: acc)
+              acc sub.labels
+          in
+          qualified prefix sub acc)
+      acc parts
+
+let labels t = List.sort_uniq String.compare (t.labels @ t.globals @ qualified "" t [])
+
 type net = {
-  names : string list;
   auto_name : string;
-  classes : Tech.Netclass.t list;
   terminals : terminals;
   element_count : int;
 }
 
 type t = { nets : net list }
 
-let class_bit = function
-  | Tech.Netclass.Power -> 1
-  | Tech.Netclass.Ground -> 2
-  | Tech.Netclass.Bus -> 4
-  | Tech.Netclass.Signal -> 0
+let names n = labels n.terminals
+let display_name_of n names = match names with name :: _ -> name | [] -> n.auto_name
+let display_name n = display_name_of n (names n)
 
-let classes_of = function
-  | [] -> []
-  | names ->
-    let bits = List.fold_left (fun b n -> b lor class_bit (Tech.Netclass.classify n)) 0 names in
-    List.filter
-      (fun c -> bits land class_bit c <> 0)
-      [ Tech.Netclass.Power; Tech.Netclass.Ground; Tech.Netclass.Bus ]
+let has_class n c = n.terminals.classes land class_bit c <> 0
 
-let display_name n = match n.names with name :: _ -> name | [] -> n.auto_name
-let has_class n c = List.exists (Tech.Netclass.equal c) n.classes
+let classes n =
+  List.filter (has_class n) [ Tech.Netclass.Power; Tech.Netclass.Ground; Tech.Netclass.Bus ]
 
 let find_by_name t name =
-  List.find_opt (fun n -> List.mem name n.names || n.auto_name = name) t.nets
+  List.find_opt (fun n -> n.auto_name = name || List.mem name (names n)) t.nets
 
 let pp_net ppf n =
   Format.fprintf ppf "%s: %d element(s), %d terminal(s)%s" (display_name n)
     n.element_count n.terminals.count
-    (match n.classes with
+    (match classes n with
     | [] -> ""
     | cs -> " [" ^ String.concat "," (List.map Tech.Netclass.to_string cs) ^ "]")
 

@@ -352,7 +352,7 @@ let test_netgen_dot_notation () =
   let result = run_ok (Layoutgen.Cells.chain ~lambda 2) in
   let names =
     List.concat_map
-      (fun (n : Netlist.Net.net) -> n.Netlist.Net.names)
+      (fun (n : Netlist.Net.net) -> Netlist.Net.names n)
       result.Dic.Engine.netlist.Netlist.Net.nets
   in
   Alcotest.(check bool) "dot-qualified names" true (List.mem "1:inv.out" names)
@@ -751,6 +751,27 @@ let test_netcmp_extra_paths_through_hierarchy () =
   Alcotest.(check (list string)) "extra terminals, in order"
     [ "netcmp.extra-terminal: " ^ extra 2; "netcmp.extra-terminal: " ^ extra 0 ]
     (messages vs)
+
+(* Expected nets are looked up among each net's display name and
+   labels: an unlabelled net is found under its generated name, a
+   labelled one under any of its labels but not its generated name. *)
+let test_netcmp_generated_name () =
+  let design = Layoutgen.Shift.register ~lambda 3 in
+  let found name =
+    not
+      (List.exists
+         (fun (v : Dic.Report.violation) -> v.Dic.Report.rule = "netcmp.missing-net")
+         (netcmp_run ("net " ^ name ^ "\n") design))
+  in
+  let nets = (run_ok design).Dic.Engine.netlist.Netlist.Net.nets in
+  let anon = List.find (fun n -> Netlist.Net.names n = []) nets
+  and labelled = List.find (fun n -> List.length (Netlist.Net.names n) > 1) nets in
+  Alcotest.(check bool) "unlabelled net, by generated name" true
+    (found anon.Netlist.Net.auto_name);
+  Alcotest.(check bool) "labelled net, by its last label" true
+    (found (List.hd (List.rev (Netlist.Net.names labelled))));
+  Alcotest.(check bool) "labelled net, not by generated name" false
+    (found labelled.Netlist.Net.auto_name)
 
 (* ------------------------------------------------------------------ *)
 (* Transformed instances                                               *)
@@ -1167,7 +1188,8 @@ let () =
           Alcotest.test_case "misplaced terminal" `Quick test_netcmp_misplaced_terminal;
           Alcotest.test_case "exact extra" `Quick test_netcmp_exact_extra;
           Alcotest.test_case "extra terminal paths through the hierarchy" `Quick
-            test_netcmp_extra_paths_through_hierarchy ] );
+            test_netcmp_extra_paths_through_hierarchy;
+          Alcotest.test_case "generated name" `Quick test_netcmp_generated_name ] );
       ( "transforms",
         [ Alcotest.test_case "rotated device connectivity" `Quick
             test_rotated_device_connectivity;

@@ -693,7 +693,22 @@ let test_serve_prometheus_stats () =
       (fun needle ->
         Alcotest.(check bool) needle true (Astring_contains.contains text needle))
       [ "# HELP dicheck_uptime_seconds"; "# TYPE dicheck_requests_total counter";
-        "dicheck_workers"; "quantile=\"0.99\"" ]
+        "dicheck_workers"; "quantile=\"0.99\"" ];
+    (* The text format allows one TYPE line per metric family. *)
+    let types =
+      List.filter_map
+        (fun line ->
+          match String.split_on_char ' ' line with
+          | [ "#"; "TYPE"; name; _ ] -> Some name
+          | _ -> None)
+        (String.split_on_char '\n' text)
+    in
+    List.iter
+      (fun name ->
+        Alcotest.(check int) ("one TYPE line for " ^ name) 1
+          (List.length (List.filter (String.equal name) types)))
+      types;
+    Alcotest.(check bool) "a TYPE line per family" true (List.length types > 10)
   | None -> Alcotest.fail "no prometheus text in reply");
   (* Unknown formats are refused, not silently defaulted. *)
   let bad =

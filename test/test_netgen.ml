@@ -353,16 +353,16 @@ let sub_groups sub_group =
    and compared with the oracle's list, order included, at every level. *)
 let same_group ~root (a : Dic.Netgen.group) (b : Oracle.group) =
   a.Dic.Netgen.gid = b.Oracle.gid
-  && a.Dic.Netgen.labels = b.Oracle.labels
+  && Netlist.Net.labels a.Dic.Netgen.terminals = b.Oracle.labels
   && Netlist.Net.flatten a.Dic.Netgen.terminals = b.Oracle.terminals
   && a.Dic.Netgen.element_count = b.Oracle.element_count
   && a.Dic.Netgen.crossing = b.Oracle.crossing
   && (root || sorted_skels a.Dic.Netgen.skels = sorted_skels b.Oracle.skels)
 
 let same_net (a : Netlist.Net.net) (b : Oracle.net) =
-  a.Netlist.Net.names = b.Oracle.names
+  Netlist.Net.names a = b.Oracle.names
   && a.Netlist.Net.auto_name = b.Oracle.auto_name
-  && a.Netlist.Net.classes = b.Oracle.classes
+  && Netlist.Net.classes a = b.Oracle.classes
   && Netlist.Net.flatten a.Netlist.Net.terminals = b.Oracle.terminals
   && a.Netlist.Net.element_count = b.Oracle.element_count
 
@@ -396,11 +396,17 @@ let check_against_oracle name model =
    composite symbols, each drawing random interconnect boxes (some
    labelled, locally or globally) over a small span so that surfaces
    touch often, and calling lower levels under random rotations,
-   mirrors and offsets — occasionally twice in exactly the same place. *)
+   mirrors and offsets — occasionally twice in exactly the same place.
+   Local labels that name a class ([VDD], [gnd], [bus3]) make the net
+   classes depend on a group's own labels at every level, not only on
+   its global names. *)
 let random_file rng =
   let int n = Random.State.int rng n in
   let layers = [| "NM"; "NP"; "ND" |] in
-  let nets = [| None; None; None; Some "a"; Some "b"; Some "VDD!"; Some "GND!" |] in
+  let nets =
+    [| None; None; None; Some "a"; Some "b"; Some "VDD!"; Some "GND!"; Some "VDD"; Some "gnd";
+       Some "bus3" |]
+  in
   let span = 24 in
   let rand_box () =
     let x = int span and y = int span in

@@ -84,10 +84,8 @@ let prop_uf_equivalence =
 let terminal path kind port = (path, Netlist.Net.port kind port)
 
 let net_with ?(names = []) ?(terminals = []) ?(elements = 1) auto =
-  { Netlist.Net.names;
-    auto_name = auto;
-    classes = Netlist.Net.classes_of names;
-    terminals = Netlist.Net.union terminals;
+  { Netlist.Net.auto_name = auto;
+    terminals = Netlist.Net.union ~labels:names terminals;
     element_count = elements }
 
 let test_net_classes () =
@@ -121,6 +119,91 @@ let test_flatten_order () =
     [ count top; functional top; depletion top ];
   Alcotest.(check bool) "union [] is one shared value" true (union [] == union []);
   Alcotest.(check int) "union [] flattens to nothing" 0 (List.length (flatten (union [])))
+
+(* ------------------------------------------------------------------ *)
+(* Labels of random net trees, against qualified string lists          *)
+
+(* The reference composes string lists: every child label qualified
+   under its instance label at every level, global ones kept by name,
+   sorted at the top.  The tree must give the same names, read its
+   classes from its cached mask, and take its display name as the least
+   name. *)
+let is_global l = String.length l > 0 && l.[String.length l - 1] = '!'
+let qualify inst l = if is_global l then l else inst ^ "." ^ l
+
+let classes_of names =
+  List.map Tech.Netclass.classify names
+  |> List.sort_uniq Stdlib.compare
+  |> List.filter (fun c -> not (Tech.Netclass.equal c Tech.Netclass.Signal))
+
+let label_pool = [| "a"; "out"; "VDD"; "gnd"; "bus7"; "VDD!"; "GND!"; "bus1!"; "PHI1!" |]
+
+(* A random tree of at most [depth] levels and its reference labels.
+   A node's global set is every global name below it, plus a few that
+   stand for children merged in by name only, without a part. *)
+let rec random_tree rng depth =
+  let int n = Random.State.int rng n in
+  let own () = List.init (int 3) (fun _ -> label_pool.(int (Array.length label_pool))) in
+  if depth = 0 || int 4 = 0 then
+    let labels = List.sort_uniq String.compare (own ()) in
+    (Netlist.Net.port ~labels Tech.Device.Enhancement "gate", labels)
+  else
+    let children = List.init (int 3) (fun _ -> random_tree rng (depth - 1)) in
+    (* A child can sit under two instance labels, sharing one tree. *)
+    let parts =
+      List.concat
+        (List.mapi
+           (fun k child ->
+             let inst i = Printf.sprintf "%d:%s" i [| "inv"; "sbit"; "cell" |].(int 3) in
+             if int 4 = 0 then [ (inst k, child); (inst (k + 10), child) ] else [ (inst k, child) ])
+           children)
+    in
+    let labels = own () in
+    let by_name = List.filter is_global (own ()) in
+    let globals =
+      List.sort_uniq String.compare
+        (List.filter is_global labels
+        @ by_name
+        @ List.concat_map (fun (_, (t, _)) -> Netlist.Net.globals t) parts)
+    in
+    let tree =
+      Netlist.Net.union ~labels ~globals (List.map (fun (inst, (t, _)) -> (inst, t)) parts)
+    in
+    let reference =
+      List.sort_uniq String.compare
+        (labels @ by_name
+        @ List.concat_map (fun (inst, (_, ls)) -> List.map (qualify inst) ls) parts)
+    in
+    (tree, reference)
+
+let test_label_trees () =
+  let rng = Random.State.make [| 0x1abe1 |] in
+  for case = 1 to 400 do
+    let tree, reference = random_tree rng 3 in
+    let net = { Netlist.Net.auto_name = "n7"; terminals = tree; element_count = 1 } in
+    let names = Netlist.Net.names net in
+    let what fmt = Printf.sprintf ("tree %d: " ^^ fmt) case in
+    Alcotest.(check (list string)) (what "names") reference names;
+    Alcotest.(check bool) (what "names sorted and unique") true
+      (names = List.sort_uniq String.compare names);
+    Alcotest.(check bool) (what "classes from the mask") true
+      (Netlist.Net.classes net = classes_of names);
+    let least =
+      match reference with
+      | [] -> "n7"
+      | l :: ls -> List.fold_left (fun m l -> if String.compare l m < 0 then l else m) l ls
+    in
+    Alcotest.(check string) (what "display name is the least name") least
+      (Netlist.Net.display_name net)
+  done;
+  (* A qualified label begins with an instance label, so it is never a
+     supply or a bus: the mask can ignore the parts' labels. *)
+  Array.iter
+    (fun l ->
+      if not (is_global l) then
+        Alcotest.(check bool) ("3:cell." ^ l ^ " is a signal") true
+          (Tech.Netclass.equal (Tech.Netclass.classify ("3:cell." ^ l)) Tech.Netclass.Signal))
+    label_pool
 
 (* ------------------------------------------------------------------ *)
 (* ERC                                                                 *)
@@ -225,7 +308,8 @@ let () =
       qsuite "uf.props" [ prop_uf_equivalence ];
       ( "net",
         [ Alcotest.test_case "classes" `Quick test_net_classes;
-          Alcotest.test_case "flatten order" `Quick test_flatten_order ] );
+          Alcotest.test_case "flatten order" `Quick test_flatten_order;
+          Alcotest.test_case "labels of random trees" `Quick test_label_trees ] );
       ( "erc",
         [ Alcotest.test_case "floating" `Quick test_erc_floating;
           Alcotest.test_case "two devices ok" `Quick test_erc_floating_ok_with_two;
