@@ -489,16 +489,7 @@ let ablations () =
      the geometric rules carry the process margin instead)"
 
 (* ------------------------------------------------------------------ *)
-(* P -- Domain-parallel whole-pipeline checking                        *)
-
-(* Wall-clock scaling of a complete [Engine.check] over Domain.spawn —
-   element sweeps, device recognition, and the interaction worklist all
-   drain the same chunk queue — on the regular workloads the paper's
-   hierarchy argument targets, up to the production-size pla-512x1024
-   (over a million instantiated rectangles).  Per-stage seconds are
-   broken out per point so the serial stages (elaboration, net
-   construction) are visibly excluded from any scaling claim.  Writes
-   BENCH_parallel.json next to the working directory. *)
+(* Shared by the experiments that write BENCH_*.json                   *)
 
 (* Every BENCH_*.json stamps the host it ran on: a timing is
    meaningless in CI history without the thread count, compiler, and
@@ -525,138 +516,12 @@ let median_wall ?(warmup = 1) ?(runs = 5) f =
   in
   (Option.get !last, List.nth (List.sort compare ts) (runs / 2))
 
-(* Stage seconds as a JSON object, pipeline order preserved. *)
-let stages_json stages =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (s, t) -> Printf.sprintf "%S:%.6f" s t) stages)
-  ^ "}"
-
-let parallel_scaling () =
-  section
-    "P: Domain-parallel whole-pipeline checking\n\
-     (element, device and interaction sweeps drain one cost-balanced\n\
-     chunk queue; the full report is byte-identical at every domain\n\
-     count; per-stage seconds come from the run behind each timing)";
-  let workloads =
-    [ ("shift-register-256", lazy (Layoutgen.Shift.register ~lambda 256), 1, 5);
-      ("pla-48x96", lazy (Layoutgen.Pla.tier ~lambda ~rows:48 ~cols:96), 1, 5);
-      (* The production-size point: half a million crosspoints, over a
-         million instantiated rectangles.  A full cold check is around a
-         minute of work, so one run per domain count — the identity
-         assertion is on report bytes, not on time. *)
-      ("pla-512x1024", lazy (Layoutgen.Pla.million_rect ~lambda), 0, 1) ]
-  in
-  let job_counts = [ 1; 2; 4; 8 ] in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "host: %d hardware thread(s) available" cores;
-  if cores = 1 then
-    print_string
-      " -- speedup is not expected on this host;\ndomains time-slice one core and \
-       pay the cross-domain GC synchronisation";
-  print_newline ();
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"experiment\":\"parallel-pipeline-scaling\",%s,\"scaling_meaningful\":%b,\"workloads\":["
-       (provenance_fields ()) (cores > 1));
-  List.iteri
-    (fun wi (name, file, warmup, runs) ->
-      if wi > 0 then Buffer.add_string buf ",";
-      let file = Lazy.force file in
-      let model =
-        match Dic.Model.elaborate rules file with
-        | Ok (m, _) -> m
-        | Error e -> failwith e
-      in
-      Printf.printf "[%s] %d symbol(s), %d instantiated element(s), %d run(s)\n" name
-        (Dic.Model.symbol_count model)
-        (Dic.Model.instantiated_elements model)
-        runs;
-      (* A fresh engine (no cache directory) per run: every timing is a
-         cold full pipeline, so stage seconds are comparable across
-         domain counts. *)
-      let check jobs () =
-        let config =
-          { Dic.Engine.default_config with
-            Dic.Engine.interactions =
-              { Dic.Interactions.default_config with Dic.Interactions.jobs } }
-        in
-        let m = Dic.Metrics.create () in
-        match
-          Result.map Dic.Engine.primary
-          @@ Dic.Engine.check ~metrics:m (Dic.Engine.create ~config rules) file
-        with
-        | Error e -> failwith e
-        | Ok (r, _) ->
-          ( Format.asprintf "%a" Dic.Report.pp r.Dic.Engine.report,
-            Dic.Metrics.stage_seconds m )
-      in
-      if cores = 1 then Printf.printf "%8s %12s %12s\n" "jobs" "seconds" "identical"
-      else Printf.printf "%8s %12s %10s %12s\n" "jobs" "seconds" "speedup" "identical";
-      let reference = ref "" in
-      let base = ref 0. in
-      let base_stages = ref [] in
-      Buffer.add_string buf (Printf.sprintf "{\"name\":\"%s\",\"points\":[" name);
-      List.iteri
-        (fun ji jobs ->
-          if ji > 0 then Buffer.add_string buf ",";
-          let (report, stages), med = median_wall ~warmup ~runs (check jobs) in
-          if jobs = 1 then begin
-            reference := report;
-            base := med;
-            base_stages := stages
-          end;
-          let identical = String.equal report !reference in
-          (* Per-stage speedup against the jobs=1 stage seconds — the
-             scaling story is per stage: elaboration and net
-             construction are serial, the three sweeps are not. *)
-          let stage_speedup =
-            List.filter_map
-              (fun (s, t) ->
-                match List.assoc_opt s !base_stages with
-                | Some b when t > 0. && b > 0. -> Some (s, b /. t)
-                | _ -> None)
-              stages
-          in
-          (* On a one-core host the "speedup" would only measure domain
-             time-slicing noise; report time and the identity check. *)
-          if cores = 1 then begin
-            Printf.printf "%8d %12.3f %12b\n" jobs med identical;
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "{\"jobs\":%d,\"seconds\":%.6f,\"identical\":%b,\"stages\":%s}" jobs
-                 med identical (stages_json stages))
-          end
-          else begin
-            Printf.printf "%8d %12.3f %9.2fx %12b\n" jobs med (!base /. med) identical;
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "{\"jobs\":%d,\"seconds\":%.6f,\"speedup\":%.3f,\"identical\":%b,\"stages\":%s,\"stage_speedup\":%s}"
-                 jobs med (!base /. med) identical (stages_json stages)
-                 (stages_json stage_speedup))
-          end;
-          let big =
-            List.filter (fun (_, t) -> t >= 0.01) stages
-            |> List.map (fun (s, t) -> Printf.sprintf "%s %.2fs" s t)
-          in
-          if big <> [] then
-            Printf.printf "%8s stages: %s\n" "" (String.concat ", " big))
-        job_counts;
-      Buffer.add_string buf "]}")
-    workloads;
-  Buffer.add_string buf "]}";
-  Out_channel.with_open_text "BENCH_parallel.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_parallel.json"
-
 (* ------------------------------------------------------------------ *)
 (* TR -- Tracing overhead                                              *)
 
 (* Cost of the span tracer: disabled (no --trace; every with_span is
    one option match) and enabled (two clock reads and an array store
-   per span) against the same workloads as the parallel experiment. *)
+   per span) on a shift register and a cell grid. *)
 
 let trace_overhead () =
   section
@@ -761,18 +626,21 @@ let lint_overhead () =
 (* The interaction gap kernel on each workload:
 
    - the kernel proper, as ns/call over the workload's real element
-     geometry (round-robin pairing, the checker's own cutoff);
-   - the serial interaction stage end to end, with GC pressure: the
-     sweep kernel runs out of a caller-owned workspace and allocates
-     nothing per call, so [sweep_minor_mwords] is one number the CI
-     allocation guard watches;
+     geometry (round-robin pairing, the checker's own cutoff): the
+     median of 21 timings after a warm-up, with its quartiles;
+   - the serial interaction stage end to end, with GC pressure, through
+     the same metered task loop every check runs: the sweep kernel runs
+     out of a caller-owned workspace and allocates nothing per call, and
+     recording a task allocates nothing, so [sweep_minor_mwords] is one
+     number the CI allocation guard watches;
    - [Netgen.build], the net-list composition that precedes it, as
      [netgen_minor_mwords]: the other number the guard watches.
 
    Both run on the calling domain ([jobs = 1]), so [Gc.minor_words]
-   and [Gc.counters] count their words exactly.  [Gc.quick_stat] would
-   not: under OCaml 5.1 it moves only at minor collections, a grain
-   coarser than the guard's headroom on the small workloads.
+   counts their minor words and the major part of [Gc.counters] their
+   major words exactly.  Under OCaml 5.1 [Gc.quick_stat] moves only at
+   minor collections, and the minor part of [Gc.counters] reads about
+   an eighth of the uncollected minor heap.
 
    The warm-vs-cold engine cache identity is then re-proven (the bench
    aborts if the reports differ).
@@ -830,19 +698,22 @@ let kernel_bench () =
         done;
         !acc
       in
-      let _, med = median_wall loop in
-      let sweep_ns = med *. 1e9 /. float_of_int iters in
+      ignore (loop ());
+      let ts = Array.init 21 (fun _ -> snd (wall loop)) in
+      Array.sort compare ts;
+      let ns_of i = ts.(i) *. 1e9 /. float_of_int iters in
+      let sweep_ns = ns_of 10 and sweep_q1 = ns_of 5 and sweep_q3 = ns_of 15 in
       (* Net-list composition: its allocation is deterministic, so one
          build measures it. *)
       let n0 = Gc.minor_words () in
       let nets, _ = Dic.Netgen.build model in
       let netgen_minor = (Gc.minor_words () -. n0) /. 1e6 in
       (* End-to-end serial interaction stage. *)
-      let minor0, _, major0 = Gc.counters () in
+      let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
       let _, stage_s =
         median_wall ~warmup ~runs (fun () -> fst (Dic.Interactions.check nets))
       in
-      let minor1, _, major1 = Gc.counters () in
+      let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
       (* warmup + runs checks ran: per-run Mwords. *)
       let per_run w = w /. float_of_int (warmup + runs) /. 1e6 in
       let minor = per_run (minor1 -. minor0) and major = per_run (major1 -. major0) in
@@ -850,10 +721,11 @@ let kernel_bench () =
         major netgen_minor;
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"name\":\"%s\",\"kernel_ns_sweep\":%.1f,\"check_sweep_s\":%.6f,\
+           "{\"name\":\"%s\",\"kernel_ns_sweep\":%.1f,\"kernel_ns_sweep_q1\":%.1f,\
+            \"kernel_ns_sweep_q3\":%.1f,\"check_sweep_s\":%.6f,\
             \"sweep_minor_mwords\":%.3f,\"sweep_major_mwords\":%.3f,\
             \"netgen_minor_mwords\":%.3f}"
-           name sweep_ns stage_s minor major netgen_minor))
+           name sweep_ns sweep_q1 sweep_q3 stage_s minor major netgen_minor))
     workloads;
   (* Warm-vs-cold cache identity: a fresh engine over a cache
      directory a previous engine filled must replay to the
@@ -1468,7 +1340,7 @@ let experiments =
     ("fig11", fig11_skeletal); ("fig12", fig12_matrix);
     ("fig13", fig13_proximity); ("fig14", fig14_relational);
     ("fig15", fig15_self_sufficiency); ("t1", t1_runtime_scaling);
-    ("ablations", ablations); ("parallel", parallel_scaling);
+    ("ablations", ablations);
     ("trace-overhead", trace_overhead); ("lint-overhead", lint_overhead);
     ("kernel", kernel_bench); ("serve", serve_bench);
     ("telemetry", telemetry_overhead); ("multideck", multideck_bench);

@@ -667,11 +667,11 @@ let check_term =
   let jobs =
     Arg.(value & opt int 0
          & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domains for the parallel stages (elements, devices, relational \
-                   device checks and interactions): each stage's worklist is shared \
-                   by at most N domains, 1 runs it on the main domain alone, 0 \
-                   (default) asks the runtime for the recommended count.  The \
-                   report is identical for every N.")
+             ~doc:"Domains for the interaction sweep, the one stage that fans \
+                   out (every other stage runs on the main domain): its worklist \
+                   is shared by at most N domains, 1 runs it on the main domain \
+                   alone, 0 (default) asks the runtime for the recommended count.  \
+                   The report is identical for every N.")
   in
   let stats_json =
     Arg.(value & opt (some string) None

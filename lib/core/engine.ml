@@ -279,52 +279,28 @@ let check ?metrics ?trace ?progress t file =
                   model.Model.symbols fps)
               decks)
     in
-    (* The per-definition stages are embarrassingly parallel — each
-       fresh slot is one independent (deck rules × definition) task —
-       so they run on the same cost-balanced scheduler as the
-       interaction sweep.  The worklist flattens every deck's fresh
-       slots in deck-major definition order; workers store each result
-       into its slot and emit a ["symbol"] span and [symbol.<name>] cost
-       charge per slot, into per-domain buffers that merge in tid order.
-       [assemble] then builds each deck's violations in definition
-       order, replayed slots contributing their cached list in place,
-       so the report bytes are the same at every [jobs] value. *)
-    let stage_jobs =
-      Interactions.effective_jobs t.e_config.interactions.Interactions.jobs
-    in
-    let fresh_work =
-      Array.of_list
-        (List.concat
-           (List.map2
-              (fun d slots ->
-                List.filter_map
-                  (fun sl -> if Option.is_none sl.sl_hit then Some (d, sl) else None)
-                  slots)
-              decks slots_by_deck))
-    in
+    (* The per-definition stages run on the calling domain: each is cheap
+       beside the spawn of a domain, so the interaction sweep is the
+       check's only fan-out.  Fresh slots run in worklist order —
+       deck-major, then definition order — each inside its ["symbol"]
+       span and charged to its [symbol.<name>] cost bucket, which the
+       sweep's chunk sizing reads.  [assemble] then builds each deck's
+       violations in definition order, replayed slots contributing their
+       cached list in place. *)
     let sweep stage compute =
-      ignore
-        (Parallel.run ~metrics:m ?trace ~jobs:stage_jobs ~stage
-           ~weight:(fun i ->
-             let _, sl = fresh_work.(i) in
-             1 + List.length sl.sl_sym.Model.elements)
-           ~n:(Array.length fresh_work)
-           ~worker:(fun _tid -> ())
-           ~chunk:(fun () dm dt ~lo ~hi ->
-             for i = lo to hi - 1 do
-               let d, sl = fresh_work.(i) in
-               Trace.with_span dt ~cat:"symbol" ~args:[ ("stage", stage) ]
-                 sl.sl_sym.Model.sname (fun () ->
-                   let t0 = Metrics.now_ns () in
-                   compute d sl;
-                   Option.iter
-                     (fun dm ->
-                       Metrics.add_cost_ns dm ("symbol." ^ sl.sl_sym.Model.sname)
-                         (Int64.sub (Metrics.now_ns ()) t0))
-                     dm)
-             done)
-           ~merge:(fun () -> ())
-           ())
+      List.iter2
+        (fun d slots ->
+          List.iter
+            (fun sl ->
+              if Option.is_none sl.sl_hit then begin
+                let name = sl.sl_sym.Model.sname in
+                Trace.with_span trace ~cat:"symbol" ~args:[ ("stage", stage) ] name (fun () ->
+                    let t0 = Metrics.now_ns () in
+                    compute d sl;
+                    Metrics.add_cost_ns m ("symbol." ^ name) (Int64.sub (Metrics.now_ns ()) t0))
+              end)
+            slots)
+        decks slots_by_deck
     in
     let assemble fresh_of replay =
       List.map

@@ -219,9 +219,12 @@ val with_relational : t -> Process_model.Exposure.t option -> t
     (and keep) the accumulator; one is created per check otherwise.  It
     always receives [cache.symbols_total], [cache.symbols_reused],
     [cache.defs_computed] and the [cache.hit_ratio] gauge, so the stats
-    shape does not depend on the cache.  [trace] records
-    ["stage"]/["symbol"]/["shard"] spans — at least one [shard[0]] per
-    parallel stage, at every [jobs] value — plus, with a cache handle,
+    shape does not depend on the cache.  The per-definition stages
+    (elements, devices, relational devices) run on the calling domain;
+    the interaction sweep is the only stage that [jobs] fans out.
+    [trace] records ["stage"]/["symbol"]/["shard"] spans — for a
+    single-deck engine exactly one [shard[0]], the interaction sweep's,
+    at every [jobs] value — plus, with a cache handle,
     ["cache"]-category spans around cache traffic.  [progress] is
     called with each stage name as it starts. *)
 val check :

@@ -21,8 +21,16 @@ type cell_stats = {
   mutable skipped_device : int;
 }
 
+(* Layer indices are dense (0 .. nlayers-1, in [Tech.Layer.all] order),
+   so the coverage matrix is a flat array of the upper triangle: the
+   per-pair hot path counts into it and looks rules up in a precomputed
+   entry matrix of the same shape — no tuple keys, no hashing, no option
+   boxing per pair. *)
+let nlayers = List.length Tech.Layer.all
+let layer_of_index = Array.of_list Tech.Layer.all
+
 type stats = {
-  cells : (Tech.Layer.t * Tech.Layer.t, cell_stats) Hashtbl.t;
+  cells : cell_stats array;  (** [ia * nlayers + ib], [ia <= ib] *)
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable bbox_rejects : int;
@@ -30,53 +38,39 @@ type stats = {
 }
 
 let new_stats () =
-  { cells = Hashtbl.create 16; memo_hits = 0; memo_misses = 0; bbox_rejects = 0;
-    materialised = 0 }
+  { cells =
+      Array.init (nlayers * nlayers) (fun _ ->
+          { pairs = 0; checked = 0; skipped_same_net = 0; skipped_no_rule = 0;
+            skipped_device = 0 });
+    memo_hits = 0; memo_misses = 0; bbox_rejects = 0; materialised = 0 }
 
-(* Layer indices are dense (0 .. nlayers-1, in [Tech.Layer.all] order),
-   so the per-pair hot path counts into a flat [cell_stats array] and
-   looks rules up in a precomputed entry matrix — no tuple keys, no
-   hashing, no option boxing per pair.  The Hashtbl-shaped [stats]
-   above stays the public, mergeable view; the flat counters are folded
-   into it once per run (see [fold_cells]). *)
-let nlayers = List.length Tech.Layer.all
-let layer_of_index = Array.of_list Tech.Layer.all
-
-let new_cells () =
-  Array.init (nlayers * nlayers) (fun _ ->
-      { pairs = 0; checked = 0; skipped_same_net = 0; skipped_no_rule = 0;
-        skipped_device = 0 })
-
-let cell stats la lb =
-  let key = if Tech.Layer.index la <= Tech.Layer.index lb then (la, lb) else (lb, la) in
-  match Hashtbl.find_opt stats.cells key with
-  | Some c -> c
-  | None ->
-    let c =
-      { pairs = 0; checked = 0; skipped_same_net = 0; skipped_no_rule = 0;
-        skipped_device = 0 }
-    in
-    Hashtbl.add stats.cells key c;
-    c
+(* A cell is touched iff its [pairs] counter moved: [judge_pair] bumps
+   it before anything else. *)
+let touched_cells stats =
+  let acc = ref [] in
+  for ia = nlayers - 1 downto 0 do
+    for ib = nlayers - 1 downto ia do
+      let c = stats.cells.((ia * nlayers) + ib) in
+      if c.pairs > 0 then acc := (layer_of_index.(ia), layer_of_index.(ib), c) :: !acc
+    done
+  done;
+  !acc
 
 let pp_stats ppf stats =
   Format.fprintf ppf "@[<v>";
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) stats.cells []
-  |> List.sort (fun ((a1, a2), _) ((b1, b2), _) ->
-         match Tech.Layer.compare a1 b1 with
-         | 0 -> Tech.Layer.compare a2 b2
-         | c -> c)
-  |> List.iter (fun ((la, lb), c) ->
-         Format.fprintf ppf "%s-%s: pairs=%d checked=%d same-net-skip=%d no-rule=%d device=%d@,"
-           (Tech.Layer.to_cif la) (Tech.Layer.to_cif lb) c.pairs c.checked
-           c.skipped_same_net c.skipped_no_rule c.skipped_device);
+  List.iter
+    (fun (la, lb, c) ->
+      Format.fprintf ppf "%s-%s: pairs=%d checked=%d same-net-skip=%d no-rule=%d device=%d@,"
+        (Tech.Layer.to_cif la) (Tech.Layer.to_cif lb) c.pairs c.checked c.skipped_same_net
+        c.skipped_no_rule c.skipped_device)
+    (touched_cells stats);
   Format.fprintf ppf "memo: %d hits / %d misses; bbox rejects: %d@]" stats.memo_hits
     stats.memo_misses stats.bbox_rejects
 
 let merge_stats ~into src =
-  Hashtbl.iter
-    (fun (la, lb) (c : cell_stats) ->
-      let d = cell into la lb in
+  Array.iteri
+    (fun i (c : cell_stats) ->
+      let d = into.cells.(i) in
       d.pairs <- d.pairs + c.pairs;
       d.checked <- d.checked + c.checked;
       d.skipped_same_net <- d.skipped_same_net + c.skipped_same_net;
@@ -89,9 +83,7 @@ let merge_stats ~into src =
   into.materialised <- into.materialised + src.materialised
 
 let record_metrics metrics stats =
-  let total field =
-    Hashtbl.fold (fun _ c acc -> acc + field c) stats.cells 0
-  in
+  let total field = Array.fold_left (fun acc c -> acc + field c) 0 stats.cells in
   Metrics.incr ~by:(total (fun c -> c.pairs)) metrics "interactions.pairs";
   Metrics.incr ~by:(total (fun c -> c.checked)) metrics "interactions.checked";
   Metrics.incr ~by:(total (fun c -> c.skipped_same_net)) metrics
@@ -480,9 +472,6 @@ type dctx = {
   d_tb : Geom.Rects.t;  (** …and site B, only for a finding or under [Exposure] *)
   d_sa : site;  (** scratch site records over [d_ta]/[d_tb], live within one judged pair *)
   d_sb : site;
-  d_cells : cell_stats array;
-      (** flat per-layer-pair counters ([ia * nlayers + ib], ia <= ib);
-          folded into [d_stats.cells] after the run *)
   d_entry : Tech.Interaction.entry array;
       (** the run's rule deck, resolved per layer pair once — indexing
           it allocates nothing, unlike re-deriving the entry per pair *)
@@ -505,36 +494,12 @@ let make_dctx rules cands =
   in
   { d_stats = new_stats (); d_cands = cands; d_m = m; d_memoised = Memoised m;
     d_ws = Geom.Rects.make_ws (); d_ta = ta; d_tb = tb; d_sa = sa; d_sb = sb;
-    d_cells = new_cells ();
     d_entry =
       Array.init (nlayers * nlayers) (fun i ->
           Tech.Interaction.entry rules
             layer_of_index.(i / nlayers)
             layer_of_index.(i mod nlayers));
     d_out = [] }
-
-let[@inline] dcell dctx la lb =
-  let ia = Tech.Layer.index la and ib = Tech.Layer.index lb in
-  dctx.d_cells.(if ia <= ib then (ia * nlayers) + ib else (ib * nlayers) + ia)
-
-(* A cell is touched iff its [pairs] counter moved ([judge_pair] bumps
-   it before anything else), so folding only those keeps the Hashtbl
-   key set — and hence [pp_stats] output — identical to the old
-   count-in-place representation. *)
-let fold_cells dctx =
-  for ia = 0 to nlayers - 1 do
-    for ib = ia to nlayers - 1 do
-      let c = dctx.d_cells.((ia * nlayers) + ib) in
-      if c.pairs > 0 then begin
-        let d = cell dctx.d_stats layer_of_index.(ia) layer_of_index.(ib) in
-        d.pairs <- d.pairs + c.pairs;
-        d.checked <- d.checked + c.checked;
-        d.skipped_same_net <- d.skipped_same_net + c.skipped_same_net;
-        d.skipped_no_rule <- d.skipped_no_rule + c.skipped_no_rule;
-        d.skipped_device <- d.skipped_device + c.skipped_device
-      end
-    done
-  done
 
 let[@inline] lift sub gid = if gid = no_net then no_net else sub.(gid)
 
@@ -649,12 +614,10 @@ let measure cfg dctx facts (c : cell_stats) ~same_net a b req =
 let judge_pair cfg f dctx facts a b =
   if (match facts with In_frame -> head_equal a b | Memoised _ -> false) then Skip
   else begin
-    let c = dcell dctx a.s_layer b.s_layer in
+    let ia = Tech.Layer.index a.s_layer and ib = Tech.Layer.index b.s_layer in
+    let c = dctx.d_stats.cells.(if ia <= ib then (ia * nlayers) + ib else (ib * nlayers) + ia) in
     c.pairs <- c.pairs + 1;
-    match
-      dctx.d_entry.((Tech.Layer.index a.s_layer * nlayers)
-                    + Tech.Layer.index b.s_layer)
-    with
+    match dctx.d_entry.((ia * nlayers) + ib) with
     | Tech.Interaction.No_rule ->
       c.skipped_no_rule <- c.skipped_no_rule + 1;
       Skip
@@ -880,46 +843,38 @@ let skipped silent task =
    is charged once per run of consecutive tasks of that definition —
    the worklist is grouped by definition — rather than per task.  A
    skipped task contributes nothing, exactly as evaluating it would
-   have.  Returns the chunk's findings in worklist order. *)
-let run_span ?metrics ?silent cfg p lo hi dctx =
-  (match metrics with
-  | None ->
-    for i = lo to hi - 1 do
-      let task = p.pl_tasks.(i) in
-      if not (skipped silent task) then eval_task cfg p dctx task
-    done
-  | Some m ->
-    let cur = ref None and spent = ref 0 in
-    let charge () =
-      Option.iter
-        (fun fr ->
-          Metrics.add_cost_ns m ("symbol." ^ fr.f_sym.Model.sname) (Int64.of_int !spent))
-        !cur
-    in
-    for i = lo to hi - 1 do
-      let task = p.pl_tasks.(i) in
-      if not (skipped silent task) then begin
-        let fr = frame_of task in
-        (match !cur with
-        | Some f when f == fr -> ()
-        | _ ->
-          charge ();
-          cur := Some fr;
-          spent := 0);
-        let t0 = Metrics.now_ns () in
-        eval_task cfg p dctx task;
-        let dt = Int64.sub (Metrics.now_ns ()) t0 in
-        Metrics.observe_ns m "interactions.pair_check_ns" dt;
-        spent := !spent + Int64.to_int dt
-      end
-    done;
-    charge ());
+   have.  Recording a task reads the clock twice and bumps the resolved
+   histogram, all in immediate ints, so it allocates nothing.  Returns
+   the chunk's findings in worklist order. *)
+let run_span m ?silent cfg p lo hi dctx =
+  let pair_check = Metrics.hist m "interactions.pair_check_ns" in
+  let cur = ref None and spent = ref 0 in
+  let charge () =
+    Option.iter
+      (fun fr -> Metrics.add_cost_ns m ("symbol." ^ fr.f_sym.Model.sname) (Int64.of_int !spent))
+      !cur
+  in
+  for i = lo to hi - 1 do
+    let task = p.pl_tasks.(i) in
+    if not (skipped silent task) then begin
+      let fr = frame_of task in
+      (match !cur with
+      | Some f when f == fr -> ()
+      | _ ->
+        charge ();
+        cur := Some fr;
+        spent := 0);
+      let t0 = Metrics.clock_ns () in
+      eval_task cfg p dctx task;
+      let dt = Metrics.clock_ns () - t0 in
+      Metrics.observe pair_check dt;
+      spent := !spent + dt
+    end
+  done;
+  charge ();
   let vs = List.rev dctx.d_out in
   dctx.d_out <- [];
   vs
-
-let effective_jobs jobs =
-  if jobs <= 0 then Domain.recommended_domain_count () else jobs
 
 let plan ?dmax (nets : Netgen.t) =
   let model = nets.Netgen.model in
@@ -943,6 +898,9 @@ let plan ?dmax (nets : Netgen.t) =
 
 let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan) =
   let rules = match rules with Some r -> r | None -> p.pl_model.Model.rules in
+  (* Every run is metered, into the caller's metrics or its own, so
+     there is one task loop to measure. *)
+  let m = match metrics with Some m -> m | None -> Metrics.create () in
   let stats = new_stats () in
   let memo = match memo with Some m -> m | None -> create_memo () in
   let tasks = p.pl_tasks in
@@ -961,52 +919,42 @@ let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan
           let arr =
             Array.map (fun (sa, sb, rel) -> Deckcheck.class_silent cs ~sa ~sb rel) p.pl_classes
           in
-          Option.iter
-            (fun m ->
-              Metrics.add_cost_ns m "analysis.guard" (Int64.sub (Metrics.now_ns ()) t0);
-              let skips =
-                Array.fold_left
-                  (fun n task -> if skipped (Some arr) task then n + 1 else n)
-                  0 tasks
-              in
-              Metrics.incr ~by:skips m "analysis.certified_skips")
-            metrics;
+          Metrics.add_cost_ns m "analysis.guard" (Int64.sub (Metrics.now_ns ()) t0);
+          let skips =
+            Array.fold_left (fun n task -> if skipped (Some arr) task then n + 1 else n) 0 tasks
+          in
+          Metrics.incr ~by:skips m "analysis.certified_skips";
           Some arr)
   in
-  (* Balanced scheduling via the shared {!Parallel} queue (which this
-     code originated).  The weight estimate reuses the [symbol.<name>]
-     cost buckets the earlier per-definition sweeps recorded into
-     [metrics]: a definition that was expensive to sweep has bigger
-     geometry and costs more to judge, so its tasks land in smaller
-     chunks.  Chunk results come back in worklist order, so the report
-     is byte-identical at every [jobs] value and across repeated runs;
-     which domain evaluated which chunk — and hence each domain's memo
-     hit/miss split — is the only thing that varies.  Every domain,
+  (* Balanced scheduling on the {!Parallel} queue.  The weight estimate
+     reuses the [symbol.<name>] cost buckets the per-definition stages
+     recorded into [metrics]: a definition that was expensive to sweep
+     has bigger geometry and costs more to judge, so its tasks land in
+     smaller chunks.  Chunk results come back in worklist order, so the
+     report is byte-identical at every [jobs] value and across repeated
+     runs; which domain evaluated which chunk — and hence each domain's
+     memo hit/miss split — is the only thing that varies.  Every domain,
      the calling one included, judges from its own class-indexed
      candidate array, seeded from the memo; the classes it computed
      merge back after the join. *)
   let weight_of_frame =
-    match metrics with
-    | None -> fun _ -> 1
-    | Some m ->
-      let w =
-        Array.map
-          (fun fr ->
-            let c = Metrics.cost_ns m ("symbol." ^ fr.f_sym.Model.sname) in
-            1 + Int64.to_int (Int64.div c 1_000_000L))
-          p.pl_frames
-      in
-      fun fr -> w.(fr.f_idx)
+    Array.map
+      (fun fr ->
+        let c = Metrics.cost_ns m ("symbol." ^ fr.f_sym.Model.sname) in
+        1 + Int64.to_int (Int64.div c 1_000_000L))
+      p.pl_frames
   in
   let seeded = Array.map (Placement_class.Tbl.find_opt memo) p.pl_classes in
+  let jobs = if config.jobs <= 0 then Domain.recommended_domain_count () else config.jobs in
   let domains = ref [] in
   let chunks =
-    Parallel.run ?metrics ?trace ~jobs:(effective_jobs config.jobs) ~stage:"interactions"
+    Parallel.run ~metrics:m ?trace ~jobs ~stage:"interactions"
       ~weight:(fun i ->
-        if skipped silent tasks.(i) then 1 else weight_of_frame (frame_of tasks.(i)))
+        if skipped silent tasks.(i) then 1 else weight_of_frame.((frame_of tasks.(i)).f_idx))
       ~n:(Array.length tasks)
       ~worker:(fun _tid -> make_dctx rules (Array.copy seeded))
-      ~chunk:(fun dctx dm _dt ~lo ~hi -> run_span ?metrics:dm ?silent config p lo hi dctx)
+      (* Given [metrics], the scheduler hands every domain its buffer. *)
+      ~chunk:(fun dctx dm _dt ~lo ~hi -> run_span (Option.get dm) ?silent config p lo hi dctx)
       ~merge:(fun dctx -> domains := dctx :: !domains)
       ()
   in
@@ -1015,7 +963,6 @@ let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan
   Trace.with_span trace ~cat:"phase" "merge" (fun () ->
       List.iter
         (fun dctx ->
-          fold_cells dctx;
           merge_stats ~into:stats dctx.d_stats;
           Array.iteri
             (fun cls cs ->
@@ -1026,7 +973,7 @@ let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan
               | _ -> ())
             dctx.d_cands)
         (List.rev !domains));
-  Option.iter (fun m -> record_metrics m stats) metrics;
+  record_metrics m stats;
   (List.concat chunks, stats)
 
 let check ?config ?memo ?metrics ?trace (nets : Netgen.t) =

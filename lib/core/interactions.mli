@@ -40,11 +40,13 @@
     local-pair chunk, element-vs-instance neighbourhood, and instance
     pair is an independent task, described as plain data (the
     definition, its sites, the calls involved and, for an instance
-    pair, its placement class).  The worklist runs on
-    {!Parallel.run}, the one scheduler of every [jobs] value: it is cut
-    into chunks whose boundaries are chosen from the per-symbol cost
-    profile of the previous stages (via {!Metrics}, when available) so
-    each chunk carries roughly equal work, and the chunks are drained
+    pair, its placement class).  This sweep is the only stage of the
+    check that fans out across domains.  The worklist runs on
+    {!Parallel.run} at every [jobs] value: it is cut into chunks whose
+    boundaries are chosen from the per-symbol cost profile of the
+    previous stages (the [symbol.<name>] buckets of the caller's
+    {!Metrics}, when given) so each chunk carries roughly equal work,
+    and the chunks are drained
     from a shared [Atomic] counter by up to {!config.jobs} domains — the
     calling domain alone at [jobs = 1] — so a domain that finishes early
     steals the next unclaimed chunk instead of idling.  Every domain
@@ -91,9 +93,9 @@ type config = {
           behave like a net-blind checker (for the Fig 5 ablation) *)
   spacing_model : spacing_model;
   jobs : int;
-      (** the most domains a worklist is shared by, this stage's and
-          (through {!Engine}) every other parallel stage's: [1] (the
-          default) runs it on the calling domain alone, [n > 1] spawns
+      (** the most domains the worklist is shared by (the other stages
+          of a check run on the calling domain): [1] (the default) runs
+          it on the calling domain alone, [n > 1] spawns
           up to [n - 1] extra domains (never more than there are
           chunks), [0] asks the runtime
           ([Domain.recommended_domain_count ()]) *)
@@ -110,8 +112,13 @@ type cell_stats = {
   mutable skipped_device : int;
 }
 
+(** The interaction statistics.  [cells] is the coverage matrix, the
+    upper triangle of Fig 12 flattened: layers [la] and [lb] with
+    [Tech.Layer.index la <= Tech.Layer.index lb] count into
+    [cells.(index la * List.length Tech.Layer.all + index lb)].  Every
+    domain counts into its own matrix, and a run adds them up. *)
 type stats = {
-  cells : (Tech.Layer.t * Tech.Layer.t, cell_stats) Hashtbl.t;
+  cells : cell_stats array;
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable bbox_rejects : int;
@@ -124,11 +131,9 @@ type stats = {
           every [jobs] value. *)
 }
 
-(** Add [src]'s totals into [into] (used to fold per-domain stats). *)
-val merge_stats : into:stats -> stats -> unit
-
-(** Export the totals as [interactions.*] counters. *)
-val record_metrics : Metrics.t -> stats -> unit
+(** The cells a run touched (those with [pairs > 0]), as
+    [(la, lb, counters)] with [index la <= index lb], in index order. *)
+val touched_cells : stats -> (Tech.Layer.t * Tech.Layer.t * cell_stats) list
 
 (** An instance-pair candidate cache, keyed by placement class
     ({!Placement_class.t}: callee id, callee id, relative transform).
@@ -148,12 +153,6 @@ val create_memo : unit -> memo
     cutoff and grid cell size of a {!plan} built for that deck.
     Directed [space_<a>_<b>] overrides are included. *)
 val max_dist : Tech.Rules.t -> int
-
-(** The domain count a [jobs] setting resolves to: [jobs] itself when
-    positive, [Domain.recommended_domain_count ()] when [<= 0].  Shared
-    by every parallel stage so "auto" means the same thing
-    pipeline-wide. *)
-val effective_jobs : int -> int
 
 (** {2 Plan / run}
 
@@ -177,11 +176,13 @@ type plan
 val plan : ?dmax:int -> Netgen.t -> plan
 
 (** Judge a plan's worklist.  [rules] defaults to the model's own deck.
-    When [metrics] is given, each judged task's wall-clock cost is one
-    observation of the [interactions.pair_check_ns] histogram and is
-    charged to the owning definition's [symbol.<name>] cost bucket (once
-    per run of consecutive tasks of that definition), and the {!stats}
-    totals are exported as counters.  When [trace] is given, one
+    Every run is metered the same way, into [metrics] or, when none is
+    given, into a {!Metrics.t} of its own: each judged task's wall-clock
+    cost is one observation of the [interactions.pair_check_ns]
+    histogram and is charged to the owning definition's [symbol.<name>]
+    cost bucket (once per run of consecutive tasks of that definition),
+    and the {!stats} totals are exported as counters.  Recording a task
+    allocates nothing.  When [trace] is given, one
     ["shard[i]"] span (category ["shard"]) is recorded per domain that
     drained the worklist — [shard[0]] alone at [jobs = 1] — from
     per-domain buffers merged into [trace] in shard order after the
@@ -206,4 +207,6 @@ val check :
   ?config:config -> ?memo:memo -> ?metrics:Metrics.t -> ?trace:Trace.t ->
   Netgen.t -> Report.violation list * stats
 
+(** The coverage text of [--stats]: one line per touched cell, in index
+    order, then the memo line. *)
 val pp_stats : Format.formatter -> stats -> unit

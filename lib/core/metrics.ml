@@ -5,14 +5,15 @@
    never drags in a JSON or metrics framework. *)
 
 let now_ns () = Monotonic_clock.now ()
+let clock_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* Power-of-two buckets: index i counts observations v with
-   2^(i-1) <= v < 2^i (index 0: v = 0).  63 buckets cover any int64. *)
+   2^(i-1) <= v < 2^i (index 0: v = 0).  64 buckets cover any int. *)
 let bucket_count = 64
 
 type hist = {
   mutable count : int;
-  mutable sum_ns : int64;
+  mutable sum_ns : int;
   buckets : int array;
 }
 
@@ -61,20 +62,20 @@ let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 (* Defined here (not with the other stage-timer code) because they feed
-   the GC deltas into counters.  [Gc.quick_stat] is domain-local in
-   OCaml 5, so [count_gc] only sees the calling domain's churn — a
-   parallel stage has each worker domain wrap its own slice in
-   [count_gc] against its own per-domain [t], and [merge_into] then
-   sums the [gc.*_words.<stage>] counters so the stage total covers
+   the GC deltas into counters.  Under OCaml 5.1 [Gc.quick_stat] moves
+   only at minor collections and the minor part of [Gc.counters] reads
+   about an eighth of the uncollected minor heap, so minor words come
+   from [Gc.minor_words], which is exact.  Both readings are
+   domain-local: a parallel stage has each worker domain wrap its own
+   slice in [count_gc] against its own per-domain [t], and [merge_into]
+   then sums the [gc.*_words.<stage>] counters so the stage total covers
    every domain's allocation. *)
 let count_gc t name f =
-  let g0 = Gc.quick_stat () in
+  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
   let v = f () in
-  let g1 = Gc.quick_stat () in
-  incr ~by:(max 0 (int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words)))
-    t ("gc.minor_words." ^ name);
-  incr ~by:(max 0 (int_of_float (g1.Gc.major_words -. g0.Gc.major_words)))
-    t ("gc.major_words." ^ name);
+  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
+  incr ~by:(max 0 (int_of_float (minor1 -. minor0))) t ("gc.minor_words." ^ name);
+  incr ~by:(max 0 (int_of_float (major1 -. major0))) t ("gc.major_words." ^ name);
   v
 
 let time_stage t name f =
@@ -158,31 +159,32 @@ let window_quantile s q =
 (* Histograms                                                          *)
 
 let bucket_of ns =
-  if Int64.compare ns 1L < 0 then 0
-  else begin
-    let i = ref 0 and v = ref ns in
-    while Int64.compare !v 0L > 0 do
-      i := !i + 1;
-      v := Int64.shift_right_logical !v 1
-    done;
-    min !i (bucket_count - 1)
-  end
+  let i = ref 0 and v = ref ns in
+  while !v > 0 do
+    i := !i + 1;
+    v := !v lsr 1
+  done;
+  min !i (bucket_count - 1)
 
-let hist_of t name =
+let hist t name =
   match Hashtbl.find_opt t.hists name with
   | Some h -> h
   | None ->
-    let h = { count = 0; sum_ns = 0L; buckets = Array.make bucket_count 0 } in
+    let h = { count = 0; sum_ns = 0; buckets = Array.make bucket_count 0 } in
     Hashtbl.add t.hists name h;
     h
 
-let observe_ns t name ns =
-  let ns = if Int64.compare ns 0L < 0 then 0L else ns in
-  let h = hist_of t name in
+(* Everything here is an immediate int, so recording allocates nothing. *)
+let observe h ns =
+  let ns = max 0 ns in
   h.count <- h.count + 1;
-  h.sum_ns <- Int64.add h.sum_ns ns;
+  h.sum_ns <- h.sum_ns + ns;
   let b = bucket_of ns in
   h.buckets.(b) <- h.buckets.(b) + 1
+
+let observe_ns t name ns =
+  observe (hist t name)
+    (if Int64.compare ns (Int64.of_int max_int) > 0 then max_int else Int64.to_int ns)
 
 type histogram_snapshot = {
   h_count : int;
@@ -198,7 +200,7 @@ let snapshot (h : hist) =
   for i = bucket_count - 1 downto 0 do
     if h.buckets.(i) > 0 then buckets := (bucket_le i, h.buckets.(i)) :: !buckets
   done;
-  { h_count = h.count; h_sum_ns = h.sum_ns; h_buckets = !buckets }
+  { h_count = h.count; h_sum_ns = Int64.of_int h.sum_ns; h_buckets = !buckets }
 
 let histogram t name = Option.map snapshot (Hashtbl.find_opt t.hists name)
 
@@ -238,9 +240,9 @@ let merge_into ~into src =
   Hashtbl.iter (fun name r -> incr ~by:!r into name) src.counters;
   Hashtbl.iter
     (fun name (h : hist) ->
-      let dst = hist_of into name in
+      let dst = hist into name in
       dst.count <- dst.count + h.count;
-      dst.sum_ns <- Int64.add dst.sum_ns h.sum_ns;
+      dst.sum_ns <- dst.sum_ns + h.sum_ns;
       Array.iteri (fun i n -> dst.buckets.(i) <- dst.buckets.(i) + n) h.buckets)
     src.hists;
   Hashtbl.iter (fun name r -> add_cost_ns into name !r) src.cost_ns;

@@ -39,6 +39,9 @@ val create : unit -> t
     the absolute value is not. *)
 val now_ns : unit -> int64
 
+(** {!now_ns} as an immediate [int]: reading it allocates nothing. *)
+val clock_ns : unit -> int
+
 (** {1 Stage timers} *)
 
 (** [time_stage t name f] runs [f], recording its monotonic wall-clock
@@ -52,15 +55,15 @@ val now_ns : unit -> int64
 val time_stage : t -> string -> (unit -> 'a) -> 'a
 
 (** [count_gc t name f] runs [f] and charges the words it allocated
-    (from {!Gc.quick_stat} deltas, clamped at zero) to the counters
-    [gc.minor_words.<name>] and [gc.major_words.<name>], without
-    recording a stage timing.
+    ({!Gc.minor_words} and the major part of {!Gc.counters}, deltas
+    clamped at zero) to the counters [gc.minor_words.<name>] and
+    [gc.major_words.<name>], without recording a stage timing.
 
-    [Gc.quick_stat] is domain-local under OCaml 5, so one call covers
-    one domain.  A parallel stage gets honest totals by having every
-    worker wrap its slice in [count_gc] against its own per-domain [t]:
-    {!merge_into} sums the counters, so the stage figure ends up
-    covering all domains' allocation. *)
+    Both readings are exact and domain-local under OCaml 5, so one
+    call covers one domain.  A parallel stage gets honest totals by
+    having every worker wrap its slice in [count_gc] against its own
+    per-domain [t]: {!merge_into} sums the counters, so the stage
+    figure ends up covering all domains' allocation. *)
 val count_gc : t -> string -> (unit -> 'a) -> 'a
 
 (** Record an externally measured stage duration (seconds). *)
@@ -139,6 +142,17 @@ val window_quantile : window_snapshot -> float -> float
     lands in the bucket whose upper bound is the smallest power of two
     [> v]. *)
 val observe_ns : t -> string -> int64 -> unit
+
+(** A histogram resolved by name once, for a loop that records into it
+    many times. *)
+type hist
+
+(** [hist t name] is histogram [name] of [t], created empty if needed. *)
+val hist : t -> string -> hist
+
+(** [observe h ns] is {!observe_ns} on a resolved histogram, with [ns]
+    an [int] (from {!clock_ns}): it hashes and allocates nothing. *)
+val observe : hist -> int -> unit
 
 type histogram_snapshot = {
   h_count : int;  (** number of observations *)

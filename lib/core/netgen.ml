@@ -402,7 +402,7 @@ let netlist t =
   let nets =
     Array.fold_right
       (fun (g : group) nets ->
-        { Netlist.Net.auto_name = "n" ^ string_of_int g.gid;
+        { Netlist.Net.gid = g.gid;
           terminals = g.terminals;
           element_count = g.element_count }
         :: nets)

@@ -1,14 +1,12 @@
-(* The cost-balanced domain scheduler: the only one in the pipeline,
-   for every [jobs] value.
+(* The cost-balanced domain scheduler behind the interaction sweep, the
+   check's only fan-out, at every [jobs] value.
 
-   This began life inside the interaction sweep (the first stage to
-   shard across domains) and was lifted out unchanged when the
-   element-check and device-recognition sweeps joined it: an ordered
-   worklist is cut into contiguous chunks sized from a caller-supplied
-   weight estimate, and worker domains claim chunks from an [Atomic]
-   counter until the queue is dry.  With one domain the calling domain
-   drains the same queue alone, through the same per-domain state and
-   merge, so there is no second code path to keep in step.
+   An ordered worklist is cut into contiguous chunks sized from a
+   caller-supplied weight estimate, and worker domains claim chunks from
+   an [Atomic] counter until the queue is dry.  With one domain the
+   calling domain drains the same queue alone, through the same
+   per-domain state and merge, so there is no second code path to keep
+   in step.
 
    Contiguity is the determinism lever: results are identified by chunk
    index, so the caller can reassemble them in worklist order and the
@@ -18,7 +16,7 @@
    Each worker gets its own [Metrics.t] and [Trace.t] (merged into the
    caller's after the join, in tid order), and spawned workers wrap
    their whole drain in [Metrics.count_gc] against their per-domain
-   buffer.  [Gc.quick_stat] is domain-local, so this is what makes
+   buffer.  The GC readings are domain-local, so this is what makes
    [gc.*_words.<stage>] honest for a parallel stage: the caller's
    [Metrics.time_stage] covers the calling domain (including its own
    tid-0 share of the work), each worker counts its own churn, and the

@@ -1,6 +1,7 @@
-(** The cost-balanced domain scheduler of the parallel pipeline stages
-    (element checks, device recognition, relational checks, and the
-    interaction sweep) — their only scheduler, at every [jobs] value.
+(** The cost-balanced domain scheduler of the interaction sweep, the one
+    stage of a check that fans out across domains, at every [jobs]
+    value.  The per-definition stages run on the calling domain: their
+    work is small beside the spawn of a domain.
 
     An ordered worklist of [n] tasks is cut into contiguous chunks
     sized so each holds roughly 1/(8·jobs) of the caller-estimated
@@ -10,10 +11,11 @@
     domain drains the queue alone through the same per-domain state
     and merge.  When the runtime refuses a domain (it caps how many are
     live at once), no more are spawned and the domains already running
-    drain the queue, with the same results.  Chunk results come back in worklist order, so callers
-    that assemble them positionally produce byte-identical output at
-    every [jobs] value — which domain ran which chunk is the only
-    nondeterminism, and it is confined to scheduling.
+    drain the queue, with the same results.  Chunk results come back in
+    worklist order, so callers that assemble them positionally produce
+    byte-identical output at every [jobs] value — which domain ran
+    which chunk is the only nondeterminism, and it is confined to
+    scheduling.
 
     Observability: when [metrics] / [trace] are given, every worker
     accumulates into per-domain buffers that are merged into the
@@ -21,7 +23,7 @@
     emits a [shard[tid]] span (category ["shard"], args [stage],
     [tasks], [chunks]), and spawned workers charge their allocation to
     [gc.minor_words.<stage>] / [gc.major_words.<stage>] via
-    {!Metrics.count_gc} — [Gc.quick_stat] being domain-local, this plus
+    {!Metrics.count_gc} — the GC readings being domain-local, this plus
     the caller's own {!Metrics.time_stage} is what makes the per-stage
     GC counters sum allocation across {e all} domains rather than
     silently reporting the calling domain's share. *)

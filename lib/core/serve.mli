@@ -12,7 +12,7 @@
     { "id": any,              echoed back; also the cancellation key
       "path": "f.cif",        CIF file to check — or inline text:
       "cif": "DS 1; ...",
-      "jobs": 4,              parallel-stage domains for this check
+      "jobs": 4,              interaction-sweep domains for this check
       "check_same_net": true, net-blind ablation
       "werror": true,         exit 1 on warnings too
       "lint": true,           run the static lint passes

@@ -112,15 +112,16 @@ let rec qualified prefix t acc =
 let labels t = List.sort_uniq String.compare (t.labels @ t.globals @ qualified "" t [])
 
 type net = {
-  auto_name : string;
+  gid : int;
   terminals : terminals;
   element_count : int;
 }
 
 type t = { nets : net list }
 
+let auto_name n = "n" ^ string_of_int n.gid
 let names n = labels n.terminals
-let display_name_of n names = match names with name :: _ -> name | [] -> n.auto_name
+let display_name_of n names = match names with name :: _ -> name | [] -> auto_name n
 let display_name n = display_name_of n (names n)
 
 let has_class n c = n.terminals.classes land class_bit c <> 0
@@ -129,7 +130,7 @@ let classes n =
   List.filter (has_class n) [ Tech.Netclass.Power; Tech.Netclass.Ground; Tech.Netclass.Bus ]
 
 let find_by_name t name =
-  List.find_opt (fun n -> n.auto_name = name || List.mem name (names n)) t.nets
+  List.find_opt (fun n -> auto_name n = name || List.mem name (names n)) t.nets
 
 let pp_net ppf n =
   Format.fprintf ppf "%s: %d element(s), %d terminal(s)%s" (display_name n)

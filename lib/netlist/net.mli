@@ -91,12 +91,15 @@ val labels : terminals -> string list
 (** {1 Nets} *)
 
 type net = {
-  auto_name : string;  (** generated dot-notation identifier *)
+  gid : int;  (** the net's group id in the root definition *)
   terminals : terminals;  (** the group's net tree: terminals and labels *)
   element_count : int;  (** interconnect elements on the net *)
 }
 
 type t = { nets : net list }
+
+(** The generated identifier, [n<gid>]: built on each call. *)
+val auto_name : net -> string
 
 (** [labels n.terminals]: the explicit labels merged into the net
     (empty for an anonymous net), built on each call. *)

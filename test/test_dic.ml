@@ -429,7 +429,7 @@ let test_interactions_same_net_skip () =
   let nets, _ = Dic.Netgen.build m in
   let vs, stats = Dic.Interactions.check nets in
   Alcotest.(check int) "no violations" 0 (List.length vs);
-  let c = Hashtbl.fold (fun _ (c : Dic.Interactions.cell_stats) acc -> acc + c.Dic.Interactions.skipped_same_net) stats.Dic.Interactions.cells 0 in
+  let c = List.fold_left (fun acc (_, _, (c : Dic.Interactions.cell_stats)) -> acc + c.Dic.Interactions.skipped_same_net) 0 (Dic.Interactions.touched_cells stats) in
   Alcotest.(check bool) "same-net skips recorded" true (c > 0)
 
 let test_interactions_short () =
@@ -767,11 +767,11 @@ let test_netcmp_generated_name () =
   let anon = List.find (fun n -> Netlist.Net.names n = []) nets
   and labelled = List.find (fun n -> List.length (Netlist.Net.names n) > 1) nets in
   Alcotest.(check bool) "unlabelled net, by generated name" true
-    (found anon.Netlist.Net.auto_name);
+    (found (Netlist.Net.auto_name anon));
   Alcotest.(check bool) "labelled net, by its last label" true
     (found (List.hd (List.rev (Netlist.Net.names labelled))));
   Alcotest.(check bool) "labelled net, not by generated name" false
-    (found labelled.Netlist.Net.auto_name)
+    (found (Netlist.Net.auto_name labelled))
 
 (* ------------------------------------------------------------------ *)
 (* Transformed instances                                               *)

@@ -801,18 +801,49 @@ let oracle_counters (s : Oracle.stats) =
 let counters (s : Dic.Interactions.stats) =
   let open Dic.Interactions in
   { cells =
-      Hashtbl.fold
-        (fun (la, lb) c acc ->
+      List.map
+        (fun (la, lb, c) ->
           ( (Tech.Layer.index la, Tech.Layer.index lb),
-            (c.pairs, c.checked, c.skipped_same_net, c.skipped_no_rule, c.skipped_device) )
-          :: acc)
-        s.cells []
-      |> List.sort compare;
+            (c.pairs, c.checked, c.skipped_same_net, c.skipped_no_rule, c.skipped_device) ))
+        (touched_cells s);
     hits = s.memo_hits;
     misses = s.memo_misses;
     rejects = s.bbox_rejects }
 
 let render vs = Format.asprintf "%a" Dic.Report.pp { Dic.Report.violations = vs }
+
+(* The [--stats] coverage text the oracle's counters call for: one line
+   per cell in (index, index) order, then the memo line. *)
+let oracle_coverage (s : Oracle.stats) =
+  let cell_lines =
+    Hashtbl.fold
+      (fun (la, lb) (c : Oracle.cell_stats) acc ->
+        ( (Tech.Layer.index la, Tech.Layer.index lb),
+          Printf.sprintf "%s-%s: pairs=%d checked=%d same-net-skip=%d no-rule=%d device=%d"
+            (Tech.Layer.to_cif la) (Tech.Layer.to_cif lb) c.Oracle.pairs c.Oracle.checked
+            c.Oracle.skipped_same_net c.Oracle.skipped_no_rule c.Oracle.skipped_device )
+        :: acc)
+      s.Oracle.cells []
+    |> List.sort compare |> List.map snd
+  in
+  ( cell_lines,
+    Printf.sprintf "memo: %d hits / %d misses; bbox rejects: %d" s.Oracle.memo_hits
+      s.Oracle.memo_misses s.Oracle.bbox_rejects )
+
+(* [pp_stats] against the oracle's coverage: the cell lines at every
+   jobs value, the memo line only where one domain warms one memo. *)
+let same_coverage what (want_cells, want_memo) st ~jobs =
+  let text = Format.asprintf "%a" Dic.Interactions.pp_stats st in
+  let got_memo, got_cells =
+    match List.rev (String.split_on_char '\n' text) with
+    | memo :: cells -> (memo, List.rev cells)
+    | [] -> ("", [])
+  in
+  if got_cells <> want_cells then
+    Alcotest.failf "%s: --stats cell lines differ from the oracle:\n--- oracle\n%s\n--- got\n%s"
+      what (String.concat "\n" want_cells) (String.concat "\n" got_cells);
+  if jobs = 1 && got_memo <> want_memo then
+    Alcotest.failf "%s: --stats memo line %S, oracle %S" what got_memo want_memo
 
 let same_as_oracle what (want_vs, want) (got_vs, got) ~jobs =
   if render got_vs <> render want_vs then
@@ -847,15 +878,16 @@ let check_model ?(exposure = false) name model =
   let plan = Dic.Interactions.plan nets in
   List.iter
     (fun (cname, config) ->
-      let want_vs, want = Oracle.run ~config ~rules ~dmax nets in
-      let want = (want_vs, oracle_counters want) in
+      let want_vs, want_stats = Oracle.run ~config ~rules ~dmax nets in
+      let want = (want_vs, oracle_counters want_stats) in
       let materialised =
         List.map
           (fun jobs ->
             let config = { config with Dic.Interactions.jobs } in
             let vs, st = Dic.Interactions.run ~config ~rules plan in
-            same_as_oracle (Printf.sprintf "%s, %s, jobs=%d" name cname jobs) want
-              (vs, counters st) ~jobs;
+            let what = Printf.sprintf "%s, %s, jobs=%d" name cname jobs in
+            same_as_oracle what want (vs, counters st) ~jobs;
+            same_coverage what (oracle_coverage want_stats) st ~jobs;
             st.Dic.Interactions.materialised)
           [ 1; 2 ]
       in

@@ -112,6 +112,27 @@ let test_merge () =
     Alcotest.(check bool) "sum added" true (s.Dic.Metrics.h_sum_ns = 30L)
   | None -> Alcotest.fail "histogram lost in merge"
 
+(* A stage is charged the words it allocated even when no minor
+   collection ran inside it; recording into a resolved histogram
+   allocates nothing. *)
+let test_allocation_counts () =
+  let m = Dic.Metrics.create () in
+  Gc.minor ();
+  let l = Dic.Metrics.time_stage m "build" (fun () -> List.init 1000 Fun.id) in
+  Alcotest.(check int) "list built" 1000 (List.length l);
+  let words = Dic.Metrics.counter m "gc.minor_words.build" in
+  Alcotest.(check bool) (Printf.sprintf "%d minor words >= 3000" words) true (words >= 3000);
+  let h = Dic.Metrics.hist m "h" in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    let t0 = Dic.Metrics.clock_ns () in
+    Dic.Metrics.observe h (Dic.Metrics.clock_ns () - t0)
+  done;
+  Alcotest.(check (float 0.)) "recording allocates nothing" 0. (Gc.minor_words () -. w0);
+  match Dic.Metrics.histogram m "h" with
+  | Some s -> Alcotest.(check int) "every observation kept" 10_000 s.Dic.Metrics.h_count
+  | None -> Alcotest.fail "histogram missing"
+
 (* ------------------------------------------------------------------ *)
 (* Gauges and sliding windows                                          *)
 
@@ -294,13 +315,11 @@ let test_stats_merge_totals () =
      memo hit/miss split may shift). *)
   let totals (r : Dic.Engine.result) =
     let s = r.Dic.Engine.interaction_stats in
-    Hashtbl.fold
-      (fun (la, lb) (c : Dic.Interactions.cell_stats) acc ->
+    List.map
+      (fun (la, lb, (c : Dic.Interactions.cell_stats)) ->
         ((Tech.Layer.index la, Tech.Layer.index lb),
-         (c.Dic.Interactions.pairs, c.Dic.Interactions.checked))
-        :: acc)
-      s.Dic.Interactions.cells []
-    |> List.sort compare
+         (c.Dic.Interactions.pairs, c.Dic.Interactions.checked)))
+      (Dic.Interactions.touched_cells s)
   in
   let file = salted_workload () in
   let serial = run_ok ~config:(with_jobs 1) file in
@@ -315,7 +334,8 @@ let () =
          Alcotest.test_case "canonical" `Quick test_canonical ]);
       ("counters",
        [ Alcotest.test_case "invariants" `Quick test_counter_invariants;
-         Alcotest.test_case "merge" `Quick test_merge ]);
+         Alcotest.test_case "merge" `Quick test_merge;
+         Alcotest.test_case "allocation" `Quick test_allocation_counts ]);
       ("gauges",
        [ Alcotest.test_case "readings" `Quick test_gauges;
          Alcotest.test_case "merge" `Quick test_gauge_merge ]);

@@ -361,7 +361,7 @@ let same_group ~root (a : Dic.Netgen.group) (b : Oracle.group) =
 
 let same_net (a : Netlist.Net.net) (b : Oracle.net) =
   Netlist.Net.names a = b.Oracle.names
-  && a.Netlist.Net.auto_name = b.Oracle.auto_name
+  && Netlist.Net.auto_name a = b.Oracle.auto_name
   && Netlist.Net.classes a = b.Oracle.classes
   && Netlist.Net.flatten a.Netlist.Net.terminals = b.Oracle.terminals
   && a.Netlist.Net.element_count = b.Oracle.element_count

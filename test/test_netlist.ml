@@ -84,7 +84,7 @@ let prop_uf_equivalence =
 let terminal path kind port = (path, Netlist.Net.port kind port)
 
 let net_with ?(names = []) ?(terminals = []) ?(elements = 1) auto =
-  { Netlist.Net.auto_name = auto;
+  { Netlist.Net.gid = Scanf.sscanf auto "n%d" Fun.id;
     terminals = Netlist.Net.union ~labels:names terminals;
     element_count = elements }
 
@@ -180,7 +180,7 @@ let test_label_trees () =
   let rng = Random.State.make [| 0x1abe1 |] in
   for case = 1 to 400 do
     let tree, reference = random_tree rng 3 in
-    let net = { Netlist.Net.auto_name = "n7"; terminals = tree; element_count = 1 } in
+    let net = { Netlist.Net.gid = 7; terminals = tree; element_count = 1 } in
     let names = Netlist.Net.names net in
     let what fmt = Printf.sprintf ("tree %d: " ^^ fmt) case in
     Alcotest.(check (list string)) (what "names") reference names;

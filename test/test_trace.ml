@@ -99,18 +99,22 @@ let shard_names trace =
       if e.Dic.Trace.e_cat = "shard" then Some e.Dic.Trace.e_name else None)
     (Dic.Trace.events trace)
 
-(* Shard spans come in one run per parallel stage (elements, devices,
-   and interactions can each fan out); within every run the names must
-   be consecutively numbered from shard[0]. *)
-let check_shard_runs label names =
-  let ok, _ =
-    List.fold_left
-      (fun (ok, next) name ->
-        if name = "shard[0]" then (ok, 1)
-        else (ok && name = Printf.sprintf "shard[%d]" next, next + 1))
-      (true, 0) names
+(* The interaction sweep is the check's only fan-out: at every jobs
+   value a single-deck check records exactly one shard[0] span, and it
+   belongs to the interaction stage; further shards, when there are
+   any, are numbered on from it. *)
+let check_one_sweep label trace =
+  let shards =
+    List.filter (fun e -> e.Dic.Trace.e_cat = "shard") (Dic.Trace.events trace)
   in
-  Alcotest.(check bool) label true ok
+  (match List.filter (fun e -> e.Dic.Trace.e_name = "shard[0]") shards with
+  | [ s0 ] ->
+    Alcotest.(check (option string)) (label ^ ": shard[0] is the interaction sweep's")
+      (Some "interactions") (List.assoc_opt "stage" s0.Dic.Trace.e_args)
+  | s -> Alcotest.failf "%s: %d shard[0] spans, expected 1" label (List.length s));
+  Alcotest.(check (list string)) (label ^ ": shards numbered from 0")
+    (List.init (List.length shards) (Printf.sprintf "shard[%d]"))
+    (shard_names trace)
 
 let test_shape_jobs_invariant () =
   let src = fig8_src () in
@@ -120,24 +124,12 @@ let test_shape_jobs_invariant () =
   let _ = run_ok ~config:(with_jobs 4) ~trace:t4 src in
   Alcotest.(check (list string)) "stage spans identical across jobs"
     (stage_names t1) (stage_names t4);
-  (* Every jobs value runs the parallel stages on the one scheduler, so
-     a serial run records one shard[0] per parallel stage it ran. *)
-  let parallel_stages =
-    List.filter
-      (fun n -> List.mem n [ "elements"; "devices"; "devices-relational"; "interactions" ])
-      (stage_names t1)
-  in
-  Alcotest.(check (list string)) "one shard[0] per parallel stage"
-    (List.map (fun _ -> "shard[0]") parallel_stages)
-    (shard_names t1);
-  let s4 = shard_names t4 in
-  Alcotest.(check bool) "parallel run has shards" true (List.length s4 >= 1);
-  check_shard_runs "shards in order" s4
+  check_one_sweep "jobs 1" t1;
+  check_one_sweep "jobs 4" t4
 
-(* Same invariant on a workload with enough distinct definitions that
-   the per-definition stages genuinely fan out, plus the symbol spans:
-   their multiset is jobs-invariant even though per-domain completion
-   order is not. *)
+(* Same invariant on a workload with several distinct definitions, plus
+   the symbol spans of the per-definition stages: their multiset is
+   jobs-invariant. *)
 let symbol_names trace =
   List.filter_map
     (fun e ->
@@ -157,12 +149,8 @@ let test_stage_parallel_shape () =
     (stage_names t1) (stage_names t4);
   Alcotest.(check (list string)) "symbol span multiset identical across jobs"
     (symbol_names t1) (symbol_names t4);
-  let s4 = shard_names t4 in
-  (* elements, devices and interactions each fan out: at least three
-     per-stage shard runs, i.e. shard[0] appears at least three times. *)
-  Alcotest.(check bool) "one shard run per parallel stage" true
-    (List.length (List.filter (( = ) "shard[0]") s4) >= 3);
-  check_shard_runs "each stage's shards consecutively numbered" s4
+  check_one_sweep "jobs 1" t1;
+  check_one_sweep "jobs 4" t4
 
 (* The interaction stage's own phases: the certificate build, the plan,
    the certificate guard prepass and the merge after the join each get
