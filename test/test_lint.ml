@@ -168,6 +168,119 @@ let test_of_string_line_numbers () =
   expect_error_line "lambda 100\nspace_poly 200\nspace_poly 400\n" "duplicate key" 3
 
 (* ------------------------------------------------------------------ *)
+(* Deck loader fuzz: the strict and the lenient loader agree           *)
+
+(* Seed decks: the shipped rule files and two canonical [to_string]
+   decks, the second with directed overrides. *)
+let seed_decks =
+  lazy
+    (List.map
+       (fun name ->
+         let path = List.find Sys.file_exists [ "../rules/" ^ name; "rules/" ^ name ] in
+         In_channel.with_open_text path In_channel.input_all)
+       [ "broken-demo.rules"; "contradictory-demo.rules"; "nmos-coarse.rules" ]
+    @ [ Tech.Rules.to_string rules;
+        Tech.Rules.to_string
+          { (Tech.Rules.nmos ~lambda:200 ()) with
+            Tech.Rules.pair_spaces =
+              [ ((Tech.Layer.Diffusion, Tech.Layer.Poly), 150);
+                ((Tech.Layer.Poly, Tech.Layer.Metal), 300) ] } ])
+
+type mutation =
+  | Truncate of int  (** keep the first [n] lines *)
+  | Duplicate of int  (** repeat an entry line right after itself *)
+  | Set_key of int * string
+  | Set_value of int * string
+  | Swap of int  (** value before key *)
+  | Extra_token of int
+  | Append_lambda of string
+
+let odd_values =
+  [ "0x190"; "4_00"; "1073741825"; "1073741824"; "abc"; "-5"; "0"; "1"; "150"; "301";
+    "500000000" ]
+
+let odd_keys =
+  [ "lambda"; "name"; "width_metal"; "space_poly"; "space_poly_diffusion";
+    "space_diffusion_poly"; "space_metal_metal"; "space_poly_metal"; "frobnicate";
+    "space_poly_bogus" ]
+
+let mutate lines m =
+  let split l =
+    match String.index_opt l '#' with
+    | Some j -> (String.sub l 0 j, String.sub l j (String.length l - j))
+    | None -> (l, "")
+  in
+  let tokens l =
+    List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim (fst (split l))))
+  in
+  (* Line-addressed mutations land on entry lines, not on comments. *)
+  let entries =
+    Array.of_list
+      (List.filter_map Fun.id (List.mapi (fun i l -> if tokens l = [] then None else Some i) lines))
+  in
+  let edit i f =
+    if entries = [||] then lines
+    else
+      let at = entries.(i mod Array.length entries) in
+      List.concat (List.mapi (fun j l -> if j = at then f l else [ l ]) lines)
+  in
+  let retoken l toks = [ String.concat " " toks ^ " " ^ snd (split l) ] in
+  match m with
+  | Truncate n -> List.filteri (fun j _ -> j < n) lines
+  | Duplicate i -> edit i (fun l -> [ l; l ])
+  | Set_key (i, k) ->
+    edit i (fun l -> match tokens l with _ :: rest -> retoken l (k :: rest) | [] -> [ l ])
+  | Set_value (i, v) ->
+    edit i (fun l -> match tokens l with k :: _ -> retoken l [ k; v ] | [] -> [ l ])
+  | Swap i -> edit i (fun l -> match tokens l with [ k; v ] -> retoken l [ v; k ] | _ -> [ l ])
+  | Extra_token i -> edit i (fun l -> retoken l (tokens l @ [ "extra" ]))
+  | Append_lambda v -> lines @ [ "lambda " ^ v ]
+
+let mutation_gen =
+  QCheck2.Gen.(
+    oneof
+      [ map (fun n -> Truncate n) (int_bound 30);
+        map (fun i -> Duplicate i) (int_bound 40);
+        map2 (fun i k -> Set_key (i, k)) (int_bound 40) (oneofl odd_keys);
+        map2 (fun i v -> Set_value (i, v)) (int_bound 40) (oneofl odd_values);
+        map (fun i -> Swap i) (int_bound 40);
+        map (fun i -> Extra_token i) (int_bound 40);
+        map (fun v -> Append_lambda v) (oneofl odd_values) ])
+
+let mutated_deck_gen =
+  QCheck2.Gen.(
+    map2
+      (fun seed muts ->
+        String.concat "\n" (List.fold_left mutate (String.split_on_char '\n' seed) muts))
+      (delay (fun () -> oneofl (Lazy.force seed_decks)))
+      (list_size (int_range 1 4) mutation_gen))
+
+(* The codes that mean "this deck does not load as written". *)
+let load_error_codes = [ "R002"; "R008"; "R009"; "R010"; "R011" ]
+
+let loaders_agree_prop =
+  QCheck2.Test.make ~name:"strict loader accepts exactly what lint loads cleanly"
+    ~count:2000 ~print:Fun.id mutated_deck_gen (fun src ->
+      let strict =
+        try Tech.Rules.of_string src
+        with e -> QCheck2.Test.fail_reportf "of_string raised %s" (Printexc.to_string e)
+      in
+      let _, diags =
+        try Dic.Lint.check_deck_source src
+        with e ->
+          QCheck2.Test.fail_reportf "check_deck_source raised %s" (Printexc.to_string e)
+      in
+      match
+        (strict, List.filter (fun d -> List.mem d.Dic.Lint.code load_error_codes) diags)
+      with
+      | Ok _, [] | Error _, _ :: _ -> true
+      | Ok _, d :: _ ->
+        QCheck2.Test.fail_reportf "of_string accepted a deck lint reports %s on"
+          d.Dic.Lint.code
+      | Error msg, [] ->
+        QCheck2.Test.fail_reportf "of_string refused (%s) a deck lint loads cleanly" msg)
+
+(* ------------------------------------------------------------------ *)
 (* Design pass: syntax-tree fixtures                                   *)
 
 let file_of ?(top = []) symbols = B.file ~symbols ~top_calls:top ()
@@ -475,7 +588,10 @@ let () =
           Alcotest.test_case "value bound" `Quick test_value_bound;
           Alcotest.test_case "relocated record diags" `Quick test_record_diags_relocated;
           Alcotest.test_case "broken-demo fixture" `Quick test_broken_demo_deck;
-          Alcotest.test_case "of_string line numbers" `Quick test_of_string_line_numbers ] );
+          Alcotest.test_case "of_string line numbers" `Quick test_of_string_line_numbers;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0xdec |])
+            loaders_agree_prop ] );
       ( "design",
         [ Alcotest.test_case "D001 undefined call" `Quick test_d001_undefined_call;
           Alcotest.test_case "D002 call cycle" `Quick test_d002_call_cycle;
