@@ -576,7 +576,8 @@ let trace_overhead () =
 
 (* The lint passes are advertised as linear-ish in the deck and
    hierarchy size, cheap enough to leave on (--lint) for every check.
-   Prove it: deck + syntax-tree + model lints on shift-register-1024
+   Prove it: the deck pass (R001–R014, the closure codes included, as
+   --lint runs it) + syntax-tree + model lints on shift-register-1024
    must cost under 5% of a full cold check of the same design, or the
    bench aborts. *)
 
@@ -1195,9 +1196,10 @@ let multideck_bench () =
 
 (* Two claims, both gated:
 
-   - the constraint-graph closure over a deck (R012+ derivations,
-     {!Dic.Deckcheck.check_deck}) is a micro-cost — microseconds per
-     deck, so `lint` and `serve` can run it on every request;
+   - the whole deck pass over a deck (R001–R014, closure included:
+     {!Dic.Lint.check_deck}) is a micro-cost — microseconds per deck,
+     so `lint` and `serve` can run it on every request.  The figure
+     keeps its [closure_us] name;
    - the static immunity certificates prune a nonzero fraction of rule
      evaluations on the replicated PLA workloads while the analysis
      itself (certify + guard prepass) stays under 5% of check time,
@@ -1232,7 +1234,7 @@ let deckcheck_bench () =
       let _, t =
         wall (fun () ->
             for _ = 1 to 1000 do
-              diags := Dic.Deckcheck.check_deck r
+              diags := Dic.Lint.check_deck r
             done)
       in
       let us = t /. 1000. *. 1e6 in

@@ -258,33 +258,22 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
       2)
   | None ->
     (* Each --rules FILE is one deck; none means the built-in NMOS
-       rules.  Deck lint (R001–R011) and the constraint-graph analysis
-       (R012–R014) run per deck; with two or more decks the pairwise
-       subsumption verdicts (R015) print as "deck relation" lines after
-       the diagnostics. *)
+       rules.  The deck lint (R001–R014) runs per deck; with two or
+       more decks the pairwise subsumption verdicts (R015) print as
+       "deck relation" lines after the diagnostics. *)
     let decks =
       match rules_files with
       | [] ->
         let r = Tech.Rules.nmos ~lambda () in
-        [ ("<builtin-rules>", Some r,
-           Dic.Lint.sort (Dic.Lint.check_deck r @ Dic.Deckcheck.check_deck r)) ]
+        [ ("<builtin-rules>", r, Dic.Lint.check_deck r) ]
       | paths ->
         List.map
           (fun path ->
             let d, diags = Dic.Lint.check_deck_source (read_file path) in
-            let diags =
-              match d with
-              | Some deck -> Dic.Lint.sort (diags @ Dic.Deckcheck.check_deck deck)
-              | None -> diags
-            in
             (path, d, diags))
           paths
     in
-    let primary_rules =
-      match decks with
-      | (_, Some r, _) :: _ -> r
-      | _ -> Tech.Rules.nmos ~lambda ()
-    in
+    let _, primary_rules, _ = List.hd decks in
     let design_diags, design_src, file_waivers =
       match file with
       | None -> ([], None, [])
@@ -302,9 +291,8 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
     let deck_out =
       List.map
         (fun (path, d, diags) ->
-          let dw = match d with Some r -> r.Tech.Rules.waivers | None -> [] in
           let kept, supp =
-            Dic.Lint.partition_waived ~waivers:(dw @ file_waivers) diags
+            Dic.Lint.partition_waived ~waivers:(d.Tech.Rules.waivers @ file_waivers) diags
           in
           (path, d, kept, supp))
         decks
@@ -324,11 +312,10 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
     (match design_src with
     | Some f -> List.iter (fun d -> say (Dic.Lint.render ~src:f d)) design_kept
     | None -> ());
-    let parsed =
-      List.filter_map (fun (p, d, _, _) -> Option.map (fun r -> (p, r)) d) deck_out
-    in
     let relations =
-      if List.length parsed >= 2 then Dic.Deckcheck.relation_lines parsed else []
+      match deck_out with
+      | _ :: _ :: _ -> Dic.Lint.relation_lines (List.map (fun (p, d, _, _) -> (p, d)) deck_out)
+      | _ -> []
     in
     List.iter (fun line -> say ("deck relation: " ^ line)) relations;
     let all = List.concat_map (fun (_, _, kept, _) -> kept) deck_out @ design_kept in
@@ -380,8 +367,7 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
         let runs =
           List.mapi
             (fun i (p, d, kept, _) ->
-              let rules = match d with Some r -> r | None -> primary_rules in
-              (p, rules, report_of (if i = 0 then kept @ design_kept else kept)))
+              (p, d, report_of (if i = 0 then kept @ design_kept else kept)))
             deck_out
         in
         let supp =

@@ -1,37 +1,6 @@
-(** Deck semantic analysis — the rule-implication engine and the
-    static immunity certificates it justifies.
-
-    {!Lint} judges deck entries one at a time; this module reasons
-    about what the entries imply {e together}.  Two halves share the
-    arithmetic:
-
-    {2 Deck side}
-
-    A constraint graph over {!Tech.Rules}: nodes are the per-layer /
-    per-pair width, space and overlap bounds (including directed
-    [space_<a>_<b>] overrides), edges are the arithmetic implications
-    between them (a lambda entry implies every default, a directed
-    spelling implies the matrix cell, a surround chain implies a
-    minimal composite feature).  {!check_deck} walks the closure and
-    emits the R012+ codes registered in {!Lint.all_codes}:
-
-    - [R012] (error) — unsatisfiable combination: the closure derives
-      a composite lower bound that violates a declared minimum (e.g.
-      the minimal bonding pad, [contact_size + 2*pad_metal_surround],
-      below [width_metal]).  The implying chain is spelled out in the
-      message.
-    - [R013] (warning) — redundant entry: a written entry whose value
-      is already implied by others (the lambda default, the canonical
-      matrix cell, or the other directed spelling), so deleting it
-      changes nothing.
-    - [R014] (error) — non-monotone override family: the winning
-      spelling of a layer-pair family is strictly smaller than a
-      written-but-shadowed one; the deck {e reads} stricter than it
-      {e checks}, the missed-error hazard of the paper's Fig 1.
-    - [R015] (note) — cross-deck subsumption verdict, from
-      {!compare_rules} / {!deck_relations}.
-
-    {2 Design side}
+(** Static immunity certificates — the per-definition facts the
+    interaction stage consults to skip silent placement classes.  The
+    deck analysis (R001–R015) lives in {!Lint}.
 
     One fact and one guard.  A {!cert} holds the per-layer bounding
     boxes of a definition's whole instantiated subtree, in its own
@@ -57,47 +26,6 @@
     turns consultation off wholesale (see {!enabled}) for the identity
     smokes. *)
 
-(** {1 Deck analysis} *)
-
-(** Closure lints over one deck: R012 (unsatisfiable chains), R013
-    (redundant entries), R014 (non-monotone override families).
-    Located and sorted by {!Lint.locate}, like {!Lint.check_deck}: on
-    the defining deck line when the rule set came from text.  R013 and the
-    canonical-key clause of R014 need provenance to tell {e written}
-    entries from defaults, so they stay silent on programmatic rule
-    sets with empty [key_positions]. *)
-val check_deck : Tech.Rules.t -> Lint.diagnostic list
-
-(** How deck [a] relates to deck [b], pointwise over the semantic
-    constraint vector (per-layer minimum widths, per-layer and
-    per-pair effective spacings, device surrounds and overhangs).
-    Bigger is stricter everywhere; a checked same-net bound is
-    stricter than an unchecked one. *)
-type relation =
-  | Equivalent  (** same constraint vector *)
-  | Subsumes  (** [a] at least as strict everywhere, stricter somewhere *)
-  | Subsumed  (** [b] at least as strict everywhere, stricter somewhere *)
-  | Incomparable
-
-type comparison = {
-  cmp_relation : relation;
-  cmp_stronger : string list;
-      (** witness constraints where [a] is stricter, e.g.
-          ["width_metal 400 > 300"] *)
-  cmp_weaker : string list;  (** where [b] is stricter *)
-}
-
-val compare_rules : Tech.Rules.t -> Tech.Rules.t -> comparison
-
-(** Pairwise R015 subsumption notes over a labelled deck list, in
-    deck order ((0,1), (0,2), (1,2), …).  These feed the multi-deck
-    merged report, the lint CLI, and SARIF — never the per-deck
-    reports, which stay byte-identical to single-deck runs. *)
-val deck_relations : (string * Tech.Rules.t) list -> Lint.diagnostic list
-
-(** One printable line per relation note (the diagnostic message). *)
-val relation_lines : (string * Tech.Rules.t) list -> string list
-
 (** {1 Static immunity certificates} *)
 
 type cert = {
@@ -109,8 +37,6 @@ type cert = {
           built; the guard ignores incomplete certificates *)
 }
 
-val nlayers : int
-
 (** Build one symbol's certificate.  [lookup] resolves callee
     certificates by symbol id (the engine walks definitions
     callees-first, so they are always present; a miss just marks the
@@ -119,16 +45,13 @@ val certify : lookup:(int -> cert option) -> Model.symbol -> cert
 
 (** {1 Consulting certificates against a deck} *)
 
-(** The per-pair spacing requirement matrix of a deck: for every
-    (layer, layer) index pair, the largest gap the deck can demand
-    ([max] of the matrix cell's different-net and same-net bounds; [0]
-    for No-rule and Device-checked cells, which the pair check skips
-    regardless of geometry). *)
-val requirements : Tech.Rules.t -> int array
-
 type consult = {
   cs_cert : int -> cert option;  (** certificate by symbol id *)
-  cs_req : int array;  (** {!requirements} of the deck under check *)
+  cs_req : int array;
+      (** per {!Tech.Interaction.matrix} cell, the largest gap the deck
+          can demand: [max] of the cell's different-net and same-net
+          bounds, [0] for No-rule and Device-checked cells, which the
+          pair check skips regardless of geometry *)
 }
 
 val consult : cert_of:(int -> cert option) -> Tech.Rules.t -> consult

@@ -244,7 +244,7 @@ let check ?metrics ?trace ?progress t file =
                 let deck_diags =
                   List.map
                     (fun (g : Lint.diagnostic) -> { g with Lint.loc = None })
-                    (Lint.check_deck d.dk_rules @ Deckcheck.check_deck d.dk_rules)
+                    (Lint.check_deck d.dk_rules)
                 in
                 let diags = Lint.sort (deck_diags @ design) in
                 let waivers = d.dk_rules.Tech.Rules.waivers @ file.Cif.Ast.waivers in
@@ -283,8 +283,8 @@ let check ?metrics ?trace ?progress t file =
        beside the spawn of a domain, so the interaction sweep is the
        check's only fan-out.  Fresh slots run in worklist order —
        deck-major, then definition order — each inside its ["symbol"]
-       span and charged to its [symbol.<name>] cost bucket, which the
-       sweep's chunk sizing reads.  [assemble] then builds each deck's
+       span and charged to its [symbol.<name>] cost bucket (the
+       [--top-cost] view).  [assemble] then builds each deck's
        violations in definition order, replayed slots contributing their
        cached list in place. *)
     let sweep stage compute =
@@ -465,7 +465,7 @@ let check ?metrics ?trace ?progress t file =
     let relations =
       match decks with
       | _ :: _ :: _ when t.e_config.run_lint ->
-        Deckcheck.relation_lines (List.map (fun d -> (d.dk_label, d.dk_rules)) decks)
+        Lint.relation_lines (List.map (fun d -> (d.dk_label, d.dk_rules)) decks)
       | _ -> []
     in
     Metrics.count_report m (List.hd deck_results).dr_result.report;

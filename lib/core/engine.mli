@@ -140,14 +140,14 @@ type deck_result = {
           {!Lint.locate}); its key is the violation's context.  Empty
           when [run_lint] is off *)
   dr_suppressed : Lint.diagnostic list;
-      (** lint/deckcheck diagnostics waived for this deck (deck
+      (** lint diagnostics waived for this deck (deck
           [# lint: allow] comments plus the design's [4L] commands) —
           filtered out of [dr_result.report] at assembly time; empty
           when [run_lint] is off *)
 }
 
 (** The multi-result: per-deck results in deck order, plus the
-    pairwise deck-relation verdicts ({!Deckcheck.relation_lines};
+    pairwise deck-relation verdicts ({!Lint.relation_lines};
     empty unless lint ran over two or more decks). *)
 type multi = {
   results : deck_result list;

@@ -151,7 +151,6 @@ let gap2_of cfg ~cutoff2 ws a b =
    no symbol-id lookup.  A plan builds one frame per definition, callees
    first. *)
 type frame = {
-  f_idx : int;  (** position in the model's symbol list *)
   f_sym : Model.symbol;
   f_nets : Netgen.sym_nets;
   f_callees : frame array;  (** by call index *)
@@ -162,8 +161,7 @@ let frames_of (nets : Netgen.t) =
   List.map
     (fun (s : Model.symbol) ->
       let f =
-        { f_idx = Hashtbl.length by_sid;
-          f_sym = s;
+        { f_sym = s;
           f_nets = Netgen.nets_of nets s.Model.sid;
           f_callees =
             Array.of_list
@@ -473,12 +471,12 @@ type dctx = {
   d_sa : site;  (** scratch site records over [d_ta]/[d_tb], live within one judged pair *)
   d_sb : site;
   d_entry : Tech.Interaction.entry array;
-      (** the run's rule deck, resolved per layer pair once — indexing
-          it allocates nothing, unlike re-deriving the entry per pair *)
+      (** the run's {!Tech.Interaction.matrix}, built once and shared
+          read-only by every domain *)
   mutable d_out : Report.violation list;  (** the current chunk's findings, newest first *)
 }
 
-let make_dctx rules cands =
+let make_dctx entries cands =
   let ta = Geom.Rects.empty () and tb = Geom.Rects.empty () in
   let scratch_site rects =
     { s_path = []; s_eid = -1; s_layer = Tech.Layer.Diffusion; s_rects = rects;
@@ -494,12 +492,7 @@ let make_dctx rules cands =
   in
   { d_stats = new_stats (); d_cands = cands; d_m = m; d_memoised = Memoised m;
     d_ws = Geom.Rects.make_ws (); d_ta = ta; d_tb = tb; d_sa = sa; d_sb = sb;
-    d_entry =
-      Array.init (nlayers * nlayers) (fun i ->
-          Tech.Interaction.entry rules
-            layer_of_index.(i / nlayers)
-            layer_of_index.(i mod nlayers));
-    d_out = [] }
+    d_entry = entries; d_out = [] }
 
 let[@inline] lift sub gid = if gid = no_net then no_net else sub.(gid)
 
@@ -926,33 +919,21 @@ let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan
           Metrics.incr ~by:skips m "analysis.certified_skips";
           Some arr)
   in
-  (* Balanced scheduling on the {!Parallel} queue.  The weight estimate
-     reuses the [symbol.<name>] cost buckets the per-definition stages
-     recorded into [metrics]: a definition that was expensive to sweep
-     has bigger geometry and costs more to judge, so its tasks land in
-     smaller chunks.  Chunk results come back in worklist order, so the
-     report is byte-identical at every [jobs] value and across repeated
-     runs; which domain evaluated which chunk — and hence each domain's
-     memo hit/miss split — is the only thing that varies.  Every domain,
-     the calling one included, judges from its own class-indexed
-     candidate array, seeded from the memo; the classes it computed
-     merge back after the join. *)
-  let weight_of_frame =
-    Array.map
-      (fun fr ->
-        let c = Metrics.cost_ns m ("symbol." ^ fr.f_sym.Model.sname) in
-        1 + Int64.to_int (Int64.div c 1_000_000L))
-      p.pl_frames
-  in
+  (* Scheduling on the {!Parallel} queue, in chunks of equal task
+     count.  Chunk results come back in worklist order, so the report is
+     byte-identical at every [jobs] value and across repeated runs;
+     which domain evaluated which chunk — and hence each domain's memo
+     hit/miss split — is the only thing that varies.  Every domain, the
+     calling one included, reads the one entry matrix and judges from
+     its own class-indexed candidate array, seeded from the memo; the
+     classes it computed merge back after the join. *)
+  let entries = Tech.Interaction.matrix rules in
   let seeded = Array.map (Placement_class.Tbl.find_opt memo) p.pl_classes in
   let jobs = if config.jobs <= 0 then Domain.recommended_domain_count () else config.jobs in
   let domains = ref [] in
   let chunks =
-    Parallel.run ~metrics:m ?trace ~jobs ~stage:"interactions"
-      ~weight:(fun i ->
-        if skipped silent tasks.(i) then 1 else weight_of_frame.((frame_of tasks.(i)).f_idx))
-      ~n:(Array.length tasks)
-      ~worker:(fun _tid -> make_dctx rules (Array.copy seeded))
+    Parallel.run ~metrics:m ?trace ~jobs ~stage:"interactions" ~n:(Array.length tasks)
+      ~worker:(fun _tid -> make_dctx entries (Array.copy seeded))
       (* Given [metrics], the scheduler hands every domain its buffer. *)
       ~chunk:(fun dctx dm _dt ~lo ~hi -> run_span (Option.get dm) ?silent config p lo hi dctx)
       ~merge:(fun dctx -> domains := dctx :: !domains)

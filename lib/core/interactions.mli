@@ -42,15 +42,13 @@
     definition, its sites, the calls involved and, for an instance
     pair, its placement class).  This sweep is the only stage of the
     check that fans out across domains.  The worklist runs on
-    {!Parallel.run} at every [jobs] value: it is cut into chunks whose
-    boundaries are chosen from the per-symbol cost profile of the
-    previous stages (the [symbol.<name>] buckets of the caller's
-    {!Metrics}, when given) so each chunk carries roughly equal work,
-    and the chunks are drained
+    {!Parallel.run} at every [jobs] value: it is cut into chunks of
+    equal task count, and the chunks are drained
     from a shared [Atomic] counter by up to {!config.jobs} domains — the
     calling domain alone at [jobs = 1] — so a domain that finishes early
     steals the next unclaimed chunk instead of idling.  Every domain
-    judges with its own error list, statistics and candidate array —
+    reads the deck's one {!Tech.Interaction.matrix}, built once per run,
+    and judges with its own error list, statistics and candidate array —
     indexed by the plan's class id and seeded from the memo — merged
     after the join; violations are reassembled {e by chunk index}, not
     by completion order.

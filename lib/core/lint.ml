@@ -189,7 +189,48 @@ let check_deck (r : Tech.Rules.t) =
                  %d: every legal contact landing pad violates the width rule"
                 pad (Tech.Layer.to_cif layer) mw)))
     [ Tech.Layer.Diffusion; Tech.Layer.Poly; Tech.Layer.Metal ];
-  (* R005 / R006 / R007: directed pair overrides against the Fig 12 matrix. *)
+  (* R012: composite lower bounds derived by the closure against the
+     declared minimums.  The bonding-pad chain: a pad is a glass
+     opening (minimum width [contact_size], like every cut layer)
+     surrounded by [pad_metal_surround] of metal, so the smallest
+     legal pad is [contact_size + 2*pad_metal_surround] of metal —
+     which must itself satisfy [width_metal]. *)
+  let glass = Tech.Rules.min_width r Tech.Layer.Glass in
+  let pad = glass + (2 * r.Tech.Rules.pad_metal_surround) in
+  if pad < r.Tech.Rules.width_metal then
+    add
+      (mk "R012" Error "pad_metal_surround"
+         (Printf.sprintf
+            "unsatisfiable: glass opening >= contact_size %d, so the minimal bonding \
+             pad is %d + 2*pad_metal_surround %d = %d of metal, below width_metal %d \
+             — no legal pad exists"
+            glass glass r.Tech.Rules.pad_metal_surround pad r.Tech.Rules.width_metal));
+  (* R013 needs provenance to tell written entries from implied
+     defaults, so its clauses only run for decks from text. *)
+  let written key = Tech.Rules.position r key <> None in
+  let has_provenance = r.Tech.Rules.key_positions <> [] in
+  (* R013a: an explicit canonical entry equal to its lambda default is
+     implied by the [lambda] node alone. *)
+  if has_provenance then begin
+    let default_fields = Tech.Rules.fields (Tech.Rules.nmos ~lambda:r.Tech.Rules.lambda ()) in
+    List.iter
+      (fun (key, v) ->
+        if key <> "lambda" && written key then
+          match List.assoc_opt key default_fields with
+          | Some dv when dv = v ->
+            add
+              (mk "R013" Warning key
+                 (Printf.sprintf
+                    "redundant: %s %d is already implied by lambda %d (the default \
+                     is %d); deleting the entry changes nothing"
+                    key v r.Tech.Rules.lambda dv))
+          | _ -> ())
+      (Tech.Rules.fields r)
+  end;
+  (* R005–R007, R013b, R014: one walk over the unordered cells the
+     directed overrides name, against the Fig 12 matrix.  Overrides
+     never change a cell's kind, so the effective matrix classifies the
+     base cell too. *)
   let cells =
     List.sort_uniq compare
       (List.map
@@ -199,24 +240,25 @@ let check_deck (r : Tech.Rules.t) =
   in
   List.iter
     (fun (lo, hi) ->
-      let key = Tech.Rules.pair_key_name (lo, hi) in
+      let up = Tech.Rules.pair_key_name (lo, hi)
+      and down = Tech.Rules.pair_key_name (hi, lo) in
       if Tech.Layer.equal lo hi then
         add
-          (mk "R007" Warning key
+          (mk "R007" Warning up
              (Printf.sprintf "%s duplicates the canonical space_%s rule and is ignored"
-                key (Tech.Rules.layer_name lo)))
+                up (Tech.Rules.layer_name lo)))
       else
         match Tech.Interaction.entry r lo hi with
         | Tech.Interaction.No_rule ->
           add
-            (mk "R006" Error key
+            (mk "R006" Error up
                (Printf.sprintf
                   "no rule relates %s and %s (No-rule matrix cell): the spacing \
                    override is never consulted"
                   (Tech.Layer.to_cif lo) (Tech.Layer.to_cif hi)))
         | Tech.Interaction.Device_checked ->
           add
-            (mk "R006" Error key
+            (mk "R006" Error up
                (Printf.sprintf
                   "%s-%s interactions are checked inside device symbols \
                    (Device-checked matrix cell): the spacing override is never \
@@ -225,14 +267,14 @@ let check_deck (r : Tech.Rules.t) =
         | Tech.Interaction.Space _ ->
           let asc = Tech.Rules.pair_space r lo hi
           and desc = Tech.Rules.pair_space r hi lo
-          and base = Tech.Rules.cross_layer_space r lo hi in
-          let values =
-            List.sort_uniq Int.compare
-              (List.filter_map Fun.id [ asc; desc; base ])
-          in
-          if List.length values > 1 then
+          and base = Tech.Rules.cross_layer_space r lo hi
+          and winner = Tech.Rules.cell_space_override r lo hi in
+          let effective = match winner with Some v -> Some v | None -> base in
+          (* R005: the family's written values disagree. *)
+          if List.length (List.sort_uniq Int.compare (List.filter_map Fun.id [ asc; desc; base ])) > 1
+          then
             add
-              (mk "R005" Error key
+              (mk "R005" Error up
                  (Printf.sprintf
                     "%s-%s spacing is asymmetric (%s): the matrix is symmetric, so \
                      only %d is checked"
@@ -241,86 +283,196 @@ let check_deck (r : Tech.Rules.t) =
                        (List.filter_map
                           (fun (name, v) ->
                             Option.map (fun v -> Printf.sprintf "%s %d" name v) v)
-                          [ (key, asc); (Tech.Rules.pair_key_name (hi, lo), desc);
-                            ("canonical", base) ]))
-                    (match
-                       Tech.Rules.cell_space_override r lo hi
-                     with
-                    | Some v -> v
-                    | None -> Option.value ~default:0 base))))
+                          [ (up, asc); (down, desc); ("canonical", base) ]))
+                    (Option.value ~default:0 effective)));
+          if has_provenance then begin
+            (* R013b: the descending spelling merely repeats the
+               ascending one. *)
+            (match (asc, desc) with
+            | Some a, Some d when a = d ->
+              add
+                (mk "R013" Warning down
+                   (Printf.sprintf
+                      "redundant: %s %d duplicates %s %d; deleting it changes nothing"
+                      down d up a))
+            | _ -> ());
+            (* R013b: a lone override that restates the canonical cell. *)
+            match (asc, desc, base) with
+            | (Some v, None, Some bv | None, Some v, Some bv) when v = bv ->
+              let key = if Option.is_some asc then up else down in
+              add
+                (mk "R013" Warning key
+                   (Printf.sprintf
+                      "redundant: %s %d equals the canonical %s-%s spacing %d it \
+                       overrides; deleting it changes nothing"
+                      key v (Tech.Layer.to_cif lo) (Tech.Layer.to_cif hi) bv))
+            | _ -> ()
+          end;
+          (* R014: any written member of the family strictly above the
+             winning value is a silent weakening — the deck reads
+             stricter than it checks. *)
+          Option.iter
+            (fun eff ->
+              let winner_key =
+                match (winner, asc) with
+                | Some _, Some _ -> up
+                | Some _, None -> down
+                | None, _ -> "space_poly_diffusion"
+              in
+              let family =
+                List.filter_map Fun.id
+                  [ Option.map (fun v -> (up, v)) asc;
+                    Option.map (fun v -> (down, v)) desc;
+                    (match base with
+                    | Some bv
+                      when Tech.Layer.equal lo Tech.Layer.Diffusion
+                           && Tech.Layer.equal hi Tech.Layer.Poly
+                           && ((not has_provenance) || written "space_poly_diffusion") ->
+                      Some ("space_poly_diffusion", bv)
+                    | _ -> None) ]
+              in
+              List.iter
+                (fun (k, v) ->
+                  if v > eff && k <> winner_key then
+                    add
+                      (mk "R014" Error k
+                         (Printf.sprintf
+                            "non-monotone override family: %s %d is shadowed by the \
+                             effective %s %d — the deck reads stricter than it checks, \
+                             so real %s-%s errors between %d and %d go unflagged"
+                            k v winner_key eff (Tech.Layer.to_cif lo)
+                            (Tech.Layer.to_cif hi) eff v)))
+                family)
+            effective)
     cells;
   locate r !diags
 
 let check_deck_source src =
-  let entries, malformed = Tech.Rules.scan src in
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let at line = Some (Cif.Loc.make ~line ~col:1) in
-  List.iter
-    (fun (line, text) ->
-      add
-        (mk ?loc:(at line) "R010" Error text
-           (Printf.sprintf "malformed line: %S (expected \"key value\")" text)))
-    malformed;
-  (* First occurrence of a duplicated key wins, matching List.assoc
-     semantics; later ones are dead. *)
-  let seen = Hashtbl.create 16 in
-  let keep =
-    List.filter
-      (fun (e : Tech.Rules.entry_src) ->
-        match Hashtbl.find_opt seen e.Tech.Rules.key with
-        | Some first ->
-          add
-            (mk ?loc:(at e.Tech.Rules.eline) "R009" Error e.Tech.Rules.key
-               (Printf.sprintf
-                  "duplicate key %S: the first definition on line %d wins, this one \
-                   is dead"
-                  e.Tech.Rules.key first));
-          false
-        | None ->
-          Hashtbl.replace seen e.Tech.Rules.key e.Tech.Rules.eline;
-          true)
-      entries
-  in
-  let good =
-    List.filter
-      (fun (e : Tech.Rules.entry_src) ->
-        let known =
-          List.mem e.Tech.Rules.key Tech.Rules.known_keys
-          || Tech.Rules.pair_key e.Tech.Rules.key <> None
-        in
-        if not known then begin
-          add
-            (mk ?loc:(at e.Tech.Rules.eline) "R008" Error e.Tech.Rules.key
-               (Printf.sprintf "unknown rule key %S" e.Tech.Rules.key));
-          false
-        end
-        else if
-          e.Tech.Rules.key <> "name"
-          && match int_of_string_opt e.Tech.Rules.value with
-             | Some n -> not (Tech.Rules.in_range n)
-             | None -> true
-        then begin
-          add
-            (mk ?loc:(at e.Tech.Rules.eline) "R011" Error e.Tech.Rules.key
-               (Printf.sprintf "%s: expected a positive integer no larger than %d, got %S"
-                  e.Tech.Rules.key Tech.Rules.max_value e.Tech.Rules.value));
-          false
-        end
-        else true)
-      keep
-  in
-  let deck =
-    (* Carry the deck's own [# lint: allow] waivers, exactly as the
-       strict loader ([Tech.Rules.of_string]) does, so lint and check
-       honor the same suppressions. *)
-    Option.map
-      (fun t -> { t with Tech.Rules.waivers = Tech.Rules.scan_waivers src })
-      (Result.to_option (Tech.Rules.of_entries good))
+  let deck, problems = Tech.Rules.load src in
+  let diagnostic { Tech.Rules.line; kind } =
+    let mk = mk ~loc:(Cif.Loc.make ~line ~col:1) in
+    match kind with
+    | Tech.Rules.Malformed text ->
+      mk "R010" Error text
+        (Printf.sprintf "malformed line: %S (expected \"key value\")" text)
+    | Tech.Rules.Duplicate { key; first } ->
+      mk "R009" Error key
+        (Printf.sprintf
+           "duplicate key %S: the first definition on line %d wins, this one is dead" key
+           first)
+    | Tech.Rules.Unknown_key key -> mk "R008" Error key (Printf.sprintf "unknown rule key %S" key)
+    | Tech.Rules.Bad_value { key; value } ->
+      mk "R011" Error key
+        (Printf.sprintf "%s: expected a positive integer no larger than %d, got %S" key
+           Tech.Rules.max_value value)
   in
   (* The deck keeps the surviving entries' positions, so [check_deck]
      places its diagnostics on their defining lines. *)
-  (deck, sort (!diags @ Option.fold ~none:[] ~some:check_deck deck))
+  (deck, sort (List.map diagnostic problems @ check_deck deck))
+
+(* ------------------------------------------------------------------ *)
+(* Cross-deck subsumption — R015                                       *)
+
+type relation = Equivalent | Subsumes | Subsumed | Incomparable
+
+type comparison = {
+  cmp_relation : relation;
+  cmp_stronger : string list;
+  cmp_weaker : string list;
+}
+
+(* The semantic constraint vector: every effective bound the checker
+   can consult, independent of how the deck spelled it.  Bigger is
+   stricter everywhere; an unchecked same-net bound is encoded below
+   any checked one. *)
+let constraint_vector (r : Tech.Rules.t) =
+  let widths =
+    List.map
+      (fun l -> (Printf.sprintf "width_%s" (Tech.Rules.layer_name l), Tech.Rules.min_width r l))
+      Tech.Layer.routing
+  in
+  let spaces =
+    List.map
+      (fun l ->
+        (Printf.sprintf "space_%s" (Tech.Rules.layer_name l), Tech.Rules.same_layer_space r l))
+      Tech.Layer.routing
+  in
+  let cells =
+    List.concat_map
+      (fun (la, lb, entry) ->
+        if Tech.Layer.equal la lb then []
+        else
+          match entry with
+          | Tech.Interaction.No_rule | Tech.Interaction.Device_checked -> []
+          | Tech.Interaction.Space { same_net; diff_net } ->
+            [ (Tech.Rules.pair_key_name (la, lb), diff_net);
+              (Tech.Rules.pair_key_name (la, lb) ^ "(same-net)",
+               match same_net with None -> -1 | Some v -> v) ])
+      (Tech.Interaction.cells r)
+  in
+  let devices =
+    [ ("contact_size", r.Tech.Rules.contact_size);
+      ("gate_poly_overhang", r.Tech.Rules.gate_poly_overhang);
+      ("gate_diff_extension", r.Tech.Rules.gate_diff_extension);
+      ("contact_surround", r.Tech.Rules.contact_surround);
+      ("implant_gate_surround", r.Tech.Rules.implant_gate_surround);
+      ("buried_overlap", r.Tech.Rules.buried_overlap);
+      ("pad_metal_surround", r.Tech.Rules.pad_metal_surround) ]
+  in
+  widths @ spaces @ cells @ devices
+
+let compare_rules a b =
+  let va = constraint_vector a and vb = constraint_vector b in
+  let stronger = ref [] and weaker = ref [] in
+  List.iter2
+    (fun (ka, x) (_, y) ->
+      if x > y then stronger := Printf.sprintf "%s %d > %d" ka x y :: !stronger
+      else if x < y then weaker := Printf.sprintf "%s %d < %d" ka x y :: !weaker)
+    va vb;
+  let stronger = List.rev !stronger and weaker = List.rev !weaker in
+  let cmp_relation =
+    match (stronger, weaker) with
+    | [], [] -> Equivalent
+    | _, [] -> Subsumes
+    | [], _ -> Subsumed
+    | _ -> Incomparable
+  in
+  { cmp_relation; cmp_stronger = stronger; cmp_weaker = weaker }
+
+let relation_message (la, _) (lb, _) cmp =
+  let sample = function [] -> "" | w :: _ -> Printf.sprintf " (e.g. %s)" w in
+  match cmp.cmp_relation with
+  | Equivalent ->
+    Printf.sprintf "deck %s is equivalent to deck %s: identical effective constraints"
+      la lb
+  | Subsumes ->
+    Printf.sprintf
+      "deck %s subsumes deck %s: at least as strict everywhere, stricter at %d \
+       constraint(s)%s — a design clean under %s is provably clean under %s"
+      la lb (List.length cmp.cmp_stronger) (sample cmp.cmp_stronger) la lb
+  | Subsumed ->
+    Printf.sprintf
+      "deck %s subsumes deck %s: at least as strict everywhere, stricter at %d \
+       constraint(s)%s — a design clean under %s is provably clean under %s"
+      lb la (List.length cmp.cmp_weaker) (sample cmp.cmp_weaker) lb la
+  | Incomparable ->
+    Printf.sprintf
+      "decks %s and %s are incomparable: %s stricter at %d constraint(s)%s, %s \
+       stricter at %d%s"
+      la lb la (List.length cmp.cmp_stronger) (sample cmp.cmp_stronger) lb
+      (List.length cmp.cmp_weaker) (sample cmp.cmp_weaker)
+
+let deck_relations decks =
+  let rec pairs = function
+    | [] -> []
+    | d :: rest -> List.map (fun e -> (d, e)) rest @ pairs rest
+  in
+  List.map
+    (fun (((la, ra) as a), ((lb, rb) as b)) ->
+      mk "R015" Note (Printf.sprintf "%s/%s" la lb) (relation_message a b (compare_rules ra rb)))
+    (pairs decks)
+
+let relation_lines decks = List.map (fun d -> d.message) (deck_relations decks)
 
 (* ------------------------------------------------------------------ *)
 (* Design pass: syntax tree                                            *)

@@ -54,15 +54,32 @@ val explain : string -> string option
 
 (** {1 Rule-deck pass — R0xx} *)
 
-(** Record-level deck lints (R001–R007): odd min-widths, non-positive
-    values, off-quantum values, surrounds inconsistent with
-    [contact_size], and asymmetric / unreachable / shadowed directed
-    pair overrides.  Located by {!locate}. *)
+(** The deck analysis, R001–R007 and R012–R014, in one pass over the
+    resolved deck:
+
+    - per value: odd minimum widths (R001), values outside
+      {!Tech.Rules.in_range} (R002), off-quantum values (R003), and a
+      contact landing pad below a conductor's width (R004);
+    - the closure: an unsatisfiable chain (R012, error — the minimal
+      bonding pad, [contact_size + 2*pad_metal_surround], below
+      [width_metal]) and written entries their lambda default already
+      implies (R013);
+    - one walk over the matrix cells the directed [space_<a>_<b>]
+      overrides name: same-layer (R007) and unreachable (R006)
+      overrides, disagreeing spellings (R005), spellings that repeat
+      the other spelling or the canonical cell (R013), and a winning
+      spelling strictly below a shadowed one (R014, error — the deck
+      reads stricter than it checks, the missed-error hazard of the
+      paper's Fig 1).
+
+    R013 and the canonical-key clause of R014 need provenance to tell
+    {e written} entries from defaults, so they stay silent on
+    programmatic rule sets with empty [key_positions].  Located by
+    {!locate}. *)
 val check_deck : Tech.Rules.t -> diagnostic list
 
 (** [locate deck diags] — the one locator of deck diagnostics, which
-    both deck passes ({!check_deck} and {!Deckcheck.check_deck}) end
-    with: each deck diagnostic ([R0xx] code) whose subject is a key
+    {!check_deck} ends with: each deck diagnostic ([R0xx] code) whose subject is a key
     [deck] writes in text is placed at column 1 of that key's line
     ({!Tech.Rules.position}); every other diagnostic is left alone.
     Sorted.  A position found this way is a line of the rule file, so
@@ -73,15 +90,47 @@ val check_deck : Tech.Rules.t -> diagnostic list
     deck's file. *)
 val locate : Tech.Rules.t -> diagnostic list -> diagnostic list
 
-(** Lenient rule-file lint: tokenizes with {!Tech.Rules.scan}, flags
-    malformed lines (R010), unknown keys (R008), duplicate keys —
-    first occurrence wins — (R009) and bad values (R011), builds a
-    best-effort deck from the surviving entries, then runs
-    {!check_deck} on it, whose diagnostics land on their defining
-    lines because the deck keeps the surviving entries' positions.
-    Returns [None] for the deck only if not even a default deck could
-    be built (never, in practice). *)
-val check_deck_source : string -> Tech.Rules.t option * diagnostic list
+(** Lenient rule-file lint over {!Tech.Rules.load}: each entry problem
+    becomes a diagnostic on its line — malformed lines (R010),
+    duplicate keys, the first occurrence winning (R009), unknown keys
+    (R008) and bad values (R011) — and {!check_deck} runs on the deck
+    the surviving entries describe, whose diagnostics land on their
+    defining lines because the deck keeps the survivors' positions.
+    Returns that deck, waivers attached, with the sorted
+    diagnostics. *)
+val check_deck_source : string -> Tech.Rules.t * diagnostic list
+
+(** {2 Cross-deck subsumption — R015} *)
+
+(** How deck [a] relates to deck [b], pointwise over the semantic
+    constraint vector (per-layer minimum widths, per-layer and
+    per-pair effective spacings, device surrounds and overhangs).
+    Bigger is stricter everywhere; a checked same-net bound is
+    stricter than an unchecked one. *)
+type relation =
+  | Equivalent  (** same constraint vector *)
+  | Subsumes  (** [a] at least as strict everywhere, stricter somewhere *)
+  | Subsumed  (** [b] at least as strict everywhere, stricter somewhere *)
+  | Incomparable
+
+type comparison = {
+  cmp_relation : relation;
+  cmp_stronger : string list;
+      (** witness constraints where [a] is stricter, e.g.
+          ["width_metal 400 > 300"] *)
+  cmp_weaker : string list;  (** where [b] is stricter *)
+}
+
+val compare_rules : Tech.Rules.t -> Tech.Rules.t -> comparison
+
+(** Pairwise R015 subsumption notes over a labelled deck list, in
+    deck order ((0,1), (0,2), (1,2), …).  These feed the multi-deck
+    merged report, the lint CLI, and SARIF — never the per-deck
+    reports, which stay byte-identical to single-deck runs. *)
+val deck_relations : (string * Tech.Rules.t) list -> diagnostic list
+
+(** One printable line per relation note (the diagnostic message). *)
+val relation_lines : (string * Tech.Rules.t) list -> string list
 
 (** {1 Design pass — D0xx} *)
 
@@ -128,7 +177,7 @@ val to_violations : diagnostic list -> Report.violation list
 
 (** [partition_waived ~waivers diags] splits into (kept, suppressed)
     by membership of each diagnostic's code in [waivers] (see
-    {!Tech.Rules.scan_waivers} and the CIF [4L CODE;] extension).
+    {!Tech.Rules.waivers} and the CIF [4L CODE;] extension).
     Filtering happens at reporting time only — caches always hold the
     unfiltered list. *)
 val partition_waived :

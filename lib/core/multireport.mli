@@ -33,7 +33,7 @@ type t = {
   entries : entry list;
   summaries : deck_summary list;
   relations : string list;
-      (** pairwise deck-relation verdicts ({!Deckcheck} R015 lines);
+      (** pairwise deck-relation verdicts ({!Lint} R015 lines);
           empty for single-deck merges *)
 }
 

@@ -1,9 +1,9 @@
-(* The cost-balanced domain scheduler behind the interaction sweep, the
-   check's only fan-out, at every [jobs] value.
+(* The domain scheduler behind the interaction sweep, the check's only
+   fan-out, at every [jobs] value.
 
-   An ordered worklist is cut into contiguous chunks sized from a
-   caller-supplied weight estimate, and worker domains claim chunks from
-   an [Atomic] counter until the queue is dry.  With one domain the
+   An ordered worklist is cut into contiguous chunks of equal task
+   count, and worker domains claim chunks from an [Atomic] counter until
+   the queue is dry.  With one domain the
    calling domain drains the same queue alone, through the same
    per-domain state and merge, so there is no second code path to keep
    in step.
@@ -23,25 +23,12 @@
    merge sums them.  Tid 0 deliberately does {e not} re-count — it runs
    on the calling domain, inside the caller's own counter. *)
 
-let run ?metrics ?trace ~jobs ~stage ~weight ~n ~worker ~chunk ~merge () =
+let run ?metrics ?trace ~jobs ~stage ~n ~worker ~chunk ~merge () =
   let jobs = max 1 jobs in
-  let total = ref 0 in
-  for i = 0 to n - 1 do
-    total := !total + weight i
-  done;
   (* Roughly 8 chunks per domain: small enough that one expensive chunk
      cannot strand the queue, large enough to keep claims cheap. *)
-  let target = max 1 (!total / (jobs * 8)) in
-  let cuts = ref [ 0 ] and acc = ref 0 in
-  for i = 0 to n - 1 do
-    acc := !acc + weight i;
-    if !acc >= target && i + 1 < n then begin
-      cuts := (i + 1) :: !cuts;
-      acc := 0
-    end
-  done;
-  let starts = Array.of_list (List.rev (n :: !cuts)) in
-  let nchunks = Array.length starts - 1 in
+  let size = max 1 (n / (jobs * 8)) in
+  let nchunks = max 1 ((n + size - 1) / size) in
   (* A domain beyond the chunk count would find the queue dry. *)
   let jobs = min jobs nchunks in
   let next = Atomic.make 0 in
@@ -62,7 +49,7 @@ let run ?metrics ?trace ~jobs ~stage ~weight ~n ~worker ~chunk ~merge () =
           let rec drain () =
             let c = Atomic.fetch_and_add next 1 in
             if c < nchunks then begin
-              results.(c) <- Some (chunk st dm dt ~lo:starts.(c) ~hi:starts.(c + 1));
+              results.(c) <- Some (chunk st dm dt ~lo:(c * size) ~hi:(min n ((c + 1) * size)));
               drain ()
             end
           in

@@ -1,11 +1,11 @@
-(** The cost-balanced domain scheduler of the interaction sweep, the one
-    stage of a check that fans out across domains, at every [jobs]
-    value.  The per-definition stages run on the calling domain: their
-    work is small beside the spawn of a domain.
+(** The domain scheduler of the interaction sweep, the one stage of a
+    check that fans out across domains, at every [jobs] value.  The
+    per-definition stages run on the calling domain: their work is
+    small beside the spawn of a domain.
 
-    An ordered worklist of [n] tasks is cut into contiguous chunks
-    sized so each holds roughly 1/(8·jobs) of the caller-estimated
-    work, and [min jobs chunks] domains (the caller plus the spawned
+    An ordered worklist of [n] tasks is cut into contiguous chunks of
+    [max 1 (n / (8·jobs))] tasks each (the last one takes what is
+    left), and [min jobs chunks] domains (the caller plus the spawned
     workers) claim chunks from an [Atomic] counter until the queue is
     dry.  At [jobs = 1], or when there is a single chunk, the calling
     domain drains the queue alone through the same per-domain state
@@ -28,7 +28,7 @@
     GC counters sum allocation across {e all} domains rather than
     silently reporting the calling domain's share. *)
 
-(** [run ?metrics ?trace ~jobs ~stage ~weight ~n ~worker ~chunk ~merge ()]
+(** [run ?metrics ?trace ~jobs ~stage ~n ~worker ~chunk ~merge ()]
     evaluates tasks [0 .. n-1] across at most [jobs] domains (values
     below 1 count as 1) and returns the per-chunk results in worklist
     order.  [n = 0] yields one empty chunk, [[chunk st dm dt ~lo:0
@@ -36,8 +36,6 @@
     to do.
 
     - [stage] names the pipeline stage in shard spans and GC counters.
-    - [weight i] estimates the relative cost of task [i] (chunk sizing
-      only; any positive estimate is safe).
     - [worker tid] builds the per-domain state, on the domain that will
       use it ([tid = 0] is the calling domain).
     - [chunk st dm dt ~lo ~hi] evaluates tasks [lo .. hi-1] with that
@@ -51,7 +49,6 @@ val run :
   ?trace:Trace.t ->
   jobs:int ->
   stage:string ->
-  weight:(int -> int) ->
   n:int ->
   worker:(int -> 'st) ->
   chunk:('st -> Metrics.t option -> Trace.t option -> lo:int -> hi:int -> 'r) ->

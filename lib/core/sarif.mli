@@ -52,7 +52,7 @@ val of_report :
     that deck's waived diagnostics,
     rendered per-run as in {!of_report} (labels are unique after
     {!Engine.dedupe_labels}).  [relations] are the cross-deck
-    subsumption verdict lines ({!Deckcheck.relation_lines}); being
+    subsumption verdict lines ({!Lint.relation_lines}); being
     facts about deck {e pairs} they land in the log-level
     [properties.deckRelations] array rather than in any single run. *)
 val of_reports :

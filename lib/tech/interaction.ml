@@ -36,6 +36,11 @@ let entry rules a b =
     | None -> base)
   | base -> base
 
+let matrix rules =
+  let layers = Array.of_list Layer.all in
+  let n = Array.length layers in
+  Array.init (n * n) (fun i -> entry rules layers.(i / n) layers.(i mod n))
+
 let cells rules =
   let routing = Layer.routing in
   List.concat_map

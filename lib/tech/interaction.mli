@@ -31,6 +31,13 @@ type entry =
     exactly what the {!Dic.Lint} rule-deck pass flags (codes R005–R007). *)
 val entry : Rules.t -> Layer.t -> Layer.t -> entry
 
+(** The whole matrix over every layer, flat and built once per deck:
+    [(matrix rules).((Layer.index la * n) + Layer.index lb)] is
+    [entry rules la lb], with [n = List.length Layer.all].  The pair
+    judge and the certificate guard both index it, which allocates
+    nothing. *)
+val matrix : Rules.t -> entry array
+
 (** All upper-triangular (layer, layer, entry) cells over the routing
     layers, for reporting (bench [fig12_matrix_coverage]). *)
 val cells : Rules.t -> (Layer.t * Layer.t * entry) list

@@ -139,8 +139,6 @@ let fields t =
 let max_value = 1 lsl 30
 let in_range v = v >= 1 && v <= max_value
 
-let known_keys = "name" :: "lambda" :: List.map (fun (k, _, _) -> k) int_fields
-
 (* A directed [space_<a>_<b>] key over two layer names.  The canonical
    field names ([space_poly_diffusion], [space_diffusion], ...) are
    matched against [int_fields] first, so this only sees the generic
@@ -173,7 +171,13 @@ let to_string t =
     (List.sort compare_pair t.pair_spaces);
   Buffer.contents buf
 
-type entry_src = { eline : int; key : string; value : string }
+type problem_kind =
+  | Malformed of string
+  | Duplicate of { key : string; first : int }
+  | Unknown_key of string
+  | Bad_value of { key : string; value : string }
+
+type problem = { line : int; kind : problem_kind }
 
 (* [# lint: allow R003] (or a comma/space-separated list of codes) in a
    deck comment suppresses those lint codes for this deck.  Like
@@ -213,8 +217,13 @@ let scan_waivers src =
     (String.split_on_char '\n' src);
   List.sort_uniq compare !codes
 
-let scan src =
-  let entries = ref [] and malformed = ref [] in
+let load src =
+  let malformed = ref [] and dups = ref [] and bad = ref [] in
+  let problem acc line kind = acc := { line; kind } :: !acc in
+  (* The first occurrence of a key wins; a later one is dead. *)
+  let first_line = Hashtbl.create 16 in
+  let lambda = ref None and kept = ref [] in
+  let keep line key set = kept := (key, line, set) :: !kept in
   List.iteri
     (fun i line ->
       let ln = i + 1 in
@@ -227,77 +236,73 @@ let scan src =
         String.split_on_char ' ' (String.trim line) |> List.filter (fun s -> s <> "")
       with
       | [] -> ()
-      | [ k; v ] -> entries := { eline = ln; key = k; value = v } :: !entries
-      | _ -> malformed := (ln, String.trim line) :: !malformed)
+      | [ key; value ] -> (
+        match Hashtbl.find_opt first_line key with
+        | Some first -> problem dups ln (Duplicate { key; first })
+        | None -> (
+          Hashtbl.replace first_line key ln;
+          let number () =
+            match int_of_string_opt value with
+            | Some v when in_range v -> Some v
+            | _ ->
+              problem bad ln (Bad_value { key; value });
+              None
+          in
+          let set f = Option.iter (fun v -> keep ln key (fun t -> f t v)) (number ()) in
+          match key with
+          | "name" -> keep ln key (fun t -> { t with name = value })
+          | "lambda" ->
+            Option.iter
+              (fun v ->
+                lambda := Some v;
+                keep ln key Fun.id)
+              (number ())
+          | _ -> (
+            match List.find_opt (fun (k, _, _) -> k = key) int_fields with
+            | Some (_, _, f) -> set f
+            | None -> (
+              match pair_key key with
+              | Some pair -> set (fun t v -> { t with pair_spaces = (pair, v) :: t.pair_spaces })
+              | None -> problem bad ln (Unknown_key key)))))
+      | _ -> problem malformed ln (Malformed (String.trim line)))
     (String.split_on_char '\n' src);
-  (List.rev !entries, List.rev !malformed)
-
-let of_entries entries =
-  let rec find_dup seen = function
-    | [] -> None
-    | e :: rest -> (
-      match List.assoc_opt e.key seen with
-      | Some first -> Some (e.eline, e.key, first)
-      | None -> find_dup ((e.key, e.eline) :: seen) rest)
+  let kept = List.rev !kept in
+  (* [lambda] sets the defaults the other survivors override. *)
+  let t = List.fold_left (fun t (_, _, set) -> set t) (nmos ?lambda:!lambda ()) kept in
+  let lambda_bad, other_bad =
+    List.partition
+      (fun p -> match p.kind with Bad_value { key = "lambda"; _ } -> true | _ -> false)
+      (List.rev !bad)
   in
-  match find_dup [] entries with
-  | Some (line, key, first) ->
-    Error
-      (Printf.sprintf "line %d: duplicate key %S (first defined on line %d)" line key first)
-  | None ->
-    let int_of ~line key v =
-      match int_of_string_opt v with
-      | Some n when in_range n -> Ok n
-      | _ ->
-        Error
-          (Printf.sprintf "line %d: %s: expected a positive integer no larger than %d, got %S"
-             line key max_value v)
-    in
-    (* lambda first: it sets the defaults. *)
-    let base =
-      match List.find_opt (fun e -> e.key = "lambda") entries with
-      | None -> Ok (nmos ())
-      | Some e -> Result.map (fun lambda -> nmos ~lambda ()) (int_of ~line:e.eline "lambda" e.value)
-    in
-    Result.map
-      (fun t ->
-        { t with
-          pair_spaces = List.sort compare_pair t.pair_spaces;
-          (* Source positions ride along so diagnostics (and SARIF) can
-             point at the defining line in this deck; they never affect
-             checking semantics or the canonical [to_string] form. *)
-          key_positions = List.map (fun e -> (e.key, e.eline)) entries })
-      (List.fold_left
-         (fun acc e ->
-           Result.bind acc (fun t ->
-               if e.key = "lambda" then Ok t
-               else if e.key = "name" then Ok { t with name = e.value }
-               else
-                 match List.find_opt (fun (k, _, _) -> k = e.key) int_fields with
-                 | Some (_, _, set) -> Result.map (set t) (int_of ~line:e.eline e.key e.value)
-                 | None -> (
-                   match pair_key e.key with
-                   | Some pair ->
-                     Result.map
-                       (fun v -> { t with pair_spaces = t.pair_spaces @ [ (pair, v) ] })
-                       (int_of ~line:e.eline e.key e.value)
-                   | None ->
-                     Error (Printf.sprintf "line %d: unknown rule key %S" e.eline e.key))))
-         base entries)
+  ( { t with
+      pair_spaces = List.sort compare_pair t.pair_spaces;
+      (* Source positions ride along so diagnostics (and SARIF) can
+         point at the defining line in this deck; they never affect
+         checking semantics or the canonical [to_string] form. *)
+      key_positions = List.map (fun (key, line, _) -> (key, line)) kept;
+      waivers = scan_waivers src },
+    List.rev !malformed @ List.rev !dups @ lambda_bad @ other_bad )
+
+let describe { line; kind } =
+  match kind with
+  | Malformed text -> Printf.sprintf "line %d: malformed line: %S" line text
+  | Duplicate { key; first } ->
+    Printf.sprintf "line %d: duplicate key %S (first defined on line %d)" line key first
+  | Unknown_key key -> Printf.sprintf "line %d: unknown rule key %S" line key
+  | Bad_value { key; value } ->
+    Printf.sprintf "line %d: %s: expected a positive integer no larger than %d, got %S"
+      line key max_value value
 
 let of_string src =
-  match scan src with
-  | _, (line, text) :: _ -> Error (Printf.sprintf "line %d: malformed line: %S" line text)
-  | entries, [] -> (
-    match of_entries entries with
-    | Error _ as e -> e
-    | Ok t -> (
-      (* Written values were range-checked entry by entry, so anything
-         left out of range is a default that [lambda] scaled. *)
-      match out_of_range t with
-      | (key, v) :: _ ->
-        Error
-          (Printf.sprintf "line %d: lambda %d makes %s %d, above the largest rule value %d"
-             (Option.value ~default:0 (position t "lambda"))
-             t.lambda key v max_value)
-      | [] -> Ok { t with waivers = scan_waivers src }))
+  match load src with
+  | _, p :: _ -> Error (describe p)
+  | t, [] -> (
+    (* Written values were range-checked entry by entry, so anything
+       left out of range is a default that [lambda] scaled. *)
+    match out_of_range t with
+    | (key, v) :: _ ->
+      Error
+        (Printf.sprintf "line %d: lambda %d makes %s %d, above the largest rule value %d"
+           (Option.value ~default:0 (position t "lambda"))
+           t.lambda key v max_value)
+    | [] -> Ok t)

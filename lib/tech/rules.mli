@@ -36,9 +36,9 @@ type t = {
           {!Interaction} matrix cells only; {!Dic.Lint} flags the rest
           (asymmetric, unreachable, or shadowed entries). *)
   key_positions : (string * int) list;
-      (** 1-based source line of every [key value] entry when the rule
-          set came from {!of_string}/{!of_entries} (file order); [[]]
-          for programmatic rule sets.  Provenance only: never part of
+      (** 1-based source line of every entry {!load} kept, when the
+          rule set came from text (file order); [[]] for programmatic
+          rule sets.  Provenance only: never part of
           checking semantics, never emitted by {!to_string}, so two
           decks differing only in comments or line layout are the same
           environment. *)
@@ -96,23 +96,12 @@ val in_range : int -> bool
     {!in_range}, with its rule-file key. *)
 val out_of_range : t -> (string * int) list
 
-(** All canonical rule-file keys ([name], [lambda], and the integer
-    field names) — what {!of_string} accepts besides directed
-    [space_<a>_<b>] pair keys. *)
-val known_keys : string list
-
 (** Lowercase layer name used in pair keys ("diffusion", "poly", ...) *)
 val layer_name : Layer.t -> string
 
 val layer_of_name : string -> Layer.t option
 
-(** Parse a directed [space_<a>_<b>] pair key; [None] if [key] is not
-    of that shape (canonical field names are matched first by
-    {!of_string}, so e.g. [space_poly_diffusion] never reaches this). *)
-val pair_key : string -> (Layer.t * Layer.t) option
-
-(** The directed [space_<a>_<b>] key of a layer pair; the inverse of
-    {!pair_key}. *)
+(** The directed [space_<a>_<b>] key of a layer pair. *)
 val pair_key_name : Layer.t * Layer.t -> string
 
 (** The directed override exactly as written in the deck, if any. *)
@@ -143,32 +132,37 @@ val cell_space_override : t -> Layer.t -> Layer.t -> int option
 
 val to_string : t -> string
 
-(** Strict parse.  Malformed lines, unknown keys, duplicate keys, and
-    values outside {!in_range} are errors, each reported with its line
-    number ("line N: ...").  That includes the defaults [lambda]
-    scales: a lambda whose derived widths or spacings exceed
-    {!max_value} is refused on its own line. *)
+(** What is wrong with one line of a rule file. *)
+type problem_kind =
+  | Malformed of string
+      (** not of the form [key value] once the comment is stripped; the
+          stripped text *)
+  | Duplicate of { key : string; first : int }
+      (** a later occurrence of [key]; the one on line [first] wins *)
+  | Unknown_key of string
+  | Bad_value of { key : string; value : string }
+      (** not an integer literal in {!in_range} ([name] takes any
+          value) *)
+
+(** A problem and its 1-based line. *)
+type problem = { line : int; kind : problem_kind }
+
+(** Parse a rule file once, leniently: the deck its surviving entries
+    describe, and every entry problem.  An entry survives when it is
+    the first occurrence of a known key with a valid value; [lambda]
+    sets the defaults, the other survivors override them, and
+    [key_positions] holds the survivors' lines.  A lambda whose derived
+    defaults leave {!in_range} is kept ({!out_of_range} finds them),
+    and the deck carries the source's [# lint: allow] waivers.  Never
+    fails.
+
+    The problems come in the order {!of_string} reports them:
+    malformed lines, then duplicate keys, then [lambda]'s value, then
+    the other entries, each group in file order. *)
+val load : string -> t * problem list
+
+(** Strict parse over {!load}.  The first problem is the error, with
+    its line number ("line N: ..."); a deck without problems is still
+    refused when [lambda] scales a default past {!max_value}, on
+    [lambda]'s own line. *)
 val of_string : string -> (t, string) result
-
-(** One [key value] line of a rule file, with its 1-based line
-    number. *)
-type entry_src = { eline : int; key : string; value : string }
-
-(** Tokenize a rule file without interpreting it: the [key value]
-    entries in file order, plus the (line, text) of every malformed
-    line.  Never fails — the lenient entry point {!Dic.Lint} builds
-    its best-effort deck on. *)
-val scan : string -> entry_src list * (int * string) list
-
-(** Interpret scanned entries strictly (the same per-entry errors as
-    {!of_string}).  Unlike {!of_string} it accepts a lambda whose
-    derived defaults fall outside {!in_range}, so {!Dic.Lint} can build
-    the deck and report them ({!out_of_range}).  Waiver comments are
-    invisible to [scan]'s entries, so rule sets built this way carry no
-    waivers; use {!scan_waivers} on the raw source to recover them. *)
-val of_entries : entry_src list -> (t, string) result
-
-(** Collect [# lint: allow ...] waiver codes from raw deck text,
-    sorted and deduplicated.  Lenient: comments that do not match the
-    waiver shape are ignored. *)
-val scan_waivers : string -> string list

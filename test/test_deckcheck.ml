@@ -1,7 +1,7 @@
-(* Deckcheck: the constraint-graph analysis over rule decks (R012+)
-   and the static immunity certificates.
+(* The constraint-graph analysis over rule decks (R012+, in Lint) and
+   the static immunity certificates (Deckcheck).
 
-   Two halves, mirroring the module:
+   Two halves:
 
    - implication-closure unit tests: the derivation chains behind R012
      (unsatisfiable), R013 (redundant), R014 (non-monotone override
@@ -30,14 +30,14 @@ let has code diags = List.mem code (codes diags)
 let test_default_deck_clean () =
   Alcotest.(check (list string))
     "builtin nmos passes the constraint-graph analysis" []
-    (codes (Dic.Deckcheck.check_deck (Tech.Rules.nmos ~lambda ())))
+    (codes (Dic.Lint.check_deck (Tech.Rules.nmos ~lambda ())))
 
 let test_r012_unsatisfiable_pad () =
   let d =
     deck_of_string
       "name t\nlambda 100\npad_metal_surround 40\n"
   in
-  let diags = Dic.Deckcheck.check_deck d in
+  let diags = Dic.Lint.check_deck d in
   Alcotest.(check bool) "R012 fires" true (has "R012" diags);
   let r012 = List.find (fun d -> d.Dic.Lint.code = "R012") diags in
   Alcotest.(check bool) "R012 is an error" true
@@ -48,27 +48,27 @@ let test_r012_unsatisfiable_pad () =
     deck_of_string "name t\nlambda 100\npad_metal_surround 40\nwidth_metal 250\n"
   in
   Alcotest.(check bool) "satisfiable chain is quiet" false
-    (has "R012" (Dic.Deckcheck.check_deck ok))
+    (has "R012" (Dic.Lint.check_deck ok))
 
 let test_r013_redundant_entry () =
   (* width_poly 200 restates the lambda-100 default. *)
   let d = deck_of_string "name t\nlambda 100\nwidth_poly 200\n" in
   Alcotest.(check bool) "R013 fires on a written default" true
-    (has "R013" (Dic.Deckcheck.check_deck d));
+    (has "R013" (Dic.Lint.check_deck d));
   let d = deck_of_string "name t\nlambda 100\nwidth_poly 300\n" in
   Alcotest.(check bool) "R013 quiet on a real override" false
-    (has "R013" (Dic.Deckcheck.check_deck d));
+    (has "R013" (Dic.Lint.check_deck d));
   (* Programmatic decks carry no provenance: stay silent rather than
      flag every field of a deck nobody wrote down. *)
   Alcotest.(check bool) "R013 quiet without provenance" false
-    (has "R013" (Dic.Deckcheck.check_deck (Tech.Rules.nmos ~lambda ())))
+    (has "R013" (Dic.Lint.check_deck (Tech.Rules.nmos ~lambda ())))
 
 let test_r014_shadowed_override () =
   let d =
     deck_of_string
       "name t\nlambda 100\nspace_diffusion_poly 80\nspace_poly_diffusion 150\n"
   in
-  let diags = Dic.Deckcheck.check_deck d in
+  let diags = Dic.Lint.check_deck d in
   Alcotest.(check bool) "R014 fires" true (has "R014" diags);
   (* Monotone family (override below the directed entry) is fine. *)
   let mono =
@@ -76,28 +76,28 @@ let test_r014_shadowed_override () =
       "name t\nlambda 100\nspace_diffusion_poly 150\nspace_poly_diffusion 100\n"
   in
   Alcotest.(check bool) "monotone family is quiet" false
-    (has "R014" (Dic.Deckcheck.check_deck mono))
+    (has "R014" (Dic.Lint.check_deck mono))
 
 let test_r015_relations () =
   let strict = Tech.Rules.nmos ~lambda:200 () in
   let loose = Tech.Rules.nmos ~lambda:100 () in
-  let c = Dic.Deckcheck.compare_rules strict loose in
+  let c = Dic.Lint.compare_rules strict loose in
   Alcotest.(check bool) "2x deck subsumes 1x" true
-    (c.Dic.Deckcheck.cmp_relation = Dic.Deckcheck.Subsumes);
-  let c = Dic.Deckcheck.compare_rules loose strict in
+    (c.Dic.Lint.cmp_relation = Dic.Lint.Subsumes);
+  let c = Dic.Lint.compare_rules loose strict in
   Alcotest.(check bool) "1x deck is subsumed by 2x" true
-    (c.Dic.Deckcheck.cmp_relation = Dic.Deckcheck.Subsumed);
-  let c = Dic.Deckcheck.compare_rules loose loose in
+    (c.Dic.Lint.cmp_relation = Dic.Lint.Subsumed);
+  let c = Dic.Lint.compare_rules loose loose in
   Alcotest.(check bool) "a deck is equivalent to itself" true
-    (c.Dic.Deckcheck.cmp_relation = Dic.Deckcheck.Equivalent);
+    (c.Dic.Lint.cmp_relation = Dic.Lint.Equivalent);
   (* One constraint stricter, another weaker: incomparable. *)
   let a = deck_of_string "name a\nlambda 100\nwidth_poly 300\n" in
   let b = deck_of_string "name b\nlambda 100\nspace_metal 400\n" in
-  let c = Dic.Deckcheck.compare_rules a b in
+  let c = Dic.Lint.compare_rules a b in
   Alcotest.(check bool) "crossed decks are incomparable" true
-    (c.Dic.Deckcheck.cmp_relation = Dic.Deckcheck.Incomparable);
+    (c.Dic.Lint.cmp_relation = Dic.Lint.Incomparable);
   let diags =
-    Dic.Deckcheck.deck_relations [ ("s", strict); ("l", loose) ]
+    Dic.Lint.deck_relations [ ("s", strict); ("l", loose) ]
   in
   Alcotest.(check (list string)) "one R015 note per pair" [ "R015" ] (codes diags);
   List.iter
@@ -107,7 +107,7 @@ let test_r015_relations () =
     diags;
   Alcotest.(check int) "three decks, three pairs" 3
     (List.length
-       (Dic.Deckcheck.relation_lines
+       (Dic.Lint.relation_lines
           [ ("a", strict); ("b", loose); ("c", loose) ]))
 
 let test_waiver_suppression () =
@@ -115,7 +115,7 @@ let test_waiver_suppression () =
     deck_of_string
       "name t\nlambda 100\n# lint: allow R012\npad_metal_surround 40\n"
   in
-  let diags = Dic.Deckcheck.check_deck d in
+  let diags = Dic.Lint.check_deck d in
   Alcotest.(check bool) "R012 still found" true (has "R012" diags);
   let kept, suppressed =
     Dic.Lint.partition_waived ~waivers:d.Tech.Rules.waivers diags

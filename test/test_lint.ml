@@ -98,9 +98,7 @@ let test_r009_duplicate_key () =
   check_fires "duplicate key" "R009" diags;
   Alcotest.(check int) "on line 3" 3 (line_of "R009" diags);
   (* first definition wins *)
-  match deck with
-  | Some d -> Alcotest.(check int) "first wins" 200 d.Tech.Rules.space_poly
-  | None -> Alcotest.fail "deck should build"
+  Alcotest.(check int) "first wins" 200 deck.Tech.Rules.space_poly
 
 let test_r010_malformed_line () =
   let _, diags = Dic.Lint.check_deck_source "lambda 100\nwidth_metal\n" in

@@ -4,15 +4,15 @@
 (* Each chunk returns the task indices it evaluated; heavy tasks sleep
    so domains finish their chunks out of worklist order.  Every domain
    counts its tasks in its own state, and [merge] sums them. *)
-let run_ids ?trace ~jobs ~weight n =
+let run_ids ?trace ~jobs ~heavy n =
   let merged = ref 0 and domains = ref 0 in
   let chunks =
-    Dic.Parallel.run ?trace ~jobs ~stage:"test" ~weight ~n
+    Dic.Parallel.run ?trace ~jobs ~stage:"test" ~n
       ~worker:(fun _tid -> ref 0)
       ~chunk:(fun count _ _ ~lo ~hi ->
         List.init (hi - lo) (fun k ->
             let i = lo + k in
-            if weight i > 100 then Unix.sleepf 0.001;
+            if heavy i then Unix.sleepf 0.001;
             incr count;
             i))
       ~merge:(fun count ->
@@ -24,10 +24,10 @@ let run_ids ?trace ~jobs ~weight n =
 
 let test_worklist_order () =
   let n = 300 in
-  let weight i = if i mod 37 = 0 then 1000 else 1 + (i mod 5) in
+  let heavy i = i mod 37 = 0 in
   List.iter
     (fun jobs ->
-      let chunks, merged, domains = run_ids ~jobs ~weight n in
+      let chunks, merged, domains = run_ids ~jobs ~heavy n in
       Alcotest.(check (list int))
         (Printf.sprintf "jobs %d: results in worklist order" jobs)
         (List.init n Fun.id) (List.concat chunks);
@@ -45,7 +45,7 @@ let test_worklist_order () =
 let test_empty_worklist () =
   List.iter
     (fun jobs ->
-      let chunks, merged, domains = run_ids ~jobs ~weight:(fun _ -> 1) 0 in
+      let chunks, merged, domains = run_ids ~jobs ~heavy:(fun _ -> false) 0 in
       Alcotest.(check (list (list int)))
         (Printf.sprintf "jobs %d: one empty chunk" jobs)
         [ [] ] chunks;
@@ -60,7 +60,7 @@ let shard_names trace =
 
 let test_domains_capped_at_chunks () =
   let trace = Dic.Trace.create () in
-  let chunks, _, domains = run_ids ~trace ~jobs:8 ~weight:(fun _ -> 1) 3 in
+  let chunks, _, domains = run_ids ~trace ~jobs:8 ~heavy:(fun _ -> false) 3 in
   Alcotest.(check (list int)) "all three tasks" [ 0; 1; 2 ] (List.concat chunks);
   let shards = shard_names trace in
   Alcotest.(check bool) "at most 3 shard spans" true (List.length shards <= 3);
@@ -73,7 +73,7 @@ let test_serial_is_one_shard () =
   List.iter
     (fun jobs ->
       let trace = Dic.Trace.create () in
-      let chunks, _, domains = run_ids ~trace ~jobs ~weight:(fun _ -> 1) 50 in
+      let chunks, _, domains = run_ids ~trace ~jobs ~heavy:(fun _ -> false) 50 in
       Alcotest.(check (list int))
         (Printf.sprintf "jobs %d: worklist order" jobs)
         (List.init 50 Fun.id) (List.concat chunks);
@@ -89,7 +89,7 @@ let test_serial_is_one_shard () =
 let test_jobs_above_domain_limit () =
   let n = 10_000 in
   let trace = Dic.Trace.create () in
-  let chunks, merged, domains = run_ids ~trace ~jobs:129 ~weight:(fun _ -> 101) n in
+  let chunks, merged, domains = run_ids ~trace ~jobs:129 ~heavy:(fun _ -> true) n in
   Alcotest.(check (list int)) "results in worklist order" (List.init n Fun.id)
     (List.concat chunks);
   Alcotest.(check int) "every task evaluated once" n merged;
@@ -119,7 +119,7 @@ let test_no_domain_to_spawn () =
     | exception Failure _ -> acc
   in
   let held = hold [] in
-  let outcome = try Ok (run_ids ~jobs:4 ~weight:(fun _ -> 1) 200) with e -> Error e in
+  let outcome = try Ok (run_ids ~jobs:4 ~heavy:(fun _ -> false) 200) with e -> Error e in
   Mutex.lock lock;
   release := true;
   Condition.broadcast released;
