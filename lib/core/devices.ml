@@ -327,15 +327,8 @@ type port = {
 
 type iface = { ports : port list }
 
-let region_skeleton rules layer region =
-  let half = Tech.Rules.skeleton_half rules layer in
-  let rec try_shrink h =
-    if h <= 0 then Geom.Region.rects region
-    else
-      let s = Geom.Region.shrink_orth region h in
-      if Geom.Region.is_empty s then try_shrink (h - 1) else Geom.Region.rects s
-  in
-  if Geom.Region.is_empty region then [] else try_shrink half
+let diffusion_skeleton rules =
+  Geom.Skeleton.of_region ~half:(Tech.Rules.skeleton_half rules Tech.Layer.Diffusion)
 
 let labels_touching (s : Model.symbol) layer region =
   List.concat_map
@@ -383,7 +376,7 @@ let transistor_iface rules (s : Model.symbol) =
     List.mapi
       (fun i comp ->
         { pname = Printf.sprintf "sd%d" i;
-          players = [ (Tech.Layer.Diffusion, region_skeleton rules Tech.Layer.Diffusion comp) ];
+          players = [ (Tech.Layer.Diffusion, diffusion_skeleton rules comp) ];
           plabels = labels_touching s Tech.Layer.Diffusion comp })
       (Geom.Region.components sd)
   in
@@ -409,7 +402,7 @@ let resistor_iface rules (s : Model.symbol) =
         (fun i half ->
           let part = Geom.Region.inter d (Geom.Region.of_rect half) in
           { pname = Printf.sprintf "r%d" i;
-            players = [ (Tech.Layer.Diffusion, region_skeleton rules Tech.Layer.Diffusion part) ];
+            players = [ (Tech.Layer.Diffusion, diffusion_skeleton rules part) ];
             plabels = labels_touching s Tech.Layer.Diffusion part })
         halves
     in

@@ -94,15 +94,6 @@ let hull_of_rects = function
   | [] -> None
   | r :: rs -> Some (List.fold_left Geom.Rect.hull r rs)
 
-let poly_skeleton ~half region =
-  let rec try_shrink h =
-    if h <= 0 then Geom.Region.rects region
-    else
-      let s = Geom.Region.shrink_orth region h in
-      if Geom.Region.is_empty s then try_shrink (h - 1) else Geom.Region.rects s
-  in
-  try_shrink half
-
 let elaborate_element rules ~context eid (e : Cif.Ast.element) :
     (element, Report.violation) result =
   let layer_name = Cif.Ast.element_layer e in
@@ -156,7 +147,7 @@ let elaborate_element rules ~context eid (e : Cif.Ast.element) :
               net_label = net;
               rects;
               packed = Geom.Rects.of_list rects;
-              skeleton = poly_skeleton ~half region;
+              skeleton = Geom.Skeleton.of_region ~half region;
               bbox = Geom.Poly.bbox poly;
               loc }
         | None ->

@@ -15,6 +15,13 @@
     axis narrower than [2*half] collapses to its centre line. *)
 val of_rect : half:int -> Rect.t -> Rect.t
 
+(** [of_region ~half region] — the skeleton of a general (polygon or
+    merged) region: the region eroded by [half] ({!Region.shrink_orth}),
+    or, where that erodes it away, by the largest smaller distance that
+    leaves something — down to the region itself at [0].  An empty
+    region has an empty skeleton. *)
+val of_region : half:int -> Region.t -> Rect.t list
+
 (** [connected a b] — some rectangle of [a] intersects (closed-set)
     some rectangle of [b]. *)
 val connected : Rect.t list -> Rect.t list -> bool
