@@ -519,7 +519,7 @@ let top_main path interval once raw metrics_format event_log =
     (* Offline post-mortem: no socket, no daemon — replay the event-log
        file through the lifecycle invariants and render the snapshot the
        daemon would have answered at its last entry. *)
-    match Dic.Telemetry.replay (read_file log_path) with
+    match Dic.Telemetry.replay ~max_workers:Dic.Serve.max_workers (read_file log_path) with
     | Error msg ->
       Printf.eprintf "dicheck top: %s: %s\n" log_path msg;
       2

@@ -264,7 +264,7 @@ let snapshot t ~queued ~inflight ~served ~cancelled ~overloaded ~workers ~max_qu
 
 type replay_state = Queued | Running | Done
 
-let replay content =
+let replay ~max_workers content =
   let lines =
     String.split_on_char '\n' content
     |> List.mapi (fun i l -> (i + 1, String.trim l))
@@ -304,6 +304,16 @@ let replay content =
     let accepted = ref 0 and finished = ref 0 and cancelled = ref 0 in
     let overloaded = ref 0 and rejected = ref 0 in
     let workers = ref 0 and max_queue = ref 0 in
+    (* Worker indices index the busy-time table: each must name a worker
+       of the pool the start entry announced — or, in a rotated log
+       that lost it, of the largest pool a daemon runs. *)
+    let pool = ref max_workers in
+    let check_worker ln j =
+      match inum_of j "worker" with
+      | Some w when w < 0 || w >= !pool ->
+        fail ln "worker %d is outside the pool of %d worker(s)" w !pool
+      | _ -> ()
+    in
     let drained = ref false in
     let first_ts = ref nan and last_ts = ref nan in
     List.iter
@@ -314,7 +324,14 @@ let replay content =
         if !drained then fail ln "entry after the shutdown entry";
         match kind_of ln j with
         | "start" ->
-          Option.iter (fun w -> workers := w) (inum_of j "workers");
+          Option.iter
+            (fun w ->
+              if w > max_workers then
+                fail ln "start entry says workers=%d, above the daemon's cap of %d" w
+                  max_workers;
+              workers := w;
+              pool := w)
+            (inum_of j "workers");
           Option.iter (fun q -> max_queue := q) (inum_of j "max_queue")
         | "accepted" ->
           let req = req_of ln j in
@@ -322,6 +339,7 @@ let replay content =
           Hashtbl.replace state req Queued;
           incr accepted
         | "started" -> (
+          check_worker ln j;
           let req = req_of ln j in
           match Hashtbl.find_opt state req with
           | Some Queued -> Hashtbl.replace state req Running
@@ -329,6 +347,7 @@ let replay content =
           | Some Done -> fail ln "request %d started after its terminal entry" req
           | None -> fail ln "request %d started but never accepted" req)
         | ("finished" | "cancelled") as kind -> (
+          check_worker ln j;
           let req = req_of ln j in
           match Hashtbl.find_opt state req with
           | Some (Queued | Running) ->

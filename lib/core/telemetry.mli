@@ -116,20 +116,24 @@ val snapshot :
 
 (** {1 Offline post-mortem}
 
-    [replay content] re-runs an event-log file (the [--event-log FILE]
-    lines, one JSON object per line) through the same accounting a live
-    hub keeps, enforcing the lifecycle invariants documented in
-    [docs/PROTOCOL.md]: every [accepted] request reaches exactly one
-    terminal entry ([finished]/[cancelled]) and only after acceptance;
-    [overloaded]/[rejected] never enter the accepted population; a
-    [shutdown] entry's [served]/[cancelled]/[overloaded] figures match
-    the replayed counts and nothing is left queued or in flight after
-    it.  On success, returns the {!snapshot} the daemon would have
-    answered at the last entry — uptime and throughput computed from
-    the log's own timeline — which is what
+    [replay ~max_workers content] re-runs an event-log file (the
+    [--event-log FILE] lines, one JSON object per line) through the
+    same accounting a live hub keeps, enforcing the lifecycle
+    invariants documented in [docs/PROTOCOL.md]: every [accepted]
+    request reaches exactly one terminal entry ([finished]/[cancelled])
+    and only after acceptance; [overloaded]/[rejected] never enter the
+    accepted population; a [shutdown] entry's
+    [served]/[cancelled]/[overloaded] figures match the replayed counts
+    and nothing is left queued or in flight after it; the [start]
+    entry's pool is no larger than [max_workers] (the daemon's cap,
+    {!Serve.max_workers}), and every [worker] index names a worker of
+    that pool — or, in a rotated log without a [start] entry, lies
+    below [max_workers].  On success, returns the {!snapshot} the
+    daemon would have answered at the last entry — uptime and
+    throughput computed from the log's own timeline — which is what
     [dicheck top --event-log FILE] renders.  [Error msg] names the
     offending line and the violated invariant. *)
-val replay : string -> (Json.t, string) result
+val replay : max_workers:int -> string -> (Json.t, string) result
 
 (** Render a {!snapshot} in Prometheus text exposition format
     ([dicheck_*] metric families with [# HELP]/[# TYPE] headers), for

@@ -940,7 +940,7 @@ let test_replay_cache_matches_live () =
         String.concat "\n" lines
       in
       let replayed_snap =
-        match Dic.Telemetry.replay content with
+        match Dic.Telemetry.replay ~max_workers:Dic.Serve.max_workers content with
         | Ok snap -> snap
         | Error e -> Alcotest.failf "replay refused the live log: %s" e
       in
@@ -970,6 +970,46 @@ let test_replay_cache_matches_live () =
         [ [ "requests"; "accepted" ]; [ "requests"; "rejected" ];
           [ "latency_ms"; "count" ]; [ "wait_ms"; "count" ]; [ "service_ms"; "count" ];
           [ "queue_depth"; "count" ]; [ "queue_depth"; "max" ] ])
+
+(* A worker index outside the pool is refused on its own line, before
+   replay sizes anything by it: the start entry's [workers] bounds it,
+   the daemon's cap bounds that, and a rotated log without a start
+   entry is bounded by the cap alone. *)
+let test_replay_refuses_foreign_worker () =
+  let cap = Dic.Serve.max_workers in
+  let replay lines = Dic.Telemetry.replay ~max_workers:cap (String.concat "\n" lines) in
+  let start w =
+    Printf.sprintf {|{"event":"start","ts_ms":1,"workers":%d,"max_queue":64}|} w
+  in
+  let request w =
+    [ {|{"event":"accepted","ts_ms":2,"req":1,"id":1,"queued":1}|};
+      Printf.sprintf {|{"event":"started","ts_ms":3,"req":1,"worker":%d,"wait_ms":0.1}|} w;
+      Printf.sprintf
+        {|{"event":"finished","ts_ms":4,"req":1,"worker":%d,"status":"ok","exit":0,"errors":0,"warnings":0,"symbols_total":1,"symbols_reused":0,"service_ms":1,"latency_ms":1.1}|}
+        w ]
+  in
+  let refused name lines line =
+    match replay lines with
+    | Ok _ -> Alcotest.failf "%s: replay accepted the log" name
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names line %d" name msg line)
+        true
+        (Astring_contains.contains msg (Printf.sprintf "line %d:" line))
+  in
+  refused "worker 200000 of 2" (start 2 :: request 200000) 3;
+  refused "worker 2 of 2" (start 2 :: request 2) 3;
+  refused "negative worker" (start 2 :: request (-1)) 3;
+  refused "pool above the cap" (start (cap + 1) :: request 0) 1;
+  refused "rotated log, worker at the cap" (request cap) 2;
+  let workers lines =
+    match replay lines with
+    | Ok snap -> jint "workers" snap
+    | Error e -> Alcotest.failf "replay refused an in-pool worker: %s" e
+  in
+  Alcotest.(check (option int)) "worker 1 of 2" (Some 2) (workers (start 2 :: request 1));
+  Alcotest.(check (option int)) "rotated log, last worker below the cap" (Some cap)
+    (workers (request (cap - 1)))
 
 (* The determinism bar with everything on: event log, trace collection,
    slow threshold 0, and per-request trace embedding — report bytes
@@ -1049,5 +1089,7 @@ let () =
             test_event_log_reconciliation;
           Alcotest.test_case "replayed cache matches live stats" `Quick
             test_replay_cache_matches_live;
+          Alcotest.test_case "replay refuses workers outside the pool" `Quick
+            test_replay_refuses_foreign_worker;
           Alcotest.test_case "reports invariant under telemetry" `Quick
             test_reports_invariant_under_telemetry ] ) ]
