@@ -137,7 +137,7 @@ type deck_result = {
           [lint.*] violations are exactly {!Lint.to_violations} of this
           list.  A deck diagnostic ([R0xx]) here has no position: its
           line is one of the rule file, not of the design (see
-          {!Lint.locate}); its key is the violation's context.  Empty
+          {!Lint.check_deck}); its key is the violation's context.  Empty
           when [run_lint] is off *)
   dr_suppressed : Lint.diagnostic list;
       (** lint diagnostics waived for this deck (deck

@@ -127,18 +127,6 @@ let code_counts diags =
 (* ------------------------------------------------------------------ *)
 (* Rule-deck pass                                                      *)
 
-(* Every deck diagnostic's subject is the rule-file key it is about, so
-   the deck's own key positions place it. *)
-let locate (r : Tech.Rules.t) diags =
-  sort
-    (List.map
-       (fun d ->
-         match Tech.Rules.position r d.subject with
-         | Some line when String.starts_with ~prefix:"R" d.code ->
-           { d with loc = Some (Cif.Loc.make ~line ~col:1) }
-         | _ -> d)
-       diags)
-
 let check_deck (r : Tech.Rules.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
@@ -212,11 +200,11 @@ let check_deck (r : Tech.Rules.t) =
   (* R013a: an explicit canonical entry equal to its lambda default is
      implied by the [lambda] node alone. *)
   if has_provenance then begin
-    let default_fields = Tech.Rules.fields (Tech.Rules.nmos ~lambda:r.Tech.Rules.lambda ()) in
+    let defaults = Tech.Rules.fields (Tech.Rules.nmos ~lambda:r.Tech.Rules.lambda ()) in
     List.iter
       (fun (key, v) ->
         if key <> "lambda" && written key then
-          match List.assoc_opt key default_fields with
+          match List.assoc_opt key defaults with
           | Some dv when dv = v ->
             add
               (mk "R013" Warning key
@@ -270,9 +258,9 @@ let check_deck (r : Tech.Rules.t) =
           and base = Tech.Rules.cross_layer_space r lo hi
           and winner = Tech.Rules.cell_space_override r lo hi in
           let effective = match winner with Some v -> Some v | None -> base in
-          (* R005: the family's written values disagree. *)
-          if List.length (List.sort_uniq Int.compare (List.filter_map Fun.id [ asc; desc; base ])) > 1
-          then
+          (* R005: the family's values disagree. *)
+          let values = List.sort_uniq Int.compare (List.filter_map Fun.id [ asc; desc; base ]) in
+          if List.length values > 1 then
             add
               (mk "R005" Error up
                  (Printf.sprintf
@@ -345,7 +333,15 @@ let check_deck (r : Tech.Rules.t) =
                 family)
             effective)
     cells;
-  locate r !diags
+  (* Every deck diagnostic's subject is the rule-file key it is about,
+     so the deck's own key positions place it. *)
+  sort
+    (List.map
+       (fun d ->
+         match Tech.Rules.position r d.subject with
+         | Some line -> { d with loc = Some (Cif.Loc.make ~line ~col:1) }
+         | None -> d)
+       !diags)
 
 let check_deck_source src =
   let deck, problems = Tech.Rules.load src in
@@ -360,7 +356,8 @@ let check_deck_source src =
         (Printf.sprintf
            "duplicate key %S: the first definition on line %d wins, this one is dead" key
            first)
-    | Tech.Rules.Unknown_key key -> mk "R008" Error key (Printf.sprintf "unknown rule key %S" key)
+    | Tech.Rules.Unknown_key key ->
+      mk "R008" Error key (Printf.sprintf "unknown rule key %S" key)
     | Tech.Rules.Bad_value { key; value } ->
       mk "R011" Error key
         (Printf.sprintf "%s: expected a positive integer no larger than %d, got %S" key
@@ -469,7 +466,8 @@ let deck_relations decks =
   in
   List.map
     (fun (((la, ra) as a), ((lb, rb) as b)) ->
-      mk "R015" Note (Printf.sprintf "%s/%s" la lb) (relation_message a b (compare_rules ra rb)))
+      mk "R015" Note (Printf.sprintf "%s/%s" la lb)
+        (relation_message a b (compare_rules ra rb)))
     (pairs decks)
 
 let relation_lines decks = List.map (fun d -> d.message) (deck_relations decks)

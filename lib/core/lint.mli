@@ -37,7 +37,7 @@ type diagnostic = {
   severity : severity;
   message : string;
   loc : Cif.Loc.t option;
-      (** position in the rule file ([R0xx], see {!locate}) or the CIF
+      (** position in the rule file ([R0xx], see {!check_deck}) or the CIF
           source ([D0xx]), when known *)
   subject : string;
       (** what the diagnostic is about: a rule key, a symbol name, a
@@ -74,21 +74,17 @@ val explain : string -> string option
 
     R013 and the canonical-key clause of R014 need provenance to tell
     {e written} entries from defaults, so they stay silent on
-    programmatic rule sets with empty [key_positions].  Located by
-    {!locate}. *)
-val check_deck : Tech.Rules.t -> diagnostic list
+    programmatic rule sets with empty [key_positions].
 
-(** [locate deck diags] — the one locator of deck diagnostics, which
-    {!check_deck} ends with: each deck diagnostic ([R0xx] code) whose subject is a key
-    [deck] writes in text is placed at column 1 of that key's line
-    ({!Tech.Rules.position}); every other diagnostic is left alone.
-    Sorted.  A position found this way is a line of the rule file, so
-    it is only meaningful beside that file: a deck diagnostic in a
-    design's report carries no position (the engine's lint stage drops
-    it, keeping the key as the violation's context), and [dicheck lint]
-    keeps it in SARIF only when the document's artifact is that one
-    deck's file. *)
-val locate : Tech.Rules.t -> diagnostic list -> diagnostic list
+    Sorted, and located: a diagnostic whose subject is a key the deck
+    writes in text is placed at column 1 of that key's line
+    ({!Tech.Rules.position}).  A position found this way is a line of
+    the rule file, so it is only meaningful beside that file: a deck
+    diagnostic in a design's report carries no position (the engine's
+    lint stage drops it, keeping the key as the violation's context),
+    and [dicheck lint] keeps it in SARIF only when the document's
+    artifact is that one deck's file. *)
+val check_deck : Tech.Rules.t -> diagnostic list
 
 (** Lenient rule-file lint over {!Tech.Rules.load}: each entry problem
     becomes a diagnostic on its line — malformed lines (R010),
