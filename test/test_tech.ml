@@ -127,6 +127,41 @@ let test_rules_value_bound () =
   Alcotest.(check bool) "lambda 0 out of range" true
     (Tech.Rules.out_of_range (Tech.Rules.nmos ~lambda:0 ()) <> [])
 
+(* The lenient loader keeps the first occurrence of every known key
+   with a valid value, and lists every other line's problem in the
+   order the strict loader reports them. *)
+let test_rules_load_problems () =
+  let src =
+    "frob 1\nwidth_metal abc\nlambda x\nspace_poly 300 # first\nspace_poly 2\n\
+     bad line here\nspace_diffusion_poly 150\n# lint: allow R003\n"
+  in
+  let deck, problems = Tech.Rules.load src in
+  let show { Tech.Rules.line; kind } =
+    match kind with
+    | Tech.Rules.Malformed text -> Printf.sprintf "%d malformed %s" line text
+    | Tech.Rules.Duplicate { key; first } ->
+      Printf.sprintf "%d duplicate %s of %d" line key first
+    | Tech.Rules.Unknown_key key -> Printf.sprintf "%d unknown %s" line key
+    | Tech.Rules.Bad_value { key; value } -> Printf.sprintf "%d bad %s=%s" line key value
+  in
+  Alcotest.(check (list string)) "problems in precedence order"
+    [ "6 malformed bad line here"; "5 duplicate space_poly of 4"; "3 bad lambda=x";
+      "1 unknown frob"; "2 bad width_metal=abc" ]
+    (List.map show problems);
+  Alcotest.(check (list (pair string int))) "survivors' positions"
+    [ ("space_poly", 4); ("space_diffusion_poly", 7) ]
+    deck.Tech.Rules.key_positions;
+  Alcotest.(check int) "first space_poly wins" 300 deck.Tech.Rules.space_poly;
+  Alcotest.(check int) "defaults at lambda 100" 300 deck.Tech.Rules.width_metal;
+  Alcotest.(check (option int)) "override kept" (Some 150)
+    (Tech.Rules.pair_space deck Tech.Layer.Diffusion Tech.Layer.Poly);
+  Alcotest.(check (list string)) "waivers" [ "R003" ] deck.Tech.Rules.waivers;
+  match Tech.Rules.of_string src with
+  | Error msg ->
+    Alcotest.(check string) "of_string refuses the first problem"
+      "line 6: malformed line: \"bad line here\"" msg
+  | Ok _ -> Alcotest.fail "of_string accepted a deck with problems"
+
 (* ------------------------------------------------------------------ *)
 (* The interaction matrix                                              *)
 
@@ -171,6 +206,31 @@ let test_matrix_paper_cells () =
     Alcotest.(check int) "1 lambda" 100 s;
     Alcotest.(check int) "same both ways" s diff_net
   | _ -> Alcotest.fail "expected poly-diff spacing entry"
+
+(* The flat matrix is [entry] over every layer pair, overrides
+   included. *)
+let test_matrix_flat () =
+  let n = List.length Tech.Layer.all in
+  List.iter
+    (fun r ->
+      let m = Tech.Interaction.matrix r in
+      Alcotest.(check int) "n * n cells" (n * n) (Array.length m);
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              Alcotest.(check bool)
+                (Tech.Layer.to_cif a ^ "-" ^ Tech.Layer.to_cif b)
+                true
+                (m.((Tech.Layer.index a * n) + Tech.Layer.index b)
+                = Tech.Interaction.entry r a b))
+            Tech.Layer.all)
+        Tech.Layer.all)
+    [ rules;
+      { rules with
+        Tech.Rules.pair_spaces =
+          [ ((Tech.Layer.Diffusion, Tech.Layer.Poly), 150);
+            ((Tech.Layer.Metal, Tech.Layer.Poly), 300) ] } ]
 
 let test_matrix_cells_upper_triangular () =
   let cells = Tech.Interaction.cells rules in
@@ -248,11 +308,13 @@ let () =
           Alcotest.test_case "rule file roundtrip" `Quick test_rules_to_of_string_roundtrip;
           Alcotest.test_case "rule file overrides" `Quick test_rules_of_string_overrides;
           Alcotest.test_case "rule file errors" `Quick test_rules_of_string_errors;
-          Alcotest.test_case "rule value bound" `Quick test_rules_value_bound ] );
+          Alcotest.test_case "rule value bound" `Quick test_rules_value_bound;
+          Alcotest.test_case "rule file problems" `Quick test_rules_load_problems ] );
       ( "interaction",
         [ Alcotest.test_case "symmetric" `Quick test_matrix_symmetric;
           Alcotest.test_case "paper cells" `Quick test_matrix_paper_cells;
-          Alcotest.test_case "upper triangular" `Quick test_matrix_cells_upper_triangular ] );
+          Alcotest.test_case "upper triangular" `Quick test_matrix_cells_upper_triangular;
+          Alcotest.test_case "flat" `Quick test_matrix_flat ] );
       ( "devices",
         [ Alcotest.test_case "tag roundtrip" `Quick test_device_tags_roundtrip;
           Alcotest.test_case "tag case" `Quick test_device_tag_case;
