@@ -262,7 +262,8 @@ let load src =
             | Some (_, _, f) -> set f
             | None -> (
               match pair_key key with
-              | Some pair -> set (fun t v -> { t with pair_spaces = (pair, v) :: t.pair_spaces })
+              | Some pair ->
+                set (fun t v -> { t with pair_spaces = (pair, v) :: t.pair_spaces })
               | None -> problem bad ln (Unknown_key key)))))
       | _ -> problem malformed ln (Malformed (String.trim line)))
     (String.split_on_char '\n' src);
