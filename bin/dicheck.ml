@@ -291,9 +291,8 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
     let deck_out =
       List.map
         (fun (path, d, diags) ->
-          let kept, supp =
-            Dic.Lint.partition_waived ~waivers:(d.Tech.Rules.waivers @ file_waivers) diags
-          in
+          let waivers = d.Tech.Rules.waivers @ file_waivers in
+          let kept, supp = Dic.Lint.partition_waived ~waivers diags in
           (path, d, kept, supp))
         decks
     in
@@ -313,9 +312,7 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
     | Some f -> List.iter (fun d -> say (Dic.Lint.render ~src:f d)) design_kept
     | None -> ());
     let relations =
-      match deck_out with
-      | _ :: _ :: _ -> Dic.Lint.relation_lines (List.map (fun (p, d, _, _) -> (p, d)) deck_out)
-      | _ -> []
+      Dic.Lint.relation_lines (List.map (fun (p, d, _, _) -> (p, d)) deck_out)
     in
     List.iter (fun line -> say ("deck relation: " ^ line)) relations;
     let all = List.concat_map (fun (_, _, kept, _) -> kept) deck_out @ design_kept in
@@ -519,7 +516,8 @@ let top_main path interval once raw metrics_format event_log =
     (* Offline post-mortem: no socket, no daemon — replay the event-log
        file through the lifecycle invariants and render the snapshot the
        daemon would have answered at its last entry. *)
-    match Dic.Telemetry.replay ~max_workers:Dic.Serve.max_workers (read_file log_path) with
+    let log = read_file log_path in
+    match Dic.Telemetry.replay ~max_workers:Dic.Serve.max_workers log with
     | Error msg ->
       Printf.eprintf "dicheck top: %s: %s\n" log_path msg;
       2

@@ -463,10 +463,9 @@ let check ?metrics ?trace ?progress t file =
        break the "each deck's report is byte-identical to that deck
        checked alone" invariant. *)
     let relations =
-      match decks with
-      | _ :: _ :: _ when t.e_config.run_lint ->
+      if t.e_config.run_lint then
         Lint.relation_lines (List.map (fun d -> (d.dk_label, d.dk_rules)) decks)
-      | _ -> []
+      else []
     in
     Metrics.count_report m (List.hd deck_results).dr_result.report;
     Ok { results = deck_results; relations }
