@@ -3,10 +3,9 @@
 
    An ordered worklist is cut into contiguous chunks of equal task
    count, and worker domains claim chunks from an [Atomic] counter until
-   the queue is dry.  With one domain the
-   calling domain drains the same queue alone, through the same
-   per-domain state and merge, so there is no second code path to keep
-   in step.
+   the queue is dry.  With one domain the calling domain drains the same
+   queue alone, through the same per-domain state and merge, so there is
+   no second code path to keep in step.
 
    Contiguity is the determinism lever: results are identified by chunk
    index, so the caller can reassemble them in worklist order and the
@@ -49,7 +48,8 @@ let run ?metrics ?trace ~jobs ~stage ~n ~worker ~chunk ~merge () =
           let rec drain () =
             let c = Atomic.fetch_and_add next 1 in
             if c < nchunks then begin
-              results.(c) <- Some (chunk st dm dt ~lo:(c * size) ~hi:(min n ((c + 1) * size)));
+              let lo = c * size in
+              results.(c) <- Some (chunk st dm dt ~lo ~hi:(min n (lo + size)));
               drain ()
             end
           in
