@@ -259,7 +259,10 @@ let check_deck (r : Tech.Rules.t) =
           and winner = Tech.Rules.cell_space_override r lo hi in
           let effective = match winner with Some v -> Some v | None -> base in
           (* R005: the family's values disagree. *)
-          let values = List.sort_uniq Int.compare (List.filter_map Fun.id [ asc; desc; base ]) in
+          let values =
+            List.sort_uniq Int.compare
+              (List.filter_map Fun.id [ asc; desc; base ])
+          in
           if List.length values > 1 then
             add
               (mk "R005" Error up
