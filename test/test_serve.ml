@@ -981,12 +981,12 @@ let test_replay_refuses_foreign_worker () =
   let start w =
     Printf.sprintf {|{"event":"start","ts_ms":1,"workers":%d,"max_queue":64}|} w
   in
-  let request w =
+  let request ?finisher w =
     [ {|{"event":"accepted","ts_ms":2,"req":1,"id":1,"queued":1}|};
       Printf.sprintf {|{"event":"started","ts_ms":3,"req":1,"worker":%d,"wait_ms":0.1}|} w;
       Printf.sprintf
         {|{"event":"finished","ts_ms":4,"req":1,"worker":%d,"status":"ok","exit":0,"errors":0,"warnings":0,"symbols_total":1,"symbols_reused":0,"service_ms":1,"latency_ms":1.1}|}
-        w ]
+        (Option.value ~default:w finisher) ]
   in
   let refused name lines line =
     match replay lines with
@@ -1000,6 +1000,7 @@ let test_replay_refuses_foreign_worker () =
   refused "worker 200000 of 2" (start 2 :: request 200000) 3;
   refused "worker 2 of 2" (start 2 :: request 2) 3;
   refused "negative worker" (start 2 :: request (-1)) 3;
+  refused "finished by worker 200000 of 2" (start 2 :: request ~finisher:200000 1) 4;
   refused "pool above the cap" (start (cap + 1) :: request 0) 1;
   refused "rotated log, worker at the cap" (request cap) 2;
   let workers lines =
