@@ -517,7 +517,7 @@ let top_main path interval once raw metrics_format event_log =
        file through the lifecycle invariants and render the snapshot the
        daemon would have answered at its last entry. *)
     let log = read_file log_path in
-    match Dic.Telemetry.replay ~max_workers:Dic.Serve.max_workers log with
+    match Dic.Telemetry.replay log with
     | Error msg ->
       Printf.eprintf "dicheck top: %s: %s\n" log_path msg;
       2

@@ -59,7 +59,7 @@ type t = {
   s_telemetry : Telemetry.t;
 }
 
-let max_workers = 126
+let max_workers = Telemetry.max_workers
 
 let create ?(config = Engine.default_config) ?cache_dir ?(workers = 0)
     ?(max_queue = 64) ?telemetry rules =

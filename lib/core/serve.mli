@@ -128,9 +128,8 @@
 
 type t
 
-(** The largest worker pool {!create} accepts, 126: OCaml 5.1 allows
-    128 live domains per process, and the pool leaves one to the main
-    domain and one to a socket connection's reader. *)
+(** The largest worker pool {!create} accepts: {!Telemetry.max_workers},
+    126. *)
 val max_workers : int
 
 (** [create ?config ?cache_dir ?workers ?max_queue ?telemetry rules].

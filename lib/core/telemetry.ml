@@ -262,9 +262,13 @@ let snapshot t ~queued ~inflight ~served ~cancelled ~overloaded ~workers ~max_qu
    the last entry.  Used by [dicheck top --event-log FILE] — no socket,
    no daemon, just the log. *)
 
+(* The daemon's cap on its pool (see the .mli): [Serve.create] refuses
+   more workers, and replay bounds a log's worker indices by it. *)
+let max_workers = 126
+
 type replay_state = Queued | Running | Done
 
-let replay ~max_workers content =
+let replay content =
   let lines =
     String.split_on_char '\n' content
     |> List.mapi (fun i l -> (i + 1, String.trim l))
@@ -322,6 +326,7 @@ let replay ~max_workers content =
         if Float.is_nan !first_ts then first_ts := ts;
         last_ts := ts;
         if !drained then fail ln "entry after the shutdown entry";
+        check_worker ln j;
         match kind_of ln j with
         | "start" ->
           Option.iter
@@ -339,7 +344,6 @@ let replay ~max_workers content =
           Hashtbl.replace state req Queued;
           incr accepted
         | "started" -> (
-          check_worker ln j;
           let req = req_of ln j in
           match Hashtbl.find_opt state req with
           | Some Queued -> Hashtbl.replace state req Running
@@ -347,7 +351,6 @@ let replay ~max_workers content =
           | Some Done -> fail ln "request %d started after its terminal entry" req
           | None -> fail ln "request %d started but never accepted" req)
         | ("finished" | "cancelled") as kind -> (
-          check_worker ln j;
           let req = req_of ln j in
           match Hashtbl.find_opt state req with
           | Some (Queued | Running) ->

@@ -114,26 +114,30 @@ val snapshot :
   t -> queued:int -> inflight:int -> served:int -> cancelled:int ->
   overloaded:int -> workers:int -> max_queue:int -> Json.t
 
-(** {1 Offline post-mortem}
+(** {1 Offline post-mortem} *)
 
-    [replay ~max_workers content] re-runs an event-log file (the
-    [--event-log FILE] lines, one JSON object per line) through the
-    same accounting a live hub keeps, enforcing the lifecycle
-    invariants documented in [docs/PROTOCOL.md]: every [accepted]
-    request reaches exactly one terminal entry ([finished]/[cancelled])
-    and only after acceptance; [overloaded]/[rejected] never enter the
-    accepted population; a [shutdown] entry's
-    [served]/[cancelled]/[overloaded] figures match the replayed counts
-    and nothing is left queued or in flight after it; the [start]
-    entry's pool is no larger than [max_workers] (the daemon's cap,
-    {!Serve.max_workers}), and every [worker] index names a worker of
-    that pool — or, in a rotated log without a [start] entry, lies
-    below [max_workers].  On success, returns the {!snapshot} the
-    daemon would have answered at the last entry — uptime and
-    throughput computed from the log's own timeline — which is what
-    [dicheck top --event-log FILE] renders.  [Error msg] names the
-    offending line and the violated invariant. *)
-val replay : max_workers:int -> string -> (Json.t, string) result
+(** The largest worker pool a daemon runs, 126: OCaml 5.1 allows 128
+    live domains per process, and the pool leaves one to the main
+    domain and one to a socket connection's reader.
+    {!Serve.max_workers} is this cap. *)
+val max_workers : int
+
+(** [replay content] re-runs an event-log file (the [--event-log FILE]
+    lines, one JSON object per line) through the same accounting a live
+    hub keeps, enforcing the lifecycle invariants documented in
+    [docs/PROTOCOL.md]: every [accepted] request reaches exactly one
+    terminal entry ([finished]/[cancelled]) and only after acceptance;
+    [overloaded]/[rejected] never enter the accepted population; a
+    [shutdown] entry's [served]/[cancelled]/[overloaded] figures match
+    the replayed counts and nothing is left queued or in flight after
+    it; the [start] entry's pool is no larger than {!max_workers}, and
+    every entry's [worker] index names a worker of that pool — or, in a
+    rotated log without a [start] entry, lies below {!max_workers}.  On
+    success, returns the {!snapshot} the daemon would have answered at
+    the last entry — uptime and throughput computed from the log's own
+    timeline — which is what [dicheck top --event-log FILE] renders.
+    [Error msg] names the offending line and the violated invariant. *)
+val replay : string -> (Json.t, string) result
 
 (** Render a {!snapshot} in Prometheus text exposition format
     ([dicheck_*] metric families with [# HELP]/[# TYPE] headers), for

@@ -940,7 +940,7 @@ let test_replay_cache_matches_live () =
         String.concat "\n" lines
       in
       let replayed_snap =
-        match Dic.Telemetry.replay ~max_workers:Dic.Serve.max_workers content with
+        match Dic.Telemetry.replay content with
         | Ok snap -> snap
         | Error e -> Alcotest.failf "replay refused the live log: %s" e
       in
@@ -977,7 +977,7 @@ let test_replay_cache_matches_live () =
    entry is bounded by the cap alone. *)
 let test_replay_refuses_foreign_worker () =
   let cap = Dic.Serve.max_workers in
-  let replay lines = Dic.Telemetry.replay ~max_workers:cap (String.concat "\n" lines) in
+  let replay lines = Dic.Telemetry.replay (String.concat "\n" lines) in
   let start w =
     Printf.sprintf {|{"event":"start","ts_ms":1,"workers":%d,"max_queue":64}|} w
   in
@@ -1003,6 +1003,15 @@ let test_replay_refuses_foreign_worker () =
   refused "finished by worker 200000 of 2" (start 2 :: request ~finisher:200000 1) 4;
   refused "pool above the cap" (start (cap + 1) :: request 0) 1;
   refused "rotated log, worker at the cap" (request cap) 2;
+  (* Replay sizes the pool from every entry's [worker] member, so the
+     bound holds on entries that never carry one from a live daemon. *)
+  refused "slow entry by worker 1000000000 of 2"
+    ((start 2 :: request 1)
+    @ [ {|{"event":"slow","ts_ms":5,"req":1,"worker":1000000000,"latency_ms":1.1,"slow_ms":0}|} ])
+    5;
+  refused "accepted by worker 126 in a rotated log"
+    [ Printf.sprintf {|{"event":"accepted","ts_ms":2,"req":1,"id":1,"queued":1,"worker":%d}|} cap ]
+    1;
   let workers lines =
     match replay lines with
     | Ok snap -> jint "workers" snap
