@@ -1005,9 +1005,9 @@ let test_replay_refuses_foreign_worker () =
   refused "rotated log, worker at the cap" (request cap) 2;
   (* Replay sizes the pool from every entry's [worker] member, so the
      bound holds on entries that never carry one from a live daemon. *)
-  refused "slow entry by worker 1000000000 of 2"
+  refused "slow entry by worker 200000 of 2"
     ((start 2 :: request 1)
-    @ [ {|{"event":"slow","ts_ms":5,"req":1,"worker":1000000000,"latency_ms":1.1,"slow_ms":0}|} ])
+    @ [ {|{"event":"slow","ts_ms":5,"req":1,"worker":200000,"latency_ms":1.1,"slow_ms":0}|} ])
     5;
   refused "accepted by worker 126 in a rotated log"
     [ Printf.sprintf {|{"event":"accepted","ts_ms":2,"req":1,"id":1,"queued":1,"worker":%d}|} cap ]
