@@ -1198,8 +1198,7 @@ let multideck_bench () =
 
    - the whole deck pass over a deck (R001–R014, closure included:
      {!Dic.Lint.check_deck}) is a micro-cost — microseconds per deck,
-     so `lint` and `serve` can run it on every request.  The figure
-     keeps its [closure_us] name;
+     so `lint` and `serve` can run it on every request;
    - the static immunity certificates prune a nonzero fraction of rule
      evaluations on the replicated PLA workloads while the analysis
      itself (certify + guard prepass) stays under 5% of check time,
@@ -1210,7 +1209,7 @@ let multideck_bench () =
 let deckcheck_bench () =
   section
     "DC: deck constraint-graph analysis and certificate pruning\n\
-     (closure micro-cost per deck; certificate-pruned checks must be\n\
+     (deck pass micro-cost per deck; certificate-pruned checks must be\n\
      byte-identical to unpruned, skip a nonzero fraction of rule\n\
      evaluations, and keep analysis cost under 5% of check time)";
   let buf = Buffer.create 1024 in
@@ -1226,7 +1225,7 @@ let deckcheck_bench () =
        | Ok r -> r
        | Error e -> failwith e) ]
   in
-  Printf.printf "%-18s %14s %8s\n" "deck" "closure (us)" "diags";
+  Printf.printf "%-18s %14s %8s\n" "deck" "deck pass (us)" "diags";
   let first = ref true in
   List.iter
     (fun (name, r) ->
@@ -1242,7 +1241,7 @@ let deckcheck_bench () =
       if not !first then Buffer.add_string buf ",";
       first := false;
       Buffer.add_string buf
-        (Printf.sprintf "{\"deck\":%S,\"closure_us\":%.3f,\"diags\":%d}" name us
+        (Printf.sprintf "{\"deck\":%S,\"deck_pass_us\":%.3f,\"diags\":%d}" name us
            (List.length !diags)))
     decks;
   Buffer.add_string buf "],\"workloads\":[";
