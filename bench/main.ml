@@ -1203,8 +1203,11 @@ let multideck_bench () =
      evaluations on the replicated PLA workloads while the analysis
      itself (certify + guard prepass) stays under 5% of check time,
      and the pruned report is byte-identical to the unpruned one
-     (DIC_NO_CERTS).  Writes BENCH_deckcheck.json, each workload's
-     gates recorded as measured, then fails if any gate was breached. *)
+     (DIC_NO_CERTS).  After a warm-up check in each mode, each mode is
+     timed over 7 alternated on/off pairs (the pair's first mode
+     alternates too), reported as medians with quartiles.  Writes
+     BENCH_deckcheck.json, each workload's gates recorded as measured,
+     then fails if any gate was breached. *)
 
 let deckcheck_bench () =
   section
@@ -1269,15 +1272,39 @@ let deckcheck_bench () =
     [ ("pla-48x96", lazy (Layoutgen.Pla.tier ~lambda ~rows:48 ~cols:96));
       ("pla-96x192", lazy (Layoutgen.Pla.tier ~lambda ~rows:96 ~cols:192)) ]
   in
-  Printf.printf "\n%-14s %9s %9s %9s %11s %10s %9s\n" "workload" "on (s)"
-    "off (s)" "skips" "evals-cut" "analysis" "identical";
+  let pairs = 7 in
+  (* Median, first and third quartile. *)
+  let quartiles xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    let n = Array.length a in
+    (a.(n / 2), a.(n / 4), a.(3 * n / 4))
+  in
+  Printf.printf "\n%-14s %23s %23s %9s %11s %10s %9s\n" "workload" "on (s) [q1-q3]"
+    "off (s) [q1-q3]" "skips" "evals-cut" "analysis" "identical";
   let first = ref true and breaches = ref [] in
   List.iter
     (fun (name, file) ->
       let file = Lazy.force file in
-      let on_bytes, t_on, m_on = check_once ~certs:true file in
-      let off_bytes, t_off, m_off = check_once ~certs:false file in
-      let identical = on_bytes = off_bytes in
+      (* The warm-up pair gives the counters, which do not vary. *)
+      let on_bytes, _, m_on = check_once ~certs:true file in
+      let off_bytes, _, m_off = check_once ~certs:false file in
+      let runs =
+        List.init pairs (fun i ->
+            if i mod 2 = 0 then
+              let on = check_once ~certs:true file in
+              (on, check_once ~certs:false file)
+            else
+              let off = check_once ~certs:false file in
+              (check_once ~certs:true file, off))
+      in
+      let identical =
+        on_bytes = off_bytes
+        && List.for_all (fun ((b_on, _, _), (b_off, _, _)) -> b_on = on_bytes && b_off = on_bytes)
+             runs
+      in
+      let t_on, t_on_q1, t_on_q3 = quartiles (List.map (fun ((_, t, _), _) -> t) runs) in
+      let t_off, t_off_q1, t_off_q3 = quartiles (List.map (fun (_, (_, t, _)) -> t) runs) in
       let skips = Dic.Metrics.counter m_on "analysis.certified_skips" in
       let pairs_on = Dic.Metrics.counter m_on "interactions.pairs" in
       let pairs_off = Dic.Metrics.counter m_off "interactions.pairs" in
@@ -1286,18 +1313,20 @@ let deckcheck_bench () =
           1. -. (float_of_int pairs_on /. float_of_int pairs_off)
         else 0.
       in
-      let certify_s =
-        Int64.to_float (Dic.Metrics.cost_ns m_on "analysis.certify") *. 1e-9
+      let cost_s m name = Int64.to_float (Dic.Metrics.cost_ns m name) *. 1e-9 in
+      let certify_s, _, _ =
+        quartiles (List.map (fun ((_, _, m), _) -> cost_s m "analysis.certify") runs)
       in
-      let guard_s =
-        Int64.to_float (Dic.Metrics.cost_ns m_on "analysis.guard") *. 1e-9
+      let guard_s, _, _ =
+        quartiles (List.map (fun ((_, _, m), _) -> cost_s m "analysis.guard") runs)
       in
       let analysis_s = certify_s +. guard_s in
       let overhead_pct = 100. *. analysis_s /. Float.max 1e-9 t_on in
       Printf.printf
-        "%-14s %9.3f %9.3f %9d %10.1f%% %9.2f%% %9b  (certify %.1fms, guard %.1fms)\n"
-        name t_on t_off skips (100. *. evals_cut) overhead_pct identical
-        (certify_s *. 1e3) (guard_s *. 1e3);
+        "%-14s %7.3f [%6.3f-%6.3f] %7.3f [%6.3f-%6.3f] %9d %10.1f%% %9.2f%% %9b  \
+         (certify %.1fms, guard %.1fms)\n"
+        name t_on t_on_q1 t_on_q3 t_off t_off_q1 t_off_q3 skips (100. *. evals_cut)
+        overhead_pct identical (certify_s *. 1e3) (guard_s *. 1e3);
       let gates =
         [ ("identical", identical,
            name ^ ": certificate-pruned report differs from unpruned");
@@ -1312,12 +1341,14 @@ let deckcheck_bench () =
       first := false;
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"workload\":%S,\"seconds_on\":%.6f,\"seconds_off\":%.6f,\
+           "{\"workload\":%S,\"timed_pairs\":%d,\"seconds_on\":%.6f,\
+            \"seconds_on_q1\":%.6f,\"seconds_on_q3\":%.6f,\"seconds_off\":%.6f,\
+            \"seconds_off_q1\":%.6f,\"seconds_off_q3\":%.6f,\
             \"identical\":%b,\"certified_skips\":%d,\"pairs_on\":%d,\
             \"pairs_off\":%d,\"eval_skip_fraction\":%.4f,\
             \"analysis_seconds\":%.6f,\"analysis_overhead_pct\":%.3f,\"gates\":{%s}}"
-           name t_on t_off identical skips pairs_on pairs_off evals_cut
-           analysis_s overhead_pct
+           name pairs t_on t_on_q1 t_on_q3 t_off t_off_q1 t_off_q3 identical skips
+           pairs_on pairs_off evals_cut analysis_s overhead_pct
            (String.concat ","
               (List.map (fun (gate, ok, _) -> Printf.sprintf "%S:%b" gate ok) gates))))
     workloads;

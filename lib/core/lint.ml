@@ -31,10 +31,9 @@ let all_codes =
     ("R010", "A rule-file line is not of the form \"key value\" after comment \
               stripping.");
     ("R011", "A rule value is not an integer literal between 1 and 2^30.");
-    ("R012", "The rule deck is unsatisfiable: the arithmetic closure of the entries \
-              derives a bound no geometry can meet (e.g. a minimal bonding pad that \
-              violates the metal width rule, or a same-net spacing above the \
-              different-net one).");
+    ("R012", "The rule deck is unsatisfiable: the smallest legal bonding pad, a glass \
+              opening of contact_size surrounded by pad_metal_surround of metal on \
+              each side, is narrower than width_metal, so no pad meets both rules.");
     ("R013", "A deck entry is redundant: its value is already implied by other \
               entries (a lambda default, an equal directed spelling, or the \
               effective matrix cell), so deleting it changes nothing.");

@@ -17,30 +17,17 @@ type hist = {
   buckets : int array;
 }
 
-(* A sliding window: the last [w_cap] observations in a ring, plus the
-   all-time observation count.  Quantiles computed over the ring are
-   exact for the window, unlike the log₂ histogram sketches. *)
-type window = {
-  w_cap : int;
-  w_data : float array;
-  mutable w_len : int;  (* values currently held, <= w_cap *)
-  mutable w_next : int;  (* next insertion slot *)
-  mutable w_total : int;  (* observations ever, incl. evicted *)
-}
-
 type t = {
   mutable stages_rev : (string * float) list;
   counters : (string, int ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
   cost_ns : (string, int64 ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
-  windows : (string, window) Hashtbl.t;
 }
 
 let create () =
   { stages_rev = []; counters = Hashtbl.create 16; hists = Hashtbl.create 4;
-    cost_ns = Hashtbl.create 16; gauges = Hashtbl.create 4;
-    windows = Hashtbl.create 4 }
+    cost_ns = Hashtbl.create 16; gauges = Hashtbl.create 4 }
 
 (* ------------------------------------------------------------------ *)
 (* Stage timers                                                        *)
@@ -102,58 +89,6 @@ let gauge t name = Option.map ( ! ) (Hashtbl.find_opt t.gauges name)
 let gauges t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.gauges []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* ------------------------------------------------------------------ *)
-(* Sliding windows                                                     *)
-
-let default_window_capacity = 256
-
-let window_of ?(capacity = default_window_capacity) t name =
-  match Hashtbl.find_opt t.windows name with
-  | Some w -> w
-  | None ->
-    let cap = max 1 capacity in
-    let w = { w_cap = cap; w_data = Array.make cap 0.; w_len = 0; w_next = 0;
-              w_total = 0 } in
-    Hashtbl.add t.windows name w;
-    w
-
-let observe_window ?capacity t name v =
-  let w = window_of ?capacity t name in
-  w.w_data.(w.w_next) <- v;
-  w.w_next <- (w.w_next + 1) mod w.w_cap;
-  if w.w_len < w.w_cap then w.w_len <- w.w_len + 1;
-  w.w_total <- w.w_total + 1
-
-type window_snapshot = {
-  w_count : int;
-  w_capacity : int;
-  w_values : float array;
-}
-
-let window_values w =
-  Array.init w.w_len (fun i ->
-      if w.w_len < w.w_cap then w.w_data.(i)
-      else w.w_data.((w.w_next + i) mod w.w_cap))
-
-let window t name =
-  Option.map
-    (fun w -> { w_count = w.w_total; w_capacity = w.w_cap; w_values = window_values w })
-    (Hashtbl.find_opt t.windows name)
-
-let window_names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.windows [] |> List.sort String.compare
-
-(* Nearest-rank quantile over the in-window values, exact. *)
-let window_quantile s q =
-  let n = Array.length s.w_values in
-  if n = 0 then 0.
-  else begin
-    let sorted = Array.copy s.w_values in
-    Array.sort compare sorted;
-    let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) idx))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
@@ -248,17 +183,7 @@ let merge_into ~into src =
   Hashtbl.iter (fun name r -> add_cost_ns into name !r) src.cost_ns;
   (* Gauges are last-set values: the source's reading wins for the
      names it carries.  Merge in shard order for determinism. *)
-  Hashtbl.iter (fun name r -> set_gauge into name !r) src.gauges;
-  (* Windows: replay the source's surviving values, oldest first, into
-     the destination ring (the destination's capacity wins when both
-     exist), then carry over the already-evicted observation count. *)
-  Hashtbl.iter
-    (fun name w ->
-      Array.iter (fun v -> observe_window ~capacity:w.w_cap into name v)
-        (window_values w);
-      let dst = window_of ~capacity:w.w_cap into name in
-      dst.w_total <- dst.w_total + (w.w_total - w.w_len))
-    src.windows
+  Hashtbl.iter (fun name r -> set_gauge into name !r) src.gauges
 
 let count_report t (report : Report.t) =
   List.iter
@@ -274,26 +199,12 @@ let count_report t (report : Report.t) =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-(* Canonical float rendering for gauges/window stats: integral values
-   print like integers, everything else to 6 significant digits.  The
-   point is determinism for equal states, not full precision. *)
+(* Canonical float rendering for gauges: integral values print like
+   integers, everything else to 6 significant digits.  The point is
+   determinism for equal states, not full precision. *)
 let float_str v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
-
-let window_stats_fields s =
-  let n = Array.length s.w_values in
-  let mean =
-    if n = 0 then 0. else Array.fold_left ( +. ) 0. s.w_values /. float_of_int n
-  in
-  let max_ = Array.fold_left Float.max 0. s.w_values in
-  Printf.sprintf
-    "\"capacity\":%d,\"count\":%d,\"len\":%d,\"mean\":%s,\"max\":%s,\
-     \"p50\":%s,\"p95\":%s,\"p99\":%s"
-    s.w_capacity s.w_count n (float_str mean) (float_str max_)
-    (float_str (window_quantile s 0.5))
-    (float_str (window_quantile s 0.95))
-    (float_str (window_quantile s 0.99))
 
 let to_json t =
   let buf = Buffer.create 1024 in
@@ -338,14 +249,6 @@ let to_json t =
       key name;
       add (float_str v))
     (gauges t);
-  add "},\"windows\":{";
-  List.iteri
-    (fun i name ->
-      if i > 0 then add ",";
-      let s = Option.get (window t name) in
-      key name;
-      add ("{" ^ window_stats_fields s ^ "}"))
-    (window_names t);
   add "},\"costs\":{";
   List.iteri
     (fun i (name, ns) ->

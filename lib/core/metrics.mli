@@ -15,6 +15,9 @@
     - {b histograms} — log₂-bucketed nanosecond distributions, used for
       the per-instance-pair interaction check cost.
 
+    A [t] observes one check.  The sliding windows over a daemon's
+    requests belong to {!Telemetry}.
+
     Timers use a monotonic clock ([CLOCK_MONOTONIC] via the bechamel
     stubs), so parallel speedups measure real time, not summed CPU
     time.
@@ -86,11 +89,11 @@ val counters : t -> (string * int) list
 
 (** {1 Gauges}
 
-    Point-in-time readings (queue depth, cache hit ratio, busy
-    fraction): unlike counters they move both ways, and a new reading
-    replaces the old one.  Under {!merge_into} the {e source}'s reading
-    wins for every name it carries — merge in shard order so the
-    surviving reading is deterministic. *)
+    Point-in-time readings (the cache hit ratio): unlike counters they
+    move both ways, and a new reading replaces the old one.  Under
+    {!merge_into} the {e source}'s reading wins for every name it
+    carries — merge in shard order so the surviving reading is
+    deterministic. *)
 
 (** [set_gauge t name v] records [v] as the current reading of gauge
     [name], replacing any previous reading. *)
@@ -101,39 +104,6 @@ val gauge : t -> string -> float option
 
 (** All gauges, sorted by name. *)
 val gauges : t -> (string * float) list
-
-(** {1 Sliding windows}
-
-    Rolling distributions over the last [capacity] observations (a ring
-    buffer): per-request service latency, queue-depth samples.  Where
-    the log₂ {{!observe_ns} histograms} are cumulative sketches over a
-    whole run, a window forgets — its quantiles answer "how is the
-    service doing {e now}" — and is exact within the window. *)
-
-(** The capacity a window is created with when the first
-    {!observe_window} for its name passes no [capacity] (256). *)
-val default_window_capacity : int
-
-(** [observe_window ?capacity t name v] pushes [v] into window [name],
-    evicting the oldest value once the window holds [capacity]
-    observations.  [capacity] only applies when this call creates the
-    window; an existing window keeps its capacity. *)
-val observe_window : ?capacity:int -> t -> string -> float -> unit
-
-type window_snapshot = {
-  w_count : int;  (** observations ever, including evicted ones *)
-  w_capacity : int;
-  w_values : float array;  (** surviving observations, oldest first *)
-}
-
-val window : t -> string -> window_snapshot option
-
-(** All window names, sorted. *)
-val window_names : t -> string list
-
-(** Exact nearest-rank quantile over the surviving values ([0.] for an
-    empty window). *)
-val window_quantile : window_snapshot -> float -> float
 
 (** {1 Histograms} *)
 
@@ -190,10 +160,7 @@ val top_costs : t -> n:int -> (string * int64) list
 
 (** [merge_into ~into src] adds [src]'s counters, histograms, and cost
     buckets into [into] and appends [src]'s stages after [into]'s;
-    [src]'s gauge readings overwrite [into]'s, and [src]'s window
-    values are replayed oldest-first into [into]'s rings (the
-    destination's capacity wins; evicted-observation counts carry
-    over).  [src] is not modified.  Used to fold per-domain
+    [src]'s gauge readings overwrite [into]'s.  [src] is not modified.  Used to fold per-domain
     accumulators back into the main one after a parallel stage; call
     in shard order so the result is deterministic. *)
 val merge_into : into:t -> t -> unit
@@ -208,8 +175,7 @@ val count_report : t -> Report.t -> unit
 (** Canonical JSON: [{"stages":[{"name","seconds"}…],
     "counters":{…}, "histograms":{name:{"count","sum_ns",
     "buckets":[{"le_ns","count"}…]}…}, "gauges":{name:v…},
-    "windows":{name:{"capacity","count","len","mean","max",
-    "p50","p95","p99"}…}, "costs":{name:ns…}}].
+    "costs":{name:ns…}}].
     Deterministic for equal states; no external JSON library
     involved. *)
 val to_json : t -> string

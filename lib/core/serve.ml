@@ -11,7 +11,11 @@
    verdict figures are computed once into the [outcome] the worker also
    reports to telemetry (exit by Engine.exit_code, lint tallies from
    each deck's Engine.dr_lint), and only the members between them and
-   "report" depend on the request's shape. *)
+   "report" depend on the request's shape.
+
+   Request outcomes are counted in one place, the Telemetry ledger;
+   the pool keeps only what it synchronises on: the queue, the drain
+   barrier and the tickets. *)
 
 type conn = {
   c_serial : int;  (* cancellation scope: (serial, id) keys p_latest *)
@@ -41,10 +45,9 @@ type pool = {
      whose ticket is older than the table's is superseded. *)
   p_latest : (int * string, int) Hashtbl.t;
   mutable p_ticket : int;
+  (* Popped jobs whose reply is not yet written: the barrier [drain]
+     waits on.  Never reported; the ledger derives [inflight]. *)
   mutable p_inflight : int;
-  mutable p_served : int;
-  mutable p_cancelled : int;
-  mutable p_overloaded : int;
   mutable p_workers : unit Domain.t list;
 }
 
@@ -84,8 +87,6 @@ let create ?(config = Engine.default_config) ?cache_dir ?(workers = 0)
       (match telemetry with Some tel -> tel | None -> Telemetry.create ()) }
 
 let worker_count t = t.s_workers
-
-let telemetry t = t.s_telemetry
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
@@ -387,7 +388,6 @@ let worker_loop t p w () =
       let job = Queue.pop p.p_queue in
       p.p_inflight <- p.p_inflight + 1;
       let stale = is_stale p job in
-      if stale then p.p_cancelled <- p.p_cancelled + 1;
       Mutex.unlock p.p_lock;
       let deq_ns = Metrics.now_ns () in
       let wait_ns =
@@ -431,8 +431,6 @@ let worker_loop t p w () =
              checking: drop the stale result on the floor. *)
           Mutex.lock p.p_lock;
           let stale_now = is_stale p job in
-          if stale_now then p.p_cancelled <- p.p_cancelled + 1
-          else p.p_served <- p.p_served + 1;
           Mutex.unlock p.p_lock;
           if stale_now then begin
             Telemetry.request_cancelled tel ~req:job.j_seq ~worker:w ();
@@ -474,9 +472,6 @@ let start t =
         p_latest = Hashtbl.create 16;
         p_ticket = 0;
         p_inflight = 0;
-        p_served = 0;
-        p_cancelled = 0;
-        p_overloaded = 0;
         p_workers = [] }
     in
     t.s_pool <- Some p;
@@ -523,6 +518,34 @@ let stopped t =
 
 let request_stop t = Atomic.set t.s_stop_req true
 
+type stats = {
+  queued : int;
+  inflight : int;
+  served : int;
+  cancelled : int;
+  overloaded : int;
+  workers : int;
+}
+
+(* [f] with the queue depth and the live worker count, under the pool
+   lock: the ledger's [accepted] moves only under this lock, beside the
+   push, so a ledger read inside [f] agrees with the depth.  Lock order
+   is pool, then telemetry. *)
+let with_depth t f =
+  match t.s_pool with
+  | None -> f ~queued:0 ~workers:0
+  | Some p ->
+    Mutex.lock p.p_lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock p.p_lock)
+      (fun () -> f ~queued:(Queue.length p.p_queue) ~workers:(List.length p.p_workers))
+
+let stats t =
+  with_depth t (fun ~queued ~workers ->
+      let r = Telemetry.requests t.s_telemetry ~queued in
+      { queued; inflight = r.Telemetry.inflight; served = r.Telemetry.served;
+        cancelled = r.Telemetry.cancelled; overloaded = r.Telemetry.overloaded; workers })
+
 let shutdown t =
   match t.s_pool with
   | None -> Atomic.set t.s_stop_req true
@@ -542,47 +565,16 @@ let shutdown t =
     drain t;
     List.iter Domain.join workers;
     if first then begin
-      Mutex.lock p.p_lock;
-      let served = p.p_served and cancelled = p.p_cancelled in
-      let overloaded = p.p_overloaded in
-      Mutex.unlock p.p_lock;
+      let s = stats t in
       Telemetry.lifecycle t.s_telemetry
         ~fields:
-          [ ("served", jnum served); ("cancelled", jnum cancelled);
-            ("overloaded", jnum overloaded) ]
+          [ ("served", jnum s.served); ("cancelled", jnum s.cancelled);
+            ("overloaded", jnum s.overloaded) ]
         "shutdown"
     end
 
-type stats = {
-  queued : int;
-  inflight : int;
-  served : int;
-  cancelled : int;
-  overloaded : int;
-  workers : int;
-}
-
-let stats t =
-  match t.s_pool with
-  | None ->
-    { queued = 0; inflight = 0; served = 0; cancelled = 0; overloaded = 0;
-      workers = 0 }
-  | Some p ->
-    Mutex.lock p.p_lock;
-    let s =
-      { queued = Queue.length p.p_queue;
-        inflight = p.p_inflight;
-        served = p.p_served;
-        cancelled = p.p_cancelled;
-        overloaded = p.p_overloaded;
-        workers = List.length p.p_workers }
-    in
-    Mutex.unlock p.p_lock;
-    s
-
-(* The satellite view clients were missing: the ack (and every
-   overloaded refusal) carries the pool counters, so a client can see
-   what the daemon did — and why it refused. *)
+(* The ack (and every overloaded refusal) carries the ledger's counts,
+   so a client can see what the daemon did — and why it refused. *)
 let stats_fields s =
   [ ("served", jnum s.served); ("cancelled", jnum s.cancelled);
     ("overloaded", jnum s.overloaded); ("queued", jnum s.queued);
@@ -599,10 +591,9 @@ let shutdown_ack t id =
 (* Admin surface                                                       *)
 
 let stats_snapshot t =
-  let s = stats t in
-  Telemetry.snapshot t.s_telemetry ~queued:s.queued ~inflight:s.inflight
-    ~served:s.served ~cancelled:s.cancelled ~overloaded:s.overloaded
-    ~workers:t.s_workers ~max_queue:t.s_max_queue
+  with_depth t (fun ~queued ~workers:_ ->
+      Telemetry.snapshot t.s_telemetry ~queued ~workers:t.s_workers
+        ~max_queue:t.s_max_queue)
 
 (* Answered synchronously — admin requests must not queue behind
    checks, and must keep answering while the daemon drains. *)
@@ -638,75 +629,77 @@ let admin_reply t id req kind =
 
 let admin_of req = Option.bind (Json.member "admin" req) Json.str
 
-let submit t conn line =
-  if String.trim line <> "" then begin
-    match Json.parse line with
-    | Error msg ->
-      Telemetry.request_rejected t.s_telemetry ~error:("bad request: " ^ msg);
-      conn.c_reply (refuse Json.Null ("bad request: " ^ msg))
-    | Ok req ->
-      let id = Option.value ~default:Json.Null (Json.member "id" req) in
-      if Option.bind (Json.member "shutdown" req) Json.bool = Some true then begin
-        shutdown t;
-        conn.c_reply (shutdown_ack t id)
-      end
-      else begin
-        match admin_of req with
-        | Some kind -> conn.c_reply (admin_reply t id req kind)
-        | None ->
-          let p = pool t in
-          let seq = Telemetry.next_request t.s_telemetry in
-          (* Telemetry calls below run under p_lock so the event log
-             orders accepted before the worker's started.  Lock order
-             is always pool → telemetry, never the reverse. *)
-          Mutex.lock p.p_lock;
-          if Atomic.get p.p_stop then begin
-            Telemetry.request_rejected t.s_telemetry
-              ~error:"server is shutting down";
-            Mutex.unlock p.p_lock;
-            conn.c_reply
-              (refuse ~status:"shutdown" ~extra:(req_field (Some seq)) id
-                 "server is shutting down")
-          end
-          else if Queue.length p.p_queue >= t.s_max_queue then begin
-            p.p_overloaded <- p.p_overloaded + 1;
-            let extra =
-              req_field (Some seq)
-              @ [ ("served", jnum p.p_served); ("queued", jnum (Queue.length p.p_queue));
-                  ("inflight", jnum p.p_inflight) ]
-            in
-            Telemetry.request_overloaded t.s_telemetry ~req:seq
-              ~queued:(Queue.length p.p_queue);
-            Mutex.unlock p.p_lock;
-            conn.c_reply
-              (refuse ~status:"overloaded" ~extra id
-                 "request queue is full; retry later")
-          end
-          else begin
-            p.p_ticket <- p.p_ticket + 1;
-            let key =
-              match id with
-              | Json.Null -> None
-              | _ -> Some (conn.c_serial, Json.to_string id)
-            in
-            (match key with
-            | Some k -> Hashtbl.replace p.p_latest k p.p_ticket
-            | None -> ());
-            Queue.push
-              { j_conn = conn; j_req = req; j_id = id; j_key = key;
-                j_ticket = p.p_ticket; j_seq = seq;
-                j_enq_ns = Metrics.now_ns () }
-              p.p_queue;
-            Mutex.lock conn.c_lock;
-            conn.c_outstanding <- conn.c_outstanding + 1;
-            Mutex.unlock conn.c_lock;
-            Telemetry.request_accepted t.s_telemetry ~req:seq ~id
-              ~queued:(Queue.length p.p_queue);
-            Condition.signal p.p_work;
-            Mutex.unlock p.p_lock
-          end
-      end
+(* One dispatcher for both entry points.  A parse error is rejected,
+   [shutdown] gets the ack and [admin] its reply; a check comes back
+   to the caller — [submit] enqueues it, [handle_line] runs it on the
+   caller's domain. *)
+type dispatched = Answer of string | Check of Json.t * Json.t  (* id, request *)
+
+let dispatch t line =
+  match Json.parse line with
+  | Error msg ->
+    Telemetry.request_rejected t.s_telemetry ~error:("bad request: " ^ msg);
+    Answer (refuse Json.Null ("bad request: " ^ msg))
+  | Ok req -> (
+    let id = Option.value ~default:Json.Null (Json.member "id" req) in
+    if Option.bind (Json.member "shutdown" req) Json.bool = Some true then begin
+      shutdown t;
+      Answer (shutdown_ack t id)
+    end
+    else
+      match admin_of req with
+      | Some kind -> Answer (admin_reply t id req kind)
+      | None -> Check (id, req))
+
+let enqueue t conn id req =
+  let p = pool t in
+  let seq = Telemetry.next_request t.s_telemetry in
+  (* Telemetry calls below run under p_lock so the event log orders
+     accepted before the worker's started, and the ledger's accepted
+     moves with the queue.  Lock order is always pool → telemetry,
+     never the reverse. *)
+  Mutex.lock p.p_lock;
+  if Atomic.get p.p_stop then begin
+    Telemetry.request_rejected t.s_telemetry ~error:"server is shutting down";
+    Mutex.unlock p.p_lock;
+    conn.c_reply
+      (refuse ~status:"shutdown" ~extra:(req_field (Some seq)) id "server is shutting down")
   end
+  else if Queue.length p.p_queue >= t.s_max_queue then begin
+    let queued = Queue.length p.p_queue in
+    Telemetry.request_overloaded t.s_telemetry ~req:seq ~queued;
+    let r = Telemetry.requests t.s_telemetry ~queued in
+    let extra =
+      req_field (Some seq)
+      @ [ ("served", jnum r.Telemetry.served); ("queued", jnum queued);
+          ("inflight", jnum r.Telemetry.inflight) ]
+    in
+    Mutex.unlock p.p_lock;
+    conn.c_reply (refuse ~status:"overloaded" ~extra id "request queue is full; retry later")
+  end
+  else begin
+    p.p_ticket <- p.p_ticket + 1;
+    let key =
+      match id with Json.Null -> None | _ -> Some (conn.c_serial, Json.to_string id)
+    in
+    (match key with Some k -> Hashtbl.replace p.p_latest k p.p_ticket | None -> ());
+    Queue.push
+      { j_conn = conn; j_req = req; j_id = id; j_key = key; j_ticket = p.p_ticket;
+        j_seq = seq; j_enq_ns = Metrics.now_ns () }
+      p.p_queue;
+    Mutex.lock conn.c_lock;
+    conn.c_outstanding <- conn.c_outstanding + 1;
+    Mutex.unlock conn.c_lock;
+    Telemetry.request_accepted t.s_telemetry ~req:seq ~id ~queued:(Queue.length p.p_queue);
+    Condition.signal p.p_work;
+    Mutex.unlock p.p_lock
+  end
+
+let submit t conn line =
+  if String.trim line <> "" then
+    match dispatch t line with
+    | Answer reply -> conn.c_reply reply
+    | Check (id, req) -> enqueue t conn id req
 
 (* All replies owed to this connection have been written. *)
 let conn_drain conn =
@@ -720,21 +713,9 @@ let conn_drain conn =
 (* Synchronous embedding (tests, one-off scripting)                    *)
 
 let handle_line t line =
-  match Json.parse line with
-  | Error msg ->
-    Telemetry.request_rejected t.s_telemetry ~error:("bad request: " ^ msg);
-    refuse Json.Null ("bad request: " ^ msg)
-  | Ok req ->
-    let id = Option.value ~default:Json.Null (Json.member "id" req) in
-    if Option.bind (Json.member "shutdown" req) Json.bool = Some true then begin
-      shutdown t;
-      shutdown_ack t id
-    end
-    else begin
-      match admin_of req with
-      | Some kind -> admin_reply t id req kind
-      | None -> fst (process_safe t req)
-    end
+  match dispatch t line with
+  | Answer reply -> reply
+  | Check (_, req) -> fst (process_safe t req)
 
 (* ------------------------------------------------------------------ *)
 (* Transports                                                          *)

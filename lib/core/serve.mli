@@ -123,8 +123,11 @@
     [{"admin":"stats"}] and [{"admin":"health"}] requests are answered
     synchronously — never queued, still answered while draining — with
     the canonical snapshots from {!Telemetry.snapshot}; overloaded
-    refusals carry the pool counters ([served]/[queued]/[inflight]) so
-    a refused client sees why.  None of it touches report bytes. *)
+    refusals carry the ledger's counts ([served]/[queued]/[inflight])
+    so a refused client sees why.  {!Telemetry} is the one book of
+    request outcomes: the snapshot, {!stats}, the shutdown
+    acknowledgement and the refusals all read its ledger.  None of it
+    touches report bytes. *)
 
 type t
 
@@ -151,9 +154,6 @@ val create :
 (** The resolved worker-domain count. *)
 val worker_count : t -> int
 
-(** The hub passed to (or created by) {!create}. *)
-val telemetry : t -> Telemetry.t
-
 (** {2 Synchronous embedding}
 
     The protocol without the daemon: parse one request line, check,
@@ -171,22 +171,19 @@ val handle_line : t -> string -> string
     reply writer. *)
 type conn
 
-(** Spawn the worker domains.  Idempotent; {!submit} starts the pool
-    on first use anyway. *)
-val start : t -> unit
-
 (** [connect t ~reply] registers a client.  [reply] receives each
     reply line (no trailing newline); calls are serialized and
     exceptions from [reply] are swallowed, so a dead client cannot
     take a worker down. *)
 val connect : t -> reply:(string -> unit) -> conn
 
-(** Hand one request line to the daemon.  Enqueues and returns; the
-    reply arrives via the connection's [reply] callback from a worker
+(** Hand one request line to the daemon; the first one starts the
+    worker pool.  A check is enqueued and [submit] returns; its reply
+    arrives via the connection's [reply] callback from a worker
     domain.  Malformed JSON, backpressure ("overloaded"), [admin]
     requests, drain-time refusals and the shutdown acknowledgement are
-    answered synchronously from within [submit].  Blank lines are
-    ignored. *)
+    answered synchronously from within [submit], exactly as
+    {!handle_line} answers them.  Blank lines are ignored. *)
 val submit : t -> conn -> string -> unit
 
 (** Block until the queue is empty and no request is in flight. *)
@@ -200,15 +197,17 @@ val shutdown : t -> unit
     [SIGTERM] handler. *)
 val request_stop : t -> unit
 
-(** Has a stop been requested or the pool been stopped? *)
-val stopped : t -> bool
-
-(** Pool introspection, for tests and monitoring.  [workers] counts
-    live worker domains (0 before {!start} and after {!shutdown}). *)
+(** Pool introspection, for tests and monitoring: the queue depth and
+    the {!Telemetry} ledger's counts, read in one section of the pool
+    lock, so the [{"admin":"stats"}] snapshot taken at the same moment
+    reads the same figures.  [workers] counts live worker domains (0
+    before the pool starts and after {!shutdown}). *)
 type stats = {
   queued : int;
   inflight : int;
-  served : int;  (** replies delivered with a report *)
+      (** accepted requests neither queued nor answered (derived by the
+          ledger) *)
+  served : int;  (** checks answered with a report *)
   cancelled : int;  (** superseded requests answered ["cancelled"] *)
   overloaded : int;  (** submissions refused by backpressure *)
   workers : int;

@@ -4,15 +4,47 @@
    domain, so everything here is mutex-guarded.  Three concerns share
    the hub because they share the same per-request facts:
 
-   - rolling service metrics (a Metrics.t of counters, gauges, and
-     sliding windows) answering {"admin":"stats"};
+   - the request ledger and the sliding windows: one count per request
+     outcome, and the last [window_capacity] samples of each
+     per-request figure, answering {"admin":"stats"};
    - the structured event log: one JSON line per request lifecycle
      transition, written through a caller-supplied sink;
    - per-request Trace buffers, collected for the daemon-level
      --trace file and merged in request order.
 
+   The ledger is the daemon's one book of request outcomes: the live
+   snapshot, Serve.stats, the shutdown entry and ack, the overload
+   refusal and the offline replay all read it.  The pool keeps only
+   what it synchronises on.
+
    The bar from day one of the metrics work still holds: telemetry
    changes cost and side-channel output only, never report bytes. *)
+
+(* A sliding window: the last [window_capacity] observations in a ring,
+   plus the all-time observation count.  Quantiles over the ring are
+   exact for the window. *)
+let window_capacity = 256
+
+type window = {
+  w_data : float array;
+  mutable w_len : int;  (* values held, <= window_capacity *)
+  mutable w_next : int;  (* next insertion slot *)
+  mutable w_count : int;  (* observations ever, incl. evicted *)
+}
+
+let window () =
+  { w_data = Array.make window_capacity 0.; w_len = 0; w_next = 0; w_count = 0 }
+
+let observe w v =
+  w.w_data.(w.w_next) <- v;
+  w.w_next <- (w.w_next + 1) mod window_capacity;
+  if w.w_len < window_capacity then w.w_len <- w.w_len + 1;
+  w.w_count <- w.w_count + 1
+
+(* The held values, oldest first. *)
+let held w =
+  Array.init w.w_len (fun i ->
+      w.w_data.((w.w_next - w.w_len + window_capacity + i) mod window_capacity))
 
 type t = {
   lock : Mutex.t;
@@ -21,7 +53,19 @@ type t = {
   event_sink : (string -> unit) option;
   collect_traces : bool;
   seq : int Atomic.t;
-  metrics : Metrics.t;
+  (* The request ledger, kept by [apply]. *)
+  mutable n_accepted : int;
+  mutable n_served : int;  (* one per [finished] event *)
+  mutable n_cancelled : int;
+  mutable n_overloaded : int;
+  mutable n_rejected : int;
+  mutable symbols_total : int;  (* served checks' definition reuse *)
+  mutable symbols_reused : int;
+  wait_ms : window;
+  service_ms : window;
+  latency_ms : window;
+  queue_depth : window;  (* the queue length each accepted request saw *)
+  finish_s : window;  (* finish times, for the windowed rps *)
   mutable busy_ns : int64 array;  (* indexed by worker id *)
   mutable traces_rev : (int * Trace.t) list;
 }
@@ -33,15 +77,24 @@ let create ?slow_ms ?event_sink ?(collect_traces = false) () =
     event_sink;
     collect_traces;
     seq = Atomic.make 0;
-    metrics = Metrics.create ();
+    n_accepted = 0;
+    n_served = 0;
+    n_cancelled = 0;
+    n_overloaded = 0;
+    n_rejected = 0;
+    symbols_total = 0;
+    symbols_reused = 0;
+    wait_ms = window ();
+    service_ms = window ();
+    latency_ms = window ();
+    queue_depth = window ();
+    finish_s = window ();
     busy_ns = [||];
     traces_rev = [] }
 
 let next_request t = 1 + Atomic.fetch_and_add t.seq 1
 
 let collecting_traces t = t.collect_traces
-
-let slow_ms t = t.slow_ms
 
 let uptime_s t = Int64.to_float (Int64.sub (Metrics.now_ns ()) t.started_ns) *. 1e-9
 
@@ -81,8 +134,6 @@ let lifecycle t ?fields kind = event t ?fields kind
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
-let observe t name v = Metrics.observe_window t.metrics name v
-
 let charge_busy t ~worker ~ns =
   if worker >= 0 then begin
     if worker >= Array.length t.busy_ns then begin
@@ -93,7 +144,7 @@ let charge_busy t ~worker ~ns =
     t.busy_ns.(worker) <- Int64.add t.busy_ns.(worker) (max 0L ns)
   end
 
-(* The one event -> metrics reduction, read from a request event's kind
+(* The one event -> ledger reduction, read from a request event's kind
    and logged fields.  The live hooks below and [replay] both call it,
    so the two snapshots cannot drift.  Two inputs are not in the fields
    because they differ by construction: a finish time ([finish_s],
@@ -105,24 +156,26 @@ let apply t ?finish_s ?busy_ns kind fields =
   let field name conv = Option.bind (List.assoc_opt name fields) conv in
   match kind with
   | "accepted" ->
-    Metrics.incr t.metrics "serve.accepted";
-    Option.iter (fun q -> observe t "serve.queue_depth" (float_of_int q))
-      (field "queued" Json.int)
-  | "started" -> Option.iter (observe t "serve.wait_ms") (field "wait_ms" Json.num)
+    t.n_accepted <- t.n_accepted + 1;
+    Option.iter (fun q -> observe t.queue_depth (float_of_int q)) (field "queued" Json.int)
+  | "started" -> Option.iter (observe t.wait_ms) (field "wait_ms" Json.num)
   | "finished" ->
-    Option.iter (observe t "serve.service_ms") (field "service_ms" Json.num);
-    Option.iter (observe t "serve.latency_ms") (field "latency_ms" Json.num);
+    t.n_served <- t.n_served + 1;
+    Option.iter (observe t.service_ms) (field "service_ms" Json.num);
+    Option.iter (observe t.latency_ms) (field "latency_ms" Json.num);
     (match (field "symbols_total" Json.int, field "symbols_reused" Json.int) with
     | Some total, Some reused ->
-      Metrics.incr ~by:total t.metrics "serve.cache.symbols_total";
-      Metrics.incr ~by:reused t.metrics "serve.cache.symbols_reused"
+      t.symbols_total <- t.symbols_total + total;
+      t.symbols_reused <- t.symbols_reused + reused
     | _ -> ());
     (* Finish times feed the windowed requests-per-second figure. *)
-    Option.iter (observe t "serve.finish_s") finish_s;
+    Option.iter (observe t.finish_s) finish_s;
     (match (field "worker" Json.int, busy_ns) with
     | Some worker, Some ns -> charge_busy t ~worker ~ns
     | _ -> ())
-  | "rejected" -> Metrics.incr t.metrics "serve.rejected"
+  | "cancelled" -> t.n_cancelled <- t.n_cancelled + 1
+  | "overloaded" -> t.n_overloaded <- t.n_overloaded + 1
+  | "rejected" -> t.n_rejected <- t.n_rejected + 1
   | _ -> ()
 
 (* A live request hook: reduce the event's fields, then log them. *)
@@ -182,45 +235,62 @@ let merged_trace t =
 (* ------------------------------------------------------------------ *)
 (* Stats snapshot                                                      *)
 
-(* Canonical member order; every member is always present so clients
-   (and `dicheck top`) never need existence checks. *)
-let window_json t name =
-  match Metrics.window t.metrics name with
-  | None ->
-    Json.Obj
-      [ ("count", num 0); ("len", num 0); ("mean", fnum 0.); ("max", fnum 0.);
-        ("p50", fnum 0.); ("p95", fnum 0.); ("p99", fnum 0.) ]
-  | Some s ->
-    let n = Array.length s.Metrics.w_values in
-    let mean =
-      if n = 0 then 0.
-      else Array.fold_left ( +. ) 0. s.Metrics.w_values /. float_of_int n
-    in
-    Json.Obj
-      [ ("count", num s.Metrics.w_count); ("len", num n); ("mean", fnum mean);
-        ("max", fnum (Array.fold_left Float.max 0. s.Metrics.w_values));
-        ("p50", fnum (Metrics.window_quantile s 0.5));
-        ("p95", fnum (Metrics.window_quantile s 0.95));
-        ("p99", fnum (Metrics.window_quantile s 0.99)) ]
+type requests = {
+  accepted : int;
+  inflight : int;
+  served : int;
+  cancelled : int;
+  overloaded : int;
+  rejected : int;
+}
 
-let snapshot t ~queued ~inflight ~served ~cancelled ~overloaded ~workers ~max_queue =
+(* The ledger's counts, and the one place [inflight] is derived: an
+   accepted request that is neither queued nor answered.  Caller holds
+   the lock. *)
+let requests_of t ~queued =
+  { accepted = t.n_accepted;
+    inflight = t.n_accepted - t.n_served - t.n_cancelled - queued;
+    served = t.n_served;
+    cancelled = t.n_cancelled;
+    overloaded = t.n_overloaded;
+    rejected = t.n_rejected }
+
+let requests t ~queued = locked t (fun () -> requests_of t ~queued)
+
+(* Canonical member order; every member is always present so clients
+   (and `dicheck top`) never need existence checks.  Quantiles are
+   nearest-rank over the held values, so exact for the window. *)
+let window_json w =
+  let vs = held w in
+  let n = Array.length vs in
+  let sorted = Array.copy vs in
+  Array.sort compare sorted;
+  let quantile q =
+    if n = 0 then 0.
+    else sorted.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
+  in
+  let mean = if n = 0 then 0. else Array.fold_left ( +. ) 0. vs /. float_of_int n in
+  Json.Obj
+    [ ("count", num w.w_count); ("len", num n); ("mean", fnum mean);
+      ("max", fnum (Array.fold_left Float.max 0. vs));
+      ("p50", fnum (quantile 0.5)); ("p95", fnum (quantile 0.95));
+      ("p99", fnum (quantile 0.99)) ]
+
+let snapshot t ~queued ~workers ~max_queue =
   locked t (fun () ->
       let up = uptime_s t in
-      let counter name = Metrics.counter t.metrics name in
-      let rps_lifetime = if up > 0. then float_of_int served /. up else 0. in
+      let r = requests_of t ~queued in
+      let rps_lifetime = if up > 0. then float_of_int r.served /. up else 0. in
       let rps_window =
-        match Metrics.window t.metrics "serve.finish_s" with
-        | Some s when Array.length s.Metrics.w_values >= 2 ->
-          let vs = s.Metrics.w_values in
-          let n = Array.length vs in
-          let span = vs.(n - 1) -. vs.(0) in
-          if span > 0. then float_of_int (n - 1) /. span else 0.
-        | _ -> 0.
+        let vs = held t.finish_s in
+        let n = Array.length vs in
+        let span = if n >= 2 then vs.(n - 1) -. vs.(0) else 0. in
+        if span > 0. then float_of_int (n - 1) /. span else 0.
       in
-      let total = counter "serve.cache.symbols_total" in
-      let reused = counter "serve.cache.symbols_reused" in
       let hit_ratio =
-        if total > 0 then float_of_int reused /. float_of_int total else 0.
+        if t.symbols_total > 0 then
+          float_of_int t.symbols_reused /. float_of_int t.symbols_total
+        else 0.
       in
       let busy =
         List.init (max workers (Array.length t.busy_ns)) (fun w ->
@@ -234,30 +304,30 @@ let snapshot t ~queued ~inflight ~served ~cancelled ~overloaded ~workers ~max_qu
           ("queue", Json.Obj [ ("depth", num queued); ("max", num max_queue) ]);
           ("requests",
            Json.Obj
-             [ ("accepted", num (counter "serve.accepted"));
-               ("inflight", num inflight); ("served", num served);
-               ("cancelled", num cancelled); ("overloaded", num overloaded);
-               ("rejected", num (counter "serve.rejected")) ]);
+             [ ("accepted", num r.accepted); ("inflight", num r.inflight);
+               ("served", num r.served); ("cancelled", num r.cancelled);
+               ("overloaded", num r.overloaded); ("rejected", num r.rejected) ]);
           ("rps",
            Json.Obj [ ("lifetime", fnum rps_lifetime); ("window", fnum rps_window) ]);
-          ("latency_ms", window_json t "serve.latency_ms");
-          ("wait_ms", window_json t "serve.wait_ms");
-          ("service_ms", window_json t "serve.service_ms");
-          ("queue_depth", window_json t "serve.queue_depth");
+          ("latency_ms", window_json t.latency_ms);
+          ("wait_ms", window_json t.wait_ms);
+          ("service_ms", window_json t.service_ms);
+          ("queue_depth", window_json t.queue_depth);
           ("cache",
            Json.Obj
-             [ ("symbols_total", num total); ("symbols_reused", num reused);
-               ("hit_ratio", fnum hit_ratio) ]);
+             [ ("symbols_total", num t.symbols_total);
+               ("symbols_reused", num t.symbols_reused); ("hit_ratio", fnum hit_ratio) ]);
           ("workers_busy", Json.Arr busy) ])
 
 (* ------------------------------------------------------------------ *)
 (* Event-log replay                                                    *)
 
-(* Offline post-mortem: re-run an event-log file through the same
-   accounting the live hub does, enforce the lifecycle invariants
-   PROTOCOL.md promises (every accepted request reaches exactly one
-   terminal entry, accepted before terminal, overloaded/rejected never
-   in the accepted population, drained means nothing left in flight),
+(* Offline post-mortem: walk an event-log file once, each entry first
+   through the lifecycle invariants PROTOCOL.md promises (every
+   accepted request reaches exactly one terminal entry, accepted before
+   terminal, overloaded/rejected never in the accepted population,
+   drained means nothing left queued or in flight, the shutdown entry's
+   counts are the ledger's) and then through the live hub's [apply],
    and synthesize the stats snapshot the daemon would have answered at
    the last entry.  Used by [dicheck top --event-log FILE] — no socket,
    no daemon, just the log. *)
@@ -269,117 +339,111 @@ let max_workers = 126
 type replay_state = Queued | Running | Done
 
 let replay content =
-  let lines =
-    String.split_on_char '\n' content
-    |> List.mapi (fun i l -> (i + 1, String.trim l))
-    |> List.filter (fun (_, l) -> l <> "")
-  in
   let exception Bad of string in
   let fail ln fmt = Printf.ksprintf (fun m -> raise (Bad (Printf.sprintf "line %d: %s" ln m))) fmt in
-  try
-    let events =
-      List.map
-        (fun (ln, l) ->
-          match Json.parse l with
-          | Ok j -> (ln, j)
-          | Error msg -> fail ln "%s" msg)
-        lines
-    in
-    if events = [] then raise (Bad "empty event log");
-    let kind_of ln j =
-      match Option.bind (Json.member "event" j) Json.str with
-      | Some k -> k
-      | None -> fail ln "entry has no \"event\" member"
-    in
-    let ts_of ln j =
-      match Option.bind (Json.member "ts_ms" j) Json.num with
+  let t = create () in
+  let state : (int, replay_state) Hashtbl.t = Hashtbl.create 64 in
+  (* The pool the start entry announced — or, in a rotated log that
+     lost it, the largest pool a daemon runs — bounds every entry's
+     worker index, since the index sizes the busy-time table.  The
+     snapshot's [workers] is the start entry's pool, or more if the log
+     saw more. *)
+  let pool = ref max_workers and announced = ref 0 and seen = ref 0 in
+  let max_queue = ref 0 in
+  let drained = ref false in
+  let first_ts = ref nan and last_ts = ref nan in
+  let entry ln line =
+    let j = match Json.parse line with Ok j -> j | Error msg -> fail ln "%s" msg in
+    let member name conv = Option.bind (Json.member name j) conv in
+    let ts =
+      match member "ts_ms" Json.num with
       | Some v -> v
       | None -> fail ln "entry has no \"ts_ms\" member"
     in
-    let req_of ln j =
-      match Option.bind (Json.member "req" j) Json.int with
+    if Float.is_nan !first_ts then first_ts := ts;
+    last_ts := ts;
+    if !drained then fail ln "entry after the shutdown entry";
+    (match member "worker" Json.int with
+    | Some w when w < 0 || w >= !pool ->
+      fail ln "worker %d is outside the pool of %d worker(s)" w !pool
+    | Some w -> seen := max !seen (w + 1)
+    | None -> ());
+    (* The ledger's reuse counts only grow. *)
+    List.iter
+      (fun name ->
+        match member name Json.int with
+        | Some n when n < 0 -> fail ln "%s is %d, below zero" name n
+        | _ -> ())
+      [ "symbols_total"; "symbols_reused" ];
+    let kind =
+      match member "event" Json.str with
+      | Some k -> k
+      | None -> fail ln "entry has no \"event\" member"
+    in
+    let req () =
+      match member "req" Json.int with
       | Some r -> r
       | None -> fail ln "request-scoped entry has no \"req\" member"
     in
-    let fnum_of j name = Option.bind (Json.member name j) Json.num in
-    let inum_of j name = Option.bind (Json.member name j) Json.int in
-    (* Pass 1: lifecycle reconciliation. *)
-    let state : (int, replay_state) Hashtbl.t = Hashtbl.create 64 in
-    let accepted = ref 0 and finished = ref 0 and cancelled = ref 0 in
-    let overloaded = ref 0 and rejected = ref 0 in
-    let workers = ref 0 and max_queue = ref 0 in
-    (* Worker indices index the busy-time table: each must name a worker
-       of the pool the start entry announced — or, in a rotated log
-       that lost it, of the largest pool a daemon runs. *)
-    let pool = ref max_workers in
-    let check_worker ln j =
-      match inum_of j "worker" with
-      | Some w when w < 0 || w >= !pool ->
-        fail ln "worker %d is outside the pool of %d worker(s)" w !pool
-      | _ -> ()
+    (match kind with
+    | "start" ->
+      Option.iter
+        (fun w ->
+          if w > max_workers then
+            fail ln "start entry says workers=%d, above the daemon's cap of %d" w
+              max_workers;
+          announced := w;
+          pool := w)
+        (member "workers" Json.int);
+      Option.iter (fun q -> max_queue := q) (member "max_queue" Json.int)
+    | "accepted" ->
+      let req = req () in
+      if Hashtbl.mem state req then fail ln "request %d accepted twice" req;
+      Hashtbl.replace state req Queued
+    | "started" -> (
+      let req = req () in
+      match Hashtbl.find_opt state req with
+      | Some Queued -> Hashtbl.replace state req Running
+      | Some Running -> fail ln "request %d started twice" req
+      | Some Done -> fail ln "request %d started after its terminal entry" req
+      | None -> fail ln "request %d started but never accepted" req)
+    | "finished" | "cancelled" -> (
+      let req = req () in
+      match Hashtbl.find_opt state req with
+      | Some (Queued | Running) -> Hashtbl.replace state req Done
+      | Some Done -> fail ln "request %d has two terminal entries" req
+      | None -> fail ln "request %d %s but never accepted" req kind)
+    | "overloaded" ->
+      let req = req () in
+      if Hashtbl.mem state req then
+        fail ln "request %d overloaded after being accepted" req
+    | "rejected" | "slow" | "shutdown_begin" -> ()
+    | "shutdown" ->
+      drained := true;
+      let check name counted =
+        match member name Json.int with
+        | Some logged when logged <> counted ->
+          fail ln "shutdown says %s=%d but the log replays %d" name logged counted
+        | _ -> ()
+      in
+      check "served" t.n_served;
+      check "cancelled" t.n_cancelled;
+      check "overloaded" t.n_overloaded
+    | k -> fail ln "unknown event kind %S" k);
+    let fields = match j with Json.Obj fs -> fs | _ -> [] in
+    let busy_ns =
+      Option.map (fun ms -> Int64.of_float (ms *. 1e6)) (member "service_ms" Json.num)
     in
-    let drained = ref false in
-    let first_ts = ref nan and last_ts = ref nan in
-    List.iter
-      (fun (ln, j) ->
-        let ts = ts_of ln j in
-        if Float.is_nan !first_ts then first_ts := ts;
-        last_ts := ts;
-        if !drained then fail ln "entry after the shutdown entry";
-        check_worker ln j;
-        match kind_of ln j with
-        | "start" ->
-          Option.iter
-            (fun w ->
-              if w > max_workers then
-                fail ln "start entry says workers=%d, above the daemon's cap of %d" w
-                  max_workers;
-              workers := w;
-              pool := w)
-            (inum_of j "workers");
-          Option.iter (fun q -> max_queue := q) (inum_of j "max_queue")
-        | "accepted" ->
-          let req = req_of ln j in
-          if Hashtbl.mem state req then fail ln "request %d accepted twice" req;
-          Hashtbl.replace state req Queued;
-          incr accepted
-        | "started" -> (
-          let req = req_of ln j in
-          match Hashtbl.find_opt state req with
-          | Some Queued -> Hashtbl.replace state req Running
-          | Some Running -> fail ln "request %d started twice" req
-          | Some Done -> fail ln "request %d started after its terminal entry" req
-          | None -> fail ln "request %d started but never accepted" req)
-        | ("finished" | "cancelled") as kind -> (
-          let req = req_of ln j in
-          match Hashtbl.find_opt state req with
-          | Some (Queued | Running) ->
-            Hashtbl.replace state req Done;
-            if kind = "finished" then incr finished else incr cancelled
-          | Some Done -> fail ln "request %d has two terminal entries" req
-          | None -> fail ln "request %d %s but never accepted" req kind)
-        | "overloaded" ->
-          let req = req_of ln j in
-          if Hashtbl.mem state req then
-            fail ln "request %d overloaded after being accepted" req;
-          incr overloaded
-        | "rejected" -> incr rejected
-        | "slow" | "shutdown_begin" -> ()
-        | "shutdown" ->
-          drained := true;
-          let check name counted =
-            match inum_of j name with
-            | Some logged when logged <> counted ->
-              fail ln "shutdown says %s=%d but the log replays %d" name logged
-                counted
-            | _ -> ()
-          in
-          check "served" !finished;
-          check "cancelled" !cancelled;
-          check "overloaded" !overloaded
-        | k -> fail ln "unknown event kind %S" k)
-      events;
-    let queued = ref 0 and inflight = ref 0 in
+    apply t ~finish_s:((ts -. !first_ts) /. 1000.) ?busy_ns kind fields
+  in
+  try
+    List.iteri
+      (fun i line ->
+        let line = String.trim line in
+        if line <> "" then entry (i + 1) line)
+      (String.split_on_char '\n' content);
+    if Float.is_nan !first_ts then raise (Bad "empty event log");
+    let queued = ref 0 in
     Hashtbl.iter
       (fun req st ->
         match st with
@@ -391,38 +455,15 @@ let replay content =
         | Running ->
           if !drained then
             raise (Bad (Printf.sprintf
-              "drained daemon left request %d in flight: accepted = finished + cancelled is violated" req));
-          incr inflight
+              "drained daemon left request %d in flight: accepted = finished + cancelled is violated" req))
         | Done -> ())
       state;
-    (* Pass 2: the live hub's reduction over the logged fields, with
-       the hub's epoch backdated by the log's time span so uptime and
+    (* The hub's epoch backdated by the log's time span, so uptime and
        the rps figures come out of the recorded timeline, not the
        replay's. *)
     let span_ns = Int64.of_float (Float.max 0. (!last_ts -. !first_ts) *. 1e6) in
-    let base = create () in
-    let t = { base with started_ns = Int64.sub base.started_ns span_ns } in
-    List.iter
-      (fun (ln, j) ->
-        let fields = match j with Json.Obj fs -> fs | _ -> [] in
-        let finish_s = (ts_of ln j -. !first_ts) /. 1000. in
-        let busy_ns =
-          Option.map (fun ms -> Int64.of_float (ms *. 1e6)) (fnum_of j "service_ms")
-        in
-        apply t ~finish_s ?busy_ns (kind_of ln j) fields)
-      events;
-    let workers =
-      (* A truncated log may lack the start entry; the serving workers
-         seen in the log bound the pool from below. *)
-      List.fold_left
-        (fun acc (_, j) ->
-          match inum_of j "worker" with Some w -> max acc (w + 1) | None -> acc)
-        !workers events
-    in
-    Ok
-      (snapshot t ~queued:!queued ~inflight:!inflight ~served:!finished
-         ~cancelled:!cancelled ~overloaded:!overloaded ~workers
-         ~max_queue:!max_queue)
+    let t = { t with started_ns = Int64.sub (Metrics.now_ns ()) span_ns } in
+    Ok (snapshot t ~queued:!queued ~workers:(max !announced !seen) ~max_queue:!max_queue)
   with Bad msg -> Error msg
 
 (* ------------------------------------------------------------------ *)

@@ -134,7 +134,7 @@ let test_allocation_counts () =
   | None -> Alcotest.fail "histogram missing"
 
 (* ------------------------------------------------------------------ *)
-(* Gauges and sliding windows                                          *)
+(* Gauges                                                              *)
 
 let test_gauges () =
   let m = Dic.Metrics.create () in
@@ -158,96 +158,23 @@ let test_gauge_merge () =
   Alcotest.(check (option (float 0.))) "destination-only survives" (Some 7.)
     (Dic.Metrics.gauge a "only_a")
 
-let test_window_eviction () =
-  let m = Dic.Metrics.create () in
-  for i = 1 to 6 do
-    Dic.Metrics.observe_window ~capacity:4 m "w" (float_of_int i)
-  done;
-  match Dic.Metrics.window m "w" with
-  | None -> Alcotest.fail "window lost"
-  | Some s ->
-    Alcotest.(check int) "count includes evicted" 6 s.Dic.Metrics.w_count;
-    Alcotest.(check int) "capacity kept" 4 s.Dic.Metrics.w_capacity;
-    Alcotest.(check (array (float 0.))) "survivors oldest first"
-      [| 3.; 4.; 5.; 6. |] s.Dic.Metrics.w_values;
-    (* capacity only applies at creation: a later call with another
-       capacity neither grows nor shrinks the ring *)
-    Dic.Metrics.observe_window ~capacity:100 m "w" 7.;
-    (match Dic.Metrics.window m "w" with
-    | Some s' -> Alcotest.(check int) "capacity immutable" 4 s'.Dic.Metrics.w_capacity
-    | None -> Alcotest.fail "window lost");
-    Alcotest.(check (list string)) "window names sorted" [ "w" ]
-      (Dic.Metrics.window_names m)
-
-let test_window_quantiles () =
-  let m = Dic.Metrics.create () in
-  List.iter (Dic.Metrics.observe_window m "lat") [ 10.; 20.; 30.; 40. ];
-  match Dic.Metrics.window m "lat" with
-  | None -> Alcotest.fail "window lost"
-  | Some s ->
-    (* nearest-rank on 4 values: q=0.5 -> 2nd, q=0.95/0.99 -> 4th *)
-    Alcotest.(check (float 0.)) "p50" 20. (Dic.Metrics.window_quantile s 0.5);
-    Alcotest.(check (float 0.)) "p95" 40. (Dic.Metrics.window_quantile s 0.95);
-    Alcotest.(check (float 0.)) "p99" 40. (Dic.Metrics.window_quantile s 0.99);
-    let empty =
-      { Dic.Metrics.w_count = 0; w_capacity = 4; w_values = [||] }
-    in
-    Alcotest.(check (float 0.)) "empty window" 0.
-      (Dic.Metrics.window_quantile empty 0.5)
-
-let test_window_merge () =
-  (* Cross-domain discipline: shards merge in shard order into the
-     destination; the destination's capacity wins and evicted counts
-     carry over, so two equal shard sets render to equal JSON. *)
-  let shard vs =
-    let m = Dic.Metrics.create () in
-    List.iter (Dic.Metrics.observe_window ~capacity:2 m "w") vs;
-    m
-  in
-  let into = Dic.Metrics.create () in
-  Dic.Metrics.observe_window ~capacity:8 into "w" 1.;
-  List.iter
-    (fun sh -> Dic.Metrics.merge_into ~into sh)
-    [ shard [ 2.; 3.; 4. ]; shard [ 5. ] ];
-  (match Dic.Metrics.window into "w" with
-  | None -> Alcotest.fail "window lost"
-  | Some s ->
-    Alcotest.(check int) "destination capacity wins" 8 s.Dic.Metrics.w_capacity;
-    (* shard 1 held [3;4] (2 evicted), shard 2 held [5] *)
-    Alcotest.(check (array (float 0.))) "replayed oldest first in shard order"
-      [| 1.; 3.; 4.; 5. |] s.Dic.Metrics.w_values;
-    Alcotest.(check int) "evicted observations carried" 5 s.Dic.Metrics.w_count);
-  let again = Dic.Metrics.create () in
-  Dic.Metrics.observe_window ~capacity:8 again "w" 1.;
-  List.iter
-    (fun sh -> Dic.Metrics.merge_into ~into:again sh)
-    [ shard [ 2.; 3.; 4. ]; shard [ 5. ] ];
-  Alcotest.(check string) "deterministic across merges"
-    (Dic.Metrics.to_json into) (Dic.Metrics.to_json again)
-
-let test_gauge_window_json () =
-  (* gauges/windows members are always present (canonical shape), carry
-     the observed values, and the engine's cache.hit_ratio gauge lands
-     in the run metrics. *)
+let test_gauge_json () =
+  (* The gauges member is always present (canonical shape) and carries
+     the readings; a check records no sliding window, so there is no
+     windows member.  The engine's cache.hit_ratio gauge lands in the
+     run metrics. *)
   let m = Dic.Metrics.create () in
   let v = Json.parse (Dic.Metrics.to_json m) in
-  (match (Json.member "gauges" v, Json.member "windows" v) with
-  | Some (Json.Obj []), Some (Json.Obj []) -> ()
-  | _ -> Alcotest.fail "empty state must render empty gauges/windows objects");
+  (match Json.member "gauges" v with
+  | Some (Json.Obj []) -> ()
+  | _ -> Alcotest.fail "empty state must render an empty gauges object");
+  Alcotest.(check bool) "no windows member" true (Json.member "windows" v = None);
   Dic.Metrics.set_gauge m "g" 0.5;
-  Dic.Metrics.observe_window m "w" 2.;
   let v = Json.parse (Dic.Metrics.to_json m) in
   (match Json.member "gauges" v with
   | Some (Json.Obj [ ("g", Json.Num f) ]) ->
     Alcotest.(check (float 0.)) "gauge value" 0.5 f
   | _ -> Alcotest.fail "gauge missing from JSON");
-  (match Json.member "windows" v with
-  | Some (Json.Obj [ ("w", w) ]) ->
-    List.iter
-      (fun k ->
-        if Json.member k w = None then Alcotest.fail ("window stats missing " ^ k))
-      [ "capacity"; "count"; "len"; "mean"; "max"; "p50"; "p95"; "p99" ]
-  | _ -> Alcotest.fail "window missing from JSON");
   let result = run_ok (workload ()) in
   match Json.member "gauges" (Json.parse (Dic.Metrics.to_json result.Dic.Engine.metrics)) with
   | Some (Json.Obj kvs) ->
@@ -338,12 +265,8 @@ let () =
          Alcotest.test_case "allocation" `Quick test_allocation_counts ]);
       ("gauges",
        [ Alcotest.test_case "readings" `Quick test_gauges;
-         Alcotest.test_case "merge" `Quick test_gauge_merge ]);
-      ("windows",
-       [ Alcotest.test_case "eviction" `Quick test_window_eviction;
-         Alcotest.test_case "quantiles" `Quick test_window_quantiles;
-         Alcotest.test_case "merge" `Quick test_window_merge;
-         Alcotest.test_case "json" `Quick test_gauge_window_json ]);
+         Alcotest.test_case "merge" `Quick test_gauge_merge;
+         Alcotest.test_case "json" `Quick test_gauge_json ]);
       ("parallel",
        [ Alcotest.test_case "deterministic" `Quick test_jobs_deterministic;
          Alcotest.test_case "auto jobs" `Quick test_jobs_auto;

@@ -8,8 +8,10 @@
    workers, superseded-id cancellation (queued and in-flight),
    backpressure, a malformed line mid-stream, socket readers reaped as
    connections finish, crash at request N + restart recovering the warm
-   cache from disk, the shutdown handshake, and the lint_werror /
-   lint_counts reply fields. *)
+   cache from disk, the shutdown handshake, the lint_werror /
+   lint_counts reply fields, the request ledger's invariant while a
+   reply is being written, and the sliding windows driven through the
+   telemetry hooks. *)
 
 let rules = Tech.Rules.nmos ()
 let lambda = rules.Tech.Rules.lambda
@@ -782,6 +784,72 @@ let test_trace_flag_embeds_request_trace () =
     (jmem "trace" r2 = None);
   Dic.Serve.shutdown server
 
+(* The ledger invariant holds while a worker is still writing a reply.
+   One worker, and a connection whose reply callback blocks until
+   released: while it blocks, the admin snapshot (through handle_line)
+   and Serve.stats must each read accepted = served + cancelled +
+   inflight + queue.depth, and agree with each other. *)
+let test_invariant_while_reply_delivered () =
+  let server = Dic.Serve.create ~workers:1 rules in
+  let writing = Atomic.make false and release = Atomic.make false in
+  let conn =
+    Dic.Serve.connect server ~reply:(fun _ ->
+        Atomic.set writing true;
+        while not (Atomic.get release) do
+          Unix.sleepf 0.001
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Dic.Serve.shutdown server)
+    (fun () ->
+      Dic.Serve.submit server conn
+        (Dic.Json.to_string
+           (Dic.Json.Obj [ ("id", Dic.Json.Num 1.); ("cif", Dic.Json.Str (clean_cif ())) ]));
+      let deadline = Unix.gettimeofday () +. 60. in
+      while not (Atomic.get writing) do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "timed out waiting for the worker to write its reply";
+        Unix.sleepf 0.005
+      done;
+      let snap =
+        match
+          jmem "stats"
+            (parse_reply
+               (Dic.Serve.handle_line server
+                  (Dic.Json.to_string (Dic.Json.Obj [ ("admin", Dic.Json.Str "stats") ]))))
+        with
+        | Some snap -> snap
+        | None -> Alcotest.fail "stats reply has no stats member"
+      in
+      let figure path =
+        match
+          Option.bind
+            (List.fold_left (fun acc k -> Option.bind acc (jmem k)) (Some snap) path)
+            Dic.Json.int
+        with
+        | Some n -> n
+        | None -> Alcotest.failf "snapshot lost %s" (String.concat "." path)
+      in
+      let accepted = figure [ "requests"; "accepted" ] in
+      let served = figure [ "requests"; "served" ] in
+      let cancelled = figure [ "requests"; "cancelled" ] in
+      let inflight = figure [ "requests"; "inflight" ] in
+      let depth = figure [ "queue"; "depth" ] in
+      Alcotest.(check int) "one request accepted" 1 accepted;
+      Alcotest.(check int) "snapshot: accepted = served + cancelled + inflight + depth"
+        accepted (served + cancelled + inflight + depth);
+      let s = Dic.Serve.stats server in
+      Alcotest.(check int) "stats: accepted = served + cancelled + inflight + queued"
+        accepted
+        (s.Dic.Serve.served + s.Dic.Serve.cancelled + s.Dic.Serve.inflight
+       + s.Dic.Serve.queued);
+      Alcotest.(check (list int)) "stats agree with the snapshot"
+        [ served; cancelled; inflight; depth; figure [ "requests"; "overloaded" ] ]
+        [ s.Dic.Serve.served; s.Dic.Serve.cancelled; s.Dic.Serve.inflight;
+          s.Dic.Serve.queued; s.Dic.Serve.overloaded ])
+
 (* Event-log accounting over a mixed history: every accepted request
    ends in exactly one terminal event, refusals and bad lines are
    logged without being accepted, and the lifecycle brackets match. *)
@@ -1021,6 +1089,29 @@ let test_replay_refuses_foreign_worker () =
   Alcotest.(check (option int)) "rotated log, last worker below the cap" (Some cap)
     (workers (request (cap - 1)))
 
+(* The ledger's reuse counts only grow: a finished entry with a negative
+   one is refused on its line. *)
+let test_replay_refuses_negative_reuse () =
+  let log reused =
+    String.concat "\n"
+      [ {|{"event":"start","ts_ms":1,"workers":1,"max_queue":64}|};
+        {|{"event":"accepted","ts_ms":2,"req":1,"id":1,"queued":1}|};
+        {|{"event":"started","ts_ms":3,"req":1,"worker":0,"wait_ms":0.1}|};
+        Printf.sprintf
+          {|{"event":"finished","ts_ms":4,"req":1,"worker":0,"status":"ok","exit":0,"errors":0,"warnings":0,"symbols_total":2,"symbols_reused":%d,"service_ms":1,"latency_ms":1.1}|}
+          reused ]
+  in
+  (match Dic.Telemetry.replay (log 1) with
+  | Ok snap ->
+    Alcotest.(check (option int)) "reuse replayed" (Some 1)
+      (Option.bind (jmem "cache" snap) (jint "symbols_reused"))
+  | Error e -> Alcotest.failf "replay refused a sound log: %s" e);
+  match Dic.Telemetry.replay (log (-3)) with
+  | Ok _ -> Alcotest.fail "replay accepted a negative symbols_reused"
+  | Error msg ->
+    Alcotest.(check bool) (Printf.sprintf "%S names line 4" msg) true
+      (Astring_contains.contains msg "line 4:")
+
 (* The determinism bar with everything on: event log, trace collection,
    slow threshold 0, and per-request trace embedding — report bytes
    stay byte-identical to one-shot dicheck at every worker count. *)
@@ -1054,6 +1145,79 @@ let test_reports_invariant_under_telemetry () =
         got;
       Dic.Serve.shutdown server)
     [ 1; 4 ]
+
+(* ------------------------------------------------------------------ *)
+(* Sliding windows, driven through the request hooks and read from the *)
+(* snapshot                                                            *)
+
+let window_of hub name =
+  match jmem name (Dic.Telemetry.snapshot hub ~queued:0 ~workers:1 ~max_queue:64) with
+  | Some w -> w
+  | None -> Alcotest.failf "snapshot lost its %S window" name
+
+let wnum k w =
+  match Option.bind (jmem k w) Dic.Json.num with
+  | Some v -> v
+  | None -> Alcotest.failf "window lost %S" k
+
+(* The ring holds the last 256 samples: [count] counts every sample,
+   [len] the held ones, and the evicted oldest no longer move the
+   quantiles. *)
+let test_window_eviction () =
+  let hub = Dic.Telemetry.create () in
+  for i = 1 to 300 do
+    Dic.Telemetry.request_accepted hub ~req:i ~id:Dic.Json.Null ~queued:i
+  done;
+  let w = window_of hub "queue_depth" in
+  Alcotest.(check (float 0.)) "count includes evicted" 300. (wnum "count" w);
+  Alcotest.(check (float 0.)) "len is the capacity" 256. (wnum "len" w);
+  (* Held: 45..300. *)
+  Alcotest.(check (float 0.)) "max" 300. (wnum "max" w);
+  Alcotest.(check (float 0.)) "mean over the held values" 172.5 (wnum "mean" w);
+  Alcotest.(check (float 0.)) "p50 over the held values" 172. (wnum "p50" w);
+  (* The held values stay oldest first once the ring wraps: 300
+     requests finishing one second apart read 1 request/s over the
+     window, whose first and last finish times set its span. *)
+  let log =
+    List.init 300 (fun i ->
+        let req = i + 1 and ts = 1000 * (i + 1) in
+        [ Printf.sprintf {|{"event":"accepted","ts_ms":%d,"req":%d,"id":%d,"queued":1}|} ts
+            req req;
+          Printf.sprintf
+            {|{"event":"finished","ts_ms":%d,"req":%d,"worker":0,"status":"ok","exit":0,"errors":0,"warnings":0,"symbols_total":0,"symbols_reused":0,"service_ms":1,"latency_ms":1}|}
+            ts req ])
+    |> List.concat |> String.concat "\n"
+  in
+  match Dic.Telemetry.replay log with
+  | Ok snap ->
+    Alcotest.(check (option (float 0.))) "windowed rps" (Some 1.)
+      (Option.bind (jmem "rps" snap) (fun r -> Option.bind (jmem "window" r) Dic.Json.num))
+  | Error e -> Alcotest.failf "replay refused the log: %s" e
+
+let test_window_quantiles () =
+  let hub = Dic.Telemetry.create () in
+  List.iteri
+    (fun i ms ->
+      Dic.Telemetry.request_started hub ~req:(i + 1) ~worker:0
+        ~wait_ns:(Int64.of_int (ms * 1_000_000)))
+    [ 30; 10; 40; 20 ];
+  let w = window_of hub "wait_ms" in
+  (* nearest-rank on 4 values: q=0.5 -> 2nd, q=0.95/0.99 -> 4th *)
+  Alcotest.(check (float 0.)) "p50" 20. (wnum "p50" w);
+  Alcotest.(check (float 0.)) "p95" 40. (wnum "p95" w);
+  Alcotest.(check (float 0.)) "p99" 40. (wnum "p99" w);
+  Alcotest.(check (float 0.)) "count" 4. (wnum "count" w)
+
+let test_window_empty () =
+  let hub = Dic.Telemetry.create () in
+  List.iter
+    (fun name ->
+      let w = window_of hub name in
+      List.iter
+        (fun k ->
+          Alcotest.(check (float 0.)) (Printf.sprintf "empty %s.%s" name k) 0. (wnum k w))
+        [ "count"; "len"; "mean"; "max"; "p50"; "p95"; "p99" ])
+    [ "latency_ms"; "wait_ms"; "service_ms"; "queue_depth" ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1101,5 +1265,13 @@ let () =
             test_replay_cache_matches_live;
           Alcotest.test_case "replay refuses workers outside the pool" `Quick
             test_replay_refuses_foreign_worker;
+          Alcotest.test_case "replay refuses negative reuse counts" `Quick
+            test_replay_refuses_negative_reuse;
           Alcotest.test_case "reports invariant under telemetry" `Quick
-            test_reports_invariant_under_telemetry ] ) ]
+            test_reports_invariant_under_telemetry;
+          Alcotest.test_case "ledger invariant while a reply is written" `Quick
+            test_invariant_while_reply_delivered ] );
+      ( "windows",
+        [ Alcotest.test_case "eviction" `Quick test_window_eviction;
+          Alcotest.test_case "quantiles" `Quick test_window_quantiles;
+          Alcotest.test_case "empty" `Quick test_window_empty ] ) ]
