@@ -3,13 +3,19 @@
    One experiment per figure of the paper (the paper is a systems paper
    whose "evaluation" is its pathology figures and two quantitative
    claims), each printing the rows/series the figure argues from, plus
-   Bechamel micro-benchmarks for the two timing claims:
+   the two timing claims:
 
    - T1: hierarchical checking vs flat checking as replication grows;
    - T2: exposure-based spacing (Eq 1) vs the expand-check-overlap
-     predicate ("although still slower ... may be feasible").
+     predicate ("although still slower ... may be feasible");
 
-   Run with: dune exec bench/main.exe *)
+   and the experiments CI gates on (lint, kernel, serve, telemetry,
+   multideck, deckcheck).  Every timed figure comes from one measuring
+   method ([series] and [paired] below) and is reported as a median
+   with quartiles and a sample count; every BENCH_*.json is written by
+   [write_bench].
+
+   Run with: dune exec bench/main.exe [EXPERIMENT...] *)
 
 let rules = Tech.Rules.nmos ()
 let lambda = rules.Tech.Rules.lambda
@@ -29,16 +35,137 @@ let rec rm_rf path =
   else Sys.remove path
 
 (* ------------------------------------------------------------------ *)
+(* One measuring method                                                *)
+
+(* Wall-clock seconds of one call, on the monotonic clock. *)
+let wall f =
+  let t0 = Dic.Metrics.clock_ns () in
+  let v = f () in
+  (v, float_of_int (Dic.Metrics.clock_ns () - t0) *. 1e-9)
+
+(* [series ~warmup ~runs f]: [warmup] untimed calls — they page in the
+   workload and pay the one-off allocations — then [runs] timed calls,
+   each as (value, seconds). *)
+let series ~warmup ~runs f =
+  for _ = 1 to warmup do
+    ignore (f ())
+  done;
+  List.init runs (fun _ -> wall f)
+
+(* [paired ~warmup ~pairs a b]: [warmup] untimed calls of each side,
+   then [pairs] back-to-back pairs whose first side alternates — [a]
+   first in even pairs, [b] first in odd ones — so drift in the
+   scheduler, the GC or the caches lands on both sides alike.  Each
+   pair is ((value, seconds) of [a], (value, seconds) of [b]).  An A/B
+   figure is read from the per-pair ratios ([ratios]), each measured
+   under the same conditions. *)
+let paired ~warmup ~pairs a b =
+  for _ = 1 to warmup do
+    ignore (a ());
+    ignore (b ())
+  done;
+  List.init pairs (fun i ->
+      if i mod 2 = 0 then
+        let ra = wall a in
+        (ra, wall b)
+      else
+        let rb = wall b in
+        (wall a, rb))
+
+let seconds runs = List.map snd runs
+let seconds_a pairs = List.map (fun ((_, t), _) -> t) pairs
+let seconds_b pairs = List.map (fun (_, (_, t)) -> t) pairs
+
+(* Per pair, [b]'s seconds over [a]'s. *)
+let ratios pairs = List.map (fun ((_, ta), (_, tb)) -> tb /. Float.max 1e-9 ta) pairs
+
+(* [per_call ~iters ~runs f]: a [series] of [iters]-call loops, as
+   seconds per call — for figures far below the clock's resolution. *)
+let per_call ~iters ~runs f =
+  let loop () =
+    for _ = 1 to iters do
+      ignore (Sys.opaque_identity (f ()))
+    done
+  in
+  List.map (fun t -> t /. float_of_int iters) (seconds (series ~warmup:1 ~runs loop))
+
+(* A figure: median, quartiles, sample count. *)
+type stat = { median : float; q1 : float; q3 : float; n : int }
+
+(* The one percentile rule: nearest rank on the sorted samples, no
+   interpolation — percentile [p] is the sample at 0-based index
+   [p * n / 100] (rounded down, at most [n - 1]), so the median is at
+   [n / 2] and the quartiles at [n / 4] and [3n / 4], and every
+   reported figure is one that was measured. *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  sorted.(min (n - 1) (p * n / 100))
+
+let stat xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  { median = percentile a 50; q1 = percentile a 25; q3 = percentile a 75; n = Array.length a }
+
+(* [f] applied to each figure; [f] is increasing, so order holds. *)
+let map_stat f s = { s with median = f s.median; q1 = f s.q1; q3 = f s.q3 }
+
+(* For the console: "median [q1-q3]". *)
+let show s =
+  let f x = if Float.abs x >= 1000. then Printf.sprintf "%.0f" x else Printf.sprintf "%.4g" x in
+  Printf.sprintf "%s [%s-%s]" (f s.median) (f s.q1) (f s.q3)
+
+(* Figures go to the files at four significant digits — their
+   run-to-run spread is wider than that. *)
+let num x = Dic.Json.Num (float_of_string (Printf.sprintf "%.4g" x))
+let int_num i = Dic.Json.Num (float_of_int i)
+
+let stat_members s =
+  [ ("median", num s.median); ("q1", num s.q1); ("q3", num s.q3); ("n", int_num s.n) ]
+
+let stat_json s = Dic.Json.Obj (stat_members s)
+
+(* Every BENCH_<name>.json: one line of JSON with the experiment and the
+   host it ran on first — a timing is meaningless in CI history without
+   the thread count, compiler and OS that produced it — then the
+   experiment's members. *)
+let write_bench name ~experiment members =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let doc =
+    Dic.Json.Obj
+      ([ ("experiment", Dic.Json.Str experiment);
+         ("hardware_threads", int_num (Domain.recommended_domain_count ()));
+         ("ocaml_version", Dic.Json.Str Sys.ocaml_version); ("os", Dic.Json.Str Sys.os_type) ]
+      @ members)
+  in
+  Out_channel.with_open_text file (fun oc ->
+      Out_channel.output_string oc (Dic.Json.to_string doc);
+      Out_channel.output_char oc '\n');
+  print_endline ("wrote " ^ file)
+
+(* One check of [file] through [engine] — by default a new engine on
+   the built-in deck, so nothing leaks between runs; a check error
+   aborts the experiment. *)
+let check ?metrics ?trace ?(engine = Dic.Engine.create rules) file =
+  match Dic.Engine.check ?metrics ?trace engine file with
+  | Ok multi -> multi
+  | Error e -> failwith e
+
+let primary multi = fst (Dic.Engine.primary multi)
+
+let elaborate file =
+  match Dic.Model.elaborate rules file with
+  | Ok (model, _) -> model
+  | Error e -> failwith e
+
+(* ------------------------------------------------------------------ *)
 (* Shared classification helpers                                       *)
 
 (* One cold engine per outcome: the classification experiments compare
    configurations, so nothing may leak between runs.  [configure] is an
    [Engine.with_*] chain. *)
 let dic_outcome ?(configure = fun e -> e) truths file =
-  match Result.map Dic.Engine.primary @@ Dic.Engine.check (configure (Dic.Engine.create rules)) file with
-  | Error e -> failwith e
-  | Ok (result, _) ->
-    Dic.Classify.classify ~tolerance truths (Dic.Classify.of_report result.Dic.Engine.report)
+  let result = primary (check ~engine:(configure (Dic.Engine.create rules)) file) in
+  Dic.Classify.classify ~tolerance truths (Dic.Classify.of_report result.Dic.Engine.report)
 
 let flat_outcome mode truths file =
   Dic.Classify.classify ~tolerance truths
@@ -267,15 +394,12 @@ let fig09_hierarchy () =
     "flat elements" "ratio";
   List.iter
     (fun n ->
-      let file = Layoutgen.Cells.grid_blocks ~lambda ~nx:n ~ny:n in
-      match Dic.Model.elaborate rules file with
-      | Error e -> failwith e
-      | Ok (model, _) ->
-        let de = Dic.Model.definition_elements model
-        and fe = Dic.Model.instantiated_elements model in
-        Printf.printf "%6d %9d %8d %14d %14d %8.1fx\n" (n * n)
-          (Dic.Model.symbol_count model) (Dic.Model.depth model) de fe
-          (float_of_int fe /. float_of_int de))
+      let model = elaborate (Layoutgen.Cells.grid_blocks ~lambda ~nx:n ~ny:n) in
+      let de = Dic.Model.definition_elements model
+      and fe = Dic.Model.instantiated_elements model in
+      Printf.printf "%6d %9d %8d %14d %14d %8.1fx\n" (n * n) (Dic.Model.symbol_count model)
+        (Dic.Model.depth model) de fe
+        (float_of_int fe /. float_of_int de))
     [ 4; 8; 16; 24 ]
 
 (* ------------------------------------------------------------------ *)
@@ -283,14 +407,11 @@ let fig09_hierarchy () =
 
 let fig10_pipeline () =
   section "F10 / Fig 10: per-stage cost of the checking pipeline (8x8 grid)";
-  let file = Layoutgen.Cells.grid ~lambda ~nx:8 ~ny:8 in
-  match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create rules) file with
-  | Error e -> failwith e
-  | Ok (result, _) ->
-    List.iter
-      (fun (name, s) -> Printf.printf "%-24s %8.4f s\n" name s)
-      (Dic.Metrics.stage_seconds result.Dic.Engine.metrics);
-    Format.printf "result: %a@." Dic.Engine.pp_summary result
+  let result = primary (check (Layoutgen.Cells.grid ~lambda ~nx:8 ~ny:8)) in
+  List.iter
+    (fun (name, s) -> Printf.printf "%-24s %8.4f s\n" name s)
+    (Dic.Metrics.stage_seconds result.Dic.Engine.metrics);
+  Format.printf "result: %a@." Dic.Engine.pp_summary result
 
 (* ------------------------------------------------------------------ *)
 (* F11 -- Fig 11: skeletal connectivity                                *)
@@ -330,17 +451,14 @@ let fig12_matrix () =
   section
     "F12 / Fig 12: interaction-rule matrix coverage on an 8x4 grid\n\
      (most cells need no check: no rule, device-checked, or same-net)";
-  let file = Layoutgen.Cells.grid ~lambda ~nx:8 ~ny:4 in
-  match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create rules) file with
-  | Error e -> failwith e
-  | Ok (result, _) ->
-    Format.printf "%a@." Dic.Interactions.pp_stats result.Dic.Engine.interaction_stats;
-    Printf.printf "\nstatic matrix (rules):\n";
-    List.iter
-      (fun (a, b, entry) ->
-        Format.printf "  %s-%s: %a@." (Tech.Layer.to_cif a) (Tech.Layer.to_cif b)
-          Tech.Interaction.pp_entry entry)
-      (Tech.Interaction.cells rules)
+  let result = primary (check (Layoutgen.Cells.grid ~lambda ~nx:8 ~ny:4)) in
+  Format.printf "%a@." Dic.Interactions.pp_stats result.Dic.Engine.interaction_stats;
+  Printf.printf "\nstatic matrix (rules):\n";
+  List.iter
+    (fun (a, b, entry) ->
+      Format.printf "  %s-%s: %a@." (Tech.Layer.to_cif a) (Tech.Layer.to_cif b)
+        Tech.Interaction.pp_entry entry)
+    (Tech.Interaction.cells rules)
 
 (* ------------------------------------------------------------------ *)
 (* F13 -- Fig 13: proximity expand                                     *)
@@ -426,40 +544,32 @@ let fig15_self_sufficiency () =
 (* ------------------------------------------------------------------ *)
 (* T1 -- runtime scaling                                               *)
 
-(* Wall-clock seconds of one call, on the monotonic clock. *)
-let wall f =
-  let t0 = Dic.Metrics.now_ns () in
-  let v = f () in
-  (v, Int64.to_float (Int64.sub (Dic.Metrics.now_ns ()) t0) *. 1e-9)
-
+(* DIC against the flat baseline on each array over 10 alternated
+   pairs; the speedup is the median of the per-pair flat/DIC ratios. *)
 let t1_runtime_scaling () =
   section
     "T1: hierarchical vs flat run time as the array grows\n\
      (the hierarchical checker touches each definition once and\n\
-     memoises repeated instance pairs)";
-  Printf.printf "%8s %12s %12s %12s %10s %14s\n" "cells" "flat rects" "DIC (s)"
-    "flat (s)" "speedup" "memo hit rate";
+     memoises repeated instance pairs; median [q1-q3] of 10 pairs)";
+  Printf.printf "%6s %10s %26s %26s %22s %8s\n" "cells" "flat rects" "DIC (s)" "flat (s)"
+    "speedup (x)" "memo hit";
   List.iter
     (fun n ->
       let file = Layoutgen.Cells.grid ~lambda ~nx:n ~ny:n in
-      let dic_result, dic_t =
-        wall (fun () ->
-            match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create rules) file with
-            | Ok (r, _) -> r
-            | Error e -> failwith e)
+      let pairs =
+        paired ~warmup:1 ~pairs:10
+          (fun () -> primary (check file))
+          (fun () -> Flatdrc.Classic.check flat_orth_ignore rules file)
       in
-      let flat_errors, flat_t =
-        wall (fun () -> Flatdrc.Classic.check flat_orth_ignore rules file)
-      in
-      let stats = dic_result.Dic.Engine.interaction_stats in
+      let stats = (fst (fst (List.hd pairs))).Dic.Engine.interaction_stats in
       let hits = stats.Dic.Interactions.memo_hits
       and misses = stats.Dic.Interactions.memo_misses in
       let rects = Flatdrc.Flatten.rect_count (Flatdrc.Flatten.file file) in
-      Printf.printf "%8d %12d %12.3f %12.3f %9.1fx %13.1f%%\n" (n * n) rects dic_t
-        flat_t
-        (flat_t /. Float.max 1e-9 dic_t)
-        (100. *. float_of_int hits /. Float.max 1. (float_of_int (hits + misses)));
-      ignore flat_errors)
+      Printf.printf "%6d %10d %26s %26s %22s %7.1f%%\n" (n * n) rects
+        (show (stat (seconds_a pairs)))
+        (show (stat (seconds_b pairs)))
+        (show (stat (ratios pairs)))
+        (100. *. float_of_int hits /. Float.max 1. (float_of_int (hits + misses))))
     [ 2; 4; 8; 12; 16 ]
 
 (* ------------------------------------------------------------------ *)
@@ -489,87 +599,50 @@ let ablations () =
      the geometric rules carry the process margin instead)"
 
 (* ------------------------------------------------------------------ *)
-(* Shared by the experiments that write BENCH_*.json                   *)
-
-(* Every BENCH_*.json stamps the host it ran on: a timing is
-   meaningless in CI history without the thread count, compiler, and
-   OS that produced it. *)
-let provenance_fields () =
-  Printf.sprintf "\"hardware_threads\":%d,\"ocaml_version\":%S,\"os\":%S"
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version Sys.os_type
-
-(* Median of [runs] timed calls after [warmup] discarded warm-up
-   call(s) — the warm-up pages in the workload and triggers the one-off
-   allocations, the median shrugs off scheduler noise that best-of-N
-   systematically understates.  Returns the last run's value. *)
-let median_wall ?(warmup = 1) ?(runs = 5) f =
-  for _ = 1 to warmup do
-    ignore (f ())
-  done;
-  let last = ref None in
-  let ts =
-    List.init runs (fun _ ->
-        let v, t = wall f in
-        last := Some v;
-        t)
-  in
-  (Option.get !last, List.nth (List.sort compare ts) (runs / 2))
-
-(* ------------------------------------------------------------------ *)
 (* TR -- Tracing overhead                                              *)
 
 (* Cost of the span tracer: disabled (no --trace; every with_span is
    one option match) and enabled (two clock reads and an array store
-   per span) on a shift register and a cell grid. *)
+   per span) on a shift register and a cell grid, each over 10
+   alternated off/on pairs; the overhead is the median of the per-pair
+   on/off ratios. *)
 
 let trace_overhead () =
   section
     "TR: span-tracing overhead\n\
      (disabled tracing must be free; enabled, a span is two clock\n\
-     reads and one append)";
-  let best n f =
-    let b = ref infinity in
-    for _ = 1 to n do
-      let _, t = wall f in
-      if t < !b then b := t
-    done;
-    !b
+     reads and one append; median [q1-q3] of 10 pairs)";
+  Printf.printf "%-26s %26s %26s %24s\n" "workload" "off (s)" "on (s)" "overhead (%)";
+  let row name pairs extra =
+    Printf.printf "%-26s %26s %26s %24s%s\n" name
+      (show (stat (seconds_a pairs)))
+      (show (stat (seconds_b pairs)))
+      (show (map_stat (fun r -> 100. *. (r -. 1.)) (stat (ratios pairs))))
+      extra
   in
-  Printf.printf "%-26s %12s %12s %10s\n" "workload" "off (s)" "on (s)" "overhead";
   List.iter
     (fun (name, file) ->
-      let model =
-        match Dic.Model.elaborate rules file with
-        | Ok (m, _) -> m
-        | Error e -> failwith e
-      in
-      let nets, _ = Dic.Netgen.build model in
-      let off = best 5 (fun () -> Dic.Interactions.check nets) in
-      let on_ =
-        best 5 (fun () ->
-            let tr = Dic.Trace.create () in
-            Dic.Interactions.check ~trace:tr nets)
-      in
-      Printf.printf "%-26s %12.4f %12.4f %+9.2f%%\n" name off on_
-        (100. *. (on_ -. off) /. Float.max 1e-9 off))
+      let nets, _ = Dic.Netgen.build (elaborate file) in
+      row name
+        (paired ~warmup:1 ~pairs:10
+           (fun () -> Dic.Interactions.check nets)
+           (fun () -> Dic.Interactions.check ~trace:(Dic.Trace.create ()) nets))
+        "")
     [ ("shift-register-256", Layoutgen.Shift.register ~lambda 256);
       ("grid-12x12", Layoutgen.Cells.grid ~lambda ~nx:12 ~ny:12) ];
   (* Whole pipeline, end to end, with the full span set (stages,
      symbols, shards). *)
   let file = Layoutgen.Cells.grid ~lambda ~nx:12 ~ny:12 in
-  let run trace () =
-    match Result.map Dic.Engine.primary @@ Dic.Engine.check ?trace (Dic.Engine.create rules) file with
-    | Ok r -> ignore r
-    | Error e -> failwith e
+  let pairs =
+    paired ~warmup:1 ~pairs:10
+      (fun () -> ignore (check file))
+      (fun () ->
+        let tr = Dic.Trace.create () in
+        ignore (check ~trace:tr file);
+        tr)
   in
-  let off = best 3 (run None) in
-  let tr = Dic.Trace.create () in
-  let on_ = best 3 (run (Some tr)) in
-  Printf.printf "%-26s %12.4f %12.4f %+9.2f%%   (%d spans)\n" "full pipeline (grid-12x12)"
-    off on_
-    (100. *. (on_ -. off) /. Float.max 1e-9 off)
-    (Dic.Trace.length tr)
+  row "full pipeline (grid-12x12)" pairs
+    (Printf.sprintf "   (%d spans)" (Dic.Trace.length (fst (snd (List.hd pairs)))))
 
 (* ------------------------------------------------------------------ *)
 (* LN -- Static lint overhead                                          *)
@@ -578,48 +651,32 @@ let trace_overhead () =
    hierarchy size, cheap enough to leave on (--lint) for every check.
    Prove it: the deck pass (R001–R014, the closure codes included, as
    --lint runs it) + syntax-tree + model lints on shift-register-1024
-   must cost under 5% of a full cold check of the same design, or the
-   bench aborts. *)
+   must cost under 5% of a full cold check of the same design — the
+   median of the per-pair lint/full ratios over 10 alternated pairs —
+   or the bench aborts. *)
 
 let lint_overhead () =
   section
     "LN: static lint overhead\n\
      (check_deck + check_ast + check_model must stay under 5% of a\n\
-     full cold check on shift-register-1024)";
-  let best n f =
-    let b = ref infinity in
-    for _ = 1 to n do
-      let _, t = wall f in
-      if t < !b then b := t
-    done;
-    !b
-  in
+     full cold check on shift-register-1024; median [q1-q3] of 10 pairs)";
   let file = Layoutgen.Shift.register ~lambda 1024 in
-  let model =
-    match Dic.Model.elaborate rules file with
-    | Ok (m, _) -> m
-    | Error e -> failwith e
+  let model = elaborate file in
+  let lint () =
+    let diags =
+      Dic.Lint.check_deck rules @ Dic.Lint.check_ast file @ Dic.Lint.check_model model
+    in
+    if diags <> [] then failwith "shift-register-1024 must lint clean"
   in
-  let lint =
-    best 5 (fun () ->
-        let diags =
-          Dic.Lint.check_deck rules @ Dic.Lint.check_ast file
-          @ Dic.Lint.check_model model
-        in
-        if diags <> [] then failwith "shift-register-1024 must lint clean")
-  in
-  let full =
-    best 3 (fun () ->
-        match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create rules) file with
-        | Ok r -> ignore r
-        | Error e -> failwith e)
-  in
-  let pct = 100. *. lint /. Float.max 1e-9 full in
-  Printf.printf "%-26s %12s %12s %10s\n" "workload" "lint (s)" "full (s)" "lint/full";
-  Printf.printf "%-26s %12.4f %12.4f %9.2f%%\n" "shift-register-1024" lint full pct;
-  if pct >= 5. then
-    failwith
-      (Printf.sprintf "lint overhead %.2f%% breaches the 5%% budget" pct)
+  let pairs = paired ~warmup:1 ~pairs:10 (fun () -> ignore (check file)) lint in
+  let share = map_stat (fun r -> 100. *. r) (stat (ratios pairs)) in
+  Printf.printf "%-22s %26s %26s %24s\n" "workload" "lint (s)" "full (s)" "lint/full (%)";
+  Printf.printf "%-22s %26s %26s %24s\n" "shift-register-1024"
+    (show (stat (seconds_b pairs)))
+    (show (stat (seconds_a pairs)))
+    (show share);
+  if share.median >= 5. then
+    failwith (Printf.sprintf "lint overhead %.2f%% breaches the 5%% budget" share.median)
 
 (* ------------------------------------------------------------------ *)
 (* K -- Packed-rect gap kernel                                         *)
@@ -627,8 +684,8 @@ let lint_overhead () =
 (* The interaction gap kernel on each workload:
 
    - the kernel proper, as ns/call over the workload's real element
-     geometry (round-robin pairing, the checker's own cutoff): the
-     median of 21 timings after a warm-up, with its quartiles;
+     geometry (round-robin pairing, the checker's own cutoff): 21
+     loops of a million calls after a warm-up loop;
    - the serial interaction stage end to end, with GC pressure, through
      the same metered task loop every check runs: the sweep kernel runs
      out of a caller-owned workspace and allocates nothing per call, and
@@ -651,7 +708,8 @@ let kernel_bench () =
   section
     "K: gap kernel\n\
      (packed sweep kernel on real element geometry, end-to-end serial\n\
-     interaction checking, and net-list composition's allocation)";
+     interaction checking, and net-list composition's allocation;\n\
+     median [q1-q3])";
   let workloads =
     [ ("shift-register-1024", lazy (Layoutgen.Shift.register ~lambda 1024), 1, 5);
       ("pla-96x192", lazy (Layoutgen.Pla.tier ~lambda ~rows:96 ~cols:192), 1, 5);
@@ -665,69 +723,61 @@ let kernel_bench () =
         rules.Tech.Rules.space_metal; rules.Tech.Rules.space_contact;
         rules.Tech.Rules.space_poly_diffusion ]
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"experiment\":\"gap-kernel\",%s,\"workloads\":["
-       (provenance_fields ()));
-  Printf.printf "%-22s %10s %10s %10s %10s %10s\n" "workload" "sweep ns" "stage s"
-    "minor Mw" "major Mw" "netgen Mw";
-  List.iteri
-    (fun wi (name, file, warmup, runs) ->
-      if wi > 0 then Buffer.add_string buf ",";
-      let model =
-        match Dic.Model.elaborate rules (Lazy.force file) with
-        | Ok (m, _) -> m
-        | Error e -> failwith e
-      in
-      (* Kernel ns/call over the design's own element sets. *)
-      let sets =
-        List.concat_map
-          (fun (s : Dic.Model.symbol) ->
-            List.map (fun (e : Dic.Model.element) -> e.Dic.Model.packed) s.Dic.Model.elements)
-          model.Dic.Model.symbols
-        |> Array.of_list
-      in
-      let nsets = Array.length sets in
-      let ws = Geom.Rects.make_ws () in
-      let cutoff2 = dmax * dmax in
-      let iters = 1_000_000 in
-      let loop () =
-        let acc = ref 0 in
-        for k = 0 to iters - 1 do
-          let a = sets.(k mod nsets) and b = sets.((k * 7 + 1) mod nsets) in
-          acc := !acc + (Geom.Rects.gap2 ~euclid:false ~cutoff2 ws a b).Geom.Rects.g2
-        done;
-        !acc
-      in
-      ignore (loop ());
-      let ts = Array.init 21 (fun _ -> snd (wall loop)) in
-      Array.sort compare ts;
-      let ns_of i = ts.(i) *. 1e9 /. float_of_int iters in
-      let sweep_ns = ns_of 10 and sweep_q1 = ns_of 5 and sweep_q3 = ns_of 15 in
-      (* Net-list composition: its allocation is deterministic, so one
-         build measures it. *)
-      let n0 = Gc.minor_words () in
-      let nets, _ = Dic.Netgen.build model in
-      let netgen_minor = (Gc.minor_words () -. n0) /. 1e6 in
-      (* End-to-end serial interaction stage. *)
-      let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
-      let _, stage_s =
-        median_wall ~warmup ~runs (fun () -> fst (Dic.Interactions.check nets))
-      in
-      let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
-      (* warmup + runs checks ran: per-run Mwords. *)
-      let per_run w = w /. float_of_int (warmup + runs) /. 1e6 in
-      let minor = per_run (minor1 -. minor0) and major = per_run (major1 -. major0) in
-      Printf.printf "%-22s %10.1f %10.3f %10.1f %10.1f %10.1f\n" name sweep_ns stage_s minor
-        major netgen_minor;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"kernel_ns_sweep\":%.1f,\"kernel_ns_sweep_q1\":%.1f,\
-            \"kernel_ns_sweep_q3\":%.1f,\"check_sweep_s\":%.6f,\
-            \"sweep_minor_mwords\":%.3f,\"sweep_major_mwords\":%.3f,\
-            \"netgen_minor_mwords\":%.3f}"
-           name sweep_ns sweep_q1 sweep_q3 stage_s minor major netgen_minor))
-    workloads;
+  Printf.printf "%-20s %22s %22s %9s %9s %9s\n" "workload" "sweep ns" "stage s" "minor Mw"
+    "major Mw" "netgen Mw";
+  (* Megawords, to the thousandth: the allocation guard's unit. *)
+  let mw w = Dic.Json.Num (Float.round (w /. 1e3) /. 1e3) in
+  let rows =
+    List.map
+      (fun (name, file, warmup, runs) ->
+        let model = elaborate (Lazy.force file) in
+        (* Kernel ns/call over the design's own element sets. *)
+        let sets =
+          List.concat_map
+            (fun (s : Dic.Model.symbol) ->
+              List.map (fun (e : Dic.Model.element) -> e.Dic.Model.packed) s.Dic.Model.elements)
+            model.Dic.Model.symbols
+          |> Array.of_list
+        in
+        let nsets = Array.length sets in
+        let ws = Geom.Rects.make_ws () in
+        let cutoff2 = dmax * dmax in
+        let iters = 1_000_000 in
+        let loop () =
+          let acc = ref 0 in
+          for k = 0 to iters - 1 do
+            let a = sets.(k mod nsets) and b = sets.((k * 7 + 1) mod nsets) in
+            acc := !acc + (Geom.Rects.gap2 ~euclid:false ~cutoff2 ws a b).Geom.Rects.g2
+          done;
+          !acc
+        in
+        let sweep_ns =
+          map_stat
+            (fun t -> t *. 1e9 /. float_of_int iters)
+            (stat (seconds (series ~warmup:1 ~runs:21 loop)))
+        in
+        (* Net-list composition: its allocation is deterministic, so one
+           build measures it. *)
+        let n0 = Gc.minor_words () in
+        let nets, _ = Dic.Netgen.build model in
+        let netgen_minor = Gc.minor_words () -. n0 in
+        (* End-to-end serial interaction stage; warmup + runs checks run
+           between the counter reads. *)
+        let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
+        let stage =
+          stat (seconds (series ~warmup ~runs (fun () -> fst (Dic.Interactions.check nets))))
+        in
+        let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
+        let per_run w = w /. float_of_int (warmup + runs) in
+        let minor = per_run (minor1 -. minor0) and major = per_run (major1 -. major0) in
+        Printf.printf "%-20s %22s %22s %9.3f %9.3f %9.3f\n" name (show sweep_ns) (show stage)
+          (minor /. 1e6) (major /. 1e6) (netgen_minor /. 1e6);
+        Dic.Json.Obj
+          [ ("name", Dic.Json.Str name); ("kernel_ns_sweep", stat_json sweep_ns);
+            ("check_sweep_s", stat_json stage); ("sweep_minor_mwords", mw minor);
+            ("sweep_major_mwords", mw major); ("netgen_minor_mwords", mw netgen_minor) ])
+      workloads
+  in
   (* Warm-vs-cold cache identity: a fresh engine over a cache
      directory a previous engine filled must replay to the
      byte-identical report. *)
@@ -737,27 +787,17 @@ let kernel_bench () =
     Sys.remove base;
     base
   in
-  let check () =
-    match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create ~cache_dir rules) file with
-    | Ok (r, reuse) ->
-      (Format.asprintf "%a" Dic.Report.pp r.Dic.Engine.report, reuse)
-    | Error e -> failwith e
-  in
-  let cold, _ = check () in
-  let warm, reuse = check () in
+  let cached () = check ~engine:(Dic.Engine.create ~cache_dir rules) file in
+  let cold = Dic.Engine.report_text (cached ()) in
+  let warm = cached () in
   rm_rf cache_dir;
-  let cache_identical = String.equal cold warm in
-  if not cache_identical then
-    failwith "warm-cache report differs from cold";
-  Printf.printf
-    "warm-vs-cold cache identity (shift-register-256): %b (%d/%d reused)\n"
+  let cache_identical = String.equal cold (Dic.Engine.report_text warm) in
+  if not cache_identical then failwith "warm-cache report differs from cold";
+  let reuse = snd (Dic.Engine.primary warm) in
+  Printf.printf "warm-vs-cold cache identity (shift-register-256): %b (%d/%d reused)\n"
     cache_identical reuse.Dic.Engine.symbols_reused reuse.Dic.Engine.symbols_total;
-  Buffer.add_string buf
-    (Printf.sprintf "],\"cache_identical\":%b}" cache_identical);
-  Out_channel.with_open_text "BENCH_kernel.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_kernel.json"
+  write_bench "kernel" ~experiment:"gap-kernel"
+    [ ("workloads", Dic.Json.Arr rows); ("cache_identical", Dic.Json.Bool cache_identical) ]
 
 (* ------------------------------------------------------------------ *)
 (* S -- Serve daemon under concurrent clients                          *)
@@ -766,30 +806,31 @@ let kernel_bench () =
    socket: the daemon runs [Dic.Serve.serve_socket] in its own domain
    with a 4-worker pool over a persistent cache, and each client is a
    domain sending sequential inline-CIF requests over its own
-   connection.  Measures sustained requests/sec and p50/p99 per-request
-   latency at 1/2/4/8 clients after a warm-up round, and holds every
-   reply's report to byte-identity with the one-shot text ([identical]
-   in the output).  Writes BENCH_serve.json. *)
+   connection.  After a warm-up round, each client count runs 5 rounds:
+   requests/sec per round, and per-request latency (time to first
+   reply — each client's first round trip — apart).  Every reply's
+   report must be byte-identical to the one-shot text ([identical] in
+   the output), or the bench fails once the file is written.  Writes
+   BENCH_serve.json. *)
 
 let serve_bench () =
   section
     "S: serve daemon under concurrent clients\n\
      (4 worker domains over one Unix socket; each client sends\n\
-     sequential requests on its own connection; identical = every\n\
-     reply's report matched the one-shot bytes)";
+     sequential requests on its own connection; 5 rounds per client\n\
+     count, median [q1-q3]; identical = every reply's report matched\n\
+     the one-shot bytes)";
   let src = Cif.Print.to_string (Layoutgen.Cells.grid ~lambda ~nx:4 ~ny:4) in
   let expected =
-    match Result.map Dic.Engine.primary @@ Dic.Engine.check_string (Dic.Engine.create rules) src with
-    | Ok (result, _) ->
-      Format.asprintf "%a@." Dic.Report.pp result.Dic.Engine.report
-      ^ Format.asprintf "%a@." Dic.Engine.pp_summary result
-    | Error e -> failwith e
+    match Cif.Parse.file src with
+    | Ok file -> Dic.Engine.report_text (check file)
+    | Error e -> failwith (Cif.Parse.string_of_error e)
   in
   let cache_dir = Filename.temp_file "dic_bench_serve" "" in
   Sys.remove cache_dir;
   let sock_path = Filename.temp_file "dic_bench_sock" "" in
   Sys.remove sock_path;
-  let workers = 4 and reqs_per_client = 25 in
+  let workers = 4 and reqs_per_client = 25 and rounds = 5 in
   let server = Dic.Serve.create ~workers ~cache_dir rules in
   let srv = Domain.spawn (fun () -> Dic.Serve.serve_socket server ~path:sock_path) in
   let rec await_socket n =
@@ -824,17 +865,19 @@ let serve_bench () =
     let lats = Array.make reqs 0. in
     let mismatches = ref 0 in
     for i = 0 to reqs - 1 do
-      let t0 = Dic.Metrics.now_ns () in
-      send fd (request (Printf.sprintf "%s-%d" name i));
-      (match In_channel.input_line ic with
-      | None -> incr mismatches
-      | Some line -> (
-        match Dic.Json.parse line with
-        | Ok v
-          when Option.bind (Dic.Json.member "report" v) Dic.Json.str = Some expected ->
-          ()
-        | _ -> incr mismatches));
-      lats.(i) <- Int64.to_float (Int64.sub (Dic.Metrics.now_ns ()) t0) *. 1e-9
+      lats.(i) <-
+        snd
+          (wall (fun () ->
+               send fd (request (Printf.sprintf "%s-%d" name i));
+               match In_channel.input_line ic with
+               | None -> incr mismatches
+               | Some line -> (
+                 match Dic.Json.parse line with
+                 | Ok v
+                   when Option.bind (Dic.Json.member "report" v) Dic.Json.str = Some expected
+                   ->
+                   ()
+                 | _ -> incr mismatches)))
     done;
     (try Unix.close fd with Unix.Unix_error _ -> ());
     (lats, !mismatches)
@@ -842,68 +885,63 @@ let serve_bench () =
   (* Warm-up: populate the cache and every worker's engines so the
      measured rounds compare steady-state service, not cold parses. *)
   ignore (run_client "warm" (2 * workers) ());
-  let percentile sorted q =
-    sorted.(min (Array.length sorted - 1)
-              (int_of_float (q *. float_of_int (Array.length sorted - 1))))
+  Printf.printf "%8s %9s %22s %22s %22s %9s %10s\n" "clients" "requests" "rps" "ttfr_ms"
+    "latency_ms" "p99_ms" "identical";
+  let points =
+    List.map
+      (fun clients ->
+        let runs =
+          series ~warmup:0 ~runs:rounds (fun () ->
+              List.init clients (fun k ->
+                  Domain.spawn (run_client (Printf.sprintf "c%d" k) reqs_per_client))
+              |> List.map Domain.join)
+        in
+        let requests = clients * reqs_per_client in
+        let results = List.concat_map fst runs in
+        (* Each client's first round trip pays connection setup and any
+           cold worker state: it is time to first reply, kept out of the
+           steady-state latencies. *)
+        let ms = List.map (fun s -> s *. 1e3) in
+        let ttfr = stat (ms (List.map (fun (l, _) -> l.(0)) results)) in
+        let lat_samples =
+          ms (List.concat_map (fun (l, _) -> List.tl (Array.to_list l)) results)
+        in
+        let lat = stat lat_samples in
+        let p99 =
+          let a = Array.of_list lat_samples in
+          Array.sort compare a;
+          percentile a 99
+        in
+        let rps = stat (List.map (fun s -> float_of_int requests /. s) (seconds runs)) in
+        let identical = List.for_all (fun (_, m) -> m = 0) results in
+        Printf.printf "%8d %9d %22s %22s %22s %9.2f %10b\n" clients requests (show rps)
+          (show ttfr) (show lat) p99 identical;
+        ( identical,
+          Dic.Json.Obj
+            [ ("clients", int_num clients); ("requests", int_num requests);
+              ("rps", stat_json rps); ("ttfr_ms", stat_json ttfr);
+              ("latency_ms", Dic.Json.Obj (stat_members lat @ [ ("p99", num p99) ]));
+              ("identical", Dic.Json.Bool identical) ] ))
+      [ 1; 2; 4; 8 ]
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"experiment\":\"serve-concurrency\",\"workers\":%d,%s,\"scaling_meaningful\":%b,\"workload\":\"grid-4x4\",\"requests_per_client\":%d,\"points\":["
-       workers
-       (provenance_fields ())
-       (Domain.recommended_domain_count () > 1)
-       reqs_per_client);
-  Printf.printf "%8s %9s %9s %9s %9s %9s %9s %10s\n" "clients" "requests" "seconds"
-    "rps" "ttfr_ms" "p50_ms" "p99_ms" "identical";
-  let all_identical = ref true in
-  List.iteri
-    (fun i clients ->
-      let results, seconds =
-        wall (fun () ->
-            List.init clients (fun k ->
-                Domain.spawn (run_client (Printf.sprintf "c%d" k) reqs_per_client))
-            |> List.map Domain.join)
-      in
-      (* Each client's first round trip pays connection setup and any
-         cold worker state: report it as time-to-first-reply (worst
-         client) and keep it out of the steady-state percentiles. *)
-      let ttfr =
-        List.fold_left (fun acc (l, _) -> Float.max acc l.(0)) 0. results
-      in
-      let lats =
-        Array.concat
-          (List.map (fun (l, _) -> Array.sub l 1 (Array.length l - 1)) results)
-      in
-      Array.sort compare lats;
-      let total = Array.length lats + List.length results in
-      let mismatches = List.fold_left (fun acc (_, m) -> acc + m) 0 results in
-      let identical = mismatches = 0 in
-      if not identical then all_identical := false;
-      let rps = float_of_int total /. seconds in
-      let ttfr_ms = ttfr *. 1e3 in
-      let p50 = percentile lats 0.5 *. 1e3 and p99 = percentile lats 0.99 *. 1e3 in
-      Printf.printf "%8d %9d %9.3f %9.1f %9.2f %9.2f %9.2f %10b\n" clients total
-        seconds rps ttfr_ms p50 p99 identical;
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"clients\":%d,\"requests\":%d,\"seconds\":%.6f,\"rps\":%.3f,\"ttfr_ms\":%.4f,\"p50_ms\":%.4f,\"p99_ms\":%.4f,\"identical\":%b}"
-           clients total seconds rps ttfr_ms p50 p99 identical))
-    [ 1; 2; 4; 8 ];
-  Buffer.add_string buf (Printf.sprintf "],\"identical\":%b}" !all_identical);
   (* Graceful teardown: the shutdown handshake drains, and
      serve_socket removes its socket file on the way out. *)
   let fd, ic = connect () in
-  send fd "{\"id\":\"bye\",\"shutdown\":true}";
+  send fd
+    (Dic.Json.to_string
+       (Dic.Json.Obj [ ("id", Dic.Json.Str "bye"); ("shutdown", Dic.Json.Bool true) ]));
   ignore (In_channel.input_line ic);
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Domain.join srv;
   rm_rf cache_dir;
-  Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_serve.json"
+  let identical = List.for_all fst points in
+  write_bench "serve" ~experiment:"serve-concurrency"
+    [ ("workers", int_num workers);
+      ("scaling_meaningful", Dic.Json.Bool (Domain.recommended_domain_count () > 1));
+      ("workload", Dic.Json.Str "grid-4x4"); ("requests_per_client", int_num reqs_per_client);
+      ("rounds", int_num rounds); ("points", Dic.Json.Arr (List.map snd points));
+      ("identical", Dic.Json.Bool identical) ];
+  if not identical then failwith "a serve reply's report differs from the one-shot bytes"
 
 (* ------------------------------------------------------------------ *)
 (* TL -- Service telemetry overhead                                    *)
@@ -913,26 +951,20 @@ let serve_bench () =
    (every request logs one), per-request trace collection for the
    service timeline, rolling metrics — a round of sequential requests
    through an in-process single-worker pool must cost under 5% more
-   than the same round on a quiet hub, or the bench aborts.  And not
-   one report byte may differ.  The per-request "trace":true reply
-   embedding is measured too but not gated: only requests that ask for
-   a span tree in their reply pay for its rendering.  Writes
-   BENCH_telemetry.json. *)
+   than the same round on a quiet hub — the median of the per-pair
+   loud/quiet ratios over 15 alternated pairs — or the bench aborts.
+   And not one report byte may differ.  The per-request "trace":true
+   reply embedding is measured too, as a series, but not gated: only
+   requests that ask for a span tree in their reply pay for its
+   rendering.  Writes BENCH_telemetry.json. *)
 
 let telemetry_overhead () =
   section
     "TL: service telemetry overhead\n\
      (event log + slow entries + trace collection + rolling metrics\n\
      against a quiet hub, same sequential requests, single worker;\n\
-     must stay under 5% and leave every report byte unchanged)";
-  let best n f =
-    let b = ref infinity in
-    for _ = 1 to n do
-      let _, t = wall f in
-      if t < !b then b := t
-    done;
-    !b
-  in
+     must stay under 5% and leave every report byte unchanged;\n\
+     median [q1-q3] of 15 pairs)";
   let src = Cif.Print.to_string (Layoutgen.Cells.grid ~lambda ~nx:6 ~ny:6) in
   let reqs = 50 in
   let request ~traced i =
@@ -942,7 +974,10 @@ let telemetry_overhead () =
           :: ("cif", Dic.Json.Str src)
           :: (if traced then [ ("trace", Dic.Json.Bool true) ] else [])))
   in
-  let round server ~traced sink =
+  (* One round: [reqs] requests on a new connection, drained; its reply
+     lines replace [sink]'s.  Only the last round's are kept: holding
+     every round's replies grows the heap the rounds run in. *)
+  let round server ~traced sink () =
     let lock = Mutex.create () in
     sink := [];
     let conn =
@@ -961,8 +996,7 @@ let telemetry_overhead () =
       (fun line ->
         match Dic.Json.parse line with
         | Ok v ->
-          Option.value ~default:"?"
-            (Option.bind (Dic.Json.member "report" v) Dic.Json.str)
+          Option.value ~default:"?" (Option.bind (Dic.Json.member "report" v) Dic.Json.str)
         | Error _ -> "?")
       replies
     |> List.sort compare
@@ -979,84 +1013,56 @@ let telemetry_overhead () =
   in
   let quiet_server = Dic.Serve.create ~workers:1 rules in
   let loud_server = Dic.Serve.create ~workers:1 ~telemetry rules in
-  let quiet_replies = ref [] and loud_replies = ref [] in
-  (* One unmeasured round per configuration pays the cold
-     parse/elaborate and allocator growth (not this experiment's
-     subject); then the two sides alternate round by
-     round so scheduler and GC drift hit both equally, and best-of
-     drops the noise spikes a 5% gate cannot tolerate. *)
-  round quiet_server ~traced:false quiet_replies;
-  round loud_server ~traced:false loud_replies;
-  let rounds = 15 in
-  let quiet_best = ref infinity and loud_best = ref infinity in
-  let ratios =
-    List.init rounds (fun _ ->
-        let _, tq = wall (fun () -> round quiet_server ~traced:false quiet_replies) in
-        if tq < !quiet_best then quiet_best := tq;
-        let _, tl = wall (fun () -> round loud_server ~traced:false loud_replies) in
-        if tl < !loud_best then loud_best := tl;
-        tl /. Float.max 1e-9 tq)
+  (* The warm-up round of each side pays the cold parse/elaborate and
+     allocator growth, which are not this experiment's subject. *)
+  let quiet_replies = ref [] and loud_replies = ref [] and embed_replies = ref [] in
+  let pairs =
+    paired ~warmup:1 ~pairs:15
+      (round quiet_server ~traced:false quiet_replies)
+      (round loud_server ~traced:false loud_replies)
   in
-  let quiet_s = !quiet_best and loud_s = !loud_best in
-  (* The overhead estimate is the median of the per-pair ratios, not
-     the ratio of the two minima: a scheduler spike lands on one round
-     of one side and throws a min-based ratio either way, while the
-     median pair — measured back to back under the same conditions —
-     shrugs it off. *)
-  let ratio = List.nth (List.sort compare ratios) (rounds / 2) in
   (* Same loud server, but every request also asks for its span tree
      in the reply — the rendering cost a tracing client signs up for. *)
-  let embed_replies = ref [] in
-  round loud_server ~traced:true embed_replies;
-  let embed_s = best 7 (fun () -> round loud_server ~traced:true embed_replies) in
+  let embed = series ~warmup:1 ~runs:7 (round loud_server ~traced:true embed_replies) in
   Dic.Serve.shutdown quiet_server;
   Dic.Serve.shutdown loud_server;
   Out_channel.close event_oc;
-  let events =
-    In_channel.with_open_text event_file (fun ic ->
-        let n = ref 0 in
-        (try
-           while true do
-             ignore (input_line ic);
-             incr n
-           done
-         with End_of_file -> ());
-        !n)
-  in
+  let events = List.length (In_channel.with_open_text event_file In_channel.input_lines) in
   Sys.remove event_file;
   let identical =
-    reports !quiet_replies = reports !loud_replies
-    && reports !quiet_replies = reports !embed_replies
+    let want = reports !quiet_replies in
+    reports !loud_replies = want && reports !embed_replies = want
   in
-  let pct = 100. *. (ratio -. 1.) in
-  let embed_pct = 100. *. (embed_s -. quiet_s) /. Float.max 1e-9 quiet_s in
-  Printf.printf "%-22s %11s %11s %10s %11s %8s %10s\n" "workload" "quiet (s)"
-    "loud (s)" "overhead" "embed (s)" "events" "identical";
-  Printf.printf "%-22s %11.4f %11.4f %+9.2f%% %11.4f %8d %10b\n"
-    (Printf.sprintf "grid-6x6 x%d" reqs) quiet_s loud_s pct embed_s events
-    identical;
-  Out_channel.with_open_text "BENCH_telemetry.json" (fun oc ->
-      Printf.fprintf oc
-        "{\"experiment\":\"serve-telemetry-overhead\",%s,\"workload\":\"grid-6x6\",\
-         \"requests\":%d,\"quiet_s\":%.6f,\"loud_s\":%.6f,\"overhead_pct\":%.3f,\
-         \"embed_s\":%.6f,\"embed_pct\":%.3f,\"events\":%d,\"identical\":%b}\n"
-        (provenance_fields ()) reqs quiet_s loud_s pct embed_s embed_pct events
-        identical);
-  print_endline "wrote BENCH_telemetry.json";
+  let quiet_s = stat (seconds_a pairs) and loud_s = stat (seconds_b pairs) in
+  let overhead = map_stat (fun r -> 100. *. (r -. 1.)) (stat (ratios pairs)) in
+  let embed_s = stat (seconds embed) in
+  let embed_pct = 100. *. ((embed_s.median /. Float.max 1e-9 quiet_s.median) -. 1.) in
+  Printf.printf "%-16s %22s %22s %24s %22s %8s %10s\n" "workload" "quiet (s)" "loud (s)"
+    "overhead (%)" "embed (s)" "events" "identical";
+  Printf.printf "%-16s %22s %22s %24s %22s %8d %10b\n"
+    (Printf.sprintf "grid-6x6 x%d" reqs) (show quiet_s) (show loud_s) (show overhead)
+    (show embed_s) events identical;
+  write_bench "telemetry" ~experiment:"serve-telemetry-overhead"
+    [ ("workload", Dic.Json.Str "grid-6x6"); ("requests", int_num reqs);
+      ("quiet_s", stat_json quiet_s); ("loud_s", stat_json loud_s);
+      ("overhead_pct", stat_json overhead); ("embed_s", stat_json embed_s);
+      ("embed_pct", num embed_pct); ("events", int_num events);
+      ("identical", Dic.Json.Bool identical) ];
   if not identical then
     failwith "telemetry changed report bytes -- the determinism bar is broken";
-  if pct >= 5. then
+  if overhead.median >= 5. then
     failwith
-      (Printf.sprintf "telemetry overhead %.2f%% breaches the 5%% budget" pct)
+      (Printf.sprintf "telemetry overhead %.2f%% breaches the 5%% budget" overhead.median)
 
 (* ------------------------------------------------------------------ *)
-(* T2 and Bechamel micro-benchmarks                                    *)
+(* T2 -- exposure spacing vs expand-overlap, and micro-benchmarks      *)
 
-let bechamel_benches () =
+(* Each figure is a series of 21 loops after a warm-up loop, as ns per
+   call; T2 is the ratio of the two spacing predicates' medians. *)
+let t2_micro () =
   section
-    "Bechamel micro-benchmarks (OLS ns/run)\n\
-     T2: exposure-based spacing vs expand-check-overlap predicate";
-  let open Bechamel in
+    "T2: exposure-based spacing vs expand-check-overlap predicate,\n\
+     and micro-benchmarks (ns/call, median [q1-q3] of 21 loops)";
   let a = Geom.Region.of_rect (Geom.Rect.make 0 0 (4 * lambda) (2 * lambda)) in
   let b = Geom.Region.of_rect (Geom.Rect.make (5 * lambda) 0 (9 * lambda) (2 * lambda)) in
   let ra = Geom.Rect.make 0 0 (4 * lambda) (2 * lambda)
@@ -1064,57 +1070,24 @@ let bechamel_benches () =
   let model = Process_model.Exposure.make ~sigma:60. () in
   let grid4 = Layoutgen.Cells.grid ~lambda ~nx:4 ~ny:4 in
   let kit = Layoutgen.Pathology.fig8_accidental ~lambda in
-  let tests =
-    Test.make_grouped ~name:"dic" ~fmt:"%s/%s"
-      [ Test.make ~name:"t2-expand-overlap-predicate"
-          (Staged.stage (fun () -> Geom.Rect.chebyshev_gap ra rb < 3 * lambda));
-        Test.make ~name:"t2-exposure-closest-approach"
-          (Staged.stage (fun () -> Process_model.Closest.check model ~misalign:0 a b));
-        Test.make ~name:"region-union-2"
-          (Staged.stage (fun () -> Geom.Region.union a b));
-        Test.make ~name:"dic-check-grid4x4"
-          (Staged.stage (fun () ->
-               match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create rules) grid4 with
-               | Ok (r, _) -> r
-               | Error e -> failwith e));
-        Test.make ~name:"flat-check-grid4x4"
-          (Staged.stage (fun () -> Flatdrc.Classic.check flat_orth_ignore rules grid4));
-        Test.make ~name:"dic-check-fig8-kit"
-          (Staged.stage (fun () ->
-               match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create rules) kit.Layoutgen.Pathology.file with
-               | Ok (r, _) -> r
-               | Error e -> failwith e)) ]
+  let ns ~iters f = map_stat (fun s -> s *. 1e9) (stat (per_call ~iters ~runs:21 f)) in
+  let predicate =
+    ns ~iters:1_000_000 (fun () -> Geom.Rect.chebyshev_gap ra rb < 3 * lambda)
   in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let results = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name samples ->
-      let ols =
-        Analyze.OLS.ols ~bootstrap:0 ~r_square:true
-          ~responder:(Measure.label Toolkit.Instance.monotonic_clock)
-          ~predictors:[| Measure.run |] samples.Benchmark.lr
-      in
-      Hashtbl.replace results name ols)
-    raw;
-  Printf.printf "%-34s %16s %10s\n" "benchmark" "ns/run" "r^2";
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) results []
-  |> List.sort (fun (x, _) (y, _) -> String.compare x y)
-  |> List.iter (fun (name, ols) ->
-         let est = match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> nan in
-         let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> nan in
-         Printf.printf "%-34s %16.1f %10.4f\n" name est r2);
-  let find k = Hashtbl.find_opt results k in
-  match (find "dic/t2-exposure-closest-approach", find "dic/t2-expand-overlap-predicate") with
-  | Some slow, Some fast -> (
-    match (Analyze.OLS.estimates slow, Analyze.OLS.estimates fast) with
-    | Some [ s ], Some [ f ] when f > 0. ->
-      Printf.printf
-        "\nT2: exposure-based spacing is %.0fx slower than the expand-overlap\n\
-         predicate -- 'still slower ... but more correct and may be feasible'.\n"
-        (s /. f)
-    | _ -> ())
-  | _ -> ()
+  let exposure = ns ~iters:200 (fun () -> Process_model.Closest.check model ~misalign:0 a b) in
+  Printf.printf "%-32s %26s\n" "benchmark" "ns/call";
+  List.iter
+    (fun (name, s) -> Printf.printf "%-32s %26s\n" name (show s))
+    [ ("t2-expand-overlap-predicate", predicate); ("t2-exposure-closest-approach", exposure);
+      ("region-union-2", ns ~iters:20_000 (fun () -> Geom.Region.union a b));
+      ("dic-check-grid4x4", ns ~iters:10 (fun () -> check grid4));
+      ("flat-check-grid4x4",
+       ns ~iters:3 (fun () -> Flatdrc.Classic.check flat_orth_ignore rules grid4));
+      ("dic-check-fig8-kit", ns ~iters:50 (fun () -> check kit.Layoutgen.Pathology.file)) ];
+  Printf.printf
+    "\nT2: exposure-based spacing is %.0fx slower than the expand-overlap\n\
+     predicate -- 'still slower ... but more correct and may be feasible'.\n"
+    (exposure.median /. Float.max 1e-9 predicate.median)
 
 (* ------------------------------------------------------------------ *)
 (* M -- Multi-deck checking in one elaboration                         *)
@@ -1123,16 +1096,19 @@ let bechamel_benches () =
    rule decks shares the parse, elaboration, packed geometry, nets, and
    (for decks agreeing on max_dist) the interaction worklist; only rule
    evaluation runs N times.  Measured against the baseline of N
-   independent single-deck runs, with the per-deck reports asserted
-   byte-identical between the two shapes.  An engine keeps no state
-   between checks, so a long-lived engine times the same as a new one
-   and there is no separate warm phase.  Writes BENCH_multideck.json. *)
+   independent single-deck runs over 10 alternated pairs, engine
+   construction inside the timed region; the speedup is the median of
+   the per-pair independent/deck-set ratios.  Every run's per-deck
+   reports must be byte-identical between the two shapes, or the bench
+   fails once the file is written.  An engine keeps no state between
+   checks, so a long-lived engine times the same as a new one and there
+   is no separate warm phase.  Writes BENCH_multideck.json. *)
 let multideck_bench () =
   section
     "M: Multi-deck checking in one elaboration\n\
      (three spacing variants of the NMOS deck over pla-48x96; one\n\
      deck-set engine vs three independent engines;\n\
-     median of five runs after a warm-up)";
+     median [q1-q3] of 10 pairs)";
   let file =
     Layoutgen.Pla.plane ~lambda (Layoutgen.Pla.random_program ~rows:48 ~cols:96 ~seed:7)
   in
@@ -1145,51 +1121,33 @@ let multideck_bench () =
   in
   let decks = List.map deck [ 200; 220; 240 ] in
   let n = List.length decks in
-  let report_text (result : Dic.Engine.result) =
-    Format.asprintf "%a@." Dic.Report.pp result.Dic.Engine.report
-  in
-  let run_independent engines =
+  let run_set () =
+    let m = check ~engine:(Dic.Engine.create ~decks rules) file in
     List.map
-      (fun e ->
-        match Result.map Dic.Engine.primary @@ Dic.Engine.check e file with
-        | Ok (r, _) -> report_text r
-        | Error e -> failwith e)
-      engines
+      (fun dr -> Dic.Engine.report_text { m with Dic.Engine.results = [ dr ] })
+      m.Dic.Engine.results
   in
-  let run_set engine =
-    match Dic.Engine.check engine file with
-    | Ok m ->
-      List.map
-        (fun (dr : Dic.Engine.deck_result) -> report_text dr.Dic.Engine.dr_result)
-        m.Dic.Engine.results
-    | Error e -> failwith e
+  let run_independent () =
+    List.map
+      (fun (d : Dic.Engine.deck) ->
+        Dic.Engine.report_text (check ~engine:(Dic.Engine.create d.Dic.Engine.dk_rules) file))
+      decks
   in
-  let fresh_independent () =
-    List.map (fun (d : Dic.Engine.deck) -> Dic.Engine.create d.Dic.Engine.dk_rules) decks
+  let pairs = paired ~warmup:1 ~pairs:10 run_set run_independent in
+  let want = fst (snd (List.hd pairs)) in
+  let identical =
+    List.for_all (fun ((set, _), (ind, _)) -> set = want && ind = want) pairs
   in
-  let fresh_set () =
-    Dic.Engine.create ~decks (List.hd decks).Dic.Engine.dk_rules
-  in
-  (* Engine construction inside the timed region. *)
-  let ind_reports, ind_s = median_wall (fun () -> run_independent (fresh_independent ())) in
-  let set_reports, set_s = median_wall (fun () -> run_set (fresh_set ())) in
-  let identical = ind_reports = set_reports in
-  let speedup = ind_s /. set_s in
-  Printf.printf "%14s %12s %10s %12s\n" "independent_s" "deckset_s" "speedup" "identical";
-  Printf.printf "%14.3f %12.3f %9.2fx %12b\n" ind_s set_s speedup identical;
-  if not identical then
-    print_endline "WARNING: deck-set reports diverged from independent runs";
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"experiment\":\"multideck\",%s,\"workload\":\"pla-48x96\",\"decks\":%d,\
-        \"cold\":{\"independent_s\":%.6f,\"deckset_s\":%.6f,\"speedup\":%.3f,\
-        \"identical\":%b}}"
-       (provenance_fields ()) n ind_s set_s speedup identical);
-  Out_channel.with_open_text "BENCH_multideck.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_multideck.json"
+  let set_s = stat (seconds_a pairs) and ind_s = stat (seconds_b pairs) in
+  let speedup = stat (ratios pairs) in
+  Printf.printf "%26s %26s %22s %10s\n" "independent (s)" "deck set (s)" "speedup (x)"
+    "identical";
+  Printf.printf "%26s %26s %22s %10b\n" (show ind_s) (show set_s) (show speedup) identical;
+  write_bench "multideck" ~experiment:"multideck"
+    [ ("workload", Dic.Json.Str "pla-48x96"); ("decks", int_num n);
+      ("independent_s", stat_json ind_s); ("deckset_s", stat_json set_s);
+      ("speedup", stat_json speedup); ("identical", Dic.Json.Bool identical) ];
+  if not identical then failwith "deck-set reports diverged from independent runs"
 
 (* ------------------------------------------------------------------ *)
 (* DC -- Deck semantic analysis + certificate pruning                  *)
@@ -1198,25 +1156,25 @@ let multideck_bench () =
 
    - the whole deck pass over a deck (R001–R014, closure included:
      {!Dic.Lint.check_deck}) is a micro-cost — microseconds per deck,
-     so `lint` and `serve` can run it on every request;
+     so `lint` and `serve` can run it on every request: 21 loops of
+     1000 passes after a warm-up loop;
    - the static immunity certificates prune a nonzero fraction of rule
      evaluations on the replicated PLA workloads while the analysis
-     itself (certify + guard prepass) stays under 5% of check time,
+     itself (certify + guard prepass) stays under 5% of check time —
+     the median over the pruned runs of each run's analysis share —
      and the pruned report is byte-identical to the unpruned one
-     (DIC_NO_CERTS).  After a warm-up check in each mode, each mode is
-     timed over 7 alternated on/off pairs (the pair's first mode
-     alternates too), reported as medians with quartiles.  Writes
-     BENCH_deckcheck.json, each workload's gates recorded as measured,
-     then fails if any gate was breached. *)
+     (DIC_NO_CERTS).  Each mode is timed over 10 alternated on/off
+     pairs after a warm-up check in each.  Writes BENCH_deckcheck.json,
+     each workload's gates recorded as measured, then fails if any gate
+     was breached. *)
 
 let deckcheck_bench () =
   section
     "DC: deck constraint-graph analysis and certificate pruning\n\
      (deck pass micro-cost per deck; certificate-pruned checks must be\n\
      byte-identical to unpruned, skip a nonzero fraction of rule\n\
-     evaluations, and keep analysis cost under 5% of check time)";
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "{%s,\"decks\":[" (provenance_fields ()));
+     evaluations, and keep analysis cost under 5% of check time;\n\
+     median [q1-q3])";
   let contradictory_src =
     "name contradictory\nlambda 100\npad_metal_surround 40\nwidth_poly 200\n\
      space_diffusion_poly 80\nspace_poly_diffusion 150\n"
@@ -1228,135 +1186,92 @@ let deckcheck_bench () =
        | Ok r -> r
        | Error e -> failwith e) ]
   in
-  Printf.printf "%-18s %14s %8s\n" "deck" "deck pass (us)" "diags";
-  let first = ref true in
-  List.iter
-    (fun (name, r) ->
-      let diags = ref [] in
-      let _, t =
-        wall (fun () ->
-            for _ = 1 to 1000 do
-              diags := Dic.Lint.check_deck r
-            done)
-      in
-      let us = t /. 1000. *. 1e6 in
-      Printf.printf "%-18s %14.2f %8d\n" name us (List.length !diags);
-      if not !first then Buffer.add_string buf ",";
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf "{\"deck\":%S,\"deck_pass_us\":%.3f,\"diags\":%d}" name us
-           (List.length !diags)))
-    decks;
-  Buffer.add_string buf "],\"workloads\":[";
-  let check_once ~certs file =
+  Printf.printf "%-18s %26s %8s\n" "deck" "deck pass (us)" "diags";
+  let deck_rows =
+    List.map
+      (fun (name, r) ->
+        let us =
+          map_stat (fun s -> s *. 1e6)
+            (stat (per_call ~iters:1000 ~runs:21 (fun () -> Dic.Lint.check_deck r)))
+        in
+        let diags = List.length (Dic.Lint.check_deck r) in
+        Printf.printf "%-18s %26s %8d\n" name (show us) diags;
+        Dic.Json.Obj
+          [ ("deck", Dic.Json.Str name); ("deck_pass_us", stat_json us);
+            ("diags", int_num diags) ])
+      decks
+  in
+  let check_once ~certs file () =
     let saved = Dic.Deckcheck.enabled () in
     Dic.Deckcheck.set_enabled certs;
     Fun.protect
       ~finally:(fun () -> Dic.Deckcheck.set_enabled saved)
       (fun () ->
         let m = Dic.Metrics.create () in
-        let bytes_, t =
-          wall (fun () ->
-              match
-                Result.map Dic.Engine.primary
-                @@ Dic.Engine.check ~metrics:m (Dic.Engine.create rules) file
-              with
-              | Ok (r, _) ->
-                Format.asprintf "%a@." Dic.Report.pp r.Dic.Engine.report
-                ^ Format.asprintf "%a@." Dic.Engine.pp_summary r
-              | Error e -> failwith e)
-        in
-        (bytes_, t, m))
+        (Dic.Engine.report_text (check ~metrics:m file), m))
   in
   let workloads =
     [ ("pla-48x96", lazy (Layoutgen.Pla.tier ~lambda ~rows:48 ~cols:96));
       ("pla-96x192", lazy (Layoutgen.Pla.tier ~lambda ~rows:96 ~cols:192)) ]
   in
-  let pairs = 7 in
-  (* Median, first and third quartile. *)
-  let quartiles xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let n = Array.length a in
-    (a.(n / 2), a.(n / 4), a.(3 * n / 4))
+  Printf.printf "\n%-12s %26s %26s %7s %10s %24s %9s\n" "workload" "on (s)" "off (s)" "skips"
+    "evals-cut" "analysis (%)" "identical";
+  let breaches = ref [] in
+  let workload_rows =
+    List.map
+      (fun (name, file) ->
+        let file = Lazy.force file in
+        let pairs =
+          paired ~warmup:1 ~pairs:10 (check_once ~certs:true file) (check_once ~certs:false file)
+        in
+        (* The counters do not vary from run to run: the first pair's. *)
+        let ((want, m_on), _), ((_, m_off), _) = List.hd pairs in
+        let identical =
+          List.for_all (fun (((on, _), _), ((off, _), _)) -> on = want && off = want) pairs
+        in
+        let t_on = stat (seconds_a pairs) and t_off = stat (seconds_b pairs) in
+        let skips = Dic.Metrics.counter m_on "analysis.certified_skips" in
+        let pairs_on = Dic.Metrics.counter m_on "interactions.pairs" in
+        let pairs_off = Dic.Metrics.counter m_off "interactions.pairs" in
+        let evals_cut =
+          if pairs_off > 0 then 1. -. (float_of_int pairs_on /. float_of_int pairs_off) else 0.
+        in
+        let analysis_s m =
+          Int64.to_float
+            (Int64.add
+               (Dic.Metrics.cost_ns m "analysis.certify")
+               (Dic.Metrics.cost_ns m "analysis.guard"))
+          *. 1e-9
+        in
+        let on_runs = List.map fst pairs in
+        let analysis = stat (List.map (fun ((_, m), _) -> analysis_s m) on_runs) in
+        let overhead =
+          stat
+            (List.map (fun ((_, m), t) -> 100. *. analysis_s m /. Float.max 1e-9 t) on_runs)
+        in
+        Printf.printf "%-12s %26s %26s %7d %9.1f%% %24s %9b\n" name (show t_on) (show t_off)
+          skips (100. *. evals_cut) (show overhead) identical;
+        let gates =
+          [ ("identical", identical, name ^ ": certificate-pruned report differs from unpruned");
+            ("skips_nonzero", skips > 0, name ^ ": certificates pruned nothing on a PLA tier");
+            ("overhead_under_5pct", overhead.median < 5.,
+             Printf.sprintf "%s: analysis overhead %.2f%% breaches the 5%% budget" name
+               overhead.median) ]
+        in
+        List.iter (fun (_, ok, msg) -> if not ok then breaches := msg :: !breaches) gates;
+        Dic.Json.Obj
+          [ ("workload", Dic.Json.Str name); ("seconds_on", stat_json t_on);
+            ("seconds_off", stat_json t_off); ("identical", Dic.Json.Bool identical);
+            ("certified_skips", int_num skips); ("pairs_on", int_num pairs_on);
+            ("pairs_off", int_num pairs_off); ("eval_skip_fraction", num evals_cut);
+            ("analysis_seconds", stat_json analysis);
+            ("analysis_overhead_pct", stat_json overhead);
+            ("gates",
+             Dic.Json.Obj (List.map (fun (gate, ok, _) -> (gate, Dic.Json.Bool ok)) gates)) ])
+      workloads
   in
-  Printf.printf "\n%-14s %23s %23s %9s %11s %10s %9s\n" "workload" "on (s) [q1-q3]"
-    "off (s) [q1-q3]" "skips" "evals-cut" "analysis" "identical";
-  let first = ref true and breaches = ref [] in
-  List.iter
-    (fun (name, file) ->
-      let file = Lazy.force file in
-      (* The warm-up pair gives the counters, which do not vary. *)
-      let on_bytes, _, m_on = check_once ~certs:true file in
-      let off_bytes, _, m_off = check_once ~certs:false file in
-      let runs =
-        List.init pairs (fun i ->
-            if i mod 2 = 0 then
-              let on = check_once ~certs:true file in
-              (on, check_once ~certs:false file)
-            else
-              let off = check_once ~certs:false file in
-              (check_once ~certs:true file, off))
-      in
-      let identical =
-        on_bytes = off_bytes
-        && List.for_all (fun ((b_on, _, _), (b_off, _, _)) -> b_on = on_bytes && b_off = on_bytes)
-             runs
-      in
-      let t_on, t_on_q1, t_on_q3 = quartiles (List.map (fun ((_, t, _), _) -> t) runs) in
-      let t_off, t_off_q1, t_off_q3 = quartiles (List.map (fun (_, (_, t, _)) -> t) runs) in
-      let skips = Dic.Metrics.counter m_on "analysis.certified_skips" in
-      let pairs_on = Dic.Metrics.counter m_on "interactions.pairs" in
-      let pairs_off = Dic.Metrics.counter m_off "interactions.pairs" in
-      let evals_cut =
-        if pairs_off > 0 then
-          1. -. (float_of_int pairs_on /. float_of_int pairs_off)
-        else 0.
-      in
-      let cost_s m name = Int64.to_float (Dic.Metrics.cost_ns m name) *. 1e-9 in
-      let certify_s, _, _ =
-        quartiles (List.map (fun ((_, _, m), _) -> cost_s m "analysis.certify") runs)
-      in
-      let guard_s, _, _ =
-        quartiles (List.map (fun ((_, _, m), _) -> cost_s m "analysis.guard") runs)
-      in
-      let analysis_s = certify_s +. guard_s in
-      let overhead_pct = 100. *. analysis_s /. Float.max 1e-9 t_on in
-      Printf.printf
-        "%-14s %7.3f [%6.3f-%6.3f] %7.3f [%6.3f-%6.3f] %9d %10.1f%% %9.2f%% %9b  \
-         (certify %.1fms, guard %.1fms)\n"
-        name t_on t_on_q1 t_on_q3 t_off t_off_q1 t_off_q3 skips (100. *. evals_cut)
-        overhead_pct identical (certify_s *. 1e3) (guard_s *. 1e3);
-      let gates =
-        [ ("identical", identical,
-           name ^ ": certificate-pruned report differs from unpruned");
-          ("skips_nonzero", skips > 0,
-           name ^ ": certificates pruned nothing on a PLA tier");
-          ("overhead_under_5pct", overhead_pct < 5.,
-           Printf.sprintf "%s: analysis overhead %.2f%% breaches the 5%% budget" name
-             overhead_pct) ]
-      in
-      List.iter (fun (_, ok, msg) -> if not ok then breaches := msg :: !breaches) gates;
-      if not !first then Buffer.add_string buf ",";
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"workload\":%S,\"timed_pairs\":%d,\"seconds_on\":%.6f,\
-            \"seconds_on_q1\":%.6f,\"seconds_on_q3\":%.6f,\"seconds_off\":%.6f,\
-            \"seconds_off_q1\":%.6f,\"seconds_off_q3\":%.6f,\
-            \"identical\":%b,\"certified_skips\":%d,\"pairs_on\":%d,\
-            \"pairs_off\":%d,\"eval_skip_fraction\":%.4f,\
-            \"analysis_seconds\":%.6f,\"analysis_overhead_pct\":%.3f,\"gates\":{%s}}"
-           name pairs t_on t_on_q1 t_on_q3 t_off t_off_q1 t_off_q3 identical skips
-           pairs_on pairs_off evals_cut analysis_s overhead_pct
-           (String.concat ","
-              (List.map (fun (gate, ok, _) -> Printf.sprintf "%S:%b" gate ok) gates))))
-    workloads;
-  Buffer.add_string buf "]}";
-  Out_channel.with_open_text "BENCH_deckcheck.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_deckcheck.json";
+  write_bench "deckcheck" ~experiment:"deckcheck"
+    [ ("decks", Dic.Json.Arr deck_rows); ("workloads", Dic.Json.Arr workload_rows) ];
   match List.rev !breaches with
   | [] -> ()
   | msgs -> failwith (String.concat "; " msgs)
@@ -1371,12 +1286,12 @@ let experiments =
     ("fig9", fig09_hierarchy); ("fig10", fig10_pipeline);
     ("fig11", fig11_skeletal); ("fig12", fig12_matrix);
     ("fig13", fig13_proximity); ("fig14", fig14_relational);
-    ("fig15", fig15_self_sufficiency); ("t1", t1_runtime_scaling);
+    ("fig15", fig15_self_sufficiency); ("t1", t1_runtime_scaling); ("t2", t2_micro);
     ("ablations", ablations);
     ("trace-overhead", trace_overhead); ("lint-overhead", lint_overhead);
     ("kernel", kernel_bench); ("serve", serve_bench);
     ("telemetry", telemetry_overhead); ("multideck", multideck_bench);
-    ("deckcheck", deckcheck_bench); ("bechamel", bechamel_benches) ]
+    ("deckcheck", deckcheck_bench) ]
 
 let () =
   match Array.to_list Sys.argv with

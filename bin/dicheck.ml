@@ -22,6 +22,15 @@ let read_file path =
   if path = "-" then In_channel.input_all In_channel.stdin
   else In_channel.with_open_text path In_channel.input_all
 
+(* A file a command cannot read or write is an input failure, like a
+   parse error: one line naming it and exit 2, never an uncaught
+   exception.  A [Sys_error] message already leads with the path. *)
+let or_file_error f =
+  try f ()
+  with Sys_error msg ->
+    Printf.eprintf "dicheck: %s\n" msg;
+    2
+
 let write_output path content =
   if path = "-" then print_endline content
   else
@@ -202,6 +211,7 @@ let run_flat ~metric ~poly_diff ~width_algorithm rules src =
 let check_main file flat metric polydiff figure_based lambda rules_files show_netlist
     show_stats show_structure check_same_net expect markers jobs cache stats_json
     trace_out sarif_out top_cost progress werror lint lint_werror =
+  or_file_error @@ fun () ->
   if jobs < 0 then begin
     Printf.eprintf "dicheck: --jobs %d: give 0 (the runtime's recommended count) or more\n"
       jobs;
@@ -246,6 +256,7 @@ let check_main file flat metric polydiff figure_based lambda rules_files show_ne
 (* lint                                                                *)
 
 let lint_main file rules_files lambda explain_code sarif_out werror =
+  or_file_error @@ fun () ->
   match explain_code with
   | Some code -> (
     match Dic.Lint.explain code with
@@ -387,6 +398,7 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
 
 let serve_main lambda rules_file cache socket workers max_queue trace_out event_log
     event_log_max_bytes slow_ms =
+  or_file_error @@ fun () ->
   let rules = load_rules ~lambda rules_file in
   (* The event log is written line-at-a-time from whichever domain hits
      a lifecycle transition; the hub serializes sink calls under its
@@ -511,6 +523,7 @@ let top_render path reply =
   flush stdout
 
 let top_main path interval once raw metrics_format event_log =
+  or_file_error @@ fun () ->
   match event_log with
   | Some log_path -> (
     (* Offline post-mortem: no socket, no daemon — replay the event-log

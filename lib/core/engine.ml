@@ -170,10 +170,6 @@ let with_jobs t jobs =
   with_config t
     { t.e_config with interactions = { t.e_config.interactions with Interactions.jobs = jobs } }
 
-let with_metric t metric =
-  with_config t
-    { t.e_config with interactions = { t.e_config.interactions with Interactions.metric } }
-
 let with_same_net t check_same_net =
   with_config t
     { t.e_config with
@@ -187,7 +183,6 @@ let with_spacing_model t spacing_model =
 let with_erc t run_erc = with_config t { t.e_config with run_erc }
 let with_lint t run_lint = with_config t { t.e_config with run_lint }
 let with_expected_netlist t expected_netlist = with_config t { t.e_config with expected_netlist }
-let with_relational t relational = with_config t { t.e_config with relational }
 
 (* ------------------------------------------------------------------ *)
 (* Checking                                                            *)
@@ -204,40 +199,75 @@ type slot = {
   mutable sl_rel : Report.violation list;
 }
 
+(* Decks whose minimum widths agree on every layer elaborate alike:
+   element skeletons, device interfaces and lint D005 read nothing else
+   of a deck.  Each deck's group index, and each group's first deck, in
+   order of first appearance. *)
+let elaboration_groups decks =
+  let seen = Hashtbl.create 4 and firsts = ref [] in
+  let gids =
+    List.map
+      (fun d ->
+        let key = List.map (Tech.Rules.min_width d.dk_rules) Tech.Layer.all in
+        match Hashtbl.find_opt seen key with
+        | Some g -> g
+        | None ->
+          let g = Hashtbl.length seen in
+          Hashtbl.add seen key g;
+          firsts := d :: !firsts;
+          g)
+      decks
+  in
+  (gids, Array.of_list (List.rev !firsts))
+
 let check ?metrics ?trace ?progress t file =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
   let decks = t.e_decks in
-  let prim = List.hd decks in
+  let gids, leads = elaboration_groups decks in
   let tick name = match progress with None -> () | Some f -> f name in
   (* Each stage is announced to [progress], timed into the metrics, and
      recorded as a ["stage"]-category trace span — one wrapper so the
      three views always agree on stage names.  With several decks the
-     per-deck work loops {e inside} each stage, so the stage sequence —
-     and, for the primary deck, the report bytes — are identical to a
-     single-deck run. *)
+     per-deck (and per-group) work loops {e inside} each stage, so the
+     stage sequence — and, for the primary deck, the report bytes — are
+     identical to a single-deck run. *)
   let timed name f =
     tick name;
     Trace.with_span trace ~cat:"stage" name (fun () -> Metrics.time_stage m name f)
   in
-  match timed "elaborate" (fun () -> Model.elaborate prim.dk_rules file) with
+  let rec elaborate_all = function
+    | [] -> Ok []
+    | d :: rest ->
+      Result.bind (Model.elaborate d.dk_rules file) (fun e ->
+          Result.map (List.cons e) (elaborate_all rest))
+  in
+  match timed "elaborate" (fun () -> elaborate_all (Array.to_list leads)) with
   | Error e -> Error e
-  | Ok (model, parse_issues) ->
-    Metrics.incr ~by:(Model.symbol_count model) m "model.symbols";
-    Metrics.incr ~by:(Model.definition_elements model) m "model.definition_elements";
-    Metrics.incr ~by:(Model.instantiated_elements model) m "model.instantiated_elements";
+  | Ok elaborated ->
+    (* One elaboration per group, and everything built from it below is
+       per group too: a deck is judged on its own widths' skeletons
+       whatever its place in the set.  [model.*] and [netgen.*]
+       describe the first deck's. *)
+    let models = Array.of_list (List.map fst elaborated) in
+    let parse_issues = Array.of_list (List.map snd elaborated) in
+    let model0 = models.(0) in
+    Metrics.incr ~by:(Model.symbol_count model0) m "model.symbols";
+    Metrics.incr ~by:(Model.definition_elements model0) m "model.definition_elements";
+    Metrics.incr ~by:(Model.instantiated_elements model0) m "model.instantiated_elements";
     (* Static lints run before any geometry: one deck pass per deck,
-       one design pass (syntax tree + model) shared by all.  Off by
-       default so the default report bytes are untouched. *)
+       one design pass (syntax tree + model) per group.  Off by default
+       so the default report bytes are untouched. *)
     let lint_by_deck =
       if not t.e_config.run_lint then List.map (fun _ -> ([], [])) decks
       else
         timed "lint" (fun () ->
-            let design = Lint.check_ast file @ Lint.check_model model in
+            let ast = Lint.check_ast file in
+            let design = Array.map (fun model -> ast @ Lint.check_model model) models in
             (* Waivers filter at reporting time only, and a waiver
                change never splits the cache (waivers are excluded
                from the deck's canonical text, like [key_positions]). *)
             List.mapi
-              (fun i d ->
+              (fun i (d, g) ->
                 (* A deck diagnostic's position is a line of the rule
                    file, not of the design this report is about: it is
                    dropped, and its key stays as the context. *)
@@ -246,7 +276,7 @@ let check ?metrics ?trace ?progress t file =
                     (fun (g : Lint.diagnostic) -> { g with Lint.loc = None })
                     (Lint.check_deck d.dk_rules)
                 in
-                let diags = Lint.sort (deck_diags @ design) in
+                let diags = Lint.sort (deck_diags @ design.(g)) in
                 let waivers = d.dk_rules.Tech.Rules.waivers @ file.Cif.Ast.waivers in
                 let kept, suppressed = Lint.partition_waived ~waivers diags in
                 if i = 0 then begin
@@ -254,30 +284,30 @@ let check ?metrics ?trace ?progress t file =
                   Metrics.incr ~by:(List.length suppressed) m "lint.suppressed"
                 end;
                 (kept, suppressed))
-              decks)
+              (List.combine decks gids))
     in
-    (* One slot per definition per deck.  Without a cache handle every
-       slot is fresh and nothing is addressed.  With one, each
-       definition is fingerprinted and each deck's environment digested
-       once per check, and every definition is resolved against the
-       handle before the sweeps start, so each stage below just replays
-       or computes. *)
+    (* One slot per definition of its group's model, per deck.  Without
+       a cache handle every slot is fresh and nothing is addressed.  With
+       one, each definition is fingerprinted and each deck's environment
+       digested once per check, and every definition is resolved against
+       the handle before the sweeps start, so each stage below just
+       replays or computes. *)
     let slot ?addr ?hit s =
       { sl_sym = s; sl_addr = addr; sl_hit = hit; sl_el = []; sl_dv = []; sl_rel = [] }
     in
     let slots_by_deck =
       match t.e_cache with
-      | None -> List.map (fun _ -> List.map (fun s -> slot s) model.Model.symbols) decks
+      | None -> List.map (fun g -> List.map (fun s -> slot s) models.(g).Model.symbols) gids
       | Some cache ->
         Trace.with_span trace ~cat:"cache" "defs-lookup" (fun () ->
-            let fps = List.map fingerprint model.Model.symbols in
-            List.map
-              (fun d ->
+            let fps = Array.map (fun model -> List.map fingerprint model.Model.symbols) models in
+            List.map2
+              (fun d g ->
                 let env = env_key d.dk_rules t.e_config in
                 List.map2
                   (fun s fp -> slot ~addr:(env, fp) ?hit:(Cache.find_def cache ~env ~fp) s)
-                  model.Model.symbols fps)
-              decks)
+                  models.(g).Model.symbols fps.(g))
+              decks gids)
     in
     (* The per-definition stages run on the calling domain: each is cheap
        beside the spawn of a domain, so the interaction sweep is the
@@ -349,114 +379,122 @@ let check ?metrics ?trace ?progress t file =
     let reused_of slots =
       List.fold_left (fun n sl -> if Option.is_some sl.sl_hit then n + 1 else n) 0 slots
     in
-    let total_one = List.length model.Model.symbols in
-    let total = total_one * List.length decks in
+    let total = List.fold_left (fun acc slots -> acc + List.length slots) 0 slots_by_deck in
     let reused = List.fold_left (fun acc slots -> acc + reused_of slots) 0 slots_by_deck in
     Metrics.incr ~by:total m "cache.symbols_total";
     Metrics.incr ~by:reused m "cache.symbols_reused";
     Metrics.incr ~by:(total - reused) m "cache.defs_computed";
     if total > 0 then
       Metrics.set_gauge m "cache.hit_ratio" (float_of_int reused /. float_of_int total);
-    (* Composite stages always run fresh and are deck-independent: they
-       are the hierarchical, cheap part, and they stitch the cached
-       pieces together. *)
-    let nets, connection_issues =
-      timed "connections+netlist" (fun () -> Netgen.build ~metrics:m model)
+    (* Composite stages always run fresh and are deck-independent within
+       a group: they are the hierarchical, cheap part, and they stitch
+       the cached pieces together. *)
+    let built =
+      timed "connections+netlist" (fun () ->
+          Array.mapi
+            (fun g model -> Netgen.build ?metrics:(if g = 0 then Some m else None) model)
+            models)
     in
-    let netlist = timed "netlist-export" (fun () -> Netgen.netlist nets) in
+    let netlists =
+      timed "netlist-export" (fun () -> Array.map (fun (nets, _) -> Netgen.netlist nets) built)
+    in
     (* The interaction sweep diverges per deck, but its worklist — the
-       expensive plan — depends only on the candidate cutoff, so decks
-       agreeing on [max_dist] share one plan.  Each run memoises its
-       instance pairs' candidates afresh.
+       expensive plan — depends only on the group's nets and the
+       candidate cutoff, so decks agreeing on both share one plan.  Each
+       run memoises its instance pairs' candidates afresh.
 
        Static immunity certificates are deck-free geometry, built once
-       per check for every callee (the root is nobody's callee) and
+       per group for every callee (the root is nobody's callee) and
        charged to [analysis.certify].  They are off under DIC_NO_CERTS
        (the identity smokes) and under the exposure spacing model,
        whose verdicts drawn-gap bounds cannot certify.  The certificate
        build and each plan get a ["phase"] span inside the stage's. *)
     let interactions_by_deck =
       timed "interactions" (fun () ->
+          let certify model =
+            Trace.with_span trace ~cat:"phase" "certify" (fun () ->
+                let t0 = Metrics.now_ns () in
+                let by_sid = Hashtbl.create 64 in
+                List.iter
+                  (fun (s : Model.symbol) ->
+                    if s.Model.sid <> Model.root_id then
+                      Hashtbl.replace by_sid s.Model.sid
+                        (Deckcheck.certify ~lookup:(Hashtbl.find_opt by_sid) s))
+                  model.Model.symbols;
+                Metrics.incr ~by:(Hashtbl.length by_sid) m "analysis.certs_computed";
+                Metrics.add_cost_ns m "analysis.certify" (Int64.sub (Metrics.now_ns ()) t0);
+                Hashtbl.find_opt by_sid)
+          in
           let cert_of =
             match t.e_config.interactions.Interactions.spacing_model with
-            | Interactions.Geometric when Deckcheck.enabled () ->
-              Trace.with_span trace ~cat:"phase" "certify" (fun () ->
-                  let t0 = Metrics.now_ns () in
-                  let by_sid = Hashtbl.create 64 in
-                  List.iter
-                    (fun (s : Model.symbol) ->
-                      if s.Model.sid <> Model.root_id then
-                        Hashtbl.replace by_sid s.Model.sid
-                          (Deckcheck.certify ~lookup:(Hashtbl.find_opt by_sid) s))
-                    model.Model.symbols;
-                  Metrics.incr ~by:(Hashtbl.length by_sid) m "analysis.certs_computed";
-                  Metrics.add_cost_ns m "analysis.certify" (Int64.sub (Metrics.now_ns ()) t0);
-                  Some (Hashtbl.find_opt by_sid))
+            | Interactions.Geometric when Deckcheck.enabled () -> Some (Array.map certify models)
             | _ -> None
           in
           let plans = Hashtbl.create 4 in
-          let plan_for dk_rules =
+          let plan_for g dk_rules =
             let dmax = Interactions.max_dist dk_rules in
-            match Hashtbl.find_opt plans dmax with
+            match Hashtbl.find_opt plans (g, dmax) with
             | Some p -> p
             | None ->
               let p =
-                Trace.with_span trace ~cat:"phase" "plan" (fun () -> Interactions.plan ~dmax nets)
+                Trace.with_span trace ~cat:"phase" "plan" (fun () ->
+                    Interactions.plan ~dmax (fst built.(g)))
               in
-              Hashtbl.add plans dmax p;
+              Hashtbl.add plans (g, dmax) p;
               p
           in
-          List.map
-            (fun d ->
+          List.map2
+            (fun d g ->
               let certs =
-                Option.map (fun cert_of -> Deckcheck.consult ~cert_of d.dk_rules) cert_of
+                Option.map (fun c -> Deckcheck.consult ~cert_of:c.(g) d.dk_rules) cert_of
               in
               Interactions.run ~config:t.e_config.interactions ~rules:d.dk_rules ~metrics:m
-                ?trace ?certs (plan_for d.dk_rules))
-            decks)
+                ?trace ?certs (plan_for g d.dk_rules))
+            decks gids)
     in
     let electrical_issues =
-      if t.e_config.run_erc then timed "electrical" (fun () -> erc_violations netlist)
-      else []
+      if t.e_config.run_erc then
+        timed "electrical" (fun () -> Array.map erc_violations netlists)
+      else Array.map (fun _ -> []) netlists
     in
     let consistency_issues =
       match t.e_config.expected_netlist with
-      | None -> []
-      | Some expected -> timed "netlist-compare" (fun () -> Netcompare.check expected netlist)
+      | None -> Array.map (fun _ -> []) netlists
+      | Some expected ->
+        timed "netlist-compare" (fun () -> Array.map (Netcompare.check expected) netlists)
     in
-    let local, crossing = Netgen.locality nets in
-    let locality_info =
+    let locality_info (nets, _) =
+      let local, crossing = Netgen.locality nets in
       Report.info ~stage:Report.Netlist_gen ~rule:"netlist.locality" ~context:"TOP"
         (Printf.sprintf "%d net(s) local to one definition, %d crossing boundaries" local
            crossing)
     in
-    let rec zip5 a b c d e =
-      match (a, b, c, d, e) with
-      | x :: a, y :: b, z :: c, u :: d, v :: e -> (x, y, z, u, v) :: zip5 a b c d e
-      | _ -> []
-    in
+    let lint_by_deck = Array.of_list lint_by_deck
+    and elements_by_deck = Array.of_list elements_by_deck
+    and devices_by_deck = Array.of_list devices_by_deck
+    and relational_by_deck = Array.of_list relational_by_deck
+    and interactions_by_deck = Array.of_list interactions_by_deck in
     let deck_results =
-      List.map2
-        (fun ((d, (lint_kept, lint_suppressed), element_issues, device_issues,
-               relational_issues),
-              (interaction_issues, interaction_stats))
-             slots ->
+      List.mapi
+        (fun i ((d, g), slots) ->
+          let lint_kept, lint_suppressed = lint_by_deck.(i) in
+          let interaction_issues, interaction_stats = interactions_by_deck.(i) in
+          let nets, connection_issues = built.(g) in
           let report =
             { Report.violations =
-                Lint.to_violations lint_kept @ parse_issues @ element_issues
-                @ device_issues @ relational_issues @ connection_issues
-                @ interaction_issues @ electrical_issues @ consistency_issues
-                @ [ locality_info ] }
+                Lint.to_violations lint_kept @ parse_issues.(g) @ elements_by_deck.(i)
+                @ devices_by_deck.(i) @ relational_by_deck.(i) @ connection_issues
+                @ interaction_issues @ electrical_issues.(g) @ consistency_issues.(g)
+                @ [ locality_info built.(g) ] }
           in
           { dr_deck = d;
-            dr_result = { report; netlist; interaction_stats; metrics = m; model; nets };
-            dr_reuse = { symbols_total = total_one; symbols_reused = reused_of slots };
+            dr_result =
+              { report; netlist = netlists.(g); interaction_stats; metrics = m;
+                model = models.(g); nets };
+            dr_reuse = { symbols_total = List.length slots; symbols_reused = reused_of slots };
             dr_lint = lint_kept;
             dr_suppressed = lint_suppressed })
-        (List.combine
-           (zip5 decks lint_by_deck elements_by_deck devices_by_deck relational_by_deck)
-           interactions_by_deck)
-        slots_by_deck
+        (List.combine (List.combine decks gids) slots_by_deck)
     in
     (* Pairwise subsumption verdicts (R015) live only beside the
        per-deck results: injecting them into per-deck reports would

@@ -12,12 +12,17 @@
 
     An engine is an immutable value: an ordered {e set of rule decks} —
     usually one — the configuration, and an optional {!Cache} handle.
-    A {!check} runs the whole deck set over one parse, one elaboration,
-    one packed-geometry model, and one net structure; only rule
-    {e evaluation} (elements, devices, interactions, deck lint)
-    diverges per deck.  That is the paper's hierarchical economy
+    A {!check} runs the whole deck set over one parse.  Decks whose
+    minimum widths agree on every layer ({!Tech.Rules.min_width}) share
+    one elaboration and everything built from it — the packed-geometry
+    model, the net structure, the design lint pass, the certificates
+    and the interaction plans; only rule {e evaluation} (elements,
+    devices, interactions, deck lint) diverges per deck.  A deck whose
+    widths differ elaborates on its own: skeletons, device interfaces
+    and lint D005 read those widths, so a deck's verdict never depends
+    on its place in the set.  That is the paper's hierarchical economy
     extended across process variants: everything upstream of the rules
-    is amortised over N decks, which is what the
+    is amortised over the decks that can share it, which is what the
     multiple-lithography-compliance flow ("which variants does this
     library comply with?") needs.
 
@@ -170,8 +175,9 @@ type t
 
 (** [create ?config ?cache_dir ?decks rules] — an engine.  [decks]
     defaults to [[deck rules]], the single-deck engine; when given it
-    overrides [rules] entirely (the first deck is the {e primary}: it
-    drives elaboration and the default report).  With [cache_dir] the
+    overrides [rules] entirely (the first deck is the {e primary}: its
+    result is the default report, and the [model.*] and [netgen.*]
+    counters describe its elaboration).  With [cache_dir] the
     engine opens a {!Cache} handle on that directory (created if
     missing; see {!Cache} for the layout), which stores per-definition
     results as checks compute them and replays them on later checks,
@@ -202,16 +208,15 @@ val with_config : t -> config -> t
 val with_decks : t -> deck list -> t
 
 val with_jobs : t -> int -> t
-val with_metric : t -> Geom.Measure.metric -> t
 val with_same_net : t -> bool -> t
 val with_spacing_model : t -> Interactions.spacing_model -> t
 val with_erc : t -> bool -> t
 val with_lint : t -> bool -> t
 val with_expected_netlist : t -> Netcompare.expected option -> t
-val with_relational : t -> Process_model.Exposure.t option -> t
 
-(** Run the pipeline on an already-parsed file.  One elaboration, one
-    net structure, one interaction worklist per [max_dist] class — then
+(** Run the pipeline on an already-parsed file.  One elaboration and
+    one net structure per group of decks agreeing on their minimum
+    widths, one interaction worklist per group and [max_dist] — then
     one report per deck ({!merged} folds them on demand).  For a single-deck
     engine, [primary] of the result is identical in report bytes,
     metrics shape, and trace shape to the historical single-deck

@@ -254,13 +254,6 @@ type outcome =
   | Accidental of Geom.Rect.t  (** poly-diffusion crossing outside a device *)
   | Violation of Geom.Rect.t * int * int  (** where, required, gap2 *)
 
-(* [head_equal] pairs live inside one instance and are that
-   definition's business; never re-check them in the parent. *)
-let head_equal a b =
-  match (a.s_path, b.s_path) with
-  | ha :: _, hb :: _ -> ha = hb
-  | _ -> false
-
 let poly_diff_pair la lb =
   Tech.Layer.(
     (equal la Poly && equal lb Diffusion) || (equal la Diffusion && equal lb Poly))
@@ -605,44 +598,41 @@ let measure cfg dctx facts (c : cell_stats) ~same_net a b req =
    provenance come from the same computation either way.  Memoised sites
    are two different calls' by construction. *)
 let judge_pair cfg f dctx facts a b =
-  if (match facts with In_frame -> head_equal a b | Memoised _ -> false) then Skip
-  else begin
-    let ia = Tech.Layer.index a.s_layer and ib = Tech.Layer.index b.s_layer in
-    let c = dctx.d_stats.cells.(if ia <= ib then (ia * nlayers) + ib else (ib * nlayers) + ia) in
-    c.pairs <- c.pairs + 1;
-    match dctx.d_entry.((ia * nlayers) + ib) with
-    | Tech.Interaction.No_rule ->
-      c.skipped_no_rule <- c.skipped_no_rule + 1;
+  let ia = Tech.Layer.index a.s_layer and ib = Tech.Layer.index b.s_layer in
+  let c = dctx.d_stats.cells.(if ia <= ib then (ia * nlayers) + ib else (ib * nlayers) + ia) in
+  c.pairs <- c.pairs + 1;
+  match dctx.d_entry.((ia * nlayers) + ib) with
+  | Tech.Interaction.No_rule ->
+    c.skipped_no_rule <- c.skipped_no_rule + 1;
+    Skip
+  | Tech.Interaction.Device_checked ->
+    c.skipped_device <- c.skipped_device + 1;
+    Skip
+  | Tech.Interaction.Space { same_net = sreq; diff_net = dreq } ->
+    (* "If the element is part of a transistor, the subcases depend on
+       whether or not the elements are related."  A transistor's own
+       diffusion spans both source and drain nets and its gate poly is
+       device geometry, so any check against an element on one of the
+       transistor's port nets is waived.  For non-transistor devices
+       (contacts), whose elements have well-defined nets, the waiver
+       applies only to the poly/diffusion cross-layer rule (the wires
+       feeding a butting or buried contact overlap its other layer). *)
+    if (is_transistor a || is_transistor b || poly_diff_pair a.s_layer b.s_layer)
+       && related f facts a b
+    then begin
+      c.skipped_same_net <- c.skipped_same_net + 1;
       Skip
-    | Tech.Interaction.Device_checked ->
-      c.skipped_device <- c.skipped_device + 1;
-      Skip
-    | Tech.Interaction.Space { same_net = sreq; diff_net = dreq } ->
-      (* "If the element is part of a transistor, the subcases depend on
-         whether or not the elements are related."  A transistor's own
-         diffusion spans both source and drain nets and its gate poly is
-         device geometry, so any check against an element on one of the
-         transistor's port nets is waived.  For non-transistor devices
-         (contacts), whose elements have well-defined nets, the waiver
-         applies only to the poly/diffusion cross-layer rule (the wires
-         feeding a butting or buried contact overlap its other layer). *)
-      if (is_transistor a || is_transistor b || poly_diff_pair a.s_layer b.s_layer)
-         && related f facts a b
-      then begin
-        c.skipped_same_net <- c.skipped_same_net + 1;
-        Skip
-      end
-      else begin
-        let same_net = same_net f facts a b in
-        if same_net && (not (is_resistor a || is_resistor b)) && not cfg.check_same_net then
-          match sreq with
-          | None ->
-            c.skipped_same_net <- c.skipped_same_net + 1;
-            Skip
-          | Some req -> measure cfg dctx facts c ~same_net a b req
-        else measure cfg dctx facts c ~same_net a b dreq
-      end
-  end
+    end
+    else begin
+      let same_net = same_net f facts a b in
+      if same_net && (not (is_resistor a || is_resistor b)) && not cfg.check_same_net then
+        match sreq with
+        | None ->
+          c.skipped_same_net <- c.skipped_same_net + 1;
+          Skip
+        | Some req -> measure cfg dctx facts c ~same_net a b req
+      else measure cfg dctx facts c ~same_net a b dreq
+    end
 
 (* Provenance — dotted instance paths and source positions — is string
    building; render it only for the rare pair that produced a finding,

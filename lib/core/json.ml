@@ -40,10 +40,16 @@ let quote s =
   add_literal ~short:true buf s;
   Buffer.contents buf
 
+(* Non-integers print with the fewest significant digits (15 to 17)
+   that read back as the same float. *)
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  else
+    let exact digits = Printf.sprintf "%.*g" digits f in
+    match List.find_opt (fun s -> float_of_string s = f) [ exact 15; exact 16 ] with
+    | Some s -> s
+    | None -> exact 17
 
 let to_string v =
   let buf = Buffer.create 256 in

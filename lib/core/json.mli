@@ -11,7 +11,8 @@
     escapes including [\uXXXX], numbers, booleans, null) and rejects
     trailing garbage.  The printer is canonical for a given value: no
     whitespace, object members in the order given, integers printed
-    without a decimal point. *)
+    without a decimal point, other numbers with the fewest significant
+    digits (15 to 17) that read back as the same float. *)
 
 type t =
   | Null

@@ -30,28 +30,12 @@ type net_spec = {
 
 type expected = { nets : net_spec list }
 
-type mismatch =
-  | Missing_net of string
-      (** the expected net name does not appear in the layout *)
-  | Missing_terminal of { net : string; spec : terminal_spec }
-      (** the terminal is on no net at all *)
-  | Misplaced_terminal of {
-      expected_net : string;
-      actual_net : string;
-      spec : terminal_spec;
-    }  (** the terminal exists but sits on a different net *)
-  | Extra_terminal of { net : string; device : string; port : string }
-      (** a functional-device terminal on a specified net that the
-          expected list does not mention *)
-
-val pp_mismatch : Format.formatter -> mismatch -> unit
-
 (** Parse the expected-net-list text format. *)
 val parse : string -> (expected, string) result
 
-(** [compare expected actual] — nets not named in [expected] are
-    unconstrained. *)
-val compare : expected -> Netlist.Net.t -> mismatch list
-
-(** As report violations (stage [Netlist_gen], rules [netcmp.*]). *)
+(** Compare the extracted net list against [expected] — nets not named
+    in [expected] are unconstrained — and report each mismatch (an
+    expected net missing from the layout, a terminal on no net or on
+    another net, a functional terminal an [exact] net does not list) as
+    a violation (stage [Netlist_gen], rules [netcmp.*]). *)
 val check : expected -> Netlist.Net.t -> Report.violation list

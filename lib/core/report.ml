@@ -24,7 +24,6 @@ type violation = {
 type t = { violations : violation list }
 
 let empty = { violations = [] }
-let add t v = { violations = v :: t.violations }
 
 let count ?severity t =
   match severity with

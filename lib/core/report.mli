@@ -41,7 +41,6 @@ type violation = {
 type t = { violations : violation list }
 
 val empty : t
-val add : t -> violation -> t
 val count : ?severity:severity -> t -> int
 val errors : t -> violation list
 val by_stage : t -> stage -> violation list

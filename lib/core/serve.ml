@@ -120,8 +120,7 @@ let read_file path =
   with Sys_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Checking one request (runs on a worker domain or, via handle_line,
-   on the caller's)                                                    *)
+(* Checking one request (runs on a worker domain)                      *)
 
 (* The optional "decks" request member: an array of rule-file paths
    (labelled by basename) or [{"label":..., "path":...|"rules":...}]
@@ -204,14 +203,6 @@ let process t ?req ?trace reqj =
   let id = Option.value ~default:Json.Null (Json.member "id" reqj) in
   let flag name = Option.bind (Json.member name reqj) Json.bool = Some true in
   let refuse id msg = (refuse ~extra:req_members id msg, error_outcome) in
-  (* Per-request tracing: the worker passes the daemon's buffer (with
-     the queued span already recorded); the synchronous path makes a
-     fresh one when the request opts in with "trace": true. *)
-  let trace =
-    match trace with
-    | Some _ -> trace
-    | None -> if flag "trace" then Some (Trace.create ()) else None
-  in
   let req = reqj in
   (* Debug aid for exercising cancellation and backpressure
      deterministically; see PROTOCOL.md. *)
@@ -629,28 +620,6 @@ let admin_reply t id req kind =
 
 let admin_of req = Option.bind (Json.member "admin" req) Json.str
 
-(* One dispatcher for both entry points.  A parse error is rejected,
-   [shutdown] gets the ack and [admin] its reply; a check comes back
-   to the caller — [submit] enqueues it, [handle_line] runs it on the
-   caller's domain. *)
-type dispatched = Answer of string | Check of Json.t * Json.t  (* id, request *)
-
-let dispatch t line =
-  match Json.parse line with
-  | Error msg ->
-    Telemetry.request_rejected t.s_telemetry ~error:("bad request: " ^ msg);
-    Answer (refuse Json.Null ("bad request: " ^ msg))
-  | Ok req -> (
-    let id = Option.value ~default:Json.Null (Json.member "id" req) in
-    if Option.bind (Json.member "shutdown" req) Json.bool = Some true then begin
-      shutdown t;
-      Answer (shutdown_ack t id)
-    end
-    else
-      match admin_of req with
-      | Some kind -> Answer (admin_reply t id req kind)
-      | None -> Check (id, req))
-
 let enqueue t conn id req =
   let p = pool t in
   let seq = Telemetry.next_request t.s_telemetry in
@@ -695,11 +664,24 @@ let enqueue t conn id req =
     Mutex.unlock p.p_lock
   end
 
+(* A parse error is rejected, [shutdown] gets the ack and [admin] its
+   reply, all on the caller's domain; a check is enqueued. *)
 let submit t conn line =
   if String.trim line <> "" then
-    match dispatch t line with
-    | Answer reply -> conn.c_reply reply
-    | Check (id, req) -> enqueue t conn id req
+    match Json.parse line with
+    | Error msg ->
+      Telemetry.request_rejected t.s_telemetry ~error:("bad request: " ^ msg);
+      conn.c_reply (refuse Json.Null ("bad request: " ^ msg))
+    | Ok req -> (
+      let id = Option.value ~default:Json.Null (Json.member "id" req) in
+      if Option.bind (Json.member "shutdown" req) Json.bool = Some true then begin
+        shutdown t;
+        conn.c_reply (shutdown_ack t id)
+      end
+      else
+        match admin_of req with
+        | Some kind -> conn.c_reply (admin_reply t id req kind)
+        | None -> enqueue t conn id req)
 
 (* All replies owed to this connection have been written. *)
 let conn_drain conn =
@@ -708,14 +690,6 @@ let conn_drain conn =
     Condition.wait conn.c_done conn.c_lock
   done;
   Mutex.unlock conn.c_lock
-
-(* ------------------------------------------------------------------ *)
-(* Synchronous embedding (tests, one-off scripting)                    *)
-
-let handle_line t line =
-  match dispatch t line with
-  | Answer reply -> reply
-  | Check (_, req) -> fst (process_safe t req)
 
 (* ------------------------------------------------------------------ *)
 (* Transports                                                          *)

@@ -154,14 +154,6 @@ val create :
 (** The resolved worker-domain count. *)
 val worker_count : t -> int
 
-(** {2 Synchronous embedding}
-
-    The protocol without the daemon: parse one request line, check,
-    return the reply line (no trailing newline).  Runs on the calling
-    domain, over the server's engine.  Never raises on malformed
-    input. *)
-val handle_line : t -> string -> string
-
 (** {2 The pool}
 
     The daemon decomposed, so tests (and alternative transports) can
@@ -182,8 +174,9 @@ val connect : t -> reply:(string -> unit) -> conn
     arrives via the connection's [reply] callback from a worker
     domain.  Malformed JSON, backpressure ("overloaded"), [admin]
     requests, drain-time refusals and the shutdown acknowledgement are
-    answered synchronously from within [submit], exactly as
-    {!handle_line} answers them.  Blank lines are ignored. *)
+    answered synchronously from within [submit].  Blank lines are
+    ignored.  Every check runs on a worker, so the ledger, the event
+    log and the windows account for every request. *)
 val submit : t -> conn -> string -> unit
 
 (** Block until the queue is empty and no request is in flight. *)

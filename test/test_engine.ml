@@ -471,6 +471,34 @@ let test_multideck_per_deck_matches_alone () =
     (List.filter (fun l -> l = "strict")
        (Dic.Multireport.compliant (Dic.Engine.merged m)))
 
+(* A deck's verdict does not depend on its place in the set.  The
+   narrow-metal deck elaborates the bars differently from the built-in
+   deck (its metal skeletons are wider), so each deck must be judged on
+   its own skeletons, nets and D005 widths: alone, the narrow deck
+   reads 0 errors, 0 warnings and 1 net; behind the built-in deck it
+   once read 26 errors and 17 nets, and in front of it hid the built-in
+   deck's 26 errors. *)
+let deck_order_case ~lint () =
+  let file = bars_file () in
+  let narrow =
+    Dic.Engine.deck ~label:"narrow"
+      { rules with Tech.Rules.width_metal = 2 * lambda; Tech.Rules.name = "narrow" }
+  in
+  let engine ?decks r = Dic.Engine.with_lint (Dic.Engine.create ?decks r) lint in
+  let alone (d : Dic.Engine.deck) =
+    report_text (fst (check_ok (engine d.Dic.Engine.dk_rules) file))
+  in
+  List.iter
+    (fun decks ->
+      let m = multi_ok (engine ~decks rules) file in
+      List.iteri
+        (fun i ((d : Dic.Engine.deck), (dr : Dic.Engine.deck_result)) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s as deck %d = checked alone" d.Dic.Engine.dk_label (i + 1))
+            (alone d) (report_text dr.Dic.Engine.dr_result))
+        (List.combine decks m.Dic.Engine.results))
+    [ [ base_deck (); narrow ]; [ narrow; base_deck () ] ]
+
 let test_multideck_merged_bytes_across_jobs () =
   let file = workload () in
   let decks = [ base_deck (); strict_deck () ] in
@@ -564,7 +592,7 @@ let num_field reply name =
 
 let test_serve_round_trip () =
   with_cache_dir @@ fun cache_dir ->
-  let server = Dic.Serve.create ~cache_dir rules in
+  Serve_ask.with_server ~cache_dir rules @@ fun server ->
   let src = Cif.Print.to_string (Layoutgen.Cells.chain ~lambda 2) in
   let request =
     Dic.Json.to_string
@@ -572,7 +600,7 @@ let test_serve_round_trip () =
          [ ("id", Dic.Json.Num 1.); ("cif", Dic.Json.Str src);
            ("stats", Dic.Json.Bool true) ])
   in
-  let reply = Dic.Serve.handle_line server request in
+  let reply = Serve_ask.ask server request in
   Alcotest.(check (option bool)) "ok" (Some true)
     (Option.bind (reply_field reply "ok") Dic.Json.bool);
   Alcotest.(check int) "id echoed" 1 (num_field reply "id");
@@ -584,7 +612,7 @@ let test_serve_round_trip () =
   | Some (Dic.Json.Obj _) -> ()
   | _ -> Alcotest.fail "stats:true must embed a metrics object");
   (* Same design again: the server's cache handle replays it. *)
-  let reply2 = Dic.Serve.handle_line server request in
+  let reply2 = Serve_ask.ask server request in
   Alcotest.(check int) "second request reuses the cache"
     (num_field reply2 "symbols_total")
     (num_field reply2 "symbols_reused")
@@ -592,10 +620,9 @@ let test_serve_round_trip () =
 let test_serve_matches_engine_bytes () =
   let file = workload () in
   let src = Cif.Print.to_string file in
-  let server = Dic.Serve.create rules in
+  Serve_ask.with_server rules @@ fun server ->
   let reply =
-    Dic.Serve.handle_line server
-      (Dic.Json.to_string (Dic.Json.Obj [ ("cif", Dic.Json.Str src) ]))
+    Serve_ask.ask server (Dic.Json.to_string (Dic.Json.Obj [ ("cif", Dic.Json.Str src) ]))
   in
   let served =
     match Option.bind (reply_field reply "report") Dic.Json.str with
@@ -613,8 +640,8 @@ let test_serve_matches_engine_bytes () =
   Alcotest.(check string) "serve report = direct report" (report_text direct) served
 
 let test_serve_malformed_request () =
-  let server = Dic.Serve.create rules in
-  let reply = Dic.Serve.handle_line server "{ not json" in
+  Serve_ask.with_server rules @@ fun server ->
+  let reply = Serve_ask.ask server "{ not json" in
   Alcotest.(check (option bool)) "ok:false" (Some false)
     (Option.bind (reply_field reply "ok") Dic.Json.bool);
   Alcotest.(check int) "exit 2" 2 (num_field reply "exit");
@@ -622,13 +649,13 @@ let test_serve_malformed_request () =
   | Some _ -> ()
   | None -> Alcotest.fail "malformed request must carry an error string");
   (* The server survives and answers the next request. *)
-  let missing = Dic.Serve.handle_line server "{\"id\": 7}" in
+  let missing = Serve_ask.ask server "{\"id\": 7}" in
   Alcotest.(check int) "id echoed on error" 7 (num_field missing "id");
   Alcotest.(check (option bool)) "missing source rejected" (Some false)
     (Option.bind (reply_field missing "ok") Dic.Json.bool)
 
 let test_serve_decks_round_trip () =
-  let server = Dic.Serve.create rules in
+  Serve_ask.with_server rules @@ fun server ->
   let src = Cif.Print.to_string (workload ()) in
   let strict =
     { rules with Tech.Rules.width_metal = 4 * lambda; Tech.Rules.name = "strict" }
@@ -645,7 +672,7 @@ let test_serve_decks_round_trip () =
            ("decks",
             Dic.Json.Arr [ deck_obj "base" rules; deck_obj "strict" strict ]) ])
   in
-  let reply = Dic.Serve.handle_line server request in
+  let reply = Serve_ask.ask server request in
   Alcotest.(check (option bool)) "ok" (Some true)
     (Option.bind (reply_field reply "ok") Dic.Json.bool);
   (* Per-deck summaries ride in the reply, in deck order. *)
@@ -675,17 +702,15 @@ let test_serve_decks_round_trip () =
   (* A deckless request on the same server keeps the historical single-
      deck reply shape: no "decks" member at all. *)
   let plain =
-    Dic.Serve.handle_line server
-      (Dic.Json.to_string (Dic.Json.Obj [ ("cif", Dic.Json.Str src) ]))
+    Serve_ask.ask server (Dic.Json.to_string (Dic.Json.Obj [ ("cif", Dic.Json.Str src) ]))
   in
   Alcotest.(check bool) "single-deck reply has no decks member" true
     (reply_field plain "decks" = None)
 
 let test_serve_prometheus_stats () =
-  let server = Dic.Serve.create rules in
+  Serve_ask.with_server rules @@ fun server ->
   let reply =
-    Dic.Serve.handle_line server
-      "{\"admin\":\"stats\",\"format\":\"prometheus\",\"id\":\"p\"}"
+    Serve_ask.ask server "{\"admin\":\"stats\",\"format\":\"prometheus\",\"id\":\"p\"}"
   in
   (match Option.bind (reply_field reply "prometheus") Dic.Json.str with
   | Some text ->
@@ -711,16 +736,14 @@ let test_serve_prometheus_stats () =
     Alcotest.(check bool) "a TYPE line per family" true (List.length types > 10)
   | None -> Alcotest.fail "no prometheus text in reply");
   (* Unknown formats are refused, not silently defaulted. *)
-  let bad =
-    Dic.Serve.handle_line server "{\"admin\":\"stats\",\"format\":\"xml\"}"
-  in
+  let bad = Serve_ask.ask server "{\"admin\":\"stats\",\"format\":\"xml\"}" in
   Alcotest.(check (option bool)) "unknown format refused" (Some false)
     (Option.bind (reply_field bad "ok") Dic.Json.bool)
 
 let test_serve_bad_cif_is_an_error_reply () =
-  let server = Dic.Serve.create rules in
+  Serve_ask.with_server rules @@ fun server ->
   let reply =
-    Dic.Serve.handle_line server
+    Serve_ask.ask server
       (Dic.Json.to_string
          (Dic.Json.Obj [ ("id", Dic.Json.Num 3.); ("cif", Dic.Json.Str "DS 1 bogus;") ]))
   in
@@ -797,6 +820,10 @@ let () =
             test_multideck_n1_matches_single;
           Alcotest.test_case "each deck = checked alone" `Quick
             test_multideck_per_deck_matches_alone;
+          Alcotest.test_case "deck order: each deck = checked alone" `Quick
+            (deck_order_case ~lint:false);
+          Alcotest.test_case "deck order with lint: each deck = checked alone" `Quick
+            (deck_order_case ~lint:true);
           Alcotest.test_case "merged bytes stable across jobs" `Quick
             test_multideck_merged_bytes_across_jobs;
           Alcotest.test_case "multi-deck SARIF bytes across jobs" `Quick

@@ -611,7 +611,7 @@ let test_crash_and_restart_recovers_warm_cache () =
 
 let ask_clean server =
   parse_reply
-    (Dic.Serve.handle_line server
+    (Serve_ask.ask server
        (Dic.Json.to_string
           (Dic.Json.Obj
              [ ( "cif",
@@ -619,11 +619,11 @@ let ask_clean server =
                ("lint", Dic.Json.Bool true) ])))
 
 let test_lint_counts_and_werror () =
-  let server = Dic.Serve.create rules in
+  Serve_ask.with_server rules @@ fun server ->
   let src = orphan_cif () in
   let ask extra =
     let reply =
-      Dic.Serve.handle_line server
+      Serve_ask.ask server
         (Dic.Json.to_string (Dic.Json.Obj (("cif", Dic.Json.Str src) :: extra)))
     in
     parse_reply reply
@@ -738,7 +738,7 @@ let test_refusals_and_ack_carry_stats () =
   (* The shutdown ack reports all five pool counters. *)
   let ack =
     parse_reply
-      (Dic.Serve.handle_line server
+      (Serve_ask.ask server
          (Dic.Json.to_string (Dic.Json.Obj [ ("shutdown", Dic.Json.Bool true) ])))
   in
   Alcotest.(check string) "ack status" "shutdown" (status ack);
@@ -786,7 +786,7 @@ let test_trace_flag_embeds_request_trace () =
 
 (* The ledger invariant holds while a worker is still writing a reply.
    One worker, and a connection whose reply callback blocks until
-   released: while it blocks, the admin snapshot (through handle_line)
+   released: while it blocks, the admin snapshot (on a second connection)
    and Serve.stats must each read accepted = served + cancelled +
    inflight + queue.depth, and agree with each other. *)
 let test_invariant_while_reply_delivered () =
@@ -817,7 +817,7 @@ let test_invariant_while_reply_delivered () =
         match
           jmem "stats"
             (parse_reply
-               (Dic.Serve.handle_line server
+               (Serve_ask.ask server
                   (Dic.Json.to_string (Dic.Json.Obj [ ("admin", Dic.Json.Str "stats") ]))))
         with
         | Some snap -> snap
