@@ -79,10 +79,13 @@ let seconds_b pairs = List.map (fun (_, (_, t)) -> t) pairs
 (* Per pair, [b]'s seconds over [a]'s. *)
 let ratios pairs = List.map (fun ((_, ta), (_, tb)) -> tb /. Float.max 1e-9 ta) pairs
 
-(* [per_call ~iters ~runs f]: a [series] of [iters]-call loops, as
-   seconds per call — for figures far below the clock's resolution. *)
-let per_call ~iters ~runs f =
+(* [per_call ?fresh ~iters ~runs f]: a [series] of [iters]-call loops,
+   as seconds per call — for figures far below the clock's resolution.
+   [fresh] runs at the start of each loop, e.g. to hand [f] an empty
+   buffer. *)
+let per_call ?(fresh = ignore) ~iters ~runs f =
   let loop () =
+    fresh ();
     for _ = 1 to iters do
       ignore (Sys.opaque_identity (f ()))
     done
@@ -601,48 +604,51 @@ let ablations () =
 (* ------------------------------------------------------------------ *)
 (* TR -- Tracing overhead                                              *)
 
-(* Cost of the span tracer: disabled (no --trace; every with_span is
-   one option match) and enabled (two clock reads and an array store
-   per span) on a shift register and a cell grid, each over 10
-   alternated off/on pairs; the overhead is the median of the per-pair
-   on/off ratios. *)
+(* Cost of the span tracer on a full check.  A traced check records a
+   few dozen spans (per stage, per definition, per shard) over a
+   millisecond or more, so traced against untraced checks
+   cannot resolve it: in 10 alternated pairs every overhead's quartiles
+   straddled zero.  Each span is timed on its own instead, as a
+   [per_call] series of 21 loops of 100,000 spans, each loop with a
+   fresh buffer so the buffer stays small: an enabled span (two clock
+   reads and an append) and a disabled [with_span] (one option match).
+   Their cost times the span count of a traced full check
+   ([Trace.length]), over the median of 21 untraced checks, is the
+   share of a check that tracing costs. *)
 
 let trace_overhead () =
   section
     "TR: span-tracing overhead\n\
-     (disabled tracing must be free; enabled, a span is two clock\n\
-     reads and one append; median [q1-q3] of 10 pairs)";
-  Printf.printf "%-26s %26s %26s %24s\n" "workload" "off (s)" "on (s)" "overhead (%)";
-  let row name pairs extra =
-    Printf.printf "%-26s %26s %26s %24s%s\n" name
-      (show (stat (seconds_a pairs)))
-      (show (stat (seconds_b pairs)))
-      (show (map_stat (fun r -> 100. *. (r -. 1.)) (stat (ratios pairs))))
-      extra
+     (one span's cost, enabled and disabled, times the spans of a traced\n\
+     full check, as a share of an untraced check; median [q1-q3] of 21)";
+  let buf = ref None in
+  let span_cost ?fresh trace =
+    stat
+      (per_call ?fresh ~iters:100_000 ~runs:21 (fun () ->
+           Dic.Trace.with_span (trace ()) ~cat:"stage" "span" ignore))
   in
+  let enabled = span_cost ~fresh:(fun () -> buf := Some (Dic.Trace.create ())) (fun () -> !buf) in
+  let disabled = span_cost (fun () -> None) in
+  Printf.printf "span cost: enabled %s ns, disabled %s ns\n"
+    (show (map_stat (fun s -> s *. 1e9) enabled))
+    (show (map_stat (fun s -> s *. 1e9) disabled));
+  Printf.printf "%-20s %22s %6s %24s %24s\n" "workload" "untraced (ms)" "spans" "enabled (%)"
+    "disabled (%)";
   List.iter
     (fun (name, file) ->
-      let nets, _ = Dic.Netgen.build (elaborate file) in
-      row name
-        (paired ~warmup:1 ~pairs:10
-           (fun () -> Dic.Interactions.check nets)
-           (fun () -> Dic.Interactions.check ~trace:(Dic.Trace.create ()) nets))
-        "")
-    [ ("shift-register-256", Layoutgen.Shift.register ~lambda 256);
-      ("grid-12x12", Layoutgen.Cells.grid ~lambda ~nx:12 ~ny:12) ];
-  (* Whole pipeline, end to end, with the full span set (stages,
-     symbols, shards). *)
-  let file = Layoutgen.Cells.grid ~lambda ~nx:12 ~ny:12 in
-  let pairs =
-    paired ~warmup:1 ~pairs:10
-      (fun () -> ignore (check file))
-      (fun () ->
+      let untraced = stat (seconds (series ~warmup:1 ~runs:21 (fun () -> check file))) in
+      let spans =
         let tr = Dic.Trace.create () in
         ignore (check ~trace:tr file);
-        tr)
-  in
-  row "full pipeline (grid-12x12)" pairs
-    (Printf.sprintf "   (%d spans)" (Dic.Trace.length (fst (snd (List.hd pairs)))))
+        Dic.Trace.length tr
+      in
+      let share span = map_stat (fun s -> 100. *. s *. float_of_int spans /. untraced.median) span in
+      Printf.printf "%-20s %22s %6d %24s %24s\n" name
+        (show (map_stat (fun s -> s *. 1e3) untraced))
+        spans (show (share enabled)) (show (share disabled)))
+    [ ("shift-register-256", Layoutgen.Shift.register ~lambda 256);
+      ("grid-12x12", Layoutgen.Cells.grid ~lambda ~nx:12 ~ny:12);
+      ("pla-96x192", Layoutgen.Pla.tier ~lambda ~rows:96 ~cols:192) ]
 
 (* ------------------------------------------------------------------ *)
 (* LN -- Static lint overhead                                          *)

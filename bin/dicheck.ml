@@ -467,8 +467,10 @@ let serve_main lambda rules_file cache socket workers max_queue trace_out event_
 (* top                                                                 *)
 
 (* One stats round trip on a fresh connection, so `top` keeps working
-   across daemon restarts and never holds a reader hostage. *)
-let fetch_stats ?(req = "{\"admin\":\"stats\",\"id\":\"top\"}\n") path =
+   across daemon restarts and never holds a reader hostage.  It always
+   asks for the JSON snapshot; every output format renders that. *)
+let fetch_stats path =
+  let req = "{\"admin\":\"stats\",\"id\":\"top\"}\n" in
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
@@ -481,14 +483,13 @@ let fetch_stats ?(req = "{\"admin\":\"stats\",\"id\":\"top\"}\n") path =
       done;
       input_line (Unix.in_channel_of_descr sock))
 
-let top_render path reply =
-  let stats = Option.value ~default:Dic.Json.Null (Dic.Json.member "stats" reply) in
+let top_render source stats =
   let m name = Option.value ~default:Dic.Json.Null (Dic.Json.member name stats) in
   let numf j name = Option.value ~default:0. (Option.bind (Dic.Json.member name j) Dic.Json.num) in
   let numi j name = int_of_float (numf j name) in
   let requests = m "requests" and rps = m "rps" in
   let queue = m "queue" and cache = m "cache" in
-  Printf.printf "dicheck top — %s   uptime %.1fs   workers %d\n" path
+  Printf.printf "dicheck top — %s   uptime %.1fs   workers %d\n" source
     (numf stats "uptime_s") (numi stats "workers");
   Printf.printf
     "requests   accepted %-6d served %-6d inflight %-4d queued %d/%d\n"
@@ -511,7 +512,7 @@ let top_render path reply =
   Printf.printf "cache      hit %5.1f%%  (symbols %d/%d)\n"
     (100. *. numf cache "hit_ratio")
     (numi cache "symbols_reused") (numi cache "symbols_total");
-  (match Option.bind (Dic.Json.member "workers_busy" stats) Dic.Json.arr with
+  match Option.bind (Dic.Json.member "workers_busy" stats) Dic.Json.arr with
   | Some busy ->
     print_string "busy      ";
     List.iteri
@@ -519,81 +520,65 @@ let top_render path reply =
         Printf.printf " w%d %3.0f%%" w (100. *. Option.value ~default:0. (Dic.Json.num j)))
       busy;
     print_newline ()
-  | None -> ());
+  | None -> ()
+
+(* One snapshot, live or replayed from [source], in the format asked
+   for; [clear] wipes the screen before the rendered view. *)
+let print_snapshot ?(clear = false) ~source ~raw metrics_format snap =
+  (match metrics_format with
+  | `Prom -> print_string (Dic.Telemetry.prometheus snap)
+  | `Text when raw -> print_endline (Dic.Json.to_string snap)
+  | `Text ->
+    if clear then print_string "\027[2J\027[H";
+    top_render source snap);
   flush stdout
 
 let top_main path interval once raw metrics_format event_log =
   or_file_error @@ fun () ->
-  match event_log with
-  | Some log_path -> (
+  match (event_log, path) with
+  | Some log_path, _ -> (
     (* Offline post-mortem: no socket, no daemon — replay the event-log
-       file through the lifecycle invariants and render the snapshot the
+       file through the lifecycle invariants and print the snapshot the
        daemon would have answered at its last entry. *)
-    let log = read_file log_path in
-    match Dic.Telemetry.replay log with
+    match Dic.Telemetry.replay (read_file log_path) with
     | Error msg ->
       Printf.eprintf "dicheck top: %s: %s\n" log_path msg;
       2
     | Ok snap ->
-      (match metrics_format with
-      | `Prom -> print_string (Dic.Telemetry.prometheus snap)
-      | `Text ->
-        if raw then print_endline (Dic.Json.to_string snap)
-        else top_render log_path (Dic.Json.Obj [ ("stats", snap) ]));
-      flush stdout;
+      print_snapshot ~source:log_path ~raw metrics_format snap;
       0)
-  | None ->
-  match path with
-  | None ->
+  | None, None ->
     Printf.eprintf "dicheck top: SOCKET is required unless --event-log FILE is given\n";
     2
-  | Some path ->
-  let prom = metrics_format = `Prom in
-  let req =
-    if prom then
-      "{\"admin\":\"stats\",\"format\":\"prometheus\",\"id\":\"top\"}\n"
-    else "{\"admin\":\"stats\",\"id\":\"top\"}\n"
-  in
-  let tick () =
-    match fetch_stats ~req path with
-    | exception Unix.Unix_error (err, _, _) ->
-      Printf.eprintf "dicheck top: %s: %s\n" path (Unix.error_message err);
-      Error ()
-    | exception End_of_file ->
-      Printf.eprintf "dicheck top: %s: connection closed before reply\n" path;
-      Error ()
-    | line -> (
-      match Dic.Json.parse line with
-      | Error msg ->
-        Printf.eprintf "dicheck top: bad stats reply: %s\n" msg;
+  | None, Some path ->
+    let tick () =
+      match fetch_stats path with
+      | exception Unix.Unix_error (err, _, _) ->
+        Printf.eprintf "dicheck top: %s: %s\n" path (Unix.error_message err);
         Error ()
-      | Ok reply ->
-        if prom then (
-          match Option.bind (Dic.Json.member "prometheus" reply) Dic.Json.str with
-          | Some text -> print_string text; flush stdout
-          | None ->
-            Printf.eprintf "dicheck top: daemon did not return prometheus text\n")
-        else if raw then (
-          match Dic.Json.member "stats" reply with
-          | Some stats -> print_endline (Dic.Json.to_string stats)
-          | None -> print_endline line)
-        else begin
-          if not once then print_string "\027[2J\027[H";
-          top_render path reply
-        end;
-        Ok ())
-  in
-  if once then match tick () with Ok () -> 0 | Error () -> 2
-  else begin
-    (* Live view: a transient connection failure (daemon restarting)
-       shows as a message, not an exit. *)
-    let rec loop () =
-      ignore (tick ());
-      Unix.sleepf interval;
-      loop ()
+      | exception End_of_file ->
+        Printf.eprintf "dicheck top: %s: connection closed before reply\n" path;
+        Error ()
+      | line -> (
+        match Option.bind (Result.to_option (Dic.Json.parse line)) (Dic.Json.member "stats") with
+        | Some snap ->
+          print_snapshot ~clear:(not once) ~source:path ~raw metrics_format snap;
+          Ok ()
+        | None ->
+          Printf.eprintf "dicheck top: bad stats reply: %s\n" line;
+          Error ())
     in
-    loop ()
-  end
+    if once then match tick () with Ok () -> 0 | Error () -> 2
+    else begin
+      (* Live view: a transient connection failure (daemon restarting)
+         shows as a message, not an exit. *)
+      let rec loop () =
+        ignore (tick ());
+        Unix.sleepf interval;
+        loop ()
+      in
+      loop ()
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -894,10 +879,11 @@ let top_cmd =
          & opt (enum [ ("text", `Text); ("prom", `Prom) ]) `Text
          & info [ "metrics-format" ] ~docv:"FORMAT"
              ~doc:"Output format of the stats snapshot: $(b,text) (default) \
-                   renders the live view, $(b,prom) prints the Prometheus \
-                   text exposition of the same snapshot (combine with \
-                   $(b,--once) to feed a scrape pipeline or node-exporter \
-                   textfile collector).")
+                   renders the live view, $(b,prom) renders the same JSON \
+                   snapshot as Prometheus text exposition, the text the \
+                   daemon's {\"admin\":\"stats\",\"format\":\"prometheus\"} \
+                   reply carries (combine with $(b,--once) to feed a scrape \
+                   pipeline or node-exporter textfile collector).")
   in
   Cmd.v
     (Cmd.info "top" ~exits
@@ -905,9 +891,10 @@ let top_cmd =
              queue depth, rolling latency percentiles, cache hit ratio, and \
              per-worker busy fractions, refreshed every $(b,--interval) \
              seconds over the daemon's {\"admin\":\"stats\"} request.  \
-             $(b,--metrics-format prom) prints the same snapshot as \
-             Prometheus text exposition instead, and $(b,--event-log FILE) \
-             replays a finished daemon's event log offline.")
+             $(b,--event-log FILE) replays a finished daemon's event log \
+             offline instead.  Either way one JSON snapshot is printed, \
+             rendered as the view, as itself ($(b,--raw)) or as Prometheus \
+             text ($(b,--metrics-format prom)).")
     Term.(const top_main $ socket $ interval $ once $ raw $ metrics_format
           $ event_log)
 

@@ -13,53 +13,53 @@
    each deck's Engine.dr_lint), and only the members between them and
    "report" depend on the request's shape.
 
-   Request outcomes are counted in one place, the Telemetry ledger;
-   the pool keeps only what it synchronises on: the queue, the drain
-   barrier and the tickets. *)
+   Request outcomes are counted in one place, the Telemetry ledger; the
+   server record keeps only what it synchronises on: the queue, the
+   drain barrier and the worker domains.  Supersession belongs to the
+   connection that scopes it.
+
+   Lock order: server ([s_lock]) → connection ([c_lock]) → telemetry.
+   No section takes an earlier lock while holding a later one. *)
 
 type conn = {
-  c_serial : int;  (* cancellation scope: (serial, id) keys p_latest *)
   c_reply : string -> unit;  (* serialized; never raises *)
-  c_lock : Mutex.t;
+  c_lock : Mutex.t;  (* guards the two fields below *)
   c_done : Condition.t;
   mutable c_outstanding : int;  (* jobs enqueued, reply not yet delivered *)
+  (* Canonical id -> the newest job with that id, until its reply is
+     written. *)
+  c_latest : (string, job) Hashtbl.t;
 }
 
-type job = {
+and job = {
   j_conn : conn;
   j_req : Json.t;
   j_id : Json.t;
-  j_key : (int * string) option;  (* None when the request has no id *)
-  j_ticket : int;
+  j_key : string option;  (* canonical id; None when the request has none *)
+  j_superseded : bool Atomic.t;  (* a newer job took this id's entry *)
   j_seq : int;  (* telemetry request id, echoed as the reply's "req" *)
   j_enq_ns : int64;  (* monotonic enqueue time, for the queued span *)
 }
 
-type pool = {
-  p_lock : Mutex.t;
-  p_work : Condition.t;  (* queue became non-empty / stop *)
-  p_done : Condition.t;  (* a job finished / queue drained *)
-  p_queue : job Queue.t;
-  p_stop : bool Atomic.t;
-  (* (conn serial, canonical id) -> newest ticket for that id.  A job
-     whose ticket is older than the table's is superseded. *)
-  p_latest : (int * string, int) Hashtbl.t;
-  mutable p_ticket : int;
-  (* Popped jobs whose reply is not yet written: the barrier [drain]
-     waits on.  Never reported; the ledger derives [inflight]. *)
-  mutable p_inflight : int;
-  mutable p_workers : unit Domain.t list;
-}
+(* [Idle] until the first check or transport spawns the workers;
+   [Stopped] once [shutdown] has claimed the server, started or not. *)
+type phase = Idle | Running | Stopped
 
 type t = {
   s_engine : Engine.t;  (* the daemon's rules, config and cache handle *)
   s_workers : int;
   s_max_queue : int;
-  s_lock : Mutex.t;  (* guards pool creation *)
-  mutable s_pool : pool option;
-  s_stop_req : bool Atomic.t;
-  s_conn_seq : int Atomic.t;
   s_telemetry : Telemetry.t;
+  s_stop_req : bool Atomic.t;  (* signal-safe; the transports poll it *)
+  s_lock : Mutex.t;  (* guards the fields below *)
+  s_work : Condition.t;  (* queue became non-empty / stop *)
+  s_done : Condition.t;  (* a job finished / queue drained *)
+  s_queue : job Queue.t;
+  (* Popped jobs whose reply is not yet written: the barrier [drain]
+     waits on.  Never reported; the ledger derives [inflight]. *)
+  mutable s_inflight : int;
+  mutable s_domains : unit Domain.t list;
+  mutable s_phase : phase;
 }
 
 let max_workers = Telemetry.max_workers
@@ -79,12 +79,16 @@ let create ?(config = Engine.default_config) ?cache_dir ?(workers = 0)
       (if workers <= 0 then min max_workers (Domain.recommended_domain_count ())
        else workers);
     s_max_queue = max max_queue 1;
-    s_lock = Mutex.create ();
-    s_pool = None;
-    s_stop_req = Atomic.make false;
-    s_conn_seq = Atomic.make 0;
     s_telemetry =
-      (match telemetry with Some tel -> tel | None -> Telemetry.create ()) }
+      (match telemetry with Some tel -> tel | None -> Telemetry.create ());
+    s_stop_req = Atomic.make false;
+    s_lock = Mutex.create ();
+    s_work = Condition.create ();
+    s_done = Condition.create ();
+    s_queue = Queue.create ();
+    s_inflight = 0;
+    s_domains = [];
+    s_phase = Idle }
 
 let worker_count t = t.s_workers
 
@@ -132,35 +136,30 @@ let parse_decks req =
   | Some (Json.Arr []) -> Error "\"decks\" must not be empty"
   | Some (Json.Arr specs) ->
     let deck_of i spec =
-      let load ?label path =
-        match read_file path with
-        | Error msg -> Error msg
-        | Ok src -> (
-          match Tech.Rules.of_string src with
-          | Ok rules ->
-            Ok
-              (Engine.deck
-                 ~label:(Option.value ~default:(Filename.basename path) label)
-                 rules)
-          | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+      (* One step for every deck: the text (or why it could not be
+         read), parsed, labelled by the given label else [default]; a
+         parse error is prefixed with [where]. *)
+      let build ?label ~default ~where text =
+        Result.bind text (fun src ->
+            match Tech.Rules.of_string src with
+            | Ok rules -> Ok (Engine.deck ~label:(Option.value ~default label) rules)
+            | Error msg -> Error (Printf.sprintf "%s: %s" where msg))
+      in
+      let of_path ?label path =
+        build ?label ~default:(Filename.basename path) ~where:path (read_file path)
       in
       match spec with
-      | Json.Str path -> load path
+      | Json.Str path -> of_path path
       | Json.Obj _ -> (
         let label = Option.bind (Json.member "label" spec) Json.str in
         match
           ( Option.bind (Json.member "path" spec) Json.str,
             Option.bind (Json.member "rules" spec) Json.str )
         with
-        | Some path, _ -> load ?label path
-        | None, Some src -> (
-          match Tech.Rules.of_string src with
-          | Ok rules ->
-            Ok
-              (Engine.deck
-                 ~label:(Option.value ~default:(Printf.sprintf "deck%d" i) label)
-                 rules)
-          | Error msg -> Error (Printf.sprintf "deck %d: %s" i msg))
+        | Some path, _ -> of_path ?label path
+        | None, Some src ->
+          build ?label ~default:(Printf.sprintf "deck%d" i)
+            ~where:(Printf.sprintf "deck %d" i) (Ok src)
         | None, None -> Error (Printf.sprintf "deck %d needs \"path\" or \"rules\"" i))
       | _ -> Error (Printf.sprintf "deck %d must be a path string or an object" i)
     in
@@ -347,49 +346,52 @@ let process_safe t ?req ?trace reqj =
       error_outcome )
 
 (* ------------------------------------------------------------------ *)
-(* Pool                                                                *)
+(* The server: workers, connections, shutdown                          *)
 
-let is_stale p job =
-  match job.j_key with
-  | None -> false
-  | Some key -> (
-    match Hashtbl.find_opt p.p_latest key with
-    | Some newest -> newest > job.j_ticket
-    | None -> false)
-
+(* The reply, then the bookkeeping: the connection's entry for this id
+   ends here unless a newer job already took it. *)
 let deliver job line =
-  job.j_conn.c_reply line;
-  Mutex.lock job.j_conn.c_lock;
-  job.j_conn.c_outstanding <- job.j_conn.c_outstanding - 1;
-  Condition.broadcast job.j_conn.c_done;
-  Mutex.unlock job.j_conn.c_lock
+  let c = job.j_conn in
+  c.c_reply line;
+  Mutex.lock c.c_lock;
+  (match job.j_key with
+  | Some key -> (
+    match Hashtbl.find_opt c.c_latest key with
+    | Some newest when newest == job -> Hashtbl.remove c.c_latest key
+    | _ -> ())
+  | None -> ());
+  c.c_outstanding <- c.c_outstanding - 1;
+  Condition.broadcast c.c_done;
+  Mutex.unlock c.c_lock
 
-let worker_loop t p w () =
+let worker_loop t w () =
   let tel = t.s_telemetry in
   let rec go () =
-    Mutex.lock p.p_lock;
-    while Queue.is_empty p.p_queue && not (Atomic.get p.p_stop) do
-      Condition.wait p.p_work p.p_lock
+    Mutex.lock t.s_lock;
+    while Queue.is_empty t.s_queue && t.s_phase <> Stopped do
+      Condition.wait t.s_work t.s_lock
     done;
-    if Queue.is_empty p.p_queue then
+    if Queue.is_empty t.s_queue then
       (* Stop requested and nothing left: exit.  Each check stored its
          per-definition results as it finished. *)
-      Mutex.unlock p.p_lock
+      Mutex.unlock t.s_lock
     else begin
-      let job = Queue.pop p.p_queue in
-      p.p_inflight <- p.p_inflight + 1;
-      let stale = is_stale p job in
-      Mutex.unlock p.p_lock;
+      let job = Queue.pop t.s_queue in
+      t.s_inflight <- t.s_inflight + 1;
+      Mutex.unlock t.s_lock;
       let deq_ns = Metrics.now_ns () in
       let wait_ns =
         let d = Int64.sub deq_ns job.j_enq_ns in
         if Int64.compare d 0L < 0 then 0L else d
       in
+      let cancelled () =
+        Telemetry.request_cancelled tel ~req:job.j_seq ~worker:w ();
+        cancelled_reply ~req:job.j_seq job.j_id
+      in
+      (* A superseded job is never checked if it was still queued; one
+         superseded while checking drops its result. *)
       let line =
-        if stale then begin
-          Telemetry.request_cancelled tel ~req:job.j_seq ~worker:w ();
-          cancelled_reply ~req:job.j_seq job.j_id
-        end
+        if Atomic.get job.j_superseded then cancelled ()
         else begin
           Telemetry.request_started tel ~req:job.j_seq ~worker:w ~wait_ns;
           (* Request-scoped span tree: the queued span (enqueue →
@@ -418,15 +420,7 @@ let worker_loop t p w () =
           | Some tr when Telemetry.collecting_traces tel ->
             Telemetry.add_trace tel ~req:job.j_seq tr
           | _ -> ());
-          (* A newer submission may have arrived while we were
-             checking: drop the stale result on the floor. *)
-          Mutex.lock p.p_lock;
-          let stale_now = is_stale p job in
-          Mutex.unlock p.p_lock;
-          if stale_now then begin
-            Telemetry.request_cancelled tel ~req:job.j_seq ~worker:w ();
-            cancelled_reply ~req:job.j_seq job.j_id
-          end
+          if Atomic.get job.j_superseded then cancelled ()
           else begin
             Telemetry.request_finished tel ~req:job.j_seq ~worker:w
               ~status:outcome.o_status ~exit_code:outcome.o_exit
@@ -440,72 +434,44 @@ let worker_loop t p w () =
       deliver job line;
       Telemetry.worker_busy tel ~worker:w
         ~ns:(Int64.sub (Metrics.now_ns ()) deq_ns);
-      Mutex.lock p.p_lock;
-      p.p_inflight <- p.p_inflight - 1;
-      Condition.broadcast p.p_done;
-      Mutex.unlock p.p_lock;
+      Mutex.lock t.s_lock;
+      t.s_inflight <- t.s_inflight - 1;
+      Condition.broadcast t.s_done;
+      Mutex.unlock t.s_lock;
       go ()
     end
   in
   go ()
 
-let start t =
-  Mutex.lock t.s_lock;
-  (match t.s_pool with
-  | Some _ -> ()
-  | None ->
-    let p =
-      { p_lock = Mutex.create ();
-        p_work = Condition.create ();
-        p_done = Condition.create ();
-        p_queue = Queue.create ();
-        p_stop = Atomic.make false;
-        p_latest = Hashtbl.create 16;
-        p_ticket = 0;
-        p_inflight = 0;
-        p_workers = [] }
-    in
-    t.s_pool <- Some p;
-    p.p_workers <-
-      List.init t.s_workers (fun w -> Domain.spawn (worker_loop t p w));
+(* Spawn the workers of an [Idle] server; under [s_lock]. *)
+let start_locked t =
+  if t.s_phase = Idle then begin
+    t.s_phase <- Running;
+    t.s_domains <- List.init t.s_workers (fun w -> Domain.spawn (worker_loop t w));
     Telemetry.lifecycle t.s_telemetry
       ~fields:[ ("workers", jnum t.s_workers); ("max_queue", jnum t.s_max_queue) ]
-      "start");
-  Mutex.unlock t.s_lock
+      "start"
+  end
 
-let pool t =
-  match t.s_pool with
-  | Some p -> p
-  | None ->
-    start t;
-    Option.get t.s_pool
+let start t = Mutex.protect t.s_lock (fun () -> start_locked t)
 
-let connect t ~reply =
+(* A connection is a reply writer and a cancellation scope; it needs
+   nothing of the server. *)
+let connect (_ : t) ~reply =
+  (* Replies get a lock of their own: a slow client's write must not
+     block [enqueue], which takes [c_lock] under the server lock. *)
   let lock = Mutex.create () in
-  let guarded line =
-    Mutex.lock lock;
-    (try reply line with _ -> ());
-    Mutex.unlock lock
-  in
-  { c_serial = Atomic.fetch_and_add t.s_conn_seq 1;
-    c_reply = guarded;
-    c_lock = Mutex.create ();
-    c_done = Condition.create ();
-    c_outstanding = 0 }
+  let guarded line = Mutex.protect lock (fun () -> try reply line with _ -> ()) in
+  { c_reply = guarded; c_lock = Mutex.create (); c_done = Condition.create ();
+    c_outstanding = 0; c_latest = Hashtbl.create 8 }
 
 let drain t =
-  match t.s_pool with
-  | None -> ()
-  | Some p ->
-    Mutex.lock p.p_lock;
-    while not (Queue.is_empty p.p_queue) || p.p_inflight > 0 do
-      Condition.wait p.p_done p.p_lock
-    done;
-    Mutex.unlock p.p_lock
+  Mutex.protect t.s_lock (fun () ->
+      while not (Queue.is_empty t.s_queue) || t.s_inflight > 0 do
+        Condition.wait t.s_done t.s_lock
+      done)
 
-let stopped t =
-  Atomic.get t.s_stop_req
-  || (match t.s_pool with Some p -> Atomic.get p.p_stop | None -> false)
+let stopped t = Atomic.get t.s_stop_req
 
 let request_stop t = Atomic.set t.s_stop_req true
 
@@ -518,18 +484,12 @@ type stats = {
   workers : int;
 }
 
-(* [f] with the queue depth and the live worker count, under the pool
+(* [f] with the queue depth and the live worker count, under the server
    lock: the ledger's [accepted] moves only under this lock, beside the
-   push, so a ledger read inside [f] agrees with the depth.  Lock order
-   is pool, then telemetry. *)
+   push, so a ledger read inside [f] agrees with the depth. *)
 let with_depth t f =
-  match t.s_pool with
-  | None -> f ~queued:0 ~workers:0
-  | Some p ->
-    Mutex.lock p.p_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock p.p_lock)
-      (fun () -> f ~queued:(Queue.length p.p_queue) ~workers:(List.length p.p_workers))
+  Mutex.protect t.s_lock (fun () ->
+      f ~queued:(Queue.length t.s_queue) ~workers:(List.length t.s_domains))
 
 let stats t =
   with_depth t (fun ~queued ~workers ->
@@ -538,31 +498,29 @@ let stats t =
         cancelled = r.Telemetry.cancelled; overloaded = r.Telemetry.overloaded; workers })
 
 let shutdown t =
-  match t.s_pool with
-  | None -> Atomic.set t.s_stop_req true
-  | Some p ->
-    Atomic.set t.s_stop_req true;
-    Mutex.lock p.p_lock;
-    (* The caller that flips the stop flag owns the lifecycle events:
-       concurrent shutdowns log begin/end exactly once. *)
-    let first = not (Atomic.exchange p.p_stop true) in
-    Condition.broadcast p.p_work;
-    (* Claim the workers under the lock so concurrent shutdowns join
-       each domain exactly once. *)
-    let workers = p.p_workers in
-    p.p_workers <- [];
-    Mutex.unlock p.p_lock;
-    if first then Telemetry.lifecycle t.s_telemetry "shutdown_begin";
-    drain t;
-    List.iter Domain.join workers;
-    if first then begin
-      let s = stats t in
-      Telemetry.lifecycle t.s_telemetry
-        ~fields:
-          [ ("served", jnum s.served); ("cancelled", jnum s.cancelled);
-            ("overloaded", jnum s.overloaded) ]
-        "shutdown"
-    end
+  Atomic.set t.s_stop_req true;
+  (* Claim the server and its workers under the lock, so concurrent
+     shutdowns join each domain exactly once; the caller that stops a
+     running server owns the lifecycle events. *)
+  let was, workers =
+    Mutex.protect t.s_lock (fun () ->
+        let was = t.s_phase and workers = t.s_domains in
+        t.s_phase <- Stopped;
+        t.s_domains <- [];
+        Condition.broadcast t.s_work;
+        (was, workers))
+  in
+  if was = Running then Telemetry.lifecycle t.s_telemetry "shutdown_begin";
+  drain t;
+  List.iter Domain.join workers;
+  if was = Running then begin
+    let s = stats t in
+    Telemetry.lifecycle t.s_telemetry
+      ~fields:
+        [ ("served", jnum s.served); ("cancelled", jnum s.cancelled);
+          ("overloaded", jnum s.overloaded) ]
+      "shutdown"
+  end
 
 (* The ack (and every overloaded refusal) carries the ledger's counts,
    so a client can see what the daemon did — and why it refused. *)
@@ -621,21 +579,20 @@ let admin_reply t id req kind =
 let admin_of req = Option.bind (Json.member "admin" req) Json.str
 
 let enqueue t conn id req =
-  let p = pool t in
   let seq = Telemetry.next_request t.s_telemetry in
-  (* Telemetry calls below run under p_lock so the event log orders
-     accepted before the worker's started, and the ledger's accepted
-     moves with the queue.  Lock order is always pool → telemetry,
-     never the reverse. *)
-  Mutex.lock p.p_lock;
-  if Atomic.get p.p_stop then begin
+  (* Telemetry calls below run under the server lock so the event log
+     orders accepted before the worker's started, and the ledger's
+     accepted moves with the queue. *)
+  Mutex.lock t.s_lock;
+  start_locked t;
+  if t.s_phase = Stopped then begin
     Telemetry.request_rejected t.s_telemetry ~error:"server is shutting down";
-    Mutex.unlock p.p_lock;
+    Mutex.unlock t.s_lock;
     conn.c_reply
       (refuse ~status:"shutdown" ~extra:(req_field (Some seq)) id "server is shutting down")
   end
-  else if Queue.length p.p_queue >= t.s_max_queue then begin
-    let queued = Queue.length p.p_queue in
+  else if Queue.length t.s_queue >= t.s_max_queue then begin
+    let queued = Queue.length t.s_queue in
     Telemetry.request_overloaded t.s_telemetry ~req:seq ~queued;
     let r = Telemetry.requests t.s_telemetry ~queued in
     let extra =
@@ -643,25 +600,30 @@ let enqueue t conn id req =
       @ [ ("served", jnum r.Telemetry.served); ("queued", jnum queued);
           ("inflight", jnum r.Telemetry.inflight) ]
     in
-    Mutex.unlock p.p_lock;
+    Mutex.unlock t.s_lock;
     conn.c_reply (refuse ~status:"overloaded" ~extra id "request queue is full; retry later")
   end
   else begin
-    p.p_ticket <- p.p_ticket + 1;
-    let key =
-      match id with Json.Null -> None | _ -> Some (conn.c_serial, Json.to_string id)
+    let key = match id with Json.Null -> None | _ -> Some (Json.to_string id) in
+    let job =
+      { j_conn = conn; j_req = req; j_id = id; j_key = key;
+        j_superseded = Atomic.make false; j_seq = seq; j_enq_ns = Metrics.now_ns () }
     in
-    (match key with Some k -> Hashtbl.replace p.p_latest k p.p_ticket | None -> ());
-    Queue.push
-      { j_conn = conn; j_req = req; j_id = id; j_key = key; j_ticket = p.p_ticket;
-        j_seq = seq; j_enq_ns = Metrics.now_ns () }
-      p.p_queue;
+    (* This job supersedes the connection's previous one with its id. *)
     Mutex.lock conn.c_lock;
+    (match key with
+    | Some k ->
+      Option.iter
+        (fun older -> Atomic.set older.j_superseded true)
+        (Hashtbl.find_opt conn.c_latest k);
+      Hashtbl.replace conn.c_latest k job
+    | None -> ());
     conn.c_outstanding <- conn.c_outstanding + 1;
     Mutex.unlock conn.c_lock;
-    Telemetry.request_accepted t.s_telemetry ~req:seq ~id ~queued:(Queue.length p.p_queue);
-    Condition.signal p.p_work;
-    Mutex.unlock p.p_lock
+    Queue.push job t.s_queue;
+    Telemetry.request_accepted t.s_telemetry ~req:seq ~id ~queued:(Queue.length t.s_queue);
+    Condition.signal t.s_work;
+    Mutex.unlock t.s_lock
   end
 
 (* A parse error is rejected, [shutdown] gets the ack and [admin] its

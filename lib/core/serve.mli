@@ -72,8 +72,9 @@
     [{"admin":"stats"}] answers with the canonical JSON snapshot; with
     ["format":"prometheus"] the reply instead carries a ["prometheus"]
     string member holding the {!Telemetry.prometheus} text exposition
-    of the same snapshot (scrape it via [dicheck top --once
-    --metrics-format prom]).  Unknown formats are refused.
+    of the same snapshot.  [dicheck top --once --metrics-format prom]
+    prints the same text, rendered from the JSON snapshot it fetches.
+    Unknown formats are refused.
 
     {2 Concurrency model}
 
@@ -100,7 +101,10 @@
     Either way the old request is answered with
     [{"status":"cancelled"}] and only the newest submission can
     answer with a report.  Requests without an [id] are never
-    cancelled.
+    cancelled.  The connection holds the table: an id's entry lasts
+    until that request's reply is written, so a client that sends a
+    fresh id with every request leaves no state behind, and two
+    connections using one [id] never cancel each other.
 
     {2 Shutdown and restart}
 
@@ -109,7 +113,9 @@
     request is still answered), joins the workers, and acknowledges with
     [{"ok":true,"status":"shutdown","served":N,"cancelled":N,
     "overloaded":N,"queued":N,"inflight":N}].  Requests arriving
-    during the drain are refused with [{"ok":false,"status":"shutdown"}].
+    during the drain — or at any time after {!shutdown}, even on a
+    daemon that never started — are refused with
+    [{"ok":false,"status":"shutdown"}].
     Every check stores its per-definition results as it finishes, so a
     daemon restarted over the same [--cache] directory — even after a
     crash — recovers them from disk: the first reply after a restart
@@ -154,35 +160,44 @@ val create :
 (** The resolved worker-domain count. *)
 val worker_count : t -> int
 
-(** {2 The pool}
+(** {2 In process}
 
     The daemon decomposed, so tests (and alternative transports) can
     drive it in-process with mocked clients. *)
 
-(** One client connection: a serial (the cancellation scope) and a
-    reply writer. *)
+(** One client connection: a reply writer and the cancellation scope,
+    a table from each pending request's canonical [id] to the newest
+    request with that [id].  An entry ends when that request's reply
+    is written. *)
 type conn
 
 (** [connect t ~reply] registers a client.  [reply] receives each
-    reply line (no trailing newline); calls are serialized and
-    exceptions from [reply] are swallowed, so a dead client cannot
-    take a worker down. *)
+    reply line (no trailing newline); calls are serialized under a
+    lock of the connection's own, and exceptions from [reply] are
+    swallowed, so a dead or slow client can neither take a worker down
+    nor hold up other connections' submissions. *)
 val connect : t -> reply:(string -> unit) -> conn
 
-(** Hand one request line to the daemon; the first one starts the
-    worker pool.  A check is enqueued and [submit] returns; its reply
+(** Hand one request line to the daemon; the first check starts the
+    worker domains.  A check is enqueued, superseding the connection's
+    previous request with its [id], and [submit] returns; its reply
     arrives via the connection's [reply] callback from a worker
     domain.  Malformed JSON, backpressure ("overloaded"), [admin]
-    requests, drain-time refusals and the shutdown acknowledgement are
-    answered synchronously from within [submit].  Blank lines are
-    ignored.  Every check runs on a worker, so the ledger, the event
-    log and the windows account for every request. *)
+    requests, refusals after {!shutdown} and the shutdown
+    acknowledgement are answered synchronously from within [submit].
+    Blank lines are ignored.  Every check runs on a worker, so the
+    ledger, the event log and the windows account for every
+    request. *)
 val submit : t -> conn -> string -> unit
 
 (** Block until the queue is empty and no request is in flight. *)
 val drain : t -> unit
 
-(** Stop intake, drain, join the workers.  Idempotent. *)
+(** Stop intake for good, drain, join the workers.  Idempotent.  Every
+    later check is refused with ["status":"shutdown"], also on a
+    daemon that never started: no worker is spawned after it.  The
+    event log's [shutdown_begin] and [shutdown] entries are written
+    once, and only for a daemon that started. *)
 val shutdown : t -> unit
 
 (** Signal-handler-safe shutdown request: sets a flag the transport
@@ -190,11 +205,11 @@ val shutdown : t -> unit
     [SIGTERM] handler. *)
 val request_stop : t -> unit
 
-(** Pool introspection, for tests and monitoring: the queue depth and
-    the {!Telemetry} ledger's counts, read in one section of the pool
-    lock, so the [{"admin":"stats"}] snapshot taken at the same moment
-    reads the same figures.  [workers] counts live worker domains (0
-    before the pool starts and after {!shutdown}). *)
+(** Server introspection, for tests and monitoring: the queue depth
+    and the {!Telemetry} ledger's counts, read in one section of the
+    server lock, so the [{"admin":"stats"}] snapshot taken at the same
+    moment reads the same figures.  [workers] counts live worker
+    domains (0 before the first check and after {!shutdown}). *)
 type stats = {
   queued : int;
   inflight : int;

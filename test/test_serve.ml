@@ -5,13 +5,14 @@
 
    Scenarios: concurrent clients vs one-shot byte-identity, warm-cache
    transitions across requests, one cache handle shared by several
-   workers, superseded-id cancellation (queued and in-flight),
-   backpressure, a malformed line mid-stream, socket readers reaped as
-   connections finish, crash at request N + restart recovering the warm
-   cache from disk, the shutdown handshake, the lint_werror /
-   lint_counts reply fields, the request ledger's invariant while a
-   reply is being written, and the sliding windows driven through the
-   telemetry hooks. *)
+   workers, superseded-id cancellation (queued and in-flight) and the
+   per-connection table behind it staying bounded, backpressure, a
+   malformed line mid-stream, socket readers reaped as connections
+   finish, crash at request N + restart recovering the warm cache from
+   disk, the shutdown handshake, a server shut down before its first
+   request, the lint_werror / lint_counts reply fields, the request
+   ledger's invariant while a reply is being written, and the sliding
+   windows driven through the telemetry hooks. *)
 
 let rules = Tech.Rules.nmos ()
 let lambda = rules.Tech.Rules.lambda
@@ -343,6 +344,46 @@ let test_superseded_id_queued () =
   Alcotest.(check int) "blocker and v2 served" 2 s.Dic.Serve.served;
   Dic.Serve.shutdown server
 
+(* A connection's entry for an id ends with that request's reply, so an
+   edit loop that sends a fresh id with every request leaves nothing
+   behind: after a 300-request warm-up, 2,000 more over one connection
+   (in drained batches of 50, below the queue bound) grow the words
+   reachable from the server and the connection by less than one per
+   request. *)
+let test_fresh_ids_leave_no_state () =
+  let server = Dic.Serve.create ~workers:1 rules in
+  let answered = Atomic.make 0 in
+  let conn = Dic.Serve.connect server ~reply:(fun _ -> Atomic.incr answered) in
+  let sent = ref 0 in
+  let run n =
+    for _ = 1 to n / 50 do
+      for _ = 1 to 50 do
+        incr sent;
+        Dic.Serve.submit server conn
+          (Dic.Json.to_string
+             (Dic.Json.Obj
+                [ ("id", Dic.Json.Str (Printf.sprintf "edit-%d" !sent));
+                  ("cif", Dic.Json.Str "DS 1; L NM; B 400 400 200 200; DF; C 1; E") ]))
+      done;
+      Dic.Serve.drain server
+    done
+  in
+  let words () =
+    Gc.full_major ();
+    Obj.reachable_words (Obj.repr (server, conn))
+  in
+  run 300;
+  let warm = words () in
+  run 2000;
+  let after = words () in
+  Alcotest.(check int) "every request answered" 2300 (Atomic.get answered);
+  Alcotest.(check int) "every request served" 2300 (Dic.Serve.stats server).Dic.Serve.served;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words after 300 requests, %d after 2,300" warm after)
+    true
+    (after - warm < 2000);
+  Dic.Serve.shutdown server
+
 (* ------------------------------------------------------------------ *)
 (* Backpressure                                                        *)
 
@@ -605,6 +646,23 @@ let test_crash_and_restart_recovers_warm_cache () =
       let late = parse_reply (List.nth (await c2 3) 2) in
       Alcotest.(check string) "post-shutdown refusal" "shutdown" (status late);
       Alcotest.(check (option bool)) "refusal is not ok" (Some false) (jbool "ok" late))
+
+(* A server shut down before its first request never starts: a check
+   submitted afterwards is refused, and no worker is spawned. *)
+let test_shutdown_before_first_request () =
+  let server = Dic.Serve.create ~workers:1 rules in
+  Dic.Serve.shutdown server;
+  let reply =
+    parse_reply
+      (Serve_ask.ask server
+         (Dic.Json.to_string
+            (Dic.Json.Obj [ ("id", Dic.Json.Num 1.); ("cif", Dic.Json.Str (clean_cif ())) ])))
+  in
+  Alcotest.(check string) "refused" "shutdown" (status reply);
+  Alcotest.(check (option bool)) "refusal is not ok" (Some false) (jbool "ok" reply);
+  let s = Dic.Serve.stats server in
+  Alcotest.(check int) "no worker spawned" 0 s.Dic.Serve.workers;
+  Alcotest.(check int) "nothing served" 0 s.Dic.Serve.served
 
 (* ------------------------------------------------------------------ *)
 (* lint, lint_werror, and per-code counts in the reply                 *)
@@ -1234,7 +1292,9 @@ let () =
             test_workers_share_one_cache_handle ] );
       ( "cancellation",
         [ Alcotest.test_case "superseded in flight" `Quick test_superseded_id_inflight;
-          Alcotest.test_case "superseded while queued" `Quick test_superseded_id_queued ] );
+          Alcotest.test_case "superseded while queued" `Quick test_superseded_id_queued;
+          Alcotest.test_case "fresh ids leave no state" `Quick
+            test_fresh_ids_leave_no_state ] );
       ( "robustness",
         [ Alcotest.test_case "backpressure" `Quick test_backpressure_overload;
           Alcotest.test_case "malformed mid-stream" `Quick
@@ -1248,7 +1308,9 @@ let () =
             test_finished_readers_reaped ] );
       ( "lifecycle",
         [ Alcotest.test_case "crash and restart" `Quick
-            test_crash_and_restart_recovers_warm_cache ] );
+            test_crash_and_restart_recovers_warm_cache;
+          Alcotest.test_case "shut down before the first request" `Quick
+            test_shutdown_before_first_request ] );
       ( "lint",
         [ Alcotest.test_case "lint counts and werror" `Quick
             test_lint_counts_and_werror ] );
